@@ -1,9 +1,11 @@
-"""Command-line front end: generate, solve, evaluate, sweep, report.
+"""Command-line front end: generate, solve, evaluate, sweep, report, and
+export the flat ILP.
 
 Exit codes: 0 success, 1 solver failure or evaluation violation, 2 usage
 errors (argparse's convention). Sweeps are resumable: rows whose key columns
 already appear in the output CSV are skipped, and runs execute in parallel
-across processes (``--threads`` or the MCSP_THREADS environment variable).
+across processes (``sweep --threads`` or the MCSP_THREADS environment
+variable).
 """
 
 from __future__ import annotations
@@ -411,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", required=True, choices=["rcga", "pba", "exact", "lb", "nrs"])
     solve.add_argument("--instance", required=True)
     solve.add_argument("--mode", default="paper", choices=["paper", "min"])
-    solve.add_argument("--threads", type=int, default=None,
-                       help="worker processes (used by sweep; accepted here for symmetry)")
     solve.add_argument("--out", default=None, help="write the solve report JSON here")
     solve.set_defaults(func=cmd_solve)
 

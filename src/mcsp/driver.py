@@ -245,17 +245,14 @@ def _finish_report(
 @dataclass
 class RcgaAudit:
     """Final pool, solution, duals and index of a finished run, for the
-    termination and pricing-consistency checks of the acceptance suite."""
+    termination and pricing-consistency checks of the acceptance suite, and
+    the number of integrality-equivalence checks it passed (a failing one
+    raises)."""
 
     pool: Optional[ColumnPool] = None
     solution: Optional[RmpSolution] = None
     idx: Optional[RequestIndex] = None
     integrality_checks: int = 0
-
-
-# suite-wide tally of integrality-equivalence assertions (each failing one
-# raises, so a growing count certifies zero violations)
-INTEGRALITY_CHECKS = 0
 
 
 def run_rcga(
@@ -266,7 +263,6 @@ def run_rcga(
     audit: Optional[RcgaAudit] = None,
 ) -> SolveReport:
     """Column generation with likelihood rounding until integral."""
-    global INTEGRALITY_CHECKS
     started = time.perf_counter()
     idx = build_request_index(inst)
     statics = PricingStatics(inst, idx, mode)
@@ -286,7 +282,6 @@ def run_rcga(
         gamma, omega = compute_indicators(sol.chi, pool)
         if not chi_integral_iff(sol.chi, gamma, omega):
             raise AssertionError("integrality of likelihoods and weights disagree")
-        INTEGRALITY_CHECKS += 1
         if audit is not None:
             audit.integrality_checks += 1
         if chi_is_integral(sol.chi):

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 INSTANCE_SCHEMA = "mcsp-instance/1"
 
@@ -174,7 +173,9 @@ def validate_instance(inst: Instance) -> list[str]:
     Violations are data, not exceptions: an empty list means the instance is
     well formed.
     """
-    out: list[str] = []
+    out = _id_problems(inst)
+    if out:  # the checks below compare ids and slots as integers
+        return out
     if inst.horizon < 1:
         out.append(f"horizon: must be >= 1, got {inst.horizon}")
     for k, srv in enumerate(inst.servers, start=1):
@@ -218,6 +219,33 @@ def validate_instance(inst: Instance) -> list[str]:
             out.append(
                 f"request {r.id}: candidate set {sorted(r.candidates)} "
                 f"not admissible in the topology"
+            )
+    return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _id_problems(inst: Instance) -> list[str]:
+    """Ids, slots and the horizon that are not integers."""
+    out: list[str] = []
+    if not _is_int(inst.horizon):
+        out.append(f"horizon: must be an integer, got {inst.horizon!r}")
+    for srv in inst.servers:
+        if not _is_int(srv.id):
+            out.append(f"server {srv.id!r}: id must be an integer")
+    for cont in inst.contents:
+        if not _is_int(cont.id):
+            out.append(f"content {cont.id!r}: id must be an integer")
+    for r in inst.requests:
+        for name in ("id", "content", "origin", "deadline"):
+            value = getattr(r, name)
+            if not _is_int(value):
+                out.append(f"request {r.id!r}: {name} must be an integer, got {value!r}")
+        if not (isinstance(r.candidates, tuple) and all(_is_int(h) for h in r.candidates)):
+            out.append(
+                f"request {r.id!r}: candidates must be a list of integers, got {r.candidates!r}"
             )
     return out
 
@@ -306,7 +334,8 @@ def instance_from_dict(doc: dict) -> Instance:
         contents=tuple(ContentSpec(c["id"], c["size"]) for c in doc["contents"]),
         requests=tuple(
             Request(
-                r["id"], r["content"], r["origin"], r["deadline"], tuple(r["candidates"])
+                r["id"], r["content"], r["origin"], r["deadline"],
+                tuple(r["candidates"]) if isinstance(r["candidates"], list) else r["candidates"],
             )
             for r in doc["requests"]
         ),
@@ -339,11 +368,8 @@ def load_instance(path: str | Path) -> Instance:
 class RequestIndex:
     """Precomputed request lookups used by cost evaluation and pricing.
 
-    scr(h, i)             SCRs whose sole candidate is h and content is i.
-    mcr(h, i)             MCRs with h among the candidates and content i.
-    mcr_window(h, i, o, d) those of mcr(h, i) with origin o and deadline >= d.
-    scr_deadline(h, i, t)  SCRs of scr(h, i) with deadline exactly t.
-    scr_settle(h, i, t, back) SCRs of scr(h, i) with deadline t, origin t - back.
+    scr(h, i)  SCRs whose sole candidate is h and content is i.
+    mcr(h, i)  MCRs with h among the candidates and content i.
     """
 
     def __init__(self, inst: Instance):
@@ -362,25 +388,6 @@ class RequestIndex:
 
     def mcr(self, h: int, i: int) -> tuple[Request, ...]:
         return tuple(self._mcr.get((h, i), ()))
-
-    def mcr_window(self, h: int, i: int, origin: int, deadline: int) -> tuple[Request, ...]:
-        return tuple(
-            r for r in self._mcr.get((h, i), ())
-            if r.origin == origin and r.deadline >= deadline
-        )
-
-    def scr_deadline(self, h: int, i: int, t: int) -> tuple[Request, ...]:
-        return tuple(r for r in self._scr.get((h, i), ()) if r.deadline == t)
-
-    def scr_settle(self, h: int, i: int, t: int, back: int) -> tuple[Request, ...]:
-        return tuple(
-            r for r in self._scr.get((h, i), ())
-            if r.deadline == t and r.origin == t - back
-        )
-
-    def pairs_with_requests(self) -> Iterable[tuple[int, int]]:
-        """(server, content) pairs that have at least one request attached."""
-        return sorted(set(self._scr) | set(self._mcr))
 
 
 def build_request_index(inst: Instance) -> RequestIndex:

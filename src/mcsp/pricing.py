@@ -29,6 +29,15 @@ exactly. All gaps share the same red-arc weight formula, which is what lets
 one node per (t, gap) replace the per-history nodes of the naive
 construction; the collapse is checked against an uncollapsed reference.
 
+One kernel solves the DAGs of K pairs at once, on weight tables stacked on a
+leading pair axis: ``forward_values`` gives every pair's minimum path value,
+and ``decode_columns`` recovers a minimum path's column for the pairs asked
+for. ``price_all`` prices every pair of the master in one forward pass and
+decodes only the pairs that price negative; ``shortest_path`` runs the same
+kernel on one explicit ``PricingGraph``. The per-pair ``PairWeights`` and the
+arc list of ``PricingGraph.arcs`` stay as the references the tests check the
+batched weights and the path-column bijection against.
+
 Ties between equal paths prefer fewer updates, then the lexicographically
 earliest update slots, then dropping over keeping the copy.
 """
@@ -57,11 +66,6 @@ class PricedColumn:
     i: int
     column: Column
     path_value: float  # equals the column's reduced cost
-
-
-def g_aux(h: int, i: int, o: int, d: int, a: int, duals: DualPrices, idx: RequestIndex) -> float:
-    """Service-credit sum over the pair's MCRs arriving at o with deadline >= d."""
-    return sum(duals.pi(r, h, a) for r in idx.mcr_window(h, i, o, d))
 
 
 class PairWeights:
@@ -126,11 +130,6 @@ class PairWeights:
             for a in range(1, t):
                 self.purple[t, a] = psi[t, a] + ga[t, a] - size * mu[t]
         self.orange = len(scrs) * cloud - duals.lam(h, i)
-
-
-def _default_masks(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    allow = np.ones(T + 1, dtype=bool)
-    return allow.copy(), allow.copy(), allow.copy()
 
 
 @dataclass
@@ -212,7 +211,7 @@ def build_graph(
 ) -> PricingGraph:
     T = inst.horizon
     if fixings is None:
-        allow_u, allow_k0, allow_ka = _default_masks(T)
+        allow_u, allow_k0, allow_ka = (np.ones(T + 1, dtype=bool) for _ in range(3))
     else:
         allow_u, allow_k0, allow_ka = fixings.mask_arrays(h, i, T)
     return PricingGraph(
@@ -226,167 +225,162 @@ def build_graph(
     )
 
 
+def shortest_path(graph: PricingGraph) -> PricedColumn:
+    """Exact minimum path and its decoded column: the kernel with K = 1."""
+    w = graph.weights
+    tables = PricerTables(
+        w.update[None], w.purple[None], np.array([w.orange]),
+        graph.allow_uncached[None], graph.allow_cached_zero[None],
+        graph.allow_cached_aged[None],
+    )
+    values = forward_values(tables)
+    (column,) = decode_columns(tables, values)
+    return PricedColumn(h=graph.h, i=graph.i, column=column, path_value=float(values[0]))
+
+
+# ---------------------------------------------------------------------------
+# The shortest-path kernel: K pair DAGs at once
+
+
+@dataclass
+class PricerTables:
+    """Arc weights and node masks of K pair DAGs, stacked on a leading axis.
+
+    upd[k, t, w] and pur[k, t, a] are the update and purple weights of
+    PairWeights, orange[k] the sink arcs; allow_u/k0/ka[k, t] are False where
+    the fixings remove uncached(t, *), cached(t, 0) or cached(t, age >= 1).
+    """
+
+    upd: np.ndarray
+    pur: np.ndarray
+    orange: np.ndarray
+    allow_u: np.ndarray
+    allow_k0: np.ndarray
+    allow_ka: np.ndarray
+
+    def take(self, ks: np.ndarray) -> "PricerTables":
+        """The tables of the pairs ks only."""
+        return PricerTables(self.upd[ks], self.pur[ks], self.orange[ks],
+                            self.allow_u[ks], self.allow_k0[ks], self.allow_ka[ks])
+
+
 class NoPathError(RuntimeError):
     """The removal masks disconnected source from sink."""
 
 
-def shortest_path(graph: PricingGraph) -> PricedColumn:
-    """Exact minimum path and its decoded column."""
-    value, column = _solve_pair(
-        graph.horizon,
-        graph.weights.update,
-        graph.weights.purple,
-        graph.weights.orange,
-        graph.allow_uncached,
-        graph.allow_cached_zero,
-        graph.allow_cached_aged,
-    )
-    return PricedColumn(h=graph.h, i=graph.i, column=column, path_value=value)
-
-
-def _forward_tables(T, upd, pur, allow_u, allow_k0, allow_ka):
-    dk = np.full((T + 1, T + 1), INF)
-    dth = np.full((T + 1, T + 1), INF)
-    if allow_u[1]:
-        dth[1, 1] = 0.0
-    if allow_k0[1]:
-        dk[1, 0] = upd[1, 0]
+def forward_values(tab: PricerTables) -> np.ndarray:
+    """Minimum source-to-sink path value of every pair (inf where the masks
+    cut every path), one forward pass over all K DAGs together."""
+    upd, pur = tab.upd, tab.pur
+    allow_u, allow_k0, allow_ka = tab.allow_u, tab.allow_k0, tab.allow_ka
+    K, T = upd.shape[0], upd.shape[1] - 1
+    # dk[k, t, a], dth[k, t, gap]: distance from the source to cached(t, a),
+    # uncached(t, gap); cached(t, t) and uncached(t, 0) do not exist (inf)
+    dk = np.full((K, T + 1, T + 1), INF)
+    dth = np.full((K, T + 1, T + 1), INF)
+    dth[allow_u[:, 1], 1, 1] = 0.0
+    dk[allow_k0[:, 1], 1, 0] = upd[allow_k0[:, 1], 1, 0]
     for t in range(2, T + 1):
-        if allow_k0[t]:
-            best = INF
-            for w in range(0, t):
-                prev = min(
-                    dk[t - 1, w] if w <= t - 2 else INF,
-                    dth[t - 1, w] if w >= 1 else INF,
-                )
-                cand = prev + upd[t, w]
-                if cand < best:
-                    best = cand
-            dk[t, 0] = best
-        if allow_ka[t]:
-            for a in range(1, t):
-                dk[t, a] = dk[t - 1, a - 1] + pur[t, a]
-        if allow_u[t]:
-            dth[t, 1] = dk[t - 1, 0]
-            for xi in range(2, t + 1):
-                dth[t, xi] = min(
-                    dth[t - 1, xi - 1],
-                    dk[t - 1, xi - 1] if xi - 1 <= t - 2 else INF,
-                )
-    return dk, dth
+        # prev[:, w]: the nearer of cached(t-1, w) and uncached(t-1, w), both
+        # last updated w + 1 slots before t; an update or a drop leaves either
+        # one along the same arc weights
+        prev = np.minimum(dk[:, t - 1, :t], dth[:, t - 1, :t])
+        dk[:, t, 0] = np.where(allow_k0[:, t], np.min(prev + upd[:, t, :t], axis=1), INF)
+        dk[:, t, 1:t] = np.where(allow_ka[:, t, None],
+                                 dk[:, t - 1, : t - 1] + pur[:, t, 1:t], INF)
+        dth[:, t, 1 : t + 1] = np.where(allow_u[:, t, None], prev, INF)
+    return (
+        np.minimum(np.min(dk[:, T, :], axis=1), np.min(dth[:, T, :], axis=1))
+        + tab.orange
+    )
 
 
-def _backward_tables(T, upd, pur, orange, allow_u, allow_k0, allow_ka):
-    bk = np.full((T + 1, T + 1), INF)
-    bth = np.full((T + 1, T + 1), INF)
-    for a in range(0, T):
-        if (a == 0 and allow_k0[T]) or (a >= 1 and allow_ka[T]):
-            bk[T, a] = orange
-    if allow_u[T]:
-        bth[T, 1 : T + 1] = orange
-    for t in range(T, 1, -1):
-        for a in range(0, t - 1):  # cached(t-1, a)
-            if (a == 0 and not allow_k0[t - 1]) or (a >= 1 and not allow_ka[t - 1]):
-                continue
-            best = INF
-            if allow_k0[t]:
-                best = upd[t, a] + bk[t, 0]
-            if a + 1 <= t - 1 and allow_ka[t]:
-                best = min(best, pur[t, a + 1] + bk[t, a + 1])
-            if allow_u[t]:
-                best = min(best, bth[t, a + 1])
-            bk[t - 1, a] = best
-        for xi in range(1, t):  # uncached(t-1, xi)
-            if not allow_u[t - 1]:
-                break
-            best = INF
-            if allow_k0[t]:
-                best = upd[t, xi] + bk[t, 0]
-            if allow_u[t]:
-                best = min(best, bth[t, xi + 1])
-            bth[t - 1, xi] = best
-    return bk, bth
+_OFF = 10**9  # update count of a move that leaves every tied path
+_ENTRY = ((1, 1), (0, 0), (1, 0))  # column entry of a move: update, drop, keep
 
 
-def _solve_pair(T, upd, pur, orange, allow_u, allow_k0, allow_ka):
-    """Min path value plus the decoded column under the tie-break rules."""
-    dk, dth = _forward_tables(T, upd, pur, allow_u, allow_k0, allow_ka)
-    bk, bth = _backward_tables(T, upd, pur, orange, allow_u, allow_k0, allow_ka)
-    value = min(float(np.min(dk[T])), float(np.min(dth[T]))) + orange
-    if math.isinf(value):
+def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
+    """The column of a minimum path of every pair, given its path value.
+
+    Paths within 1e-9 * (1 + |value|) of the minimum tie; ties prefer fewer
+    updates, then the earliest update slots, then dropping over keeping the
+    copy. Backward tables hold each node's distance to the sink and the
+    fewest updates on a tied path from it; one forward walk over all pairs
+    then takes, slot by slot, the first of update, drop and keep that stays
+    on a tied path with the fewest updates. A node the masks remove has
+    infinite distance to the sink, so no walk enters it and its update count
+    is never read.
+    """
+    if not np.isfinite(values).all():
         raise NoPathError("fixings disconnected the pricing graph")
-    eps = 1e-9 * (1.0 + abs(value))
+    upd, pur, orange = tab.upd, tab.pur, tab.orange
+    M, T = upd.shape[0], upd.shape[1] - 1
+    eps = 1e-9 * (1.0 + np.abs(values))
+    tie = eps[:, None]
+    allow_c = np.repeat(tab.allow_ka[:, :, None], T + 1, axis=2)  # cached(t, a)
+    allow_c[:, :, 0] = tab.allow_k0
 
-    def on_opt_k(t, a, dist):
-        return dist + bk[t, a] <= value + eps
-
-    def on_opt_th(t, xi, dist):
-        return dist + bth[t, xi] <= value + eps
-
-    # minimum update count over optimal arcs, backward from the sink
-    uk = np.full((T + 1, T + 1), 10**9)
-    uth = np.full((T + 1, T + 1), 10**9)
-    uk[T, : T][~np.isinf(bk[T, : T])] = 0
-    uth[T, 1 : T + 1][~np.isinf(bth[T, 1 : T + 1])] = 0
+    # bk[m, t, a], bth[m, t, gap]: distance from cached(t, a), uncached(t, gap)
+    # to the sink; uk, uth: fewest updates on a tied path from there
+    bk = np.full((M, T + 1, T + 1), INF)
+    bth = np.full((M, T + 1, T + 1), INF)
+    bk[:, T, :T] = np.where(allow_c[:, T, :T], orange[:, None], INF)
+    bth[:, T, 1:] = np.where(tab.allow_u[:, T, None], orange[:, None], INF)
+    uk = np.zeros((M, T + 1, T + 1), dtype=np.int64)
+    uth = np.zeros((M, T + 1, T + 1), dtype=np.int64)
     for t in range(T, 1, -1):
-        for a in range(0, t - 1):
-            if math.isinf(bk[t - 1, a]):
-                continue
-            best = 10**9
-            if allow_k0[t] and upd[t, a] + bk[t, 0] <= bk[t - 1, a] + eps:
-                best = min(best, 1 + uk[t, 0])
-            if a + 1 <= t - 1 and allow_ka[t] and pur[t, a + 1] + bk[t, a + 1] <= bk[t - 1, a] + eps:
-                best = min(best, uk[t, a + 1])
-            if allow_u[t] and bth[t, a + 1] <= bk[t - 1, a] + eps:
-                best = min(best, uth[t, a + 1])
-            uk[t - 1, a] = best
-        for xi in range(1, t):
-            if math.isinf(bth[t - 1, xi]):
-                continue
-            best = 10**9
-            if allow_k0[t] and upd[t, xi] + bk[t, 0] <= bth[t - 1, xi] + eps:
-                best = min(best, 1 + uk[t, 0])
-            if allow_u[t] and bth[t, xi + 1] <= bth[t - 1, xi] + eps:
-                best = min(best, uth[t, xi + 1])
-            uth[t - 1, xi] = best
+        # moves out of the slot t-1 node last updated a + 1 slots before t:
+        # update and drop from cached(t-1, a) or uncached(t-1, a), keep from
+        # cached(t-1, a) only
+        via_u = upd[:, t, :t] + bk[:, t, 0:1]
+        via_d = bth[:, t, 1 : t + 1]
+        via_k = pur[:, t, 1:t] + bk[:, t, 1:t]
+        n_u = 1 + uk[:, t, 0:1]
+        n_d = uth[:, t, 1 : t + 1]
+        move = np.minimum(via_u, via_d)
+        best = np.where(allow_c[:, t - 1, : t - 1], np.minimum(move[:, :-1], via_k), INF)
+        bk[:, t - 1, : t - 1] = best
+        lim = best + tie
+        uk[:, t - 1, : t - 1] = np.minimum(
+            np.minimum(np.where(via_u[:, :-1] <= lim, n_u, _OFF),
+                       np.where(via_d[:, :-1] <= lim, n_d[:, :-1], _OFF)),
+            np.where(via_k <= lim, uk[:, t, 1:t], _OFF))
+        best = np.where(tab.allow_u[:, t - 1, None], move[:, 1:], INF)
+        bth[:, t - 1, 1:t] = best
+        lim = best + tie
+        uth[:, t - 1, 1:t] = np.minimum(np.where(via_u[:, 1:] <= lim, n_u, _OFF),
+                                        np.where(via_d[:, 1:] <= lim, n_d[:, 1:], _OFF))
 
-    # forward walk: earliest feasible updates first, then drop, then keep
-    col: list[tuple[int, int]] = []
-    start_k = allow_k0[1] and on_opt_k(1, 0, upd[1, 0])
-    start_th = allow_u[1] and on_opt_th(1, 1, 0.0)
-    total_upd = min(
-        (1 + uk[1, 0]) if start_k else 10**9,
-        uth[1, 1] if start_th else 10**9,
-    )
-    if start_k and 1 + uk[1, 0] == total_upd:
-        state, dist, upd_done = ("k", 0), upd[1, 0], 1
-        col.append((1, 1))
-    else:
-        state, dist, upd_done = ("th", 1), 0.0, 0
-        col.append((0, 0))
+    # the walk: the node of slot t is cached(t, pos) or uncached(t, pos), at
+    # distance dist from the source, with left updates still to make
+    rows = np.arange(M)
+    lim = values + eps
+    start_k = upd[:, 1, 0] + bk[:, 1, 0] <= lim
+    start_d = bth[:, 1, 1] <= lim
+    left = np.minimum(np.where(start_k, 1 + uk[:, 1, 0], _OFF),
+                      np.where(start_d, uth[:, 1, 1], _OFF))
+    cached = start_k & (1 + uk[:, 1, 0] == left)
+    left -= cached
+    pos = np.where(cached, 0, 1)
+    dist = np.where(cached, upd[:, 1, 0], 0.0)
+    moves = np.empty((M, T), dtype=np.int64)
+    moves[:, 0] = ~cached
     for t in range(2, T + 1):
-        kind, pos = state
-        moved = False
-        # update arc first: earliest update slots win
-        w = pos if kind == "k" else pos
-        if allow_k0[t] and not math.isinf(upd[t, w]):
-            nd = dist + upd[t, w]
-            if on_opt_k(t, 0, nd) and upd_done + 1 + uk[t, 0] == total_upd:
-                state, dist, upd_done, moved = ("k", 0), nd, upd_done + 1, True
-                col.append((1, 1))
-        if not moved and allow_u[t]:  # drop
-            nxt = pos + 1
-            if on_opt_th(t, nxt, dist) and upd_done + uth[t, nxt] == total_upd:
-                state, moved = ("th", nxt), True
-                col.append((0, 0))
-        if not moved and kind == "k" and allow_ka[t] and pos + 1 <= t - 1:  # keep
-            nd = dist + pur[t, pos + 1]
-            if on_opt_k(t, pos + 1, nd) and upd_done + uk[t, pos + 1] == total_upd:
-                state, dist, moved = ("k", pos + 1), nd, True
-                col.append((1, 0))
-        if not moved:
+        nxt = pos + 1
+        to_u = dist + upd[rows, t, pos]
+        to_k = dist + pur[rows, t, nxt]
+        go_u = (to_u + bk[:, t, 0] <= lim) & (uk[:, t, 0] == left - 1)
+        go_d = (dist + bth[rows, t, nxt] <= lim) & (uth[rows, t, nxt] == left) & ~go_u
+        go_k = ((to_k + bk[rows, t, nxt] <= lim) & (uk[rows, t, nxt] == left) & cached
+                & ~(go_u | go_d))
+        if not (go_u | go_d | go_k).all():
             raise AssertionError("optimal-path walk got stuck; tie tolerance too tight")
-    return value, tuple(col)
+        dist = np.where(go_u, to_u, np.where(go_k, to_k, dist))
+        left -= go_u
+        pos = np.where(go_u, 0, nxt)
+        cached = go_u | go_k
+        moves[:, t - 1] = go_d + 2 * go_k
+    return [tuple(_ENTRY[m] for m in row) for row in moves.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -505,48 +499,8 @@ class Pricer:
         else:
             allow_u, allow_k0, allow_ka = fixings.batch_masks(s.pairs, T)
 
-        dk = np.full((K, T + 1, T + 1), INF)
-        dth = np.full((K, T + 1, T + 1), INF)
-        dth[allow_u[:, 1], 1, 1] = 0.0
-        dk[allow_k0[:, 1], 1, 0] = upd[allow_k0[:, 1], 1, 0]
-        for t in range(2, T + 1):
-            prevmin = np.full((K, t), INF)
-            prevmin[:, 0] = dk[:, t - 1, 0]
-            if t >= 2:
-                w = np.arange(1, t)
-                prev_k = dk[:, t - 1, 1 : t]
-                prev_k = np.where(w[None, :] <= t - 2, prev_k, INF)
-                prevmin[:, 1:] = np.minimum(prev_k, dth[:, t - 1, 1 : t])
-            cand = prevmin + upd[:, t, :t]
-            val = np.min(cand, axis=1)
-            dk[:, t, 0] = np.where(allow_k0[:, t], val, INF)
-            aged = dk[:, t - 1, 0 : t - 1] + pur[:, t, 1 : t]
-            dk[:, t, 1 : t] = np.where(allow_ka[:, t, None], aged, INF)
-            th = np.full((K, t), INF)
-            th[:, 0] = dk[:, t - 1, 0]
-            if t >= 3:
-                xi = np.arange(2, t + 1)
-                from_k = dk[:, t - 1, 1 : t]
-                from_k = np.where(xi[None, :] - 1 <= t - 2, from_k, INF)
-                th[:, 1:] = np.minimum(dth[:, t - 1, 1 : t], from_k)
-            elif t == 2:
-                th[:, 1] = dth[:, 1, 1]
-            dth[:, t, 1 : t + 1] = np.where(allow_u[:, t, None], th, INF)
-        values = (
-            np.minimum(np.min(dk[:, T, :], axis=1), np.min(dth[:, T, :], axis=1))
-            + orange
-        )
-        return values, PricerTables(upd, pur, orange, allow_u, allow_k0, allow_ka)
-
-
-@dataclass
-class PricerTables:
-    upd: np.ndarray
-    pur: np.ndarray
-    orange: np.ndarray
-    allow_u: np.ndarray
-    allow_k0: np.ndarray
-    allow_ka: np.ndarray
+        tables = PricerTables(upd, pur, orange, allow_u, allow_k0, allow_ka)
+        return forward_values(tables), tables
 
 
 def price_all(
@@ -563,20 +517,13 @@ def price_all(
     columns already pooled. Results come back in (server, content) order."""
     s = statics if statics is not None else PricingStatics(inst, idx, mode)
     values, tables = Pricer(s).price(duals, fixings)
+    ks = np.nonzero(values < -tol)[0]
+    if not len(ks):  # a fixpoint round: skip the decode's set-up
+        return []
     out: list[PricedColumn] = []
-    T = inst.horizon
-    for k in np.nonzero(values < -tol)[0]:
+    for k, column in zip(ks, decode_columns(tables.take(ks), values[ks])):
         h, i = s.pairs[k]
-        value, column = _solve_pair(
-            T,
-            tables.upd[k],
-            tables.pur[k],
-            float(tables.orange[k]),
-            tables.allow_u[k],
-            tables.allow_k0[k],
-            tables.allow_ka[k],
-        )
         if pool.contains(h, i, column):
             continue
-        out.append(PricedColumn(h=h, i=i, column=column, path_value=value))
+        out.append(PricedColumn(h=h, i=i, column=column, path_value=float(values[k])))
     return out

@@ -39,7 +39,7 @@ from scipy import sparse
 
 from .columns import Column, ColumnPool, settlement_coverage
 from .instance import Instance, Request, RequestIndex
-from .simplex import EQ, LE, LpProblem, LpSolution, solve_lp
+from .simplex import EQ, LE, LpError, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
@@ -386,7 +386,7 @@ def _canonical_primal(model: RmpModel, sol, backend: str) -> np.ndarray:
     )
     try:
         second = solve_lp(prob2, backend=backend)
-    except Exception:
+    except LpError:
         return sol.x  # canonicalization is best-effort
     return second.x
 

@@ -152,8 +152,8 @@ class LpSolution:
 def solve_lp(prob: LpProblem, backend: str = "auto") -> LpSolution:
     """Solve to optimality; raises LpInfeasibleError / LpUnboundedError.
 
-    backend 'auto' picks the dense simplex for small problems and HiGHS past
-    roughly a thousand rows plus columns.
+    backend 'auto' picks the dense simplex for problems of at most 600 rows
+    plus columns and HiGHS beyond.
     """
     if backend == "auto":
         backend = "simplex" if prob.num_rows + prob.num_vars <= 600 else "highs"

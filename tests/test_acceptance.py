@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-import mcsp.driver as driver
 from mcsp.baselines import run_pba, solve_exact
 from mcsp.cli import default_threads, main
 from mcsp.columns import enumerate_columns
@@ -241,9 +240,9 @@ def test_criterion_4_integrality_equivalence(batch3, batch7):
         run_rcga(inst, audit=audit)
         assert audit.integrality_checks >= 1
         audited += audit.integrality_checks
-    before = driver.INTEGRALITY_CHECKS
-    run_rcga(generate_instance(GeneratorConfig(**desk_cfg("3-cell", 99))))
-    assert driver.INTEGRALITY_CHECKS > before
+    audit = RcgaAudit()
+    run_rcga(generate_instance(GeneratorConfig(**desk_cfg("3-cell", 99))), audit=audit)
+    assert audit.integrality_checks >= 1
     n_batch = len(batch3) + len(batch7)
     _verdict(
         "4 integrality-equivalence",

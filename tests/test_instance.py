@@ -61,6 +61,26 @@ def test_load_rejects_wrong_schema(tmp_path, tiny1):
         load_instance(path)
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("requests", "candidates", ["1"]),
+    ("requests", "candidates", 1),
+    ("requests", "origin", "1"),
+    ("requests", "deadline", 2.0),
+    ("requests", "content", None),
+    ("requests", "id", "r1"),
+    ("servers", "id", 1.5),
+    ("contents", "id", "1"),
+    (None, "horizon", "2"),
+])
+def test_load_rejects_non_integer_ids(tmp_path, tiny1, where, field, value):
+    doc = instance_to_dict(tiny1)
+    (doc if where is None else doc[where][0])[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{field}.*integer|integer.*{field}"):
+        load_instance(path)
+
+
 def test_validate_flags_bad_window(tiny1):
     bad = dataclasses.replace(
         tiny1, requests=(Request(1, 1, origin=2, deadline=1, candidates=(1,)),)
@@ -144,9 +164,7 @@ def test_parse_ratio():
 def test_request_index_tiny1(tiny1, tiny1_idx):
     r1 = tiny1.requests[0]
     assert tiny1_idx.scr(1, 1) == (r1,)
-    assert tiny1_idx.scr_deadline(1, 1, 2) == (r1,)
-    assert tiny1_idx.scr_deadline(1, 1, 1) == ()
-    assert tiny1_idx.mcr_window(1, 1, 1, 1) == ()
+    assert tiny1_idx.mcr(1, 1) == ()
 
 
 def test_request_index_mcr_appears_per_candidate():
@@ -160,8 +178,6 @@ def test_request_index_mcr_appears_per_candidate():
     assert idx.mcr(1, 2) == (r,)
     assert idx.mcr(2, 2) == (r,)
     assert idx.mcr(3, 2) == ()
-    assert idx.mcr_window(1, 2, 1, 3) == (r,)
-    assert idx.mcr_window(1, 2, 1, 4) == ()  # deadline filter is d_r >= d
 
 
 def test_index_partitions_requests():

@@ -9,7 +9,6 @@ from mcsp.instance import build_request_index
 from mcsp.pricing import (
     PricingStatics,
     build_graph,
-    g_aux,
     price_all,
     shortest_path,
 )
@@ -46,29 +45,6 @@ def brute_force_min(inst, idx, h, i, duals, mode):
         if rc < best - 1e-12:
             best, best_col = rc, col
     return best, best_col
-
-
-def test_g_aux_tiny1(tiny1, tiny1_idx):
-    duals = zero_duals(tiny1)
-    assert g_aux(1, 1, 1, 1, 0, duals, tiny1_idx) == 0.0  # no MCRs at all
-
-
-def test_g_aux_filters_by_window():
-    rng = random.Random(0)
-    while True:
-        inst = random_tiny_instance(rng)
-        if inst.mcrs:
-            break
-    idx = build_request_index(inst)
-    r = inst.mcrs[0]
-    h = r.candidates[0]
-    duals = DualPrices(
-        inst=inst, sigma={}, pi_rows={(r.id, h, 0): -2.5},
-        mu_rows={}, phi_rows={}, lam_rows={},
-    )
-    assert g_aux(h, r.content, r.origin, r.deadline, 0, duals, idx) == pytest.approx(-2.5)
-    assert g_aux(h, r.content, r.origin, r.deadline + 1, 0, duals, idx) == 0.0
-    assert g_aux(h, r.content, r.origin + 1, r.deadline, 0, duals, idx) == 0.0
 
 
 def test_tiny1_zero_duals_path(tiny1, tiny1_idx):
@@ -127,6 +103,70 @@ def test_oracle_equality_random(mode):
                 rc = reduced_cost(pc.column, h, i, duals, idx, mode=mode)
                 assert rc == pytest.approx(pc.path_value, abs=1e-6)
         trials += 1
+
+
+def grid_duals(rng: random.Random, inst) -> DualPrices:
+    """Duals on a 0.5 grid, a third of them zero, so that equal-cost columns
+    (ties) are common."""
+
+    def draw(lo, hi):
+        return 0.0 if rng.random() < 0.33 else rng.randint(int(2 * lo), int(2 * hi)) / 2
+
+    pi, mu, phi, lam = {}, {}, {}, {}
+    for r in inst.mcrs:
+        for h in r.candidates:
+            for a in range(r.deadline):
+                pi[(r.id, h, a)] = draw(-3, 3)
+    for h in range(1, inst.num_servers + 1):
+        for t in range(1, inst.horizon + 1):
+            mu[(h, t)] = draw(0, 2)
+            phi[(h, t)] = draw(0, 2)
+        for i in range(1, inst.num_contents + 1):
+            lam[(h, i)] = draw(0, 40)
+    return DualPrices(inst=inst, sigma={}, pi_rows=pi, mu_rows=mu, phi_rows=phi, lam_rows=lam)
+
+
+# per-slot rank of the tie-break: update before drop before keep
+_SLOT_RANK = {(1, 1): 0, (0, 0): 1, (1, 0): 2}
+
+
+def _tie_break_key(col):
+    return (sum(1 for x in col if x == (1, 1)), tuple(_SLOT_RANK[x] for x in col))
+
+
+@pytest.mark.parametrize("mode", ["paper", "min"])
+def test_decode_tie_break_matches_brute_force(mode):
+    """Among all minimum-reduced-cost columns of a pair, the decoder returns
+    the one with the fewest updates, then the earliest updates, then drop
+    before keep; the brute force over every valid column is the reference."""
+    from mcsp.columns import ColumnPool
+
+    rng = random.Random(59)
+    ties = 0
+    for _ in range(40):
+        inst = random_tiny_instance(rng, horizon_max=4)
+        idx = build_request_index(inst)
+        duals = grid_duals(rng, inst)
+        empty = ColumnPool(inst, idx, mode, {
+            (h, i): [] for h in range(1, inst.num_servers + 1)
+            for i in range(1, inst.num_contents + 1)
+        })
+        by_pair = {(pc.h, pc.i): pc for pc in price_all(empty, duals, inst, idx, mode=mode)}
+        for h in range(1, inst.num_servers + 1):
+            for i in range(1, inst.num_contents + 1):
+                rc = {col: reduced_cost(col, h, i, duals, idx, mode=mode)
+                      for col in enumerate_columns(inst.horizon)}
+                best = min(rc.values())
+                optimal = [c for c, v in rc.items() if v <= best + 1e-9 * (1 + abs(best))]
+                ties += len(optimal) > 1
+                want = min(optimal, key=_tie_break_key)
+                pc = shortest_path(build_graph(h, i, duals, inst, idx, mode=mode))
+                assert pc.column == want
+                if best < -1e-6:
+                    assert by_pair[(h, i)].column == want
+                else:
+                    assert (h, i) not in by_pair
+    assert ties >= 20  # the grid duals do produce ties
 
 
 def test_bijection_paths_and_columns():
