@@ -22,9 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .columns import Column, ColumnPool, column_states, zero_column
+from .columns import ColumnPool, column_states, zero_column
 from .costs import (
     AssignmentPlan,
     CostBreakdown,
@@ -39,18 +37,16 @@ from .instance import Instance, RequestIndex, build_request_index
 from .pricing import PricingStatics, price_all
 from .rmp import CapacityRows, RmpSolution, build_rmp, solve_rmp
 from .rounding import (
+    TOL_INT,
     RoundingState,
     chi_integral_iff,
     chi_is_integral,
     compute_indicators,
-    is_integral,
     round_once,
 )
 from .simplex import LpInfeasibleError
 
 REPORT_SCHEMA = "mcsp-report/1"
-
-TOL_PRICE = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -159,15 +155,13 @@ def run_cga(
     idx: RequestIndex,
     fixings=None,
     mode: SettlementMode = "paper",
-    backend: str = "auto",
-    tol: float = TOL_PRICE,
     statics: Optional[PricingStatics] = None,
-    round_guard: Optional[int] = None,
     canonical: bool = False,
     capacity_rows: Optional[CapacityRows] = None,
 ) -> CgaResult:
-    """Alternate master solves and pricing until no column prices below -tol
-    and the fixpoint primal violates no capacity.
+    """Alternate master solves and pricing until no column prices negative
+    (below -``pricing.TOL_PRICE``) and the fixpoint primal violates no
+    capacity.
 
     The master holds the capacity rows in ``capacity_rows`` (a fresh empty
     set when None); at each pricing fixpoint the rows the primal violates
@@ -182,18 +176,17 @@ def run_cga(
     statics = statics or PricingStatics(inst, idx, mode)
     if capacity_rows is None:
         capacity_rows = CapacityRows()
-    guard = round_guard or 10 * inst.num_servers * inst.num_contents * inst.horizon
+    guard = 10 * inst.num_servers * inst.num_contents * inst.horizon
     rounds = 0
     while True:
         model = build_rmp(pool, inst, idx, capacity_rows)
-        sol = solve_rmp(model, backend=backend)
+        sol = solve_rmp(model)
         rounds += 1
-        candidates = price_all(
-            pool, sol.duals, inst, idx, fixings=fixings, mode=mode, tol=tol, statics=statics
-        )
+        candidates = price_all(pool, sol.duals, inst, idx, fixings=fixings, mode=mode,
+                               statics=statics)
         if not candidates:
             if canonical:
-                sol = solve_rmp(model, backend=backend, canonical=True, lp=sol.lp)
+                sol = solve_rmp(model, canonical=True, lp=sol.lp)
             if not capacity_rows.add_violated(pool, sol.chi, inst):
                 return CgaResult(solution=sol, rounds=rounds)
         for pc in candidates:
@@ -256,11 +249,7 @@ class RcgaAudit:
 
 
 def run_rcga(
-    inst: Instance,
-    mode: SettlementMode = "paper",
-    backend: str = "auto",
-    tol: float = TOL_PRICE,
-    audit: Optional[RcgaAudit] = None,
+    inst: Instance, mode: SettlementMode = "paper", audit: Optional[RcgaAudit] = None
 ) -> SolveReport:
     """Column generation with likelihood rounding until integral."""
     started = time.perf_counter()
@@ -270,8 +259,8 @@ def run_rcga(
     state = RoundingState(inst)
     rows = CapacityRows()
 
-    result = run_cga(pool, inst, idx, fixings=state, mode=mode, backend=backend,
-                     tol=tol, statics=statics, canonical=True, capacity_rows=rows)
+    result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
+                     canonical=True, capacity_rows=rows)
     lb = result.solution.objective
     pricing_rounds = result.rounds
     sol = result.solution
@@ -290,8 +279,8 @@ def run_rcga(
             raise ConvergenceError(f"rounding did not reach integrality in {max_cycles} passes")
         round_once(state, sol.chi, pool)
         cycles += 1
-        result = run_cga(pool, inst, idx, fixings=state, mode=mode, backend=backend,
-                         tol=tol, statics=statics, canonical=True, capacity_rows=rows)
+        result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
+                         canonical=True, capacity_rows=rows)
         pricing_rounds += result.rounds
         sol = result.solution
         if sol.objective < lb - 1e-6 * (1 + abs(lb)):
@@ -306,14 +295,12 @@ def run_rcga(
     return report
 
 
-def run_lower_bound(
-    inst: Instance, mode: SettlementMode = "paper", backend: str = "auto"
-) -> SolveReport:
+def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Column generation without rounding: the optimality yardstick."""
     started = time.perf_counter()
     idx = build_request_index(inst)
     pool = ColumnPool.initial(inst, idx, mode)
-    result = run_cga(pool, inst, idx, mode=mode, backend=backend)
+    result = run_cga(pool, inst, idx, mode=mode)
     return SolveReport(
         algorithm="lb",
         settlement_mode=mode,
@@ -329,64 +316,21 @@ def run_lower_bound(
     )
 
 
-class _PinnedColumns:
-    """Pricing masks that lock already-fixed pairs to their single column."""
+def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
+    """Fix whole column weights greedily; infeasibility is a recorded outcome.
 
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-        self.pinned: dict[tuple[int, int], Column] = {}
-
-    def pin(self, h: int, i: int, col: Column) -> None:
-        self.pinned[(h, i)] = col
-
-    def _masks_for(self, col: Column, T: int):
-        allow_u = np.ones(T + 1, dtype=bool)
-        allow_k0 = np.ones(T + 1, dtype=bool)
-        allow_ka = np.ones(T + 1, dtype=bool)
-        for t, (q, p) in enumerate(col, start=1):
-            if p == 1:
-                allow_u[t] = allow_ka[t] = False
-            elif q == 1:
-                allow_u[t] = allow_k0[t] = False
-            else:
-                allow_k0[t] = allow_ka[t] = False
-        return allow_u, allow_k0, allow_ka
-
-    def mask_arrays(self, h: int, i: int, T: int):
-        col = self.pinned.get((h, i))
-        if col is None:
-            allow = np.ones(T + 1, dtype=bool)
-            return allow, allow.copy(), allow.copy()
-        return self._masks_for(col, T)
-
-    def batch_masks(self, pairs, T: int):
-        K = len(pairs)
-        allow_u = np.ones((K, T + 1), dtype=bool)
-        allow_k0 = np.ones((K, T + 1), dtype=bool)
-        allow_ka = np.ones((K, T + 1), dtype=bool)
-        for k, hi in enumerate(pairs):
-            col = self.pinned.get(hi)
-            if col is not None:
-                allow_u[k], allow_k0[k], allow_ka[k] = self._masks_for(col, T)
-        return allow_u, allow_k0, allow_ka
-
-
-def naive_round(
-    inst: Instance,
-    mode: SettlementMode = "paper",
-    backend: str = "auto",
-    tol: float = TOL_PRICE,
-) -> SolveReport:
-    """Fix whole column weights greedily; infeasibility is a recorded outcome."""
+    A pinned column is fixed slot by slot in a ``RoundingState`` (gamma and
+    omega are its cached and updated flags), which leaves pricing that one
+    path of the pair's graph."""
     started = time.perf_counter()
     idx = build_request_index(inst)
     statics = PricingStatics(inst, idx, mode)
     pool = ColumnPool.initial(inst, idx, mode)
-    pins = _PinnedColumns(inst.horizon)
+    pins = RoundingState(inst)
     rows = CapacityRows()
 
-    result = run_cga(pool, inst, idx, fixings=pins, mode=mode, backend=backend,
-                     tol=tol, statics=statics, capacity_rows=rows)
+    result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
+                     capacity_rows=rows)
     lb = result.solution.objective
     pricing_rounds = result.rounds
     sol = result.solution
@@ -397,17 +341,18 @@ def naive_round(
             for key in sorted(sol.chi):
                 w = sol.chi[key]
                 for k, v in enumerate(w):
-                    if tol < v < 1 - tol and (best is None or v > best[0]):
+                    if TOL_INT < v < 1 - TOL_INT and (best is None or v > best[0]):
                         best = (float(v), key, k)
             if best is None:
                 break
             _, (h, i), k = best
             col = pool.entries[(h, i)][k].column
             pool.entries[(h, i)] = [pool.entries[(h, i)][k]]
-            pins.pin(h, i, col)
+            for t, (q, p) in enumerate(col, start=1):
+                pins.fix(h, i, t, gamma=q, omega=p)
             fixes += 1
-            result = run_cga(pool, inst, idx, fixings=pins, mode=mode, backend=backend,
-                             tol=tol, statics=statics, capacity_rows=rows)
+            result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
+                             capacity_rows=rows)
             pricing_rounds += result.rounds
             sol = result.solution
     except LpInfeasibleError:

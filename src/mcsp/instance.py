@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 INSTANCE_SCHEMA = "mcsp-instance/1"
 
@@ -181,19 +184,23 @@ def validate_instance(inst: Instance) -> list[str]:
     for k, srv in enumerate(inst.servers, start=1):
         if srv.id != k:
             out.append(f"server {srv.id}: ids must be 1..H in order")
-        if not srv.cache_capacity > 0:
-            out.append(f"server {srv.id}: cache_capacity must be > 0")
-        if not srv.backhaul_capacity > 0:
-            out.append(f"server {srv.id}: backhaul_capacity must be > 0")
+        for name in ("cache_capacity", "backhaul_capacity"):
+            value = getattr(srv, name)
+            if not _is_finite(value):
+                out.append(f"server {srv.id}: {name} must be a finite number, got {value!r}")
+            elif not value > 0:
+                out.append(f"server {srv.id}: {name} must be > 0")
     for k, cont in enumerate(inst.contents, start=1):
         if cont.id != k:
             out.append(f"content {cont.id}: ids must be 1..I in order")
-        if not (isinstance(cont.size, int) and cont.size >= 1):
+        if not (_is_int(cont.size) and cont.size >= 1):
             out.append(f"content {cont.id}: size must be an integer >= 1")
-    if not inst.cost.alpha > inst.cost.beta > 0:
-        out.append(
-            f"cost: need alpha > beta > 0, got alpha={inst.cost.alpha} beta={inst.cost.beta}"
-        )
+    alpha, beta = inst.cost.alpha, inst.cost.beta
+    bad_costs = [name for name in ("alpha", "beta") if not _is_finite(getattr(inst.cost, name))]
+    for name in bad_costs:
+        out.append(f"cost: {name} must be a finite number, got {getattr(inst.cost, name)!r}")
+    if not bad_costs and not alpha > beta > 0:
+        out.append(f"cost: need alpha > beta > 0, got alpha={alpha} beta={beta}")
     out.extend(_validate_aoi(inst.cost.aoi, inst.horizon))
     if inst.topology.num_servers != inst.num_servers:
         out.append("topology: num_servers disagrees with server list")
@@ -201,6 +208,8 @@ def validate_instance(inst: Instance) -> list[str]:
     for r in inst.requests:
         if r.id in seen_ids:
             out.append(f"request {r.id}: duplicate id")
+        if not 1 <= r.id <= len(inst.requests):
+            out.append(f"request {r.id}: ids must lie in 1..{len(inst.requests)}")
         seen_ids.add(r.id)
         if not (1 <= r.content <= inst.num_contents):
             out.append(f"request {r.id}: content {r.content} out of range")
@@ -227,11 +236,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A finite real number; a bool is not taken for one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _id_problems(inst: Instance) -> list[str]:
-    """Ids, slots and the horizon that are not integers."""
+    """Ids, slots, the horizon and the topology's server count that are not
+    integers."""
     out: list[str] = []
     if not _is_int(inst.horizon):
         out.append(f"horizon: must be an integer, got {inst.horizon!r}")
+    if not _is_int(inst.topology.num_servers):
+        out.append(f"topology: num_servers must be an integer, got {inst.topology.num_servers!r}")
     for srv in inst.servers:
         if not _is_int(srv.id):
             out.append(f"server {srv.id!r}: id must be an integer")
@@ -259,7 +276,13 @@ def _validate_aoi(aoi: AoiCost, horizon: int) -> list[str]:
             f"cost.aoi: table must cover ages 0..{horizon - 1}, "
             f"has {len(aoi.values)} entries"
         ]
-    vals = [aoi(a) for a in range(horizon)]
+    params = {"exponential": (aoi.rate,), "linear": (aoi.base, aoi.slope)}
+    if not all(_is_finite(v) for v in params.get(aoi.kind, aoi.values[:horizon])):
+        return [f"cost.aoi: the {aoi.kind} parameters must be finite numbers"]
+    try:
+        vals = [aoi(a) for a in range(horizon)]
+    except OverflowError:
+        vals = [math.inf]
     if any(not math.isfinite(v) for v in vals):
         out.append("cost.aoi: values must be finite over the horizon")
     if any(b < a for a, b in zip(vals, vals[1:])):
@@ -315,6 +338,21 @@ def instance_from_dict(doc: dict) -> Instance:
     for key in ("horizon", "servers", "contents", "requests", "cost", "topology"):
         if key not in doc:
             raise ValueError(f"instance file missing required key {key!r}")
+    try:
+        inst = _parse_instance(doc)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"invalid instance file: malformed document ({type(exc).__name__}: {exc})"
+        ) from exc
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("invalid instance file: " + "; ".join(problems[:5]))
+    return inst
+
+
+def _parse_instance(doc: dict) -> Instance:
+    """The instance a document describes, unvalidated; a document of the
+    wrong shape raises whatever its first misread raises."""
     aoi_doc = doc["cost"]["aoi"]
     kind = aoi_doc["kind"]
     if kind == "exponential":
@@ -326,7 +364,7 @@ def instance_from_dict(doc: dict) -> Instance:
     else:
         raise ValueError(f"unknown aoi cost kind {kind!r}")
     topo = doc["topology"]
-    inst = Instance(
+    return Instance(
         servers=tuple(
             ServerSpec(s["id"], s["cache_capacity"], s["backhaul_capacity"])
             for s in doc["servers"]
@@ -347,10 +385,6 @@ def instance_from_dict(doc: dict) -> Instance:
             triples=tuple(tuple(t) for t in topo.get("triples", [])),
         ),
     )
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance file: " + "; ".join(problems[:5]))
-    return inst
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
@@ -370,6 +404,14 @@ class RequestIndex:
 
     scr(h, i)  SCRs whose sole candidate is h and content is i.
     mcr(h, i)  MCRs with h among the candidates and content i.
+
+    The service index numbers the MCR service triples (request id, server,
+    age), one per candidate server and age below the deadline: pair by pair
+    in (server, content) order, then in ``mcr(h, i)`` order, then by age.
+    ``svc_pos`` maps a triple to its position; ``svc_request_ids`` and
+    ``svc_saving`` (f(age) minus the request's cloud cost) are by position.
+    The master's coverage duals and the pricing's service credits are arrays
+    in this order.
     """
 
     def __init__(self, inst: Instance):
@@ -382,6 +424,18 @@ class RequestIndex:
                     self._mcr.setdefault((h, r.content), []).append(r)
             else:
                 self._scr.setdefault((r.candidates[0], r.content), []).append(r)
+        self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
+        self.svc_pos: dict[tuple[int, int, int], int] = {}
+        request_ids, saving = [], []
+        for h in range(1, inst.num_servers + 1):
+            for i in range(1, inst.num_contents + 1):
+                for r in self._mcr.get((h, i), ()):
+                    for a in range(r.deadline):
+                        self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
+                        request_ids.append(r.id)
+                        saving.append(inst.f(a) - inst.cloud_cost(i))
+        self.svc_request_ids = np.array(request_ids, dtype=np.int64)
+        self.svc_saving = np.array(saving, dtype=float)
 
     def scr(self, h: int, i: int) -> tuple[Request, ...]:
         return tuple(self._scr.get((h, i), ()))

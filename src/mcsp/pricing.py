@@ -398,9 +398,9 @@ class PricingStatics:
             for h in range(1, inst.num_servers + 1)
             for i in range(1, inst.num_contents + 1)
         ]
-        self.pair_pos = {hi: k for k, hi in enumerate(self.pairs)}
         K = len(self.pairs)
         self.server = np.array([h for h, _ in self.pairs], dtype=np.int64)
+        self.content = np.array([i for _, i in self.pairs], dtype=np.int64)
         self.size = np.array([inst.size(i) for _, i in self.pairs], dtype=float)
         self.cloud = np.array([inst.cloud_cost(i) for _, i in self.pairs])
         self.n_scr = np.zeros(K)
@@ -417,20 +417,16 @@ class PricingStatics:
                     if mode == "min":
                         reach = min(reach, cloud)
                     self.psi[k, r.deadline, a] += reach - cloud
-        # MCR service triples (request id, server, age), one per age below the
-        # deadline, pair by pair. The age-0 credit of a request arriving at o
-        # lands in g0[k, o, 1..deadline], the age-a credit in ga[k, o, a]; the
-        # flat target indices keep that fill order, so the sums come out the
-        # same as filling request by request.
-        self.svc_pos: dict[tuple[int, int, int], int] = {}
-        request_ids, saving = [], []
+        # Credit fill targets of the services, in service-index order. The
+        # age-0 credit of a request arriving at o lands in g0[k, o, 1..deadline],
+        # the age-a credit in ga[k, o, a]; the flat target indices keep that
+        # fill order, so the sums come out the same as filling request by
+        # request.
         g0_src, g0_at, ga_src, ga_at = [], [], [], []
         for k, (h, i) in enumerate(self.pairs):
             for r in idx.mcr(h, i):
                 for a in range(0, r.deadline):
-                    j = self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
-                    request_ids.append(r.id)
-                    saving.append(inst.f(a) - inst.cloud_cost(r.content))
+                    j = idx.svc_pos[(r.id, h, a)]
                     if a == 0:
                         for t in range(1, r.deadline + 1):
                             g0_src.append(j)
@@ -438,8 +434,6 @@ class PricingStatics:
                     else:
                         ga_src.append(j)
                         ga_at.append((k * (T + 1) + r.origin) * (T + 1) + a)
-        self.svc_request_ids = np.array(request_ids, dtype=np.int64)
-        self.svc_saving = np.array(saving, dtype=float)
         self.g0_src = np.array(g0_src, dtype=np.int64)
         self.g0_at = np.array(g0_at, dtype=np.int64)
         self.ga_src = np.array(ga_src, dtype=np.int64)
@@ -459,7 +453,7 @@ class Pricer:
         inst = s.inst
         T = inst.horizon
         K = len(s.pairs)
-        pi = duals.pi_vector(s.svc_pos, s.svc_request_ids, s.svc_saving)
+        pi = duals.pis
         g0 = np.zeros(K * (T + 2) * (T + 2))
         np.add.at(g0, s.g0_at, pi[s.g0_src])
         g0 = g0.reshape(K, T + 2, T + 2)
@@ -471,11 +465,8 @@ class Pricer:
         cum = np.cumsum(g0, axis=1)
 
         # capacity prices per server, spread over that server's pairs
-        servers = range(inst.num_servers + 1)
-        mu = np.array([[0.0] + [duals.mu(h, t) for t in range(1, T + 1)] for h in servers])
-        phi = np.array([[0.0] + [duals.phi(h, t) for t in range(1, T + 1)] for h in servers])
-        mu, phi = mu[s.server], phi[s.server]
-        lam = np.array([duals.lam(h, i) for h, i in s.pairs])
+        mu, phi = duals.mus[s.server], duals.phis[s.server]
+        lam = duals.lams[s.server, s.content]
 
         base_upd = (
             inst.cost.beta * s.size[:, None]

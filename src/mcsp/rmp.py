@@ -24,14 +24,15 @@ Coverage uses the settlement convention of the pricing graph: a column can
 serve (r, a) at the age it holds when the request arrives, or at age zero
 when it updates inside the request window. Service variables that can never
 pay off (f(a) >= cloud cost) and coverage rows no pool column supports are
-left out of the LP; their duals are imputed so that the returned DualPrices
-is a complete optimal dual vector for the full row set (the imputation is
-exercised by the certificate tests).
+left out of the LP; their duals are filled in so that the returned
+DualPrices is a complete optimal dual vector for the full row set (the
+certificate tests check the filled-in values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ from scipy import sparse
 
 from .columns import Column, ColumnPool, settlement_coverage
 from .instance import Instance, Request, RequestIndex
-from .simplex import EQ, LE, LpError, LpProblem, LpSolution, solve_lp
+from .simplex import _REL_CODES, EQ, LE, LpError, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
@@ -47,65 +48,51 @@ TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violat
 
 @dataclass
 class DualPrices:
-    """Optimal duals of the master rows, complete over the full row set.
+    """Duals of the master rows as complete arrays: ``sigma`` by request id,
+    ``pis`` by position in the request index's service index, ``mus`` and
+    ``phis`` by [server, slot], ``lams`` by [server, content].
 
-    ``pi`` entries exist for every (MCR, candidate server, age) triple with
-    0 <= age <= deadline - 1: rows present in the LP report their dual, the
-    rest are imputed (zero when the service could never pay off, otherwise
-    min(0, saving - serve-once dual)).
+    Read off a master solve, they are optimal over the full row set: a
+    capacity row the master leaves out has a zero dual, and a coverage row it
+    leaves out one filled in by ``_read_duals``. ``pi``, ``mu``, ``phi`` and
+    ``lam`` look single entries up.
     """
 
-    inst: Instance
-    sigma: dict[int, float]
-    pi_rows: dict[tuple[int, int, int], float]
-    mu_rows: dict[tuple[int, int], float]
-    phi_rows: dict[tuple[int, int], float]
-    lam_rows: dict[tuple[int, int], float]
-    # True for duals read off a master solve: entries for rows the LP left
-    # out are imputed to complete the optimality certificate. Explicitly
-    # constructed dual vectors (tests, verification) leave this False and
-    # treat missing entries as zero.
-    impute: bool = False
+    idx: RequestIndex
+    sigma: np.ndarray
+    pis: np.ndarray
+    mus: np.ndarray
+    phis: np.ndarray
+    lams: np.ndarray
 
-    def pi(self, r: Request, h: int, a: int) -> float:
-        key = (r.id, h, a)
-        if key in self.pi_rows:
-            return self.pi_rows[key]
-        if not self.impute:
-            return 0.0
-        saving = self.inst.f(a) - self.inst.cloud_cost(r.content)
-        if saving >= 0:
-            return 0.0
-        return min(0.0, saving - self.sigma.get(r.id, 0.0))
-
-    def pi_vector(
-        self,
-        positions: dict[tuple[int, int, int], int],
-        request_ids: np.ndarray,
-        saving: np.ndarray,
-    ) -> np.ndarray:
-        """``pi`` for every (request id, server, age) key of ``positions`` at
-        once, each at its position; ``request_ids`` and ``saving`` (f(age)
-        minus the request's cloud cost) are given by position too."""
-        out = np.zeros(len(positions))
-        if self.impute:
-            sigma = np.zeros(max([int(request_ids.max(initial=0)), *self.sigma]) + 1)
-            sigma[list(self.sigma)] = list(self.sigma.values())
-            out = np.where(saving >= 0, 0.0, np.minimum(0.0, saving - sigma[request_ids]))
-        hits = [(positions[key], v) for key, v in self.pi_rows.items() if key in positions]
-        if hits:
-            at, values = zip(*hits)
-            out[list(at)] = values
+    @classmethod
+    def explicit(cls, idx: RequestIndex, sigma=None, pi=None, mu=None, phi=None, lam=None):
+        """Duals given as sparse dicts, keyed as the lookups are: request id;
+        (request id, server, age); (server, slot); (server, content). A
+        missing entry is zero."""
+        inst = idx.inst
+        slots = (inst.num_servers + 1, inst.horizon + 1)
+        out = cls(idx, np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_pos)),
+                  np.zeros(slots), np.zeros(slots),
+                  np.zeros((inst.num_servers + 1, inst.num_contents + 1)))
+        for array, entries in ((out.sigma, sigma), (out.mus, mu), (out.phis, phi), (out.lams, lam)):
+            for key, value in (entries or {}).items():
+                array[key] = value
+        for key, value in (pi or {}).items():
+            out.pis[idx.svc_pos[key]] = value
         return out
 
+    def pi(self, r: Request, h: int, a: int) -> float:
+        return float(self.pis[self.idx.svc_pos[(r.id, h, a)]])
+
     def mu(self, h: int, t: int) -> float:
-        return self.mu_rows.get((h, t), 0.0)
+        return float(self.mus[h, t])
 
     def phi(self, h: int, t: int) -> float:
-        return self.phi_rows.get((h, t), 0.0)
+        return float(self.phis[h, t])
 
     def lam(self, h: int, i: int) -> float:
-        return self.lam_rows.get((h, i), 0.0)
+        return float(self.lams[h, i])
 
 
 @dataclass
@@ -146,26 +133,29 @@ class CapacityRows:
 
 @dataclass
 class RmpModel:
-    """An assembled master LP plus the maps needed to read the solution back."""
+    """An assembled master LP plus the keys of its row blocks, which follow
+    one another in this order: serve-once rows by request id, coverage rows
+    by service position (the y variables follow the chi variables in the
+    same order), cache and backhaul rows by (server, slot), and convexity
+    rows by (server, content)."""
 
     problem: LpProblem
     pool: ColumnPool
+    idx: RequestIndex
     constant: float
     chi_offset: dict[tuple[int, int], int]  # first LP column of each pair's block
-    y_keys: list[tuple[int, int, int]]  # (request id, server, age) per y variable
-    n_chi: int
-    serve_rows: dict[int, int]
-    cover_rows: dict[tuple[int, int, int], int]
-    cache_rows: dict[tuple[int, int], int]
-    backhaul_rows: dict[tuple[int, int], int]
-    convexity_rows: dict[tuple[int, int], int]
+    starts: list[int]  # first row of each row block, then the row count
+    serve_ids: list[int]
+    cover_svc: np.ndarray
+    cache_keys: list[tuple[int, int]]
+    backhaul_keys: list[tuple[int, int]]
+    pairs: list[tuple[int, int]]
 
 
 @dataclass
 class RmpSolution:
     objective: float  # includes the MCR cloud-cost constant
     chi: dict[tuple[int, int], np.ndarray]  # per pair, aligned with pool entries
-    y: dict[tuple[int, int, int], float]
     duals: DualPrices
     lp: LpSolution
 
@@ -206,7 +196,6 @@ def build_rmp(
 
     # which (r, h, a) are coverable by the current pools and worth serving
     active: set[tuple[int, int, int]] = set()
-    req_by_id = {r.id: r for r in inst.requests}
     saving: dict[tuple[int, int], float] = {}  # service_saving by (content, age)
     for (h, i) in pairs:
         for entry in pool.entries[(h, i)]:
@@ -218,7 +207,14 @@ def build_rmp(
                     active.add((r_id, h, a))
 
     y_keys = sorted(active)
-    mcr_with_y = sorted({r_id for r_id, _, _ in y_keys})
+    serve_ids = sorted({r_id for r_id, _, _ in y_keys})
+    if capacity_rows is None:
+        cache_keys = backhaul_keys = [
+            (h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
+        ]
+    else:
+        cache_keys = sorted(capacity_rows.cache)
+        backhaul_keys = sorted(capacity_rows.backhaul)
 
     n_chi = sum(len(pool.entries[key]) for key in pairs)
     chi_offset: dict[tuple[int, int], int] = {}
@@ -228,23 +224,12 @@ def build_rmp(
         off += len(pool.entries[key])
     n_vars = n_chi + len(y_keys)
 
-    serve_rows = {r_id: n for n, r_id in enumerate(mcr_with_y)}
-    base = len(serve_rows)
-    cover_rows = {key: base + n for n, key in enumerate(y_keys)}
-    base += len(cover_rows)
-    if capacity_rows is None:
-        cache_keys = backhaul_keys = [
-            (h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
-        ]
-    else:
-        cache_keys = sorted(capacity_rows.cache)
-        backhaul_keys = sorted(capacity_rows.backhaul)
-    cache_rows = {ht: base + n for n, ht in enumerate(cache_keys)}
-    base += len(cache_rows)
-    backhaul_rows = {ht: base + n for n, ht in enumerate(backhaul_keys)}
-    base += len(backhaul_rows)
-    convexity_rows = {key: base + n for n, key in enumerate(pairs)}
-    n_rows = base + len(convexity_rows)
+    blocks = (serve_ids, y_keys, cache_keys, backhaul_keys, pairs)
+    starts = list(accumulate(map(len, blocks), initial=0))
+    serve_rows, cover_rows, cache_rows, backhaul_rows, convexity_rows = (
+        {key: start + n for n, key in enumerate(keys)} for keys, start in zip(blocks, starts)
+    )
+    n_rows = starts[-1]
 
     c = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
@@ -268,56 +253,43 @@ def build_rmp(
             vals += [-1.0] * n_cover + [size] * (len(rows) - n_cover - 1) + [1.0]
             col += 1
 
-    for n, (r_id, h, a) in enumerate(y_keys):
-        j = n_chi + n
-        r = req_by_id[r_id]
-        c[j] = saving[(r.content, a)]
-        upper[j] = 1.0
-        rows_ix.append(serve_rows[r_id])
-        cols_ix.append(j)
-        vals.append(1.0)
-        rows_ix.append(cover_rows[(r_id, h, a)])
-        cols_ix.append(j)
-        vals.append(1.0)
+    cover_svc = np.array([idx.svc_pos[key] for key in y_keys], dtype=np.int64)
+    c[n_chi:] = idx.svc_saving[cover_svc]
+    upper[n_chi:] = 1.0
+    for n, (r_id, _, _) in enumerate(y_keys):
+        rows_ix += [serve_rows[r_id], starts[1] + n]
+        cols_ix += [n_chi + n] * 2
+        vals += [1.0, 1.0]
 
     a_matrix = sparse.csr_matrix(
         (np.array(vals), (np.array(rows_ix, dtype=np.int64), np.array(cols_ix, dtype=np.int64))),
         shape=(n_rows, n_vars),
     )
-    rel = np.empty(n_rows, dtype=int)
-    b = np.empty(n_rows)
-    from .simplex import _REL_CODES  # row codes shared with the LP layer
-
-    for r_id, row in serve_rows.items():
-        rel[row], b[row] = _REL_CODES[LE], 1.0
-    for key, row in cover_rows.items():
-        rel[row], b[row] = _REL_CODES[LE], 0.0
-    for (h, t), row in cache_rows.items():
-        rel[row], b[row] = _REL_CODES[LE], inst.server(h).cache_capacity
-    for (h, t), row in backhaul_rows.items():
-        rel[row], b[row] = _REL_CODES[LE], inst.server(h).backhaul_capacity
-    for key, row in convexity_rows.items():
-        rel[row], b[row] = _REL_CODES[EQ], 1.0
+    rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
+    b = np.zeros(n_rows)
+    b[: starts[1]] = 1.0  # serve-once
+    b[starts[2] : starts[3]] = [inst.server(h).cache_capacity for h, _ in cache_keys]
+    b[starts[3] : starts[4]] = [inst.server(h).backhaul_capacity for h, _ in backhaul_keys]
+    rel[starts[4] :], b[starts[4] :] = _REL_CODES[EQ], 1.0  # convexity
 
     problem = LpProblem(c=c, a_matrix=a_matrix, rel=rel, b=b, upper=upper)
     return RmpModel(
         problem=problem,
         pool=pool,
+        idx=idx,
         constant=mcr_cloud_constant(inst),
         chi_offset=chi_offset,
-        y_keys=y_keys,
-        n_chi=n_chi,
-        serve_rows=serve_rows,
-        cover_rows=cover_rows,
-        cache_rows=cache_rows,
-        backhaul_rows=backhaul_rows,
-        convexity_rows=convexity_rows,
+        starts=starts,
+        serve_ids=serve_ids,
+        cover_svc=cover_svc,
+        cache_keys=cache_keys,
+        backhaul_keys=backhaul_keys,
+        pairs=pairs,
     )
 
 
 def solve_rmp(
     model: RmpModel,
-    backend: str = "auto",
     canonical: bool = False,
     lp: Optional[LpSolution] = None,
 ) -> RmpSolution:
@@ -335,36 +307,44 @@ def solve_rmp(
     the solver picked. Duals, objective and the bound always come from the
     primary solve.
     """
-    sol = lp if lp is not None else solve_lp(model.problem, backend=backend)
-    x = sol.x
-    if canonical:
-        x = _canonical_primal(model, sol, backend)
+    sol = lp if lp is not None else solve_lp(model.problem)
+    x = _canonical_primal(model, sol) if canonical else sol.x
     pool = model.pool
-    chi = {}
-    for key, off in model.chi_offset.items():
-        chi[key] = x[off : off + len(pool.entries[key])].copy()
-    y = {
-        key: float(x[model.n_chi + n]) for n, key in enumerate(model.y_keys)
+    chi = {
+        key: x[off : off + len(pool.entries[key])].copy() for key, off in model.chi_offset.items()
     }
-    duals = DualPrices(
-        inst=pool.inst,
-        sigma={r_id: float(sol.duals[row]) for r_id, row in model.serve_rows.items()},
-        pi_rows={key: float(sol.duals[row]) for key, row in model.cover_rows.items()},
-        mu_rows={ht: float(sol.duals[row]) for ht, row in model.cache_rows.items()},
-        phi_rows={ht: float(sol.duals[row]) for ht, row in model.backhaul_rows.items()},
-        lam_rows={key: float(sol.duals[row]) for key, row in model.convexity_rows.items()},
-        impute=True,
-    )
     return RmpSolution(
-        objective=sol.objective + model.constant,
-        chi=chi,
-        y=y,
-        duals=duals,
+        objective=sol.objective + model.constant, chi=chi, duals=_read_duals(model, sol.duals),
         lp=sol,
     )
 
 
-def _canonical_primal(model: RmpModel, sol, backend: str) -> np.ndarray:
+def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
+    """The complete dual arrays of a master whose LP rows have duals ``y``.
+
+    A coverage row the LP leaves out gets the dual nearest zero (duals of
+    <= rows are <= 0) that keeps the reduced cost saving - sigma - pi of its
+    service variable nonnegative: min(0, saving - sigma), and zero outright
+    when the service could never pay off."""
+    idx = model.idx
+    serve, cover, cache, backhaul, convexity = (
+        y[a:b] for a, b in zip(model.starts, model.starts[1:])
+    )
+    duals = DualPrices.explicit(idx)
+    duals.sigma[model.serve_ids] = serve
+    saving = idx.svc_saving
+    duals.pis[:] = np.where(
+        saving >= 0, 0.0, np.minimum(0.0, saving - duals.sigma[idx.svc_request_ids])
+    )
+    duals.pis[model.cover_svc] = cover
+    for array, keys, values in ((duals.mus, model.cache_keys, cache),
+                                (duals.phis, model.backhaul_keys, backhaul),
+                                (duals.lams, model.pairs, convexity)):
+        array[tuple(np.array(keys, dtype=np.int64).reshape(-1, 2).T)] = values
+    return duals
+
+
+def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     """Secondary solve over the optimal face: prefer fewer updates, then
     earlier update slots (mirrors the pricing tie-break)."""
     prob = model.problem
@@ -385,7 +365,7 @@ def _canonical_primal(model: RmpModel, sol, backend: str) -> np.ndarray:
         upper=prob.upper,
     )
     try:
-        second = solve_lp(prob2, backend=backend)
+        second = solve_lp(prob2)
     except LpError:
         return sol.x  # canonicalization is best-effort
     return second.x
@@ -408,7 +388,7 @@ def reduced_cost(
     """
     from .columns import column_cost_S
 
-    inst = duals.inst
+    inst = idx.inst
     if cost_S is None:
         cost_S = column_cost_S(col, h, i, inst, idx, mode)  # type: ignore[arg-type]
     total = cost_S

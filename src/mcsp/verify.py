@@ -81,7 +81,7 @@ def _random_duals(rng: random.Random, inst: Instance) -> DualPrices:
             phi[(h, t)] = rng.uniform(0.0, 3.0)
         for i in range(1, inst.num_contents + 1):
             lam[(h, i)] = rng.uniform(0.0, 50.0)
-    return DualPrices(inst=inst, sigma={}, pi_rows=pi, mu_rows=mu, phi_rows=phi, lam_rows=lam)
+    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
 
 
 def _write_artifact(directory: Optional[Path], tag: str, inst: Instance, duals=None) -> Optional[str]:
@@ -90,11 +90,13 @@ def _write_artifact(directory: Optional[Path], tag: str, inst: Instance, duals=N
     directory.mkdir(parents=True, exist_ok=True)
     doc = {"instance": instance_to_dict(inst)}
     if duals is not None:
+        # mu and phi by [server][slot], lambda by [server][content]; index 0 unused
         doc["duals"] = {
-            "pi": {f"{r},{h},{a}": v for (r, h, a), v in duals.pi_rows.items()},
-            "mu": {f"{h},{t}": v for (h, t), v in duals.mu_rows.items()},
-            "phi": {f"{h},{t}": v for (h, t), v in duals.phi_rows.items()},
-            "lambda": {f"{h},{i}": v for (h, i), v in duals.lam_rows.items()},
+            "pi": {f"{r},{h},{a}": float(duals.pis[j])
+                   for (r, h, a), j in duals.idx.svc_pos.items()},
+            "mu": duals.mus.tolist(),
+            "phi": duals.phis.tolist(),
+            "lambda": duals.lams.tolist(),
         }
     path = directory / f"{tag}.json"
     path.write_text(json.dumps(doc, indent=1), encoding="utf-8")

@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsp.generator import (
     GeneratorConfig,
@@ -15,6 +19,7 @@ from mcsp.generator import (
 from mcsp.instance import (
     Request,
     build_request_index,
+    instance_from_dict,
     instance_to_dict,
     load_instance,
     save_instance,
@@ -79,6 +84,37 @@ def test_load_rejects_non_integer_ids(tmp_path, tiny1, where, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"{field}.*integer|integer.*{field}"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("servers", "cache_capacity", "5"),
+    ("servers", "backhaul_capacity", True),
+    ("cost", "alpha", "20"),
+    ("cost", "beta", None),
+    ("servers", "cache_capacity", math.inf),
+    ("servers", "backhaul_capacity", math.nan),
+    ("cost", "alpha", math.inf),
+])
+def test_load_rejects_non_numeric_capacities_and_costs(tmp_path, tiny1, where, field, value):
+    doc = instance_to_dict(tiny1)
+    (doc[where][0] if where == "servers" else doc[where])[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("field", ["cache_capacity", "backhaul_capacity"])
+def test_validate_rejects_infinite_capacity(tiny1, field):
+    server = dataclasses.replace(tiny1.servers[0], **{field: math.inf})
+    problems = validate_instance(dataclasses.replace(tiny1, servers=(server,)))
+    assert problems == [f"server 1: {field} must be a finite number, got inf"]
+
+
+@pytest.mark.parametrize("r_id", [0, -1, 2])
+def test_validate_rejects_request_ids_outside_one_to_count(tiny1, r_id):
+    bad = dataclasses.replace(tiny1, requests=(dataclasses.replace(tiny1.requests[0], id=r_id),))
+    assert validate_instance(bad) == [f"request {r_id}: ids must lie in 1..1"]
 
 
 def test_validate_flags_bad_window(tiny1):
@@ -198,3 +234,49 @@ def test_index_partitions_requests():
                 if r in idx.mcr(h, r.content)
             )
             assert hits == len(r.candidates)
+
+
+# -- fuzzing: a perturbed instance file is rejected with a message or solves
+
+FUZZ_BASE = instance_to_dict(generate_instance(GeneratorConfig(
+    cells="custom", custom_topology=TWO_CELL, num_contents=2, num_requests=5, horizon=3,
+    rho_m=0.5, rho_tt=0.0, rho_b=0.6, cache_scale=0.5, size_range=(1, 3), window_max=1,
+    seed=3,
+)))
+
+
+def _paths(node, path=()):
+    """The path of every value in a document, containers included."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    return [path] * bool(path) + [p for key, child in children for p in _paths(child, path + (key,))]
+
+
+# small positive integers twice as often as the rest, so that about one
+# perturbed document in eight is still valid and gets solved
+ODD_VALUES = st.one_of(st.integers(1, 4), st.integers(-1, 6), st.sampled_from(
+    [0.5, 2.5, -1.0, math.inf, math.nan, True, None, "1", "exponential", [], [1, 2], {}]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(_paths(FUZZ_BASE)), ODD_VALUES), min_size=1, max_size=3))
+def test_perturbed_instances_are_rejected_or_solve(edits):
+    from mcsp.driver import run_rcga
+
+    assert any(r["candidates"] == [1, 2] for r in FUZZ_BASE["requests"])  # an MCR to perturb
+    doc = copy.deepcopy(FUZZ_BASE)
+    for path, value in edits:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit replaced a container on this path
+    try:
+        inst = instance_from_dict(doc)
+    except ValueError as exc:
+        assert str(exc)
+        return
+    report = run_rcga(inst)
+    assert report.feasible and report.cost is not None

@@ -18,7 +18,7 @@ from conftest import random_tiny_instance
 
 
 def zero_duals(inst) -> DualPrices:
-    return DualPrices(inst=inst, sigma={}, pi_rows={}, mu_rows={}, phi_rows={}, lam_rows={})
+    return DualPrices.explicit(build_request_index(inst))
 
 
 def random_duals(rng: random.Random, inst, pi_lo=-3.0, pi_hi=3.0, lam_hi=50.0) -> DualPrices:
@@ -35,7 +35,7 @@ def random_duals(rng: random.Random, inst, pi_lo=-3.0, pi_hi=3.0, lam_hi=50.0) -
             phi[(h, t)] = rng.uniform(0.0, 3.0)
         for i in range(1, inst.num_contents + 1):
             lam[(h, i)] = rng.uniform(0.0, lam_hi)
-    return DualPrices(inst=inst, sigma={}, pi_rows=pi, mu_rows=mu, phi_rows=phi, lam_rows=lam)
+    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
 
 
 def brute_force_min(inst, idx, h, i, duals, mode):
@@ -64,10 +64,7 @@ def test_tiny1_orange_only_path(tiny1, tiny1_idx):
 
 
 def test_tiny1_lambda_shift(tiny1, tiny1_idx):
-    duals = DualPrices(
-        inst=tiny1, sigma={}, pi_rows={}, mu_rows={}, phi_rows={},
-        lam_rows={(1, 1): 30.0},
-    )
+    duals = DualPrices.explicit(tiny1_idx, lam={(1, 1): 30.0})
     pc = shortest_path(build_graph(1, 1, duals, tiny1, tiny1_idx))
     assert pc.path_value == pytest.approx(3.0 - 30.0)
 
@@ -123,7 +120,7 @@ def grid_duals(rng: random.Random, inst) -> DualPrices:
             phi[(h, t)] = draw(0, 2)
         for i in range(1, inst.num_contents + 1):
             lam[(h, i)] = draw(0, 40)
-    return DualPrices(inst=inst, sigma={}, pi_rows=pi, mu_rows=mu, phi_rows=phi, lam_rows=lam)
+    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
 
 
 # per-slot rank of the tie-break: update before drop before keep
@@ -370,16 +367,62 @@ def test_batch_tables_equal_per_pair_weights():
 
 
 def test_pi_vector_matches_pi():
-    from mcsp.rmp import build_rmp, solve_rmp
+    """The complete pi array of master duals holds the LP dual at every
+    coverage row the master keeps and the closed-form imputation at every
+    row it leaves out: zero where the service never pays off, otherwise
+    min(0, saving - sigma). sigma holds the serve-once rows' LP duals."""
+    from mcsp.rmp import build_rmp, service_saving, solve_rmp
 
     rng = random.Random(23)
+    kept = imputed = 0
     for _ in range(20):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
-        statics = PricingStatics(inst, idx, "paper")
         req = {r.id: r for r in inst.requests}
-        master = solve_rmp(build_rmp(_sampled_pool(rng, inst, idx), inst, idx)).duals
-        for duals in (random_duals(rng, inst), master):
-            got = duals.pi_vector(statics.svc_pos, statics.svc_request_ids, statics.svc_saving)
-            want = [duals.pi(req[r_id], h, a) for r_id, h, a in statics.svc_pos]
-            assert got.tolist() == want
+        model = build_rmp(_sampled_pool(rng, inst, idx), inst, idx)
+        sol = solve_rmp(model)
+        duals = sol.duals
+        n_serve, n_cover = len(model.serve_ids), len(model.cover_svc)
+        assert duals.sigma[model.serve_ids].tolist() == sol.lp.duals[:n_serve].tolist()
+        lp_pi = dict(zip(model.cover_svc.tolist(),
+                         sol.lp.duals[n_serve : n_serve + n_cover].tolist()))
+        for (r_id, h, a), j in idx.svc_pos.items():
+            if j in lp_pi:
+                want = lp_pi[j]
+                kept += 1
+            else:
+                saving = service_saving(inst, req[r_id].content, a)
+                want = 0.0 if saving >= 0 else min(0.0, saving - float(duals.sigma[r_id]))
+                imputed += 1
+            assert duals.pis[j] == want
+            assert duals.pi(req[r_id], h, a) == want
+    assert kept and imputed
+
+
+def test_fully_fixed_column_is_the_only_path():
+    """A column fixed in a RoundingState at every slot (gamma, omega = its
+    cached and updated flags), as naive rounding pins columns, leaves that
+    column as the one path: pricing returns it at its reduced cost, on the
+    per-pair graph and in the batch, whatever the duals."""
+    from mcsp.pricing import Pricer, decode_columns
+    from mcsp.rounding import RoundingState
+
+    rng = random.Random(71)
+    for _ in range(30):
+        inst = random_tiny_instance(rng, horizon_max=4)
+        idx = build_request_index(inst)
+        duals = random_duals(rng, inst)
+        statics = PricingStatics(inst, idx, "paper")
+        state = RoundingState(inst)
+        pinned = {}
+        for h, i in statics.pairs:
+            col = pinned[(h, i)] = rng.choice(enumerate_columns(inst.horizon))
+            for t, (q, p) in enumerate(col, start=1):
+                state.fix(h, i, t, gamma=q, omega=p)
+        values, tables = Pricer(statics).price(duals, state)
+        decoded = decode_columns(tables, values)
+        for k, (h, i) in enumerate(statics.pairs):
+            col = pinned[(h, i)]
+            pc = shortest_path(build_graph(h, i, duals, inst, idx, fixings=state))
+            assert pc.column == decoded[k] == col
+            assert pc.path_value == pytest.approx(reduced_cost(col, h, i, duals, idx), abs=1e-9)

@@ -29,9 +29,9 @@ def full_pool(inst, idx, mode="paper") -> ColumnPool:
 def test_tiny1_rows_without_mcrs(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
     model = build_rmp(pool, tiny1, tiny1_idx)
-    assert model.serve_rows == {} and model.cover_rows == {}
-    assert len(model.cache_rows) == 2 and len(model.backhaul_rows) == 2
-    assert len(model.convexity_rows) == 1
+    assert model.serve_ids == [] and len(model.cover_svc) == 0
+    assert len(model.cache_keys) == 2 and len(model.backhaul_keys) == 2
+    assert len(model.pairs) == 1
     assert model.constant == 0.0
 
 
@@ -107,8 +107,8 @@ def test_single_mcr_row_shape():
     pool = full_pool(inst, idx)
     model = build_rmp(pool, inst, idx)
     # both servers can cover (r, a=0): one serve-once row, two coverage rows
-    assert len(model.serve_rows) == 1
-    assert len(model.cover_rows) == 2
+    assert len(model.serve_ids) == 1
+    assert len(model.cover_svc) == 2
     sol = solve_rmp(model)
     # serving from cache (age 0, f=1) beats the cloud (1 + 11) for one server
     assert sol.objective == pytest.approx(
@@ -117,10 +117,7 @@ def test_single_mcr_row_shape():
 
 
 def test_reduced_cost_zero_duals_lambda(tiny1, tiny1_idx):
-    duals = DualPrices(
-        inst=tiny1, sigma={}, pi_rows={}, mu_rows={}, phi_rows={},
-        lam_rows={(1, 1): 23.0},
-    )
+    duals = DualPrices.explicit(tiny1_idx, lam={(1, 1): 23.0})
     zero = ((0, 0), (0, 0))
     assert reduced_cost(zero, 1, 1, duals, tiny1_idx, mode="paper") == pytest.approx(0.0)
 
@@ -157,7 +154,7 @@ def test_full_lp_certificate_with_lazy_rows():
             for h in r.candidates:
                 for a in range(r.deadline):
                     saving = service_saving(inst, r.content, a)
-                    rc_y = saving - duals.sigma.get(r.id, 0.0) - duals.pi(r, h, a)
+                    rc_y = saving - duals.sigma[r.id] - duals.pi(r, h, a)
                     assert rc_y >= -1e-6
                     assert duals.pi(r, h, a) <= 1e-9  # coverage rows are <= rows
         checked += 1
@@ -217,6 +214,6 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
 def test_build_rmp_holds_only_the_named_capacity_rows(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
     model = build_rmp(pool, tiny1, tiny1_idx, CapacityRows(backhaul={(1, 2)}))
-    assert model.cache_rows == {}
-    assert list(model.backhaul_rows) == [(1, 2)]
+    assert model.cache_keys == []
+    assert model.backhaul_keys == [(1, 2)]
     assert model.problem.num_rows == 2  # the backhaul row and the convexity row
