@@ -20,11 +20,19 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .baselines import export_ilp, run_pba, solve_exact
+from .baselines import CapsExceededError, export_ilp, run_pba, solve_exact
+from .columns import UnfixablePoolError
 from .costs import Schedule, check_feasibility, evaluate
-from .driver import SolveReport, naive_round, run_lower_bound, run_rcga
+from .driver import ConvergenceError, SolveReport, naive_round, run_lower_bound, run_rcga
 from .generator import GeneratorConfig, generate_instance, parse_ratio
 from .instance import Instance, load_instance, save_instance
+from .pricing import NoPathError
+from .simplex import LpError
+
+# A solve that ends in one of these (or an exact solve refused for size)
+# exits 1 with a diagnostic; any other exception, a broken invariant
+# included, propagates with its traceback.
+SOLVER_FAILURES = (LpError, ConvergenceError, UnfixablePoolError, NoPathError, CapsExceededError)
 
 CSV_COLUMNS = [
     "seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode",
@@ -133,7 +141,7 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     try:
         report = run_algorithm(args.algo, inst, args.mode)
-    except Exception as exc:  # solver failures exit 1 with a diagnostic
+    except SOLVER_FAILURES as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
     doc = report.to_dict()

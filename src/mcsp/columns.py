@@ -158,6 +158,7 @@ class PricedEntry:
     p_slots: tuple[int, ...] = ()
     # (request id, age) pairs the settlement convention lets this column serve
     coverage: tuple[tuple[int, int], ...] = ()
+    svc: tuple[int, ...] = ()  # their positions in the request index's service index
 
 
 def make_entry(
@@ -176,6 +177,7 @@ def make_entry(
         q_slots=tuple(t for t, (q, _) in enumerate(col, start=1) if q),
         p_slots=update_slots(col),
         coverage=tuple(cov),
+        svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in cov),
     )
 
 

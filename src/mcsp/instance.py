@@ -408,10 +408,14 @@ class RequestIndex:
     The service index numbers the MCR service triples (request id, server,
     age), one per candidate server and age below the deadline: pair by pair
     in (server, content) order, then in ``mcr(h, i)`` order, then by age.
-    ``svc_pos`` maps a triple to its position; ``svc_request_ids`` and
-    ``svc_saving`` (f(age) minus the request's cloud cost) are by position.
-    The master's coverage duals and the pricing's service credits are arrays
-    in this order.
+    ``svc_pos`` maps a triple to its position; ``svc_request_ids``,
+    ``svc_saving`` (f(age) minus the request's cloud cost) and ``svc_rank``
+    (the rank of the triple in sorted (request id, server, age) order, which
+    orders the master's coverage rows) are by position, and ``svc_by_rank``
+    lists the positions in rank order. The master's coverage duals and the
+    pricing's service credits are arrays in position order.
+    ``mcr_cloud_cost`` is the cloud cost of every MCR, which the master
+    carries as a constant.
     """
 
     def __init__(self, inst: Instance):
@@ -436,6 +440,11 @@ class RequestIndex:
                         saving.append(inst.f(a) - inst.cloud_cost(i))
         self.svc_request_ids = np.array(request_ids, dtype=np.int64)
         self.svc_saving = np.array(saving, dtype=float)
+        keys = list(self.svc_pos)
+        self.svc_by_rank = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+        self.svc_rank = np.empty(len(keys), dtype=np.int64)
+        self.svc_rank[self.svc_by_rank] = np.arange(len(keys))
+        self.mcr_cloud_cost = sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
 
     def scr(self, h: int, i: int) -> tuple[Request, ...]:
         return tuple(self._scr.get((h, i), ()))

@@ -504,8 +504,12 @@ def price_all(
     tol: float = TOL_PRICE,
     statics: Optional[PricingStatics] = None,
 ) -> list[PricedColumn]:
-    """One candidate column per pair with reduced cost below -tol, skipping
-    columns already pooled. Results come back in (server, content) order."""
+    """One candidate column per pair with reduced cost below -tol. Results
+    come back in (server, content) order.
+
+    A pooled column prices at its master reduced cost, which the master's
+    optimal duals keep nonnegative, so a candidate that is already pooled
+    means the duals and the pool disagree: that raises AssertionError."""
     s = statics if statics is not None else PricingStatics(inst, idx, mode)
     values, tables = Pricer(s).price(duals, fixings)
     ks = np.nonzero(values < -tol)[0]
@@ -515,6 +519,9 @@ def price_all(
     for k, column in zip(ks, decode_columns(tables.take(ks), values[ks])):
         h, i = s.pairs[k]
         if pool.contains(h, i, column):
-            continue
+            raise AssertionError(
+                f"pair ({h}, {i}) priced its pooled column {column} at path value "
+                f"{float(values[k])!r}"
+            )
         out.append(PricedColumn(h=h, i=i, column=column, path_value=float(values[k])))
     return out

@@ -32,13 +32,13 @@ certificate tests check the filled-in values).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from .columns import Column, ColumnPool, settlement_coverage
+from .columns import Column, ColumnPool, PricedEntry, settlement_coverage
 from .instance import Instance, Request, RequestIndex
 from .simplex import _REL_CODES, EQ, LE, LpError, LpProblem, LpSolution, solve_lp
 
@@ -143,6 +143,7 @@ class RmpModel:
     pool: ColumnPool
     idx: RequestIndex
     constant: float
+    entries: list[PricedEntry]  # the pool entry of each chi column, in LP column order
     chi_offset: dict[tuple[int, int], int]  # first LP column of each pair's block
     starts: list[int]  # first row of each row block, then the row count
     serve_ids: list[int]
@@ -173,12 +174,17 @@ class RmpSolution:
 
 
 def service_saving(inst: Instance, i: int, a: int) -> float:
-    """Objective coefficient of a service variable: f(a) minus the cloud cost."""
+    """Objective coefficient of a service variable: f(a) minus the cloud cost
+    (the scalar form of ``RequestIndex.svc_saving``)."""
     return inst.f(a) - inst.cloud_cost(i)
 
 
-def mcr_cloud_constant(inst: Instance) -> float:
-    return sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
+def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The integer sequences ``seqs`` laid end to end, and for each element
+    the position of the sequence it came from."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    return flat, np.repeat(np.arange(len(seqs)), lengths)
 
 
 def build_rmp(
@@ -188,26 +194,37 @@ def build_rmp(
     capacity_rows: Optional[CapacityRows] = None,
 ) -> RmpModel:
     """Assemble the master LP over the current pools, with the capacity rows
-    named in ``capacity_rows`` (all of them when it is None)."""
+    named in ``capacity_rows`` (all of them when it is None).
+
+    The matrix comes from what each pool entry stores: the service positions
+    it covers, its cached and updated slots, and its pair. A service gets a
+    coverage row and a y variable when some entry covers it and serving it
+    can pay off (``svc_saving`` < 0)."""
     pairs = sorted(pool.entries)
     for key in pairs:
         if not pool.entries[key]:
             raise ValueError(f"empty pool for pair {key}")
+    counts = [len(pool.entries[key]) for key in pairs]
+    entries = [e for key in pairs for e in pool.entries[key]]
+    n_chi = len(entries)
+    col_pair = np.repeat(np.arange(len(pairs)), counts)
+    pair_server = np.array([h for h, _ in pairs], dtype=np.int64)
+    pair_size = np.array([float(inst.size(i)) for _, i in pairs])
 
-    # which (r, h, a) are coverable by the current pools and worth serving
-    active: set[tuple[int, int, int]] = set()
-    saving: dict[tuple[int, int], float] = {}  # service_saving by (content, age)
-    for (h, i) in pairs:
-        for entry in pool.entries[(h, i)]:
-            for r_id, a in entry.coverage:
-                gain = saving.get((i, a))
-                if gain is None:
-                    gain = saving[(i, a)] = service_saving(inst, i, a)
-                if gain < 0:
-                    active.add((r_id, h, a))
+    # coverage rows: the paying services some entry covers, in rank order
+    svc, cover_col = _flatten([e.svc for e in entries])
+    paying = idx.svc_saving[svc] < 0
+    rank, cover_col = idx.svc_rank[svc[paying]], cover_col[paying]
+    covered = np.zeros(len(idx.svc_rank), dtype=bool)
+    covered[rank] = True
+    cover_svc = idx.svc_by_rank[covered]
+    cover_of = (np.cumsum(covered) - 1)[rank]
+    # serve-once rows: the requests of those services, sorted as the ranks are
+    request_ids = idx.svc_request_ids[cover_svc]
+    first = np.ones(len(request_ids), dtype=bool)
+    first[1:] = request_ids[1:] != request_ids[:-1]
+    serve_ids, serve_of = request_ids[first], np.cumsum(first) - 1
 
-    y_keys = sorted(active)
-    serve_ids = sorted({r_id for r_id, _, _ in y_keys})
     if capacity_rows is None:
         cache_keys = backhaul_keys = [
             (h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
@@ -216,60 +233,44 @@ def build_rmp(
         cache_keys = sorted(capacity_rows.cache)
         backhaul_keys = sorted(capacity_rows.backhaul)
 
-    n_chi = sum(len(pool.entries[key]) for key in pairs)
-    chi_offset: dict[tuple[int, int], int] = {}
-    off = 0
-    for key in pairs:
-        chi_offset[key] = off
-        off += len(pool.entries[key])
-    n_vars = n_chi + len(y_keys)
-
-    blocks = (serve_ids, y_keys, cache_keys, backhaul_keys, pairs)
-    starts = list(accumulate(map(len, blocks), initial=0))
-    serve_rows, cover_rows, cache_rows, backhaul_rows, convexity_rows = (
-        {key: start + n for n, key in enumerate(keys)} for keys, start in zip(blocks, starts)
-    )
+    n_y = len(cover_svc)
+    starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_keys, backhaul_keys, pairs)),
+                             initial=0))
     n_rows = starts[-1]
 
-    c = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    rows_ix: list[int] = []
-    cols_ix: list[int] = []
-    vals: list[float] = []
-
-    col = 0
-    for (h, i) in pairs:
-        size = float(inst.size(i))
-        for entry in pool.entries[(h, i)]:
-            c[col] = entry.cost
-            rows = [cover_rows.get((r_id, h, a)) for r_id, a in entry.coverage]
-            rows = [row for row in rows if row is not None]
-            n_cover = len(rows)
-            rows += [cache_rows[(h, t)] for t in entry.q_slots if (h, t) in cache_rows]
-            rows += [backhaul_rows[(h, t)] for t in entry.p_slots if (h, t) in backhaul_rows]
-            rows.append(convexity_rows[(h, i)])
-            rows_ix += rows
-            cols_ix += [col] * len(rows)
-            vals += [-1.0] * n_cover + [size] * (len(rows) - n_cover - 1) + [1.0]
-            col += 1
-
-    cover_svc = np.array([idx.svc_pos[key] for key in y_keys], dtype=np.int64)
-    c[n_chi:] = idx.svc_saving[cover_svc]
-    upper[n_chi:] = 1.0
-    for n, (r_id, _, _) in enumerate(y_keys):
-        rows_ix += [serve_rows[r_id], starts[1] + n]
-        cols_ix += [n_chi + n] * 2
-        vals += [1.0, 1.0]
-
+    rows = [starts[1] + cover_of]
+    cols = [cover_col]
+    vals = [np.full(len(cover_col), -1.0)]
+    for keys, start, attr in ((cache_keys, starts[2], "q_slots"),
+                              (backhaul_keys, starts[3], "p_slots")):
+        if not keys:  # no row of this kind (the common case with lazy rows)
+            continue
+        row_of = np.full((inst.num_servers + 1, inst.horizon + 1), -1, dtype=np.int64)
+        row_of[tuple(np.array(keys, dtype=np.int64).T)] = start + np.arange(len(keys))
+        t, col = _flatten([getattr(e, attr) for e in entries])
+        row = row_of[pair_server[col_pair[col]], t]
+        held = row >= 0
+        rows.append(row[held])
+        cols.append(col[held])
+        vals.append(pair_size[col_pair[col[held]]])
+    y_cols = n_chi + np.arange(n_y)
+    rows += [starts[4] + col_pair, starts[0] + serve_of, starts[1] + np.arange(n_y)]
+    cols += [np.arange(n_chi), y_cols, y_cols]
+    vals += [np.ones(n_chi), np.ones(n_y), np.ones(n_y)]
     a_matrix = sparse.csr_matrix(
-        (np.array(vals), (np.array(rows_ix, dtype=np.int64), np.array(cols_ix, dtype=np.int64))),
-        shape=(n_rows, n_vars),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows, n_chi + n_y),
     )
+
+    c = np.concatenate([np.fromiter((e.cost for e in entries), dtype=float, count=n_chi),
+                        idx.svc_saving[cover_svc]])
+    upper = np.concatenate([np.full(n_chi, np.inf), np.ones(n_y)])
     rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
     b = np.zeros(n_rows)
     b[: starts[1]] = 1.0  # serve-once
-    b[starts[2] : starts[3]] = [inst.server(h).cache_capacity for h, _ in cache_keys]
-    b[starts[3] : starts[4]] = [inst.server(h).backhaul_capacity for h, _ in backhaul_keys]
+    for lo, keys, attr in ((starts[2], cache_keys, "cache_capacity"),
+                           (starts[3], backhaul_keys, "backhaul_capacity")):
+        b[lo : lo + len(keys)] = [getattr(inst.server(h), attr) for h, _ in keys]
     rel[starts[4] :], b[starts[4] :] = _REL_CODES[EQ], 1.0  # convexity
 
     problem = LpProblem(c=c, a_matrix=a_matrix, rel=rel, b=b, upper=upper)
@@ -277,10 +278,11 @@ def build_rmp(
         problem=problem,
         pool=pool,
         idx=idx,
-        constant=mcr_cloud_constant(inst),
-        chi_offset=chi_offset,
+        constant=idx.mcr_cloud_cost,
+        entries=entries,
+        chi_offset=dict(zip(pairs, accumulate(counts, initial=0))),
         starts=starts,
-        serve_ids=serve_ids,
+        serve_ids=serve_ids.tolist(),
         cover_svc=cover_svc,
         cache_keys=cache_keys,
         backhaul_keys=backhaul_keys,
@@ -348,13 +350,8 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     """Secondary solve over the optimal face: prefer fewer updates, then
     earlier update slots (mirrors the pricing tie-break)."""
     prob = model.problem
-    pool = model.pool
     w = np.zeros(prob.num_vars)
-    col = 0
-    for key in sorted(pool.entries):
-        for entry in pool.entries[key]:
-            w[col] = len(entry.p_slots) + sum(entry.p_slots) / 100.0
-            col += 1
+    w[: len(model.entries)] = [len(e.p_slots) + sum(e.p_slots) / 100.0 for e in model.entries]
     face_eps = 1e-7 * (1.0 + abs(sol.objective))
     face_row = sparse.csr_matrix(prob.c.reshape(1, -1))
     prob2 = LpProblem(

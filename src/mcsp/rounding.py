@@ -51,6 +51,24 @@ class RoundingState:
     inst: Instance
     fixings: dict[tuple[int, int, int], Fixing] = field(default_factory=dict)
     passes: int = 0
+    # the pricing-graph node masks of every slot, kept in step with the
+    # fixings by ``fix``: [u, k0, ka][server, content, slot]
+    _allow: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        inst = self.inst
+        self._allow = np.ones(
+            (3, inst.num_servers + 1, inst.num_contents + 1, inst.horizon + 1), dtype=bool
+        )
+        for (h, i, t), (gamma, omega) in self.fixings.items():
+            self._set_masks(h, i, t, gamma, omega)
+
+    def _set_masks(self, h: int, i: int, t: int, gamma, omega) -> None:
+        self._allow[:, h, i, t] = (
+            omega != 1 and gamma != 1,  # the uncached and update nodes
+            omega != 0 and gamma != 0,  # the age-zero cached node
+            omega != 1 and gamma != 0,  # the aged cached nodes
+        )
 
     def fixed(self, h: int, i: int, t: int) -> Fixing:
         return self.fixings.get((h, i, t), (None, None))
@@ -67,6 +85,7 @@ class RoundingState:
         if (new_g, new_o) == (old_g, old_o):
             return False
         self.fixings[(h, i, t)] = (new_g, new_o)
+        self._set_masks(h, i, t, new_g, new_o)
         return True
 
     # -- capacity headroom -------------------------------------------------
@@ -114,25 +133,9 @@ class RoundingState:
         return allow_u, allow_k0, allow_ka
 
     def batch_masks(self, pairs, T: int):
-        K = len(pairs)
-        allow_u = np.ones((K, T + 1), dtype=bool)
-        allow_k0 = np.ones((K, T + 1), dtype=bool)
-        allow_ka = np.ones((K, T + 1), dtype=bool)
-        pos = {hi: k for k, hi in enumerate(pairs)}
-        rows = [  # an unfixed gamma or omega is -1
-            (pos[(h, i)], t, -1 if gamma is None else gamma, -1 if omega is None else omega)
-            for (h, i, t), (gamma, omega) in self.fixings.items()
-            if (h, i) in pos
-        ]
-        if not rows:
-            return allow_u, allow_k0, allow_ka
-        k, t, gamma, omega = np.array(rows, dtype=np.int64).T
-        for allow, removed in (
-            (allow_u, (omega == 1) | (gamma == 1)),
-            (allow_k0, (omega == 0) | (gamma == 0)),
-            (allow_ka, (omega == 1) | (gamma == 0)),
-        ):
-            allow[k[removed], t[removed]] = False
+        """``mask_arrays`` of each pair in ``pairs``, stacked by pair."""
+        h, i = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        allow_u, allow_k0, allow_ka = self._allow[:, h, i, : T + 1]
         return allow_u, allow_k0, allow_ka
 
     def update_reachable(self, h: int, i: int, t: int) -> bool:

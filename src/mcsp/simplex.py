@@ -8,7 +8,9 @@ them:
   two-phase initialization, deterministic Dantzig pricing (lowest index on
   ties) and a Bland's-rule fallback against cycling. Intended for small and
   medium problems and as an independent reference.
-* ``highs`` -- scipy's HiGHS interface, used for large master problems.
+* ``highs`` -- HiGHS, used for large master problems: called through
+  scipy's bundled bindings, or through ``scipy.optimize.linprog`` on scipy
+  releases that lack them. Both give HiGHS the same model and options.
 
 Dual convention, frozen by unit tests: the reduced cost of variable j is
 ``c_j - sum_rows dual_row * a_row_j``. At a minimum, duals of ``<=`` rows are
@@ -26,6 +28,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+
+try:  # scipy's HiGHS bindings: private, and absent from some scipy releases
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 TOL_FEAS = 1e-8
 TOL_GAP = 1e-6
@@ -169,6 +176,99 @@ def solve_lp(prob: LpProblem, backend: str = "auto") -> LpSolution:
 
 
 def _solve_highs(prob: LpProblem) -> LpSolution:
+    """Solve with HiGHS through scipy's bundled bindings when they import,
+    else through ``linprog(method="highs")``. Both hand HiGHS the same model
+    and options, so they return the same solution."""
+    return _solve_highs_direct(prob) if _highs is not None else _solve_linprog(prob)
+
+
+# linprog's result check: a claimed optimum off its bounds or rows by more
+# than this counts as a numerical failure (scipy's _check_result, tol 1e-9)
+_LINPROG_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def _solve_highs_direct(prob: LpProblem) -> LpSolution:
+    """The model ``linprog`` builds, passed to HiGHS without its conversions:
+    rows in the order <= rows, negated >= rows, = rows, as lower <= A x <=
+    upper; the options ``linprog(method="highs")`` sets; model statuses
+    mapped to errors as ``linprog`` maps them."""
+    m = prob.num_rows
+    rel = prob.rel
+    order = np.concatenate([np.flatnonzero(rel == _REL_CODES[r]) for r in (LE, GE, EQ)])
+    n_le = int(np.count_nonzero(rel == _REL_CODES[LE]))
+    n_ineq = n_le + int(np.count_nonzero(rel == _REL_CODES[GE]))
+    sign = np.ones(m)
+    sign[n_le:n_ineq] = -1.0
+    in_order = bool(np.all(order == np.arange(m)))
+    a = (prob.a_matrix if in_order else sparse.csr_matrix(prob.a_matrix)[order]).tocsc(copy=True)
+    a.sum_duplicates()
+    if n_ineq > n_le:
+        a.data *= sign[a.indices]
+    upper = prob.b[order] * sign
+    lower = upper.copy()
+    lower[:n_ineq] = -np.inf
+
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = prob.num_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_cost_ = np.asarray(prob.c, dtype=float)
+    lp.col_lower_ = np.zeros(prob.num_vars)
+    lp.col_upper_ = col_upper = np.asarray(prob.upper, dtype=float)
+    lp.row_lower_ = lower
+    lp.row_upper_ = upper
+    # the matrix vectors convert element by element; from lists that is faster
+    lp.a_matrix_.start_ = a.indptr.tolist()
+    lp.a_matrix_.index_ = a.indices.tolist()
+    lp.a_matrix_.value_ = a.data.tolist()
+    highs = _highs._Highs()
+    highs.passOptions(_highs_options())
+    status = _highs.HighsModelStatus
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        model_status = status.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    if model_status in (status.kInfeasible, status.kModelError):
+        raise LpInfeasibleError("LP infeasible (HiGHS)")
+    if model_status == status.kUnbounded:
+        raise LpUnboundedError("LP unbounded (HiGHS)")
+    if model_status != status.kOptimal:
+        raise LpError(f"HiGHS failed with model status {highs.modelStatusToString(model_status)}")
+
+    info = highs.getInfo()
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    rows = np.array(solution.row_value)
+    tol = _LINPROG_CHECK_TOL
+    if not (
+        np.all((x >= -tol) & (x <= col_upper + tol))
+        and np.all(upper[:n_ineq] - rows[:n_ineq] >= -tol)
+        and np.all(np.abs(upper[n_ineq:] - rows[n_ineq:]) <= tol)
+    ):
+        raise LpError("HiGHS returned an optimum that violates the model")
+    duals = np.empty(m)
+    duals[order] = np.array(solution.row_dual) * sign
+    return LpSolution(
+        status="optimal",
+        objective=float(info.objective_function_value),
+        x=x,
+        duals=duals,
+        iterations=int(info.simplex_iteration_count or info.ipm_iteration_count),
+    )
+
+
+def _highs_options():
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+def _solve_linprog(prob: LpProblem) -> LpSolution:
     from scipy.optimize import linprog
 
     le_mask = prob.rel == _REL_CODES[LE]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mcsp import cli
 from mcsp.cli import (
     CSV_COLUMNS,
     main,
@@ -9,7 +10,7 @@ from mcsp.cli import (
     report_row,
     write_results_csv,
 )
-from mcsp.driver import run_rcga
+from mcsp.driver import ConvergenceError, run_rcga
 from mcsp.generator import GeneratorConfig, generate_instance
 from mcsp.instance import save_instance
 
@@ -141,3 +142,25 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--algo", "bogus", "--instance", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("error, raised", [
+    (ConvergenceError("column generation did not settle"), False),
+    (AssertionError("broken invariant"), True),
+])
+def test_solve_reports_solver_failures_and_raises_the_rest(tmp_path, monkeypatch, capsys,
+                                                             error, raised):
+    inst_path = tmp_path / "inst.json"
+    main(gen_args(inst_path))
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "run_algorithm", fail)
+    argv = ["solve", "--algo", "rcga", "--instance", str(inst_path)]
+    if raised:
+        with pytest.raises(type(error)):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert "solver failed" in capsys.readouterr().err

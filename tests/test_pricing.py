@@ -312,6 +312,29 @@ def test_price_all_candidate_limit():
     assert keys == sorted(keys)  # deterministic merge order
 
 
+def test_pooled_negative_column_raises():
+    """Duals that price a pooled column negative disagree with the pool:
+    price_all raises, naming the pair and the path value, instead of
+    skipping the column."""
+    import re
+
+    from mcsp.columns import ColumnPool
+
+    rng = random.Random(13)
+    cands = []
+    while not cands:
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, "paper")
+        duals = random_duals(rng, inst)
+        cands = price_all(pool, duals, inst, idx)
+    pc = cands[0]
+    assert pool.add(pc.h, pc.i, pc.column)
+    pattern = rf"pair \({pc.h}, {pc.i}\).*{re.escape(repr(pc.path_value))}"
+    with pytest.raises(AssertionError, match=pattern):
+        price_all(pool, duals, inst, idx)
+
+
 def test_all_kappa_removed_gives_zero_column(tiny1, tiny1_idx):
     class Masks:
         def mask_arrays(self, h, i, T):

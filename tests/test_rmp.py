@@ -9,7 +9,6 @@ from mcsp.rmp import (
     CapacityRows,
     DualPrices,
     build_rmp,
-    mcr_cloud_constant,
     reduced_cost,
     service_saving,
     solve_rmp,
@@ -76,7 +75,7 @@ def test_mcr_constant_in_objective():
         if inst.mcrs:
             break
     idx = build_request_index(inst)
-    const = mcr_cloud_constant(inst)
+    const = idx.mcr_cloud_cost
     assert const == pytest.approx(
         sum(inst.cloud_cost(r.content) for r in inst.mcrs)
     )
@@ -217,3 +216,82 @@ def test_build_rmp_holds_only_the_named_capacity_rows(tiny1, tiny1_idx):
     assert model.cache_keys == []
     assert model.backhaul_keys == [(1, 2)]
     assert model.problem.num_rows == 2  # the backhaul row and the convexity row
+
+
+def _reference_master(pool, inst, capacity_rows):
+    """The master LP written out row by row from the column definitions:
+    rows and y variables as dense lists keyed as the module docstring says."""
+    pairs = sorted(pool.entries)
+    content = {r.id: r.content for r in inst.requests}
+    services = sorted({
+        (r_id, h, a)
+        for (h, i) in pairs for e in pool.entries[(h, i)] for r_id, a in e.coverage
+        if service_saving(inst, i, a) < 0
+    })
+    serve = sorted({r_id for r_id, _, _ in services})
+    every = [(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)]
+    cache = every if capacity_rows is None else sorted(capacity_rows.cache)
+    backhaul = every if capacity_rows is None else sorted(capacity_rows.backhaul)
+    row_keys = ([("serve", r) for r in serve] + [("cover", s) for s in services]
+                + [("cache", k) for k in cache] + [("backhaul", k) for k in backhaul]
+                + [("convexity", p) for p in pairs])
+    row = {key: n for n, key in enumerate(row_keys)}
+    chi = [(h, i, e) for (h, i) in pairs for e in pool.entries[(h, i)]]
+    a = np.zeros((len(row_keys), len(chi) + len(services)))
+    c, upper = [], []
+    for col, (h, i, e) in enumerate(chi):
+        c.append(e.cost)
+        upper.append(np.inf)
+        for r_id, age in e.coverage:
+            if ("cover", (r_id, h, age)) in row:
+                a[row[("cover", (r_id, h, age))], col] = -1.0
+        for t in e.q_slots:
+            if ("cache", (h, t)) in row:
+                a[row[("cache", (h, t))], col] = inst.size(i)
+        for t in e.p_slots:
+            if ("backhaul", (h, t)) in row:
+                a[row[("backhaul", (h, t))], col] = inst.size(i)
+        a[row[("convexity", (h, i))], col] = 1.0
+    for n, (r_id, h, age) in enumerate(services):
+        c.append(service_saving(inst, content[r_id], age))
+        upper.append(1.0)
+        a[row[("serve", r_id)], len(chi) + n] = 1.0
+        a[row[("cover", (r_id, h, age))], len(chi) + n] = 1.0
+    b = [1.0 if kind in ("serve", "convexity") else 0.0 if kind == "cover"
+         else getattr(inst.server(key[0]), f"{kind}_capacity") for kind, key in row_keys]
+    rel = [2 if kind == "convexity" else 0 for kind, _ in row_keys]  # = and <=
+    return dict(a=a, c=c, b=b, rel=rel, upper=upper, serve=serve, services=services,
+                cache=cache, backhaul=backhaul, pairs=pairs)
+
+
+def test_build_rmp_matches_column_definitions():
+    """build_rmp's arrays equal the master written out from each entry's
+    coverage, cached and updated slots and the service savings, with every
+    capacity row and with a sampled subset of them."""
+    rng = random.Random(41)
+    for _ in range(30):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, rng.choice(["paper", "min"]))
+        columns = enumerate_columns(inst.horizon)
+        for key in list(pool.entries):
+            for col in rng.sample(columns, rng.randint(0, len(columns))):
+                pool.add(*key, col)
+        every = [(h, t) for h in range(1, inst.num_servers + 1)
+                 for t in range(1, inst.horizon + 1)]
+        partial = CapacityRows(set(rng.sample(every, rng.randint(0, len(every)))),
+                               set(rng.sample(every, rng.randint(0, len(every)))))
+        triple = {pos: key for key, pos in idx.svc_pos.items()}
+        for rows in (None, partial):
+            model = build_rmp(pool, inst, idx, rows)
+            ref = _reference_master(pool, inst, rows)
+            prob = model.problem
+            assert np.array_equal(prob.a_matrix.toarray(), ref["a"])
+            for name in ("c", "b", "rel", "upper"):
+                assert np.array_equal(getattr(prob, name), np.array(ref[name])), name
+            assert model.serve_ids == ref["serve"]
+            assert [triple[p] for p in model.cover_svc.tolist()] == ref["services"]
+            assert model.cache_keys == ref["cache"] and model.backhaul_keys == ref["backhaul"]
+            assert model.pairs == ref["pairs"]
+            sizes = [len(ref[k]) for k in ("serve", "services", "cache", "backhaul", "pairs")]
+            assert np.diff(model.starts).tolist() == sizes

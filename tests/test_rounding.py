@@ -148,6 +148,30 @@ def test_masks_reflect_fixings(tiny1):
     assert np.array_equal(batch_k0[0], allow_k0)
     assert np.array_equal(batch_ka[0], allow_ka)
 
+    # the batch masks follow random fixing sequences pair by pair
+    rng = random.Random(29)
+    for _ in range(40):
+        inst = random_tiny_instance(rng)
+        T = inst.horizon
+        pairs = [(h, i) for h in range(1, inst.num_servers + 1)
+                 for i in range(1, inst.num_contents + 1)]
+        state = RoundingState(inst)
+        for _ in range(rng.randint(0, 3 * len(pairs) * T)):
+            h, i = rng.choice(pairs)
+            t = rng.randint(1, T)
+            gamma, omega = rng.choice([(1, 1), (1, 0), (0, 0), (1, None), (0, None),
+                                       (None, 1), (None, 0)])
+            old_g, old_o = state.fixed(h, i, t)
+            if (old_g is not None and gamma is not None and gamma != old_g) or (
+                old_o is not None and omega is not None and omega != old_o
+            ):
+                continue  # contradicting an earlier fixing is an error
+            state.fix(h, i, t, gamma=gamma, omega=omega)
+            batch = state.batch_masks(pairs, T)
+            for k, (h, i) in enumerate(pairs):
+                for one, stacked in zip(state.mask_arrays(h, i, T), batch):
+                    assert np.array_equal(stacked[k], one), (h, i)
+
 
 def test_update_reachable():
     rng = random.Random(1)

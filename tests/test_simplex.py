@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from mcsp import simplex
 from mcsp.simplex import (
     EQ,
     GE,
@@ -14,10 +15,17 @@ from mcsp.simplex import (
     solve_lp,
 )
 
-BACKENDS = ["simplex", "highs"]
+
+@pytest.fixture(params=["simplex", "highs", "highs-linprog"])
+def backend(request, monkeypatch):
+    """A backend name for solve_lp; "highs-linprog" is HiGHS reached through
+    linprog, as on a scipy without the private HiGHS bindings."""
+    if request.param == "highs-linprog":
+        monkeypatch.setattr(simplex, "_highs", None)
+        return "highs"
+    return request.param
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_pure_bounds(backend):
     prob = LpProblem.build(c=[-1.0], rows=[], upper=[1.0])
     sol = solve_lp(prob, backend=backend)
@@ -26,7 +34,6 @@ def test_pure_bounds(backend):
     assert sol.duals.size == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_textbook_cover_row_dual(backend):
     # min v1 + v2 s.t. v1 + v2 >= 1: objective 1, row dual 1
     prob = LpProblem.build(
@@ -37,7 +44,6 @@ def test_textbook_cover_row_dual(backend):
     assert sol.duals[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_dual_sign_convention_pinned(backend):
     """Frozen convention: rc_j = c_j - sum_rows dual * a; at a minimum the
     duals of <= rows are nonpositive and of >= rows nonnegative."""
@@ -59,7 +65,6 @@ def test_dual_sign_convention_pinned(backend):
     assert np.all(rc >= -1e-7)  # dual feasibility in the pinned convention
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_equality_rows(backend):
     # roomy bounds keep the optimal vertex non-degenerate so the dual is unique
     prob = LpProblem.build(
@@ -71,7 +76,6 @@ def test_equality_rows(backend):
     assert sol.duals[0] == pytest.approx(1.0)  # rc of v1 must vanish
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_infeasible(backend):
     prob = LpProblem.build(
         c=[1.0], rows=[({0: 1.0}, GE, 2.0)], upper=[1.0]
@@ -186,3 +190,60 @@ def test_export_lp_text(tmp_path):
     assert "Minimize" in text and "Subject To" in text and "End" in text
     assert "u + v >= 1" in text
     assert "0 <= u <= 1" in text
+
+
+def _highs_both_ways(prob, monkeypatch):
+    """The outcome of HiGHS on ``prob`` through the bindings and through
+    linprog: (objective, x, duals, iterations) or the error class."""
+    outcomes = []
+    for fallback in (False, True):
+        with monkeypatch.context() as m:
+            if fallback:
+                m.setattr(simplex, "_highs", None)
+            try:
+                sol = solve_lp(prob, backend="highs")
+            except simplex.LpError as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((sol.status, sol.objective, sol.x.tolist(), sol.duals.tolist(),
+                                 sol.iterations))
+    return outcomes
+
+
+def test_highs_bindings_match_linprog(monkeypatch):
+    """HiGHS through scipy's bindings and through linprog gives the same
+    status, objective, primal, duals and iteration count to the last bit, on
+    random LPs with all three relations, on sampled masters and on an
+    infeasible master."""
+    import dataclasses
+
+    from conftest import random_tiny_instance
+    from mcsp.columns import ColumnPool, enumerate_columns
+    from mcsp.instance import build_request_index
+    from mcsp.rmp import build_rmp
+
+    assert simplex._highs is not None  # scipy 1.17 ships the bindings
+    rng = random.Random(11)
+    problems = [_random_lp(rng) for _ in range(150)]
+    for _ in range(20):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, "paper")
+        columns = enumerate_columns(inst.horizon)
+        for key in list(pool.entries):
+            for col in rng.sample(columns, rng.randint(0, len(columns))):
+                pool.add(*key, col)
+        model = build_rmp(pool, inst, idx)
+        problems.append(model.problem)
+    # no cache may hold a negative amount: the last master is infeasible
+    b = model.problem.b.copy()
+    b[model.starts[2] : model.starts[3]] = -1.0
+    problems.append(dataclasses.replace(model.problem, b=b))
+
+    statuses = set()
+    for prob in problems:
+        direct, fallback = _highs_both_ways(prob, monkeypatch)
+        assert direct == fallback
+        statuses.add(direct if isinstance(direct, type) else direct[0])
+    assert _highs_both_ways(problems[-1], monkeypatch)[0] is LpInfeasibleError
+    assert {"optimal", LpInfeasibleError, LpUnboundedError} <= statuses
