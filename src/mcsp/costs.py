@@ -85,9 +85,6 @@ class AssignmentPlan:
 
     served: dict[int, Optional[Served]]  # request id -> triple, or None for cloud
 
-    def cache_served(self, r_id: int) -> Optional[Served]:
-        return self.served.get(r_id)
-
 
 @dataclass(frozen=True)
 class CostBreakdown:

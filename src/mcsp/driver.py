@@ -170,8 +170,8 @@ def run_cga(
 
     With ``canonical`` the fixpoint primal is re-selected canonically on the
     optimal face (see solve_rmp) before the capacity check; the likelihood
-    rounding consumes it, so this keeps the dive stable under immaterial
-    input perturbations.
+    rounding consumes it, so this steers the dive toward fewer and earlier
+    updates. An LpError of that solve propagates like any other.
     """
     statics = statics or PricingStatics(inst, idx, mode)
     if capacity_rows is None:

@@ -13,7 +13,7 @@ byte-identical instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -110,9 +110,6 @@ class GeneratorConfig:
     beta: float = 1.0
     aoi: AoiCost = AoiCost(kind="exponential", rate=1.0)
     custom_topology: Topology | None = None
-
-    def with_seed(self, seed: int) -> "GeneratorConfig":
-        return replace(self, seed=seed)
 
 
 def generate_instance(cfg: GeneratorConfig) -> Instance:

@@ -145,7 +145,7 @@ class PricingGraph:
     allow_cached_aged: np.ndarray  # [t], cached(t, age>=1) removed when False
 
     def arcs(self) -> list[tuple[tuple, tuple, float, str]]:
-        """Materialize the arc list (for tests and DOT dumps)."""
+        """Materialize the arc list (the reference the tests check)."""
         T = self.horizon
         out: list[tuple[tuple, tuple, float, str]] = []
 
@@ -185,19 +185,6 @@ class PricingGraph:
             if (age == 0 and self.allow_cached_zero[T]) or (age >= 1 and self.allow_cached_aged[T]):
                 out.append((cac(T, age), ("sink",), self.weights.orange, "orange"))
         return out
-
-    def to_dot(self) -> str:
-        colors = {"gray": "gray", "orange": "orange", "blue": "blue",
-                  "black": "black", "red": "red", "purple": "purple"}
-        lines = ["digraph pricing {", "  rankdir=LR;"]
-        for u, v, w, kind in self.arcs():
-            name_u = "_".join(str(x) for x in u)
-            name_v = "_".join(str(x) for x in v)
-            lines.append(
-                f'  {name_u} -> {name_v} [label="{w:.4g}", color={colors[kind]}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def build_graph(

@@ -24,9 +24,12 @@ Coverage uses the settlement convention of the pricing graph: a column can
 serve (r, a) at the age it holds when the request arrives, or at age zero
 when it updates inside the request window. Service variables that can never
 pay off (f(a) >= cloud cost) and coverage rows no pool column supports are
-left out of the LP; their duals are filled in so that the returned
-DualPrices is a complete optimal dual vector for the full row set (the
-certificate tests check the filled-in values).
+left out of the LP; their duals are filled in, and the price HiGHS puts on a
+y variable's upper bound y <= 1 is moved onto its request's serve-once row,
+so that the returned DualPrices is a complete optimal dual vector for the
+full row set with no bound duals (the certificate tests check both).
+
+Every master LP goes to ``simplex.solve_lp`` (HiGHS).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from scipy import sparse
 
 from .columns import Column, ColumnPool, PricedEntry, settlement_coverage
 from .instance import Instance, Request, RequestIndex
-from .simplex import _REL_CODES, EQ, LE, LpError, LpProblem, LpSolution, solve_lp
+from .simplex import _REL_CODES, EQ, LE, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
@@ -159,11 +162,6 @@ class RmpSolution:
     chi: dict[tuple[int, int], np.ndarray]  # per pair, aligned with pool entries
     duals: DualPrices
     lp: LpSolution
-
-    def chi_is_integral(self, tol: float = TOL_CHI) -> bool:
-        return all(
-            bool(np.all((v < tol) | (v > 1 - tol))) for v in self.chi.values()
-        )
 
     def integral_column(self, h: int, i: int, pool: ColumnPool) -> Column:
         weights = self.chi[(h, i)]
@@ -304,10 +302,11 @@ def solve_rmp(
     never-binding capacity row is kept out of the LP altogether by the lazy
     capacity rows (see the module docstring), so the master, and with it
     every primal and dual the solver returns, does not depend on it. The
-    rounding passes consume the primal; the canonical vertex additionally
-    makes the fixpoint primal they see independent of which optimal vertex
-    the solver picked. Duals, objective and the bound always come from the
-    primary solve.
+    rounding passes consume the primal; the canonical solve steers it toward
+    fewer and earlier updates, which the rounding then sees. It does not make
+    the primal unique: the face LP is degenerate too, and a solve of it
+    started from another basis returns another optimal primal. Duals,
+    objective and the bound always come from the primary solve.
     """
     sol = lp if lp is not None else solve_lp(model.problem)
     x = _canonical_primal(model, sol) if canonical else sol.x
@@ -327,7 +326,14 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     A coverage row the LP leaves out gets the dual nearest zero (duals of
     <= rows are <= 0) that keeps the reduced cost saving - sigma - pi of its
     service variable nonnegative: min(0, saving - sigma), and zero outright
-    when the service could never pay off."""
+    when the service could never pay off.
+
+    The LP may price a kept service variable's bound y <= 1 instead of its
+    serve-once row, leaving it a negative reduced cost. Each request's
+    ``sigma`` then takes min(0, the least reduced cost of its kept service
+    variables) on top of its row dual, so every service variable prices
+    nonnegatively. Only a variable at 1 can price negatively, and at most
+    one per request is at 1, so the dual objective does not change."""
     idx = model.idx
     serve, cover, cache, backhaul, convexity = (
         y[a:b] for a, b in zip(model.starts, model.starts[1:])
@@ -339,6 +345,10 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
         saving >= 0, 0.0, np.minimum(0.0, saving - duals.sigma[idx.svc_request_ids])
     )
     duals.pis[model.cover_svc] = cover
+    kept_ids = idx.svc_request_ids[model.cover_svc]
+    shift = np.zeros_like(duals.sigma)
+    np.minimum.at(shift, kept_ids, saving[model.cover_svc] - duals.sigma[kept_ids] - cover)
+    duals.sigma += shift
     for array, keys, values in ((duals.mus, model.cache_keys, cache),
                                 (duals.phis, model.backhaul_keys, backhaul),
                                 (duals.lams, model.pairs, convexity)):
@@ -361,11 +371,7 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
         b=np.concatenate([prob.b, [sol.objective + face_eps]]),
         upper=prob.upper,
     )
-    try:
-        second = solve_lp(prob2)
-    except LpError:
-        return sol.x  # canonicalization is best-effort
-    return second.x
+    return solve_lp(prob2).x
 
 
 def reduced_cost(

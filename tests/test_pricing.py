@@ -347,13 +347,6 @@ def test_all_kappa_removed_gives_zero_column(tiny1, tiny1_idx):
     assert pc.path_value == pytest.approx(23.0)
 
 
-def test_dot_dump(tiny1, tiny1_idx):
-    g = build_graph(1, 1, zero_duals(tiny1), tiny1, tiny1_idx)
-    dot = g.to_dot()
-    assert dot.startswith("digraph") and "->" in dot
-    assert "orange" in dot and "purple" in dot
-
-
 def _sampled_pool(rng, inst, idx):
     """Initial pools plus a random share of every pair's columns, so some
     coverage rows are in the master and others are left out (imputed)."""
@@ -393,11 +386,14 @@ def test_pi_vector_matches_pi():
     """The complete pi array of master duals holds the LP dual at every
     coverage row the master keeps and the closed-form imputation at every
     row it leaves out: zero where the service never pays off, otherwise
-    min(0, saving - sigma). sigma holds the serve-once rows' LP duals."""
+    min(0, saving - s), with s the serve-once row's LP dual (zero for a
+    request without a row). sigma is s plus min(0, the least reduced cost
+    saving - s - pi of the request's kept service variables), which moves
+    the price of a bound y <= 1 onto the serve-once row."""
     from mcsp.rmp import build_rmp, service_saving, solve_rmp
 
     rng = random.Random(23)
-    kept = imputed = 0
+    kept = imputed = shifted = 0
     for _ in range(20):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
@@ -406,20 +402,27 @@ def test_pi_vector_matches_pi():
         sol = solve_rmp(model)
         duals = sol.duals
         n_serve, n_cover = len(model.serve_ids), len(model.cover_svc)
-        assert duals.sigma[model.serve_ids].tolist() == sol.lp.duals[:n_serve].tolist()
+        lp_sigma = dict(zip(model.serve_ids, sol.lp.duals[:n_serve].tolist()))
         lp_pi = dict(zip(model.cover_svc.tolist(),
                          sol.lp.duals[n_serve : n_serve + n_cover].tolist()))
+        least_rc = {}
         for (r_id, h, a), j in idx.svc_pos.items():
+            saving = service_saving(inst, req[r_id].content, a)
+            s = lp_sigma.get(r_id, 0.0)
             if j in lp_pi:
                 want = lp_pi[j]
+                least_rc[r_id] = min(least_rc.get(r_id, 0.0), saving - s - want)
                 kept += 1
             else:
-                saving = service_saving(inst, req[r_id].content, a)
-                want = 0.0 if saving >= 0 else min(0.0, saving - float(duals.sigma[r_id]))
+                want = 0.0 if saving >= 0 else min(0.0, saving - s)
                 imputed += 1
             assert duals.pis[j] == want
             assert duals.pi(req[r_id], h, a) == want
-    assert kept and imputed
+        for r_id in range(1, idx.num_request_ids):
+            want = lp_sigma.get(r_id, 0.0) + least_rc.get(r_id, 0.0)
+            assert duals.sigma[r_id] == want
+            shifted += least_rc.get(r_id, 0.0) < 0
+    assert kept and imputed and shifted
 
 
 def test_fully_fixed_column_is_the_only_path():

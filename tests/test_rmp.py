@@ -160,6 +160,65 @@ def test_full_lp_certificate_with_lazy_rows():
     assert checked >= 5
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dual_certificate_on_large_masters(seed):
+    """On masters well above tiny size (3-cell 20/150, every capacity row,
+    initial pools plus three random columns per pair), the returned duals
+    price every service variable nonnegatively, and their row dual
+    objective equals the master objective: no price is left on a bound."""
+    from mcsp.generator import GeneratorConfig, generate_instance
+
+    inst = generate_instance(
+        GeneratorConfig(
+            cells="3-cell", num_contents=20, num_requests=150, horizon=6,
+            rho_m=0.4, rho_tt=1.0, rho_b=0.3, cache_scale=0.5, seed=seed,
+        )
+    )
+    idx = build_request_index(inst)
+    rng = random.Random(seed)
+    pool = ColumnPool.initial(inst, idx, "paper")
+    columns = enumerate_columns(inst.horizon)
+    for key in list(pool.entries):
+        for col in rng.sample(columns, 3):
+            pool.add(*key, col)
+    model = build_rmp(pool, inst, idx)
+    assert model.problem.num_rows + model.problem.num_vars > 600
+    sol = solve_rmp(model)
+    duals = sol.duals
+    for r in inst.mcrs:
+        for h in r.candidates:
+            for a in range(r.deadline):
+                saving = service_saving(inst, r.content, a)
+                assert saving - duals.sigma[r.id] - duals.pi(r, h, a) >= -1e-6
+    capacity = sum(
+        duals.mus[h, t] * inst.server(h).cache_capacity
+        + duals.phis[h, t] * inst.server(h).backhaul_capacity
+        for h in range(1, inst.num_servers + 1)
+        for t in range(1, inst.horizon + 1)
+    )
+    row_objective = duals.sigma.sum() + capacity + duals.lams.sum()
+    assert row_objective == pytest.approx(sol.lp.objective, abs=1e-6)
+
+
+def test_canonical_solve_failure_propagates(tiny1, tiny1_idx, monkeypatch):
+    """A failed face solve raises instead of falling back to the primary
+    primal, so ``mcsp solve`` reports it as a solver failure."""
+    from mcsp import rmp
+    from mcsp.simplex import LpError
+
+    model = build_rmp(ColumnPool.initial(tiny1, tiny1_idx, "paper"), tiny1, tiny1_idx)
+    solve = rmp.solve_lp
+
+    def face_fails(prob):
+        if prob is not model.problem:
+            raise LpError("face solve failed")
+        return solve(prob)
+
+    monkeypatch.setattr(rmp, "solve_lp", face_fails)
+    with pytest.raises(LpError, match="face solve failed"):
+        solve_rmp(model, canonical=True)
+
+
 def test_objective_nonincreasing_as_pool_grows():
     rng = random.Random(77)
     inst = random_tiny_instance(rng)
