@@ -3,10 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from scipy.optimize import linprog
+
 from mcsp.simplex import (
+    _REL_CODES,
     EQ,
     GE,
     LE,
+    LpError,
     LpInfeasibleError,
     LpProblem,
     LpUnboundedError,
@@ -14,25 +18,90 @@ from mcsp.simplex import (
 )
 
 
-def test_pure_bounds():
+def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
+    """The optimum is a vertex, as a simplex method returns: the variables
+    strictly inside their bounds have linearly independent columns in the
+    rows that hold with equality."""
+    x = sol.x
+    free = np.nonzero((x > tol) & (x < prob.upper - tol))[0]
+    ax = prob.a_matrix @ x
+    tight = np.nonzero(
+        (prob.rel == _REL_CODES[EQ]) | (np.abs(ax - prob.b) <= tol)
+    )[0]
+    sub = prob.a_matrix.toarray()[np.ix_(tight, free)]
+    assert np.linalg.matrix_rank(sub) == len(free)
+
+
+def _linprog_reference(prob: LpProblem):
+    """The same LP through scipy's public linprog front end to HiGHS, with
+    its row marginals mapped onto the module's dual convention."""
+    a = prob.a_matrix.toarray()
+    le, ge, eq = (prob.rel == _REL_CODES[r] for r in (LE, GE, EQ))
+    ub_rows = np.concatenate([np.nonzero(le)[0], np.nonzero(ge)[0]])
+    sign = np.where(le[ub_rows], 1.0, -1.0)
+    res = linprog(
+        prob.c,
+        A_ub=a[ub_rows] * sign[:, None] if len(ub_rows) else None,
+        b_ub=prob.b[ub_rows] * sign if len(ub_rows) else None,
+        A_eq=a[eq] if eq.any() else None,
+        b_eq=prob.b[eq] if eq.any() else None,
+        bounds=[(0.0, None if np.isinf(u) else u) for u in prob.upper],
+        method="highs",
+    )
+    duals = np.zeros(prob.num_rows)
+    if res.status == 0:
+        if len(ub_rows):
+            duals[ub_rows] = res.ineqlin.marginals * sign
+        if eq.any():
+            duals[eq] = res.eqlin.marginals
+    return res, duals
+
+
+@pytest.fixture(params=["simplex", "highs", "highs-linprog"])
+def solve(request):
+    """solve_lp with one extra check per variant: "simplex" that an optimum
+    is a basic solution, "highs-linprog" that scipy's linprog reaches the
+    same outcome, objective and row duals, "highs" none beyond the test's."""
+
+    def run(prob: LpProblem):
+        try:
+            sol = solve_lp(prob)
+        except LpError as exc:
+            if request.param == "highs-linprog":
+                expected = {LpInfeasibleError: 2, LpUnboundedError: 3}[type(exc)]
+                assert _linprog_reference(prob)[0].status == expected
+            raise
+        if request.param == "simplex":
+            _assert_basic(prob, sol)
+        elif request.param == "highs-linprog":
+            res, duals = _linprog_reference(prob)
+            assert res.status == 0
+            assert sol.objective == pytest.approx(res.fun, abs=1e-9)
+            assert sol.duals == pytest.approx(duals, abs=1e-9)
+        return sol
+
+    return run
+
+
+def test_pure_bounds(solve):
     prob = LpProblem.build(c=[-1.0], rows=[], upper=[1.0])
-    sol = solve_lp(prob)
+    sol = solve(prob)
     assert sol.objective == pytest.approx(-1.0)
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.duals.size == 0
 
 
-def test_textbook_cover_row_dual():
+def test_textbook_cover_row_dual(solve):
     # min v1 + v2 s.t. v1 + v2 >= 1: objective 1, row dual 1
     prob = LpProblem.build(
         c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 1.0)], upper=[1.0, 1.0]
     )
-    sol = solve_lp(prob)
+    sol = solve(prob)
     assert sol.objective == pytest.approx(1.0)
     assert sol.duals[0] == pytest.approx(1.0)
 
 
-def test_dual_sign_convention_pinned():
+def test_dual_sign_convention_pinned(solve):
     """Frozen convention: rc_j = c_j - sum_rows dual * a; at a minimum the
     duals of <= rows are nonpositive and of >= rows nonnegative."""
     prob = LpProblem.build(
@@ -43,7 +112,7 @@ def test_dual_sign_convention_pinned():
             ({1: 1.0}, GE, 0.5),
         ],
     )
-    sol = solve_lp(prob)
+    sol = solve(prob)
     assert sol.objective == pytest.approx(-5.0)
     assert sol.x[0] == pytest.approx(2.0) and sol.x[1] == pytest.approx(1.0)
     assert sol.duals[0] == pytest.approx(-1.0)
@@ -53,23 +122,23 @@ def test_dual_sign_convention_pinned():
     assert np.all(rc >= -1e-7)  # dual feasibility in the pinned convention
 
 
-def test_equality_rows():
+def test_equality_rows(solve):
     # roomy bounds keep the optimal vertex non-degenerate so the dual is unique
     prob = LpProblem.build(
         c=[1.0, 2.0], rows=[({0: 1.0, 1: 1.0}, EQ, 1.0)], upper=[2.0, 2.0]
     )
-    sol = solve_lp(prob)
+    sol = solve(prob)
     assert sol.objective == pytest.approx(1.0)
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.duals[0] == pytest.approx(1.0)  # rc of v1 must vanish
 
 
-def test_infeasible():
+def test_infeasible(solve):
     prob = LpProblem.build(
         c=[1.0], rows=[({0: 1.0}, GE, 2.0)], upper=[1.0]
     )
     with pytest.raises(LpInfeasibleError):
-        solve_lp(prob)
+        solve(prob)
 
 
 def test_unbounded_simplex():
