@@ -159,6 +159,7 @@ class PricedEntry:
     # (request id, age) pairs the settlement convention lets this column serve
     coverage: tuple[tuple[int, int], ...] = ()
     svc: tuple[int, ...] = ()  # their positions in the request index's service index
+    serial: int = 0  # the entry's number in its pool, in order of insertion
 
 
 def make_entry(
@@ -183,12 +184,20 @@ def make_entry(
 
 @dataclass
 class ColumnPool:
-    """Evolving per-(server, content) column sets with cached standalone costs."""
+    """Evolving per-(server, content) column sets with cached standalone costs.
+
+    Every entry the pool makes gets the next serial number, so an entry keeps
+    one identity (``PricedEntry.serial``) for the pool's life, whatever
+    entries are purged around it."""
 
     inst: Instance
     idx: RequestIndex
     mode: SettlementMode
     entries: dict[tuple[int, int], list[PricedEntry]] = field(default_factory=dict)
+    num_serials: int = field(default=0, init=False)  # serials handed out so far
+    # per pair, the fixings of its slots at the last purge and their
+    # canonical column
+    _canonical: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def initial(inst: Instance, idx: RequestIndex, mode: SettlementMode) -> "ColumnPool":
@@ -196,8 +205,14 @@ class ColumnPool:
         zero = zero_column(inst.horizon)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
-                pool.entries[(h, i)] = [make_entry(zero, h, i, inst, idx, mode)]
+                pool.entries[(h, i)] = [pool._entry(zero, h, i)]
         return pool
+
+    def _entry(self, col: Column, h: int, i: int) -> PricedEntry:
+        entry = make_entry(col, h, i, self.inst, self.idx, self.mode)
+        entry.serial = self.num_serials
+        self.num_serials += 1
+        return entry
 
     def columns(self, h: int, i: int) -> list[PricedEntry]:
         return self.entries[(h, i)]
@@ -211,7 +226,7 @@ class ColumnPool:
             raise ValueError(f"invalid column {col}")
         if self.contains(h, i, col):
             return False
-        self.entries[(h, i)].append(make_entry(col, h, i, self.inst, self.idx, self.mode))
+        self.entries[(h, i)].append(self._entry(col, h, i))
         return True
 
     def total_columns(self) -> int:
@@ -229,34 +244,43 @@ class ColumnPool:
         feasible fallback.
         """
         removed = 0
+        slots = range(1, self.inst.horizon + 1)
         for (h, i), entries in self.entries.items():
             size = self.inst.size(i)
+            fixed = tuple(fixings.get((h, i, t), (None, None)) for t in slots)
             kept = []
             for e in entries:
                 if _column_compatible(
-                    e.column, h, i, size, fixings, remaining_cache, remaining_backhaul
+                    e.column, h, size, fixed, remaining_cache, remaining_backhaul
                 ):
                     kept.append(e)
                 else:
                     removed += 1
-            col = canonical_column(self.inst.horizon, h, i, fixings)
+            # the canonical column depends on the pair's fixings alone
+            last = self._canonical.get((h, i))
+            if last is not None and last[0] == fixed:
+                col = last[1]
+            else:
+                col = canonical_column(self.inst.horizon, h, i, fixings)
+                self._canonical[(h, i)] = (fixed, col)
             if col is None:
                 raise UnfixablePoolError(
                     f"no column can satisfy the fixings for server {h}, content {i}"
                 )
             if not any(e.column == col for e in kept):
-                kept.append(make_entry(col, h, i, self.inst, self.idx, self.mode))
+                kept.append(self._entry(col, h, i))
             self.entries[(h, i)] = kept
         return removed
 
 
 def _column_compatible(
-    col: Column, h: int, i: int, size: int, fixings, remaining_cache, remaining_backhaul
+    col: Column, h: int, size: int, fixed, remaining_cache, remaining_backhaul
 ) -> bool:
+    """Whether ``col`` agrees with ``fixed``, the (gamma, omega) fixings of
+    its pair's slots in order, and fits the capacity left in its free slots."""
     from .costs import CAPACITY_EPS
 
-    for t, (q, p) in enumerate(col, start=1):
-        gamma, omega = fixings.get((h, i, t), (None, None))
+    for t, (q, p), (gamma, omega) in zip(range(1, len(col) + 1), col, fixed):
         if gamma is not None and q != gamma:
             return False
         if omega is not None and p != omega:

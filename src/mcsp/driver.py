@@ -35,7 +35,7 @@ from .costs import (
 )
 from .instance import Instance, RequestIndex, build_request_index
 from .pricing import PricingStatics, price_all
-from .rmp import CapacityRows, RmpSolution, build_rmp, solve_rmp
+from .rmp import CapacityRows, MasterBasis, RmpSolution, build_rmp, solve_rmp
 from .rounding import (
     TOL_INT,
     RoundingState,
@@ -158,6 +158,7 @@ def run_cga(
     statics: Optional[PricingStatics] = None,
     canonical: bool = False,
     capacity_rows: Optional[CapacityRows] = None,
+    basis: Optional[MasterBasis] = None,
 ) -> CgaResult:
     """Alternate master solves and pricing until no column prices negative
     (below -``pricing.TOL_PRICE``) and the fixpoint primal violates no
@@ -165,8 +166,10 @@ def run_cga(
 
     The master holds the capacity rows in ``capacity_rows`` (a fresh empty
     set when None); at each pricing fixpoint the rows the primal violates
-    are added to it and generation carries on. Pass one set to every call of
-    a solve so rows found once stay in the master.
+    are added to it and generation carries on. Every master starts from the
+    optimal basis of the one before, kept in ``basis`` (a fresh one when
+    None). Pass one set and one basis to every call of a solve, so rows found
+    once stay in the master and each run starts where the last one ended.
 
     With ``canonical`` the fixpoint primal is re-selected canonically on the
     optimal face (see solve_rmp) before the capacity check; the likelihood
@@ -176,11 +179,13 @@ def run_cga(
     statics = statics or PricingStatics(inst, idx, mode)
     if capacity_rows is None:
         capacity_rows = CapacityRows()
+    if basis is None:
+        basis = MasterBasis()
     guard = 10 * inst.num_servers * inst.num_contents * inst.horizon
     rounds = 0
     while True:
         model = build_rmp(pool, inst, idx, capacity_rows)
-        sol = solve_rmp(model)
+        sol = solve_rmp(model, basis=basis)
         rounds += 1
         candidates = price_all(pool, sol.duals, inst, idx, fixings=fixings, mode=mode,
                                statics=statics)
@@ -257,10 +262,10 @@ def run_rcga(
     statics = PricingStatics(inst, idx, mode)
     pool = ColumnPool.initial(inst, idx, mode)
     state = RoundingState(inst)
-    rows = CapacityRows()
+    rows, basis = CapacityRows(), MasterBasis()
 
     result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
-                     canonical=True, capacity_rows=rows)
+                     canonical=True, capacity_rows=rows, basis=basis)
     lb = result.solution.objective
     pricing_rounds = result.rounds
     sol = result.solution
@@ -280,7 +285,7 @@ def run_rcga(
         round_once(state, sol.chi, pool)
         cycles += 1
         result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
-                         canonical=True, capacity_rows=rows)
+                         canonical=True, capacity_rows=rows, basis=basis)
         pricing_rounds += result.rounds
         sol = result.solution
         if sol.objective < lb - 1e-6 * (1 + abs(lb)):
@@ -327,10 +332,10 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     statics = PricingStatics(inst, idx, mode)
     pool = ColumnPool.initial(inst, idx, mode)
     pins = RoundingState(inst)
-    rows = CapacityRows()
+    rows, basis = CapacityRows(), MasterBasis()
 
     result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
-                     capacity_rows=rows)
+                     capacity_rows=rows, basis=basis)
     lb = result.solution.objective
     pricing_rounds = result.rounds
     sol = result.solution
@@ -352,7 +357,7 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
                 pins.fix(h, i, t, gamma=q, omega=p)
             fixes += 1
             result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
-                             capacity_rows=rows)
+                             capacity_rows=rows, basis=basis)
             pricing_rounds += result.rounds
             sol = result.solution
     except LpInfeasibleError:

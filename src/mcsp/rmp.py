@@ -29,12 +29,21 @@ y variable's upper bound y <= 1 is moved onto its request's serve-once row,
 so that the returned DualPrices is a complete optimal dual vector for the
 full row set with no bound duals (the certificate tests check both).
 
-Every master LP goes to ``simplex.solve_lp`` (HiGHS).
+Every master LP goes to ``simplex.solve_lp`` (HiGHS), warm-started: a
+``MasterBasis`` keeps the optimal basis of a solve's last master by row and
+column identity and maps it onto the next one, where new columns start
+nonbasic at zero and new rows basic. The masters of one solve change by a
+few columns or rows per round, so the simplex re-optimises in a fraction of
+a cold start's iterations. Degenerate masters have many optimal vertices,
+and which one a warm start ends at depends on the basis it starts from: the
+primal (and with it the dive and the schedule) can differ from a cold
+solve's, while the objective and so the bound are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Optional
 
@@ -43,7 +52,7 @@ from scipy import sparse
 
 from .columns import Column, ColumnPool, PricedEntry, settlement_coverage
 from .instance import Instance, Request, RequestIndex
-from .simplex import _REL_CODES, EQ, LE, LpProblem, LpSolution, solve_lp
+from .simplex import _REL_CODES, BASIC, EQ, LE, LOWER, LpBasis, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
@@ -134,6 +143,58 @@ class CapacityRows:
         return added
 
 
+def _index(keys) -> tuple[np.ndarray, ...]:
+    """(server, slot) or (server, content) keys as an index into an array."""
+    return tuple(np.array(keys, dtype=np.int64).reshape(-1, 2).T)
+
+
+class MasterBasis:
+    """The optimal basis of the last master a solve solved, kept by the
+    identity of each column and row in the array layout of ``DualPrices``:
+    chi columns by pool entry serial, y columns and coverage rows by service
+    position, serve-once rows by request id, cache and backhaul rows by
+    [server, slot], convexity rows by [server, content].
+
+    ``start`` maps it onto another master of the same solve: a column or row
+    the last master held keeps its status; a new column starts nonbasic at
+    zero, a new row basic. Where columns left (a purge, a pin), the basic
+    count is off, which HiGHS repairs (see ``simplex.solve_lp``). Empty until
+    the first ``record``."""
+
+    def __init__(self) -> None:
+        self.blocks: Optional[tuple[np.ndarray, ...]] = None
+
+    def record(self, model: "RmpModel", basis: LpBasis) -> None:
+        """Keep ``basis``, the optimal basis of ``model``."""
+        idx, inst = model.idx, model.idx.inst
+        n_chi = len(model.serials)
+        slots = (inst.num_servers + 1, inst.horizon + 1)
+        chi = np.full(model.pool.num_serials, LOWER, dtype=np.int8)
+        chi[model.serials] = basis.cols[:n_chi]
+        y = np.full(len(idx.svc_pos), LOWER, dtype=np.int8)
+        y[model.cover_svc] = basis.cols[n_chi:]
+        rows = [np.full(shape, BASIC, dtype=np.int8) for shape in (
+            idx.num_request_ids, len(idx.svc_pos), slots, slots,
+            (inst.num_servers + 1, inst.num_contents + 1))]
+        for array, at, lo, hi in zip(rows, model.row_index, model.starts, model.starts[1:]):
+            array[at] = basis.rows[lo:hi]
+        self.blocks = (chi, y, *rows)
+
+    def start(self, model: "RmpModel") -> Optional[LpBasis]:
+        """The recorded basis mapped onto ``model``; None before the first
+        record."""
+        if self.blocks is None:
+            return None
+        chi, y, *rows = self.blocks
+        known = model.serials < len(chi)
+        cols = np.full(len(model.serials), LOWER, dtype=np.int8)
+        cols[known] = chi[model.serials[known]]
+        return LpBasis(
+            cols=np.concatenate([cols, y[model.cover_svc]]),
+            rows=np.concatenate([array[at] for array, at in zip(rows, model.row_index)]),
+        )
+
+
 @dataclass
 class RmpModel:
     """An assembled master LP plus the keys of its row blocks, which follow
@@ -147,6 +208,7 @@ class RmpModel:
     idx: RequestIndex
     constant: float
     entries: list[PricedEntry]  # the pool entry of each chi column, in LP column order
+    serials: np.ndarray  # their serial numbers
     chi_offset: dict[tuple[int, int], int]  # first LP column of each pair's block
     starts: list[int]  # first row of each row block, then the row count
     serve_ids: list[int]
@@ -154,6 +216,13 @@ class RmpModel:
     cache_keys: list[tuple[int, int]]
     backhaul_keys: list[tuple[int, int]]
     pairs: list[tuple[int, int]]
+
+    @cached_property
+    def row_index(self) -> tuple:
+        """Per row block, the positions of its rows' keys in the block's
+        ``DualPrices`` array."""
+        return (self.serve_ids, self.cover_svc, _index(self.cache_keys),
+                _index(self.backhaul_keys), _index(self.pairs))
 
 
 @dataclass
@@ -278,6 +347,7 @@ def build_rmp(
         idx=idx,
         constant=idx.mcr_cloud_cost,
         entries=entries,
+        serials=np.fromiter((e.serial for e in entries), dtype=np.int64, count=n_chi),
         chi_offset=dict(zip(pairs, accumulate(counts, initial=0))),
         starts=starts,
         serve_ids=serve_ids.tolist(),
@@ -292,28 +362,36 @@ def solve_rmp(
     model: RmpModel,
     canonical: bool = False,
     lp: Optional[LpSolution] = None,
+    basis: Optional[MasterBasis] = None,
 ) -> RmpSolution:
     """Solve the master; with ``canonical`` the primal is re-selected on the
     optimal face to minimize update count, then update lateness. ``lp``, when
-    given, is the primary solve of this master, already at hand.
+    given, is the primary solve of this master, already at hand. With
+    ``basis`` the primary solve starts from the basis it holds, mapped onto
+    this master, and records its optimal basis there for the next master.
 
     Degenerate masters have many optimal vertices and which one a solver
-    returns can depend on immaterial input details. The slack of a
-    never-binding capacity row is kept out of the LP altogether by the lazy
-    capacity rows (see the module docstring), so the master, and with it
-    every primal and dual the solver returns, does not depend on it. The
-    rounding passes consume the primal; the canonical solve steers it toward
-    fewer and earlier updates, which the rounding then sees. It does not make
-    the primal unique: the face LP is degenerate too, and a solve of it
-    started from another basis returns another optimal primal. Duals,
+    returns can depend on immaterial input details and on the start basis.
+    The slack of a never-binding capacity row is kept out of the LP
+    altogether by the lazy capacity rows (see the module docstring), so the
+    master does not depend on it. The rounding passes consume the primal;
+    the canonical solve steers it toward fewer and earlier updates, which
+    the rounding then sees. It does not make the primal unique: the face LP
+    is degenerate too, and a solve of it started from another basis returns
+    another optimal primal. It starts from the primary solve's optimal basis
+    with the face row basic, a feasible basis of the face LP. Duals,
     objective and the bound always come from the primary solve.
+
+    ``chi`` holds views into the primal: a pair's weights are a slice of it.
     """
-    sol = lp if lp is not None else solve_lp(model.problem)
+    sol = lp
+    if sol is None:
+        sol = solve_lp(model.problem, basis.start(model) if basis is not None else None)
+        if basis is not None:
+            basis.record(model, sol.basis)
     x = _canonical_primal(model, sol) if canonical else sol.x
-    pool = model.pool
-    chi = {
-        key: x[off : off + len(pool.entries[key])].copy() for key, off in model.chi_offset.items()
-    }
+    ends = [*model.chi_offset.values(), len(model.entries)]
+    chi = {key: x[a:b] for key, a, b in zip(model.chi_offset, ends, ends[1:])}
     return RmpSolution(
         objective=sol.objective + model.constant, chi=chi, duals=_read_duals(model, sol.duals),
         lp=sol,
@@ -349,10 +427,9 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     shift = np.zeros_like(duals.sigma)
     np.minimum.at(shift, kept_ids, saving[model.cover_svc] - duals.sigma[kept_ids] - cover)
     duals.sigma += shift
-    for array, keys, values in ((duals.mus, model.cache_keys, cache),
-                                (duals.phis, model.backhaul_keys, backhaul),
-                                (duals.lams, model.pairs, convexity)):
-        array[tuple(np.array(keys, dtype=np.int64).reshape(-1, 2).T)] = values
+    for array, at, values in zip((duals.mus, duals.phis, duals.lams), model.row_index[2:],
+                                 (cache, backhaul, convexity)):
+        array[at] = values
     return duals
 
 
@@ -371,7 +448,8 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
         b=np.concatenate([prob.b, [sol.objective + face_eps]]),
         upper=prob.upper,
     )
-    return solve_lp(prob2).x
+    start = LpBasis(sol.basis.cols, np.append(sol.basis.rows, BASIC))
+    return solve_lp(prob2, start).x
 
 
 def reduced_cost(

@@ -6,6 +6,13 @@ dual simplex through scipy's bundled bindings (``scipy.optimize._highspy``),
 with the model and options ``scipy.optimize.linprog(method="highs")`` would
 use, and checks the returned optimum against the model.
 
+Each solve returns its optimal basis (``LpBasis``), and ``solve_lp`` takes a
+start basis: given one, HiGHS skips presolve and re-optimises from it.
+Column generation warm-starts every master this way (see ``mcsp.rmp``). On a
+degenerate LP the optimal vertex HiGHS returns depends on where it starts,
+so a warm and a cold solve of one LP can return different optimal primals
+and duals with the same objective.
+
 Dual convention, frozen by unit tests: the reduced cost of variable j is
 ``c_j - sum_rows dual_row * a_row_j``. At a minimum, duals of ``<=`` rows are
 nonpositive, duals of ``>=`` rows nonnegative, duals of ``=`` rows free.
@@ -96,13 +103,32 @@ class LpProblem:
         return LpProblem(c=c_arr, a_matrix=mat, rel=np.array(rel), b=np.array(b), upper=up)
 
 
+# basis status codes, as HiGHS numbers them (``HighsBasisStatus``)
+LOWER, BASIC, UPPER = 0, 1, 2
+
+
+@dataclass
+class LpBasis:
+    """A simplex basis as int8 status codes: each variable is BASIC or
+    nonbasic at its LOWER or UPPER bound, and each row (its slack) is BASIC
+    or nonbasic at its right-hand side, coded UPPER for a <= row and LOWER
+    for >= and = rows. Rows are in the problem's order."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def num_basic(self) -> int:
+        return int(np.count_nonzero(self.cols == BASIC) + np.count_nonzero(self.rows == BASIC))
+
+
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float
     x: np.ndarray
     duals: np.ndarray  # one per row, in the module's convention
-    iterations: int = 0
+    iterations: int
+    basis: LpBasis  # the optimal basis, a start for the next solve
 
     def reduced_costs(self, prob: LpProblem) -> np.ndarray:
         return prob.c - prob.a_matrix.T @ self.duals
@@ -150,14 +176,23 @@ _HIGHS_OPTIONS = _highs_options()
 _CHECK_TOL = math.sqrt(1e-9) * 10
 
 
-def solve_lp(prob: LpProblem) -> LpSolution:
+_STATUS = np.array(
+    [_highs.HighsBasisStatus.kLower, _highs.HighsBasisStatus.kBasic,
+     _highs.HighsBasisStatus.kUpper], dtype=object,
+)
+
+
+def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     """Solve to optimality with HiGHS; raises LpInfeasibleError,
     LpUnboundedError, or LpError on any other outcome.
 
     The model is the one ``linprog`` builds: rows in the order <= rows,
-    negated >= rows, = rows, as lower <= A x <= upper, solved with presolve
-    and the dual simplex; its duals are mapped back to the rows' order and
-    signs."""
+    negated >= rows, = rows, as lower <= A x <= upper, solved with the dual
+    simplex; its duals are mapped back to the rows' order and signs. Without
+    ``basis`` the solve starts cold, with presolve; with it, HiGHS starts
+    from that basis. The start basis is passed as HiGHS's "alien" kind, so
+    HiGHS repairs one whose basic count is wrong or whose basis matrix is
+    singular (by swapping in slacks) instead of rejecting it."""
     m = prob.num_rows
     rel = prob.rel
     order = np.concatenate([np.flatnonzero(rel == _REL_CODES[r]) for r in (LE, GE, EQ)])
@@ -196,6 +231,18 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         model_status = status.kModelError
     else:
+        if basis is not None:
+            start = _highs.HighsBasis()
+            start.col_status = _STATUS[basis.cols].tolist()
+            # a nonbasic row sits at its right-hand side: HiGHS's upper bound
+            # of a (negated) inequality row; either bound of an = row
+            nonbasic = np.where(np.arange(m) < n_ineq, UPPER, LOWER)
+            start.row_status = _STATUS[
+                np.where(basis.rows[order] == BASIC, BASIC, nonbasic)
+            ].tolist()
+            start.valid = start.alien = True
+            if highs.setBasis(start) == _highs.HighsStatus.kError:
+                raise LpError("HiGHS rejected the start basis")
         highs.run()
         model_status = highs.getModelStatus()
     if model_status in (status.kInfeasible, status.kModelError):
@@ -219,12 +266,27 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     duals = np.empty(m)
     duals[order] = np.array(solution.row_dual) * sign
     return LpSolution(
-        status="optimal",
         objective=float(info.objective_function_value),
         x=x,
         duals=duals,
         iterations=int(info.simplex_iteration_count or info.ipm_iteration_count),
+        basis=_optimal_basis(highs, prob, x, order),
     )
+
+
+def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: np.ndarray) -> LpBasis:
+    """The basis HiGHS ended with, read as its list of basic variables (a
+    numpy array; ``getBasis`` would build one Python object per status).
+    A nonbasic variable sits exactly at a bound, so one above half its
+    upper bound is at the upper bound."""
+    ok, basic = highs.getBasicVariables()
+    if ok != _highs.HighsStatus.kOk:
+        raise LpError("HiGHS holds no basis for its optimum")
+    cols = np.where(x > 0.5 * prob.upper, UPPER, LOWER).astype(np.int8)
+    cols[basic[basic >= 0]] = BASIC
+    rows = np.where(prob.rel == _REL_CODES[LE], UPPER, LOWER).astype(np.int8)
+    rows[order[-1 - basic[basic < 0]]] = BASIC
+    return LpBasis(cols, rows)
 
 
 # ---------------------------------------------------------------------------

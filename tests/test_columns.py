@@ -164,3 +164,42 @@ def test_canonical_column_unfixable():
     # cached at slot 2 but updates forbidden everywhere up to it
     fixings = {(1, 1, 2): (1, 0), (1, 1, 1): (None, 0)}
     assert canonical_column(2, 1, 1, fixings) is None
+
+
+def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
+    """A purge re-derives a pair's canonical column only when the pair's
+    fixings changed since the last purge, and leaves every pool as a pool
+    that derives all of them afresh does."""
+    from mcsp import columns
+
+    rng = random.Random(21)
+    calls = []
+    derive = columns.canonical_column
+
+    def counted(horizon, h, i, fixings):
+        calls.append((h, i))
+        return derive(horizon, h, i, fixings)
+
+    for _ in range(10):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        cached, fresh = (ColumnPool.initial(inst, idx, "paper") for _ in range(2))
+        caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
+                for t in range(1, inst.horizon + 1)}
+        fixings = {}
+        cached.purge_incompatible(fixings, caps, caps)
+        for _ in range(4):
+            h = rng.randint(1, inst.num_servers)
+            i = rng.randint(1, inst.num_contents)
+            t = rng.randint(1, inst.horizon)
+            changed = fixings.get((h, i, t)) != (1, 1)
+            fixings[(h, i, t)] = (1, 1)
+            calls.clear()
+            monkeypatch.setattr(columns, "canonical_column", counted)
+            cached.purge_incompatible(fixings, caps, caps)
+            monkeypatch.undo()
+            assert calls == ([(h, i)] if changed else [])
+            fresh._canonical.clear()
+            fresh.purge_incompatible(fixings, caps, caps)
+            assert {k: [e.column for e in v] for k, v in cached.entries.items()} == {
+                k: [e.column for e in v] for k, v in fresh.entries.items()}

@@ -8,6 +8,7 @@ from mcsp.instance import build_request_index
 from mcsp.rmp import (
     CapacityRows,
     DualPrices,
+    MasterBasis,
     build_rmp,
     reduced_cost,
     service_saving,
@@ -184,6 +185,12 @@ def test_dual_certificate_on_large_masters(seed):
     model = build_rmp(pool, inst, idx)
     assert model.problem.num_rows + model.problem.num_vars > 600
     sol = solve_rmp(model)
+    _assert_dual_certificate(inst, sol)
+
+
+def _assert_dual_certificate(inst, sol):
+    """Every service variable prices nonnegatively against ``sol.duals``,
+    and their row dual objective equals the LP objective."""
     duals = sol.duals
     for r in inst.mcrs:
         for h in r.candidates:
@@ -209,10 +216,10 @@ def test_canonical_solve_failure_propagates(tiny1, tiny1_idx, monkeypatch):
     model = build_rmp(ColumnPool.initial(tiny1, tiny1_idx, "paper"), tiny1, tiny1_idx)
     solve = rmp.solve_lp
 
-    def face_fails(prob):
+    def face_fails(prob, basis=None):
         if prob is not model.problem:
             raise LpError("face solve failed")
-        return solve(prob)
+        return solve(prob, basis)
 
     monkeypatch.setattr(rmp, "solve_lp", face_fails)
     with pytest.raises(LpError, match="face solve failed"):
@@ -354,3 +361,120 @@ def test_build_rmp_matches_column_definitions():
             assert model.pairs == ref["pairs"]
             sizes = [len(ref[k]) for k in ("serve", "services", "cache", "backhaul", "pairs")]
             assert np.diff(model.starts).tolist() == sizes
+
+
+def _binding_instance(seed=1):
+    """3-cell 20/150 with backhaul at 5% of the catalog, where capacity binds."""
+    from mcsp.generator import GeneratorConfig, generate_instance
+
+    return generate_instance(
+        GeneratorConfig(
+            cells="3-cell", num_contents=20, num_requests=150, horizon=6,
+            rho_m=0.4, rho_tt=1.0, rho_b=0.05, cache_scale=0.5, seed=seed,
+        )
+    )
+
+
+def _resolve_moved_master(pool, inst, idx):
+    """Solve the lazy-row master over ``pool`` from an empty MasterBasis,
+    then the same master with each pair's entries in reverse order and every
+    capacity row its primal satisfies added (basic), which moves its columns
+    and rows to other positions, from the recorded basis. Returns both
+    solves."""
+    basis = MasterBasis()
+    model = build_rmp(pool, inst, idx, CapacityRows())
+    assert basis.start(model) is None  # nothing recorded yet: a cold start
+    first = solve_rmp(model, basis=basis)
+    violated = CapacityRows()
+    violated.add_violated(pool, first.chi, inst)
+    every = {(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)}
+    rows = CapacityRows(every - violated.cache, every - violated.backhaul)
+    for entries in pool.entries.values():
+        entries.reverse()
+    again = solve_rmp(build_rmp(pool, inst, idx, rows), basis=basis)
+    return first, again
+
+
+def test_unchanged_master_resolves_without_iterations():
+    """Mapped by identity onto the same master with its columns and rows
+    moved, the recorded basis is optimal at once: 0 simplex iterations, on
+    tiny masters and on a binding 3-cell 20/150 master."""
+    rng = random.Random(12)
+    for _ in range(20):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        first, again = _resolve_moved_master(full_pool(inst, idx), inst, idx)
+        assert again.lp.iterations == 0
+        assert again.objective == pytest.approx(first.objective, rel=1e-9, abs=1e-9)
+
+    inst = _binding_instance()
+    idx = build_request_index(inst)
+    pool = ColumnPool.initial(inst, idx, "paper")
+    columns = enumerate_columns(inst.horizon)
+    for key in list(pool.entries):
+        for col in rng.sample(columns, 3):
+            pool.add(*key, col)
+    first, again = _resolve_moved_master(pool, inst, idx)
+    assert len(again.lp.duals) > len(first.lp.duals)  # capacity rows joined
+    assert first.lp.iterations > 50 and again.lp.iterations == 0
+    assert again.objective == pytest.approx(first.objective, rel=1e-9)
+    assert again.lp.basis.num_basic == len(again.lp.duals)
+
+
+def test_start_basis_after_a_purge_solves():
+    """Purging the columns a master held basic leaves the mapped start basis
+    short of basic entries; the master still solves, to the cold optimum."""
+    from mcsp.simplex import solve_lp
+
+    inst = _binding_instance(seed=2)
+    idx = build_request_index(inst)
+    rng = random.Random(2)
+    pool = ColumnPool.initial(inst, idx, "paper")
+    columns = enumerate_columns(inst.horizon)
+    for key in list(pool.entries):
+        for col in rng.sample(columns, 3):
+            pool.add(*key, col)
+    basis = MasterBasis()
+    sol = solve_rmp(build_rmp(pool, inst, idx), basis=basis)
+    for key, weights in sol.chi.items():
+        # keep the zero column, so that the master stays feasible
+        pool.entries[key] = [e for k, e in enumerate(pool.entries[key])
+                             if k == 0 or weights[k] <= 1e-9]
+    model = build_rmp(pool, inst, idx)
+    start = basis.start(model)
+    assert start.num_basic < model.problem.num_rows
+    warm = solve_rmp(model, basis=basis)
+    assert warm.objective == pytest.approx(
+        solve_lp(model.problem).objective + model.constant, rel=1e-9)
+    _assert_dual_certificate(inst, warm)
+
+
+def test_warm_masters_match_cold_solves(monkeypatch):
+    """Every warm-started master of run_rcga and naive_round on a binding
+    3-cell 20/150 instance has the objective of a cold solve of it, within
+    1e-9 relative, and its DualPrices are a dual certificate."""
+    from mcsp import driver
+    from mcsp.simplex import solve_lp
+
+    inst = _binding_instance()
+    warm = []
+    solve = driver.solve_rmp
+
+    def checked(model, canonical=False, lp=None, basis=None):
+        started_warm = lp is None and basis.start(model) is not None
+        sol = solve(model, canonical, lp, basis)
+        if started_warm:
+            cold = solve_lp(model.problem)
+            assert sol.lp.objective == pytest.approx(cold.objective, rel=1e-9)
+            _assert_dual_certificate(inst, sol)
+            warm.append((sol.lp.iterations, cold.iterations))
+        return sol
+
+    monkeypatch.setattr(driver, "solve_rmp", checked)
+    rcga = driver.run_rcga(inst)
+    nrs = driver.naive_round(inst)
+    # all but the first master of each solve start warm (the master of an
+    # NRS wedge raises LpInfeasibleError and counts no round)
+    assert len(warm) == rcga.pricing_rounds + nrs.pricing_rounds - 2
+    warm_iterations, cold_iterations = map(sum, zip(*warm))
+    assert warm_iterations < cold_iterations / 2

@@ -7,9 +7,12 @@ from scipy.optimize import linprog
 
 from mcsp.simplex import (
     _REL_CODES,
+    BASIC,
     EQ,
     GE,
     LE,
+    LOWER,
+    LpBasis,
     LpError,
     LpInfeasibleError,
     LpProblem,
@@ -244,7 +247,8 @@ def test_random_lps_and_masters_reach_every_status():
     for _ in range(150):
         prob = _random_lp(rng)
         try:
-            statuses.add(solve_lp(prob).status)
+            solve_lp(prob)
+            statuses.add("optimal")
         except (LpInfeasibleError, LpUnboundedError) as exc:
             statuses.add(type(exc))
     assert statuses == {"optimal", LpInfeasibleError, LpUnboundedError}
@@ -258,9 +262,54 @@ def test_random_lps_and_masters_reach_every_status():
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
         model = build_rmp(pool, inst, idx)
-        assert solve_lp(model.problem).status == "optimal"
+        solve_lp(model.problem)  # raises unless optimal
     # no cache may hold a negative amount: the last master is infeasible
     b = model.problem.b.copy()
     b[model.starts[2] : model.starts[3]] = -1.0
     with pytest.raises(LpInfeasibleError):
         solve_lp(dataclasses.replace(model.problem, b=b))
+
+
+def test_resolve_from_optimal_basis_takes_no_iterations():
+    """Started from the basis its own solve returned, an LP with rows of all
+    three relations re-solves to the same optimum in 0 iterations: the basis
+    survives the reordering of the rows and the negation of >= rows."""
+    rng = random.Random(31)
+    solved = 0
+    for _ in range(150):
+        prob = _random_lp(rng)
+        try:
+            sol = solve_lp(prob)
+        except (LpInfeasibleError, LpUnboundedError):
+            continue
+        assert sol.basis.num_basic == prob.num_rows
+        again = solve_lp(prob, sol.basis)
+        assert again.iterations == 0
+        assert again.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+        assert np.array_equal(again.basis.cols, sol.basis.cols)
+        assert np.array_equal(again.basis.rows, sol.basis.rows)
+        solved += 1
+    assert solved >= 25
+
+
+def test_start_basis_with_wrong_basic_count_solves():
+    """A start basis with too many or too few basic entries is repaired, not
+    rejected, and the solve reaches the cold optimum."""
+    rng = random.Random(32)
+    solved = 0
+    for _ in range(100):
+        prob = _random_lp(rng)
+        try:
+            cold = solve_lp(prob)
+        except (LpInfeasibleError, LpUnboundedError):
+            continue
+        n, m = prob.num_vars, prob.num_rows
+        for start in (LpBasis(np.full(n, BASIC, np.int8), np.full(m, BASIC, np.int8)),
+                      LpBasis(np.full(n, LOWER, np.int8), np.full(m, LOWER, np.int8))):
+            if start.num_basic == m:
+                continue
+            warm = solve_lp(prob, start)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert warm.max_primal_violation(prob) <= 1e-7
+            solved += 1
+    assert solved >= 25
