@@ -14,14 +14,18 @@ per (server, content), seeded with the all-zero column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
-from .costs import ABSENT, CACHED, UPDATED, SettlementMode
+import numpy as np
+
+from .costs import ABSENT, CACHED, UPDATED, CAPACITY_EPS, SettlementMode
 from .instance import Instance, Request, RequestIndex
 
 Column = tuple[tuple[int, int], ...]
 
 ENUMERATION_CAP = 12  # 3^T growth; refuse anything past desk scale
+
+FREE = -1  # the value of a slot left unfixed in a fixing array
 
 
 class UnfixablePoolError(RuntimeError):
@@ -154,12 +158,11 @@ def enumerate_columns(horizon: int, cap: int = ENUMERATION_CAP) -> list[Column]:
 class PricedEntry:
     column: Column
     cost: float  # standalone cost under the pool's settlement mode
-    q_slots: tuple[int, ...] = ()
-    p_slots: tuple[int, ...] = ()
     # (request id, age) pairs the settlement convention lets this column serve
     coverage: tuple[tuple[int, int], ...] = ()
     svc: tuple[int, ...] = ()  # their positions in the request index's service index
     serial: int = 0  # the entry's number in its pool, in order of insertion
+    flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
 
 
 def make_entry(
@@ -175,11 +178,22 @@ def make_entry(
     return PricedEntry(
         column=col,
         cost=column_cost_S(col, h, i, inst, idx, mode),
-        q_slots=tuple(t for t, (q, _) in enumerate(col, start=1) if q),
-        p_slots=update_slots(col),
         coverage=tuple(cov),
         svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in cov),
+        flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
     )
+
+
+@dataclass
+class PoolArrays:
+    """A pool's entries laid end to end in pool order: per entry its server,
+    content and size, and its flags as a bool [entry, cached/updated, slot]
+    array (slot t at index t - 1)."""
+
+    server: np.ndarray
+    content: np.ndarray
+    size: np.ndarray
+    flags: np.ndarray
 
 
 @dataclass
@@ -195,9 +209,13 @@ class ColumnPool:
     mode: SettlementMode
     entries: dict[tuple[int, int], list[PricedEntry]] = field(default_factory=dict)
     num_serials: int = field(default=0, init=False)  # serials handed out so far
-    # per pair, the fixings of its slots at the last purge and their
-    # canonical column
+    # the fixing arrays at the last purge, and each pair's canonical column
+    # under them, as a column and as flags
+    _fixed_at_purge: Optional[tuple] = field(default=None, init=False, repr=False,
+                                             compare=False)
     _canonical: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _canonical_flags: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     @staticmethod
     def initial(inst: Instance, idx: RequestIndex, mode: SettlementMode) -> "ColumnPool":
@@ -232,83 +250,88 @@ class ColumnPool:
     def total_columns(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
-    def purge_incompatible(self, fixings, remaining_cache, remaining_backhaul) -> int:
+    def weights(self, chi: dict) -> np.ndarray:
+        """The per-pair column weights ``chi`` of every entry, in pool order."""
+        return np.concatenate([chi[key] for key in self.entries])
+
+    def arrays(self) -> PoolArrays:
+        entries = [e for v in self.entries.values() for e in v]
+        pair = np.repeat(np.array(list(self.entries), dtype=np.int64).reshape(-1, 2),
+                         [len(v) for v in self.entries.values()], axis=0)
+        flags = np.frombuffer(b"".join(e.flags for e in entries), dtype=bool)
+        return PoolArrays(pair[:, 0], pair[:, 1], self.inst.sizes()[pair[:, 1]],
+                          flags.reshape(len(entries), 2, self.inst.horizon))
+
+    def purge_incompatible(self, gamma, omega, remaining_cache, remaining_backhaul) -> int:
         """Drop columns that contradict fixed cache/update values or that no
         longer fit the capacity left after fixed-to-one consumption.
 
-        ``fixings`` maps (h, i, t) to a pair (gamma, omega) of 0/1/None.
-        ``remaining_*`` map (h, t) to the capacity left beyond fixed users.
+        ``gamma``/``omega`` are the int8 fixing arrays over [server, content,
+        slot] (1, 0 or ``FREE``); ``remaining_*`` are [server, slot] arrays of
+        the capacity left beyond fixed users.
         Every pool is left holding the canonical minimal-footprint column of
         its fixings: individually compatible survivors may still be jointly
         over capacity, and the canonical point is the master's guaranteed
         feasible fallback.
         """
-        removed = 0
-        slots = range(1, self.inst.horizon + 1)
+        a = self.arrays()
+        fixed = np.stack([gamma, omega], axis=2)[a.server, a.content, :, 1:]
+        left = np.stack([remaining_cache, remaining_backhaul], axis=1)[a.server, :, 1:]
+        keep = ~np.where(fixed == FREE, a.flags & (a.size[:, None, None] > left + CAPACITY_EPS),
+                         a.flags != fixed).any(axis=(1, 2))
+
+        # the canonical column depends on the pair's fixings alone: derive it
+        # again only where they changed since the last purge
+        last = self._fixed_at_purge
+        if last is None:  # [server, content, q/p, slot] flags of the canonical columns
+            self._canonical_flags = np.full((*gamma.shape[:2], 2, gamma.shape[2] - 1), 2,
+                                            dtype=np.int8)
+            changed = np.ones(gamma.shape[:2], dtype=bool)
+        else:
+            changed = ((gamma != last[0]) | (omega != last[1])).any(axis=2)
+        self._fixed_at_purge = (gamma.copy(), omega.copy())
+        for key in self.entries:
+            if changed[key]:
+                col = self._canonical[key] = canonical_column(gamma[key][1:], omega[key][1:])
+                self._canonical_flags[key] = 2 if col is None else np.array(col).T
+        # whether a kept entry of a pair already is the pair's canonical column
+        canon = self._canonical_flags[a.server, a.content]
+        matched = keep & (a.flags == canon).all(axis=(1, 2))
+        has = np.zeros(gamma.shape[:2], dtype=bool)
+        has[a.server[matched], a.content[matched]] = True
+        lost = np.zeros(gamma.shape[:2], dtype=bool)  # pairs that lose an entry
+        lost[a.server[~keep], a.content[~keep]] = True
+
+        start = 0
         for (h, i), entries in self.entries.items():
-            size = self.inst.size(i)
-            fixed = tuple(fixings.get((h, i, t), (None, None)) for t in slots)
-            kept = []
-            for e in entries:
-                if _column_compatible(
-                    e.column, h, size, fixed, remaining_cache, remaining_backhaul
-                ):
-                    kept.append(e)
-                else:
-                    removed += 1
-            # the canonical column depends on the pair's fixings alone
-            last = self._canonical.get((h, i))
-            if last is not None and last[0] == fixed:
-                col = last[1]
-            else:
-                col = canonical_column(self.inst.horizon, h, i, fixings)
-                self._canonical[(h, i)] = (fixed, col)
+            end = start + len(entries)
+            col = self._canonical[(h, i)]
             if col is None:
                 raise UnfixablePoolError(
                     f"no column can satisfy the fixings for server {h}, content {i}"
                 )
-            if not any(e.column == col for e in kept):
-                kept.append(self._entry(col, h, i))
-            self.entries[(h, i)] = kept
-        return removed
+            if lost[h, i] or not has[h, i]:
+                kept = [e for e, k in zip(entries, keep[start:end]) if k]
+                if not has[h, i]:
+                    kept.append(self._entry(col, h, i))
+                self.entries[(h, i)] = kept
+            start = end
+        return int(len(keep) - np.count_nonzero(keep))
 
 
-def _column_compatible(
-    col: Column, h: int, size: int, fixed, remaining_cache, remaining_backhaul
-) -> bool:
-    """Whether ``col`` agrees with ``fixed``, the (gamma, omega) fixings of
-    its pair's slots in order, and fits the capacity left in its free slots."""
-    from .costs import CAPACITY_EPS
-
-    for t, (q, p), (gamma, omega) in zip(range(1, len(col) + 1), col, fixed):
-        if gamma is not None and q != gamma:
-            return False
-        if omega is not None and p != omega:
-            return False
-        if gamma is None and q == 1 and size > remaining_cache[(h, t)] + CAPACITY_EPS:
-            return False
-        if omega is None and p == 1 and size > remaining_backhaul[(h, t)] + CAPACITY_EPS:
-            return False
-    return True
-
-
-def canonical_column(horizon: int, h: int, i: int, fixings) -> Optional[Column]:
-    """Minimal column consistent with the fixings for (h, i), if one exists.
+def canonical_column(gamma: Sequence[int], omega: Sequence[int]) -> Optional[Column]:
+    """Minimal column consistent with one pair's fixings, if one exists;
+    ``gamma``/``omega`` hold the fixed value of each slot 1..T, or ``FREE``.
 
     Caches exactly the slots fixed to cached, updates where fixed to updated,
     and adds the fewest extra cached/updated slots needed to give every cached
     run a derivable age. Returns None when the fixings are contradictory.
     """
-    gamma_fix: dict[int, int] = {}
-    omega_fix: dict[int, int] = {}
-    for t in range(1, horizon + 1):
-        gamma, omega = fixings.get((h, i, t), (None, None))
-        if gamma is not None:
-            gamma_fix[t] = gamma
-        if omega is not None:
-            omega_fix[t] = omega
-        if gamma == 0 and omega == 1:
-            return None
+    horizon = len(gamma)
+    gamma_fix = {t: int(v) for t, v in enumerate(gamma, start=1) if v != FREE}
+    omega_fix = {t: int(v) for t, v in enumerate(omega, start=1) if v != FREE}
+    if any(gamma_fix.get(t) == 0 for t, v in omega_fix.items() if v == 1):
+        return None
     q = [
         1 if (gamma_fix.get(t) == 1 or omega_fix.get(t) == 1) else 0
         for t in range(1, horizon + 1)

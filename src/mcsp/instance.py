@@ -127,8 +127,9 @@ class Instance:
     horizon: int
     cost: CostParams
     topology: Topology
-    # f(age) and cloud_cost(i) by argument; the solvers evaluate them millions
-    # of times per solve and the instance never changes
+    # f(age) and cloud_cost(i) by argument, and the size and capacity
+    # arrays; the solvers evaluate them millions of times per solve and the
+    # instance never changes
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -161,6 +162,22 @@ class Instance:
             self._memo[key] = self.cost.aoi(0) + self.cost.alpha * self.size(i)
         return self._memo[key]
 
+    def sizes(self) -> np.ndarray:
+        """Content sizes by content id (index 0 unused, zero), as floats; a
+        shared, read-only array."""
+        if "sizes" not in self._memo:
+            self._memo["sizes"] = _frozen([0] + [c.size for c in self.contents])
+        return self._memo["sizes"]
+
+    def capacities(self) -> np.ndarray:
+        """Cache (row 0) and backhaul (row 1) capacity by server id (column 0
+        unused, zero); a shared, read-only array."""
+        if "capacities" not in self._memo:
+            self._memo["capacities"] = _frozen([
+                [0.0] + [s.cache_capacity for s in self.servers],
+                [0.0] + [s.backhaul_capacity for s in self.servers]])
+        return self._memo["capacities"]
+
     @property
     def mcrs(self) -> tuple[Request, ...]:
         return tuple(r for r in self.requests if r.is_mcr)
@@ -168,6 +185,12 @@ class Instance:
     @property
     def scrs(self) -> tuple[Request, ...]:
         return tuple(r for r in self.requests if not r.is_mcr)
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def validate_instance(inst: Instance) -> list[str]:

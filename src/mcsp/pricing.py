@@ -29,14 +29,17 @@ exactly. All gaps share the same red-arc weight formula, which is what lets
 one node per (t, gap) replace the per-history nodes of the naive
 construction; the collapse is checked against an uncollapsed reference.
 
-One kernel solves the DAGs of K pairs at once, on weight tables stacked on a
-leading pair axis: ``forward_values`` gives every pair's minimum path value,
-and ``decode_columns`` recovers a minimum path's column for the pairs asked
-for. ``price_all`` prices every pair of the master in one forward pass and
-decodes only the pairs that price negative; ``shortest_path`` runs the same
-kernel on one explicit ``PricingGraph``. The per-pair ``PairWeights`` and the
-arc list of ``PricingGraph.arcs`` stay as the references the tests check the
-batched weights and the path-column bijection against.
+One kernel solves the DAGs of K pairs at once, on weight tables with the pair
+axis last: ``upd[slot, gap, pair]``, ``pur[slot, age, pair]`` and the masks
+``allow_*[slot, pair]`` (``PricerTables``). Every step of the dynamic program
+then reads and writes contiguous vectors over the pairs. ``forward_values``
+gives every pair's minimum path value, and ``decode_columns`` recovers a
+minimum path's column for the pairs asked for. ``price_all`` prices every
+pair of the master in one forward pass and decodes only the pairs that
+price negative; ``shortest_path`` runs the same kernel on one explicit
+``PricingGraph``. The per-pair ``PairWeights`` and the arc list of
+``PricingGraph.arcs`` stay as the references the tests check the batched
+weights and the path-column bijection against.
 
 Ties between equal paths prefer fewer updates, then the lexicographically
 earliest update slots, then dropping over keeping the copy.
@@ -199,8 +202,9 @@ def build_graph(
     T = inst.horizon
     if fixings is None:
         allow_u, allow_k0, allow_ka = (np.ones(T + 1, dtype=bool) for _ in range(3))
-    else:
-        allow_u, allow_k0, allow_ka = fixings.mask_arrays(h, i, T)
+    else:  # the pair's column of the [slot, pair] masks
+        k = (h - 1) * inst.num_contents + (i - 1)
+        allow_u, allow_k0, allow_ka = (allow[:, k] for allow in fixings.masks())
     return PricingGraph(
         h=h,
         i=i,
@@ -216,9 +220,9 @@ def shortest_path(graph: PricingGraph) -> PricedColumn:
     """Exact minimum path and its decoded column: the kernel with K = 1."""
     w = graph.weights
     tables = PricerTables(
-        w.update[None], w.purple[None], np.array([w.orange]),
-        graph.allow_uncached[None], graph.allow_cached_zero[None],
-        graph.allow_cached_aged[None],
+        w.update[..., None], w.purple[..., None], np.array([w.orange]),
+        graph.allow_uncached[:, None], graph.allow_cached_zero[:, None],
+        graph.allow_cached_aged[:, None],
     )
     values = forward_values(tables)
     (column,) = decode_columns(tables, values)
@@ -231,10 +235,10 @@ def shortest_path(graph: PricingGraph) -> PricedColumn:
 
 @dataclass
 class PricerTables:
-    """Arc weights and node masks of K pair DAGs, stacked on a leading axis.
+    """Arc weights and node masks of K pair DAGs, the pair axis last.
 
-    upd[k, t, w] and pur[k, t, a] are the update and purple weights of
-    PairWeights, orange[k] the sink arcs; allow_u/k0/ka[k, t] are False where
+    upd[t, w, k] and pur[t, a, k] are the update and purple weights of
+    PairWeights, orange[k] the sink arcs; allow_u/k0/ka[t, k] are False where
     the fixings remove uncached(t, *), cached(t, 0) or cached(t, age >= 1).
     """
 
@@ -247,8 +251,8 @@ class PricerTables:
 
     def take(self, ks: np.ndarray) -> "PricerTables":
         """The tables of the pairs ks only."""
-        return PricerTables(self.upd[ks], self.pur[ks], self.orange[ks],
-                            self.allow_u[ks], self.allow_k0[ks], self.allow_ka[ks])
+        return PricerTables(self.upd[..., ks], self.pur[..., ks], self.orange[ks],
+                            self.allow_u[:, ks], self.allow_k0[:, ks], self.allow_ka[:, ks])
 
 
 class NoPathError(RuntimeError):
@@ -260,26 +264,24 @@ def forward_values(tab: PricerTables) -> np.ndarray:
     cut every path), one forward pass over all K DAGs together."""
     upd, pur = tab.upd, tab.pur
     allow_u, allow_k0, allow_ka = tab.allow_u, tab.allow_k0, tab.allow_ka
-    K, T = upd.shape[0], upd.shape[1] - 1
-    # dk[k, t, a], dth[k, t, gap]: distance from the source to cached(t, a),
-    # uncached(t, gap); cached(t, t) and uncached(t, 0) do not exist (inf)
-    dk = np.full((K, T + 1, T + 1), INF)
-    dth = np.full((K, T + 1, T + 1), INF)
-    dth[allow_u[:, 1], 1, 1] = 0.0
-    dk[allow_k0[:, 1], 1, 0] = upd[allow_k0[:, 1], 1, 0]
+    T, K = upd.shape[0] - 1, upd.shape[2]
+    # dk[a, k], dth[gap, k]: distance from the source to cached(t, a) and
+    # uncached(t, gap) of the current slot t; cached(t, t) and uncached(t, 0)
+    # do not exist (inf)
+    dk = np.full((T + 1, K), INF)
+    dth = np.full((T + 1, K), INF)
+    dth[1] = np.where(allow_u[1], 0.0, INF)
+    dk[0] = np.where(allow_k0[1], upd[1, 0], INF)
     for t in range(2, T + 1):
-        # prev[:, w]: the nearer of cached(t-1, w) and uncached(t-1, w), both
+        # prev[w]: the nearer of cached(t-1, w) and uncached(t-1, w), both
         # last updated w + 1 slots before t; an update or a drop leaves either
         # one along the same arc weights
-        prev = np.minimum(dk[:, t - 1, :t], dth[:, t - 1, :t])
-        dk[:, t, 0] = np.where(allow_k0[:, t], np.min(prev + upd[:, t, :t], axis=1), INF)
-        dk[:, t, 1:t] = np.where(allow_ka[:, t, None],
-                                 dk[:, t - 1, : t - 1] + pur[:, t, 1:t], INF)
-        dth[:, t, 1 : t + 1] = np.where(allow_u[:, t, None], prev, INF)
-    return (
-        np.minimum(np.min(dk[:, T, :], axis=1), np.min(dth[:, T, :], axis=1))
-        + tab.orange
-    )
+        prev = np.minimum(dk[:t], dth[:t])
+        aged = dk[: t - 1] + pur[t, 1:t]
+        dk[0] = np.where(allow_k0[t], np.min(prev + upd[t, :t], axis=0), INF)
+        dk[1:t] = np.where(allow_ka[t], aged, INF)
+        dth[1 : t + 1] = np.where(allow_u[t], prev, INF)
+    return np.minimum(np.min(dk, axis=0), np.min(dth, axis=0)) + tab.orange
 
 
 _OFF = 10**9  # update count of a move that leaves every tied path
@@ -301,64 +303,63 @@ def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
     if not np.isfinite(values).all():
         raise NoPathError("fixings disconnected the pricing graph")
     upd, pur, orange = tab.upd, tab.pur, tab.orange
-    M, T = upd.shape[0], upd.shape[1] - 1
+    T, M = upd.shape[0] - 1, upd.shape[2]
     eps = 1e-9 * (1.0 + np.abs(values))
-    tie = eps[:, None]
-    allow_c = np.repeat(tab.allow_ka[:, :, None], T + 1, axis=2)  # cached(t, a)
-    allow_c[:, :, 0] = tab.allow_k0
+    allow_c = np.repeat(tab.allow_ka[:, None, :], T + 1, axis=1)  # cached(t, a)
+    allow_c[:, 0] = tab.allow_k0
 
-    # bk[m, t, a], bth[m, t, gap]: distance from cached(t, a), uncached(t, gap)
+    # bk[t, a, m], bth[t, gap, m]: distance from cached(t, a), uncached(t, gap)
     # to the sink; uk, uth: fewest updates on a tied path from there
-    bk = np.full((M, T + 1, T + 1), INF)
-    bth = np.full((M, T + 1, T + 1), INF)
-    bk[:, T, :T] = np.where(allow_c[:, T, :T], orange[:, None], INF)
-    bth[:, T, 1:] = np.where(tab.allow_u[:, T, None], orange[:, None], INF)
-    uk = np.zeros((M, T + 1, T + 1), dtype=np.int64)
-    uth = np.zeros((M, T + 1, T + 1), dtype=np.int64)
+    bk = np.full((T + 1, T + 1, M), INF)
+    bth = np.full((T + 1, T + 1, M), INF)
+    bk[T, :T] = np.where(allow_c[T, :T], orange, INF)
+    bth[T, 1:] = np.where(tab.allow_u[T], orange, INF)
+    uk = np.zeros((T + 1, T + 1, M), dtype=np.int64)
+    uth = np.zeros((T + 1, T + 1, M), dtype=np.int64)
     for t in range(T, 1, -1):
         # moves out of the slot t-1 node last updated a + 1 slots before t:
         # update and drop from cached(t-1, a) or uncached(t-1, a), keep from
         # cached(t-1, a) only
-        via_u = upd[:, t, :t] + bk[:, t, 0:1]
-        via_d = bth[:, t, 1 : t + 1]
-        via_k = pur[:, t, 1:t] + bk[:, t, 1:t]
-        n_u = 1 + uk[:, t, 0:1]
-        n_d = uth[:, t, 1 : t + 1]
+        via_u = upd[t, :t] + bk[t, 0]
+        via_d = bth[t, 1 : t + 1]
+        via_k = pur[t, 1:t] + bk[t, 1:t]
+        n_u = 1 + uk[t, 0]
+        n_d = uth[t, 1 : t + 1]
         move = np.minimum(via_u, via_d)
-        best = np.where(allow_c[:, t - 1, : t - 1], np.minimum(move[:, :-1], via_k), INF)
-        bk[:, t - 1, : t - 1] = best
-        lim = best + tie
-        uk[:, t - 1, : t - 1] = np.minimum(
-            np.minimum(np.where(via_u[:, :-1] <= lim, n_u, _OFF),
-                       np.where(via_d[:, :-1] <= lim, n_d[:, :-1], _OFF)),
-            np.where(via_k <= lim, uk[:, t, 1:t], _OFF))
-        best = np.where(tab.allow_u[:, t - 1, None], move[:, 1:], INF)
-        bth[:, t - 1, 1:t] = best
-        lim = best + tie
-        uth[:, t - 1, 1:t] = np.minimum(np.where(via_u[:, 1:] <= lim, n_u, _OFF),
-                                        np.where(via_d[:, 1:] <= lim, n_d[:, 1:], _OFF))
+        best = np.where(allow_c[t - 1, : t - 1], np.minimum(move[:-1], via_k), INF)
+        bk[t - 1, : t - 1] = best
+        lim = best + eps
+        uk[t - 1, : t - 1] = np.minimum(
+            np.minimum(np.where(via_u[:-1] <= lim, n_u, _OFF),
+                       np.where(via_d[:-1] <= lim, n_d[:-1], _OFF)),
+            np.where(via_k <= lim, uk[t, 1:t], _OFF))
+        best = np.where(tab.allow_u[t - 1], move[1:], INF)
+        bth[t - 1, 1:t] = best
+        lim = best + eps
+        uth[t - 1, 1:t] = np.minimum(np.where(via_u[1:] <= lim, n_u, _OFF),
+                                     np.where(via_d[1:] <= lim, n_d[1:], _OFF))
 
     # the walk: the node of slot t is cached(t, pos) or uncached(t, pos), at
     # distance dist from the source, with left updates still to make
-    rows = np.arange(M)
+    cols = np.arange(M)
     lim = values + eps
-    start_k = upd[:, 1, 0] + bk[:, 1, 0] <= lim
-    start_d = bth[:, 1, 1] <= lim
-    left = np.minimum(np.where(start_k, 1 + uk[:, 1, 0], _OFF),
-                      np.where(start_d, uth[:, 1, 1], _OFF))
-    cached = start_k & (1 + uk[:, 1, 0] == left)
+    start_k = upd[1, 0] + bk[1, 0] <= lim
+    start_d = bth[1, 1] <= lim
+    left = np.minimum(np.where(start_k, 1 + uk[1, 0], _OFF),
+                      np.where(start_d, uth[1, 1], _OFF))
+    cached = start_k & (1 + uk[1, 0] == left)
     left -= cached
     pos = np.where(cached, 0, 1)
-    dist = np.where(cached, upd[:, 1, 0], 0.0)
-    moves = np.empty((M, T), dtype=np.int64)
-    moves[:, 0] = ~cached
+    dist = np.where(cached, upd[1, 0], 0.0)
+    moves = np.empty((T, M), dtype=np.int64)
+    moves[0] = ~cached
     for t in range(2, T + 1):
         nxt = pos + 1
-        to_u = dist + upd[rows, t, pos]
-        to_k = dist + pur[rows, t, nxt]
-        go_u = (to_u + bk[:, t, 0] <= lim) & (uk[:, t, 0] == left - 1)
-        go_d = (dist + bth[rows, t, nxt] <= lim) & (uth[rows, t, nxt] == left) & ~go_u
-        go_k = ((to_k + bk[rows, t, nxt] <= lim) & (uk[rows, t, nxt] == left) & cached
+        to_u = dist + upd[t, pos, cols]
+        to_k = dist + pur[t, nxt, cols]
+        go_u = (to_u + bk[t, 0] <= lim) & (uk[t, 0] == left - 1)
+        go_d = (dist + bth[t, nxt, cols] <= lim) & (uth[t, nxt, cols] == left) & ~go_u
+        go_k = ((to_k + bk[t, nxt, cols] <= lim) & (uk[t, nxt, cols] == left) & cached
                 & ~(go_u | go_d))
         if not (go_u | go_d | go_k).all():
             raise AssertionError("optimal-path walk got stuck; tie tolerance too tight")
@@ -366,8 +367,8 @@ def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
         left -= go_u
         pos = np.where(go_u, 0, nxt)
         cached = go_u | go_k
-        moves[:, t - 1] = go_d + 2 * go_k
-    return [tuple(_ENTRY[m] for m in row) for row in moves.tolist()]
+        moves[t - 1] = go_d + 2 * go_k
+    return [tuple(_ENTRY[m] for m in row) for row in moves.T.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,8 @@ def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
 
 
 class PricingStatics:
-    """Per-instance tables that do not depend on the duals."""
+    """Per-instance tables that do not depend on the duals, pair axis last
+    (pairs in (server, content) order)."""
 
     def __init__(self, inst: Instance, idx: RequestIndex, mode: SettlementMode):
         self.inst, self.idx, self.mode = inst, idx, mode
@@ -389,24 +391,29 @@ class PricingStatics:
         self.server = np.array([h for h, _ in self.pairs], dtype=np.int64)
         self.content = np.array([i for _, i in self.pairs], dtype=np.int64)
         self.size = np.array([inst.size(i) for _, i in self.pairs], dtype=float)
-        self.cloud = np.array([inst.cloud_cost(i) for _, i in self.pairs])
-        self.n_scr = np.zeros(K)
-        self.n_xi = np.zeros((K, T + 1))
-        self.psi = np.zeros((K, T + 1, T + 1))
+        cloud = np.array([inst.cloud_cost(i) for _, i in self.pairs])
+        n_scr = np.zeros(K)
+        n_xi = np.zeros((T + 1, K))
+        self.psi = np.zeros((T + 1, T + 1, K))  # [t, a, k] for a >= 1
         for k, (h, i) in enumerate(self.pairs):
             scrs = idx.scr(h, i)
-            self.n_scr[k] = len(scrs)
-            cloud = self.cloud[k]
+            n_scr[k] = len(scrs)
             for r in scrs:
-                self.n_xi[k, r.deadline] += 1
+                n_xi[r.deadline, k] += 1
                 for a in range(1, T):
                     reach = inst.f(max(0, a - r.window))
                     if mode == "min":
-                        reach = min(reach, cloud)
-                    self.psi[k, r.deadline, a] += reach - cloud
+                        reach = min(reach, cloud[k])
+                    self.psi[r.deadline, a, k] += reach - cloud[k]
+        # the dual-free terms of the update weights and of the sink arcs
+        self.upd_base = inst.cost.beta * self.size - n_xi * inst.cost.alpha * self.size
+        self.scr_cloud = n_scr * cloud
+        # the [t, a] cells that are no purple arc: a = 0, a >= t, t < 2
+        t, a = np.indices((T + 1, T + 1))
+        self.no_purple = (a < 1) | (a >= t)
         # Credit fill targets of the services, in service-index order. The
-        # age-0 credit of a request arriving at o lands in g0[k, o, 1..deadline],
-        # the age-a credit in ga[k, o, a]; the flat target indices keep that
+        # age-0 credit of a request arriving at o lands in g0[o, 1..deadline, k],
+        # the age-a credit in ga[o, a, k]; the flat target indices keep that
         # fill order, so the sums come out the same as filling request by
         # request.
         g0_src, g0_at, ga_src, ga_at = [], [], [], []
@@ -417,10 +424,10 @@ class PricingStatics:
                     if a == 0:
                         for t in range(1, r.deadline + 1):
                             g0_src.append(j)
-                            g0_at.append((k * (T + 2) + r.origin) * (T + 2) + t)
+                            g0_at.append((r.origin * (T + 2) + t) * K + k)
                     else:
                         ga_src.append(j)
-                        ga_at.append((k * (T + 1) + r.origin) * (T + 1) + a)
+                        ga_at.append((r.origin * (T + 1) + a) * K + k)
         self.g0_src = np.array(g0_src, dtype=np.int64)
         self.g0_at = np.array(g0_at, dtype=np.int64)
         self.ga_src = np.array(ga_src, dtype=np.int64)
@@ -436,46 +443,42 @@ class Pricer:
     def price(
         self, duals: DualPrices, fixings=None
     ) -> tuple[np.ndarray, "PricerTables"]:
+        """Every pair's minimum path value, and the tables it was found on.
+        ``fixings`` (a ``RoundingState``) gives the node masks."""
         s = self.s
-        inst = s.inst
-        T = inst.horizon
+        T = s.inst.horizon
         K = len(s.pairs)
         pi = duals.pis
-        g0 = np.zeros(K * (T + 2) * (T + 2))
+        g0 = np.zeros((T + 2) * (T + 2) * K)
         np.add.at(g0, s.g0_at, pi[s.g0_src])
-        g0 = g0.reshape(K, T + 2, T + 2)
-        ga = np.zeros(K * (T + 1) * (T + 1))
+        cum = g0.reshape(T + 2, T + 2, K)
+        for o in range(1, T + 1):  # the running sum over arrival slots, in place
+            np.add(cum[o - 1], cum[o], out=cum[o])
+        ga = np.zeros((T + 1) * (T + 1) * K)
         aged = pi[s.ga_src]
         paid = aged != 0
         np.add.at(ga, s.ga_at[paid], aged[paid])
-        ga = ga.reshape(K, T + 1, T + 1)
-        cum = np.cumsum(g0, axis=1)
 
-        # capacity prices per server, spread over that server's pairs
-        mu, phi = duals.mus[s.server], duals.phis[s.server]
-        lam = duals.lams[s.server, s.content]
-
-        base_upd = (
-            inst.cost.beta * s.size[:, None]
-            - s.n_xi * inst.cost.alpha * s.size[:, None]
-            - s.size[:, None] * (mu + phi)
-        )
-        upd = np.full((K, T + 1, T + 1), INF)
+        # capacity prices per server, spread over that server's pairs: [t, k]
+        mu, phi = duals.mus[s.server].T, duals.phis[s.server].T
+        base_upd = s.upd_base - s.size * (mu + phi)
+        # upd[t, w]: into cached(t, 0) from a predecessor last updated w + 1
+        # slots ago; the credits of the arrivals at t - w .. t
+        upd = np.full((T + 1, T + 1, K), INF)
         for t in range(1, T + 1):
-            for w in range(0, t):
-                upd[:, t, w] = base_upd[:, t] + (cum[:, t, t] - cum[:, t - w - 1, t])
-        pur = np.full((K, T + 1, T + 1), INF)
-        for t in range(2, T + 1):
-            for a in range(1, t):
-                pur[:, t, a] = s.psi[:, t, a] + ga[:, t, a] - s.size * mu[:, t]
-        orange = s.n_scr * s.cloud - lam
+            upd[t, :t] = base_upd[t] + (cum[t, t] - cum[t - 1 :: -1, t])
+        # pur = psi + ga - size * mu, built in ga's buffer (large temporaries
+        # cost more in fresh pages than in arithmetic)
+        pur = ga.reshape(T + 1, T + 1, K)
+        pur += s.psi
+        pur -= (s.size * mu)[:, None]
+        pur[s.no_purple] = INF
+        orange = s.scr_cloud - duals.lams[s.server, s.content]
 
         if fixings is None:
-            allow_u = np.ones((K, T + 1), dtype=bool)
-            allow_k0 = np.ones((K, T + 1), dtype=bool)
-            allow_ka = np.ones((K, T + 1), dtype=bool)
+            allow_u, allow_k0, allow_ka = (np.ones((T + 1, K), dtype=bool) for _ in range(3))
         else:
-            allow_u, allow_k0, allow_ka = fixings.batch_masks(s.pairs, T)
+            allow_u, allow_k0, allow_ka = fixings.masks()
 
         tables = PricerTables(upd, pur, orange, allow_u, allow_k0, allow_ka)
         return forward_values(tables), tables

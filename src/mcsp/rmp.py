@@ -118,28 +118,26 @@ class CapacityRows:
 
     def add_violated(self, pool: ColumnPool, chi: dict, inst: Instance) -> int:
         """Add the rows whose load under the column weights ``chi`` exceeds
-        the instance capacity; return how many were added."""
-        cache_load: dict[tuple[int, int], float] = {}
-        backhaul_load: dict[tuple[int, int], float] = {}
-        for (h, i), weights in chi.items():
-            size = inst.size(i)
-            for entry, w in zip(pool.entries[(h, i)], weights):
-                if w <= 0:
-                    continue
-                for t in entry.q_slots:
-                    cache_load[(h, t)] = cache_load.get((h, t), 0.0) + w * size
-                for t in entry.p_slots:
-                    backhaul_load[(h, t)] = backhaul_load.get((h, t), 0.0) + w * size
+        the instance capacity; return how many were added. A load sums the
+        positive weights times sizes in pool order; a (server, slot) no
+        such entry touches has no load."""
+        a = pool.arrays()
+        w = pool.weights(chi)
+        e, kind, t = np.nonzero(a.flags & (w > 0)[:, None, None])
+        shape = (2, inst.num_servers + 1, inst.horizon + 1)
+        at = np.ravel_multi_index((kind, a.server[e], t + 1), shape)
+        load = np.zeros(shape)
+        np.add.at(load.reshape(-1), at, w[e] * a.size[e])
+        touched = np.zeros(shape, dtype=bool)
+        touched.reshape(-1)[at] = True
+        cap = inst.capacities()[:, :, None]
+        over = touched & (load > cap + TOL_CAP * (1 + np.abs(cap)))
         added = 0
-        for loads, active, attr in (
-            (cache_load, self.cache, "cache_capacity"),
-            (backhaul_load, self.backhaul, "backhaul_capacity"),
-        ):
-            for (h, t), load in loads.items():
-                cap = getattr(inst.server(h), attr)
-                if (h, t) not in active and load > cap + TOL_CAP * (1 + abs(cap)):
-                    active.add((h, t))
-                    added += 1
+        for kind, h, t in zip(*np.nonzero(over)):
+            active = (self.cache, self.backhaul)[kind]
+            if (int(h), int(t)) not in active:
+                active.add((int(h), int(t)))
+                added += 1
         return added
 
 
@@ -208,6 +206,7 @@ class RmpModel:
     idx: RequestIndex
     constant: float
     entries: list[PricedEntry]  # the pool entry of each chi column, in LP column order
+    flags: np.ndarray  # their cached and updated flags, [chi column, cached/updated, slot]
     serials: np.ndarray  # their serial numbers
     chi_offset: dict[tuple[int, int], int]  # first LP column of each pair's block
     starts: list[int]  # first row of each row block, then the row count
@@ -228,9 +227,19 @@ class RmpModel:
 @dataclass
 class RmpSolution:
     objective: float  # includes the MCR cloud-cost constant
-    chi: dict[tuple[int, int], np.ndarray]  # per pair, aligned with pool entries
+    x: np.ndarray  # the primal the column weights are read from
+    chi_offset: dict[tuple[int, int], int]  # first chi column of each pair's block
+    n_chi: int  # the number of chi columns
     duals: DualPrices
     lp: LpSolution
+
+    @cached_property
+    def chi(self) -> dict[tuple[int, int], np.ndarray]:
+        """Per pair, its column weights aligned with the pool entries: views
+        into ``x``, made on first use (column generation reads them only at
+        a pricing fixpoint)."""
+        ends = [*self.chi_offset.values(), self.n_chi]
+        return {key: self.x[a:b] for key, a, b in zip(self.chi_offset, ends, ends[1:])}
 
     def integral_column(self, h: int, i: int, pool: ColumnPool) -> Column:
         weights = self.chi[(h, i)]
@@ -264,7 +273,7 @@ def build_rmp(
     named in ``capacity_rows`` (all of them when it is None).
 
     The matrix comes from what each pool entry stores: the service positions
-    it covers, its cached and updated slots, and its pair. A service gets a
+    it covers, its cached and updated slot flags, and its pair. A service gets a
     coverage row and a y variable when some entry covers it and serving it
     can pay off (``svc_saving`` < 0)."""
     pairs = sorted(pool.entries)
@@ -308,14 +317,15 @@ def build_rmp(
     rows = [starts[1] + cover_of]
     cols = [cover_col]
     vals = [np.full(len(cover_col), -1.0)]
-    for keys, start, attr in ((cache_keys, starts[2], "q_slots"),
-                              (backhaul_keys, starts[3], "p_slots")):
+    flags = np.frombuffer(b"".join(e.flags for e in entries), dtype=bool).reshape(
+        n_chi, 2, inst.horizon)
+    for keys, start, kind in ((cache_keys, starts[2], 0), (backhaul_keys, starts[3], 1)):
         if not keys:  # no row of this kind (the common case with lazy rows)
             continue
         row_of = np.full((inst.num_servers + 1, inst.horizon + 1), -1, dtype=np.int64)
         row_of[tuple(np.array(keys, dtype=np.int64).T)] = start + np.arange(len(keys))
-        t, col = _flatten([getattr(e, attr) for e in entries])
-        row = row_of[pair_server[col_pair[col]], t]
+        col, t = np.nonzero(flags[:, kind])  # by entry, then slot, as the slot tuples run
+        row = row_of[pair_server[col_pair[col]], t + 1]
         held = row >= 0
         rows.append(row[held])
         cols.append(col[held])
@@ -347,6 +357,7 @@ def build_rmp(
         idx=idx,
         constant=idx.mcr_cloud_cost,
         entries=entries,
+        flags=flags,
         serials=np.fromiter((e.serial for e in entries), dtype=np.int64, count=n_chi),
         chi_offset=dict(zip(pairs, accumulate(counts, initial=0))),
         starts=starts,
@@ -389,11 +400,12 @@ def solve_rmp(
         sol = solve_lp(model.problem, basis.start(model) if basis is not None else None)
         if basis is not None:
             basis.record(model, sol.basis)
-    x = _canonical_primal(model, sol) if canonical else sol.x
-    ends = [*model.chi_offset.values(), len(model.entries)]
-    chi = {key: x[a:b] for key, a, b in zip(model.chi_offset, ends, ends[1:])}
     return RmpSolution(
-        objective=sol.objective + model.constant, chi=chi, duals=_read_duals(model, sol.duals),
+        objective=sol.objective + model.constant,
+        x=_canonical_primal(model, sol) if canonical else sol.x,
+        chi_offset=model.chi_offset,
+        n_chi=len(model.entries),
+        duals=_read_duals(model, sol.duals),
         lp=sol,
     )
 
@@ -438,7 +450,9 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     earlier update slots (mirrors the pricing tie-break)."""
     prob = model.problem
     w = np.zeros(prob.num_vars)
-    w[: len(model.entries)] = [len(e.p_slots) + sum(e.p_slots) / 100.0 for e in model.entries]
+    updated = model.flags[:, 1]
+    w[: len(model.entries)] = (updated.sum(axis=1)
+                               + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
     face_eps = 1e-7 * (1.0 + abs(sol.objective))
     face_row = sparse.csr_matrix(prob.c.reshape(1, -1))
     prob2 = LpProblem(

@@ -25,19 +25,29 @@ Fixings are monotone and never contradict earlier ones. Each pass fixes at
 least one fractional entry per affected server, so the alternation finishes
 in at most num_contents * horizon passes.
 
+Fixings live in two int8 arrays over [server, content, slot], ``gamma`` and
+``omega``, holding 1, 0 or ``FREE`` (-1); index 0 of each axis is unused and
+stays free. A pass is array code over them and over the likelihood arrays of
+``compute_indicators``: stage 1 freezes every integral entry at once, and the
+candidate scans of stages 2 and 3 are per-server argmins, whose first minimum
+in (content, slot) order is the tie-break. Only the one decision per server
+stays scalar.
+
 Fixed values translate into pricing-graph node removals: Omega=1 keeps only
 the age-zero cached node in its slot, Gamma=0 removes all cached nodes,
 Omega=0 removes the age-zero cached node, Gamma=1 removes the uncached nodes.
+``RoundingState.masks`` derives them from the same arrays, laid out
+[slot, pair] as the pricing tables are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .columns import ColumnPool
+from .columns import FREE, ColumnPool
 from .costs import CAPACITY_EPS
 from .instance import Instance
 
@@ -46,150 +56,112 @@ TOL_INT = 1e-6
 Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
 
-@dataclass
 class RoundingState:
-    inst: Instance
-    fixings: dict[tuple[int, int, int], Fixing] = field(default_factory=dict)
-    passes: int = 0
-    # the pricing-graph node masks of every slot, kept in step with the
-    # fixings by ``fix``: [u, k0, ka][server, content, slot]
-    _allow: np.ndarray = field(init=False, repr=False, compare=False)
+    """The fixings of one solve, as int8 arrays ``gamma`` and ``omega`` over
+    [server, content, slot] (see the module docstring)."""
 
-    def __post_init__(self) -> None:
-        inst = self.inst
-        self._allow = np.ones(
-            (3, inst.num_servers + 1, inst.num_contents + 1, inst.horizon + 1), dtype=bool
-        )
-        for (h, i, t), (gamma, omega) in self.fixings.items():
-            self._set_masks(h, i, t, gamma, omega)
-
-    def _set_masks(self, h: int, i: int, t: int, gamma, omega) -> None:
-        self._allow[:, h, i, t] = (
-            omega != 1 and gamma != 1,  # the uncached and update nodes
-            omega != 0 and gamma != 0,  # the age-zero cached node
-            omega != 1 and gamma != 0,  # the aged cached nodes
-        )
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.passes = 0
+        shape = (inst.num_servers + 1, inst.num_contents + 1, inst.horizon + 1)
+        self.gamma = np.full(shape, FREE, dtype=np.int8)
+        self.omega = np.full(shape, FREE, dtype=np.int8)
+        self.live = np.zeros(shape, dtype=bool)  # the cells of real (h, i, t)
+        self.live[1:, 1:, 1:] = True
+        self.size = inst.sizes()
 
     def fixed(self, h: int, i: int, t: int) -> Fixing:
-        return self.fixings.get((h, i, t), (None, None))
+        g, o = int(self.gamma[h, i, t]), int(self.omega[h, i, t])
+        return (None if g == FREE else g, None if o == FREE else o)
 
     def fix(self, h, i, t, gamma: Optional[int] = None, omega: Optional[int] = None) -> bool:
         """Merge a fixing; returns True when anything new was pinned."""
         old_g, old_o = self.fixed(h, i, t)
-        new_g = old_g if gamma is None else gamma
-        new_o = old_o if omega is None else omega
         if old_g is not None and gamma is not None and old_g != gamma:
             raise AssertionError(f"contradictory cache fixing at {(h, i, t)}")
         if old_o is not None and omega is not None and old_o != omega:
             raise AssertionError(f"contradictory update fixing at {(h, i, t)}")
-        if (new_g, new_o) == (old_g, old_o):
-            return False
-        self.fixings[(h, i, t)] = (new_g, new_o)
-        self._set_masks(h, i, t, new_g, new_o)
-        return True
+        changed = False
+        if gamma is not None and old_g is None:
+            self.gamma[h, i, t] = gamma
+            changed = True
+        if omega is not None and old_o is None:
+            self.omega[h, i, t] = omega
+            changed = True
+        return changed
 
     # -- capacity headroom -------------------------------------------------
 
-    def remaining_cache(self) -> dict[tuple[int, int], float]:
-        out = {
-            (h, t): self.inst.server(h).cache_capacity
-            for h in range(1, self.inst.num_servers + 1)
-            for t in range(1, self.inst.horizon + 1)
-        }
-        for (h, i, t), (gamma, _) in self.fixings.items():
-            if gamma == 1:
-                out[(h, t)] -= self.inst.size(i)
-        return out
+    def _headroom(self, kind: int, fixed: np.ndarray) -> np.ndarray:
+        """[server, slot] capacity of the given kind (0 cache, 1 backhaul)
+        left beyond the contents fixed to one.
+        Sizes are integers, so the used capacity sums exactly. While the
+        capacity is below 2**52 and the headroom above -1/2, every partial
+        difference of a one-by-one subtraction is exact too, so subtracting
+        the sizes one by one, in any order, gives this same value."""
+        used = (self.size[None, :, None] * (fixed == 1)).sum(axis=1)
+        return self.inst.capacities()[kind][:, None] - used
 
-    def remaining_backhaul(self) -> dict[tuple[int, int], float]:
-        out = {
-            (h, t): self.inst.server(h).backhaul_capacity
-            for h in range(1, self.inst.num_servers + 1)
-            for t in range(1, self.inst.horizon + 1)
-        }
-        for (h, i, t), (_, omega) in self.fixings.items():
-            if omega == 1:
-                out[(h, t)] -= self.inst.size(i)
-        return out
+    def remaining_cache(self) -> np.ndarray:
+        return self._headroom(0, self.gamma)
+
+    def remaining_backhaul(self) -> np.ndarray:
+        return self._headroom(1, self.omega)
 
     # -- pricing-graph node masks ------------------------------------------
 
-    def mask_arrays(self, h: int, i: int, T: int):
-        allow_u = np.ones(T + 1, dtype=bool)
-        allow_k0 = np.ones(T + 1, dtype=bool)
-        allow_ka = np.ones(T + 1, dtype=bool)
-        for t in range(1, T + 1):
-            gamma, omega = self.fixed(h, i, t)
-            if omega == 1:
-                allow_u[t] = False
-                allow_ka[t] = False
-            if omega == 0:
-                allow_k0[t] = False
-            if gamma == 0:
-                allow_k0[t] = False
-                allow_ka[t] = False
-            if gamma == 1:
-                allow_u[t] = False
-        return allow_u, allow_k0, allow_ka
-
-    def batch_masks(self, pairs, T: int):
-        """``mask_arrays`` of each pair in ``pairs``, stacked by pair."""
-        h, i = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        allow_u, allow_k0, allow_ka = self._allow[:, h, i, : T + 1]
-        return allow_u, allow_k0, allow_ka
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """allow_u, allow_k0, allow_ka of every pair, [slot, pair], pairs in
+        (server, content) order: False where the fixings remove uncached(t,
+        *), cached(t, 0) or cached(t, age >= 1)."""
+        T = self.inst.horizon
+        g = self.gamma[1:, 1:].reshape(-1, T + 1).T
+        o = self.omega[1:, 1:].reshape(-1, T + 1).T
+        return (o != 1) & (g != 1), (o != 0) & (g != 0), (o != 1) & (g != 0)
 
     def update_reachable(self, h: int, i: int, t: int) -> bool:
         """True when caching at t can still be anchored: some slot t' <= t
         allows an update with an unbroken cacheable stretch up to t."""
         for t_prime in range(t, 0, -1):
-            gamma, omega = self.fixed(h, i, t_prime)
-            if gamma == 0:
+            if self.gamma[h, i, t_prime] == 0:
                 return False  # the stretch to any earlier anchor is broken
-            if omega != 0:
+            if self.omega[h, i, t_prime] != 0:
                 return True
         return False
 
 
 def compute_indicators(
     chi: dict[tuple[int, int], np.ndarray], pool: ColumnPool
-) -> tuple[dict, dict]:
-    """Caching and updating likelihoods per (server, content), slot-indexed
-    arrays with entry 0 unused."""
-    T = pool.inst.horizon
-    gamma: dict[tuple[int, int], np.ndarray] = {}
-    omega: dict[tuple[int, int], np.ndarray] = {}
-    for key, weights in chi.items():
-        g = np.zeros(T + 1)
-        o = np.zeros(T + 1)
-        for w, entry in zip(weights, pool.entries[key]):
-            if w <= 0:
-                continue
-            for t in entry.q_slots:
-                g[t] += w
-            for t in entry.p_slots:
-                o[t] += w
-        gamma[key], omega[key] = g, o
-    return gamma, omega
+) -> tuple[np.ndarray, np.ndarray]:
+    """Caching and updating likelihoods as [server, content, slot] arrays,
+    index 0 of each axis unused. Each sum adds the positive weights of the
+    pair's entries in pool order."""
+    inst = pool.inst
+    shape = (2, inst.num_servers + 1, inst.num_contents + 1, inst.horizon + 1)
+    a = pool.arrays()
+    w = pool.weights(chi)
+    e, kind, t = np.nonzero(a.flags & (w > 0)[:, None, None])
+    sums = np.zeros(shape)
+    at = np.ravel_multi_index((kind, a.server[e], a.content[e], t + 1), shape)
+    np.add.at(sums.reshape(-1), at, w[e])
+    return sums[0], sums[1]
 
 
-def _is_int(x: float, tol: float = TOL_INT) -> bool:
-    return x <= tol or x >= 1 - tol
+def _integral(x: np.ndarray, tol: float) -> np.ndarray:
+    return (x <= tol) | (x >= 1 - tol)
 
 
-def is_integral(gamma: dict, omega: dict, tol: float = TOL_INT) -> bool:
-    return all(
-        _is_int(v, tol) for arr in gamma.values() for v in arr[1:]
-    ) and all(_is_int(v, tol) for arr in omega.values() for v in arr[1:])
+def is_integral(gamma: np.ndarray, omega: np.ndarray, tol: float = TOL_INT) -> bool:
+    return bool(_integral(gamma, tol).all() and _integral(omega, tol).all())
 
 
 def chi_is_integral(chi: dict[tuple[int, int], np.ndarray], tol: float = TOL_INT) -> bool:
-    return all(
-        bool(np.all((w <= tol) | (w >= 1 - tol))) for w in chi.values()
-    )
+    return bool(_integral(np.concatenate([np.empty(0), *chi.values()]), tol).all())
 
 
 def chi_integral_iff(
-    chi: dict[tuple[int, int], np.ndarray], gamma: dict, omega: dict, tol: float = TOL_INT
+    chi: dict[tuple[int, int], np.ndarray], gamma: np.ndarray, omega: np.ndarray,
+    tol: float = TOL_INT,
 ) -> bool:
     """Both directions of the integrality equivalence, asserted at runtime."""
     return chi_is_integral(chi, tol) == is_integral(gamma, omega, tol)
@@ -203,6 +175,10 @@ class RoundReport:
     purged_columns: int = 0
 
 
+def _first(cells: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(x) for x in np.argwhere(cells)[0])
+
+
 def round_once(
     state: RoundingState,
     chi: dict[tuple[int, int], np.ndarray],
@@ -211,84 +187,79 @@ def round_once(
 ) -> RoundReport:
     """One pass of the staged rounding; mutates state and pool."""
     inst = state.inst
-    T = inst.horizon
     gamma, omega = compute_indicators(chi, pool)
     report = RoundReport()
     state.passes += 1
+    G, O = state.gamma, state.omega
 
     # stage 1: freeze integral entries
-    for (h, i) in sorted(gamma):
-        g, o = gamma[(h, i)], omega[(h, i)]
-        for t in range(1, T + 1):
-            if o[t] >= 1 - tol:
-                if state.fix(h, i, t, gamma=1, omega=1):
-                    report.frozen += 1
-            if g[t] <= tol:
-                if state.fix(h, i, t, gamma=0, omega=0):
-                    report.frozen += 1
+    up = (omega >= 1 - tol) & state.live
+    down = (gamma <= tol) & state.live
+    clash = (up & ((G == 0) | (O == 0) | down)) | (down & ((G == 1) | (O == 1)))
+    if clash.any():
+        raise AssertionError(f"contradictory fixing at {_first(clash)}")
+    report.frozen = int(np.count_nonzero(
+        (up & ((G != 1) | (O != 1))) | (down & ((G != 0) | (O != 0)))))
+    G[up] = O[up] = 1
+    G[down] = O[down] = 0
 
     remaining_cache = state.remaining_cache()
     remaining_backhaul = state.remaining_backhaul()
+    # per cell, the distance of a fractional likelihood to the nearer integer
+    # (inf where integral); a server's first minimum in (content, slot) order
+    # is the entry it rounds
+    near_o = np.where(_integral(omega, tol), np.inf, np.minimum(omega, 1 - omega))
+    near_g = np.where(_integral(gamma, tol), np.inf, np.minimum(gamma, 1 - gamma))
+    frac_o = np.isfinite(near_o).any(axis=(1, 2))
+    frac_g = np.isfinite(near_g).any(axis=(1, 2))
 
     for h in range(1, inst.num_servers + 1):
         # stage 2: fractional updating likelihoods first
-        frac_omega = [
-            (min(omega[(h, i)][t], 1 - omega[(h, i)][t]), i, t)
-            for i in range(1, inst.num_contents + 1)
-            for t in range(1, T + 1)
-            if not _is_int(omega[(h, i)][t], tol)
-        ]
-        if frac_omega:
-            _, i, t = min(frac_omega)
-            value = omega[(h, i)][t]
+        if frac_o[h]:
+            i, t = np.unravel_index(np.argmin(near_o[h]), near_o[h].shape)
+            value = omega[h, i, t]
             size = inst.size(i)
-            cache_needed = 0 if state.fixed(h, i, t)[0] == 1 else size
+            cache_needed = 0 if G[h, i, t] == 1 else size
             if (
                 value < 0.5
-                or size > remaining_backhaul[(h, t)] + CAPACITY_EPS
-                or cache_needed > remaining_cache[(h, t)] + CAPACITY_EPS
+                or size > remaining_backhaul[h, t] + CAPACITY_EPS
+                or cache_needed > remaining_cache[h, t] + CAPACITY_EPS
             ):
                 state.fix(h, i, t, omega=0)
                 report.rounded_down += 1
             else:
                 state.fix(h, i, t, gamma=1, omega=1)
-                remaining_backhaul[(h, t)] -= size
-                remaining_cache[(h, t)] -= cache_needed
+                remaining_backhaul[h, t] -= size
+                remaining_cache[h, t] -= cache_needed
                 report.rounded_up += 1
             continue
 
         # stage 3: updating all integral, caching still fractional
-        frac_gamma = [
-            (min(gamma[(h, i)][t], 1 - gamma[(h, i)][t]), i, t)
-            for i in range(1, inst.num_contents + 1)
-            for t in range(1, T + 1)
-            if not _is_int(gamma[(h, i)][t], tol)
-        ]
-        if not frac_gamma:
+        if not frac_g[h]:
             continue
-        for i in range(1, inst.num_contents + 1):  # freeze the 1-entries first
-            g = gamma[(h, i)]
-            for t in range(1, T + 1):
-                if g[t] >= 1 - tol and state.fixed(h, i, t)[0] != 1:
-                    state.fix(h, i, t, gamma=1)
-                    remaining_cache[(h, t)] -= inst.size(i)
-                    report.frozen += 1
-        _, i, t = min(frac_gamma)
+        ones = (gamma[h] >= 1 - tol) & (G[h] != 1)  # freeze the 1-entries first
+        if (ones & (G[h] == 0)).any():
+            raise AssertionError(f"contradictory cache fixing at {(h, *_first(ones & (G[h] == 0)))}")
+        i_one, t_one = np.nonzero(ones)
+        G[h][ones] = 1
+        np.subtract.at(remaining_cache[h], t_one, state.size[i_one])  # in (content, slot) order
+        report.frozen += len(i_one)
+        i, t = np.unravel_index(np.argmin(near_g[h]), near_g[h].shape)
         size = inst.size(i)
         if (
-            gamma[(h, i)][t] < 0.5
-            or size > remaining_cache[(h, t)] + CAPACITY_EPS
+            gamma[h, i, t] < 0.5
+            or size > remaining_cache[h, t] + CAPACITY_EPS
             or not state.update_reachable(h, i, t)
         ):
             state.fix(h, i, t, gamma=0, omega=0)
             report.rounded_down += 1
         else:
             state.fix(h, i, t, gamma=1)
-            remaining_cache[(h, t)] -= size
+            remaining_cache[h, t] -= size
             report.rounded_up += 1
 
     # stage 4: recompute headroom and drop incompatible columns
     report.purged_columns = pool.purge_incompatible(
-        state.fixings, state.remaining_cache(), state.remaining_backhaul()
+        G, O, state.remaining_cache(), state.remaining_backhaul()
     )
     return report

@@ -176,6 +176,9 @@ _HIGHS_OPTIONS = _highs_options()
 _CHECK_TOL = math.sqrt(1e-9) * 10
 
 
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
 _STATUS = np.array(
     [_highs.HighsBasisStatus.kLower, _highs.HighsBasisStatus.kBasic,
      _highs.HighsBasisStatus.kUpper], dtype=object,
@@ -212,23 +215,20 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     lower = upper.copy()
     lower[:n_ineq] = -np.inf
 
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = prob.num_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.col_cost_ = np.asarray(prob.c, dtype=float)
-    lp.col_lower_ = np.zeros(prob.num_vars)
-    lp.col_upper_ = col_upper = np.asarray(prob.upper, dtype=float)
-    lp.row_lower_ = lower
-    lp.row_upper_ = upper
-    # the matrix vectors convert element by element; from lists that is faster
-    lp.a_matrix_.start_ = a.indptr.tolist()
-    lp.a_matrix_.index_ = a.indices.tolist()
-    lp.a_matrix_.value_ = a.data.tolist()
+    n = prob.num_vars
+    col_upper = np.asarray(prob.upper, dtype=float)
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
     status = _highs.HighsModelStatus
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    # the array form of passModel: column-wise matrix, minimise, no offset,
+    # every column continuous
+    passed = highs.passModel(
+        n, m, a.nnz, _COLWISE, _MINIMIZE, 0.0, np.asarray(prob.c, dtype=float), np.zeros(n),
+        col_upper, lower, upper, a.indptr.astype(np.int32, copy=False),
+        a.indices.astype(np.int32, copy=False),
+        a.data, np.zeros(n, dtype=np.int32),
+    )
+    if passed == _highs.HighsStatus.kError:
         model_status = status.kModelError
     else:
         if basis is not None:

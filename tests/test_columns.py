@@ -18,6 +18,15 @@ from mcsp.columns import (
 from mcsp.instance import build_request_index
 
 from conftest import random_tiny_instance
+from reference import fixing_arrays, fixing_rows, headroom_array
+
+
+def purge(pool, fixings, remaining_cache, remaining_backhaul):
+    """``purge_incompatible`` on dict fixings and headrooms."""
+    inst = pool.inst
+    return pool.purge_incompatible(*fixing_arrays(inst, fixings),
+                                   headroom_array(inst, remaining_cache),
+                                   headroom_array(inst, remaining_backhaul))
 
 UC = ((1, 1), (1, 0))
 UA = ((1, 1), (0, 0))
@@ -121,11 +130,11 @@ def test_pool_purge_fixed_values(tiny1, tiny1_idx):
     caps = {(1, t): tiny1.server(1).cache_capacity for t in (1, 2)}
     bh = {(1, t): tiny1.server(1).backhaul_capacity for t in (1, 2)}
     # fix updated at slot 1: every column with p1 = 0 dies
-    removed = pool.purge_incompatible({(1, 1, 1): (1, 1)}, caps, bh)
+    removed = purge(pool, {(1, 1, 1): (1, 1)}, caps, bh)
     assert removed == 2  # the all-zero column and ((0,0),(1,1))
     assert all(e.column[0] == (1, 1) for e in pool.columns(1, 1))
     # fix q2 = 0 on top: columns caching in slot 2 die
-    removed = pool.purge_incompatible({(1, 1, 1): (1, 1), (1, 1, 2): (0, 0)}, caps, bh)
+    removed = purge(pool, {(1, 1, 1): (1, 1), (1, 1, 2): (0, 0)}, caps, bh)
     assert all(e.column[1] == (0, 0) for e in pool.columns(1, 1))
 
 
@@ -135,7 +144,7 @@ def test_pool_purge_capacity(tiny1, tiny1_idx):
         pool.add(1, 1, col)
     caps = {(1, 1): 2.0, (1, 2): 2.0}
     bh = {(1, 1): 2.0, (1, 2): 1.0}  # size-2 updates no longer fit slot 2
-    pool.purge_incompatible({}, caps, bh)
+    purge(pool, {}, caps, bh)
     assert all(e.column[1][1] == 0 for e in pool.columns(1, 1))
 
 
@@ -143,7 +152,7 @@ def test_pool_purge_reinserts_canonical(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")  # only the zero column
     caps = {(1, 1): 2.0, (1, 2): 2.0}
     bh = dict(caps)
-    pool.purge_incompatible({(1, 1, 2): (1, None)}, caps, bh)
+    purge(pool, {(1, 1, 2): (1, None)}, caps, bh)
     cols = [e.column for e in pool.columns(1, 1)]
     assert len(cols) == 1
     q2, _ = cols[0][1]
@@ -152,9 +161,7 @@ def test_pool_purge_reinserts_canonical(tiny1, tiny1_idx):
 
 def test_canonical_column_connects_updates():
     # cached at slot 3 with updates forbidden at slots 2..3: anchor at slot 1
-    fixings = {(1, 1, 3): (1, None), (1, 1, 2): (None, 0), "x": None}
-    fixings = {(1, 1, 3): (1, None), (1, 1, 2): (None, 0)}
-    col = canonical_column(3, 1, 1, fixings)
+    col = canonical_column(*fixing_rows([(None, None), (None, 0), (1, None)]))
     assert col is not None and column_is_valid(col)
     assert col[2][0] == 1
     assert col[1][1] == 0
@@ -162,8 +169,7 @@ def test_canonical_column_connects_updates():
 
 def test_canonical_column_unfixable():
     # cached at slot 2 but updates forbidden everywhere up to it
-    fixings = {(1, 1, 2): (1, 0), (1, 1, 1): (None, 0)}
-    assert canonical_column(2, 1, 1, fixings) is None
+    assert canonical_column(*fixing_rows([(None, 0), (1, 0)])) is None
 
 
 def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
@@ -176,9 +182,9 @@ def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
     calls = []
     derive = columns.canonical_column
 
-    def counted(horizon, h, i, fixings):
-        calls.append((h, i))
-        return derive(horizon, h, i, fixings)
+    def counted(gamma, omega):
+        calls.append((tuple(gamma), tuple(omega)))
+        return derive(gamma, omega)
 
     for _ in range(10):
         inst = random_tiny_instance(rng)
@@ -187,7 +193,7 @@ def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
         caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
                 for t in range(1, inst.horizon + 1)}
         fixings = {}
-        cached.purge_incompatible(fixings, caps, caps)
+        purge(cached, fixings, caps, caps)
         for _ in range(4):
             h = rng.randint(1, inst.num_servers)
             i = rng.randint(1, inst.num_contents)
@@ -196,10 +202,12 @@ def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
             fixings[(h, i, t)] = (1, 1)
             calls.clear()
             monkeypatch.setattr(columns, "canonical_column", counted)
-            cached.purge_incompatible(fixings, caps, caps)
+            purge(cached, fixings, caps, caps)
             monkeypatch.undo()
-            assert calls == ([(h, i)] if changed else [])
-            fresh._canonical.clear()
-            fresh.purge_incompatible(fixings, caps, caps)
+            rows = fixing_rows([fixings.get((h, i, s), (None, None))
+                                for s in range(1, inst.horizon + 1)])
+            assert calls == ([tuple(map(tuple, rows))] if changed else [])
+            fresh._fixed_at_purge = None  # forget the last purge: derive all afresh
+            purge(fresh, fixings, caps, caps)
             assert {k: [e.column for e in v] for k, v in cached.entries.items()} == {
                 k: [e.column for e in v] for k, v in fresh.entries.items()}

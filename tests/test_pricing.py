@@ -336,11 +336,10 @@ def test_pooled_negative_column_raises():
 
 
 def test_all_kappa_removed_gives_zero_column(tiny1, tiny1_idx):
-    class Masks:
-        def mask_arrays(self, h, i, T):
-            allow = np.ones(T + 1, dtype=bool)
-            off = np.zeros(T + 1, dtype=bool)
-            return allow, off, off
+    class Masks:  # tiny1 has one pair
+        def masks(self):
+            allow = np.ones((tiny1.horizon + 1, 1), dtype=bool)
+            return allow, ~allow, ~allow
 
     pc = shortest_path(build_graph(1, 1, zero_duals(tiny1), tiny1, tiny1_idx, fixings=Masks()))
     assert pc.column == ((0, 0), (0, 0))
@@ -377,8 +376,8 @@ def test_batch_tables_equal_per_pair_weights():
             _, tables = Pricer(statics).price(duals)
             for k, (h, i) in enumerate(statics.pairs):
                 ref = PairWeights(h, i, duals, inst, idx, "paper")
-                assert np.array_equal(tables.upd[k], ref.update)
-                assert np.array_equal(tables.pur[k], ref.purple)
+                assert np.array_equal(tables.upd[..., k], ref.update)
+                assert np.array_equal(tables.pur[..., k], ref.purple)
                 assert tables.orange[k] == ref.orange
 
 

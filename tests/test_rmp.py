@@ -266,10 +266,9 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
         backhaul = np.zeros_like(cache)
         for (h, i), weights in sol.chi.items():
             for entry, w in zip(pool.entries[(h, i)], weights):
-                for t in entry.q_slots:
-                    cache[h, t] += w * inst.size(i)
-                for t in entry.p_slots:
-                    backhaul[h, t] += w * inst.size(i)
+                for t, (q, p) in enumerate(entry.column, start=1):
+                    cache[h, t] += q * w * inst.size(i)
+                    backhaul[h, t] += p * w * inst.size(i)
         for h in range(1, inst.num_servers + 1):
             server = inst.server(h)
             assert np.all(cache[h] <= server.cache_capacity * (1 + 1e-7) + 1e-7)
@@ -311,11 +310,10 @@ def _reference_master(pool, inst, capacity_rows):
         for r_id, age in e.coverage:
             if ("cover", (r_id, h, age)) in row:
                 a[row[("cover", (r_id, h, age))], col] = -1.0
-        for t in e.q_slots:
-            if ("cache", (h, t)) in row:
+        for t, (q, p) in enumerate(e.column, start=1):
+            if q and ("cache", (h, t)) in row:
                 a[row[("cache", (h, t))], col] = inst.size(i)
-        for t in e.p_slots:
-            if ("backhaul", (h, t)) in row:
+            if p and ("backhaul", (h, t)) in row:
                 a[row[("backhaul", (h, t))], col] = inst.size(i)
         a[row[("convexity", (h, i))], col] = 1.0
     for n, (r_id, h, age) in enumerate(services):

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from mcsp.columns import ColumnPool, enumerate_columns
+import reference
+from mcsp.columns import FREE, ColumnPool, UnfixablePoolError, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.rounding import (
     RoundingState,
@@ -41,18 +42,18 @@ def test_indicators_single_column(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
     chi = chi_for(pool, {UC: 1.0})
     gamma, omega = compute_indicators(chi, pool)
-    assert gamma[(1, 1)][1:].tolist() == [1.0, 1.0]
-    assert omega[(1, 1)][1:].tolist() == [1.0, 0.0]
+    assert gamma[1, 1, 1:].tolist() == [1.0, 1.0]
+    assert omega[1, 1, 1:].tolist() == [1.0, 0.0]
 
 
 def test_indicators_tiny1_mix(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
     chi = chi_for(pool, {UC: 0.5, ZERO: 0.5})
     gamma, omega = compute_indicators(chi, pool)
-    assert gamma[(1, 1)][1:].tolist() == [0.5, 0.5]
-    assert omega[(1, 1)][1:].tolist() == [0.5, 0.0]
+    assert gamma[1, 1, 1:].tolist() == [0.5, 0.5]
+    assert omega[1, 1, 1:].tolist() == [0.5, 0.0]
     # updating likelihood never exceeds caching likelihood
-    assert np.all(omega[(1, 1)] <= gamma[(1, 1)] + 1e-12)
+    assert np.all(omega <= gamma + 1e-12)
 
 
 def test_integrality_equivalence_both_ways(tiny1, tiny1_idx):
@@ -130,7 +131,7 @@ def test_round_respects_backhaul_headroom(tiny1, tiny1_idx):
     # shrinking capacity through a pre-existing fixing of a phantom content
     state.fix(1, 1, 2, omega=0)  # unrelated, keeps state nonempty
     rb = state.remaining_backhaul()
-    assert rb[(1, 1)] == 2.0
+    assert rb[1, 1] == 2.0
     # monkeypatch capacity via instance is frozen; instead verify the up-fix
     report = round_once(state, chi, pool)
     assert state.fixed(1, 1, 1) == (1, 1)
@@ -140,37 +141,38 @@ def test_masks_reflect_fixings(tiny1):
     state = RoundingState(tiny1)
     state.fix(1, 1, 1, gamma=1, omega=1)
     state.fix(1, 1, 2, gamma=0, omega=0)
-    allow_u, allow_k0, allow_ka = state.mask_arrays(1, 1, 2)
+    allow_u, allow_k0, allow_ka = (allow[:, 0] for allow in state.masks())
     assert not allow_u[1] and allow_k0[1] and not allow_ka[1]
     assert allow_u[2] and not allow_k0[2] and not allow_ka[2]
-    batch_u, batch_k0, batch_ka = state.batch_masks([(1, 1)], 2)
-    assert np.array_equal(batch_u[0], allow_u)
-    assert np.array_equal(batch_k0[0], allow_k0)
-    assert np.array_equal(batch_ka[0], allow_ka)
 
-    # the batch masks follow random fixing sequences pair by pair
+    # the [slot, pair] masks follow random fixing sequences as the dict
+    # reference's per-pair masks do, pair by pair
     rng = random.Random(29)
     for _ in range(40):
         inst = random_tiny_instance(rng)
         T = inst.horizon
         pairs = [(h, i) for h in range(1, inst.num_servers + 1)
                  for i in range(1, inst.num_contents + 1)]
-        state = RoundingState(inst)
+        state, ref = RoundingState(inst), reference.RoundingState(inst)
         for _ in range(rng.randint(0, 3 * len(pairs) * T)):
             h, i = rng.choice(pairs)
             t = rng.randint(1, T)
             gamma, omega = rng.choice([(1, 1), (1, 0), (0, 0), (1, None), (0, None),
                                        (None, 1), (None, 0)])
-            old_g, old_o = state.fixed(h, i, t)
+            old_g, old_o = ref.fixed(h, i, t)
             if (old_g is not None and gamma is not None and gamma != old_g) or (
                 old_o is not None and omega is not None and omega != old_o
             ):
-                continue  # contradicting an earlier fixing is an error
-            state.fix(h, i, t, gamma=gamma, omega=omega)
-            batch = state.batch_masks(pairs, T)
+                with pytest.raises(AssertionError, match="contradictory"):
+                    state.fix(h, i, t, gamma=gamma, omega=omega)
+                continue
+            assert state.fix(h, i, t, gamma=gamma, omega=omega) == ref.fix(
+                h, i, t, gamma=gamma, omega=omega)
+            assert state.fixed(h, i, t) == ref.fixed(h, i, t)
+            batch = state.masks()
             for k, (h, i) in enumerate(pairs):
-                for one, stacked in zip(state.mask_arrays(h, i, T), batch):
-                    assert np.array_equal(stacked[k], one), (h, i)
+                for one, stacked in zip(ref.mask_arrays(h, i, T), batch):
+                    assert np.array_equal(stacked[:, k], one), (h, i)
 
 
 def test_update_reachable():
@@ -202,23 +204,88 @@ def test_fixings_monotone_and_capacity_nonnegative():
             w = np.array([rng.random() for _ in entries])
             chi[key] = w / w.sum()
         state = RoundingState(inst)
-        seen = {}
         for _ in range(inst.num_contents * inst.horizon + 2):
+            seen = state.gamma.copy(), state.omega.copy()
             round_once(state, chi, pool)
-            for key, val in state.fixings.items():
-                if key in seen:
-                    g_old, o_old = seen[key]
-                    g_new, o_new = val
-                    assert g_old is None or g_old == g_new
-                    assert o_old is None or o_old == o_new
-            seen = dict(state.fixings)
-            for v in state.remaining_cache().values():
-                assert v >= -1e-9
-            for v in state.remaining_backhaul().values():
-                assert v >= -1e-9
+            for old, new in zip(seen, (state.gamma, state.omega)):
+                assert np.array_equal(new[old != FREE], old[old != FREE])
+            assert (state.remaining_cache()[1:, 1:] >= -1e-9).all()
+            assert (state.remaining_backhaul()[1:, 1:] >= -1e-9).all()
             # recompute chi consistent with the purged pool: spread weight
             # uniformly over the survivors (only shape matters here)
             chi = {
                 key: np.full(len(entries), 1.0 / len(entries))
                 for key, entries in pool.entries.items()
             }
+
+
+def _random_chi(rng, pool, same_updates):
+    """Random column weights per pair: one column at 1 or a random mixture,
+    with LP-like noise of -1e-12 on some unused columns. With
+    ``same_updates`` a mixture only holds columns that update where its first
+    column does, so the updating likelihoods are integral and stage 3 runs."""
+    chi = {}
+    for key, entries in pool.entries.items():
+        first = rng.randrange(len(entries))
+        w = np.zeros(len(entries))
+        if rng.random() < 0.3:
+            w[first] = 1.0
+        else:
+            updates = entries[first].flags[len(entries[first].column):]
+            for k, e in enumerate(entries):
+                if not same_updates or e.flags.endswith(updates):
+                    w[k] = rng.random()
+            w /= w.sum()
+        w[(w == 0) & (np.array([rng.random() for _ in entries]) < 0.2)] = -1e-12
+        chi[key] = w
+    return chi
+
+
+def test_array_pass_equals_dict_reference():
+    """Pass by pass, on 60 random tiny instances with random fractional
+    weights, the array rounding gives the dict reference's fixings, report,
+    headrooms and pools, bit for bit, and fails where it fails."""
+    rng = random.Random(8)
+    passes = ups = downs = purged = 0
+    for _ in range(60):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        pools = []
+        for _ in range(2):
+            pool = ColumnPool.initial(inst, idx, "paper")
+            pools.append(pool)
+        for (h, i) in list(pools[0].entries):
+            for col in enumerate_columns(inst.horizon):
+                if rng.random() < 0.6:
+                    for pool in pools:
+                        pool.add(h, i, col)
+        pool, ref_pool = pools
+        state, ref = RoundingState(inst), reference.RoundingState(inst)
+        same_updates = rng.random() < 0.5
+        for _ in range(inst.num_contents * inst.horizon + 2):
+            chi = _random_chi(rng, pool, same_updates)
+            g, o = compute_indicators(chi, pool)
+            ref_g, ref_o = reference.compute_indicators(chi, ref_pool)
+            assert np.array_equal(g, reference.indicator_arrays(inst, ref_g))
+            assert np.array_equal(o, reference.indicator_arrays(inst, ref_o))
+            try:
+                report = round_once(state, chi, pool)
+            except (AssertionError, UnfixablePoolError) as exc:
+                with pytest.raises(type(exc)):
+                    reference.round_once(ref, chi, ref_pool)
+                break
+            assert report == reference.round_once(ref, chi, ref_pool)
+            passes += 1
+            ups += report.rounded_up
+            downs += report.rounded_down
+            purged += report.purged_columns
+            for got, want in zip((state.gamma, state.omega),
+                                 reference.fixing_arrays(inst, ref.fixings)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(state.remaining_cache()[1:, 1:], reference.headroom_array(
+                inst, ref.remaining_cache())[1:, 1:])
+            assert np.array_equal(state.remaining_backhaul()[1:, 1:], reference.headroom_array(
+                inst, ref.remaining_backhaul())[1:, 1:])
+            assert {k: [(e.column, e.serial) for e in v] for k, v in pool.entries.items()} == {
+                k: [(e.column, e.serial) for e in v] for k, v in ref_pool.entries.items()}
+    assert passes > 100 and ups and downs and purged
