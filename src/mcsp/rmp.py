@@ -119,19 +119,18 @@ class CapacityRows:
     def add_violated(self, pool: ColumnPool, chi: dict, inst: Instance) -> int:
         """Add the rows whose load under the column weights ``chi`` exceeds
         the instance capacity; return how many were added. A load sums the
-        positive weights times sizes in pool order; a (server, slot) no
-        such entry touches has no load."""
+        positive weights times sizes in pool order. Capacities are positive
+        (``validate_instance``), so a (server, slot) without load never
+        counts."""
         a = pool.arrays()
         w = pool.weights(chi)
         e, kind, t = np.nonzero(a.flags & (w > 0)[:, None, None])
         shape = (2, inst.num_servers + 1, inst.horizon + 1)
         at = np.ravel_multi_index((kind, a.server[e], t + 1), shape)
-        load = np.zeros(shape)
-        np.add.at(load.reshape(-1), at, w[e] * a.size[e])
-        touched = np.zeros(shape, dtype=bool)
-        touched.reshape(-1)[at] = True
+        # bincount adds in input order, as the loads were summed one by one
+        load = np.bincount(at, w[e] * a.size[e], minlength=np.prod(shape)).reshape(shape)
         cap = inst.capacities()[:, :, None]
-        over = touched & (load > cap + TOL_CAP * (1 + np.abs(cap)))
+        over = load > cap + TOL_CAP * (1 + np.abs(cap))
         added = 0
         for kind, h, t in zip(*np.nonzero(over)):
             active = (self.cache, self.backhaul)[kind]
@@ -273,9 +272,9 @@ def build_rmp(
     named in ``capacity_rows`` (all of them when it is None).
 
     The matrix comes from what each pool entry stores: the service positions
-    it covers, its cached and updated slot flags, and its pair. A service gets a
-    coverage row and a y variable when some entry covers it and serving it
-    can pay off (``svc_saving`` < 0)."""
+    it covers, its cached and updated slot flags, and its pair. A service
+    gets a coverage row and a y variable when some entry covers it and
+    serving it can pay off (``svc_saving`` < 0)."""
     pairs = sorted(pool.entries)
     for key in pairs:
         if not pool.entries[key]:

@@ -141,9 +141,8 @@ def compute_indicators(
     a = pool.arrays()
     w = pool.weights(chi)
     e, kind, t = np.nonzero(a.flags & (w > 0)[:, None, None])
-    sums = np.zeros(shape)
     at = np.ravel_multi_index((kind, a.server[e], a.content[e], t + 1), shape)
-    np.add.at(sums.reshape(-1), at, w[e])
+    sums = np.bincount(at, w[e], minlength=np.prod(shape)).reshape(shape)  # in input order
     return sums[0], sums[1]
 
 
@@ -238,8 +237,9 @@ def round_once(
         if not frac_g[h]:
             continue
         ones = (gamma[h] >= 1 - tol) & (G[h] != 1)  # freeze the 1-entries first
-        if (ones & (G[h] == 0)).any():
-            raise AssertionError(f"contradictory cache fixing at {(h, *_first(ones & (G[h] == 0)))}")
+        clash = ones & (G[h] == 0)
+        if clash.any():
+            raise AssertionError(f"contradictory cache fixing at {(h, *_first(clash))}")
         i_one, t_one = np.nonzero(ones)
         G[h][ones] = 1
         np.subtract.at(remaining_cache[h], t_one, state.size[i_one])  # in (content, slot) order
