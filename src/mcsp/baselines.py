@@ -185,25 +185,40 @@ def solve_exact(
     ]
     cache_load = [[0.0] * (T + 1) for _ in range(inst.num_servers + 1)]
     backhaul_load = [[0.0] * (T + 1) for _ in range(inst.num_servers + 1)]
-    chosen: dict[tuple[int, int], int] = {}  # pair -> column index
-    best = {"cost": math.inf, "schedule": None}
 
-    def request_cost(r: Request) -> float:
-        served = min(svc[r.id][chosen[(h, r.content)]] for h in r.candidates)
-        cloud = inst.cloud_cost(r.content)
-        if mode == "min":
-            return min(served, cloud)
-        return cloud if math.isinf(served) else served
+    # Precomputed per depth for the search: the content size; per candidate
+    # column its index, its (load list, slot, capacity) per cached and per
+    # updated slot, and its update cost; and the requests settling there,
+    # each with its service values, the depths of its candidate pairs and
+    # its cloud cost.
+    sizes, options, settling = [], [], []
+    for d, (h, i) in enumerate(pairs):
+        size = inst.size(i)
+        ch, bh = cache_load[h], backhaul_load[h]
+        c_cap, b_cap = cache_cap[h - 1] + CAPACITY_EPS, backhaul_cap[h - 1] + CAPACITY_EPS
+        sizes.append(size)
+        options.append([
+            (k, [(ch, t, c_cap) for t, (q, _) in enumerate(columns[k], start=1) if q]
+             + [(bh, t, b_cap) for t, (_, p) in enumerate(columns[k], start=1) if p],
+             inst.cost.beta * size * n_updates[k])
+            for k in candidate_cols[(h, i)]
+        ])
+        settling.append([
+            (svc[r.id], [pair_pos[(g, r.content)] for g in r.candidates],
+             inst.cloud_cost(r.content))
+            for r in by_level.get(d, ())
+        ])
+    states_of = [column_states(col) for col in columns]
+    zero = columns.index(zero_column(T))
+    settle_min = mode == "min"
+    chosen = [zero] * len(pairs)  # column index by depth
+    best = {"cost": math.inf, "schedule": None}
 
     def dfs(depth: int, acc: float) -> None:
         if acc + floor_after[depth] >= best["cost"] - 1e-12:
             return
         if depth == len(pairs):
-            states = {
-                hi: column_states(columns[k])
-                for hi, k in chosen.items()
-                if columns[k] != zero_column(T)
-            }
+            states = {pairs[d]: states_of[k] for d, k in enumerate(chosen) if k != zero}
             schedule = Schedule(horizon=T, states=states)
             total = evaluate(schedule, inst, mode).total
             assert abs(total - acc) <= 1e-9 * (1 + abs(total))
@@ -211,36 +226,25 @@ def solve_exact(
                 best["cost"] = total
                 best["schedule"] = schedule
             return
-        h, i = pairs[depth]
-        size = inst.size(i)
-        beta_size = inst.cost.beta * size
-        ch, bh = cache_load[h], backhaul_load[h]
-        c_cap, b_cap = cache_cap[h - 1] + CAPACITY_EPS, backhaul_cap[h - 1] + CAPACITY_EPS
-        settlers = by_level.get(depth, ())
-        for k in candidate_cols[(h, i)]:
-            col = columns[k]
-            ok = True
-            for t, (q, p) in enumerate(col, start=1):
-                if q and ch[t] + size > c_cap:
-                    ok = False
+        size = sizes[depth]
+        for k, slots, update_cost in options[depth]:
+            for load, t, cap in slots:
+                if load[t] + size > cap:
                     break
-                if p and bh[t] + size > b_cap:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for t, (q, p) in enumerate(col, start=1):
-                ch[t] += size * q
-                bh[t] += size * p
-            chosen[(h, i)] = k
-            settled = 0.0
-            for r in settlers:
-                settled += request_cost(r)
-            dfs(depth + 1, acc + beta_size * n_updates[k] + settled)
-            del chosen[(h, i)]
-            for t, (q, p) in enumerate(col, start=1):
-                ch[t] -= size * q
-                bh[t] -= size * p
+            else:  # the column fits: load it, settle, go deeper, unload
+                for load, t, _ in slots:
+                    load[t] += size
+                chosen[depth] = k
+                settled = 0.0
+                for values, where, cloud in settling[depth]:
+                    served = min([values[chosen[d]] for d in where])
+                    if settle_min:
+                        settled += min(served, cloud)
+                    else:
+                        settled += cloud if math.isinf(served) else served
+                dfs(depth + 1, acc + update_cost + settled)
+                for load, t, _ in slots:
+                    load[t] -= size
 
     dfs(0, 0.0)
     schedule = best["schedule"]

@@ -160,7 +160,9 @@ class PricedEntry:
     cost: float  # standalone cost under the pool's settlement mode
     # (request id, age) pairs the settlement convention lets this column serve
     coverage: tuple[tuple[int, int], ...] = ()
-    svc: tuple[int, ...] = ()  # their positions in the request index's service index
+    # their positions in the request index's service index, in rank order
+    # (by request id, then age: the order of the master's coverage rows)
+    svc: tuple[int, ...] = ()
     serial: int = 0  # the entry's number in its pool, in order of insertion
     flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
 
@@ -179,7 +181,7 @@ def make_entry(
         column=col,
         cost=column_cost_S(col, h, i, inst, idx, mode),
         coverage=tuple(cov),
-        svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in cov),
+        svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in sorted(cov)),
         flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
     )
 

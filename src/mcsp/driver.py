@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .columns import ColumnPool, column_states, zero_column
 from .costs import (
@@ -282,7 +285,7 @@ def run_rcga(
             break
         if cycles >= max_cycles:
             raise ConvergenceError(f"rounding did not reach integrality in {max_cycles} passes")
-        round_once(state, sol.chi, pool)
+        round_once(state, gamma, omega, pool)
         cycles += 1
         result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
                          canonical=True, capacity_rows=rows, basis=basis)
@@ -321,6 +324,18 @@ def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveRepo
     )
 
 
+def _next_pin(sol: RmpSolution) -> tuple[tuple[int, int], int]:
+    """The pair and pool position of the largest fractional column weight of
+    a fractional ``sol``, the first in (pair, entry) order on ties: one pass
+    over the chi columns, which run in that order."""
+    w = sol.x[: sol.n_chi]
+    frac = np.flatnonzero((w > TOL_INT) & (w < 1 - TOL_INT))
+    j = int(frac[np.argmax(w[frac])])
+    offsets = list(sol.chi_offset.values())
+    n = bisect_right(offsets, j) - 1
+    return list(sol.chi_offset)[n], j - offsets[n]
+
+
 def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Fix whole column weights greedily; infeasibility is a recorded outcome.
 
@@ -342,15 +357,7 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     fixes = 0
     try:
         while not chi_is_integral(sol.chi):
-            best: tuple[float, tuple[int, int], int] | None = None
-            for key in sorted(sol.chi):
-                w = sol.chi[key]
-                for k, v in enumerate(w):
-                    if TOL_INT < v < 1 - TOL_INT and (best is None or v > best[0]):
-                        best = (float(v), key, k)
-            if best is None:
-                break
-            _, (h, i), k = best
+            (h, i), k = _next_pin(sol)
             col = pool.entries[(h, i)][k].column
             pool.entries[(h, i)] = [pool.entries[(h, i)][k]]
             for t, (q, p) in enumerate(col, start=1):

@@ -434,6 +434,14 @@ class PricingStatics:
         self.ga_at = np.array(ga_at, dtype=np.int64)
 
 
+def _credits(at: np.ndarray, credit: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A zero table of ``shape`` with each credit added at its flat index
+    ``at``, in input order (as ``np.add.at`` would add them). ``bincount``
+    of no entries is int64, hence the cast."""
+    out = np.bincount(at, credit, minlength=int(np.prod(shape)))
+    return out.astype(float, copy=False).reshape(shape)
+
+
 class Pricer:
     """Solves every pair subproblem in one vectorized pass."""
 
@@ -449,15 +457,12 @@ class Pricer:
         T = s.inst.horizon
         K = len(s.pairs)
         pi = duals.pis
-        g0 = np.zeros((T + 2) * (T + 2) * K)
-        np.add.at(g0, s.g0_at, pi[s.g0_src])
-        cum = g0.reshape(T + 2, T + 2, K)
+        cum = _credits(s.g0_at, pi[s.g0_src], (T + 2, T + 2, K))
         for o in range(1, T + 1):  # the running sum over arrival slots, in place
             np.add(cum[o - 1], cum[o], out=cum[o])
-        ga = np.zeros((T + 1) * (T + 1) * K)
         aged = pi[s.ga_src]
         paid = aged != 0
-        np.add.at(ga, s.ga_at[paid], aged[paid])
+        ga = _credits(s.ga_at[paid], aged[paid], (T + 1, T + 1, K))
 
         # capacity prices per server, spread over that server's pairs: [t, k]
         mu, phi = duals.mus[s.server].T, duals.phis[s.server].T
@@ -469,7 +474,7 @@ class Pricer:
             upd[t, :t] = base_upd[t] + (cum[t, t] - cum[t - 1 :: -1, t])
         # pur = psi + ga - size * mu, built in ga's buffer (large temporaries
         # cost more in fresh pages than in arithmetic)
-        pur = ga.reshape(T + 1, T + 1, K)
+        pur = ga
         pur += s.psi
         pur -= (s.size * mu)[:, None]
         pur[s.no_purple] = INF

@@ -48,7 +48,6 @@ from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .columns import Column, ColumnPool, PricedEntry, settlement_coverage
 from .instance import Instance, Request, RequestIndex
@@ -214,13 +213,10 @@ class RmpModel:
     cache_keys: list[tuple[int, int]]
     backhaul_keys: list[tuple[int, int]]
     pairs: list[tuple[int, int]]
-
-    @cached_property
-    def row_index(self) -> tuple:
-        """Per row block, the positions of its rows' keys in the block's
-        ``DualPrices`` array."""
-        return (self.serve_ids, self.cover_svc, _index(self.cache_keys),
-                _index(self.backhaul_keys), _index(self.pairs))
+    # per row block, the positions of its rows' keys in the block's
+    # ``DualPrices`` array
+    row_index: tuple
+    serve_first: np.ndarray  # the first coverage row of each serve-once row's request
 
 
 @dataclass
@@ -272,9 +268,13 @@ def build_rmp(
     named in ``capacity_rows`` (all of them when it is None).
 
     The matrix comes from what each pool entry stores: the service positions
-    it covers, its cached and updated slot flags, and its pair. A service
-    gets a coverage row and a y variable when some entry covers it and
-    serving it can pay off (``svc_saving`` < 0)."""
+    it covers (in rank order), its cached and updated slot flags, and its
+    pair. A service gets a coverage row and a y variable when some entry
+    covers it and serving it can pay off (``svc_saving`` < 0). The matrix is
+    laid out column-wise with each column's rows ascending, the form
+    ``solve_lp`` hands HiGHS: a chi column holds its coverage, cache,
+    backhaul and convexity entries in that order, a y column its serve-once
+    and its coverage entry."""
     pairs = sorted(pool.entries)
     for key in pairs:
         if not pool.entries[key]:
@@ -284,7 +284,8 @@ def build_rmp(
     n_chi = len(entries)
     col_pair = np.repeat(np.arange(len(pairs)), counts)
     pair_server = np.array([h for h, _ in pairs], dtype=np.int64)
-    pair_size = np.array([float(inst.size(i)) for _, i in pairs])
+    pair_content = np.array([i for _, i in pairs], dtype=np.int64)
+    pair_size = inst.sizes()[pair_content]
 
     # coverage rows: the paying services some entry covers, in rank order
     svc, cover_col = _flatten([e.svc for e in entries])
@@ -293,7 +294,7 @@ def build_rmp(
     covered = np.zeros(len(idx.svc_rank), dtype=bool)
     covered[rank] = True
     cover_svc = idx.svc_by_rank[covered]
-    cover_of = (np.cumsum(covered) - 1)[rank]
+    cover_of = (np.cumsum(covered) - 1)[rank]  # ascending within an entry
     # serve-once rows: the requests of those services, sorted as the ranks are
     request_ids = idx.svc_request_ids[cover_svc]
     first = np.ones(len(request_ids), dtype=bool)
@@ -313,30 +314,38 @@ def build_rmp(
                              initial=0))
     n_rows = starts[-1]
 
+    # the chi columns' entries block by block, each block by column, rows
+    # ascending within a column; a stable sort by column keeps that order
     rows = [starts[1] + cover_of]
     cols = [cover_col]
     vals = [np.full(len(cover_col), -1.0)]
     flags = np.frombuffer(b"".join(e.flags for e in entries), dtype=bool).reshape(
         n_chi, 2, inst.horizon)
-    for keys, start, kind in ((cache_keys, starts[2], 0), (backhaul_keys, starts[3], 1)):
-        if not keys:  # no row of this kind (the common case with lazy rows)
+    cache_at = _index(cache_keys)
+    backhaul_at = _index(backhaul_keys)
+    for at, start, kind in ((cache_at, starts[2], 0), (backhaul_at, starts[3], 1)):
+        if not len(at[0]):  # no row of this kind (the common case with lazy rows)
             continue
         row_of = np.full((inst.num_servers + 1, inst.horizon + 1), -1, dtype=np.int64)
-        row_of[tuple(np.array(keys, dtype=np.int64).T)] = start + np.arange(len(keys))
-        col, t = np.nonzero(flags[:, kind])  # by entry, then slot, as the slot tuples run
+        row_of[at] = start + np.arange(len(at[0]))
+        col, t = np.nonzero(flags[:, kind])  # by entry, then slot, as the rows run
         row = row_of[pair_server[col_pair[col]], t + 1]
         held = row >= 0
         rows.append(row[held])
         cols.append(col[held])
         vals.append(pair_size[col_pair[col[held]]])
-    y_cols = n_chi + np.arange(n_y)
-    rows += [starts[4] + col_pair, starts[0] + serve_of, starts[1] + np.arange(n_y)]
-    cols += [np.arange(n_chi), y_cols, y_cols]
-    vals += [np.ones(n_chi), np.ones(n_y), np.ones(n_y)]
-    a_matrix = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, n_chi + n_y),
-    )
+    rows.append(starts[4] + col_pair)
+    cols.append(np.arange(n_chi))
+    vals.append(np.ones(n_chi))
+    cols = np.concatenate(cols)
+    by_col = np.argsort(cols, kind="stable")
+    # each y column: its serve-once row, then its coverage row
+    y_rows = np.stack([starts[0] + serve_of, starts[1] + np.arange(n_y)], axis=1).ravel()
+    index = np.concatenate([np.concatenate(rows)[by_col], y_rows]).astype(np.int32)
+    value = np.concatenate([np.concatenate(vals)[by_col], np.ones(2 * n_y)])
+    col_start = np.zeros(n_chi + n_y + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_chi), out=col_start[1 : n_chi + 1])
+    col_start[n_chi + 1 :] = len(cols) + 2 * np.arange(1, n_y + 1)
 
     c = np.concatenate([np.fromiter((e.cost for e in entries), dtype=float, count=n_chi),
                         idx.svc_saving[cover_svc]])
@@ -344,12 +353,13 @@ def build_rmp(
     rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
     b = np.zeros(n_rows)
     b[: starts[1]] = 1.0  # serve-once
-    for lo, keys, attr in ((starts[2], cache_keys, "cache_capacity"),
-                           (starts[3], backhaul_keys, "backhaul_capacity")):
-        b[lo : lo + len(keys)] = [getattr(inst.server(h), attr) for h, _ in keys]
+    capacities = inst.capacities()
+    b[starts[2] : starts[3]] = capacities[0][cache_at[0]]
+    b[starts[3] : starts[4]] = capacities[1][backhaul_at[0]]
     rel[starts[4] :], b[starts[4] :] = _REL_CODES[EQ], 1.0  # convexity
 
-    problem = LpProblem(c=c, a_matrix=a_matrix, rel=rel, b=b, upper=upper)
+    problem = LpProblem(c=c, start=col_start, index=index, value=value, rel=rel, b=b,
+                        upper=upper)
     return RmpModel(
         problem=problem,
         pool=pool,
@@ -365,6 +375,8 @@ def build_rmp(
         cache_keys=cache_keys,
         backhaul_keys=backhaul_keys,
         pairs=pairs,
+        row_index=(serve_ids, cover_svc, cache_at, backhaul_at, (pair_server, pair_content)),
+        serve_first=np.flatnonzero(first),
     )
 
 
@@ -423,46 +435,58 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     variables) on top of its row dual, so every service variable prices
     nonnegatively. Only a variable at 1 can price negatively, and at most
     one per request is at 1, so the dual objective does not change."""
-    idx = model.idx
+    idx, inst = model.idx, model.idx.inst
     serve, cover, cache, backhaul, convexity = (
         y[a:b] for a, b in zip(model.starts, model.starts[1:])
     )
-    duals = DualPrices.explicit(idx)
-    duals.sigma[model.serve_ids] = serve
+    serve_at, cover_at, cache_at, backhaul_at, pair_at = model.row_index
+    sigma = np.zeros(idx.num_request_ids)
+    sigma[serve_at] = serve
     saving = idx.svc_saving
-    duals.pis[:] = np.where(
-        saving >= 0, 0.0, np.minimum(0.0, saving - duals.sigma[idx.svc_request_ids])
-    )
-    duals.pis[model.cover_svc] = cover
-    kept_ids = idx.svc_request_ids[model.cover_svc]
-    shift = np.zeros_like(duals.sigma)
-    np.minimum.at(shift, kept_ids, saving[model.cover_svc] - duals.sigma[kept_ids] - cover)
-    duals.sigma += shift
-    for array, at, values in zip((duals.mus, duals.phis, duals.lams), model.row_index[2:],
-                                 (cache, backhaul, convexity)):
-        array[at] = values
-    return duals
+    pis = np.where(saving >= 0, 0.0, np.minimum(0.0, saving - sigma[idx.svc_request_ids]))
+    pis[cover_at] = cover
+    # the coverage rows run grouped by request, one group per serve-once row
+    reduced = saving[cover_at] - sigma[idx.svc_request_ids[cover_at]] - cover
+    sigma[serve_at] += np.minimum(0.0, np.minimum.reduceat(reduced, model.serve_first))
+    slots = (inst.num_servers + 1, inst.horizon + 1)
+    mus, phis = np.zeros(slots), np.zeros(slots)
+    lams = np.zeros((inst.num_servers + 1, inst.num_contents + 1))
+    mus[cache_at], phis[backhaul_at], lams[pair_at] = cache, backhaul, convexity
+    return DualPrices(idx, sigma, pis, mus, phis, lams)
 
 
 def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     """Secondary solve over the optimal face: prefer fewer updates, then
-    earlier update slots (mirrors the pricing tie-break)."""
+    earlier update slots (mirrors the pricing tie-break).
+
+    The face row c.x <= objective + eps joins after the master's <= rows,
+    before its convexity rows, so that the rows stay in ``solve_lp``'s
+    order; it holds the nonzero costs of c, and it starts basic."""
     prob = model.problem
     w = np.zeros(prob.num_vars)
     updated = model.flags[:, 1]
     w[: len(model.entries)] = (updated.sum(axis=1)
                                + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
     face_eps = 1e-7 * (1.0 + abs(sol.objective))
-    face_row = sparse.csr_matrix(prob.c.reshape(1, -1))
-    prob2 = LpProblem(
+    at = model.starts[4]  # the face row's place
+    start, index = prob.start, prob.index
+    face = np.flatnonzero(prob.c)
+    # a face entry goes after its column's entries in rows above ``at``
+    above = np.concatenate([[0], np.cumsum(index < at)])
+    place = start[face] + above[start[face + 1]] - above[start[face]]
+    grown = np.zeros(prob.num_vars + 1, dtype=np.int32)
+    grown[face + 1] = 1
+    face_lp = LpProblem(
         c=w,
-        a_matrix=sparse.vstack([prob.a_matrix, face_row]).tocsr(),
-        rel=np.concatenate([prob.rel, [0]]),  # the face row is a <= row
-        b=np.concatenate([prob.b, [sol.objective + face_eps]]),
+        start=start + np.cumsum(grown, dtype=np.int32),
+        index=np.insert(index + (index >= at), place, at),
+        value=np.insert(prob.value, place, prob.c[face]),
+        rel=np.insert(prob.rel, at, _REL_CODES[LE]),
+        b=np.insert(prob.b, at, sol.objective + face_eps),
         upper=prob.upper,
     )
-    start = LpBasis(sol.basis.cols, np.append(sol.basis.rows, BASIC))
-    return solve_lp(prob2, start).x
+    start_basis = LpBasis(sol.basis.cols, np.insert(sol.basis.rows, at, BASIC))
+    return solve_lp(face_lp, start_basis).x
 
 
 def reduced_cost(

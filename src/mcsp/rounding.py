@@ -180,13 +180,14 @@ def _first(cells: np.ndarray) -> tuple[int, ...]:
 
 def round_once(
     state: RoundingState,
-    chi: dict[tuple[int, int], np.ndarray],
+    gamma: np.ndarray,
+    omega: np.ndarray,
     pool: ColumnPool,
     tol: float = TOL_INT,
 ) -> RoundReport:
-    """One pass of the staged rounding; mutates state and pool."""
+    """One pass of the staged rounding on the likelihoods ``gamma`` and
+    ``omega`` of ``compute_indicators``; mutates state and pool."""
     inst = state.inst
-    gamma, omega = compute_indicators(chi, pool)
     report = RoundReport()
     state.passes += 1
     G, O = state.gamma, state.omega

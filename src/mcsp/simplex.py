@@ -6,12 +6,20 @@ dual simplex through scipy's bundled bindings (``scipy.optimize._highspy``),
 with the model and options ``scipy.optimize.linprog(method="highs")`` would
 use, and checks the returned optimum against the model.
 
+An ``LpProblem`` holds its constraint matrix column-wise (CSC arrays), the
+form HiGHS takes it in; ``a_matrix`` builds a scipy.sparse matrix of it only
+for checks. A problem whose rows already come in HiGHS's order (every <= row
+before every = row, no >= rows), as every master does, is handed over
+without a copy or a permutation.
+
 Each solve returns its optimal basis (``LpBasis``), and ``solve_lp`` takes a
 start basis: given one, HiGHS skips presolve and re-optimises from it.
 Column generation warm-starts every master this way (see ``mcsp.rmp``). On a
 degenerate LP the optimal vertex HiGHS returns depends on where it starts,
 so a warm and a cold solve of one LP can return different optimal primals
-and duals with the same objective.
+and duals with the same objective. A start basis with as many basic entries
+as rows is passed as it is; one with another count is passed as HiGHS's
+"alien" kind, which HiGHS repairs (see ``solve_lp``).
 
 Dual convention, frozen by unit tests: the reduced cost of variable j is
 ``c_j - sum_rows dual_row * a_row_j``. At a minimum, duals of ``<=`` rows are
@@ -52,10 +60,16 @@ class LpUnboundedError(LpError):
 
 @dataclass
 class LpProblem:
-    """min c.x  s.t.  A x (<=, >=, =) b,  0 <= x <= upper."""
+    """min c.x  s.t.  A x (<=, >=, =) b,  0 <= x <= upper.
+
+    A is held column-wise: column j has its nonzeros in rows
+    ``index[start[j]:start[j + 1]]``, ascending, with values
+    ``value[start[j]:start[j + 1]]`` (int32 ``start`` and ``index``)."""
 
     c: np.ndarray
-    a_matrix: sparse.csr_matrix
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
     rel: np.ndarray  # per-row code from _REL_CODES
     b: np.ndarray
     upper: np.ndarray
@@ -68,6 +82,13 @@ class LpProblem:
     def num_rows(self) -> int:
         return len(self.b)
 
+    @property
+    def a_matrix(self) -> sparse.csc_matrix:
+        """A as a scipy.sparse matrix, built on each call (for checks; the
+        solve uses the arrays)."""
+        return sparse.csc_matrix((self.value, self.index, self.start),
+                                 shape=(self.num_rows, self.num_vars))
+
     @staticmethod
     def build(
         c: Sequence[float],
@@ -77,30 +98,32 @@ class LpProblem:
         """Small-scale constructor; rows are (sparse coefficient dict, rel, rhs)."""
         c_arr = np.asarray(c, dtype=float)
         n = len(c_arr)
-        data, indices, indptr, rel, b = [], [], [0], [], []
+        data, row_of, col_of, rel, b = [], [], [], [], []
         for coeffs, r, rhs in rows:
             if r not in _REL_CODES:
                 raise ValueError(f"unknown relation {r!r}")
-            for j, v in sorted(coeffs.items()):
+            for j, v in coeffs.items():
                 if not (0 <= j < n):
                     raise ValueError(f"column index {j} out of range")
                 if not math.isfinite(v):
                     raise ValueError("coefficients must be finite")
-                indices.append(j)
+                row_of.append(len(b))
+                col_of.append(j)
                 data.append(float(v))
-            indptr.append(len(data))
             rel.append(_REL_CODES[r])
             b.append(float(rhs))
-        mat = sparse.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-            shape=(len(b), n),
-        )
+        col_of = np.array(col_of, dtype=np.int32)
+        by_col = np.argsort(col_of, kind="stable")  # rows stay ascending in a column
+        start = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col_of, minlength=n), out=start[1:])
         up = (
             np.full(n, np.inf)
             if upper is None
             else np.asarray([math.inf if u is None else float(u) for u in upper])
         )
-        return LpProblem(c=c_arr, a_matrix=mat, rel=np.array(rel), b=np.array(b), upper=up)
+        return LpProblem(c=c_arr, start=start, index=np.array(row_of, dtype=np.int32)[by_col],
+                         value=np.array(data, dtype=float)[by_col], rel=np.array(rel),
+                         b=np.array(b), upper=up)
 
 
 # basis status codes, as HiGHS numbers them (``HighsBasisStatus``)
@@ -191,31 +214,35 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
 
     The model is the one ``linprog`` builds: rows in the order <= rows,
     negated >= rows, = rows, as lower <= A x <= upper, solved with the dual
-    simplex; its duals are mapped back to the rows' order and signs. Without
-    ``basis`` the solve starts cold, with presolve; with it, HiGHS starts
-    from that basis. The start basis is passed as HiGHS's "alien" kind, so
-    HiGHS repairs one whose basic count is wrong or whose basis matrix is
-    singular (by swapping in slacks) instead of rejecting it."""
-    m = prob.num_rows
+    simplex; its duals are mapped back to the rows' order and signs. Rows
+    already in that order are passed as they are; others are permuted, each
+    column's rows kept ascending. Without ``basis`` the solve starts cold,
+    with presolve; with it, HiGHS starts from that basis. A start basis with
+    as many basic entries as rows is passed as a valid basis (HiGHS still
+    swaps slacks in for a singular one); one with another count is passed as
+    HiGHS's "alien" kind, which HiGHS repairs by factorizing it afresh."""
+    m, n = prob.num_rows, prob.num_vars
     rel = prob.rel
-    order = np.concatenate([np.flatnonzero(rel == _REL_CODES[r]) for r in (LE, GE, EQ)])
     n_le = int(np.count_nonzero(rel == _REL_CODES[LE]))
     n_ineq = n_le + int(np.count_nonzero(rel == _REL_CODES[GE]))
-    sign = np.ones(m)
-    sign[n_le:n_ineq] = -1.0
-    a = prob.a_matrix.tocsc(copy=True)
-    position = np.empty(m, dtype=a.indices.dtype)
-    position[order] = np.arange(m, dtype=a.indices.dtype)
-    a.indices = position[a.indices]
-    a.has_sorted_indices = False
-    a.sum_duplicates()  # also sorts each column's rows into the new order
-    if n_ineq > n_le:
-        a.data *= sign[a.indices]
-    upper = prob.b[order] * sign
+    start, index, value, upper = prob.start, prob.index, prob.value, prob.b
+    order = position = None  # the problem's row of each model row and back
+    if np.any(rel[1:] < rel[:-1]):
+        order = np.argsort(rel, kind="stable")  # <= rows, >= rows, = rows
+        position = np.empty(m, dtype=np.int32)
+        position[order] = np.arange(m, dtype=np.int32)
+        index = position[index]
+        by_row = np.lexsort((index, np.repeat(np.arange(n), np.diff(start))))
+        index, value, upper = index[by_row], value[by_row], upper[order]
+    sign = None
+    if n_ineq > n_le:  # >= rows are negated into <= rows
+        sign = np.ones(m)
+        sign[n_le:n_ineq] = -1.0
+        value = value * sign[index]
+        upper = upper * sign
     lower = upper.copy()
     lower[:n_ineq] = -np.inf
 
-    n = prob.num_vars
     col_upper = np.asarray(prob.upper, dtype=float)
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
@@ -223,25 +250,25 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     # the array form of passModel: column-wise matrix, minimise, no offset,
     # every column continuous
     passed = highs.passModel(
-        n, m, a.nnz, _COLWISE, _MINIMIZE, 0.0, np.asarray(prob.c, dtype=float), np.zeros(n),
-        col_upper, lower, upper, a.indptr.astype(np.int32, copy=False),
-        a.indices.astype(np.int32, copy=False),
-        a.data, np.zeros(n, dtype=np.int32),
+        n, m, len(index), _COLWISE, _MINIMIZE, 0.0, np.asarray(prob.c, dtype=float),
+        np.zeros(n), col_upper, lower, upper, start, index, value, np.zeros(n, dtype=np.int32),
     )
     if passed == _highs.HighsStatus.kError:
         model_status = status.kModelError
     else:
         if basis is not None:
-            start = _highs.HighsBasis()
-            start.col_status = _STATUS[basis.cols].tolist()
+            rows = basis.rows if order is None else basis.rows[order]
             # a nonbasic row sits at its right-hand side: HiGHS's upper bound
             # of a (negated) inequality row; either bound of an = row
-            nonbasic = np.where(np.arange(m) < n_ineq, UPPER, LOWER)
-            start.row_status = _STATUS[
-                np.where(basis.rows[order] == BASIC, BASIC, nonbasic)
-            ].tolist()
-            start.valid = start.alien = True
-            if highs.setBasis(start) == _highs.HighsStatus.kError:
+            codes = np.full(m, LOWER, dtype=np.int8)
+            codes[:n_ineq] = UPPER
+            codes[rows == BASIC] = BASIC
+            start_basis = _highs.HighsBasis()
+            start_basis.col_status = _STATUS[basis.cols].tolist()
+            start_basis.row_status = _STATUS[codes].tolist()
+            start_basis.valid = True
+            start_basis.alien = basis.num_basic != m
+            if highs.setBasis(start_basis) == _highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the start basis")
         highs.run()
         model_status = highs.getModelStatus()
@@ -263,8 +290,11 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
         and np.all(np.abs(upper[n_ineq:] - rows[n_ineq:]) <= tol)
     ):
         raise LpError("HiGHS returned an optimum that violates the model")
-    duals = np.empty(m)
-    duals[order] = np.array(solution.row_dual) * sign
+    duals = np.array(solution.row_dual)
+    if sign is not None:
+        duals *= sign
+    if order is not None:
+        duals = duals[position]
     return LpSolution(
         objective=float(info.objective_function_value),
         x=x,
@@ -274,18 +304,20 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     )
 
 
-def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: np.ndarray) -> LpBasis:
+def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: Optional[np.ndarray]) -> LpBasis:
     """The basis HiGHS ended with, read as its list of basic variables (a
     numpy array; ``getBasis`` would build one Python object per status).
     A nonbasic variable sits exactly at a bound, so one above half its
-    upper bound is at the upper bound."""
+    upper bound is at the upper bound. ``order`` gives the problem's row of
+    each model row, None when they are the same."""
     ok, basic = highs.getBasicVariables()
     if ok != _highs.HighsStatus.kOk:
         raise LpError("HiGHS holds no basis for its optimum")
     cols = np.where(x > 0.5 * prob.upper, UPPER, LOWER).astype(np.int8)
     cols[basic[basic >= 0]] = BASIC
     rows = np.where(prob.rel == _REL_CODES[LE], UPPER, LOWER).astype(np.int8)
-    rows[order[-1 - basic[basic < 0]]] = BASIC
+    basic_rows = -1 - basic[basic < 0]
+    rows[basic_rows if order is None else order[basic_rows]] = BASIC
     return LpBasis(cols, rows)
 
 

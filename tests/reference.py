@@ -5,19 +5,41 @@ by (server, content, slot) and looped over it in Python; ``mcsp.rounding`` and
 ``ColumnPool.purge_incompatible`` now do the same work on int8 arrays. These
 are the dict versions, kept so that tests can check the array code pass by
 pass: same fixings, reports, headrooms and pools.
+
+The master LP was once assembled as scipy.sparse COO triplets, converted to
+CSR, and reordered and converted to CSC by ``solve_lp``; the face LP of the
+canonical re-solve stacked its row under the master's. ``master_lp``,
+``face_lp`` and ``highs_model`` are that construction, kept so that tests can
+check that HiGHS receives the same arrays from the column-wise builders.
+``solve_exact`` is the exhaustive oracle's search as it was before its
+per-depth tables, the reference its reports are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
-from mcsp.columns import FREE, ColumnPool, UnfixablePoolError, canonical_column
-from mcsp.costs import CAPACITY_EPS
-from mcsp.instance import Instance
+from mcsp.columns import (
+    FREE,
+    ColumnPool,
+    UnfixablePoolError,
+    canonical_column,
+    column_ages,
+    column_states,
+    enumerate_columns,
+    zero_column,
+)
+from mcsp.costs import CAPACITY_EPS, Schedule, derive_assignment, evaluate, plan_cost
+from mcsp.driver import SolveReport
+from mcsp.instance import Instance, Request, RequestIndex
 from mcsp.rounding import TOL_INT, RoundReport
+from mcsp.simplex import _REL_CODES, BASIC, EQ, GE, LE, LOWER, UPPER
 
 Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
@@ -120,10 +142,12 @@ def _is_int(x: float, tol: float = TOL_INT) -> bool:
     return x <= tol or x >= 1 - tol
 
 
-def round_once(state: RoundingState, chi, pool: ColumnPool, tol: float = TOL_INT) -> RoundReport:
+def round_once(
+    state: RoundingState, gamma: dict, omega: dict, pool: ColumnPool, tol: float = TOL_INT
+) -> RoundReport:
+    """One rounding pass on the per-pair likelihoods of ``compute_indicators``."""
     inst = state.inst
     T = inst.horizon
-    gamma, omega = compute_indicators(chi, pool)
     report = RoundReport()
     state.passes += 1
 
@@ -276,3 +300,281 @@ def indicator_arrays(inst: Instance, likelihoods: dict) -> np.ndarray:
     for key, row in likelihoods.items():
         out[key] = row
     return out
+
+
+# -- the scipy.sparse master and face LP -------------------------------------
+
+
+@dataclass
+class SparseLp:
+    """min c.x  s.t.  A x (rel) b,  0 <= x <= upper, with A a CSR matrix."""
+
+    c: np.ndarray
+    a_matrix: sparse.csr_matrix
+    rel: np.ndarray
+    b: np.ndarray
+    upper: np.ndarray
+
+
+def master_lp(pool: ColumnPool, inst: Instance, idx: RequestIndex, capacity_rows=None) -> SparseLp:
+    """The master LP of ``build_rmp`` from COO triplets summed into CSR."""
+    pairs = sorted(pool.entries)
+    counts = [len(pool.entries[key]) for key in pairs]
+    entries = [e for key in pairs for e in pool.entries[key]]
+    n_chi = len(entries)
+    col_pair = np.repeat(np.arange(len(pairs)), counts)
+    pair_server = np.array([h for h, _ in pairs], dtype=np.int64)
+    pair_size = np.array([float(inst.size(i)) for _, i in pairs])
+
+    lengths = [len(e.svc) for e in entries]
+    svc = np.fromiter(chain.from_iterable(e.svc for e in entries), dtype=np.int64,
+                      count=sum(lengths))
+    cover_col = np.repeat(np.arange(n_chi), lengths)
+    paying = idx.svc_saving[svc] < 0
+    rank, cover_col = idx.svc_rank[svc[paying]], cover_col[paying]
+    covered = np.zeros(len(idx.svc_rank), dtype=bool)
+    covered[rank] = True
+    cover_svc = idx.svc_by_rank[covered]
+    cover_of = (np.cumsum(covered) - 1)[rank]
+    request_ids = idx.svc_request_ids[cover_svc]
+    first = np.ones(len(request_ids), dtype=bool)
+    first[1:] = request_ids[1:] != request_ids[:-1]
+    serve_ids, serve_of = request_ids[first], np.cumsum(first) - 1
+
+    if capacity_rows is None:
+        cache_keys = backhaul_keys = [
+            (h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
+        ]
+    else:
+        cache_keys = sorted(capacity_rows.cache)
+        backhaul_keys = sorted(capacity_rows.backhaul)
+    n_y = len(cover_svc)
+    starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_keys, backhaul_keys, pairs)),
+                             initial=0))
+    n_rows = starts[-1]
+
+    rows = [starts[1] + cover_of]
+    cols = [cover_col]
+    vals = [np.full(len(cover_col), -1.0)]
+    flags = np.frombuffer(b"".join(e.flags for e in entries), dtype=bool).reshape(
+        n_chi, 2, inst.horizon)
+    for keys, start, kind in ((cache_keys, starts[2], 0), (backhaul_keys, starts[3], 1)):
+        if not keys:
+            continue
+        row_of = np.full((inst.num_servers + 1, inst.horizon + 1), -1, dtype=np.int64)
+        row_of[tuple(np.array(keys, dtype=np.int64).T)] = start + np.arange(len(keys))
+        col, t = np.nonzero(flags[:, kind])
+        row = row_of[pair_server[col_pair[col]], t + 1]
+        held = row >= 0
+        rows.append(row[held])
+        cols.append(col[held])
+        vals.append(pair_size[col_pair[col[held]]])
+    y_cols = n_chi + np.arange(n_y)
+    rows += [starts[4] + col_pair, starts[0] + serve_of, starts[1] + np.arange(n_y)]
+    cols += [np.arange(n_chi), y_cols, y_cols]
+    vals += [np.ones(n_chi), np.ones(n_y), np.ones(n_y)]
+    a_matrix = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows, n_chi + n_y),
+    )
+    c = np.concatenate([np.fromiter((e.cost for e in entries), dtype=float, count=n_chi),
+                        idx.svc_saving[cover_svc]])
+    upper = np.concatenate([np.full(n_chi, np.inf), np.ones(n_y)])
+    rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
+    b = np.zeros(n_rows)
+    b[: starts[1]] = 1.0
+    for lo, keys, attr in ((starts[2], cache_keys, "cache_capacity"),
+                           (starts[3], backhaul_keys, "backhaul_capacity")):
+        b[lo : lo + len(keys)] = [getattr(inst.server(h), attr) for h, _ in keys]
+    rel[starts[4] :], b[starts[4] :] = _REL_CODES[EQ], 1.0
+    return SparseLp(c=c, a_matrix=a_matrix, rel=rel, b=b, upper=upper)
+
+
+def face_lp(prob: SparseLp, flags: np.ndarray, objective: float,
+            basis_rows: np.ndarray) -> tuple[SparseLp, np.ndarray]:
+    """The canonical re-solve's face LP, its face row stacked under the
+    master's rows, and its start basis's row statuses."""
+    w = np.zeros(len(prob.c))
+    updated = flags[:, 1]
+    w[: len(flags)] = (updated.sum(axis=1)
+                       + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
+    face_eps = 1e-7 * (1.0 + abs(objective))
+    face_row = sparse.csr_matrix(prob.c.reshape(1, -1))
+    lp = SparseLp(
+        c=w,
+        a_matrix=sparse.vstack([prob.a_matrix, face_row]).tocsr(),
+        rel=np.concatenate([prob.rel, [0]]),
+        b=np.concatenate([prob.b, [objective + face_eps]]),
+        upper=prob.upper,
+    )
+    return lp, np.append(basis_rows, BASIC)
+
+
+def highs_model(prob: SparseLp, basis_rows: Optional[np.ndarray] = None) -> dict:
+    """The arrays ``solve_lp`` handed HiGHS's passModel for ``prob``: rows
+    reordered to <= rows, negated >= rows, = rows, converted to CSC; and,
+    given a start basis's row statuses, the row statuses of the start."""
+    m = len(prob.b)
+    rel = prob.rel
+    order = np.concatenate([np.flatnonzero(rel == _REL_CODES[r]) for r in (LE, GE, EQ)])
+    n_le = int(np.count_nonzero(rel == _REL_CODES[LE]))
+    n_ineq = n_le + int(np.count_nonzero(rel == _REL_CODES[GE]))
+    sign = np.ones(m)
+    sign[n_le:n_ineq] = -1.0
+    a = prob.a_matrix.tocsc(copy=True)
+    position = np.empty(m, dtype=a.indices.dtype)
+    position[order] = np.arange(m, dtype=a.indices.dtype)
+    a.indices = position[a.indices]
+    a.has_sorted_indices = False
+    a.sum_duplicates()
+    if n_ineq > n_le:
+        a.data *= sign[a.indices]
+    upper = prob.b[order] * sign
+    lower = upper.copy()
+    lower[:n_ineq] = -np.inf
+    out = dict(c=np.asarray(prob.c, dtype=float), col_upper=np.asarray(prob.upper, dtype=float),
+               lower=lower, upper=upper, start=a.indptr.astype(np.int32),
+               index=a.indices.astype(np.int32), value=a.data)
+    if basis_rows is not None:
+        nonbasic = np.where(np.arange(m) < n_ineq, UPPER, LOWER)
+        out["row_status"] = np.where(basis_rows[order] == BASIC, BASIC, nonbasic)
+    return out
+
+
+# -- the exhaustive oracle's search ------------------------------------------
+
+
+def solve_exact(inst: Instance, mode: str = "paper") -> SolveReport:
+    """``baselines.solve_exact`` as it searched before its per-depth tables
+    (no size caps)."""
+    T = inst.horizon
+    columns = enumerate_columns(T)
+    ages_of = [column_ages(col) for col in columns]
+    n_updates = [sum(p for _, p in col) for col in columns]
+    pairs = [
+        (h, i)
+        for i in range(1, inst.num_contents + 1)
+        for h in range(1, inst.num_servers + 1)
+    ]
+    last_deadline: dict[tuple[int, int], int] = {hi: 0 for hi in pairs}
+    for r in inst.requests:
+        for h in r.candidates:
+            key = (h, r.content)
+            last_deadline[key] = max(last_deadline[key], r.deadline)
+    candidate_cols: dict[tuple[int, int], list[int]] = {}
+    for hi in pairs:
+        dmax = last_deadline[hi]
+        candidate_cols[hi] = [
+            k for k, col in enumerate(columns)
+            if all(q == 0 for q, _ in col[dmax:])
+        ]
+    level: dict[int, int] = {}
+    pair_pos = {hi: d for d, hi in enumerate(pairs)}
+    for r in inst.requests:
+        level[r.id] = max(pair_pos[(h, r.content)] for h in r.candidates)
+    by_level: dict[int, list[Request]] = {}
+    for r in inst.requests:
+        by_level.setdefault(level[r.id], []).append(r)
+    floor_after = [0.0] * (len(pairs) + 1)
+    for d in range(len(pairs) - 1, -1, -1):
+        floor_after[d] = floor_after[d + 1] + sum(
+            inst.f(0) for r in by_level.get(d, [])
+        )
+
+    svc: dict[int, list[float]] = {}
+    for r in inst.requests:
+        per_col = []
+        for k, col in enumerate(columns):
+            ages = ages_of[k]
+            if mode == "min":
+                val = math.inf
+                for t in range(r.origin, r.deadline + 1):
+                    a = ages[t - 1]
+                    if a is not None:
+                        val = min(val, inst.f(a))
+            else:
+                a = ages[r.deadline - 1]
+                val = math.inf if a is None else inst.f(max(0, a - r.window))
+            per_col.append(val)
+        svc[r.id] = per_col
+
+    cache_cap = [inst.server(h).cache_capacity for h in range(1, inst.num_servers + 1)]
+    backhaul_cap = [
+        inst.server(h).backhaul_capacity for h in range(1, inst.num_servers + 1)
+    ]
+    cache_load = [[0.0] * (T + 1) for _ in range(inst.num_servers + 1)]
+    backhaul_load = [[0.0] * (T + 1) for _ in range(inst.num_servers + 1)]
+    chosen: dict[tuple[int, int], int] = {}
+    best = {"cost": math.inf, "schedule": None}
+
+    def request_cost(r: Request) -> float:
+        served = min(svc[r.id][chosen[(h, r.content)]] for h in r.candidates)
+        cloud = inst.cloud_cost(r.content)
+        if mode == "min":
+            return min(served, cloud)
+        return cloud if math.isinf(served) else served
+
+    def dfs(depth: int, acc: float) -> None:
+        if acc + floor_after[depth] >= best["cost"] - 1e-12:
+            return
+        if depth == len(pairs):
+            states = {
+                hi: column_states(columns[k])
+                for hi, k in chosen.items()
+                if columns[k] != zero_column(T)
+            }
+            schedule = Schedule(horizon=T, states=states)
+            total = evaluate(schedule, inst, mode).total
+            assert abs(total - acc) <= 1e-9 * (1 + abs(total))
+            if total < best["cost"] - 1e-12:
+                best["cost"] = total
+                best["schedule"] = schedule
+            return
+        h, i = pairs[depth]
+        size = inst.size(i)
+        beta_size = inst.cost.beta * size
+        ch, bh = cache_load[h], backhaul_load[h]
+        c_cap, b_cap = cache_cap[h - 1] + CAPACITY_EPS, backhaul_cap[h - 1] + CAPACITY_EPS
+        settlers = by_level.get(depth, ())
+        for k in candidate_cols[(h, i)]:
+            col = columns[k]
+            ok = True
+            for t, (q, p) in enumerate(col, start=1):
+                if q and ch[t] + size > c_cap:
+                    ok = False
+                    break
+                if p and bh[t] + size > b_cap:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for t, (q, p) in enumerate(col, start=1):
+                ch[t] += size * q
+                bh[t] += size * p
+            chosen[(h, i)] = k
+            settled = 0.0
+            for r in settlers:
+                settled += request_cost(r)
+            dfs(depth + 1, acc + beta_size * n_updates[k] + settled)
+            del chosen[(h, i)]
+            for t, (q, p) in enumerate(col, start=1):
+                ch[t] -= size * q
+                bh[t] -= size * p
+
+    dfs(0, 0.0)
+    schedule = best["schedule"]
+    assignment = derive_assignment(schedule, inst, mode)
+    cost = plan_cost(schedule, assignment, inst)
+    return SolveReport(
+        algorithm="exact",
+        settlement_mode=mode,
+        cost=cost,
+        settled_cost=cost,
+        lower_bound=None,
+        gap=None,
+        pricing_rounds=0,
+        rounding_rounds=0,
+        wall_time_s=0.0,
+        schedule=schedule,
+        assignment=assignment,
+    )

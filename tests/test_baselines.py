@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+import reference
 from mcsp.baselines import (
     CapsExceededError,
     export_ilp,
@@ -114,6 +116,20 @@ def test_exact_dominates_random_schedules():
             if check_feasibility(s, inst):
                 continue
             assert opt <= evaluate(s, inst, "min").total + 1e-9
+
+
+def test_exact_reports_equal_reference_search():
+    """On 60 random tiny instances, in both settlement modes, the oracle's
+    report (wall time aside) is byte-identical to the report of the search
+    kept in ``reference``."""
+    rng = random.Random(71)
+    for _ in range(60):
+        inst = random_tiny_instance(rng)
+        for mode in ("paper", "min"):
+            got, want = (report.to_dict() for report in (
+                solve_exact(inst, mode), reference.solve_exact(inst, mode)))
+            got.pop("wall_time_s"), want.pop("wall_time_s")
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_pba_at_least_exact():

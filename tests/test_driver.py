@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from mcsp.columns import ColumnPool
 from mcsp.driver import (
     SolveReport,
+    _next_pin,
     compute_gap,
     naive_round,
     run_cga,
@@ -13,6 +15,8 @@ from mcsp.driver import (
 )
 from mcsp.generator import GeneratorConfig, generate_instance
 from mcsp.instance import build_request_index
+from mcsp.rmp import RmpSolution
+from mcsp.rounding import TOL_INT
 
 from conftest import TWO_CELL, random_tiny_instance
 
@@ -160,3 +164,27 @@ def test_rcga_schedule_independent_of_slack_backhaul():
     assert low.schedule == high.schedule
     assert low.lower_bound == high.lower_bound
     assert low.cost.total == high.cost.total
+
+
+def test_next_pin_is_the_first_largest_fractional_weight():
+    """The pin equals the scalar scan over sorted pairs and their entries
+    that keeps a weight only when strictly larger, on random weights drawn
+    from a few values, so that ties and integral weights are common."""
+    rng = random.Random(17)
+    for _ in range(300):
+        pairs = sorted(rng.sample([(h, i) for h in range(1, 4) for i in range(1, 5)],
+                                  rng.randint(1, 6)))
+        counts = [rng.randint(1, 4) for _ in pairs]
+        values = [0.0, 1.0, 0.25, 0.5, 0.75, TOL_INT / 2, 1 - TOL_INT / 2]
+        x = np.array([rng.choice(values) for _ in range(sum(counts) + 3)])
+        offsets = np.cumsum([0] + counts[:-1]).tolist()
+        sol = RmpSolution(objective=0.0, x=x, chi_offset=dict(zip(pairs, offsets)),
+                          n_chi=sum(counts), duals=None, lp=None)
+        best = None
+        for key in sorted(sol.chi):
+            for k, v in enumerate(sol.chi[key]):
+                if TOL_INT < v < 1 - TOL_INT and (best is None or v > best[0]):
+                    best = (float(v), key, k)
+        if best is None:
+            continue
+        assert _next_pin(sol) == (best[1], best[2])

@@ -97,7 +97,7 @@ def test_round_once_tiny1_trace(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
     chi = chi_for(pool, {UC: 0.5, ZERO: 0.5})
     state = RoundingState(tiny1)
-    report = round_once(state, chi, pool)
+    report = round_once(state, *compute_indicators(chi, pool), pool)
     assert state.fixed(1, 1, 1) == (1, 1)
     assert report.rounded_up == 1
     # purge removed every column not updating in slot 1
@@ -108,7 +108,7 @@ def test_round_once_integral_is_noop(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
     chi = chi_for(pool, {UC: 1.0})
     state = RoundingState(tiny1)
-    report = round_once(state, chi, pool)
+    report = round_once(state, *compute_indicators(chi, pool), pool)
     assert report.rounded_up == 0 and report.rounded_down == 0
     # frozen entries mirror the integral indicators
     assert state.fixed(1, 1, 1) == (1, 1)
@@ -118,7 +118,7 @@ def test_round_below_half_goes_to_zero(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
     chi = chi_for(pool, {UC: 0.49, ZERO: 0.51})
     state = RoundingState(tiny1)
-    round_once(state, chi, pool)
+    round_once(state, *compute_indicators(chi, pool), pool)
     gamma, omega = state.fixed(1, 1, 1)
     assert omega == 0  # strictly-below-one-half rule
 
@@ -133,7 +133,7 @@ def test_round_respects_backhaul_headroom(tiny1, tiny1_idx):
     rb = state.remaining_backhaul()
     assert rb[1, 1] == 2.0
     # monkeypatch capacity via instance is frozen; instead verify the up-fix
-    report = round_once(state, chi, pool)
+    report = round_once(state, *compute_indicators(chi, pool), pool)
     assert state.fixed(1, 1, 1) == (1, 1)
 
 
@@ -206,7 +206,7 @@ def test_fixings_monotone_and_capacity_nonnegative():
         state = RoundingState(inst)
         for _ in range(inst.num_contents * inst.horizon + 2):
             seen = state.gamma.copy(), state.omega.copy()
-            round_once(state, chi, pool)
+            round_once(state, *compute_indicators(chi, pool), pool)
             for old, new in zip(seen, (state.gamma, state.omega)):
                 assert np.array_equal(new[old != FREE], old[old != FREE])
             assert (state.remaining_cache()[1:, 1:] >= -1e-9).all()
@@ -269,12 +269,12 @@ def test_array_pass_equals_dict_reference():
             assert np.array_equal(g, reference.indicator_arrays(inst, ref_g))
             assert np.array_equal(o, reference.indicator_arrays(inst, ref_o))
             try:
-                report = round_once(state, chi, pool)
+                report = round_once(state, g, o, pool)
             except (AssertionError, UnfixablePoolError) as exc:
                 with pytest.raises(type(exc)):
-                    reference.round_once(ref, chi, ref_pool)
+                    reference.round_once(ref, ref_g, ref_o, ref_pool)
                 break
-            assert report == reference.round_once(ref, chi, ref_pool)
+            assert report == reference.round_once(ref, ref_g, ref_o, ref_pool)
             passes += 1
             ups += report.rounded_up
             downs += report.rounded_down

@@ -313,3 +313,164 @@ def test_start_basis_with_wrong_basic_count_solves():
             assert warm.max_primal_violation(prob) <= 1e-7
             solved += 1
     assert solved >= 25
+
+
+def _alien_and_not(monkeypatch, prob, start):
+    """Solve ``prob`` from ``start`` as solve_lp passes it, then again with
+    the start basis forced to HiGHS's alien kind."""
+    from mcsp import simplex
+
+    passed = []
+
+    class Recording(simplex._highs._Highs):
+        def setBasis(self, basis):
+            passed.append(basis.alien)
+            return super().setBasis(basis)
+
+    class Alien(simplex._highs._Highs):
+        def setBasis(self, basis):
+            basis.alien = True
+            return super().setBasis(basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex._highs, "_Highs", Recording)
+        plain = solve_lp(prob, start)
+        patch.setattr(simplex._highs, "_Highs", Alien)
+        alien = solve_lp(prob, start)
+    assert passed == [start.num_basic != prob.num_rows]
+    return plain, alien
+
+
+def test_complete_start_basis_solves_alike_alien_or_not(monkeypatch):
+    """A complete start basis (as many basic entries as rows) is passed as a
+    valid basis, not an alien one; forced alien, the solve gives the same x,
+    duals and iterations. The starts are optimal bases of a random LP with
+    perturbed costs, and the mapped bases of masters whose pools grew."""
+    from conftest import random_tiny_instance
+    from mcsp.columns import ColumnPool, enumerate_columns
+    from mcsp.instance import build_request_index
+    from mcsp.rmp import MasterBasis, build_rmp
+
+    def assert_alike(prob, start):
+        assert start.num_basic == prob.num_rows
+        plain, alien = _alien_and_not(monkeypatch, prob, start)
+        assert np.array_equal(plain.x, alien.x)
+        assert np.array_equal(plain.duals, alien.duals)
+        assert plain.iterations == alien.iterations
+
+    rng = random.Random(33)
+    lps = 0
+    for _ in range(150):
+        prob = _random_lp(rng)
+        shifted = LpProblem(**{**vars(prob), "c": prob.c + np.array(
+            [rng.uniform(-2, 2) for _ in range(prob.num_vars)])})
+        try:
+            start = solve_lp(shifted).basis
+            solve_lp(prob)
+        except (LpInfeasibleError, LpUnboundedError):
+            continue
+        assert_alike(prob, start)
+        lps += 1
+    assert lps >= 25
+
+    masters = 0
+    for _ in range(30):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, "paper")
+        basis = MasterBasis()
+        first = build_rmp(pool, inst, idx)
+        basis.record(first, solve_lp(first.problem).basis)
+        columns = enumerate_columns(inst.horizon)
+        for key in list(pool.entries):
+            for col in rng.sample(columns, rng.randint(0, len(columns))):
+                pool.add(*key, col)
+        model = build_rmp(pool, inst, idx)
+        assert_alike(model.problem, basis.start(model))
+        masters += 1
+    assert masters == 30
+
+
+def test_complete_singular_start_basis_solves():
+    """A complete start basis whose basis matrix is singular (a column and
+    its copy both basic) still solves, to the cold optimum."""
+    rng = random.Random(34)
+    solved = 0
+    for _ in range(200):
+        prob = _random_lp(rng)
+        m, n = prob.num_rows, prob.num_vars
+        lo, hi = prob.start[0], prob.start[1]
+        if m < 2 or hi == lo:
+            continue
+        twin = LpProblem(
+            c=np.append(prob.c, prob.c[0]),
+            start=np.append(prob.start, prob.start[-1] + hi - lo).astype(np.int32),
+            index=np.concatenate([prob.index, prob.index[lo:hi]]),
+            value=np.concatenate([prob.value, prob.value[lo:hi]]),
+            rel=prob.rel, b=prob.b, upper=np.append(prob.upper, prob.upper[0]),
+        )
+        try:
+            cold = solve_lp(twin)
+        except (LpInfeasibleError, LpUnboundedError):
+            continue
+        cols = np.full(n + 1, LOWER, np.int8)
+        cols[[0, n]] = BASIC
+        rows = np.full(m, BASIC, np.int8)
+        rows[:2] = LOWER
+        start = LpBasis(cols, rows)
+        assert start.num_basic == m
+        warm = solve_lp(twin, start)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        assert warm.max_primal_violation(twin) <= 1e-7
+        solved += 1
+    assert solved >= 20
+
+
+def test_reordered_lps_reach_highs_as_the_scipy_reorder(monkeypatch):
+    """Random LPs with rows of all three relations in any order reach
+    HiGHS's passModel as ``reference.highs_model`` builds them from a CSR
+    matrix (<= rows, negated >= rows, = rows; each column's rows
+    ascending), bit for bit, with the start basis's row statuses."""
+    import reference
+    from mcsp import simplex
+
+    calls = []
+
+    class Recording(simplex._highs._Highs):
+        def passModel(self, *args):
+            calls.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
+            return super().passModel(*args)
+
+        def setBasis(self, basis):
+            calls.append([int(status) for status in basis.row_status])
+            return super().setBasis(basis)
+
+    rng = random.Random(35)
+    checked = 0
+    for _ in range(100):
+        prob = _random_lp(rng)
+        start = LpBasis(np.array([rng.choice([LOWER, BASIC]) for _ in range(prob.num_vars)],
+                                 dtype=np.int8),
+                        np.array([rng.choice([LOWER, BASIC]) for _ in range(prob.num_rows)],
+                                 dtype=np.int8))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex._highs, "_Highs", Recording)
+            try:
+                solve_lp(prob, start)
+            except LpError:
+                pass
+        want = reference.highs_model(reference.SparseLp(
+            c=prob.c, a_matrix=prob.a_matrix.tocsr(), rel=prob.rel, b=prob.b,
+            upper=prob.upper), start.rows)
+        args, row_status = calls[:2]
+        n, m, nnz, _, _, _, c, _, col_upper, lower, upper, col_start, index, value, _ = args
+        assert (n, m, nnz) == (prob.num_vars, prob.num_rows, len(want["value"]))
+        for name, got in (("c", c), ("col_upper", col_upper), ("lower", lower),
+                          ("upper", upper), ("start", col_start), ("index", index),
+                          ("value", value)):
+            assert np.array_equal(got, want[name]), name
+        assert row_status == want["row_status"].tolist()
+        checked += np.any(prob.rel[1:] < prob.rel[:-1])
+    assert checked >= 25
+
