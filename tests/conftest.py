@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcsp.generator import GeneratorConfig, Topology, generate_instance
@@ -43,3 +44,43 @@ def random_tiny_config(rng: random.Random, horizon_max: int = 4) -> GeneratorCon
 
 def random_tiny_instance(rng: random.Random, horizon_max: int = 4) -> Instance:
     return generate_instance(random_tiny_config(rng, horizon_max))
+
+
+_MODEL_ARRAYS = ("c", "col_lower", "col_upper", "lower", "upper", "start", "index", "value")
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """A list that every HiGHS instance ``solve_lp`` builds during the test
+    appends to, in call order: for each passModel a dict of the arrays it
+    got (keyed as ``reference.highs_model`` keys them, plus ``shape``, the
+    column, row and nonzero counts), for each setBasis the row statuses."""
+    from mcsp import simplex
+
+    calls = []
+
+    class Recording(simplex._highs._Highs):
+        def passModel(self, n, m, nnz, fmt, sense, offset, c, col_lower, col_upper, lower,
+                      upper, start, index, value, integrality):
+            arrays = (c, col_lower, col_upper, lower, upper, start, index, value)
+            calls.append(dict(zip(_MODEL_ARRAYS, map(np.array, arrays)), shape=(n, m, nnz)))
+            return super().passModel(n, m, nnz, fmt, sense, offset, c, col_lower, col_upper,
+                                     lower, upper, start, index, value, integrality)
+
+        def setBasis(self, basis):
+            calls.append([int(status) for status in basis.row_status])
+            return super().setBasis(basis)
+
+    monkeypatch.setattr(simplex._highs, "_Highs", Recording)
+    return calls
+
+
+def assert_highs_model(got: dict, want: dict) -> None:
+    """A model ``highs_calls`` recorded equals ``reference.highs_model``'s
+    arrays bit for bit, with int32 indices and zero lower bounds."""
+    assert got["shape"] == (len(want["c"]), len(want["upper"]), len(want["value"]))
+    assert got["start"].dtype == got["index"].dtype == np.int32
+    for name in _MODEL_ARRAYS:
+        if name != "col_lower":
+            assert np.array_equal(got[name], want[name]), name
+    assert not got["col_lower"].any()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import reference
-from mcsp import simplex
 from mcsp.columns import ColumnPool, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.rmp import (
@@ -17,7 +16,7 @@ from mcsp.rmp import (
     solve_rmp,
 )
 
-from conftest import random_tiny_instance
+from conftest import assert_highs_model, random_tiny_instance
 
 
 def full_pool(inst, idx, mode="paper") -> ColumnPool:
@@ -363,35 +362,13 @@ def test_build_rmp_matches_column_definitions():
             assert np.diff(model.starts).tolist() == sizes
 
 
-def test_highs_receives_the_reference_arrays(monkeypatch):
+def test_highs_receives_the_reference_arrays(highs_calls):
     """On 60 random tiny instances, with all, half and none of the capacity
     rows, the master and the face LP of the canonical re-solve reach HiGHS's
     passModel as the arrays of the scipy.sparse construction in
     ``reference`` (COO to CSR, reordered to CSC; the face row stacked under
     the master), bit for bit, and the face LP's start basis has its row
     statuses."""
-    calls = []
-
-    class Recording(simplex._highs._Highs):
-        def passModel(self, *args):
-            calls.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
-            return super().passModel(*args)
-
-        def setBasis(self, basis):
-            calls.append([int(status) for status in basis.row_status])
-            return super().setBasis(basis)
-
-    def assert_passed(args, want):
-        n, m, nnz, _, _, _, c, col_lower, col_upper, lower, upper, start, index, value, _ = args
-        assert (n, m, nnz) == (len(want["c"]), len(want["upper"]), len(want["value"]))
-        assert start.dtype == index.dtype == np.int32
-        for name, got in (("c", c), ("col_upper", col_upper), ("lower", lower),
-                          ("upper", upper), ("start", start), ("index", index),
-                          ("value", value)):
-            assert np.array_equal(got, want[name]), name
-        assert not col_lower.any()
-
-    monkeypatch.setattr(simplex._highs, "_Highs", Recording)
     rng = random.Random(61)
     for _ in range(60):
         inst = random_tiny_instance(rng)
@@ -406,15 +383,15 @@ def test_highs_receives_the_reference_arrays(monkeypatch):
         half = CapacityRows(set(rng.sample(every, len(every) // 2)),
                             set(rng.sample(every, len(every) // 2)))
         for rows in (None, half, CapacityRows()):
-            calls.clear()
+            highs_calls.clear()
             model = build_rmp(pool, inst, idx, rows)
             sol = solve_rmp(model, canonical=True)
-            master, face, face_status = calls
+            master, face, face_status = highs_calls
             ref = reference.master_lp(pool, inst, idx, rows)
-            assert_passed(master, reference.highs_model(ref))
+            assert_highs_model(master, reference.highs_model(ref))
             face_ref = reference.highs_model(*reference.face_lp(
                 ref, model.flags, sol.lp.objective, sol.lp.basis.rows))
-            assert_passed(face, face_ref)
+            assert_highs_model(face, face_ref)
             assert face_status == face_ref["row_status"].tolist()
 
 

@@ -426,24 +426,13 @@ def test_complete_singular_start_basis_solves():
     assert solved >= 20
 
 
-def test_reordered_lps_reach_highs_as_the_scipy_reorder(monkeypatch):
+def test_reordered_lps_reach_highs_as_the_scipy_reorder(highs_calls):
     """Random LPs with rows of all three relations in any order reach
     HiGHS's passModel as ``reference.highs_model`` builds them from a CSR
     matrix (<= rows, negated >= rows, = rows; each column's rows
     ascending), bit for bit, with the start basis's row statuses."""
     import reference
-    from mcsp import simplex
-
-    calls = []
-
-    class Recording(simplex._highs._Highs):
-        def passModel(self, *args):
-            calls.append([np.array(a) if isinstance(a, np.ndarray) else a for a in args])
-            return super().passModel(*args)
-
-        def setBasis(self, basis):
-            calls.append([int(status) for status in basis.row_status])
-            return super().setBasis(basis)
+    from conftest import assert_highs_model
 
     rng = random.Random(35)
     checked = 0
@@ -453,24 +442,16 @@ def test_reordered_lps_reach_highs_as_the_scipy_reorder(monkeypatch):
                                  dtype=np.int8),
                         np.array([rng.choice([LOWER, BASIC]) for _ in range(prob.num_rows)],
                                  dtype=np.int8))
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(simplex._highs, "_Highs", Recording)
-            try:
-                solve_lp(prob, start)
-            except LpError:
-                pass
+        highs_calls.clear()
+        try:
+            solve_lp(prob, start)
+        except LpError:
+            pass
         want = reference.highs_model(reference.SparseLp(
             c=prob.c, a_matrix=prob.a_matrix.tocsr(), rel=prob.rel, b=prob.b,
             upper=prob.upper), start.rows)
-        args, row_status = calls[:2]
-        n, m, nnz, _, _, _, c, _, col_upper, lower, upper, col_start, index, value, _ = args
-        assert (n, m, nnz) == (prob.num_vars, prob.num_rows, len(want["value"]))
-        for name, got in (("c", c), ("col_upper", col_upper), ("lower", lower),
-                          ("upper", upper), ("start", col_start), ("index", index),
-                          ("value", value)):
-            assert np.array_equal(got, want[name]), name
+        model, row_status = highs_calls[:2]
+        assert_highs_model(model, want)
         assert row_status == want["row_status"].tolist()
         checked += np.any(prob.rel[1:] < prob.rel[:-1])
     assert checked >= 25
-
