@@ -8,12 +8,16 @@ and a copy cached in slot 1 must have been downloaded there.
 Each column carries a standalone cost: its backhaul update cost plus the
 age/download cost of the owning server's single-choice requests under the
 chosen settlement convention. Pools keep one ordered set of distinct columns
-per (server, content), seeded with the all-zero column.
+per (server, content), seeded with the all-zero column. A ``ColumnPool``
+holds its entries as arrays indexed by serial number (pair, cost, flags,
+covered services) plus the live serials in master order, and makes entries
+in batches, so that the master, the capacity check, the likelihoods and the
+purge read arrays with no per-entry Python.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +30,8 @@ Column = tuple[tuple[int, int], ...]
 ENUMERATION_CAP = 12  # 3^T growth; refuse anything past desk scale
 
 FREE = -1  # the value of a slot left unfixed in a fixing array
+
+SMALL_BATCH = 8  # the most columns a pool makes in loops rather than in array passes
 
 
 class UnfixablePoolError(RuntimeError):
@@ -156,113 +162,309 @@ def enumerate_columns(horizon: int, cap: int = ENUMERATION_CAP) -> list[Column]:
 
 @dataclass
 class PricedEntry:
+    """One pool entry as ``ColumnPool.columns`` shows it, read off the pool's
+    arrays."""
+
     column: Column
     cost: float  # standalone cost under the pool's settlement mode
-    # (request id, age) pairs the settlement convention lets this column serve
+    # (request id, age) pairs the settlement convention lets this column
+    # serve, in rank order (by request id, then age: the order of the
+    # master's coverage rows)
     coverage: tuple[tuple[int, int], ...] = ()
-    # their positions in the request index's service index, in rank order
-    # (by request id, then age: the order of the master's coverage rows)
-    svc: tuple[int, ...] = ()
+    svc: tuple[int, ...] = ()  # their positions in the request index's service index
     serial: int = 0  # the entry's number in its pool, in order of insertion
     flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
 
 
-def make_entry(
-    col: Column, h: int, i: int, inst: Instance, idx: RequestIndex, mode: SettlementMode
-) -> PricedEntry:
-    cov: list[tuple[int, int]] = []
-    for r in idx.mcr(h, i):
-        arrival_age, upd = settlement_coverage(col, r)
-        if arrival_age is not None and arrival_age >= 1:
-            cov.append((r.id, arrival_age))
-        if upd:
-            cov.append((r.id, 0))
-    return PricedEntry(
-        column=col,
-        cost=column_cost_S(col, h, i, inst, idx, mode),
-        coverage=tuple(cov),
-        svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in sorted(cov)),
-        flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
-    )
+def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges lo[m]:hi[m] laid end to end: for every element, the number
+    m of its range and its value."""
+    n = hi - lo
+    m = np.arange(len(n)).repeat(n)
+    return m, np.arange(len(m)) + (lo - n.cumsum() + n).repeat(n)
 
 
 @dataclass
 class PoolArrays:
-    """A pool's entries laid end to end in pool order: per entry its server,
-    content and size, and its flags as a bool [entry, cached/updated, slot]
-    array (slot t at index t - 1)."""
+    """A pool's live entries in pool order: per entry its serial, pair
+    number, server, content and size, and its flags as a bool [entry,
+    cached/updated, slot] array (slot t at index t - 1)."""
 
+    serial: np.ndarray
+    pair: np.ndarray
     server: np.ndarray
     content: np.ndarray
     size: np.ndarray
     flags: np.ndarray
 
 
-@dataclass
 class ColumnPool:
-    """Evolving per-(server, content) column sets with cached standalone costs.
+    """Evolving per-(server, content) column sets with cached standalone
+    costs, held as arrays.
 
     Every entry the pool makes gets the next serial number, so an entry keeps
-    one identity (``PricedEntry.serial``) for the pool's life, whatever
-    entries are purged around it."""
+    one identity for the pool's life, whatever entries are purged around it.
+    By serial the pool keeps each entry's pair number (``pair``; the request
+    index numbers the pairs, ``pairs[k]`` is pair k), its
+    standalone cost (``cost``), its flags ([serial, cached/updated, slot],
+    ``flags``) and the service positions it covers, in rank order
+    (``svc[svc_start[s]:svc_start[s + 1]]``). ``order`` lists the live
+    serials in pool order, which is the master's column order: by pair, then
+    by insertion. ``counts`` holds the live entries of each pair.
 
-    inst: Instance
-    idx: RequestIndex
-    mode: SettlementMode
-    entries: dict[tuple[int, int], list[PricedEntry]] = field(default_factory=dict)
-    num_serials: int = field(default=0, init=False)  # serials handed out so far
-    # the fixing arrays at the last purge, and each pair's canonical column
-    # under them, as a column and as flags
-    _fixed_at_purge: Optional[tuple] = field(default=None, init=False, repr=False,
-                                             compare=False)
-    _canonical: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _canonical_flags: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                                   compare=False)
+    Entries are made in batches (``_make``): the zero columns of
+    ``initial``, the columns of ``add_many`` (a round's priced candidates)
+    and the canonical columns of a purge. A column is pooled at most once per
+    pair. ``columns`` and ``entries`` show entries as ``PricedEntry`` views;
+    the solve path reads the arrays (``arrays``, ``covered``)."""
+
+    def __init__(self, inst: Instance, idx: RequestIndex, mode: SettlementMode):
+        """An empty pool; ``initial`` gives every pair its zero column."""
+        self.inst, self.idx, self.mode = inst, idx, mode
+        self.pairs, self.pair_server, self.pair_content = (
+            idx.pairs, idx.pair_server, idx.pair_content)
+        self.pair = np.empty(0, dtype=np.int64)
+        self.cost = np.empty(0)
+        self.flags = np.empty((0, 2, inst.horizon), dtype=bool)
+        self.svc = np.empty(0, dtype=np.int64)
+        self.svc_start = np.zeros(1, dtype=np.int64)
+        self.order = np.empty(0, dtype=np.int64)
+        self.counts = np.zeros(len(self.pairs), dtype=np.int64)
+        # by serial, the (pair number, flag bytes) key; the set holds the
+        # keys of the live entries
+        self._keys: list[tuple[int, bytes]] = []
+        self._live: set[tuple[int, bytes]] = set()
+        self._views: dict = {}  # what is derived from ``order``, until it changes
+        # the fixing arrays at the last purge, and the flags of each pair's
+        # canonical column under them
+        self._fixed_at_purge: Optional[tuple] = None
+        self._canonical_flags: Optional[np.ndarray] = None
 
     @staticmethod
     def initial(inst: Instance, idx: RequestIndex, mode: SettlementMode) -> "ColumnPool":
         pool = ColumnPool(inst, idx, mode)
-        zero = zero_column(inst.horizon)
-        for h in range(1, inst.num_servers + 1):
-            for i in range(1, inst.num_contents + 1):
-                pool.entries[(h, i)] = [pool._entry(zero, h, i)]
+        pool._make(np.arange(len(pool.pairs)), np.zeros((len(pool.pairs), 2, inst.horizon), bool))
         return pool
 
-    def _entry(self, col: Column, h: int, i: int) -> PricedEntry:
-        entry = make_entry(col, h, i, self.inst, self.idx, self.mode)
-        entry.serial = self.num_serials
-        self.num_serials += 1
-        return entry
+    @property
+    def num_serials(self) -> int:
+        """Serials handed out so far."""
+        return len(self.pair)
+
+    def pair_index(self, h: int, i: int) -> int:
+        return (h - 1) * self.inst.num_contents + (i - 1)
+
+    def _key(self, ks: np.ndarray, flags: np.ndarray) -> list[tuple[int, bytes]]:
+        raw, n = np.ascontiguousarray(flags).tobytes(), 2 * self.inst.horizon
+        return [(k, raw[m * n : m * n + n]) for m, k in enumerate(ks.tolist())]
+
+    def _make(self, ks: np.ndarray, flags: np.ndarray, keys: Optional[list] = None) -> None:
+        """Make the entries of the columns ``flags`` ([column, cached/updated,
+        slot]) of the pairs ``ks`` (their ``_key``s when given) in one batch,
+        number them in that order and put each at the end of its pair.
+
+        The cost adds the update cost, then each single-choice request's
+        settlement in ``scr(h, i)`` order, as ``column_cost_S`` does; the
+        coverage is that of ``settlement_coverage``. A batch of up to
+        ``SMALL_BATCH`` columns is made in loops, a larger one in one array
+        pass: both give the same entries, bit for bit, and the loops cost
+        less than numpy's fixed cost per call on a few columns."""
+        M = len(ks)
+        make = self._entries_by_loop if M <= SMALL_BATCH else self._entries_by_array
+        cost, svc, n_svc = make(ks, flags)
+        serials = np.arange(self.num_serials, self.num_serials + M)
+        self.pair = np.concatenate([self.pair, ks])
+        self.cost = np.concatenate([self.cost, cost])
+        self.flags = np.concatenate([self.flags, flags])
+        self.svc = np.concatenate([self.svc, svc])
+        self.svc_start = np.concatenate([self.svc_start, self.svc_start[-1] + np.cumsum(n_svc)])
+        keys = self._key(ks, flags) if keys is None else keys
+        self._keys.extend(keys)
+        self._live.update(keys)
+        # each at the end of its pair, in batch order (insert keeps the given
+        # order of equal positions)
+        self.order = np.insert(self.order, np.cumsum(self.counts)[ks], serials)
+        self.counts += np.bincount(ks, minlength=len(self.counts))
+        self._views.clear()
+
+    def _entries_by_array(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
+        """Every column's cost, the service positions each covers (laid end
+        to end, each column's in rank order) and how many, in array passes."""
+        idx, M, T = self.idx, len(ks), self.inst.horizon
+        q, p = flags[:, 0], flags[:, 1]
+        slot = np.arange(T)
+        # the copy's age in every slot, -1 where absent: a valid column's
+        # cached run starts at an update
+        age = np.where(q, slot - np.maximum.accumulate(np.where(p, slot, -1), axis=1), -1)
+        content = self.pair_content[ks]
+        m, j = concat_ranges(idx.scr_start[ks], idx.scr_start[ks + 1])
+        held = age[m, idx.scr_deadline[j] - 1]
+        cloud = idx.cloud[content[m]]
+        reach = idx.aoi[np.maximum(0, held - idx.scr_window[j])]
+        if self.mode == "min":
+            reach = np.minimum(reach, cloud)
+        update = self.inst.cost.beta * self.inst.sizes()[content] * np.count_nonzero(p, axis=1)
+        # bincount adds in input order: each column's update cost, then its
+        # settlements one by one
+        cost = np.bincount(np.concatenate([np.arange(M), m]),
+                           np.concatenate([update, np.where(held < 0, cloud, reach)]), minlength=M)
+
+        m, j = concat_ranges(idx.mcr_start[ks], idx.mcr_start[ks + 1])
+        origin, zero = idx.mcr_origin[j], idx.mcr_svc[j]
+        arrival = age[m, origin - 1]  # the age held in the request's origin slot
+        ups = np.zeros((M, T + 1), dtype=np.int64)  # updates in slots 1..t
+        np.cumsum(p, axis=1, out=ups[:, 1:])
+        fresh = ups[m, idx.mcr_deadline[j]] > ups[m, origin - 1]  # an update in the window
+        aged = arrival >= 1
+        row = np.concatenate([m[aged], m[fresh]])
+        svc = np.concatenate([zero[aged] + arrival[aged], zero[fresh]])
+        by = np.lexsort((idx.svc_rank[svc], row))
+        return cost, svc[by], np.bincount(row, minlength=M)
+
+    def _entries_by_loop(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
+        """What ``_entries_by_array`` returns, column by column in loops."""
+        inst, idx = self.inst, self.idx
+        beta, least = inst.cost.beta, self.mode == "min"
+        costs, svcs, counts = [], [], []
+        for k, (q, p) in zip(ks.tolist(), flags.view(np.uint8).tolist()):
+            h, i = self.pairs[k]
+            ages, age = [], -1
+            for cached, updated in zip(q, p):
+                age = 0 if updated else age + 1 if cached else -1
+                ages.append(age)
+            cloud = inst.cloud_cost(i)
+            cost = beta * inst.size(i) * sum(p)
+            for r in idx.scr(h, i):
+                held = ages[r.deadline - 1]
+                reach = cloud if held < 0 else inst.f(max(0, held - r.window))
+                cost += min(reach, cloud) if least else reach
+            costs.append(cost)
+            cover = []  # (request id, age, service position)
+            for r in idx.mcr(h, i):
+                zero = idx.svc_pos[(r.id, h, 0)]
+                if ages[r.origin - 1] >= 1:
+                    cover.append((r.id, ages[r.origin - 1], zero + ages[r.origin - 1]))
+                if any(p[r.origin - 1 : r.deadline]):
+                    cover.append((r.id, 0, zero))
+            cover.sort()  # rank order within one pair
+            svcs.extend(j for _, _, j in cover)
+            counts.append(len(cover))
+        return np.array(costs), np.array(svcs, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+    def _reorder(self, order: np.ndarray, dropped: np.ndarray) -> None:
+        """Make ``order`` the pool order, the entries ``dropped`` gone."""
+        self._live.difference_update([self._keys[s] for s in dropped.tolist()])
+        self.order = order
+        self.counts = np.bincount(self.pair[order], minlength=len(self.counts))
+        self._views.clear()
+
+    def starts(self) -> np.ndarray:
+        """The position in ``order`` where each pair's entries begin, and the
+        entry count at the end."""
+        if "starts" not in self._views:
+            self._views["starts"] = np.concatenate([[0], np.cumsum(self.counts)])
+        return self._views["starts"]
+
+    def _view(self, s: int) -> PricedEntry:
+        svc = self.svc[self.svc_start[s] : self.svc_start[s + 1]]
+        return PricedEntry(
+            column=self.column_of(s),
+            cost=float(self.cost[s]),
+            coverage=tuple(zip(self.idx.svc_request_ids[svc].tolist(),
+                               self.idx.svc_age[svc].tolist())),
+            svc=tuple(svc.tolist()),
+            serial=int(s),
+            flags=self.flags[s].tobytes(),
+        )
+
+    def _block(self, h: int, i: int) -> np.ndarray:
+        """The live serials of a pair, in pool order."""
+        k = self.pair_index(h, i)
+        start = self.starts()[k]
+        return self.order[start : start + self.counts[k]]
 
     def columns(self, h: int, i: int) -> list[PricedEntry]:
-        return self.entries[(h, i)]
+        return [self._view(s) for s in self._block(h, i)]
+
+    @property
+    def entries(self) -> dict[tuple[int, int], list[PricedEntry]]:
+        """Every pair's entries in pool order, made afresh from the arrays."""
+        return {key: self.columns(*key) for key in self.pairs}
+
+    def column_of(self, s: int) -> Column:
+        """The column of the entry with serial s."""
+        return tuple(zip(*self.flags[s].view(np.uint8).tolist()))
+
+    def column(self, h: int, i: int, k: int) -> Column:
+        """The column of the pair's entry at position k."""
+        return self.column_of(self._block(h, i)[k])
+
+    def pooled(self, ks: np.ndarray, flags: np.ndarray) -> list[bool]:
+        """Whether the columns ``flags`` of the pairs ``ks`` are pooled."""
+        return [key in self._live for key in self._key(ks, flags)]
 
     def contains(self, h: int, i: int, col: Column) -> bool:
-        return any(e.column == col for e in self.entries[(h, i)])
+        return self._key(np.array([self.pair_index(h, i)]), _flags_of([col]))[0] in self._live
 
     def add(self, h: int, i: int, col: Column) -> bool:
         """Insert a column if absent; returns True when actually added."""
         if not column_is_valid(col):
             raise ValueError(f"invalid column {col}")
-        if self.contains(h, i, col):
-            return False
-        self.entries[(h, i)].append(self._entry(col, h, i))
-        return True
+        return self.add_many([(h, i)], _flags_of([col])) == 1
+
+    def add_many(self, keys: Sequence[tuple[int, int]], flags: np.ndarray) -> int:
+        """Insert the valid columns ``flags`` ([column, cached/updated, slot])
+        of the pairs ``keys`` that are not pooled yet, in one batch, in that
+        order; returns how many were added."""
+        ks = np.array([self.pair_index(h, i) for h, i in keys], dtype=np.int64)
+        made = self._key(ks, flags)
+        new, batch = [], set()
+        for n, key in enumerate(made):
+            if key not in self._live and key not in batch:
+                batch.add(key)
+                new.append(n)
+        if len(new) < len(ks):
+            ks, flags, made = ks[new], flags[new], [made[n] for n in new]
+        if new:
+            self._make(ks, flags, made)
+        return len(new)
+
+    def keep(self, h: int, i: int, positions: Sequence[int]) -> None:
+        """Keep only the pair's entries at the given distinct positions of
+        ``columns(h, i)``, in that order."""
+        k = self.pair_index(h, i)
+        start, end = self.starts()[k], self.starts()[k + 1]
+        block = self.order[start:end]
+        kept = block[np.asarray(positions, dtype=np.int64)]
+        self._reorder(np.concatenate([self.order[:start], kept, self.order[end:]]),
+                      np.setdiff1d(block, kept))
+
+    def pin(self, h: int, i: int, k: int) -> Column:
+        """Keep only the pair's entry at position k; returns its column."""
+        self.keep(h, i, [k])
+        return self.column(h, i, 0)
 
     def total_columns(self) -> int:
-        return sum(len(v) for v in self.entries.values())
+        return len(self.order)
 
     def weights(self, chi: dict) -> np.ndarray:
         """The per-pair column weights ``chi`` of every entry, in pool order."""
-        return np.concatenate([chi[key] for key in self.entries])
+        return np.concatenate([chi[key] for key in self.pairs])
 
     def arrays(self) -> PoolArrays:
-        entries = [e for v in self.entries.values() for e in v]
-        pair = np.repeat(np.array(list(self.entries), dtype=np.int64).reshape(-1, 2),
-                         [len(v) for v in self.entries.values()], axis=0)
-        flags = np.frombuffer(b"".join(e.flags for e in entries), dtype=bool)
-        return PoolArrays(pair[:, 0], pair[:, 1], self.inst.sizes()[pair[:, 1]],
-                          flags.reshape(len(entries), 2, self.inst.horizon))
+        if "arrays" not in self._views:
+            pair = self.pair[self.order]
+            content = self.pair_content[pair]
+            self._views["arrays"] = PoolArrays(
+                self.order, pair, self.pair_server[pair], content, self.inst.sizes()[content],
+                self.flags[self.order])
+        return self._views["arrays"]
+
+    def covered(self, serials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The service positions the entries ``serials`` cover, laid end to
+        end in that order, and for each the position of its entry."""
+        m, j = concat_ranges(self.svc_start[serials], self.svc_start[serials + 1])
+        return self.svc[j], m
 
     def purge_incompatible(self, gamma, omega, remaining_cache, remaining_backhaul) -> int:
         """Drop columns that contradict fixed cache/update values or that no
@@ -274,7 +476,8 @@ class ColumnPool:
         Every pool is left holding the canonical minimal-footprint column of
         its fixings: individually compatible survivors may still be jointly
         over capacity, and the canonical point is the master's guaranteed
-        feasible fallback.
+        feasible fallback. The canonical columns a pool lacks are made in one
+        batch, in pair order.
         """
         a = self.arrays()
         fixed = np.stack([gamma, omega], axis=2)[a.server, a.content, :, 1:]
@@ -284,41 +487,50 @@ class ColumnPool:
 
         # the canonical column depends on the pair's fixings alone: derive it
         # again only where they changed since the last purge
+        server, content = self.pair_server, self.pair_content
         last = self._fixed_at_purge
-        if last is None:  # [server, content, q/p, slot] flags of the canonical columns
-            self._canonical_flags = np.full((*gamma.shape[:2], 2, gamma.shape[2] - 1), 2,
+        if last is None:  # [pair, q/p, slot] flags of the canonical columns, 2 where none exists
+            self._canonical_flags = np.full((len(self.pairs), 2, gamma.shape[2] - 1), 2,
                                             dtype=np.int8)
-            changed = np.ones(gamma.shape[:2], dtype=bool)
+            changed = np.ones(len(self.pairs), dtype=bool)
         else:
-            changed = ((gamma != last[0]) | (omega != last[1])).any(axis=2)
+            changed = ((gamma != last[0]) | (omega != last[1])).any(axis=2)[server, content]
         self._fixed_at_purge = (gamma.copy(), omega.copy())
-        for key in self.entries:
-            if changed[key]:
-                col = self._canonical[key] = canonical_column(gamma[key][1:], omega[key][1:])
-                self._canonical_flags[key] = 2 if col is None else np.array(col).T
-        # whether a kept entry of a pair already is the pair's canonical column
-        canon = self._canonical_flags[a.server, a.content]
-        matched = keep & (a.flags == canon).all(axis=(1, 2))
-        has = np.zeros(gamma.shape[:2], dtype=bool)
-        has[a.server[matched], a.content[matched]] = True
-        lost = np.zeros(gamma.shape[:2], dtype=bool)  # pairs that lose an entry
-        lost[a.server[~keep], a.content[~keep]] = True
-
-        start = 0
-        for (h, i), entries in self.entries.items():
-            end = start + len(entries)
-            col = self._canonical[(h, i)]
-            if col is None:
-                raise UnfixablePoolError(
-                    f"no column can satisfy the fixings for server {h}, content {i}"
-                )
-            if lost[h, i] or not has[h, i]:
-                kept = [e for e, k in zip(entries, keep[start:end]) if k]
-                if not has[h, i]:
-                    kept.append(self._entry(col, h, i))
-                self.entries[(h, i)] = kept
-            start = end
+        ks = np.flatnonzero(changed)
+        q, p = gamma[server[ks], content[ks], 1:], omega[server[ks], content[ks], 1:]
+        # a pair fixed at every slot has its fixings as its canonical column,
+        # when they form a valid column: updated only where cached, and every
+        # cached run opening with an update
+        full = ((q != FREE) & (p != FREE)).all(axis=1)
+        q, p = q[full] == 1, p[full] == 1
+        head = q & ~np.concatenate([np.zeros((len(q), 1), dtype=bool), q[:, :-1]], axis=1)
+        valid = ~((p & ~q) | (head & ~p)).any(axis=1)
+        self._canonical_flags[ks[full]] = np.where(valid[:, None, None], np.stack([q, p], 1), 2)
+        for k in ks[~full]:
+            h, i = self.pairs[k]
+            col = canonical_column(gamma[h, i, 1:], omega[h, i, 1:])
+            self._canonical_flags[k] = 2 if col is None else np.array(col).T
+        canon = self._canonical_flags
+        unfixable = np.flatnonzero(canon[:, 0, 0] == 2)
+        if len(unfixable):
+            h, i = self.pairs[unfixable[0]]
+            raise UnfixablePoolError(
+                f"no column can satisfy the fixings for server {h}, content {i}"
+            )
+        # the pairs where a kept entry already is the canonical column
+        matched = keep & (a.flags == canon[a.pair]).all(axis=(1, 2))
+        has = np.zeros(len(self.pairs), dtype=bool)
+        has[a.pair[matched]] = True
+        self._reorder(self.order[keep], self.order[~keep])
+        lacking = np.flatnonzero(~has)
+        if len(lacking):
+            self._make(lacking, canon[lacking].astype(bool))
         return int(len(keep) - np.count_nonzero(keep))
+
+
+def _flags_of(cols: Sequence[Column]) -> np.ndarray:
+    """Columns as a bool [column, cached/updated, slot] array."""
+    return np.array(cols, dtype=bool).reshape(len(cols), -1, 2).transpose(0, 2, 1)
 
 
 def canonical_column(gamma: Sequence[int], omega: Sequence[int]) -> Optional[Column]:

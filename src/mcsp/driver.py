@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .columns import ColumnPool, column_states, zero_column
+from .columns import ColumnPool, column_states
 from .costs import (
     AssignmentPlan,
     CostBreakdown,
@@ -38,7 +38,7 @@ from .costs import (
 )
 from .instance import Instance, RequestIndex, build_request_index
 from .pricing import PricingStatics, price_all
-from .rmp import CapacityRows, MasterBasis, RmpSolution, build_rmp, solve_rmp
+from .rmp import TOL_CHI, CapacityRows, MasterBasis, RmpSolution, build_rmp, solve_rmp
 from .rounding import (
     TOL_INT,
     RoundingState,
@@ -197,18 +197,28 @@ def run_cga(
                 sol = solve_rmp(model, canonical=True, lp=sol.lp)
             if not capacity_rows.add_violated(pool, sol.chi, inst):
                 return CgaResult(solution=sol, rounds=rounds)
-        for pc in candidates:
-            pool.add(pc.h, pc.i, pc.column)
+        if candidates:
+            pool.add_many([(pc.h, pc.i) for pc in candidates],
+                          np.stack([pc.flags for pc in candidates]))
         if rounds > guard:
             raise ConvergenceError(f"column generation did not settle in {guard} rounds")
 
 
 def decode_schedule(pool: ColumnPool, sol: RmpSolution, inst: Instance) -> Schedule:
+    """The schedule of an integral ``sol``: every pair's column of largest
+    weight (the first in pool order on ties), whose weight must be one; the
+    pairs whose column is not the zero column are scheduled."""
+    w = sol.x[: sol.n_chi]
+    a = pool.arrays()
+    # by pair, then by falling weight; the sort is stable, so ties keep pool order
+    best = np.lexsort((-w, a.pair))[pool.starts()[:-1]]
+    fractional = np.flatnonzero(w[best] < 1 - TOL_CHI)
+    if len(fractional):
+        h, i = pool.pairs[fractional[0]]
+        raise ValueError(f"column weights for ({h},{i}) are fractional")
     states = {}
-    for (h, i) in sorted(pool.entries):
-        col = sol.integral_column(h, i, pool)
-        if col != zero_column(inst.horizon):
-            states[(h, i)] = column_states(col)
+    for k in np.flatnonzero(a.flags[best].any(axis=(1, 2))):
+        states[pool.pairs[k]] = column_states(pool.column_of(a.serial[best[k]]))
     return Schedule(horizon=inst.horizon, states=states)
 
 
@@ -331,9 +341,8 @@ def _next_pin(sol: RmpSolution) -> tuple[tuple[int, int], int]:
     w = sol.x[: sol.n_chi]
     frac = np.flatnonzero((w > TOL_INT) & (w < 1 - TOL_INT))
     j = int(frac[np.argmax(w[frac])])
-    offsets = list(sol.chi_offset.values())
-    n = bisect_right(offsets, j) - 1
-    return list(sol.chi_offset)[n], j - offsets[n]
+    n = int(np.searchsorted(sol.pair_starts, j, side="right")) - 1
+    return next(islice(sol.chi_offset, n, None)), j - int(sol.pair_starts[n])
 
 
 def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
@@ -358,8 +367,7 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     try:
         while not chi_is_integral(sol.chi):
             (h, i), k = _next_pin(sol)
-            col = pool.entries[(h, i)][k].column
-            pool.entries[(h, i)] = [pool.entries[(h, i)][k]]
+            col = pool.pin(h, i, k)
             for t, (q, p) in enumerate(col, start=1):
                 pins.fix(h, i, t, gamma=q, omega=p)
             fixes += 1

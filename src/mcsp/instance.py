@@ -439,6 +439,17 @@ class RequestIndex:
     pricing's service credits are arrays in position order.
     ``mcr_cloud_cost`` is the cloud cost of every MCR, which the master
     carries as a constant.
+
+    ``pairs`` lists the (server, content) pairs in that order, numbered k =
+    (h - 1) * num_contents + (i - 1); ``pair_server`` and ``pair_content``
+    hold each pair's server and content. By pair, the MCRs of ``mcr(h, i)`` are entries
+    ``mcr_start[k]:mcr_start[k + 1]`` of ``mcr_origin``, ``mcr_deadline`` and
+    ``mcr_svc`` (the service position of age zero; age a is at ``mcr_svc +
+    a``), in ``mcr(h, i)`` order; the SCRs of ``scr(h, i)`` are entries
+    ``scr_start[k]:scr_start[k + 1]`` of ``scr_deadline`` and ``scr_window``.
+    ``aoi`` holds f(a) for the ages a = 0..horizon - 1, ``cloud`` the cloud
+    cost by content id (index 0 unused) and ``svc_age`` the age of every
+    service.
     """
 
     def __init__(self, inst: Instance):
@@ -453,16 +464,39 @@ class RequestIndex:
                 self._scr.setdefault((r.candidates[0], r.content), []).append(r)
         self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
         self.svc_pos: dict[tuple[int, int, int], int] = {}
-        request_ids, saving = [], []
-        for h in range(1, inst.num_servers + 1):
-            for i in range(1, inst.num_contents + 1):
-                for r in self._mcr.get((h, i), ()):
-                    for a in range(r.deadline):
-                        self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
-                        request_ids.append(r.id)
-                        saving.append(inst.f(a) - inst.cloud_cost(i))
+        request_ids, saving, ages = [], [], []
+        mcr_start, mcr_origin, mcr_deadline, mcr_svc = [0], [], [], []
+        scr_start, scr_deadline, scr_window = [0], [], []
+        self.pairs = [(h, i) for h in range(1, inst.num_servers + 1)
+                      for i in range(1, inst.num_contents + 1)]
+        self.pair_server, self.pair_content = np.divmod(np.arange(len(self.pairs)),
+                                                        inst.num_contents)
+        self.pair_server += 1
+        self.pair_content += 1
+        for h, i in self.pairs:
+            for r in self._mcr.get((h, i), ()):
+                mcr_origin.append(r.origin)
+                mcr_deadline.append(r.deadline)
+                mcr_svc.append(len(self.svc_pos))
+                for a in range(r.deadline):
+                    self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
+                    request_ids.append(r.id)
+                    saving.append(inst.f(a) - inst.cloud_cost(i))
+                    ages.append(a)
+            mcr_start.append(len(mcr_origin))
+            for r in self._scr.get((h, i), ()):
+                scr_deadline.append(r.deadline)
+                scr_window.append(r.window)
+            scr_start.append(len(scr_deadline))
         self.svc_request_ids = np.array(request_ids, dtype=np.int64)
         self.svc_saving = np.array(saving, dtype=float)
+        self.svc_age = np.array(ages, dtype=np.int64)
+        self.mcr_start, self.mcr_origin, self.mcr_deadline, self.mcr_svc = (
+            np.array(v, dtype=np.int64) for v in (mcr_start, mcr_origin, mcr_deadline, mcr_svc))
+        self.scr_start, self.scr_deadline, self.scr_window = (
+            np.array(v, dtype=np.int64) for v in (scr_start, scr_deadline, scr_window))
+        self.aoi = np.array([inst.f(a) for a in range(inst.horizon)])
+        self.cloud = np.array([0.0] + [inst.cloud_cost(i) for i in range(1, inst.num_contents + 1)])
         keys = list(self.svc_pos)
         self.svc_by_rank = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
         self.svc_rank = np.empty(len(keys), dtype=np.int64)

@@ -34,12 +34,16 @@ axis last: ``upd[slot, gap, pair]``, ``pur[slot, age, pair]`` and the masks
 ``allow_*[slot, pair]`` (``PricerTables``). Every step of the dynamic program
 then reads and writes contiguous vectors over the pairs. ``forward_values``
 gives every pair's minimum path value, and ``decode_columns`` recovers a
-minimum path's column for the pairs asked for. ``price_all`` prices every
-pair of the master in one forward pass and decodes only the pairs that
-price negative; ``shortest_path`` runs the same kernel on one explicit
-``PricingGraph``. The per-pair ``PairWeights`` and the arc list of
-``PricingGraph.arcs`` stay as the references the tests check the batched
-weights and the path-column bijection against.
+minimum path's column for the pairs asked for. ``price_all`` prices pairs
+in one forward pass and decodes only those that price negative. Once enough
+pairs are fixed at every slot, it prices only the pairs with a free slot
+(partial pricing): a decided pair has one path, its pooled column, whose
+reduced cost one array pass checks instead. The tables of the priced pairs
+(``PricingStatics.live``) are kept until the fixings change.
+``shortest_path`` runs the same kernel on one explicit ``PricingGraph``. The
+per-pair ``PairWeights`` and the arc list of ``PricingGraph.arcs`` stay as
+the references the tests check the batched weights and the path-column
+bijection against.
 
 Ties between equal paths prefer fewer updates, then the lexicographically
 earliest update slots, then dropping over keeping the copy.
@@ -47,13 +51,14 @@ earliest update slots, then dropping over keeping the copy.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .columns import Column, ColumnPool
+from .columns import FREE, Column, ColumnPool, concat_ranges
 from .costs import SettlementMode
 from .instance import Instance, RequestIndex
 from .rmp import DualPrices
@@ -62,6 +67,11 @@ INF = math.inf
 
 TOL_PRICE = 1e-6
 
+# The fewest decided pairs that pricing leaves out. Leaving pairs out costs
+# a selection of the tables whenever the fixings change and a check of the
+# decided pairs' columns every round; fewer pairs cost less to price.
+MIN_DECIDED = 64
+
 
 @dataclass(frozen=True)
 class PricedColumn:
@@ -69,6 +79,8 @@ class PricedColumn:
     i: int
     column: Column
     path_value: float  # equals the column's reduced cost
+    # the column's cached and updated flags, [cached/updated, slot]
+    flags: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 class PairWeights:
@@ -289,7 +301,18 @@ _ENTRY = ((1, 1), (0, 0), (1, 0))  # column entry of a move: update, drop, keep
 
 
 def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
-    """The column of a minimum path of every pair, given its path value.
+    """The column of a minimum path of every pair, given its path value (see
+    ``decode_moves``)."""
+    return _columns(decode_moves(tab, values))
+
+
+def _columns(moves: np.ndarray) -> list[Column]:
+    return [tuple(_ENTRY[m] for m in row) for row in moves.T.tolist()]
+
+
+def decode_moves(tab: PricerTables, values: np.ndarray) -> np.ndarray:
+    """The moves of a minimum path of every pair, given its path value, as a
+    [slot, pair] array: 0 update, 1 drop, 2 keep (``_ENTRY``).
 
     Paths within 1e-9 * (1 + |value|) of the minimum tie; ties prefer fewer
     updates, then the earliest update slots, then dropping over keeping the
@@ -368,7 +391,7 @@ def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
         pos = np.where(go_u, 0, nxt)
         cached = go_u | go_k
         moves[t - 1] = go_d + 2 * go_k
-    return [tuple(_ENTRY[m] for m in row) for row in moves.T.tolist()]
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -377,61 +400,119 @@ def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
 
 class PricingStatics:
     """Per-instance tables that do not depend on the duals, pair axis last
-    (pairs in (server, content) order)."""
+    (pairs in (server, content) order), built from the request index's
+    per-pair request arrays. ``keys`` numbers each pair among all pairs of
+    the instance. ``select`` restricts the tables to some pairs, ``live`` to
+    the pairs some fixings leave undecided."""
 
     def __init__(self, inst: Instance, idx: RequestIndex, mode: SettlementMode):
         self.inst, self.idx, self.mode = inst, idx, mode
         T = inst.horizon
-        self.pairs = [
-            (h, i)
-            for h in range(1, inst.num_servers + 1)
-            for i in range(1, inst.num_contents + 1)
-        ]
+        self.pairs, self.server, self.content = idx.pairs, idx.pair_server, idx.pair_content
         K = len(self.pairs)
-        self.server = np.array([h for h, _ in self.pairs], dtype=np.int64)
-        self.content = np.array([i for _, i in self.pairs], dtype=np.int64)
-        self.size = np.array([inst.size(i) for _, i in self.pairs], dtype=float)
-        cloud = np.array([inst.cloud_cost(i) for _, i in self.pairs])
-        n_scr = np.zeros(K)
-        n_xi = np.zeros((T + 1, K))
-        self.psi = np.zeros((T + 1, T + 1, K))  # [t, a, k] for a >= 1
-        for k, (h, i) in enumerate(self.pairs):
-            scrs = idx.scr(h, i)
-            n_scr[k] = len(scrs)
-            for r in scrs:
-                n_xi[r.deadline, k] += 1
-                for a in range(1, T):
-                    reach = inst.f(max(0, a - r.window))
-                    if mode == "min":
-                        reach = min(reach, cloud[k])
-                    self.psi[r.deadline, a, k] += reach - cloud[k]
+        self.keys = np.arange(K)
+        self.size = inst.sizes()[self.content]
+        cloud = idx.cloud[self.content]
+        # the single-choice requests of each pair, and their settlement deltas
+        # on purple arcs at every age a = 1..T-1, request by request
+        k, j = concat_ranges(idx.scr_start[:-1], idx.scr_start[1:])
+        n_xi = np.bincount(idx.scr_deadline[j] * K + k, minlength=(T + 1) * K)
+        n_xi = n_xi.reshape(T + 1, K).astype(float)
+        r, a = concat_ranges(np.ones(len(j), dtype=np.int64), np.full(len(j), T))
+        reach = idx.aoi[np.maximum(0, a - idx.scr_window[j[r]])]
+        if mode == "min":
+            reach = np.minimum(reach, cloud[k[r]])
+        self.psi = _credits((idx.scr_deadline[j[r]] * (T + 1) + a) * K + k[r],
+                            reach - cloud[k[r]], (T + 1, T + 1, K))  # [t, a, k] for a >= 1
         # the dual-free terms of the update weights and of the sink arcs
         self.upd_base = inst.cost.beta * self.size - n_xi * inst.cost.alpha * self.size
-        self.scr_cloud = n_scr * cloud
+        self.scr_cloud = np.diff(idx.scr_start) * cloud
         # the [t, a] cells that are no purple arc: a = 0, a >= t, t < 2
         t, a = np.indices((T + 1, T + 1))
         self.no_purple = (a < 1) | (a >= t)
-        # Credit fill targets of the services, in service-index order. The
-        # age-0 credit of a request arriving at o lands in g0[o, 1..deadline, k],
-        # the age-a credit in ga[o, a, k]; the flat target indices keep that
-        # fill order, so the sums come out the same as filling request by
-        # request.
-        g0_src, g0_at, ga_src, ga_at = [], [], [], []
-        for k, (h, i) in enumerate(self.pairs):
-            for r in idx.mcr(h, i):
-                for a in range(0, r.deadline):
-                    j = idx.svc_pos[(r.id, h, a)]
-                    if a == 0:
-                        for t in range(1, r.deadline + 1):
-                            g0_src.append(j)
-                            g0_at.append((r.origin * (T + 2) + t) * K + k)
-                    else:
-                        ga_src.append(j)
-                        ga_at.append((r.origin * (T + 1) + a) * K + k)
-        self.g0_src = np.array(g0_src, dtype=np.int64)
-        self.g0_at = np.array(g0_at, dtype=np.int64)
-        self.ga_src = np.array(ga_src, dtype=np.int64)
-        self.ga_at = np.array(ga_at, dtype=np.int64)
+        # Credit fill targets of the services, request by request within each
+        # pair. The age-0 credit of a request arriving at o lands in
+        # g0[o, 1..deadline, k], the age-a credit in ga[o, a, k]; the flat
+        # target indices keep that fill order, so the sums come out the same
+        # as filling request by request. A target is a cell of the [slot,
+        # slot] plane (``*_cell``) and a pair (``*_pair``).
+        k, j = concat_ranges(idx.mcr_start[:-1], idx.mcr_start[1:])
+        origin, deadline, zero = idx.mcr_origin[j], idx.mcr_deadline[j], idx.mcr_svc[j]
+        ones = np.ones(len(j), dtype=np.int64)
+        r, t = concat_ranges(ones, deadline + 1)
+        self.g0_src, self.g0_pair, self.g0_cell = zero[r], k[r], origin[r] * (T + 2) + t
+        r, a = concat_ranges(ones, deadline)
+        self.ga_src, self.ga_pair, self.ga_cell = zero[r] + a, k[r], origin[r] * (T + 1) + a
+        self.g0_at = self.g0_cell * K + self.g0_pair
+        self.ga_at = self.ga_cell * K + self.ga_pair
+        self._live: Optional[tuple] = None  # the fixings ``live`` last saw, and its answer
+
+    def select(self, keep: np.ndarray) -> "PricingStatics":
+        """The tables of the pairs where ``keep`` holds, in the same order.
+        Each credit target keeps its credits in their order, so every table
+        cell sums the same credits in the same order as before."""
+        out = copy.copy(self)
+        ks = np.flatnonzero(keep)
+        K = len(ks)
+        new = np.cumsum(keep) - 1  # each kept pair's place among the kept
+        out.keys, out.server, out.content, out.size, out.scr_cloud = (
+            v[ks] for v in (self.keys, self.server, self.content, self.size, self.scr_cloud))
+        out.pairs = [self.pairs[k] for k in ks]
+        out.psi, out.upd_base = self.psi[..., ks], self.upd_base[:, ks]
+        held = keep[self.g0_pair]
+        out.g0_src, out.g0_pair, out.g0_cell = (
+            self.g0_src[held], new[self.g0_pair[held]], self.g0_cell[held])
+        held = keep[self.ga_pair]
+        out.ga_src, out.ga_pair, out.ga_cell = (
+            self.ga_src[held], new[self.ga_pair[held]], self.ga_cell[held])
+        out.g0_at = out.g0_cell * K + out.g0_pair
+        out.ga_at = out.ga_cell * K + out.ga_pair
+        out._live = None
+        return out
+
+    def live(self, fixings=None) -> "LivePairs":
+        """The pairs to price under ``fixings`` (a ``RoundingState``; None
+        fixes nothing), with their tables and node masks, from the tables of
+        all pairs: the pairs with a free slot, or all pairs when fewer than
+        ``MIN_DECIDED`` are fixed at every slot. The answer is kept until the
+        fixings change."""
+        seen = None if fixings is None else fixings.gamma.tobytes() + fixings.omega.tobytes()
+        if self._live is None or self._live[0] != seen:
+            K, T = len(self.pairs), self.inst.horizon
+            if fixings is None:
+                decided = np.zeros(K, dtype=bool)
+                allow = tuple(np.ones((T + 1, K), dtype=bool) for _ in range(3))
+            else:
+                fixed = (fixings.gamma != FREE) & (fixings.omega != FREE)
+                decided = fixed[1:, 1:, 1:].all(axis=2).ravel()
+                allow = fixings.masks()
+            selected = None
+            if np.count_nonzero(decided) >= MIN_DECIDED:
+                selected = self.select(~decided)
+                allow = tuple(m[:, ~decided] for m in allow)
+            else:
+                decided = np.zeros(K, dtype=bool)
+            # the selected tables, not the statics themselves: a cycle back
+            # to them would keep their tables alive until a garbage collection
+            self._live = (seen, selected, decided, allow)
+        _, selected, decided, allow = self._live
+        return LivePairs(self if selected is None else selected, decided, allow)
+
+
+@dataclass
+class LivePairs:
+    """The pairs pricing solves: their ``statics`` and the node masks
+    ``masks()`` returns. ``decided`` flags the pairs left out, over all pairs
+    of the instance: none, or every pair whose slots are all fixed when there
+    are at least ``MIN_DECIDED`` of them. A decided pair has one path, the
+    column its fixings spell out, which its pool already holds."""
+
+    statics: PricingStatics
+    decided: np.ndarray
+    allow: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.allow
 
 
 def _credits(at: np.ndarray, credit: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -502,21 +583,58 @@ def price_all(
     """One candidate column per pair with reduced cost below -tol. Results
     come back in (server, content) order.
 
+    Once at least ``MIN_DECIDED`` pairs are fixed at every slot, only the
+    pairs with a free slot are priced (partial pricing): a decided pair has
+    a single path, its pooled column, whose reduced cost is checked in one
+    array pass instead (``_check_decided``).
+
     A pooled column prices at its master reduced cost, which the master's
     optimal duals keep nonnegative, so a candidate that is already pooled
     means the duals and the pool disagree: that raises AssertionError."""
     s = statics if statics is not None else PricingStatics(inst, idx, mode)
-    values, tables = Pricer(s).price(duals, fixings)
+    live = s.live(fixings)
+    values, tables = Pricer(live.statics).price(duals, live)
+    if live.decided.any():
+        _check_decided(pool, duals, live.decided, tol)
     ks = np.nonzero(values < -tol)[0]
     if not len(ks):  # a fixpoint round: skip the decode's set-up
         return []
+    moves = decode_moves(tables.take(ks), values[ks])
+    flags = np.ascontiguousarray(np.stack([moves != 1, moves == 0]).transpose(2, 0, 1))
+    pooled = pool.pooled(live.statics.keys[ks], flags)
+    if any(pooled):
+        n = pooled.index(True)
+        h, i = live.statics.pairs[ks[n]]
+        raise AssertionError(
+            f"pair ({h}, {i}) priced its pooled column {_columns(moves[:, [n]])[0]} at path "
+            f"value {float(values[ks[n]])!r}"
+        )
     out: list[PricedColumn] = []
-    for k, column in zip(ks, decode_columns(tables.take(ks), values[ks])):
-        h, i = s.pairs[k]
-        if pool.contains(h, i, column):
-            raise AssertionError(
-                f"pair ({h}, {i}) priced its pooled column {column} at path value "
-                f"{float(values[k])!r}"
-            )
-        out.append(PricedColumn(h=h, i=i, column=column, path_value=float(values[k])))
+    for n, (k, column) in enumerate(zip(ks, _columns(moves))):
+        h, i = live.statics.pairs[k]
+        out.append(PricedColumn(h=h, i=i, column=column, path_value=float(values[k]),
+                                flags=flags[n]))
     return out
+
+
+def _check_decided(pool: ColumnPool, duals: DualPrices, decided: np.ndarray, tol: float) -> None:
+    """Raise AssertionError as ``price_all`` would for a pooled candidate if
+    a pooled column of a decided pair (``decided`` over all pairs) has a
+    reduced cost below -tol: its cost, plus the coverage duals of the
+    services it covers, minus its size times the capacity duals of its cached
+    and updated slots, minus its pair's convexity dual."""
+    a = pool.arrays()
+    e = np.flatnonzero(decided[a.pair])
+    serial, server, flags = a.serial[e], a.server[e], a.flags[e]
+    svc, row = pool.covered(serial)
+    capacity = (flags[:, 0] * duals.mus[server, 1:] + flags[:, 1] * duals.phis[server, 1:]).sum(1)
+    rc = (pool.cost[serial] + np.bincount(row, duals.pis[svc], minlength=len(e))
+          - a.size[e] * capacity - duals.lams[server, a.content[e]])
+    bad = np.flatnonzero(rc < -tol)
+    if len(bad):
+        n = bad[0]
+        h, i = int(server[n]), int(a.content[e[n]])
+        raise AssertionError(
+            f"pair ({h}, {i}) priced its pooled column {pool.column_of(serial[n])} at path "
+            f"value {float(rc[n])!r}"
+        )

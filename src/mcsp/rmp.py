@@ -44,12 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .columns import Column, ColumnPool, PricedEntry, settlement_coverage
+from .columns import Column, ColumnPool, settlement_coverage
 from .instance import Instance, Request, RequestIndex
 from .simplex import _REL_CODES, BASIC, EQ, LE, LOWER, LpBasis, LpProblem, LpSolution, solve_lp
 
@@ -203,9 +203,8 @@ class RmpModel:
     pool: ColumnPool
     idx: RequestIndex
     constant: float
-    entries: list[PricedEntry]  # the pool entry of each chi column, in LP column order
+    serials: np.ndarray  # the pool entry serial of each chi column, in LP column order
     flags: np.ndarray  # their cached and updated flags, [chi column, cached/updated, slot]
-    serials: np.ndarray  # their serial numbers
     chi_offset: dict[tuple[int, int], int]  # first LP column of each pair's block
     starts: list[int]  # first row of each row block, then the row count
     serve_ids: list[int]
@@ -229,6 +228,11 @@ class RmpSolution:
     lp: LpSolution
 
     @cached_property
+    def pair_starts(self) -> np.ndarray:
+        """The first chi column of each pair's block, in block order."""
+        return np.fromiter(self.chi_offset.values(), dtype=np.int64, count=len(self.chi_offset))
+
+    @cached_property
     def chi(self) -> dict[tuple[int, int], np.ndarray]:
         """Per pair, its column weights aligned with the pool entries: views
         into ``x``, made on first use (column generation reads them only at
@@ -236,26 +240,11 @@ class RmpSolution:
         ends = [*self.chi_offset.values(), self.n_chi]
         return {key: self.x[a:b] for key, a, b in zip(self.chi_offset, ends, ends[1:])}
 
-    def integral_column(self, h: int, i: int, pool: ColumnPool) -> Column:
-        weights = self.chi[(h, i)]
-        k = int(np.argmax(weights))
-        if weights[k] < 1 - TOL_CHI:
-            raise ValueError(f"column weights for ({h},{i}) are fractional")
-        return pool.columns(h, i)[k].column
-
 
 def service_saving(inst: Instance, i: int, a: int) -> float:
     """Objective coefficient of a service variable: f(a) minus the cloud cost
     (the scalar form of ``RequestIndex.svc_saving``)."""
     return inst.f(a) - inst.cloud_cost(i)
-
-
-def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """The integer sequences ``seqs`` laid end to end, and for each element
-    the position of the sequence it came from."""
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
-    return flat, np.repeat(np.arange(len(seqs)), lengths)
 
 
 def build_rmp(
@@ -267,28 +256,26 @@ def build_rmp(
     """Assemble the master LP over the current pools, with the capacity rows
     named in ``capacity_rows`` (all of them when it is None).
 
-    The matrix comes from what each pool entry stores: the service positions
-    it covers (in rank order), its cached and updated slot flags, and its
-    pair. A service gets a coverage row and a y variable when some entry
-    covers it and serving it can pay off (``svc_saving`` < 0). The matrix is
-    laid out column-wise with each column's rows ascending, the form
-    ``solve_lp`` hands HiGHS: a chi column holds its coverage, cache,
-    backhaul and convexity entries in that order, a y column its serve-once
-    and its coverage entry."""
-    pairs = sorted(pool.entries)
-    for key in pairs:
-        if not pool.entries[key]:
-            raise ValueError(f"empty pool for pair {key}")
-    counts = [len(pool.entries[key]) for key in pairs]
-    entries = [e for key in pairs for e in pool.entries[key]]
-    n_chi = len(entries)
-    col_pair = np.repeat(np.arange(len(pairs)), counts)
-    pair_server = np.array([h for h, _ in pairs], dtype=np.int64)
-    pair_content = np.array([i for _, i in pairs], dtype=np.int64)
+    The matrix comes from the pool's arrays, with no per-entry Python: each
+    live entry's pair, cost, cached and updated slot flags and the service
+    positions it covers (in rank order), in pool order. A service gets a
+    coverage row and a y variable when some entry covers it and serving it
+    can pay off (``svc_saving`` < 0). The matrix is laid out column-wise
+    with each column's rows ascending, the form ``solve_lp`` hands HiGHS: a
+    chi column holds its coverage, cache, backhaul and convexity entries in
+    that order, a y column its serve-once and its coverage entry."""
+    pairs = pool.pairs
+    empty = np.flatnonzero(pool.counts == 0)
+    if len(empty):
+        raise ValueError(f"empty pool for pair {pairs[empty[0]]}")
+    a = pool.arrays()
+    n_chi = len(a.serial)
+    col_pair = a.pair
+    pair_server, pair_content = pool.pair_server, pool.pair_content
     pair_size = inst.sizes()[pair_content]
 
     # coverage rows: the paying services some entry covers, in rank order
-    svc, cover_col = _flatten([e.svc for e in entries])
+    svc, cover_col = pool.covered(a.serial)
     paying = idx.svc_saving[svc] < 0
     rank, cover_col = idx.svc_rank[svc[paying]], cover_col[paying]
     covered = np.zeros(len(idx.svc_rank), dtype=bool)
@@ -319,8 +306,7 @@ def build_rmp(
     rows = [starts[1] + cover_of]
     cols = [cover_col]
     vals = [np.full(len(cover_col), -1.0)]
-    flags = np.frombuffer(b"".join(e.flags for e in entries), dtype=bool).reshape(
-        n_chi, 2, inst.horizon)
+    flags = a.flags
     cache_at = _index(cache_keys)
     backhaul_at = _index(backhaul_keys)
     for at, start, kind in ((cache_at, starts[2], 0), (backhaul_at, starts[3], 1)):
@@ -347,8 +333,7 @@ def build_rmp(
     np.cumsum(np.bincount(cols, minlength=n_chi), out=col_start[1 : n_chi + 1])
     col_start[n_chi + 1 :] = len(cols) + 2 * np.arange(1, n_y + 1)
 
-    c = np.concatenate([np.fromiter((e.cost for e in entries), dtype=float, count=n_chi),
-                        idx.svc_saving[cover_svc]])
+    c = np.concatenate([pool.cost[a.serial], idx.svc_saving[cover_svc]])
     upper = np.concatenate([np.full(n_chi, np.inf), np.ones(n_y)])
     rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
     b = np.zeros(n_rows)
@@ -365,10 +350,9 @@ def build_rmp(
         pool=pool,
         idx=idx,
         constant=idx.mcr_cloud_cost,
-        entries=entries,
+        serials=a.serial,
         flags=flags,
-        serials=np.fromiter((e.serial for e in entries), dtype=np.int64, count=n_chi),
-        chi_offset=dict(zip(pairs, accumulate(counts, initial=0))),
+        chi_offset=dict(zip(pairs, pool.starts().tolist())),
         starts=starts,
         serve_ids=serve_ids.tolist(),
         cover_svc=cover_svc,
@@ -415,7 +399,7 @@ def solve_rmp(
         objective=sol.objective + model.constant,
         x=_canonical_primal(model, sol) if canonical else sol.x,
         chi_offset=model.chi_offset,
-        n_chi=len(model.entries),
+        n_chi=len(model.serials),
         duals=_read_duals(model, sol.duals),
         lp=sol,
     )
@@ -465,7 +449,7 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     prob = model.problem
     w = np.zeros(prob.num_vars)
     updated = model.flags[:, 1]
-    w[: len(model.entries)] = (updated.sum(axis=1)
+    w[: len(model.serials)] = (updated.sum(axis=1)
                                + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
     face_eps = 1e-7 * (1.0 + abs(sol.objective))
     at = model.starts[4]  # the face row's place

@@ -279,7 +279,6 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     if model_status != status.kOptimal:
         raise LpError(f"HiGHS failed with model status {highs.modelStatusToString(model_status)}")
 
-    info = highs.getInfo()
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     rows = np.array(solution.row_value)
@@ -295,11 +294,13 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
         duals *= sign
     if order is not None:
         duals = duals[position]
+    # single info values: ``getInfo`` would copy the whole HighsInfo
+    iterations = highs.getInfoValue("simplex_iteration_count")[1]
     return LpSolution(
-        objective=float(info.objective_function_value),
+        objective=float(highs.getObjectiveValue()),
         x=x,
         duals=duals,
-        iterations=int(info.simplex_iteration_count or info.ipm_iteration_count),
+        iterations=int(iterations or highs.getInfoValue("ipm_iteration_count")[1]),
         basis=_optimal_basis(highs, prob, x, order),
     )
 

@@ -1,5 +1,10 @@
 """Scalar references the array code of the solve path is checked against.
 
+``ColumnPool`` once made each entry on its own: ``make_entry`` walked the
+column per request to derive its cost and coverage. The pool now makes its
+entries in array batches; ``make_entry`` is the scalar form they are checked
+against.
+
 The rounding pass and the pool purge once kept their fixings in a dict keyed
 by (server, content, slot) and looped over it in Python; ``mcsp.rounding`` and
 ``ColumnPool.purge_incompatible`` now do the same work on int8 arrays. These
@@ -27,12 +32,16 @@ from scipy import sparse
 
 from mcsp.columns import (
     FREE,
+    Column,
     ColumnPool,
+    PricedEntry,
     UnfixablePoolError,
     canonical_column,
     column_ages,
+    column_cost_S,
     column_states,
     enumerate_columns,
+    settlement_coverage,
     zero_column,
 )
 from mcsp.costs import CAPACITY_EPS, Schedule, derive_assignment, evaluate, plan_cost
@@ -42,6 +51,28 @@ from mcsp.rounding import TOL_INT, RoundReport
 from mcsp.simplex import _REL_CODES, BASIC, EQ, GE, LE, LOWER, UPPER
 
 Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
+
+
+def make_entry(
+    col: Column, h: int, i: int, inst: Instance, idx: RequestIndex, mode
+) -> PricedEntry:
+    """One pool entry from its column: standalone cost, coverage in the
+    settlement convention's order (per request in ``mcr(h, i)`` order, the
+    arrival age, then age zero), service positions in rank order, flags."""
+    cov: list[tuple[int, int]] = []
+    for r in idx.mcr(h, i):
+        arrival_age, upd = settlement_coverage(col, r)
+        if arrival_age is not None and arrival_age >= 1:
+            cov.append((r.id, arrival_age))
+        if upd:
+            cov.append((r.id, 0))
+    return PricedEntry(
+        column=col,
+        cost=column_cost_S(col, h, i, inst, idx, mode),
+        coverage=tuple(cov),
+        svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in sorted(cov)),
+        flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
+    )
 
 
 @dataclass
@@ -247,9 +278,9 @@ def purge_incompatible(pool: ColumnPool, fixings, remaining_cache, remaining_bac
         size = pool.inst.size(i)
         fixed = tuple(fixings.get((h, i, t), (None, None)) for t in slots)
         kept = []
-        for e in entries:
+        for k, e in enumerate(entries):
             if _column_compatible(e.column, h, size, fixed, remaining_cache, remaining_backhaul):
-                kept.append(e)
+                kept.append(k)
             else:
                 removed += 1
         col = canonical_column(*fixing_rows(fixed))
@@ -257,9 +288,9 @@ def purge_incompatible(pool: ColumnPool, fixings, remaining_cache, remaining_bac
             raise UnfixablePoolError(
                 f"no column can satisfy the fixings for server {h}, content {i}"
             )
-        if not any(e.column == col for e in kept):
-            kept.append(pool._entry(col, h, i))
-        pool.entries[(h, i)] = kept
+        pool.keep(h, i, kept)
+        if not any(entries[k].column == col for k in kept):
+            pool.add(h, i, col)
     return removed
 
 

@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from mcsp.columns import (
+    FREE,
     ColumnPool,
+    UnfixablePoolError,
     canonical_column,
     column_aoi,
     column_cost_S,
@@ -175,7 +178,8 @@ def test_canonical_column_unfixable():
 def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
     """A purge re-derives a pair's canonical column only when the pair's
     fixings changed since the last purge, and leaves every pool as a pool
-    that derives all of them afresh does."""
+    that derives all of them afresh does. A pair fixed at every slot takes
+    its fixings in an array pass, without ``canonical_column``."""
     from mcsp import columns
 
     rng = random.Random(21)
@@ -206,8 +210,187 @@ def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
             monkeypatch.undo()
             rows = fixing_rows([fixings.get((h, i, s), (None, None))
                                 for s in range(1, inst.horizon + 1)])
-            assert calls == ([tuple(map(tuple, rows))] if changed else [])
+            derived = changed and FREE in rows[0] + rows[1]
+            assert calls == ([tuple(map(tuple, rows))] if derived else [])
             fresh._fixed_at_purge = None  # forget the last purge: derive all afresh
             purge(fresh, fixings, caps, caps)
             assert {k: [e.column for e in v] for k, v in cached.entries.items()} == {
                 k: [e.column for e in v] for k, v in fresh.entries.items()}
+
+
+def _assert_entries_match_reference(pool):
+    """Every live entry equals the scalar ``make_entry`` of its column field
+    by field (the pool lists the coverage in rank order), and the pool's
+    arrays agree with its entries."""
+    from reference import make_entry
+
+    inst, idx = pool.inst, pool.idx
+    serials, flags, servers, contents = [], [], [], []
+    for (h, i), entries in pool.entries.items():
+        assert len(entries) == pool.counts[pool.pair_index(h, i)]
+        for e in entries:
+            ref = make_entry(e.column, h, i, inst, idx, pool.mode)
+            assert e.cost == ref.cost  # bit for bit
+            assert e.coverage == tuple(sorted(ref.coverage))
+            assert e.svc == ref.svc
+            assert e.flags == ref.flags
+            assert pool.contains(h, i, e.column)
+            serials.append(e.serial)
+            flags.append(np.frombuffer(e.flags, dtype=bool).reshape(2, inst.horizon))
+            servers.append(h)
+            contents.append(i)
+    a = pool.arrays()
+    assert pool.total_columns() == len(serials)
+    assert a.serial.tolist() == pool.order.tolist() == serials
+    assert a.server.tolist() == servers and a.content.tolist() == contents
+    assert np.array_equal(a.flags, np.array(flags, dtype=bool).reshape(a.flags.shape))
+    assert np.array_equal(a.size, inst.sizes()[contents])
+
+
+def _random_fixings(rng, inst, share):
+    """Fixings consistent with one random valid column per pair, on a share
+    of the (server, content, slot) cells."""
+    columns = enumerate_columns(inst.horizon)
+    fixings = {}
+    for h in range(1, inst.num_servers + 1):
+        for i in range(1, inst.num_contents + 1):
+            col = rng.choice(columns)
+            for t, (q, p) in enumerate(col, start=1):
+                if rng.random() < share:
+                    fixings[(h, i, t)] = (q, p)
+    return fixings
+
+
+@pytest.mark.parametrize("mode", ["paper", "min"])
+@pytest.mark.parametrize("small_batch", [0, 10**9], ids=["arrays", "loops"])
+def test_batched_entries_equal_scalar_entries(mode, small_batch, monkeypatch):
+    """On 60 random tiny instances, the entries the pool makes in batches
+    (the zero columns of ``initial``, the candidates of a pricing round and
+    the canonical columns of a purge) equal the scalar ``make_entry``, made
+    in array passes and made in loops."""
+    from mcsp import columns
+    from mcsp.pricing import price_all
+    from test_pricing import random_duals
+
+    monkeypatch.setattr(columns, "SMALL_BATCH", small_batch)
+    rng = random.Random(61)
+    made = {"priced": 0, "canonical": 0}
+    for _ in range(60):
+        inst = random_tiny_instance(rng, horizon_max=5)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, mode)
+        _assert_entries_match_reference(pool)
+        # priced against an empty pool, as random duals may price pooled columns
+        candidates = price_all(ColumnPool(inst, idx, mode), random_duals(rng, inst), inst, idx,
+                               mode=mode)
+        if candidates:
+            n = pool.add_many([(pc.h, pc.i) for pc in candidates],
+                              np.stack([pc.flags for pc in candidates]))
+            made["priced"] += n
+        _assert_entries_match_reference(pool)
+        caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
+                for t in range(1, inst.horizon + 1)}
+        before = pool.num_serials
+        purge(pool, _random_fixings(rng, inst, 0.5), caps, caps)
+        made["canonical"] += pool.num_serials - before
+        _assert_entries_match_reference(pool)
+    assert made["priced"] > 50 and made["canonical"] > 50
+
+
+def test_pool_arrays_follow_random_operations():
+    """After random sequences of adds (single and batched), purges and pins
+    on random tiny instances, the pool holds what a scalar model of those
+    operations holds, pair by pair: the same columns under the same serials
+    in the same order; and its arrays agree with its entries."""
+    from reference import _column_compatible
+
+    rng = random.Random(63)
+    ops = {"add": 0, "batch": 0, "purge": 0, "pin": 0}
+    for _ in range(30):
+        inst = random_tiny_instance(rng, horizon_max=4)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, "paper")
+        pairs = pool.pairs
+        model = {key: [(zero_column(inst.horizon), n)] for n, key in enumerate(pairs)}
+        serials = len(pairs)
+        columns = enumerate_columns(inst.horizon)
+        fixings: dict = {}
+        for _ in range(12):
+            op = rng.choice(list(ops))
+            if op == "add":
+                key, col = rng.choice(pairs), rng.choice(columns)
+                fresh = col not in [c for c, _ in model[key]]
+                if fresh:
+                    model[key].append((col, serials))
+                    serials += 1
+                assert pool.add(*key, col) == fresh
+            elif op == "batch":
+                keys = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
+                cols = [rng.choice(columns) for _ in keys]
+                added = 0
+                for key, col in zip(keys, cols):
+                    if col not in [c for c, _ in model[key]]:
+                        model[key].append((col, serials))
+                        serials += 1
+                        added += 1
+                flags = np.array(cols, dtype=bool).transpose(0, 2, 1)
+                assert pool.add_many(keys, flags) == added
+            elif op == "purge":
+                fixings.update({k: v for k, v in _random_fixings(rng, inst, 0.2).items()
+                                if k not in fixings})
+                caps = {(h, t): rng.choice([2.0, 4.0, 100.0])
+                        for h in range(1, inst.num_servers + 1)
+                        for t in range(1, inst.horizon + 1)}
+                try:
+                    removed = purge(pool, fixings, caps, caps)
+                except UnfixablePoolError:
+                    break
+                want = 0
+                for (h, i) in pairs:
+                    fixed = tuple(fixings.get((h, i, t), (None, None))
+                                  for t in range(1, inst.horizon + 1))
+                    kept = [(c, s) for c, s in model[(h, i)]
+                            if _column_compatible(c, h, inst.size(i), fixed, caps, caps)]
+                    want += len(model[(h, i)]) - len(kept)
+                    col = canonical_column(*fixing_rows(fixed))
+                    if col not in [c for c, _ in kept]:
+                        kept.append((col, serials))
+                        serials += 1
+                    model[(h, i)] = kept
+                assert removed == want
+            else:
+                key = rng.choice(pairs)
+                k = rng.randrange(len(model[key]))
+                model[key] = [model[key][k]]
+                assert pool.pin(*key, k) == model[key][0][0]
+            ops[op] += 1
+            assert {k: [(e.column, e.serial) for e in v] for k, v in pool.entries.items()} == model
+            assert pool.num_serials == serials
+            _assert_entries_match_reference(pool)
+    assert min(ops.values()) >= 20
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 4])
+def test_purge_fully_fixed_pair_matches_canonical_column(tiny1, horizon):
+    """For every way of fixing every slot of a pair, a purge leaves the pool
+    holding exactly the column ``canonical_column`` derives, or raises
+    UnfixablePoolError where it derives none."""
+    from dataclasses import replace
+    from itertools import product
+
+    inst = replace(tiny1, horizon=horizon)
+    idx = build_request_index(inst)
+    caps = {(1, t): float("inf") for t in range(1, horizon + 1)}
+    unfixable = 0
+    for gamma, omega in product(product((0, 1), repeat=horizon), repeat=2):
+        pool = ColumnPool.initial(inst, idx, "paper")
+        fixings = {(1, 1, t): (g, o) for t, g, o in zip(range(1, horizon + 1), gamma, omega)}
+        col = canonical_column(list(gamma), list(omega))
+        if col is None:
+            unfixable += 1
+            with pytest.raises(UnfixablePoolError):
+                purge(pool, fixings, caps, caps)
+        else:
+            purge(pool, fixings, caps, caps)
+            assert [e.column for e in pool.columns(1, 1)] == [col]
+    assert 0 < unfixable < 4**horizon

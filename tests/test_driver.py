@@ -188,3 +188,45 @@ def test_next_pin_is_the_first_largest_fractional_weight():
         if best is None:
             continue
         assert _next_pin(sol) == (best[1], best[2])
+
+
+def test_decode_schedule_takes_each_pairs_first_largest_weight():
+    """The schedule holds, for every pair whose column is not the zero
+    column, the column of the pair's first largest weight, as a per-pair
+    argmax over ``sol.chi`` finds it; a pair whose largest weight is below
+    one raises ValueError."""
+    from mcsp.columns import column_states, enumerate_columns, zero_column
+    from mcsp.driver import decode_schedule
+
+    rng = random.Random(19)
+    fractional = 0
+    for _ in range(60):
+        inst = random_tiny_instance(rng)
+        pool = ColumnPool.initial(inst, build_request_index(inst), "paper")
+        for key in pool.pairs:
+            for col in rng.sample(enumerate_columns(inst.horizon), 2):
+                pool.add(*key, col)
+        x = np.concatenate([rng.choice([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-12, 1.0]])
+                            + [0.0] * (n - 2) for n in pool.counts.tolist()] + [[0.5]])
+        if rng.random() < 0.2:
+            x[rng.randrange(pool.total_columns())] = 0.5
+            x[: pool.total_columns()][x[: pool.total_columns()] == 1.0] = 0.5
+        starts = pool.starts()[:-1].tolist()
+        sol = RmpSolution(objective=0.0, x=x, chi_offset=dict(zip(pool.pairs, starts)),
+                          n_chi=pool.total_columns(), duals=None, lp=None)
+        want = {}
+        try:
+            for key, weights in sol.chi.items():
+                k = int(np.argmax(weights))
+                if weights[k] < 1 - 1e-6:
+                    raise ValueError("fractional")
+                col = pool.columns(*key)[k].column
+                if col != zero_column(inst.horizon):
+                    want[key] = column_states(col)
+        except ValueError:
+            fractional += 1
+            with pytest.raises(ValueError, match="fractional"):
+                decode_schedule(pool, sol, inst)
+            continue
+        assert decode_schedule(pool, sol, inst).states == want
+    assert 0 < fractional < 60

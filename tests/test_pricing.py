@@ -7,6 +7,7 @@ import pytest
 from mcsp.columns import column_cost_S, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.pricing import (
+    TOL_PRICE as TOL,
     PricingStatics,
     build_graph,
     price_all,
@@ -144,10 +145,7 @@ def test_decode_tie_break_matches_brute_force(mode):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         duals = grid_duals(rng, inst)
-        empty = ColumnPool(inst, idx, mode, {
-            (h, i): [] for h in range(1, inst.num_servers + 1)
-            for i in range(1, inst.num_contents + 1)
-        })
+        empty = ColumnPool(inst, idx, mode)
         by_pair = {(pc.h, pc.i): pc for pc in price_all(empty, duals, inst, idx, mode=mode)}
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
@@ -451,3 +449,115 @@ def test_fully_fixed_column_is_the_only_path():
             pc = shortest_path(build_graph(h, i, duals, inst, idx, fixings=state))
             assert pc.column == decoded[k] == col
             assert pc.path_value == pytest.approx(reduced_cost(col, h, i, duals, idx), abs=1e-9)
+
+
+def _partly_fixed(rng, inst, decided_share):
+    """A RoundingState and a pool: on a share of the pairs every slot is
+    fixed to a random valid column; on the others a random share of the
+    slots is fixed consistently with another random valid column. The pool
+    of a pair fixed at every slot holds its column alone, the others the
+    zero column."""
+    from mcsp.columns import FREE, ColumnPool
+    from mcsp.rounding import RoundingState
+
+    idx = build_request_index(inst)
+    state = RoundingState(inst)
+    pool = ColumnPool.initial(inst, idx, "paper")
+    columns = enumerate_columns(inst.horizon)
+    for h, i in pool.pairs:
+        col = rng.choice(columns)
+        decided = rng.random() < decided_share
+        for t, (q, p) in enumerate(col, start=1):
+            if decided or rng.random() < 0.4:
+                state.fix(h, i, t, gamma=q, omega=p)
+        if (state.gamma[h, i, 1:] != FREE).all():  # fixed at every slot, maybe by chance
+            pool.add(h, i, col)
+            pool.pin(h, i, pool.counts[pool.pair_index(h, i)] - 1)
+    return idx, state, pool
+
+
+@pytest.mark.parametrize("min_decided", [1, 10**9], ids=["partial", "every-pair"])
+def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
+    """Under random fixings, the tables and values of the priced pairs are
+    bit for bit those of pricing every pair, and price_all returns the
+    candidates full pricing finds, at the same values. With partial pricing
+    the pairs fixed at every slot are left out, so that with every pair
+    decided no pair is priced; below ``MIN_DECIDED`` decided pairs every
+    pair is priced. Either way a decided pair's column raises when full
+    pricing finds it negative."""
+    from mcsp import pricing
+    from mcsp.columns import FREE
+    from mcsp.pricing import Pricer, decode_columns
+
+    monkeypatch.setattr(pricing, "MIN_DECIDED", min_decided)
+    rng = random.Random(73)
+    seen = {"compared": 0, "raised": 0, "none_priced": 0, "candidates": 0}
+    for n in range(60):
+        inst = random_tiny_instance(rng, horizon_max=4)
+        idx, state, pool = _partly_fixed(rng, inst, 1.0 if n % 6 == 0 else 0.5)
+        duals = random_duals(rng, inst)
+        statics = PricingStatics(inst, idx, "paper")
+        decided = ((state.gamma != FREE) & (state.omega != FREE))[1:, 1:, 1:].all(axis=2).ravel()
+        full, full_tables = Pricer(statics).price(duals, state)
+        live = statics.live(state)
+        assert statics.live(state).statics is live.statics  # kept while the fixings stay
+        assert np.array_equal(live.decided, decided if min_decided == 1 else 0 * decided)
+        values, tables = Pricer(live.statics).price(duals, live)
+        priced = ~live.decided
+        assert np.array_equal(values, full[priced])
+        for name in ("upd", "pur", "allow_u", "allow_k0", "allow_ka"):
+            assert np.array_equal(getattr(tables, name), getattr(full_tables, name)[..., priced])
+        if not priced.any():
+            seen["none_priced"] += 1
+        if (full[decided] < -TOL).any():
+            with pytest.raises(AssertionError, match="priced its pooled column"):
+                price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+            seen["raised"] += 1
+            # lower each decided pair's convexity dual so that its column prices >= 0
+            for k in np.flatnonzero(decided):
+                duals.lams[statics.server[k], statics.content[k]] += min(0.0, full[k])
+            full, full_tables = Pricer(statics).price(duals, state)
+            assert (full[decided] >= -TOL).all()
+        cands = price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+        ks = np.flatnonzero(full < -TOL)
+        want = decode_columns(full_tables.take(ks), full[ks])
+        assert [(pc.h, pc.i, pc.column, pc.path_value) for pc in cands] == [
+            (*statics.pairs[k], col, float(full[k])) for k, col in zip(ks, want)]
+        seen["compared"] += 1
+        seen["candidates"] += len(cands)
+    assert seen["raised"] >= 10 and seen["candidates"] >= 30
+    assert (seen["none_priced"] >= 5) == (min_decided == 1)
+
+
+def test_decided_pair_check_raises_on_a_perturbed_dual(monkeypatch):
+    """With every pair's column pinned and each convexity dual equal to its
+    column's cost, every column prices at zero and pricing returns nothing;
+    lowering one coverage, capacity or convexity price of one column by one
+    makes it price negative, and price_all names that pair."""
+    from mcsp import pricing
+
+    monkeypatch.setattr(pricing, "MIN_DECIDED", 1)
+    rng = random.Random(79)
+    perturbed = {"pi": 0, "mu": 0, "phi": 0, "lam": 0}
+    for _ in range(40):
+        inst = random_tiny_instance(rng, horizon_max=4)
+        idx, state, pool = _partly_fixed(rng, inst, 1.0)
+        statics = PricingStatics(inst, idx, "paper")
+        duals = DualPrices.explicit(idx, lam={key: pool.columns(*key)[0].cost
+                                              for key in pool.pairs})
+        assert price_all(pool, duals, inst, idx, fixings=state, statics=statics) == []
+        h, i = rng.choice(pool.pairs)
+        entry = pool.columns(h, i)[0]
+        options = [("lam", (h, i))]
+        options += [("pi", j) for j in entry.svc]
+        options += [(kind, (h, t)) for t, (q, p) in enumerate(entry.column, start=1)
+                    for kind, flag in (("mu", q), ("phi", p)) if flag]
+        kind, at = rng.choice(options)
+        array = {"pi": duals.pis, "mu": duals.mus, "phi": duals.phis, "lam": duals.lams}[kind]
+        array[at] += -1.0 if kind == "pi" else 1.0
+        # a capacity price is the server's: another of its pairs may be first
+        pair = rf"\({h}, {i if kind in ('pi', 'lam') else '[0-9]+'}\)"
+        with pytest.raises(AssertionError, match=rf"pair {pair} priced its pooled column"):
+            price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+        perturbed[kind] += 1
+    assert all(perturbed.values())

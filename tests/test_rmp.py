@@ -421,8 +421,8 @@ def _resolve_moved_master(pool, inst, idx):
     violated.add_violated(pool, first.chi, inst)
     every = {(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)}
     rows = CapacityRows(every - violated.cache, every - violated.backhaul)
-    for entries in pool.entries.values():
-        entries.reverse()
+    for key in pool.pairs:
+        pool.keep(*key, range(pool.counts[pool.pair_index(*key)] - 1, -1, -1))
     again = solve_rmp(build_rmp(pool, inst, idx, rows), basis=basis)
     return first, again
 
@@ -470,8 +470,7 @@ def test_start_basis_after_a_purge_solves():
     sol = solve_rmp(build_rmp(pool, inst, idx), basis=basis)
     for key, weights in sol.chi.items():
         # keep the zero column, so that the master stays feasible
-        pool.entries[key] = [e for k, e in enumerate(pool.entries[key])
-                             if k == 0 or weights[k] <= 1e-9]
+        pool.keep(*key, [k for k, w in enumerate(weights) if k == 0 or w <= 1e-9])
     model = build_rmp(pool, inst, idx)
     start = basis.start(model)
     assert start.num_basic < model.problem.num_rows

@@ -455,3 +455,43 @@ def test_reordered_lps_reach_highs_as_the_scipy_reorder(highs_calls):
         assert row_status == want["row_status"].tolist()
         checked += np.any(prob.rel[1:] < prob.rel[:-1])
     assert checked >= 25
+
+
+def test_objective_and_iterations_equal_the_whole_info(monkeypatch):
+    """``solve_lp`` reads the objective and the iteration count as single
+    values; on cold and warm solves of masters of random tiny instances they
+    equal the fields of the whole ``HighsInfo`` that ``getInfo`` copies."""
+    from mcsp import simplex
+    from mcsp.columns import ColumnPool, enumerate_columns
+    from mcsp.instance import build_request_index
+    from mcsp.rmp import build_rmp
+
+    from conftest import random_tiny_instance
+
+    infos = []
+
+    class Recording(simplex._highs._Highs):
+        def run(self):
+            status = super().run()
+            infos.append(self.getInfo())
+            return status
+
+    monkeypatch.setattr(simplex._highs, "_Highs", Recording)
+    rng = random.Random(5)
+    iterations = set()
+    for _ in range(30):
+        inst = random_tiny_instance(rng)
+        idx = build_request_index(inst)
+        pool = ColumnPool.initial(inst, idx, "paper")
+        cold = solve_lp(build_rmp(pool, inst, idx).problem)
+        for key in pool.pairs:
+            for col in rng.sample(enumerate_columns(inst.horizon), 2):
+                pool.add(*key, col)
+        problem = build_rmp(pool, inst, idx).problem
+        grown = solve_lp(problem)
+        warm = solve_lp(problem, grown.basis)
+        for sol, info in zip((cold, grown, warm), infos[-3:]):
+            assert sol.objective == info.objective_function_value
+            assert sol.iterations == info.simplex_iteration_count
+            iterations.add(sol.iterations)
+    assert len(infos) == 90 and 0 in iterations and len(iterations) > 5
