@@ -281,9 +281,14 @@ class ColumnPool:
         keys = self._key(ks, flags) if keys is None else keys
         self._keys.extend(keys)
         self._live.update(keys)
-        # each at the end of its pair, in batch order (insert keeps the given
-        # order of equal positions)
-        self.order = np.insert(self.order, np.cumsum(self.counts)[ks], serials)
+        # each at the end of its pair, in batch order within a pair
+        by = np.argsort(ks, kind="stable")
+        at = np.cumsum(self.counts)[ks[by]] + np.arange(M)  # places in the new order
+        order = np.empty(len(self.order) + M, dtype=np.int64)
+        old = np.ones(len(order), dtype=bool)
+        old[at] = False
+        order[old], order[at] = self.order, serials[by]
+        self.order = order
         self.counts += np.bincount(ks, minlength=len(self.counts))
         self._views.clear()
 

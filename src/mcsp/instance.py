@@ -447,6 +447,7 @@ class RequestIndex:
     ``mcr_svc`` (the service position of age zero; age a is at ``mcr_svc +
     a``), in ``mcr(h, i)`` order; the SCRs of ``scr(h, i)`` are entries
     ``scr_start[k]:scr_start[k + 1]`` of ``scr_deadline`` and ``scr_window``.
+    ``mcr_pair`` and ``scr_pair`` hold each entry's pair k.
     ``aoi`` holds f(a) for the ages a = 0..horizon - 1, ``cloud`` the cloud
     cost by content id (index 0 unused) and ``svc_age`` the age of every
     service.
@@ -465,16 +466,17 @@ class RequestIndex:
         self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
         self.svc_pos: dict[tuple[int, int, int], int] = {}
         request_ids, saving, ages = [], [], []
-        mcr_start, mcr_origin, mcr_deadline, mcr_svc = [0], [], [], []
-        scr_start, scr_deadline, scr_window = [0], [], []
+        mcr_start, mcr_origin, mcr_deadline, mcr_svc, mcr_pair = [0], [], [], [], []
+        scr_start, scr_deadline, scr_window, scr_pair = [0], [], [], []
         self.pairs = [(h, i) for h in range(1, inst.num_servers + 1)
                       for i in range(1, inst.num_contents + 1)]
         self.pair_server, self.pair_content = np.divmod(np.arange(len(self.pairs)),
                                                         inst.num_contents)
         self.pair_server += 1
         self.pair_content += 1
-        for h, i in self.pairs:
+        for k, (h, i) in enumerate(self.pairs):
             for r in self._mcr.get((h, i), ()):
+                mcr_pair.append(k)
                 mcr_origin.append(r.origin)
                 mcr_deadline.append(r.deadline)
                 mcr_svc.append(len(self.svc_pos))
@@ -485,16 +487,18 @@ class RequestIndex:
                     ages.append(a)
             mcr_start.append(len(mcr_origin))
             for r in self._scr.get((h, i), ()):
+                scr_pair.append(k)
                 scr_deadline.append(r.deadline)
                 scr_window.append(r.window)
             scr_start.append(len(scr_deadline))
         self.svc_request_ids = np.array(request_ids, dtype=np.int64)
         self.svc_saving = np.array(saving, dtype=float)
         self.svc_age = np.array(ages, dtype=np.int64)
-        self.mcr_start, self.mcr_origin, self.mcr_deadline, self.mcr_svc = (
-            np.array(v, dtype=np.int64) for v in (mcr_start, mcr_origin, mcr_deadline, mcr_svc))
-        self.scr_start, self.scr_deadline, self.scr_window = (
-            np.array(v, dtype=np.int64) for v in (scr_start, scr_deadline, scr_window))
+        self.mcr_start, self.scr_start = np.array(mcr_start), np.array(scr_start)
+        self.mcr_origin, self.mcr_deadline, self.mcr_svc, self.mcr_pair = np.array(
+            [mcr_origin, mcr_deadline, mcr_svc, mcr_pair], dtype=np.int64).reshape(4, -1)
+        self.scr_deadline, self.scr_window, self.scr_pair = np.array(
+            [scr_deadline, scr_window, scr_pair], dtype=np.int64).reshape(3, -1)
         self.aoi = np.array([inst.f(a) for a in range(inst.horizon)])
         self.cloud = np.array([0.0] + [inst.cloud_cost(i) for i in range(1, inst.num_contents + 1)])
         keys = list(self.svc_pos)

@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import FREE, Column, ColumnPool, concat_ranges
+from .columns import FREE, Column, ColumnPool
 from .costs import SettlementMode
 from .instance import Instance, RequestIndex
 from .rmp import DualPrices
@@ -413,16 +413,18 @@ class PricingStatics:
         self.keys = np.arange(K)
         self.size = inst.sizes()[self.content]
         cloud = idx.cloud[self.content]
-        # the single-choice requests of each pair, and their settlement deltas
-        # on purple arcs at every age a = 1..T-1, request by request
-        k, j = concat_ranges(idx.scr_start[:-1], idx.scr_start[1:])
-        n_xi = np.bincount(idx.scr_deadline[j] * K + k, minlength=(T + 1) * K)
+        # the deadline-t single-choice requests of each pair, and their
+        # settlement deltas on purple arcs at every age a = 1..T-1, request
+        # by request
+        k = idx.scr_pair
+        n_xi = np.bincount(idx.scr_deadline * K + k, minlength=(T + 1) * K)
         n_xi = n_xi.reshape(T + 1, K).astype(float)
-        r, a = concat_ranges(np.ones(len(j), dtype=np.int64), np.full(len(j), T))
-        reach = idx.aoi[np.maximum(0, a - idx.scr_window[j[r]])]
+        r, a = np.nonzero(np.ones((len(k), T - 1), dtype=bool))
+        a += 1
+        reach = idx.aoi[np.maximum(0, a - idx.scr_window[r])]
         if mode == "min":
             reach = np.minimum(reach, cloud[k[r]])
-        self.psi = _credits((idx.scr_deadline[j[r]] * (T + 1) + a) * K + k[r],
+        self.psi = _credits((idx.scr_deadline[r] * (T + 1) + a) * K + k[r],
                             reach - cloud[k[r]], (T + 1, T + 1, K))  # [t, a, k] for a >= 1
         # the dual-free terms of the update weights and of the sink arcs
         self.upd_base = inst.cost.beta * self.size - n_xi * inst.cost.alpha * self.size
@@ -436,12 +438,11 @@ class PricingStatics:
         # target indices keep that fill order, so the sums come out the same
         # as filling request by request. A target is a cell of the [slot,
         # slot] plane (``*_cell``) and a pair (``*_pair``).
-        k, j = concat_ranges(idx.mcr_start[:-1], idx.mcr_start[1:])
-        origin, deadline, zero = idx.mcr_origin[j], idx.mcr_deadline[j], idx.mcr_svc[j]
-        ones = np.ones(len(j), dtype=np.int64)
-        r, t = concat_ranges(ones, deadline + 1)
-        self.g0_src, self.g0_pair, self.g0_cell = zero[r], k[r], origin[r] * (T + 2) + t
-        r, a = concat_ranges(ones, deadline)
+        k, origin, zero = idx.mcr_pair, idx.mcr_origin, idx.mcr_svc
+        r, t = np.nonzero(np.arange(1, T + 1) <= idx.mcr_deadline[:, None])
+        self.g0_src, self.g0_pair, self.g0_cell = zero[r], k[r], origin[r] * (T + 2) + t + 1
+        r, a = np.nonzero(np.arange(1, T) < idx.mcr_deadline[:, None])
+        a += 1
         self.ga_src, self.ga_pair, self.ga_cell = zero[r] + a, k[r], origin[r] * (T + 1) + a
         self.g0_at = self.g0_cell * K + self.g0_pair
         self.ga_at = self.ga_cell * K + self.ga_pair
