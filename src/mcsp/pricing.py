@@ -403,7 +403,7 @@ class PricingStatics:
     (pairs in (server, content) order), built from the request index's
     per-pair request arrays. ``keys`` numbers each pair among all pairs of
     the instance. ``select`` restricts the tables to some pairs, ``live`` to
-    the pairs some fixings leave undecided."""
+    the pairs to price under some fixings."""
 
     def __init__(self, inst: Instance, idx: RequestIndex, mode: SettlementMode):
         self.inst, self.idx, self.mode = inst, idx, mode
@@ -446,7 +446,7 @@ class PricingStatics:
         self.ga_src, self.ga_pair, self.ga_cell = zero[r] + a, k[r], origin[r] * (T + 1) + a
         self.g0_at = self.g0_cell * K + self.g0_pair
         self.ga_at = self.ga_cell * K + self.ga_pair
-        self._live: Optional[tuple] = None  # the fixings ``live`` last saw, and its answer
+        self._live: Optional[tuple] = None  # the fixings ``live`` last saw, and what it chose
 
     def select(self, keep: np.ndarray) -> "PricingStatics":
         """The tables of the pairs where ``keep`` holds, in the same order.
