@@ -7,12 +7,17 @@ backhaul headroom lasts. Nothing is ever evicted.
 
 The exact oracle searches per-pair column combinations depth-first with
 capacity and bound pruning; it is deliberately capped at toy sizes and exists
-to anchor the optimality tests. The ILP exporter writes the flat binary
-formulation in LP text format for external cross-checks.
+to anchor the optimality tests. Each node costs a few integer and dict
+operations: the capacity headroom of every server and slot is packed into one
+int, tested and passed down by a single subtraction, and the cost of the
+requests that settle at a depth is memoised by the columns chosen in that
+content's block. The ILP exporter writes the flat binary formulation in LP
+text format for external cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -105,6 +110,24 @@ def run_pba(inst: Instance) -> SolveReport:
     )
 
 
+@functools.cache
+def _column_tables(T: int) -> tuple:
+    """The column tables of a horizon, shared by every oracle solve: the
+    columns, their ages, update counts and state strings, the zero column's
+    index, and by last deadline d the indices of the columns that cache
+    nothing after slot d."""
+    columns = enumerate_columns(T)
+    return (
+        columns,
+        [column_ages(col) for col in columns],
+        [sum(p for _, p in col) for col in columns],
+        [column_states(col) for col in columns],
+        columns.index(zero_column(T)),
+        [[k for k, col in enumerate(columns) if all(q == 0 for q, _ in col[d:])]
+         for d in range(T + 1)],
+    )
+
+
 def solve_exact(
     inst: Instance,
     mode: SettlementMode = "paper",
@@ -123,9 +146,7 @@ def solve_exact(
             f"T<={caps.max_horizon} R<={caps.max_requests}"
         )
     T = inst.horizon
-    columns = enumerate_columns(T)
-    ages_of = [column_ages(col) for col in columns]
-    n_updates = [sum(p for _, p in col) for col in columns]
+    columns, ages_of, n_updates, states_of, zero, cols_by_deadline = _column_tables(T)
     # content-major order settles each content's requests after few levels
     pairs = [
         (h, i)
@@ -139,13 +160,6 @@ def solve_exact(
         for h in r.candidates:
             key = (h, r.content)
             last_deadline[key] = max(last_deadline[key], r.deadline)
-    candidate_cols: dict[tuple[int, int], list[int]] = {}
-    for hi in pairs:
-        dmax = last_deadline[hi]
-        candidate_cols[hi] = [
-            k for k, col in enumerate(columns)
-            if all(q == 0 for q, _ in col[dmax:])
-        ]
     # requests settle once every candidate pair has been assigned
     level: dict[int, int] = {}
     pair_pos = {hi: d for d, hi in enumerate(pairs)}
@@ -179,79 +193,90 @@ def solve_exact(
             per_col.append(val)
         svc[r.id] = per_col
 
-    cache_cap = [inst.server(h).cache_capacity for h in range(1, inst.num_servers + 1)]
-    backhaul_cap = [
-        inst.server(h).backhaul_capacity for h in range(1, inst.num_servers + 1)
-    ]
-    cache_load = [[0.0] * (T + 1) for _ in range(inst.num_servers + 1)]
-    backhaul_load = [[0.0] * (T + 1) for _ in range(inst.num_servers + 1)]
+    # The capacity headroom is one int: a field per (server, slot, cache or
+    # backhaul) holding floor(capacity + CAPACITY_EPS), exact since sizes are
+    # integers, clamped to the catalog's size, under a guard bit. A column
+    # fits iff subtracting its loads leaves every guard set.
+    catalog = sum(inst.size(i) for i in range(1, inst.num_contents + 1))
+    width = catalog.bit_length() + 1
+    guard = 1 << (width - 1)
+    guards = sum(guard << k * width for k in range(2 * inst.num_servers * T))
+    room = guards + sum(
+        min(max(math.floor(cap + CAPACITY_EPS), 0), catalog) << (2 * (h * T + t) + kind) * width
+        for h, srv in enumerate(inst.servers) for t in range(T)
+        for kind, cap in enumerate((srv.cache_capacity, srv.backhaul_capacity)))
+    # a column's need at size 1 on server 1; server h's fields lie 2 T (h - 1) fields up
+    units = [sum((q << 2 * t * width) + (p << (2 * t + 1) * width) for t, (q, p) in enumerate(col))
+             for col in columns]
 
-    # Precomputed per depth for the search: the content size; per candidate
-    # column its index, its (load list, slot, capacity) per cached and per
-    # updated slot, and its update cost; and the requests settling there,
-    # each with its service values, the depths of its candidate pairs and
-    # its cloud cost.
-    sizes, options, settling = [], [], []
+    H, n = inst.num_servers, len(pairs)
+    # Precomputed per depth: per candidate column its index, its capacity
+    # need (its content's size in the field of each cached and each updated
+    # slot) and its update cost; and the requests settling there, each with
+    # its service values, the depths of its candidate pairs and its cloud
+    # cost.
+    options, settling = [], []
     for d, (h, i) in enumerate(pairs):
         size = inst.size(i)
-        ch, bh = cache_load[h], backhaul_load[h]
-        c_cap, b_cap = cache_cap[h - 1] + CAPACITY_EPS, backhaul_cap[h - 1] + CAPACITY_EPS
-        sizes.append(size)
         options.append([
-            (k, [(ch, t, c_cap) for t, (q, _) in enumerate(columns[k], start=1) if q]
-             + [(bh, t, b_cap) for t, (_, p) in enumerate(columns[k], start=1) if p],
-             inst.cost.beta * size * n_updates[k])
-            for k in candidate_cols[(h, i)]
+            (k, size * units[k] << 2 * (h - 1) * T * width, inst.cost.beta * size * n_updates[k])
+            for k in cols_by_deadline[last_deadline[(h, i)]]
         ])
         settling.append([
             (svc[r.id], [pair_pos[(g, r.content)] for g in r.candidates],
              inst.cloud_cost(r.content))
             for r in by_level.get(d, ())
         ])
-    states_of = [column_states(col) for col in columns]
-    zero = columns.index(zero_column(T))
     settle_min = mode == "min"
-    chosen = [zero] * len(pairs)  # column index by depth
-    best = {"cost": math.inf, "schedule": None}
+    chosen = [zero] * n  # column index by depth
+    # the cost settling at a depth depends only on the columns chosen so far
+    # in its content's block of depths: memoised per depth by those columns
+    settled_at: list[dict[tuple, dict[int, float]]] = [{} for _ in pairs]
+    best_cost, best_schedule = math.inf, None
 
-    def dfs(depth: int, acc: float) -> None:
-        if acc + floor_after[depth] >= best["cost"] - 1e-12:
-            return
-        if depth == len(pairs):
+    def settle(depth: int) -> float:
+        settled = 0.0
+        for values, where, cloud in settling[depth]:
+            served = min([values[chosen[d]] for d in where])
+            if settle_min:
+                settled += min(served, cloud)
+            else:
+                settled += cloud if math.isinf(served) else served
+        return settled
+
+    def dfs(depth: int, acc: float, room: int) -> None:
+        nonlocal best_cost, best_schedule
+        if depth == n:
             states = {pairs[d]: states_of[k] for d, k in enumerate(chosen) if k != zero}
             schedule = Schedule(horizon=T, states=states)
             total = evaluate(schedule, inst, mode).total
             assert abs(total - acc) <= 1e-9 * (1 + abs(total))
-            if total < best["cost"] - 1e-12:
-                best["cost"] = total
-                best["schedule"] = schedule
+            if total < best_cost - 1e-12:
+                best_cost, best_schedule = total, schedule
             return
-        size = sizes[depth]
-        for k, slots, update_cost in options[depth]:
-            for load, t, cap in slots:
-                if load[t] + size > cap:
-                    break
-            else:  # the column fits: load it, settle, go deeper, unload
-                for load, t, _ in slots:
-                    load[t] += size
-                chosen[depth] = k
-                settled = 0.0
-                for values, where, cloud in settling[depth]:
-                    served = min([values[chosen[d]] for d in where])
-                    if settle_min:
-                        settled += min(served, cloud)
-                    else:
-                        settled += cloud if math.isinf(served) else served
-                dfs(depth + 1, acc + update_cost + settled)
-                for load, t, _ in slots:
-                    load[t] -= size
+        floor, settled, known = floor_after[depth + 1], 0.0, None
+        if settling[depth]:
+            known = settled_at[depth].setdefault(tuple(chosen[depth - depth % H:depth]), {})
+        for k, need, update_cost in options[depth]:
+            rest = room - need
+            if rest & guards != guards:
+                continue  # the column does not fit
+            chosen[depth] = k
+            if known is not None:
+                settled = known.get(k)
+                if settled is None:
+                    settled = known[k] = settle(depth)
+            child = acc + update_cost + settled
+            # the child's prune test, made before the call
+            if child + floor < best_cost - 1e-12:
+                dfs(depth + 1, child, rest)
 
-    dfs(0, 0.0)
-    schedule = best["schedule"]
+    dfs(0, 0.0, room)
+    schedule = best_schedule
     assert schedule is not None
     assignment = derive_assignment(schedule, inst, mode)
     cost = plan_cost(schedule, assignment, inst)
-    assert abs(cost.total - best["cost"]) <= 1e-9 * (1 + abs(cost.total))
+    assert abs(cost.total - best_cost) <= 1e-9 * (1 + abs(cost.total))
     return SolveReport(
         algorithm="exact",
         settlement_mode=mode,

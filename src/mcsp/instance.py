@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -457,55 +458,47 @@ class RequestIndex:
         self.inst = inst
         self._scr: dict[tuple[int, int], list[Request]] = {}
         self._mcr: dict[tuple[int, int], list[Request]] = {}
+        # one row per MCR and candidate, and per SCR, led by its pair k
+        num_contents, mcr_rows, scr_rows = inst.num_contents, [], []
+        self.mcr_cloud_cost = 0  # the cloud cost of every MCR, summed in request order
         for r in inst.requests:
             if r.is_mcr:
+                self.mcr_cloud_cost += inst.cloud_cost(r.content)
                 for h in r.candidates:
                     self._mcr.setdefault((h, r.content), []).append(r)
+                    mcr_rows.append(((h - 1) * num_contents + r.content - 1, r.id, h,
+                                     r.origin, r.deadline))
             else:
-                self._scr.setdefault((r.candidates[0], r.content), []).append(r)
+                h = r.candidates[0]
+                self._scr.setdefault((h, r.content), []).append(r)
+                scr_rows.append(((h - 1) * num_contents + r.content - 1, r.deadline, r.window))
         self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
-        self.svc_pos: dict[tuple[int, int, int], int] = {}
-        request_ids, saving, ages = [], [], []
-        mcr_start, mcr_origin, mcr_deadline, mcr_svc, mcr_pair = [0], [], [], [], []
-        scr_start, scr_deadline, scr_window, scr_pair = [0], [], [], []
         self.pairs = [(h, i) for h in range(1, inst.num_servers + 1)
-                      for i in range(1, inst.num_contents + 1)]
-        self.pair_server, self.pair_content = np.divmod(np.arange(len(self.pairs)),
-                                                        inst.num_contents)
-        self.pair_server += 1
-        self.pair_content += 1
-        for k, (h, i) in enumerate(self.pairs):
-            for r in self._mcr.get((h, i), ()):
-                mcr_pair.append(k)
-                mcr_origin.append(r.origin)
-                mcr_deadline.append(r.deadline)
-                mcr_svc.append(len(self.svc_pos))
-                for a in range(r.deadline):
-                    self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
-                    request_ids.append(r.id)
-                    saving.append(inst.f(a) - inst.cloud_cost(i))
-                    ages.append(a)
-            mcr_start.append(len(mcr_origin))
-            for r in self._scr.get((h, i), ()):
-                scr_pair.append(k)
-                scr_deadline.append(r.deadline)
-                scr_window.append(r.window)
-            scr_start.append(len(scr_deadline))
-        self.svc_request_ids = np.array(request_ids, dtype=np.int64)
-        self.svc_saving = np.array(saving, dtype=float)
-        self.svc_age = np.array(ages, dtype=np.int64)
-        self.mcr_start, self.scr_start = np.array(mcr_start), np.array(scr_start)
-        self.mcr_origin, self.mcr_deadline, self.mcr_svc, self.mcr_pair = np.array(
-            [mcr_origin, mcr_deadline, mcr_svc, mcr_pair], dtype=np.int64).reshape(4, -1)
-        self.scr_deadline, self.scr_window, self.scr_pair = np.array(
-            [scr_deadline, scr_window, scr_pair], dtype=np.int64).reshape(3, -1)
+                      for i in range(1, num_contents + 1)]
+        self.pair_server, self.pair_content = np.array(
+            [*zip(*self.pairs)], dtype=np.int64).reshape(2, -1)
         self.aoi = np.array([inst.f(a) for a in range(inst.horizon)])
-        self.cloud = np.array([0.0] + [inst.cloud_cost(i) for i in range(1, inst.num_contents + 1)])
-        keys = list(self.svc_pos)
-        self.svc_by_rank = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
-        self.svc_rank = np.empty(len(keys), dtype=np.int64)
-        self.svc_rank[self.svc_by_rank] = np.arange(len(keys))
-        self.mcr_cloud_cost = sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
+        self.cloud = np.array([0.0] + [inst.cloud_cost(i) for i in range(1, num_contents + 1)])
+        # by pair, then in request order (the sorts are stable)
+        mcr_rows.sort(key=itemgetter(0))
+        scr_rows.sort(key=itemgetter(0))
+        mcr_table = np.array([*zip(*mcr_rows)], dtype=np.int64).reshape(5, -1)
+        self.mcr_pair, _, _, self.mcr_origin, self.mcr_deadline = mcr_table
+        self.scr_pair, self.scr_deadline, self.scr_window = np.array(
+            [*zip(*scr_rows)], dtype=np.int64).reshape(3, -1)
+        bounds = np.arange(len(self.pairs) + 1)
+        self.mcr_start = self.mcr_pair.searchsorted(bounds)
+        self.scr_start = self.scr_pair.searchsorted(bounds)
+        # an MCR row has one service per age below its deadline
+        counts = self.mcr_deadline
+        self.mcr_svc = counts.cumsum() - counts
+        pair, self.svc_request_ids, servers = mcr_table[:3].repeat(counts, axis=1)
+        self.svc_age = np.arange(len(pair)) - self.mcr_svc.repeat(counts)
+        self.svc_saving = self.aoi[self.svc_age] - self.cloud[self.pair_content[pair]]
+        self.svc_pos: dict[tuple[int, int, int], int] = dict(zip(zip(
+            self.svc_request_ids.tolist(), servers.tolist(), self.svc_age.tolist()), range(len(pair))))
+        self.svc_by_rank = np.lexsort((self.svc_age, servers, self.svc_request_ids))
+        self.svc_rank = self.svc_by_rank.argsort()
 
     def scr(self, h: int, i: int) -> tuple[Request, ...]:
         return tuple(self._scr.get((h, i), ()))

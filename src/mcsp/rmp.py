@@ -241,12 +241,6 @@ class RmpSolution:
         return {key: self.x[a:b] for key, a, b in zip(self.chi_offset, ends, ends[1:])}
 
 
-def service_saving(inst: Instance, i: int, a: int) -> float:
-    """Objective coefficient of a service variable: f(a) minus the cloud cost
-    (the scalar form of ``RequestIndex.svc_saving``)."""
-    return inst.f(a) - inst.cloud_cost(i)
-
-
 def build_rmp(
     pool: ColumnPool,
     inst: Instance,

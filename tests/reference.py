@@ -17,7 +17,14 @@ canonical re-solve stacked its row under the master's. ``master_lp``,
 ``face_lp`` and ``highs_model`` are that construction, kept so that tests can
 check that HiGHS receives the same arrays from the column-wise builders.
 ``solve_exact`` is the exhaustive oracle's search as it was before its
-per-depth tables, the reference its reports are checked against.
+per-depth tables, its packed capacity word and its memoised settlement: per
+(server, slot) float loads, added and taken off around each child, and every
+settling request costed anew at every node. It is the reference the oracle's
+reports are checked against.
+
+``RequestIndex`` once built its service arrays one service at a time;
+``LoopRequestIndex`` is that loop, kept to check the array passes against, and
+``service_saving`` the scalar form of ``RequestIndex.svc_saving``.
 """
 
 from __future__ import annotations
@@ -74,6 +81,12 @@ def make_entry(
         flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
     )
 
+
+
+def service_saving(inst: Instance, i: int, a: int) -> float:
+    """Objective coefficient of a service variable: f(a) minus the cloud cost
+    (the scalar form of ``RequestIndex.svc_saving``)."""
+    return inst.f(a) - inst.cloud_cost(i)
 
 @dataclass
 class RoundingState:
@@ -470,6 +483,69 @@ def highs_model(prob: SparseLp, basis_rows: Optional[np.ndarray] = None) -> dict
         nonbasic = np.where(np.arange(m) < n_ineq, UPPER, LOWER)
         out["row_status"] = np.where(basis_rows[order] == BASIC, BASIC, nonbasic)
     return out
+
+
+# -- the request index's per-service loop ------------------------------------
+
+
+class LoopRequestIndex(RequestIndex):
+    """``RequestIndex`` as it was built before its array passes: one Python
+    iteration per service, with ``Instance.f`` and ``cloud_cost`` called for
+    each saving and the rank order sorted from the ``svc_pos`` keys."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self._scr: dict[tuple[int, int], list[Request]] = {}
+        self._mcr: dict[tuple[int, int], list[Request]] = {}
+        for r in inst.requests:
+            if r.is_mcr:
+                for h in r.candidates:
+                    self._mcr.setdefault((h, r.content), []).append(r)
+            else:
+                self._scr.setdefault((r.candidates[0], r.content), []).append(r)
+        self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
+        self.svc_pos: dict[tuple[int, int, int], int] = {}
+        request_ids, saving, ages = [], [], []
+        mcr_start, mcr_origin, mcr_deadline, mcr_svc, mcr_pair = [0], [], [], [], []
+        scr_start, scr_deadline, scr_window, scr_pair = [0], [], [], []
+        self.pairs = [(h, i) for h in range(1, inst.num_servers + 1)
+                      for i in range(1, inst.num_contents + 1)]
+        self.pair_server, self.pair_content = np.divmod(np.arange(len(self.pairs)),
+                                                        inst.num_contents)
+        self.pair_server += 1
+        self.pair_content += 1
+        for k, (h, i) in enumerate(self.pairs):
+            for r in self._mcr.get((h, i), ()):
+                mcr_pair.append(k)
+                mcr_origin.append(r.origin)
+                mcr_deadline.append(r.deadline)
+                mcr_svc.append(len(self.svc_pos))
+                for a in range(r.deadline):
+                    self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
+                    request_ids.append(r.id)
+                    saving.append(inst.f(a) - inst.cloud_cost(i))
+                    ages.append(a)
+            mcr_start.append(len(mcr_origin))
+            for r in self._scr.get((h, i), ()):
+                scr_pair.append(k)
+                scr_deadline.append(r.deadline)
+                scr_window.append(r.window)
+            scr_start.append(len(scr_deadline))
+        self.svc_request_ids = np.array(request_ids, dtype=np.int64)
+        self.svc_saving = np.array(saving, dtype=float)
+        self.svc_age = np.array(ages, dtype=np.int64)
+        self.mcr_start, self.scr_start = np.array(mcr_start), np.array(scr_start)
+        self.mcr_origin, self.mcr_deadline, self.mcr_svc, self.mcr_pair = np.array(
+            [mcr_origin, mcr_deadline, mcr_svc, mcr_pair], dtype=np.int64).reshape(4, -1)
+        self.scr_deadline, self.scr_window, self.scr_pair = np.array(
+            [scr_deadline, scr_window, scr_pair], dtype=np.int64).reshape(3, -1)
+        self.aoi = np.array([inst.f(a) for a in range(inst.horizon)])
+        self.cloud = np.array([0.0] + [inst.cloud_cost(i) for i in range(1, inst.num_contents + 1)])
+        keys = list(self.svc_pos)
+        self.svc_by_rank = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+        self.svc_rank = np.empty(len(keys), dtype=np.int64)
+        self.svc_rank[self.svc_by_rank] = np.arange(len(keys))
+        self.mcr_cloud_cost = sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
 
 
 # -- the exhaustive oracle's search ------------------------------------------

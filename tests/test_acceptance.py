@@ -275,11 +275,14 @@ def test_criterion_5_nrs_success_rate(nrs7):
     can do that: the zero column, y <= 1 and the cloud default satisfy every
     other row. At these parameters no capacity row binds (the bound equals
     the bound with capacity relaxed), so NRS cannot wedge and this rate is
-    structurally 100%. Where capacity binds (rho_b = 0.04) NRS does wedge,
-    but it re-runs column generation after every single pin and wedges only
-    after 15 to 131 pins: 14 to 59 s per instance on one core, which a
-    50-instance batch cannot afford. The stressed-regime companion test below
-    shows the qualitative claim on a smaller binding batch."""
+    structurally 100%. Where capacity binds (rho_b = 0.04, the same 50
+    seeds) NRS wedges on every seed, but it re-runs column generation after
+    every single pin and wedges only after 11 to 168 pins: 2.6 to 16.4 s of
+    CPU per instance (median 7.3 s), and 224 s of wall time for the batch on
+    2 worker processes, measured on a 2-core shared VM running about 2.8
+    times slower than its quiet speed (roughly 80 s when quiet). The
+    stressed-regime companion test below shows the qualitative claim on a
+    smaller binding batch."""
     rate = sum(1 for _, r in nrs7 if r.feasible) / len(nrs7)
     ok = rate <= 0.90
     _verdict("5 nrs-success-rate", ok, f"NRS succeeded on {rate:.0%} of the 7-cell batch")

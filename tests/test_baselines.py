@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 import reference
 from mcsp.baselines import (
     CapsExceededError,
+    OracleCaps,
     export_ilp,
     ilp_variable_names,
     run_pba,
@@ -14,6 +16,7 @@ from mcsp.baselines import (
 from mcsp.costs import evaluate
 from mcsp.driver import run_rcga
 from mcsp.generator import GeneratorConfig, generate_instance
+from mcsp.instance import ContentSpec
 
 from conftest import TWO_CELL, random_tiny_instance
 
@@ -124,13 +127,79 @@ def test_exact_reports_equal_reference_search():
     kept in ``reference``."""
     rng = random.Random(71)
     for _ in range(60):
-        inst = random_tiny_instance(rng)
-        for mode in ("paper", "min"):
-            got, want = (report.to_dict() for report in (
-                solve_exact(inst, mode), reference.solve_exact(inst, mode)))
-            got.pop("wall_time_s"), want.pop("wall_time_s")
-            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        _assert_reports_equal_reference(random_tiny_instance(rng))
 
+
+
+def _with_capacities(inst, sizes, cache, backhaul):
+    """The instance with these content sizes and, on every server, these
+    cache and backhaul capacities."""
+    return dataclasses.replace(
+        inst,
+        servers=tuple(dataclasses.replace(s, cache_capacity=cache, backhaul_capacity=backhaul)
+                      for s in inst.servers),
+        contents=tuple(ContentSpec(i, size) for i, size in enumerate(sizes, start=1)),
+    )
+
+
+def _peak_load(report, inst) -> int:
+    """The largest cache or backhaul load of any server and slot."""
+    states = report.schedule.states
+    return max(
+        (sum(inst.size(i) for (g, i), row in states.items() if g == h and row[t] in marks)
+         for h in range(1, inst.num_servers + 1) for t in range(inst.horizon)
+         for marks in ("UC", "U")),
+        default=0,
+    )
+
+
+def _assert_reports_equal_reference(inst, caps=OracleCaps()):
+    """Both settlement modes report byte-identically to ``reference``'s
+    search; returns the paper-mode report."""
+    for mode in ("min", "paper"):
+        report = solve_exact(inst, mode, caps)
+        got, want = report.to_dict(), reference.solve_exact(inst, mode).to_dict()
+        got.pop("wall_time_s"), want.pop("wall_time_s")
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return report
+
+
+@pytest.mark.parametrize("sizes, capacity, peak", [
+    ((2, 3), 5, 5),  # both contents fill a slot's cache and backhaul exactly
+    ((2, 3), 0, 0),  # nothing fits
+    ((2, 3), 2.5, 2),
+    ((2, 3), 5 - 1e-12, 5),  # within the capacity slack: still fits
+    ((2, 3), 5 + 5e-10, 5),
+    ((2, 3), 5 - 2e-9, 3),  # past the slack: only one content fits
+    ((2, 3), 1e9, 5),  # headroom above the catalog's size
+    ((6, 2), 5, 2),  # content 1 is larger than every capacity
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_capacity_edges_equal_reference(sizes, capacity, peak, seed):
+    """At capacities on, just inside and just past a load, the oracle's
+    capacity test admits exactly the loads ``reference``'s float test does,
+    in both modes; the optimum's peak load shows which case binds."""
+    inst = generate_instance(GeneratorConfig(
+        cells="custom", custom_topology=TWO_CELL, num_contents=2, num_requests=10,
+        horizon=3, rho_m=0.3, rho_tt=0.0, window_max=1, seed=seed,
+    ))
+    inst = _with_capacities(inst, sizes, capacity, capacity)
+    assert _peak_load(_assert_reports_equal_reference(inst), inst) == peak
+
+
+def test_exact_wide_catalog_equals_reference():
+    """A four-content catalog of 510 (past an 8-bit capacity field) under
+    custom caps: the optimum fills the backhaul of 250 exactly, as the
+    reference search finds it."""
+    inst = generate_instance(GeneratorConfig(
+        cells="custom", custom_topology=TWO_CELL, num_contents=4, num_requests=12,
+        horizon=3, rho_m=0.3, rho_tt=0.0, window_max=1, seed=5,
+    ))
+    inst = _with_capacities(inst, (200, 150, 100, 60), 300, 250)
+    with pytest.raises(CapsExceededError):
+        solve_exact(inst)
+    report = _assert_reports_equal_reference(inst, OracleCaps(max_contents=4))
+    assert _peak_load(report, inst) == 250
 
 def test_pba_at_least_exact():
     rng = random.Random(66)

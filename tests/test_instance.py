@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from mcsp.instance import (
     validate_instance,
 )
 
+import reference
 from conftest import TWO_CELL, random_tiny_instance
 
 
@@ -235,6 +237,34 @@ def test_index_partitions_requests():
             )
             assert hits == len(r.candidates)
 
+
+
+def test_request_index_arrays_equal_loop_reference():
+    """On desk sizes and random tiny instances the index built with array
+    passes equals ``reference.LoopRequestIndex``, the per-service loop: the
+    same lookups, ``svc_pos`` in the same order, and every array with the
+    same dtype, shape and bytes."""
+    rng = random.Random(17)
+    insts = [random_tiny_instance(rng) for _ in range(40)]
+    assert any(not inst.requests for inst in insts) and any(inst.mcrs for inst in insts)
+    insts += [
+        generate_instance(GeneratorConfig(cells=cells, num_contents=contents, num_requests=requests,
+                                          horizon=12, rho_m=0.4, rho_tt=1.0, seed=seed))
+        for cells, contents, requests, seed in (("3-cell", 100, 500, 1), ("7-cell", 200, 2000, 2))
+    ]
+    # request order, not id order, orders a pair's requests
+    insts.append(dataclasses.replace(insts[-2], requests=insts[-2].requests[::-1]))
+    for inst in insts:
+        got, want = vars(build_request_index(inst)), vars(reference.LoopRequestIndex(inst))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert (got[name].dtype, got[name].shape) == (value.dtype, value.shape), name
+                assert got[name].tobytes() == value.tobytes(), name
+            elif isinstance(value, dict):
+                assert list(got[name].items()) == list(value.items()), name
+            else:
+                assert got[name] == value and type(got[name]) is type(value), name
 
 # -- fuzzing: a perturbed instance file is rejected with a message or solves
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from mcsp.columns import column_cost_S, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.pricing import (
@@ -387,7 +388,7 @@ def test_pi_vector_matches_pi():
     request without a row). sigma is s plus min(0, the least reduced cost
     saving - s - pi of the request's kept service variables), which moves
     the price of a bound y <= 1 onto the serve-once row."""
-    from mcsp.rmp import build_rmp, service_saving, solve_rmp
+    from mcsp.rmp import build_rmp, solve_rmp
 
     rng = random.Random(23)
     kept = imputed = shifted = 0
@@ -404,7 +405,7 @@ def test_pi_vector_matches_pi():
                          sol.lp.duals[n_serve : n_serve + n_cover].tolist()))
         least_rc = {}
         for (r_id, h, a), j in idx.svc_pos.items():
-            saving = service_saving(inst, req[r_id].content, a)
+            saving = reference.service_saving(inst, req[r_id].content, a)
             s = lp_sigma.get(r_id, 0.0)
             if j in lp_pi:
                 want = lp_pi[j]

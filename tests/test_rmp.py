@@ -12,7 +12,6 @@ from mcsp.rmp import (
     MasterBasis,
     build_rmp,
     reduced_cost,
-    service_saving,
     solve_rmp,
 )
 
@@ -154,7 +153,7 @@ def test_full_lp_certificate_with_lazy_rows():
         for r in inst.mcrs:
             for h in r.candidates:
                 for a in range(r.deadline):
-                    saving = service_saving(inst, r.content, a)
+                    saving = reference.service_saving(inst, r.content, a)
                     rc_y = saving - duals.sigma[r.id] - duals.pi(r, h, a)
                     assert rc_y >= -1e-6
                     assert duals.pi(r, h, a) <= 1e-9  # coverage rows are <= rows
@@ -196,7 +195,7 @@ def _assert_dual_certificate(inst, sol):
     for r in inst.mcrs:
         for h in r.candidates:
             for a in range(r.deadline):
-                saving = service_saving(inst, r.content, a)
+                saving = reference.service_saving(inst, r.content, a)
                 assert saving - duals.sigma[r.id] - duals.pi(r, h, a) >= -1e-6
     capacity = sum(
         duals.mus[h, t] * inst.server(h).cache_capacity
@@ -292,7 +291,7 @@ def _reference_master(pool, inst, capacity_rows):
     services = sorted({
         (r_id, h, a)
         for (h, i) in pairs for e in pool.entries[(h, i)] for r_id, a in e.coverage
-        if service_saving(inst, i, a) < 0
+        if reference.service_saving(inst, i, a) < 0
     })
     serve = sorted({r_id for r_id, _, _ in services})
     every = [(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)]
@@ -318,7 +317,7 @@ def _reference_master(pool, inst, capacity_rows):
                 a[row[("backhaul", (h, t))], col] = inst.size(i)
         a[row[("convexity", (h, i))], col] = 1.0
     for n, (r_id, h, age) in enumerate(services):
-        c.append(service_saving(inst, content[r_id], age))
+        c.append(reference.service_saving(inst, content[r_id], age))
         upper.append(1.0)
         a[row[("serve", r_id)], len(chi) + n] = 1.0
         a[row[("cover", (r_id, h, age))], len(chi) + n] = 1.0
