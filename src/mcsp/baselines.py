@@ -10,8 +10,8 @@ capacity and bound pruning; it is deliberately capped at toy sizes and exists
 to anchor the optimality tests. Each node costs a few integer and dict
 operations: the capacity headroom of every server and slot is packed into one
 int, tested and passed down by a single subtraction, and the cost of the
-requests that settle at a depth is memoised by the columns chosen in that
-content's block. The ILP exporter writes the flat binary formulation in LP
+requests that settle at a depth is memoised by the columns chosen for their
+candidate pairs. The ILP exporter writes the flat binary formulation in LP
 text format for external cross-checks.
 """
 
@@ -209,7 +209,7 @@ def solve_exact(
     units = [sum((q << 2 * t * width) + (p << (2 * t + 1) * width) for t, (q, p) in enumerate(col))
              for col in columns]
 
-    H, n = inst.num_servers, len(pairs)
+    n = len(pairs)
     # Precomputed per depth: per candidate column its index, its capacity
     # need (its content's size in the field of each cached and each updated
     # slot) and its update cost; and the requests settling there, each with
@@ -229,8 +229,11 @@ def solve_exact(
         ])
     settle_min = mode == "min"
     chosen = [zero] * n  # column index by depth
-    # the cost settling at a depth depends only on the columns chosen so far
-    # in its content's block of depths: memoised per depth by those columns
+    # the cost settling at a depth depends only on the columns chosen at the
+    # depths of its requests' candidate pairs, all in its content's block from
+    # depth first[d] on: memoised per depth by those columns
+    first = [min([d, *(min(where) for _, where, _ in settlers)])
+             for d, settlers in enumerate(settling)]
     settled_at: list[dict[tuple, dict[int, float]]] = [{} for _ in pairs]
     best_cost, best_schedule = math.inf, None
 
@@ -256,7 +259,7 @@ def solve_exact(
             return
         floor, settled, known = floor_after[depth + 1], 0.0, None
         if settling[depth]:
-            known = settled_at[depth].setdefault(tuple(chosen[depth - depth % H:depth]), {})
+            known = settled_at[depth].setdefault(tuple(chosen[first[depth]:depth]), {})
         for k, need, update_cost in options[depth]:
             rest = room - need
             if rest & guards != guards:

@@ -492,11 +492,13 @@ class RequestIndex:
         # an MCR row has one service per age below its deadline
         counts = self.mcr_deadline
         self.mcr_svc = counts.cumsum() - counts
-        pair, self.svc_request_ids, servers = mcr_table[:3].repeat(counts, axis=1)
+        pair, ids, servers = mcr_table[:3].repeat(counts, axis=1)
+        self.svc_request_ids = ids.copy()  # not a view holding the other rows
         self.svc_age = np.arange(len(pair)) - self.mcr_svc.repeat(counts)
         self.svc_saving = self.aoi[self.svc_age] - self.cloud[self.pair_content[pair]]
-        self.svc_pos: dict[tuple[int, int, int], int] = dict(zip(zip(
-            self.svc_request_ids.tolist(), servers.tolist(), self.svc_age.tolist()), range(len(pair))))
+        self.svc_pos: dict[tuple[int, int, int], int] = dict(zip(
+            ((r_id, h, a) for _, r_id, h, _, deadline in mcr_rows for a in range(deadline)),
+            range(len(pair))))
         self.svc_by_rank = np.lexsort((self.svc_age, servers, self.svc_request_ids))
         self.svc_rank = self.svc_by_rank.argsort()
 
