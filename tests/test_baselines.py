@@ -130,7 +130,6 @@ def test_exact_reports_equal_reference_search():
         _assert_reports_equal_reference(random_tiny_instance(rng))
 
 
-
 def _with_capacities(inst, sizes, cache, backhaul):
     """The instance with these content sizes and, on every server, these
     cache and backhaul capacities."""
@@ -146,10 +145,9 @@ def _peak_load(report, inst) -> int:
     """The largest cache or backhaul load of any server and slot."""
     states = report.schedule.states
     return max(
-        (sum(inst.size(i) for (g, i), row in states.items() if g == h and row[t] in marks)
-         for h in range(1, inst.num_servers + 1) for t in range(inst.horizon)
-         for marks in ("UC", "U")),
-        default=0,
+        sum(inst.size(i) for (g, i), row in states.items() if g == h and row[t] in marks)
+        for h in range(1, inst.num_servers + 1) for t in range(inst.horizon)
+        for marks in ("UC", "U")
     )
 
 

@@ -238,7 +238,6 @@ def test_index_partitions_requests():
             assert hits == len(r.candidates)
 
 
-
 def test_request_index_arrays_equal_loop_reference():
     """On desk sizes and random tiny instances the index built with array
     passes equals ``reference.LoopRequestIndex``, the per-service loop: the
