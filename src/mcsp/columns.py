@@ -345,8 +345,8 @@ class ColumnPool:
                 cost += min(reach, cloud) if least else reach
             costs.append(cost)
             cover = []  # (request id, age, service position)
-            for r in idx.mcr(h, i):
-                zero = idx.svc_pos[(r.id, h, 0)]
+            zeros = idx.mcr_svc[idx.mcr_start[k] : idx.mcr_start[k + 1]].tolist()
+            for r, zero in zip(idx.mcr(h, i), zeros):
                 if ages[r.origin - 1] >= 1:
                     cover.append((r.id, ages[r.origin - 1], zero + ages[r.origin - 1]))
                 if any(p[r.origin - 1 : r.deadline]):

@@ -83,7 +83,7 @@ class DualPrices:
         missing entry is zero."""
         inst = idx.inst
         slots = (inst.num_servers + 1, inst.horizon + 1)
-        out = cls(idx, np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_pos)),
+        out = cls(idx, np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_rank)),
                   np.zeros(slots), np.zeros(slots),
                   np.zeros((inst.num_servers + 1, inst.num_contents + 1)))
         for array, entries in ((out.sigma, sigma), (out.mus, mu), (out.phis, phi), (out.lams, lam)):
@@ -165,15 +165,16 @@ class MasterBasis:
         idx, inst = model.idx, model.idx.inst
         n_chi = len(model.serials)
         slots = (inst.num_servers + 1, inst.horizon + 1)
-        chi = np.full(model.pool.num_serials, LOWER, dtype=np.int8)
+        chi = np.zeros(model.pool.num_serials, dtype=np.int8)  # LOWER
         chi[model.serials] = basis.cols[:n_chi]
-        y = np.full(len(idx.svc_pos), LOWER, dtype=np.int8)
+        y = np.zeros(len(idx.svc_rank), dtype=np.int8)
         y[model.cover_svc] = basis.cols[n_chi:]
         rows = [np.full(shape, BASIC, dtype=np.int8) for shape in (
-            idx.num_request_ids, len(idx.svc_pos), slots, slots,
+            idx.num_request_ids, len(idx.svc_rank), slots, slots,
             (inst.num_servers + 1, inst.num_contents + 1))]
         for array, at, lo, hi in zip(rows, model.row_index, model.starts, model.starts[1:]):
-            array[at] = basis.rows[lo:hi]
+            if hi > lo:  # the capacity blocks are often empty
+                array[at] = basis.rows[lo:hi]
         self.blocks = (chi, y, *rows)
 
     def start(self, model: "RmpModel") -> Optional[LpBasis]:
@@ -182,13 +183,12 @@ class MasterBasis:
         if self.blocks is None:
             return None
         chi, y, *rows = self.blocks
+        n_chi = len(model.serials)
         known = model.serials < len(chi)
-        cols = np.full(len(model.serials), LOWER, dtype=np.int8)
-        cols[known] = chi[model.serials[known]]
-        return LpBasis(
-            cols=np.concatenate([cols, y[model.cover_svc]]),
-            rows=np.concatenate([array[at] for array, at in zip(rows, model.row_index)]),
-        )
+        cols = np.zeros(n_chi + len(model.cover_svc), dtype=np.int8)  # LOWER
+        cols[:n_chi][known] = chi[model.serials[known]]
+        cols[n_chi:] = y[model.cover_svc]
+        return LpBasis(cols, np.concatenate([array[at] for array, at in zip(rows, model.row_index)]))
 
 
 @dataclass
@@ -433,13 +433,21 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     return DualPrices(idx, sigma, pis, mus, phis, lams)
 
 
+def _with_row(a: np.ndarray, at: int, value) -> np.ndarray:
+    """``a`` with ``value`` inserted before position ``at``."""
+    out = np.empty(len(a) + 1, dtype=a.dtype)
+    out[:at], out[at], out[at + 1 :] = a[:at], value, a[at:]
+    return out
+
+
 def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     """Secondary solve over the optimal face: prefer fewer updates, then
     earlier update slots (mirrors the pricing tie-break).
 
     The face row c.x <= objective + eps joins after the master's <= rows,
     before its convexity rows, so that the rows stay in ``solve_lp``'s
-    order; it holds the nonzero costs of c, and it starts basic."""
+    order; it holds the nonzero costs of c, and it starts basic. Each face
+    entry follows its column's entries in rows above it."""
     prob = model.problem
     w = np.zeros(prob.num_vars)
     updated = model.flags[:, 1]
@@ -449,21 +457,29 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     at = model.starts[4]  # the face row's place
     start, index = prob.start, prob.index
     face = np.flatnonzero(prob.c)
-    # a face entry goes after its column's entries in rows above ``at``
-    above = np.concatenate([[0], np.cumsum(index < at)])
-    place = start[face] + above[start[face + 1]] - above[start[face]]
     grown = np.zeros(prob.num_vars + 1, dtype=np.int32)
     grown[face + 1] = 1
+    face_start = start + np.cumsum(grown, dtype=np.int32)
+    above = np.concatenate([[0], np.cumsum(index < at)])
+    # a face entry's place: its column's new start, past the entries above ``at``
+    is_face = np.zeros(len(index) + len(face), dtype=bool)
+    is_face[face_start[face] + above[start[face + 1]] - above[start[face]]] = True
+    is_master = ~is_face
+    face_index = np.full(len(is_face), at, dtype=np.int32)
+    face_index[is_master] = index + (index >= at)
+    face_value = np.empty(len(is_face))
+    face_value[is_face] = prob.c[face]
+    face_value[is_master] = prob.value
     face_lp = LpProblem(
         c=w,
-        start=start + np.cumsum(grown, dtype=np.int32),
-        index=np.insert(index + (index >= at), place, at),
-        value=np.insert(prob.value, place, prob.c[face]),
-        rel=np.insert(prob.rel, at, _REL_CODES[LE]),
-        b=np.insert(prob.b, at, sol.objective + face_eps),
+        start=face_start,
+        index=face_index,
+        value=face_value,
+        rel=_with_row(prob.rel, at, _REL_CODES[LE]),
+        b=_with_row(prob.b, at, sol.objective + face_eps),
         upper=prob.upper,
     )
-    start_basis = LpBasis(sol.basis.cols, np.insert(sol.basis.rows, at, BASIC))
+    start_basis = LpBasis(sol.basis.cols, _with_row(sol.basis.rows, at, BASIC))
     return solve_lp(face_lp, start_basis).x
 
 

@@ -12,6 +12,18 @@ for checks. A problem whose rows already come in HiGHS's order (every <= row
 before every = row, no >= rows), as every master does, is handed over
 without a copy or a permutation.
 
+Models of at most ``KEEP_NNZ`` nonzeros, every toy master (235 at most)
+but only the first few masters of a desk solve, are solved on one kept
+HiGHS handle: made on first use with the options, and emptied with
+``clearModel`` before each model, so that it solves as a fresh handle does.
+Making, configuring and dropping a handle costs half of HiGHS's ``run`` on
+a toy master. A larger model gets a fresh handle, dropped with its solve: a
+handle keeps the memory of the largest model it held (about 20 MB after
+the 43.6 k-nonzero desk master; ``clearModel``, ``clearSolver``, ``clear``
+or an empty model free none of it, only deleting the handle does, about
+8 MB). One handle kept for every model raised the desk solves' peak RSS
+from about 130 MB by 8 to 12 MB, and one handle per solve by 15 MB.
+
 Each solve returns its optimal basis (``LpBasis``), and ``solve_lp`` takes a
 start basis: given one, HiGHS skips presolve and re-optimises from it.
 Column generation warm-starts every master this way (see ``mcsp.rmp``). On a
@@ -26,7 +38,7 @@ Dual convention, frozen by unit tests: the reduced cost of variable j is
 nonpositive, duals of ``>=`` rows nonnegative, duals of ``=`` rows free.
 HiGHS's row duals are mapped onto this convention. The price of a variable's
 finite upper bound is not a row dual; it shows as a negative reduced cost of
-a variable parked at that bound (see ``LpSolution.dual_objective``).
+a variable parked at that bound.
 
 Variables live in ``[0, upper]`` with ``upper`` possibly infinite.
 """
@@ -35,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -89,42 +101,6 @@ class LpProblem:
         return sparse.csc_matrix((self.value, self.index, self.start),
                                  shape=(self.num_rows, self.num_vars))
 
-    @staticmethod
-    def build(
-        c: Sequence[float],
-        rows: Iterable[tuple[dict[int, float], str, float]],
-        upper: Optional[Sequence[float]] = None,
-    ) -> "LpProblem":
-        """Small-scale constructor; rows are (sparse coefficient dict, rel, rhs)."""
-        c_arr = np.asarray(c, dtype=float)
-        n = len(c_arr)
-        data, row_of, col_of, rel, b = [], [], [], [], []
-        for coeffs, r, rhs in rows:
-            if r not in _REL_CODES:
-                raise ValueError(f"unknown relation {r!r}")
-            for j, v in coeffs.items():
-                if not (0 <= j < n):
-                    raise ValueError(f"column index {j} out of range")
-                if not math.isfinite(v):
-                    raise ValueError("coefficients must be finite")
-                row_of.append(len(b))
-                col_of.append(j)
-                data.append(float(v))
-            rel.append(_REL_CODES[r])
-            b.append(float(rhs))
-        col_of = np.array(col_of, dtype=np.int32)
-        by_col = np.argsort(col_of, kind="stable")  # rows stay ascending in a column
-        start = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col_of, minlength=n), out=start[1:])
-        up = (
-            np.full(n, np.inf)
-            if upper is None
-            else np.asarray([math.inf if u is None else float(u) for u in upper])
-        )
-        return LpProblem(c=c_arr, start=start, index=np.array(row_of, dtype=np.int32)[by_col],
-                         value=np.array(data, dtype=float)[by_col], rel=np.array(rel),
-                         b=np.array(b), upper=up)
-
 
 # basis status codes, as HiGHS numbers them (``HighsBasisStatus``)
 LOWER, BASIC, UPPER = 0, 1, 2
@@ -153,34 +129,6 @@ class LpSolution:
     iterations: int
     basis: LpBasis  # the optimal basis, a start for the next solve
 
-    def reduced_costs(self, prob: LpProblem) -> np.ndarray:
-        return prob.c - prob.a_matrix.T @ self.duals
-
-    def dual_objective(self, prob: LpProblem) -> float:
-        """b.y plus the upper-bound contributions of variables parked at upper."""
-        rc = self.reduced_costs(prob)
-        bound_part = 0.0
-        for j in np.nonzero(np.isfinite(prob.upper))[0]:
-            if rc[j] < 0:
-                bound_part += prob.upper[j] * rc[j]
-        return float(self.duals @ prob.b + bound_part)
-
-    def max_primal_violation(self, prob: LpProblem) -> float:
-        ax = prob.a_matrix @ self.x
-        worst = 0.0
-        for i in range(prob.num_rows):
-            if prob.rel[i] == _REL_CODES[LE]:
-                worst = max(worst, ax[i] - prob.b[i])
-            elif prob.rel[i] == _REL_CODES[GE]:
-                worst = max(worst, prob.b[i] - ax[i])
-            else:
-                worst = max(worst, abs(ax[i] - prob.b[i]))
-        worst = max(worst, float(np.max(-self.x, initial=0.0)))
-        finite = np.isfinite(prob.upper)
-        if finite.any():
-            worst = max(worst, float(np.max(self.x[finite] - prob.upper[finite], initial=0.0)))
-        return worst
-
 
 def _highs_options():
     options = _highs.HighsOptions()
@@ -207,6 +155,28 @@ _STATUS = np.array(
      _highs.HighsBasisStatus.kUpper], dtype=object,
 )
 
+KEEP_NNZ = 2000  # the most nonzeros of a model solved on the kept handle
+_kept = None  # the kept handle, made by the first model it takes
+
+
+def _new_highs():
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
+def _highs_for(nnz: int):
+    """The handle a model of ``nnz`` nonzeros is solved on: the kept one,
+    emptied, up to ``KEEP_NNZ`` nonzeros, else a fresh one."""
+    global _kept
+    if nnz > KEEP_NNZ:
+        return _new_highs()
+    if _kept is None:
+        _kept = _new_highs()
+    else:
+        _kept.clearModel()
+    return _kept
+
 
 def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     """Solve to optimality with HiGHS; raises LpInfeasibleError,
@@ -220,14 +190,16 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     with presolve; with it, HiGHS starts from that basis. A start basis with
     as many basic entries as rows is passed as a valid basis (HiGHS still
     swaps slacks in for a singular one); one with another count is passed as
-    HiGHS's "alien" kind, which HiGHS repairs by factorizing it afresh."""
+    HiGHS's "alien" kind, which HiGHS repairs by factorizing it afresh. The
+    handle (``_highs_for``) starts empty with the module's options, whether
+    kept or fresh, so both give the same result, bit for bit."""
     m, n = prob.num_rows, prob.num_vars
     rel = prob.rel
     n_le = int(np.count_nonzero(rel == _REL_CODES[LE]))
     n_ineq = n_le + int(np.count_nonzero(rel == _REL_CODES[GE]))
     start, index, value, upper = prob.start, prob.index, prob.value, prob.b
     order = position = None  # the problem's row of each model row and back
-    if np.any(rel[1:] < rel[:-1]):
+    if (rel[1:] < rel[:-1]).any():
         order = np.argsort(rel, kind="stable")  # <= rows, >= rows, = rows
         position = np.empty(m, dtype=np.int32)
         position[order] = np.arange(m, dtype=np.int32)
@@ -244,8 +216,7 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     lower[:n_ineq] = -np.inf
 
     col_upper = np.asarray(prob.upper, dtype=float)
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _highs_for(len(index))
     status = _highs.HighsModelStatus
     # the array form of passModel: column-wise matrix, minimise, no offset,
     # every column continuous
@@ -260,7 +231,7 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
             rows = basis.rows if order is None else basis.rows[order]
             # a nonbasic row sits at its right-hand side: HiGHS's upper bound
             # of a (negated) inequality row; either bound of an = row
-            codes = np.full(m, LOWER, dtype=np.int8)
+            codes = np.zeros(m, dtype=np.int8)  # LOWER
             codes[:n_ineq] = UPPER
             codes[rows == BASIC] = BASIC
             start_basis = _highs.HighsBasis()
@@ -284,9 +255,9 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     rows = np.array(solution.row_value)
     tol = _CHECK_TOL
     if not (
-        np.all((x >= -tol) & (x <= col_upper + tol))
-        and np.all(upper[:n_ineq] - rows[:n_ineq] >= -tol)
-        and np.all(np.abs(upper[n_ineq:] - rows[n_ineq:]) <= tol)
+        ((x >= -tol) & (x <= col_upper + tol)).all()
+        and (upper[:n_ineq] - rows[:n_ineq] >= -tol).all()
+        and (np.abs(upper[n_ineq:] - rows[n_ineq:]) <= tol).all()
     ):
         raise LpError("HiGHS returned an optimum that violates the model")
     duals = np.array(solution.row_dual)
@@ -305,6 +276,9 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     )
 
 
+_NONBASIC = np.array([LOWER, UPPER], dtype=np.int8)
+
+
 def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: Optional[np.ndarray]) -> LpBasis:
     """The basis HiGHS ended with, read as its list of basic variables (a
     numpy array; ``getBasis`` would build one Python object per status).
@@ -314,10 +288,11 @@ def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: Optional[np.nda
     ok, basic = highs.getBasicVariables()
     if ok != _highs.HighsStatus.kOk:
         raise LpError("HiGHS holds no basis for its optimum")
-    cols = np.where(x > 0.5 * prob.upper, UPPER, LOWER).astype(np.int8)
-    cols[basic[basic >= 0]] = BASIC
-    rows = np.where(prob.rel == _REL_CODES[LE], UPPER, LOWER).astype(np.int8)
-    basic_rows = -1 - basic[basic < 0]
+    cols = _NONBASIC[(x > 0.5 * prob.upper).view(np.int8)]
+    rows = _NONBASIC[(prob.rel == _REL_CODES[LE]).view(np.int8)]
+    basic_cols = basic >= 0
+    cols[basic[basic_cols]] = BASIC
+    basic_rows = -1 - basic[~basic_cols]
     rows[basic_rows if order is None else order[basic_rows]] = BASIC
     return LpBasis(cols, rows)
 

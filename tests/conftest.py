@@ -49,9 +49,20 @@ def random_tiny_instance(rng: random.Random, horizon_max: int = 4) -> Instance:
 _MODEL_ARRAYS = ("c", "col_lower", "col_upper", "lower", "upper", "start", "index", "value")
 
 
+def use_highs(patch, cls) -> None:
+    """Make every HiGHS handle ``solve_lp`` solves on from now an instance
+    of ``cls``, a subclass of ``_Highs``: swap it in where ``simplex`` makes
+    its handles, and drop the kept handle so that the next small model makes
+    a new one. ``patch`` (a monkeypatch) restores both."""
+    from mcsp import simplex
+
+    patch.setattr(simplex._highs, "_Highs", cls)
+    patch.setattr(simplex, "_kept", None)
+
+
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """A list that every HiGHS instance ``solve_lp`` builds during the test
+    """A list that every HiGHS handle ``solve_lp`` solves on during the test
     appends to, in call order: for each passModel a dict of the arrays it
     got (keyed as ``reference.highs_model`` keys them, plus ``shape``, the
     column, row and nonzero counts), for each setBasis the row statuses."""
@@ -71,7 +82,7 @@ def highs_calls(monkeypatch):
             calls.append([int(status) for status in basis.row_status])
             return super().setBasis(basis)
 
-    monkeypatch.setattr(simplex._highs, "_Highs", Recording)
+    use_highs(monkeypatch, Recording)
     return calls
 
 

@@ -16,6 +16,9 @@ CSR, and reordered and converted to CSC by ``solve_lp``; the face LP of the
 canonical re-solve stacked its row under the master's. ``master_lp``,
 ``face_lp`` and ``highs_model`` are that construction, kept so that tests can
 check that HiGHS receives the same arrays from the column-wise builders.
+``inserted_face_lp`` is the face LP as ``_canonical_primal`` later built it
+from the master's arrays with ``np.insert``, before it wrote the face row's
+entries into preallocated arrays.
 ``solve_exact`` is the exhaustive oracle's search as it was before its
 per-depth tables, its packed capacity word and its memoised settlement: per
 (server, slot) float loads, added and taken off around each child, and every
@@ -25,6 +28,10 @@ reports are checked against.
 ``RequestIndex`` once built its service arrays one service at a time;
 ``LoopRequestIndex`` is that loop, kept to check the array passes against, and
 ``service_saving`` the scalar form of ``RequestIndex.svc_saving``.
+
+``build_lp``, ``reduced_costs``, ``dual_objective`` and
+``max_primal_violation`` build small LPs from sparse row dicts and check
+``solve_lp``'s solutions; the solve path never needed them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -55,7 +62,7 @@ from mcsp.costs import CAPACITY_EPS, Schedule, derive_assignment, evaluate, plan
 from mcsp.driver import SolveReport
 from mcsp.instance import Instance, Request, RequestIndex
 from mcsp.rounding import TOL_INT, RoundReport
-from mcsp.simplex import _REL_CODES, BASIC, EQ, GE, LE, LOWER, UPPER
+from mcsp.simplex import _REL_CODES, BASIC, EQ, GE, LE, LOWER, UPPER, LpBasis, LpProblem, LpSolution
 
 Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
@@ -483,6 +490,106 @@ def highs_model(prob: SparseLp, basis_rows: Optional[np.ndarray] = None) -> dict
         nonbasic = np.where(np.arange(m) < n_ineq, UPPER, LOWER)
         out["row_status"] = np.where(basis_rows[order] == BASIC, BASIC, nonbasic)
     return out
+
+
+def inserted_face_lp(model, sol) -> tuple[LpProblem, LpBasis]:
+    """The canonical re-solve's face LP and start basis as ``_canonical_primal``
+    built them with ``np.insert``: the face row's entries, right-hand side,
+    relation and basic status inserted at row ``model.starts[4]``."""
+    prob = model.problem
+    w = np.zeros(prob.num_vars)
+    updated = model.flags[:, 1]
+    w[: len(model.serials)] = (updated.sum(axis=1)
+                               + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
+    face_eps = 1e-7 * (1.0 + abs(sol.objective))
+    at = model.starts[4]
+    start, index = prob.start, prob.index
+    face = np.flatnonzero(prob.c)
+    above = np.concatenate([[0], np.cumsum(index < at)])
+    place = start[face] + above[start[face + 1]] - above[start[face]]
+    grown = np.zeros(prob.num_vars + 1, dtype=np.int32)
+    grown[face + 1] = 1
+    face_lp = LpProblem(
+        c=w,
+        start=start + np.cumsum(grown, dtype=np.int32),
+        index=np.insert(index + (index >= at), place, at),
+        value=np.insert(prob.value, place, prob.c[face]),
+        rel=np.insert(prob.rel, at, _REL_CODES[LE]),
+        b=np.insert(prob.b, at, sol.objective + face_eps),
+        upper=prob.upper,
+    )
+    return face_lp, LpBasis(sol.basis.cols, np.insert(sol.basis.rows, at, BASIC))
+
+
+# -- LP helpers the tests check solutions with --------------------------------
+
+
+def build_lp(
+    c: Sequence[float],
+    rows: Iterable[tuple[dict[int, float], str, float]],
+    upper: Optional[Sequence[float]] = None,
+) -> LpProblem:
+    """An ``LpProblem`` from rows given as (sparse coefficient dict, rel, rhs)."""
+    c_arr = np.asarray(c, dtype=float)
+    n = len(c_arr)
+    data, row_of, col_of, rel, b = [], [], [], [], []
+    for coeffs, r, rhs in rows:
+        if r not in _REL_CODES:
+            raise ValueError(f"unknown relation {r!r}")
+        for j, v in coeffs.items():
+            if not (0 <= j < n):
+                raise ValueError(f"column index {j} out of range")
+            if not math.isfinite(v):
+                raise ValueError("coefficients must be finite")
+            row_of.append(len(b))
+            col_of.append(j)
+            data.append(float(v))
+        rel.append(_REL_CODES[r])
+        b.append(float(rhs))
+    col_of = np.array(col_of, dtype=np.int32)
+    by_col = np.argsort(col_of, kind="stable")  # rows stay ascending in a column
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col_of, minlength=n), out=start[1:])
+    up = (
+        np.full(n, np.inf)
+        if upper is None
+        else np.asarray([math.inf if u is None else float(u) for u in upper])
+    )
+    return LpProblem(c=c_arr, start=start, index=np.array(row_of, dtype=np.int32)[by_col],
+                     value=np.array(data, dtype=float)[by_col], rel=np.array(rel),
+                     b=np.array(b), upper=up)
+
+
+def reduced_costs(sol: LpSolution, prob: LpProblem) -> np.ndarray:
+    return prob.c - prob.a_matrix.T @ sol.duals
+
+
+def dual_objective(sol: LpSolution, prob: LpProblem) -> float:
+    """b.y plus the upper-bound contributions of variables parked at upper:
+    the price of a finite upper bound shows as a negative reduced cost."""
+    rc = reduced_costs(sol, prob)
+    bound_part = 0.0
+    for j in np.nonzero(np.isfinite(prob.upper))[0]:
+        if rc[j] < 0:
+            bound_part += prob.upper[j] * rc[j]
+    return float(sol.duals @ prob.b + bound_part)
+
+
+def max_primal_violation(sol: LpSolution, prob: LpProblem) -> float:
+    ax = prob.a_matrix @ sol.x
+    worst = 0.0
+    for i in range(prob.num_rows):
+        if prob.rel[i] == _REL_CODES[LE]:
+            worst = max(worst, ax[i] - prob.b[i])
+        elif prob.rel[i] == _REL_CODES[GE]:
+            worst = max(worst, prob.b[i] - ax[i])
+        else:
+            worst = max(worst, abs(ax[i] - prob.b[i]))
+    worst = max(worst, float(np.max(-sol.x, initial=0.0)))
+    finite = np.isfinite(prob.upper)
+    if finite.any():
+        worst = max(worst, float(np.max(sol.x[finite] - prob.upper[finite], initial=0.0)))
+    return worst
 
 
 # -- the request index's per-service loop ------------------------------------

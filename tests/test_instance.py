@@ -254,7 +254,10 @@ def test_request_index_arrays_equal_loop_reference():
     # request order, not id order, orders a pair's requests
     insts.append(dataclasses.replace(insts[-2], requests=insts[-2].requests[::-1]))
     for inst in insts:
-        got, want = vars(build_request_index(inst)), vars(reference.LoopRequestIndex(inst))
+        idx = build_request_index(inst)
+        assert "svc_pos" not in vars(idx)  # made on first use
+        idx.svc_pos
+        got, want = vars(idx), vars(reference.LoopRequestIndex(inst))
         assert got.keys() == want.keys()
         for name, value in want.items():
             if isinstance(value, np.ndarray):
@@ -264,6 +267,25 @@ def test_request_index_arrays_equal_loop_reference():
                 assert list(got[name].items()) == list(value.items()), name
             else:
                 assert got[name] == value and type(got[name]) is type(value), name
+
+def test_solves_never_build_svc_pos(monkeypatch):
+    """No solve reads ``RequestIndex.svc_pos``: RCGA in both modes, NRS and
+    the lower bound run on random tiny instances with the dict unbuildable."""
+    from mcsp.driver import naive_round, run_lower_bound, run_rcga
+    from mcsp.instance import RequestIndex
+
+    def unbuildable(idx):
+        raise AssertionError("svc_pos built")
+
+    monkeypatch.setattr(RequestIndex, "svc_pos", property(unbuildable))
+    rng = random.Random(18)
+    for _ in range(20):
+        inst = random_tiny_instance(rng)
+        run_rcga(inst, "paper")
+        run_rcga(inst, "min")
+        naive_round(inst)
+        run_lower_bound(inst)
+
 
 # -- fuzzing: a perturbed instance file is rejected with a message or solves
 

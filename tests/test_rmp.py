@@ -508,3 +508,53 @@ def test_warm_masters_match_cold_solves(monkeypatch):
     assert len(warm) == rcga.pricing_rounds + nrs.pricing_rounds - 2
     warm_iterations, cold_iterations = map(sum, zip(*warm))
     assert warm_iterations < cold_iterations / 2
+
+
+def test_face_lp_equals_the_inserted_construction(monkeypatch):
+    """Every face LP of the canonical re-solves of RCGA solves, on random
+    tiny instances, a binding 3-cell 20/150 instance (capacity rows in the
+    master) and the 3-cell 100/500 desk instance, equals the ``np.insert``
+    construction of ``reference.inserted_face_lp`` array for array, in
+    dtype, shape and bytes, with its start basis."""
+    from mcsp import rmp
+    from mcsp.driver import run_rcga
+    from mcsp.generator import GeneratorConfig, generate_instance
+
+    solved = []  # every (problem, start basis) solve_lp got
+    checked = []  # per face LP: its nonzeros and the master's capacity rows
+    real_solve, real_canonical = rmp.solve_lp, rmp._canonical_primal
+
+    def recording(prob, basis=None):
+        solved.append((prob, basis))
+        return real_solve(prob, basis)
+
+    def canonical(model, sol):
+        before = len(solved)
+        x = real_canonical(model, sol)
+        (face, start), = solved[before:]
+        want, want_start = reference.inserted_face_lp(model, sol)
+        for got_array, want_array in ((face.c, want.c), (face.start, want.start),
+                                      (face.index, want.index), (face.value, want.value),
+                                      (face.rel, want.rel), (face.b, want.b),
+                                      (face.upper, want.upper), (start.cols, want_start.cols),
+                                      (start.rows, want_start.rows)):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes()
+        checked.append((len(face.value), model.starts[4] - model.starts[2]))
+        return x
+
+    monkeypatch.setattr(rmp, "solve_lp", recording)
+    monkeypatch.setattr(rmp, "_canonical_primal", canonical)
+    rng = random.Random(62)
+    for _ in range(20):
+        run_rcga(random_tiny_instance(rng), rng.choice(["paper", "min"]))
+    tiny = len(checked)
+    run_rcga(_binding_instance())
+    binding = len(checked)
+    run_rcga(generate_instance(GeneratorConfig(
+        cells="3-cell", num_contents=100, num_requests=500, horizon=12, rho_m=0.4,
+        rho_tt=1.0, rho_b=0.3, seed=1)))
+    assert tiny >= 20 and binding > tiny and len(checked) > binding
+    assert max(rows for _, rows in checked[tiny:binding]) > 0
+    assert max(nnz for nnz, _ in checked[binding:]) > 2000  # desk face LPs are large

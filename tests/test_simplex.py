@@ -20,6 +20,9 @@ from mcsp.simplex import (
     solve_lp,
 )
 
+from conftest import use_highs
+from reference import build_lp, dual_objective, max_primal_violation, reduced_costs
+
 
 def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
     """The optimum is a vertex, as a simplex method returns: the variables
@@ -87,7 +90,7 @@ def solve(request):
 
 
 def test_pure_bounds(solve):
-    prob = LpProblem.build(c=[-1.0], rows=[], upper=[1.0])
+    prob = build_lp(c=[-1.0], rows=[], upper=[1.0])
     sol = solve(prob)
     assert sol.objective == pytest.approx(-1.0)
     assert sol.x[0] == pytest.approx(1.0)
@@ -96,7 +99,7 @@ def test_pure_bounds(solve):
 
 def test_textbook_cover_row_dual(solve):
     # min v1 + v2 s.t. v1 + v2 >= 1: objective 1, row dual 1
-    prob = LpProblem.build(
+    prob = build_lp(
         c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 1.0)], upper=[1.0, 1.0]
     )
     sol = solve(prob)
@@ -107,7 +110,7 @@ def test_textbook_cover_row_dual(solve):
 def test_dual_sign_convention_pinned(solve):
     """Frozen convention: rc_j = c_j - sum_rows dual * a; at a minimum the
     duals of <= rows are nonpositive and of >= rows nonnegative."""
-    prob = LpProblem.build(
+    prob = build_lp(
         c=[-2.0, -1.0],
         rows=[
             ({0: 1.0, 1: 1.0}, LE, 3.0),
@@ -121,13 +124,13 @@ def test_dual_sign_convention_pinned(solve):
     assert sol.duals[0] == pytest.approx(-1.0)
     assert sol.duals[1] == pytest.approx(-1.0)
     assert sol.duals[2] == pytest.approx(0.0, abs=1e-9)
-    rc = sol.reduced_costs(prob)
+    rc = reduced_costs(sol, prob)
     assert np.all(rc >= -1e-7)  # dual feasibility in the pinned convention
 
 
 def test_equality_rows(solve):
     # roomy bounds keep the optimal vertex non-degenerate so the dual is unique
-    prob = LpProblem.build(
+    prob = build_lp(
         c=[1.0, 2.0], rows=[({0: 1.0, 1: 1.0}, EQ, 1.0)], upper=[2.0, 2.0]
     )
     sol = solve(prob)
@@ -137,7 +140,7 @@ def test_equality_rows(solve):
 
 
 def test_infeasible(solve):
-    prob = LpProblem.build(
+    prob = build_lp(
         c=[1.0], rows=[({0: 1.0}, GE, 2.0)], upper=[1.0]
     )
     with pytest.raises(LpInfeasibleError):
@@ -145,7 +148,7 @@ def test_infeasible(solve):
 
 
 def test_unbounded_simplex():
-    prob = LpProblem.build(c=[-1.0], rows=[])
+    prob = build_lp(c=[-1.0], rows=[])
     with pytest.raises(LpUnboundedError):
         solve_lp(prob)
 
@@ -154,7 +157,7 @@ def test_degenerate_lp_terminates():
     # many redundant rows through the same vertex
     rows = [({0: 1.0, 1: 1.0}, LE, 1.0) for _ in range(12)]
     rows.append(({0: 1.0}, LE, 1.0))
-    prob = LpProblem.build(c=[-1.0, -0.5], rows=rows)
+    prob = build_lp(c=[-1.0, -0.5], rows=rows)
     sol = solve_lp(prob)
     assert sol.objective == pytest.approx(-1.0)
 
@@ -176,7 +179,7 @@ def _random_lp(rng: random.Random):
     upper = [rng.choice([1.0, 2.5, None]) for _ in range(n)]
     if all(u is None for u in upper):
         upper[0] = 1.0
-    return LpProblem.build(c=c, rows=rows, upper=upper)
+    return build_lp(c=c, rows=rows, upper=upper)
 
 
 def test_certificates_on_random_lps():
@@ -191,8 +194,8 @@ def test_certificates_on_random_lps():
         except (LpInfeasibleError, LpUnboundedError):
             continue
         solved += 1
-        assert sol.max_primal_violation(prob) <= 1e-7
-        assert sol.dual_objective(prob) == pytest.approx(sol.objective, abs=1e-6, rel=1e-6)
+        assert max_primal_violation(sol, prob) <= 1e-7
+        assert dual_objective(sol, prob) == pytest.approx(sol.objective, abs=1e-6, rel=1e-6)
     assert solved >= 25
 
 
@@ -204,7 +207,7 @@ def test_complementary_slackness_and_reduced_costs():
             sol = solve_lp(prob)
         except (LpInfeasibleError, LpUnboundedError):
             continue
-        rc = sol.reduced_costs(prob)
+        rc = reduced_costs(sol, prob)
         ax = prob.a_matrix @ sol.x
         for i in range(prob.num_rows):
             slack = abs(prob.b[i] - ax[i])
@@ -310,7 +313,7 @@ def test_start_basis_with_wrong_basic_count_solves():
                 continue
             warm = solve_lp(prob, start)
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
-            assert warm.max_primal_violation(prob) <= 1e-7
+            assert max_primal_violation(warm, prob) <= 1e-7
             solved += 1
     assert solved >= 25
 
@@ -333,9 +336,9 @@ def _alien_and_not(monkeypatch, prob, start):
             return super().setBasis(basis)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex._highs, "_Highs", Recording)
+        use_highs(patch, Recording)
         plain = solve_lp(prob, start)
-        patch.setattr(simplex._highs, "_Highs", Alien)
+        use_highs(patch, Alien)
         alien = solve_lp(prob, start)
     assert passed == [start.num_basic != prob.num_rows]
     return plain, alien
@@ -421,7 +424,7 @@ def test_complete_singular_start_basis_solves():
         assert start.num_basic == m
         warm = solve_lp(twin, start)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
-        assert warm.max_primal_violation(twin) <= 1e-7
+        assert max_primal_violation(warm, twin) <= 1e-7
         solved += 1
     assert solved >= 20
 
@@ -476,7 +479,7 @@ def test_objective_and_iterations_equal_the_whole_info(monkeypatch):
             infos.append(self.getInfo())
             return status
 
-    monkeypatch.setattr(simplex._highs, "_Highs", Recording)
+    use_highs(monkeypatch, Recording)
     rng = random.Random(5)
     iterations = set()
     for _ in range(30):
@@ -495,3 +498,72 @@ def test_objective_and_iterations_equal_the_whole_info(monkeypatch):
             assert sol.iterations == info.simplex_iteration_count
             iterations.add(sol.iterations)
     assert len(infos) == 90 and 0 in iterations and len(iterations) > 5
+
+
+def test_kept_handle_solves_as_a_fresh_handle(monkeypatch):
+    """The masters and start bases of RCGA solves of random tiny instances,
+    solved in turn on the kept handle, give the x, duals, basis, objective
+    and iterations of a fresh handle bit for bit. Between them run an
+    infeasible LP, a start basis HiGHS rejects, and a model above
+    ``KEEP_NNZ``, which goes to a fresh handle and leaves the kept one
+    holding the master before it."""
+    from conftest import random_tiny_instance
+    from mcsp import rmp, simplex
+    from mcsp.driver import run_rcga
+
+    masters = []
+
+    def recording(prob, basis=None):
+        masters.append((prob, basis))
+        return solve_lp(prob, basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rmp, "solve_lp", recording)
+        rng = random.Random(36)
+        for _ in range(8):
+            run_rcga(random_tiny_instance(rng), rng.choice(["paper", "min"]))
+    assert len(masters) >= 40 and any(basis is not None for _, basis in masters)
+    assert max(len(prob.value) for prob, _ in masters) <= simplex.KEEP_NNZ
+
+    def fresh(prob, basis):
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "KEEP_NNZ", -1)
+            return solve_lp(prob, basis)
+
+    infeasible = build_lp(c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 3.0)], upper=[1.0, 1.0])
+    cover = build_lp(c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 1.0)], upper=[1.0, 1.0])
+    short = LpBasis(np.array([LOWER], dtype=np.int8), np.array([BASIC], dtype=np.int8))
+    m = n = 48  # a dense LP above the limit
+    large = build_lp(
+        c=[-rng.uniform(0.5, 1.5) for _ in range(n)],
+        rows=[({j: rng.uniform(0.1, 1.0) for j in range(n)}, LE, rng.uniform(5, 10))
+              for _ in range(m)],
+        upper=[1.0] * n,
+    )
+    assert len(large.value) > simplex.KEEP_NNZ
+    large_want = fresh(large, None)
+    for k, (prob, basis) in enumerate(masters):
+        got = solve_lp(prob, basis)
+        handle = simplex._kept
+        want = fresh(prob, basis)
+        assert simplex._kept is handle
+        for got_array, want_array in ((got.x, want.x), (got.duals, want.duals),
+                                      (got.basis.cols, want.basis.cols),
+                                      (got.basis.rows, want.basis.rows)):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+        assert (got.objective, got.iterations) == (want.objective, want.iterations)
+        if k % 3 == 0:
+            with pytest.raises(LpInfeasibleError):
+                solve_lp(infeasible)
+        elif k % 3 == 1:
+            with pytest.raises(LpError, match="rejected the start basis"):
+                solve_lp(cover, short)
+        else:
+            large_got = solve_lp(large)
+            assert large_got.x.tobytes() == large_want.x.tobytes()
+            assert large_got.iterations == large_want.iterations
+            assert simplex._kept is handle
+            assert (handle.getNumCol(), handle.getNumRow(), handle.getNumNz()) == (
+                prob.num_vars, prob.num_rows, len(prob.value))
+            assert np.array(handle.getSolution().col_value).tobytes() == got.x.tobytes()
