@@ -276,7 +276,7 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     )
 
 
-_NONBASIC = np.array([LOWER, UPPER], dtype=np.int8)
+_NONBASIC = np.array([LOWER, UPPER], dtype=np.int8)  # by whether the bound is the upper one
 
 
 def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: Optional[np.ndarray]) -> LpBasis:
