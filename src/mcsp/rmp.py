@@ -51,7 +51,7 @@ import numpy as np
 
 from .columns import Column, ColumnPool, settlement_coverage
 from .instance import Instance, Request, RequestIndex
-from .simplex import _REL_CODES, BASIC, EQ, LE, LOWER, LpBasis, LpProblem, LpSolution, solve_lp
+from .simplex import _REL_CODES, BASIC, EQ, LE, LpBasis, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated

@@ -268,6 +268,7 @@ def test_request_index_arrays_equal_loop_reference():
             else:
                 assert got[name] == value and type(got[name]) is type(value), name
 
+
 def test_solves_never_build_svc_pos(monkeypatch):
     """No solve reads ``RequestIndex.svc_pos``: RCGA in both modes, NRS and
     the lower bound run on random tiny instances with the dict unbuildable."""
