@@ -23,7 +23,14 @@ from typing import Optional
 from .baselines import CapsExceededError, export_ilp, run_pba, solve_exact
 from .columns import UnfixablePoolError
 from .costs import Schedule, check_feasibility, evaluate
-from .driver import ConvergenceError, SolveReport, naive_round, run_lower_bound, run_rcga
+from .driver import (
+    REPORT_SCHEMA,
+    ConvergenceError,
+    SolveReport,
+    naive_round,
+    run_lower_bound,
+    run_rcga,
+)
 from .generator import GeneratorConfig, generate_instance, parse_ratio
 from .instance import Instance, load_instance, save_instance
 from .pricing import NoPathError
@@ -162,7 +169,7 @@ def cmd_eval(args) -> int:
     inst = load_instance(args.instance)
     doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
     report: Optional[SolveReport] = None
-    if doc.get("schema") == "mcsp-report/1":
+    if doc.get("schema") == REPORT_SCHEMA:
         report = SolveReport.from_dict(doc)
         schedule = report.schedule
         if schedule is None:

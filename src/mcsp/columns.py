@@ -452,10 +452,6 @@ class ColumnPool:
     def total_columns(self) -> int:
         return len(self.order)
 
-    def weights(self, chi: dict) -> np.ndarray:
-        """The per-pair column weights ``chi`` of every entry, in pool order."""
-        return np.concatenate([chi[key] for key in self.pairs])
-
     def arrays(self) -> PoolArrays:
         if "arrays" not in self._views:
             pair = self.pair[self.order]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -167,12 +166,13 @@ def run_cga(
     (below -``pricing.TOL_PRICE``) and the fixpoint primal violates no
     capacity.
 
-    The master holds the capacity rows in ``capacity_rows`` (a fresh empty
-    set when None); at each pricing fixpoint the rows the primal violates
+    The master holds the capacity rows in ``capacity_rows`` (none at first
+    when it is None); at each pricing fixpoint the rows the primal violates
     are added to it and generation carries on. Every master starts from the
     optimal basis of the one before, kept in ``basis`` (a fresh one when
-    None). Pass one set and one basis to every call of a solve, so rows found
-    once stay in the master and each run starts where the last one ended.
+    None). Pass one ``CapacityRows`` and one basis to every call of a solve,
+    so rows found once stay in the master and each run starts where the last
+    one ended.
 
     With ``canonical`` the fixpoint primal is re-selected canonically on the
     optimal face (see solve_rmp) before the capacity check; the likelihood
@@ -181,7 +181,7 @@ def run_cga(
     """
     statics = statics or PricingStatics(inst, idx, mode)
     if capacity_rows is None:
-        capacity_rows = CapacityRows()
+        capacity_rows = CapacityRows(inst)
     if basis is None:
         basis = MasterBasis()
     guard = 10 * inst.num_servers * inst.num_contents * inst.horizon
@@ -195,7 +195,7 @@ def run_cga(
         if not candidates:
             if canonical:
                 sol = solve_rmp(model, canonical=True, lp=sol.lp)
-            if not capacity_rows.add_violated(pool, sol.chi, inst):
+            if not capacity_rows.add_violated(pool, sol.weights, inst):
                 return CgaResult(solution=sol, rounds=rounds)
         if candidates:
             pool.add_many([(pc.h, pc.i) for pc in candidates],
@@ -208,7 +208,7 @@ def decode_schedule(pool: ColumnPool, sol: RmpSolution, inst: Instance) -> Sched
     """The schedule of an integral ``sol``: every pair's column of largest
     weight (the first in pool order on ties), whose weight must be one; the
     pairs whose column is not the zero column are scheduled."""
-    w = sol.x[: sol.n_chi]
+    w = sol.weights
     a = pool.arrays()
     # by pair, then by falling weight; the sort is stable, so ties keep pool order
     best = np.lexsort((-w, a.pair))[pool.starts()[:-1]]
@@ -275,7 +275,7 @@ def run_rcga(
     statics = PricingStatics(inst, idx, mode)
     pool = ColumnPool.initial(inst, idx, mode)
     state = RoundingState(inst)
-    rows, basis = CapacityRows(), MasterBasis()
+    rows, basis = CapacityRows(inst), MasterBasis()
 
     result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
                      canonical=True, capacity_rows=rows, basis=basis)
@@ -286,12 +286,12 @@ def run_rcga(
     max_cycles = inst.num_contents * inst.horizon
     cycles = 0
     while True:
-        gamma, omega = compute_indicators(sol.chi, pool)
-        if not chi_integral_iff(sol.chi, gamma, omega):
+        gamma, omega = compute_indicators(sol.weights, pool)
+        if not chi_integral_iff(sol.weights, gamma, omega):
             raise AssertionError("integrality of likelihoods and weights disagree")
         if audit is not None:
             audit.integrality_checks += 1
-        if chi_is_integral(sol.chi):
+        if chi_is_integral(sol.weights):
             break
         if cycles >= max_cycles:
             raise ConvergenceError(f"rounding did not reach integrality in {max_cycles} passes")
@@ -334,15 +334,15 @@ def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveRepo
     )
 
 
-def _next_pin(sol: RmpSolution) -> tuple[tuple[int, int], int]:
-    """The pair and pool position of the largest fractional column weight of
-    a fractional ``sol``, the first in (pair, entry) order on ties: one pass
-    over the chi columns, which run in that order."""
-    w = sol.x[: sol.n_chi]
+def _next_pin(sol: RmpSolution, pool: ColumnPool) -> tuple[tuple[int, int], int]:
+    """The pair and position in the pair's entries of the largest fractional
+    column weight of a fractional ``sol`` over ``pool``, the first in pool
+    order, which is (pair, entry) order, on ties."""
+    w = sol.weights
     frac = np.flatnonzero((w > TOL_INT) & (w < 1 - TOL_INT))
     j = int(frac[np.argmax(w[frac])])
-    n = int(np.searchsorted(sol.pair_starts, j, side="right")) - 1
-    return next(islice(sol.chi_offset, n, None)), j - int(sol.pair_starts[n])
+    k = int(pool.arrays().pair[j])
+    return pool.pairs[k], j - int(pool.starts()[k])
 
 
 def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
@@ -356,7 +356,7 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     statics = PricingStatics(inst, idx, mode)
     pool = ColumnPool.initial(inst, idx, mode)
     pins = RoundingState(inst)
-    rows, basis = CapacityRows(), MasterBasis()
+    rows, basis = CapacityRows(inst), MasterBasis()
 
     result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
                      capacity_rows=rows, basis=basis)
@@ -365,8 +365,8 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     sol = result.solution
     fixes = 0
     try:
-        while not chi_is_integral(sol.chi):
-            (h, i), k = _next_pin(sol)
+        while not chi_is_integral(sol.weights):
+            (h, i), k = _next_pin(sol, pool)
             col = pool.pin(h, i, k)
             for t, (q, p) in enumerate(col, start=1):
                 pins.fix(h, i, t, gamma=q, omega=p)

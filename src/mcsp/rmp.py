@@ -12,13 +12,13 @@ default, which is carried as a constant in the objective. Rows:
 * convexity:    per (server, content), exactly one column selected
 
 The cache and backhaul rows are generated lazily: a master built with a
-``CapacityRows`` set holds only the (server, slot) rows in it, and column
+``CapacityRows`` mask holds only the (server, slot) rows it marks, and column
 generation adds a row once a fixpoint primal violates it (row generation
 inside column generation). Rows left out have zero duals, which is what
 ``DualPrices.mu``/``phi`` report for them, so a fixpoint whose primal
 respects every capacity is still the exact LP bound over all rows. A master
 whose capacities never bind is then the same LP whatever those capacities
-are. Built without a set, the master holds every capacity row.
+are. Built without a mask, the master holds every capacity row.
 
 Coverage uses the settlement convention of the pricing graph: a column can
 serve (r, a) at the age it holds when the request arrives, or at age zero
@@ -28,6 +28,13 @@ left out of the LP; their duals are filled in, and the price HiGHS puts on a
 y variable's upper bound y <= 1 is moved onto its request's serve-once row,
 so that the returned DualPrices is a complete optimal dual vector for the
 full row set with no bound duals (the certificate tests check both).
+
+Every hand-off around the master is one array: the master reaches
+``solve_lp`` as an ``LpProblem`` whose <= rows (serve-once, coverage, cache,
+backhaul) come before its = rows (convexity), the order HiGHS takes; the
+capacity rows held are a bool mask; and a solve's column weights
+(``RmpSolution.weights``) are the chi part of the primal, in pool order,
+which the capacity check, the rounding and the schedule decode read.
 
 Every master LP goes to ``simplex.solve_lp`` (HiGHS), warm-started: a
 ``MasterBasis`` keeps the optimal basis of a solve's last master by row and
@@ -42,8 +49,7 @@ solve's, while the objective and so the bound are the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
@@ -51,7 +57,7 @@ import numpy as np
 
 from .columns import Column, ColumnPool, settlement_coverage
 from .instance import Instance, Request, RequestIndex
-from .simplex import _REL_CODES, BASIC, EQ, LE, LpBasis, LpProblem, LpSolution, solve_lp
+from .simplex import BASIC, LpBasis, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
@@ -106,42 +112,32 @@ class DualPrices:
         return float(self.lams[h, i])
 
 
-@dataclass
 class CapacityRows:
-    """The (server, slot) keys of the cache and backhaul rows held in a
-    master. The set only grows; one solve shares it across all its column
+    """The cache and backhaul rows held in a master, as a bool mask
+    ``held[cache/backhaul, server, slot]`` (index 0 of server and slot
+    unused). The mask only grows; one solve shares it across all its column
     generation runs."""
 
-    cache: set[tuple[int, int]] = field(default_factory=set)
-    backhaul: set[tuple[int, int]] = field(default_factory=set)
+    def __init__(self, inst: Instance):
+        self.held = np.zeros((2, inst.num_servers + 1, inst.horizon + 1), dtype=bool)
 
-    def add_violated(self, pool: ColumnPool, chi: dict, inst: Instance) -> int:
-        """Add the rows whose load under the column weights ``chi`` exceeds
-        the instance capacity; return how many were added. A load sums the
-        positive weights times sizes in pool order. Capacities are positive
-        (``validate_instance``), so a (server, slot) without load never
-        counts."""
+    def add_violated(self, pool: ColumnPool, weights: np.ndarray, inst: Instance) -> int:
+        """Add the rows whose load under the column ``weights`` (in pool
+        order) exceeds the instance capacity; return how many were added. A
+        load sums the positive weights times sizes in pool order. Capacities
+        are positive (``validate_instance``), so a (server, slot) without
+        load never counts."""
         a = pool.arrays()
-        w = pool.weights(chi)
-        e, kind, t = np.nonzero(a.flags & (w > 0)[:, None, None])
-        shape = (2, inst.num_servers + 1, inst.horizon + 1)
+        e, kind, t = np.nonzero(a.flags & (weights > 0)[:, None, None])
+        shape = self.held.shape
         at = np.ravel_multi_index((kind, a.server[e], t + 1), shape)
         # bincount adds in input order, as the loads were summed one by one
-        load = np.bincount(at, w[e] * a.size[e], minlength=np.prod(shape)).reshape(shape)
+        load = np.bincount(at, weights[e] * a.size[e], minlength=np.prod(shape)).reshape(shape)
         cap = inst.capacities()[:, :, None]
         over = load > cap + TOL_CAP * (1 + np.abs(cap))
-        added = 0
-        for kind, h, t in zip(*np.nonzero(over)):
-            active = (self.cache, self.backhaul)[kind]
-            if (int(h), int(t)) not in active:
-                active.add((int(h), int(t)))
-                added += 1
+        added = int(np.count_nonzero(over & ~self.held))
+        self.held |= over
         return added
-
-
-def _index(keys) -> tuple[np.ndarray, ...]:
-    """(server, slot) or (server, content) keys as an index into an array."""
-    return tuple(np.array(keys, dtype=np.int64).reshape(-1, 2).T)
 
 
 class MasterBasis:
@@ -197,7 +193,7 @@ class RmpModel:
     one another in this order: serve-once rows by request id, coverage rows
     by service position (the y variables follow the chi variables in the
     same order), cache and backhaul rows by (server, slot), and convexity
-    rows by (server, content)."""
+    rows by (server, content). ``row_index`` holds the keys as arrays."""
 
     problem: LpProblem
     pool: ColumnPool
@@ -205,13 +201,8 @@ class RmpModel:
     constant: float
     serials: np.ndarray  # the pool entry serial of each chi column, in LP column order
     flags: np.ndarray  # their cached and updated flags, [chi column, cached/updated, slot]
-    chi_offset: dict[tuple[int, int], int]  # first LP column of each pair's block
     starts: list[int]  # first row of each row block, then the row count
-    serve_ids: list[int]
     cover_svc: np.ndarray
-    cache_keys: list[tuple[int, int]]
-    backhaul_keys: list[tuple[int, int]]
-    pairs: list[tuple[int, int]]
     # per row block, the positions of its rows' keys in the block's
     # ``DualPrices`` array
     row_index: tuple
@@ -221,24 +212,9 @@ class RmpModel:
 @dataclass
 class RmpSolution:
     objective: float  # includes the MCR cloud-cost constant
-    x: np.ndarray  # the primal the column weights are read from
-    chi_offset: dict[tuple[int, int], int]  # first chi column of each pair's block
-    n_chi: int  # the number of chi columns
+    weights: np.ndarray  # the column weights, in pool order: a view of the primal's chi part
     duals: DualPrices
     lp: LpSolution
-
-    @cached_property
-    def pair_starts(self) -> np.ndarray:
-        """The first chi column of each pair's block, in block order."""
-        return np.fromiter(self.chi_offset.values(), dtype=np.int64, count=len(self.chi_offset))
-
-    @cached_property
-    def chi(self) -> dict[tuple[int, int], np.ndarray]:
-        """Per pair, its column weights aligned with the pool entries: views
-        into ``x``, made on first use (column generation reads them only at
-        a pricing fixpoint)."""
-        ends = [*self.chi_offset.values(), self.n_chi]
-        return {key: self.x[a:b] for key, a, b in zip(self.chi_offset, ends, ends[1:])}
 
 
 def build_rmp(
@@ -248,7 +224,7 @@ def build_rmp(
     capacity_rows: Optional[CapacityRows] = None,
 ) -> RmpModel:
     """Assemble the master LP over the current pools, with the capacity rows
-    named in ``capacity_rows`` (all of them when it is None).
+    ``capacity_rows`` holds (all of them when it is None).
 
     The matrix comes from the pool's arrays, with no per-entry Python: each
     live entry's pair, cost, cached and updated slot flags and the service
@@ -258,10 +234,9 @@ def build_rmp(
     with each column's rows ascending, the form ``solve_lp`` hands HiGHS: a
     chi column holds its coverage, cache, backhaul and convexity entries in
     that order, a y column its serve-once and its coverage entry."""
-    pairs = pool.pairs
     empty = np.flatnonzero(pool.counts == 0)
     if len(empty):
-        raise ValueError(f"empty pool for pair {pairs[empty[0]]}")
+        raise ValueError(f"empty pool for pair {pool.pairs[empty[0]]}")
     a = pool.arrays()
     n_chi = len(a.serial)
     col_pair = a.pair
@@ -283,16 +258,16 @@ def build_rmp(
     serve_ids, serve_of = request_ids[first], np.cumsum(first) - 1
 
     if capacity_rows is None:
-        cache_keys = backhaul_keys = [
-            (h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
-        ]
+        held = np.zeros((2, inst.num_servers + 1, inst.horizon + 1), dtype=bool)
+        held[:, 1:, 1:] = True
     else:
-        cache_keys = sorted(capacity_rows.cache)
-        backhaul_keys = sorted(capacity_rows.backhaul)
+        held = capacity_rows.held
+    # (server, slot) ascending, the order the rows run in
+    cache_at, backhaul_at = np.nonzero(held[0]), np.nonzero(held[1])
 
     n_y = len(cover_svc)
-    starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_keys, backhaul_keys, pairs)),
-                             initial=0))
+    starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_at[0], backhaul_at[0],
+                                       pair_server)), initial=0))
     n_rows = starts[-1]
 
     # the chi columns' entries block by block, each block by column, rows
@@ -301,8 +276,6 @@ def build_rmp(
     cols = [cover_col]
     vals = [np.full(len(cover_col), -1.0)]
     flags = a.flags
-    cache_at = _index(cache_keys)
-    backhaul_at = _index(backhaul_keys)
     for at, start, kind in ((cache_at, starts[2], 0), (backhaul_at, starts[3], 1)):
         if not len(at[0]):  # no row of this kind (the common case with lazy rows)
             continue
@@ -310,10 +283,10 @@ def build_rmp(
         row_of[at] = start + np.arange(len(at[0]))
         col, t = np.nonzero(flags[:, kind])  # by entry, then slot, as the rows run
         row = row_of[pair_server[col_pair[col]], t + 1]
-        held = row >= 0
-        rows.append(row[held])
-        cols.append(col[held])
-        vals.append(pair_size[col_pair[col[held]]])
+        kept = row >= 0
+        rows.append(row[kept])
+        cols.append(col[kept])
+        vals.append(pair_size[col_pair[col[kept]]])
     rows.append(starts[4] + col_pair)
     cols.append(np.arange(n_chi))
     vals.append(np.ones(n_chi))
@@ -329,15 +302,14 @@ def build_rmp(
 
     c = np.concatenate([pool.cost[a.serial], idx.svc_saving[cover_svc]])
     upper = np.concatenate([np.full(n_chi, np.inf), np.ones(n_y)])
-    rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
     b = np.zeros(n_rows)
     b[: starts[1]] = 1.0  # serve-once
     capacities = inst.capacities()
     b[starts[2] : starts[3]] = capacities[0][cache_at[0]]
     b[starts[3] : starts[4]] = capacities[1][backhaul_at[0]]
-    rel[starts[4] :], b[starts[4] :] = _REL_CODES[EQ], 1.0  # convexity
+    b[starts[4] :] = 1.0  # convexity, the = rows
 
-    problem = LpProblem(c=c, start=col_start, index=index, value=value, rel=rel, b=b,
+    problem = LpProblem(c=c, start=col_start, index=index, value=value, num_le=starts[4], b=b,
                         upper=upper)
     return RmpModel(
         problem=problem,
@@ -346,13 +318,8 @@ def build_rmp(
         constant=idx.mcr_cloud_cost,
         serials=a.serial,
         flags=flags,
-        chi_offset=dict(zip(pairs, pool.starts().tolist())),
         starts=starts,
-        serve_ids=serve_ids.tolist(),
         cover_svc=cover_svc,
-        cache_keys=cache_keys,
-        backhaul_keys=backhaul_keys,
-        pairs=pairs,
         row_index=(serve_ids, cover_svc, cache_at, backhaul_at, (pair_server, pair_content)),
         serve_first=np.flatnonzero(first),
     )
@@ -382,18 +349,17 @@ def solve_rmp(
     with the face row basic, a feasible basis of the face LP. Duals,
     objective and the bound always come from the primary solve.
 
-    ``chi`` holds views into the primal: a pair's weights are a slice of it.
-    """
+    ``weights`` is a view of the returned primal's chi columns, in pool
+    order."""
     sol = lp
     if sol is None:
         sol = solve_lp(model.problem, basis.start(model) if basis is not None else None)
         if basis is not None:
             basis.record(model, sol.basis)
+    x = _canonical_primal(model, sol) if canonical else sol.x
     return RmpSolution(
         objective=sol.objective + model.constant,
-        x=_canonical_primal(model, sol) if canonical else sol.x,
-        chi_offset=model.chi_offset,
-        n_chi=len(model.serials),
+        weights=x[: len(model.serials)],
         duals=_read_duals(model, sol.duals),
         lp=sol,
     )
@@ -444,17 +410,16 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     """Secondary solve over the optimal face: prefer fewer updates, then
     earlier update slots (mirrors the pricing tie-break).
 
-    The face row c.x <= objective + eps joins after the master's <= rows,
-    before its convexity rows, so that the rows stay in ``solve_lp``'s
-    order; it holds the nonzero costs of c, and it starts basic. Each face
-    entry follows its column's entries in rows above it."""
+    The face row c.x <= objective + eps joins as the last <= row, before the
+    convexity rows; it holds the nonzero costs of c, and it starts basic.
+    Each face entry follows its column's entries in rows above it."""
     prob = model.problem
     w = np.zeros(prob.num_vars)
     updated = model.flags[:, 1]
     w[: len(model.serials)] = (updated.sum(axis=1)
                                + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
     face_eps = 1e-7 * (1.0 + abs(sol.objective))
-    at = model.starts[4]  # the face row's place
+    at = prob.num_le  # the face row's place
     start, index = prob.start, prob.index
     face = np.flatnonzero(prob.c)
     grown = np.zeros(prob.num_vars + 1, dtype=np.int32)
@@ -475,7 +440,7 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
         start=face_start,
         index=face_index,
         value=face_value,
-        rel=_with_row(prob.rel, at, _REL_CODES[LE]),
+        num_le=at + 1,
         b=_with_row(prob.b, at, sol.objective + face_eps),
         upper=prob.upper,
     )

@@ -62,7 +62,6 @@ class RoundingState:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.passes = 0
         shape = (inst.num_servers + 1, inst.num_contents + 1, inst.horizon + 1)
         self.gamma = np.full(shape, FREE, dtype=np.int8)
         self.omega = np.full(shape, FREE, dtype=np.int8)
@@ -130,19 +129,16 @@ class RoundingState:
         return False
 
 
-def compute_indicators(
-    chi: dict[tuple[int, int], np.ndarray], pool: ColumnPool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Caching and updating likelihoods as [server, content, slot] arrays,
-    index 0 of each axis unused. Each sum adds the positive weights of the
-    pair's entries in pool order."""
+def compute_indicators(weights: np.ndarray, pool: ColumnPool) -> tuple[np.ndarray, np.ndarray]:
+    """Caching and updating likelihoods of the column ``weights`` (in pool
+    order) as [server, content, slot] arrays, index 0 of each axis unused.
+    Each sum adds the positive weights of the pair's entries in pool order."""
     inst = pool.inst
     shape = (2, inst.num_servers + 1, inst.num_contents + 1, inst.horizon + 1)
     a = pool.arrays()
-    w = pool.weights(chi)
-    e, kind, t = np.nonzero(a.flags & (w > 0)[:, None, None])
+    e, kind, t = np.nonzero(a.flags & (weights > 0)[:, None, None])
     at = np.ravel_multi_index((kind, a.server[e], a.content[e], t + 1), shape)
-    sums = np.bincount(at, w[e], minlength=np.prod(shape)).reshape(shape)  # in input order
+    sums = np.bincount(at, weights[e], minlength=np.prod(shape)).reshape(shape)  # in input order
     return sums[0], sums[1]
 
 
@@ -154,16 +150,14 @@ def is_integral(gamma: np.ndarray, omega: np.ndarray, tol: float = TOL_INT) -> b
     return bool(_integral(gamma, tol).all() and _integral(omega, tol).all())
 
 
-def chi_is_integral(chi: dict[tuple[int, int], np.ndarray], tol: float = TOL_INT) -> bool:
-    return bool(_integral(np.concatenate([np.empty(0), *chi.values()]), tol).all())
+def chi_is_integral(weights: np.ndarray, tol: float = TOL_INT) -> bool:
+    return bool(_integral(weights, tol).all())
 
 
-def chi_integral_iff(
-    chi: dict[tuple[int, int], np.ndarray], gamma: np.ndarray, omega: np.ndarray,
-    tol: float = TOL_INT,
-) -> bool:
+def chi_integral_iff(weights: np.ndarray, gamma: np.ndarray, omega: np.ndarray,
+                     tol: float = TOL_INT) -> bool:
     """Both directions of the integrality equivalence, asserted at runtime."""
-    return chi_is_integral(chi, tol) == is_integral(gamma, omega, tol)
+    return chi_is_integral(weights, tol) == is_integral(gamma, omega, tol)
 
 
 @dataclass
@@ -189,7 +183,6 @@ def round_once(
     ``omega`` of ``compute_indicators``; mutates state and pool."""
     inst = state.inst
     report = RoundReport()
-    state.passes += 1
     G, O = state.gamma, state.omega
 
     # stage 1: freeze integral entries

@@ -8,9 +8,10 @@ use, and checks the returned optimum against the model.
 
 An ``LpProblem`` holds its constraint matrix column-wise (CSC arrays), the
 form HiGHS takes it in; ``a_matrix`` builds a scipy.sparse matrix of it only
-for checks. A problem whose rows already come in HiGHS's order (every <= row
-before every = row, no >= rows), as every master does, is handed over
-without a copy or a permutation.
+for checks. Its rows come in the order HiGHS takes them: ``num_le`` <= rows,
+then = rows, and no >= rows (a >= row is written as its negated <= row). The
+master and the face LP of ``mcsp.rmp`` are built so, and a problem is handed
+over without a copy or a permutation.
 
 Models of at most ``KEEP_NNZ`` nonzeros, every toy master (235 at most)
 but only the first few masters of a desk solve, are solved on one kept
@@ -35,10 +36,9 @@ as rows is passed as it is; one with another count is passed as HiGHS's
 
 Dual convention, frozen by unit tests: the reduced cost of variable j is
 ``c_j - sum_rows dual_row * a_row_j``. At a minimum, duals of ``<=`` rows are
-nonpositive, duals of ``>=`` rows nonnegative, duals of ``=`` rows free.
-HiGHS's row duals are mapped onto this convention. The price of a variable's
-finite upper bound is not a row dual; it shows as a negative reduced cost of
-a variable parked at that bound.
+nonpositive and duals of ``=`` rows free; HiGHS's row duals follow it as
+they come. The price of a variable's finite upper bound is not a row dual;
+it shows as a negative reduced cost of a variable parked at that bound.
 
 Variables live in ``[0, upper]`` with ``upper`` possibly infinite.
 """
@@ -53,9 +53,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
-LE, GE, EQ = "<=", ">=", "="
-
-_REL_CODES = {LE: 0, GE: 1, EQ: 2}
+LE, GE, EQ = "<=", ">=", "="  # the relations of ``write_lp_text``
 
 
 class LpError(RuntimeError):
@@ -72,7 +70,8 @@ class LpUnboundedError(LpError):
 
 @dataclass
 class LpProblem:
-    """min c.x  s.t.  A x (<=, >=, =) b,  0 <= x <= upper.
+    """min c.x  s.t.  A x <= b in rows 0..num_le-1, A x = b in the rest,
+    0 <= x <= upper.
 
     A is held column-wise: column j has its nonzeros in rows
     ``index[start[j]:start[j + 1]]``, ascending, with values
@@ -82,7 +81,7 @@ class LpProblem:
     start: np.ndarray
     index: np.ndarray
     value: np.ndarray
-    rel: np.ndarray  # per-row code from _REL_CODES
+    num_le: int  # the <= rows, which come first
     b: np.ndarray
     upper: np.ndarray
 
@@ -111,7 +110,7 @@ class LpBasis:
     """A simplex basis as int8 status codes: each variable is BASIC or
     nonbasic at its LOWER or UPPER bound, and each row (its slack) is BASIC
     or nonbasic at its right-hand side, coded UPPER for a <= row and LOWER
-    for >= and = rows. Rows are in the problem's order."""
+    for an = row. Rows are in the problem's order."""
 
     cols: np.ndarray
     rows: np.ndarray
@@ -182,58 +181,38 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     """Solve to optimality with HiGHS; raises LpInfeasibleError,
     LpUnboundedError, or LpError on any other outcome.
 
-    The model is the one ``linprog`` builds: rows in the order <= rows,
-    negated >= rows, = rows, as lower <= A x <= upper, solved with the dual
-    simplex; its duals are mapped back to the rows' order and signs. Rows
-    already in that order are passed as they are; others are permuted, each
-    column's rows kept ascending. Without ``basis`` the solve starts cold,
-    with presolve; with it, HiGHS starts from that basis. A start basis with
-    as many basic entries as rows is passed as a valid basis (HiGHS still
-    swaps slacks in for a singular one); one with another count is passed as
-    HiGHS's "alien" kind, which HiGHS repairs by factorizing it afresh. The
-    handle (``_highs_for``) starts empty with the module's options, whether
-    kept or fresh, so both give the same result, bit for bit."""
-    m, n = prob.num_rows, prob.num_vars
-    rel = prob.rel
-    n_le = int(np.count_nonzero(rel == _REL_CODES[LE]))
-    n_ineq = n_le + int(np.count_nonzero(rel == _REL_CODES[GE]))
-    start, index, value, upper = prob.start, prob.index, prob.value, prob.b
-    order = position = None  # the problem's row of each model row and back
-    if (rel[1:] < rel[:-1]).any():
-        order = np.argsort(rel, kind="stable")  # <= rows, >= rows, = rows
-        position = np.empty(m, dtype=np.int32)
-        position[order] = np.arange(m, dtype=np.int32)
-        index = position[index]
-        by_row = np.lexsort((index, np.repeat(np.arange(n), np.diff(start))))
-        index, value, upper = index[by_row], value[by_row], upper[order]
-    sign = None
-    if n_ineq > n_le:  # >= rows are negated into <= rows
-        sign = np.ones(m)
-        sign[n_le:n_ineq] = -1.0
-        value = value * sign[index]
-        upper = upper * sign
+    The model is the one ``linprog`` builds: the rows as lower <= A x <=
+    upper, the <= rows with no lower bound, solved with the dual simplex.
+    Without ``basis`` the solve starts cold, with presolve; with it, HiGHS
+    starts from that basis. A start basis with as many basic entries as rows
+    is passed as a valid basis (HiGHS still swaps slacks in for a singular
+    one); one with another count is passed as HiGHS's "alien" kind, which
+    HiGHS repairs by factorizing it afresh. The handle (``_highs_for``)
+    starts empty with the module's options, whether kept or fresh, so both
+    give the same result, bit for bit."""
+    m, n, n_le = prob.num_rows, prob.num_vars, prob.num_le
+    upper = prob.b
     lower = upper.copy()
-    lower[:n_ineq] = -np.inf
-
+    lower[:n_le] = -np.inf
     col_upper = np.asarray(prob.upper, dtype=float)
-    highs = _highs_for(len(index))
+    nnz = len(prob.index)
+    highs = _highs_for(nnz)
     status = _highs.HighsModelStatus
     # the array form of passModel: column-wise matrix, minimise, no offset,
     # every column continuous
     passed = highs.passModel(
-        n, m, len(index), _COLWISE, _MINIMIZE, 0.0, np.asarray(prob.c, dtype=float),
-        np.zeros(n), col_upper, lower, upper, start, index, value, np.zeros(n, dtype=np.int32),
+        n, m, nnz, _COLWISE, _MINIMIZE, 0.0, np.asarray(prob.c, dtype=float), np.zeros(n),
+        col_upper, lower, upper, prob.start, prob.index, prob.value, np.zeros(n, dtype=np.int32),
     )
     if passed == _highs.HighsStatus.kError:
         model_status = status.kModelError
     else:
         if basis is not None:
-            rows = basis.rows if order is None else basis.rows[order]
             # a nonbasic row sits at its right-hand side: HiGHS's upper bound
-            # of a (negated) inequality row; either bound of an = row
+            # of a <= row; either bound of an = row
             codes = np.zeros(m, dtype=np.int8)  # LOWER
-            codes[:n_ineq] = UPPER
-            codes[rows == BASIC] = BASIC
+            codes[:n_le] = UPPER
+            codes[basis.rows == BASIC] = BASIC
             start_basis = _highs.HighsBasis()
             start_basis.col_status = _STATUS[basis.cols].tolist()
             start_basis.row_status = _STATUS[codes].tolist()
@@ -256,44 +235,38 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
     tol = _CHECK_TOL
     if not (
         ((x >= -tol) & (x <= col_upper + tol)).all()
-        and (upper[:n_ineq] - rows[:n_ineq] >= -tol).all()
-        and (np.abs(upper[n_ineq:] - rows[n_ineq:]) <= tol).all()
+        and (upper[:n_le] - rows[:n_le] >= -tol).all()
+        and (np.abs(upper[n_le:] - rows[n_le:]) <= tol).all()
     ):
         raise LpError("HiGHS returned an optimum that violates the model")
-    duals = np.array(solution.row_dual)
-    if sign is not None:
-        duals *= sign
-    if order is not None:
-        duals = duals[position]
     # single info values: ``getInfo`` would copy the whole HighsInfo
     iterations = highs.getInfoValue("simplex_iteration_count")[1]
     return LpSolution(
         objective=float(highs.getObjectiveValue()),
         x=x,
-        duals=duals,
+        duals=np.array(solution.row_dual),
         iterations=int(iterations or highs.getInfoValue("ipm_iteration_count")[1]),
-        basis=_optimal_basis(highs, prob, x, order),
+        basis=_optimal_basis(highs, prob, x),
     )
 
 
 _NONBASIC = np.array([LOWER, UPPER], dtype=np.int8)  # by whether the bound is the upper one
 
 
-def _optimal_basis(highs, prob: LpProblem, x: np.ndarray, order: Optional[np.ndarray]) -> LpBasis:
+def _optimal_basis(highs, prob: LpProblem, x: np.ndarray) -> LpBasis:
     """The basis HiGHS ended with, read as its list of basic variables (a
     numpy array; ``getBasis`` would build one Python object per status).
     A nonbasic variable sits exactly at a bound, so one above half its
-    upper bound is at the upper bound. ``order`` gives the problem's row of
-    each model row, None when they are the same."""
+    upper bound is at the upper bound."""
     ok, basic = highs.getBasicVariables()
     if ok != _highs.HighsStatus.kOk:
         raise LpError("HiGHS holds no basis for its optimum")
     cols = _NONBASIC[(x > 0.5 * prob.upper).view(np.int8)]
-    rows = _NONBASIC[(prob.rel == _REL_CODES[LE]).view(np.int8)]
+    rows = np.full(prob.num_rows, LOWER, dtype=np.int8)
+    rows[: prob.num_le] = UPPER
     basic_cols = basic >= 0
     cols[basic[basic_cols]] = BASIC
-    basic_rows = -1 - basic[~basic_cols]
-    rows[basic_rows if order is None else order[basic_rows]] = BASIC
+    rows[-1 - basic[~basic_cols]] = BASIC
     return LpBasis(cols, rows)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from mcsp.generator import GeneratorConfig, Topology, generate_instance
 from mcsp.instance import Instance, build_request_index, load_instance
+from mcsp.rmp import DualPrices
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,6 +45,27 @@ def random_tiny_config(rng: random.Random, horizon_max: int = 4) -> GeneratorCon
 
 def random_tiny_instance(rng: random.Random, horizon_max: int = 4) -> Instance:
     return generate_instance(random_tiny_config(rng, horizon_max))
+
+
+def random_duals(rng: random.Random, inst, pi_lo=-3.0, pi_hi=3.0, lam_hi=50.0) -> DualPrices:
+    """Uniform random duals of ``inst``'s master rows: a pi per MCR service,
+    a mu and a phi per (server, slot), a lambda per (server, content), drawn
+    in that order. They are drawn wider than a master solve gives, on
+    purpose."""
+    pi, mu, phi, lam = {}, {}, {}, {}
+    for r in inst.requests:
+        if not r.is_mcr:
+            continue
+        for h in r.candidates:
+            for a in range(r.deadline):
+                pi[(r.id, h, a)] = rng.uniform(pi_lo, pi_hi)
+    for h in range(1, inst.num_servers + 1):
+        for t in range(1, inst.horizon + 1):
+            mu[(h, t)] = rng.uniform(0.0, 3.0)
+            phi[(h, t)] = rng.uniform(0.0, 3.0)
+        for i in range(1, inst.num_contents + 1):
+            lam[(h, i)] = rng.uniform(0.0, lam_hi)
+    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
 
 
 _MODEL_ARRAYS = ("c", "col_lower", "col_upper", "lower", "upper", "start", "index", "value")

@@ -12,8 +12,8 @@ are the dict versions, kept so that tests can check the array code pass by
 pass: same fixings, reports, headrooms and pools.
 
 The master LP was once assembled as scipy.sparse COO triplets, converted to
-CSR, and reordered and converted to CSC by ``solve_lp``; the face LP of the
-canonical re-solve stacked its row under the master's. ``master_lp``,
+CSR, and converted to CSC by ``solve_lp``; the face LP of the canonical
+re-solve stacked its row under the master's <= rows. ``master_lp``,
 ``face_lp`` and ``highs_model`` are that construction, kept so that tests can
 check that HiGHS receives the same arrays from the column-wise builders.
 ``inserted_face_lp`` is the face LP as ``_canonical_primal`` later built it
@@ -62,7 +62,7 @@ from mcsp.costs import CAPACITY_EPS, Schedule, derive_assignment, evaluate, plan
 from mcsp.driver import SolveReport
 from mcsp.instance import Instance, Request, RequestIndex
 from mcsp.rounding import TOL_INT, RoundReport
-from mcsp.simplex import _REL_CODES, BASIC, EQ, GE, LE, LOWER, UPPER, LpBasis, LpProblem, LpSolution
+from mcsp.simplex import BASIC, EQ, LE, LOWER, UPPER, LpBasis, LpProblem, LpSolution
 
 Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
@@ -99,7 +99,6 @@ def service_saving(inst: Instance, i: int, a: int) -> float:
 class RoundingState:
     inst: Instance
     fixings: dict[tuple[int, int, int], Fixing] = field(default_factory=dict)
-    passes: int = 0
 
     def fixed(self, h: int, i: int, t: int) -> Fixing:
         return self.fixings.get((h, i, t), (None, None))
@@ -168,9 +167,9 @@ class RoundingState:
         return False
 
 
-def compute_indicators(chi, pool: ColumnPool) -> tuple[dict, dict]:
+def compute_indicators(chi: dict, pool: ColumnPool) -> tuple[dict, dict]:
     """Caching and updating likelihoods per (server, content), slot-indexed
-    arrays with entry 0 unused."""
+    arrays with entry 0 unused, of the column weights ``chi`` by pair."""
     T = pool.inst.horizon
     gamma: dict[tuple[int, int], np.ndarray] = {}
     omega: dict[tuple[int, int], np.ndarray] = {}
@@ -200,7 +199,6 @@ def round_once(
     inst = state.inst
     T = inst.horizon
     report = RoundReport()
-    state.passes += 1
 
     for (h, i) in sorted(gamma):
         g, o = gamma[(h, i)], omega[(h, i)]
@@ -358,11 +356,12 @@ def indicator_arrays(inst: Instance, likelihoods: dict) -> np.ndarray:
 
 @dataclass
 class SparseLp:
-    """min c.x  s.t.  A x (rel) b,  0 <= x <= upper, with A a CSR matrix."""
+    """min c.x  s.t.  A x <= b in rows 0..num_le-1, A x = b in the rest,
+    0 <= x <= upper, with A a CSR matrix."""
 
     c: np.ndarray
     a_matrix: sparse.csr_matrix
-    rel: np.ndarray
+    num_le: int
     b: np.ndarray
     upper: np.ndarray
 
@@ -392,13 +391,10 @@ def master_lp(pool: ColumnPool, inst: Instance, idx: RequestIndex, capacity_rows
     first[1:] = request_ids[1:] != request_ids[:-1]
     serve_ids, serve_of = request_ids[first], np.cumsum(first) - 1
 
-    if capacity_rows is None:
-        cache_keys = backhaul_keys = [
-            (h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
-        ]
-    else:
-        cache_keys = sorted(capacity_rows.cache)
-        backhaul_keys = sorted(capacity_rows.backhaul)
+    cache_keys, backhaul_keys = (
+        [(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
+         if capacity_rows is None or capacity_rows.held[kind, h, t]]
+        for kind in (0, 1))
     n_y = len(cover_svc)
     starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_keys, backhaul_keys, pairs)),
                              initial=0))
@@ -431,71 +427,58 @@ def master_lp(pool: ColumnPool, inst: Instance, idx: RequestIndex, capacity_rows
     c = np.concatenate([np.fromiter((e.cost for e in entries), dtype=float, count=n_chi),
                         idx.svc_saving[cover_svc]])
     upper = np.concatenate([np.full(n_chi, np.inf), np.ones(n_y)])
-    rel = np.full(n_rows, _REL_CODES[LE], dtype=int)
     b = np.zeros(n_rows)
     b[: starts[1]] = 1.0
     for lo, keys, attr in ((starts[2], cache_keys, "cache_capacity"),
                            (starts[3], backhaul_keys, "backhaul_capacity")):
         b[lo : lo + len(keys)] = [getattr(inst.server(h), attr) for h, _ in keys]
-    rel[starts[4] :], b[starts[4] :] = _REL_CODES[EQ], 1.0
-    return SparseLp(c=c, a_matrix=a_matrix, rel=rel, b=b, upper=upper)
+    b[starts[4] :] = 1.0
+    return SparseLp(c=c, a_matrix=a_matrix, num_le=starts[4], b=b, upper=upper)
 
 
 def face_lp(prob: SparseLp, flags: np.ndarray, objective: float,
             basis_rows: np.ndarray) -> tuple[SparseLp, np.ndarray]:
     """The canonical re-solve's face LP, its face row stacked under the
-    master's rows, and its start basis's row statuses."""
+    master's <= rows, and its start basis's row statuses."""
     w = np.zeros(len(prob.c))
     updated = flags[:, 1]
     w[: len(flags)] = (updated.sum(axis=1)
                        + (updated @ np.arange(1, updated.shape[1] + 1)) / 100.0)
     face_eps = 1e-7 * (1.0 + abs(objective))
+    at = prob.num_le
     face_row = sparse.csr_matrix(prob.c.reshape(1, -1))
     lp = SparseLp(
         c=w,
-        a_matrix=sparse.vstack([prob.a_matrix, face_row]).tocsr(),
-        rel=np.concatenate([prob.rel, [0]]),
-        b=np.concatenate([prob.b, [objective + face_eps]]),
+        a_matrix=sparse.vstack([prob.a_matrix[:at], face_row, prob.a_matrix[at:]]).tocsr(),
+        num_le=at + 1,
+        b=np.concatenate([prob.b[:at], [objective + face_eps], prob.b[at:]]),
         upper=prob.upper,
     )
-    return lp, np.append(basis_rows, BASIC)
+    return lp, np.concatenate([basis_rows[:at], [BASIC], basis_rows[at:]])
 
 
 def highs_model(prob: SparseLp, basis_rows: Optional[np.ndarray] = None) -> dict:
-    """The arrays ``solve_lp`` handed HiGHS's passModel for ``prob``: rows
-    reordered to <= rows, negated >= rows, = rows, converted to CSC; and,
+    """The arrays ``solve_lp`` handed HiGHS's passModel for ``prob``: its
+    rows as they come, <= rows with no lower bound, converted to CSC; and,
     given a start basis's row statuses, the row statuses of the start."""
-    m = len(prob.b)
-    rel = prob.rel
-    order = np.concatenate([np.flatnonzero(rel == _REL_CODES[r]) for r in (LE, GE, EQ)])
-    n_le = int(np.count_nonzero(rel == _REL_CODES[LE]))
-    n_ineq = n_le + int(np.count_nonzero(rel == _REL_CODES[GE]))
-    sign = np.ones(m)
-    sign[n_le:n_ineq] = -1.0
-    a = prob.a_matrix.tocsc(copy=True)
-    position = np.empty(m, dtype=a.indices.dtype)
-    position[order] = np.arange(m, dtype=a.indices.dtype)
-    a.indices = position[a.indices]
-    a.has_sorted_indices = False
-    a.sum_duplicates()
-    if n_ineq > n_le:
-        a.data *= sign[a.indices]
-    upper = prob.b[order] * sign
+    a = prob.a_matrix.tocsc()
+    a.sort_indices()
+    upper = np.asarray(prob.b, dtype=float)
     lower = upper.copy()
-    lower[:n_ineq] = -np.inf
+    lower[: prob.num_le] = -np.inf
     out = dict(c=np.asarray(prob.c, dtype=float), col_upper=np.asarray(prob.upper, dtype=float),
                lower=lower, upper=upper, start=a.indptr.astype(np.int32),
                index=a.indices.astype(np.int32), value=a.data)
     if basis_rows is not None:
-        nonbasic = np.where(np.arange(m) < n_ineq, UPPER, LOWER)
-        out["row_status"] = np.where(basis_rows[order] == BASIC, BASIC, nonbasic)
+        nonbasic = np.where(np.arange(len(upper)) < prob.num_le, UPPER, LOWER)
+        out["row_status"] = np.where(basis_rows == BASIC, BASIC, nonbasic)
     return out
 
 
 def inserted_face_lp(model, sol) -> tuple[LpProblem, LpBasis]:
     """The canonical re-solve's face LP and start basis as ``_canonical_primal``
-    built them with ``np.insert``: the face row's entries, right-hand side,
-    relation and basic status inserted at row ``model.starts[4]``."""
+    built them with ``np.insert``: the face row's entries, right-hand side
+    and basic status inserted at row ``model.starts[4]``, the last <= row."""
     prob = model.problem
     w = np.zeros(prob.num_vars)
     updated = model.flags[:, 1]
@@ -514,7 +497,7 @@ def inserted_face_lp(model, sol) -> tuple[LpProblem, LpBasis]:
         start=start + np.cumsum(grown, dtype=np.int32),
         index=np.insert(index + (index >= at), place, at),
         value=np.insert(prob.value, place, prob.c[face]),
-        rel=np.insert(prob.rel, at, _REL_CODES[LE]),
+        num_le=at + 1,
         b=np.insert(prob.b, at, sol.objective + face_eps),
         upper=prob.upper,
     )
@@ -529,13 +512,20 @@ def build_lp(
     rows: Iterable[tuple[dict[int, float], str, float]],
     upper: Optional[Sequence[float]] = None,
 ) -> LpProblem:
-    """An ``LpProblem`` from rows given as (sparse coefficient dict, rel, rhs)."""
+    """An ``LpProblem`` from rows given as (sparse coefficient dict, rel, rhs),
+    rel LE or EQ, every LE row before every EQ row (a >= row is written as
+    its negated <= row)."""
     c_arr = np.asarray(c, dtype=float)
     n = len(c_arr)
-    data, row_of, col_of, rel, b = [], [], [], [], []
+    data, row_of, col_of, b = [], [], [], []
+    num_le = 0
     for coeffs, r, rhs in rows:
-        if r not in _REL_CODES:
+        if r not in (LE, EQ):
             raise ValueError(f"unknown relation {r!r}")
+        if r == LE:
+            if num_le < len(b):
+                raise ValueError("a <= row after an = row")
+            num_le += 1
         for j, v in coeffs.items():
             if not (0 <= j < n):
                 raise ValueError(f"column index {j} out of range")
@@ -544,7 +534,6 @@ def build_lp(
             row_of.append(len(b))
             col_of.append(j)
             data.append(float(v))
-        rel.append(_REL_CODES[r])
         b.append(float(rhs))
     col_of = np.array(col_of, dtype=np.int32)
     by_col = np.argsort(col_of, kind="stable")  # rows stay ascending in a column
@@ -556,7 +545,7 @@ def build_lp(
         else np.asarray([math.inf if u is None else float(u) for u in upper])
     )
     return LpProblem(c=c_arr, start=start, index=np.array(row_of, dtype=np.int32)[by_col],
-                     value=np.array(data, dtype=float)[by_col], rel=np.array(rel),
+                     value=np.array(data, dtype=float)[by_col], num_le=num_le,
                      b=np.array(b), upper=up)
 
 
@@ -579,10 +568,8 @@ def max_primal_violation(sol: LpSolution, prob: LpProblem) -> float:
     ax = prob.a_matrix @ sol.x
     worst = 0.0
     for i in range(prob.num_rows):
-        if prob.rel[i] == _REL_CODES[LE]:
+        if i < prob.num_le:
             worst = max(worst, ax[i] - prob.b[i])
-        elif prob.rel[i] == _REL_CODES[GE]:
-            worst = max(worst, prob.b[i] - ax[i])
         else:
             worst = max(worst, abs(ax[i] - prob.b[i]))
     worst = max(worst, float(np.max(-sol.x, initial=0.0)))

@@ -20,7 +20,7 @@ from mcsp.columns import (
 )
 from mcsp.instance import build_request_index
 
-from conftest import random_tiny_instance
+from conftest import random_duals, random_tiny_instance
 from reference import fixing_arrays, fixing_rows, headroom_array
 
 
@@ -270,7 +270,6 @@ def test_batched_entries_equal_scalar_entries(mode, small_batch, monkeypatch):
     in array passes and made in loops."""
     from mcsp import columns
     from mcsp.pricing import price_all
-    from test_pricing import random_duals
 
     monkeypatch.setattr(columns, "SMALL_BATCH", small_batch)
     rng = random.Random(61)

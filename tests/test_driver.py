@@ -167,34 +167,43 @@ def test_rcga_schedule_independent_of_slack_backhaul():
 
 
 def test_next_pin_is_the_first_largest_fractional_weight():
-    """The pin equals the scalar scan over sorted pairs and their entries
-    that keeps a weight only when strictly larger, on random weights drawn
-    from a few values, so that ties and integral weights are common."""
+    """The pin equals the scalar scan over the pairs and their entries in
+    pool order that keeps a weight only when strictly larger, on random
+    weights drawn from a few values, so that ties and integral weights are
+    common."""
+    from mcsp.columns import enumerate_columns
+
     rng = random.Random(17)
-    for _ in range(300):
-        pairs = sorted(rng.sample([(h, i) for h in range(1, 4) for i in range(1, 5)],
-                                  rng.randint(1, 6)))
-        counts = [rng.randint(1, 4) for _ in pairs]
-        values = [0.0, 1.0, 0.25, 0.5, 0.75, TOL_INT / 2, 1 - TOL_INT / 2]
-        x = np.array([rng.choice(values) for _ in range(sum(counts) + 3)])
-        offsets = np.cumsum([0] + counts[:-1]).tolist()
-        sol = RmpSolution(objective=0.0, x=x, chi_offset=dict(zip(pairs, offsets)),
-                          n_chi=sum(counts), duals=None, lp=None)
-        best = None
-        for key in sorted(sol.chi):
-            for k, v in enumerate(sol.chi[key]):
+    values = [0.0, 1.0, 0.25, 0.5, 0.75, TOL_INT / 2, 1 - TOL_INT / 2]
+    pinned = 0
+    for _ in range(150):
+        inst = random_tiny_instance(rng)
+        pool = ColumnPool.initial(inst, build_request_index(inst), "paper")
+        columns = enumerate_columns(inst.horizon)
+        for key in pool.pairs:
+            for col in rng.sample(columns, rng.randint(0, min(3, len(columns)))):
+                pool.add(*key, col)
+        weights = np.array([rng.choice(values) for _ in range(pool.total_columns())])
+        sol = RmpSolution(objective=0.0, weights=weights, duals=None, lp=None)
+        best, at = None, 0
+        for key in pool.pairs:
+            for k in range(len(pool.columns(*key))):
+                v = weights[at]
+                at += 1
                 if TOL_INT < v < 1 - TOL_INT and (best is None or v > best[0]):
                     best = (float(v), key, k)
         if best is None:
             continue
-        assert _next_pin(sol) == (best[1], best[2])
+        assert _next_pin(sol, pool) == (best[1], best[2])
+        pinned += 1
+    assert pinned > 75
 
 
 def test_decode_schedule_takes_each_pairs_first_largest_weight():
     """The schedule holds, for every pair whose column is not the zero
     column, the column of the pair's first largest weight, as a per-pair
-    argmax over ``sol.chi`` finds it; a pair whose largest weight is below
-    one raises ValueError."""
+    argmax over its slice of ``sol.weights`` finds it; a pair whose largest
+    weight is below one raises ValueError."""
     from mcsp.columns import column_states, enumerate_columns, zero_column
     from mcsp.driver import decode_schedule
 
@@ -211,12 +220,10 @@ def test_decode_schedule_takes_each_pairs_first_largest_weight():
         if rng.random() < 0.2:
             x[rng.randrange(pool.total_columns())] = 0.5
             x[: pool.total_columns()][x[: pool.total_columns()] == 1.0] = 0.5
-        starts = pool.starts()[:-1].tolist()
-        sol = RmpSolution(objective=0.0, x=x, chi_offset=dict(zip(pool.pairs, starts)),
-                          n_chi=pool.total_columns(), duals=None, lp=None)
+        sol = RmpSolution(objective=0.0, weights=x[: pool.total_columns()], duals=None, lp=None)
         want = {}
         try:
-            for key, weights in sol.chi.items():
+            for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):
                 k = int(np.argmax(weights))
                 if weights[k] < 1 - 1e-6:
                     raise ValueError("fractional")

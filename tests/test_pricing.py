@@ -16,28 +16,11 @@ from mcsp.pricing import (
 )
 from mcsp.rmp import DualPrices, reduced_cost
 
-from conftest import random_tiny_instance
+from conftest import random_duals, random_tiny_instance
 
 
 def zero_duals(inst) -> DualPrices:
     return DualPrices.explicit(build_request_index(inst))
-
-
-def random_duals(rng: random.Random, inst, pi_lo=-3.0, pi_hi=3.0, lam_hi=50.0) -> DualPrices:
-    pi, mu, phi, lam = {}, {}, {}, {}
-    for r in inst.requests:
-        if not r.is_mcr:
-            continue
-        for h in r.candidates:
-            for a in range(r.deadline):
-                pi[(r.id, h, a)] = rng.uniform(pi_lo, pi_hi)
-    for h in range(1, inst.num_servers + 1):
-        for t in range(1, inst.horizon + 1):
-            mu[(h, t)] = rng.uniform(0.0, 3.0)
-            phi[(h, t)] = rng.uniform(0.0, 3.0)
-        for i in range(1, inst.num_contents + 1):
-            lam[(h, i)] = rng.uniform(0.0, lam_hi)
-    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
 
 
 def brute_force_min(inst, idx, h, i, duals, mode):
@@ -399,8 +382,9 @@ def test_pi_vector_matches_pi():
         model = build_rmp(_sampled_pool(rng, inst, idx), inst, idx)
         sol = solve_rmp(model)
         duals = sol.duals
-        n_serve, n_cover = len(model.serve_ids), len(model.cover_svc)
-        lp_sigma = dict(zip(model.serve_ids, sol.lp.duals[:n_serve].tolist()))
+        serve_ids = model.row_index[0].tolist()
+        n_serve, n_cover = len(serve_ids), len(model.cover_svc)
+        lp_sigma = dict(zip(serve_ids, sol.lp.duals[:n_serve].tolist()))
         lp_pi = dict(zip(model.cover_svc.tolist(),
                          sol.lp.duals[n_serve : n_serve + n_cover].tolist()))
         least_rc = {}

@@ -18,6 +18,26 @@ from mcsp.rmp import (
 from conftest import assert_highs_model, random_tiny_instance
 
 
+def capacity_rows(inst, cache=(), backhaul=()) -> CapacityRows:
+    """The ``CapacityRows`` holding the cache and backhaul rows of the given
+    (server, slot) keys."""
+    rows = CapacityRows(inst)
+    for kind, keys in enumerate((cache, backhaul)):
+        for h, t in keys:
+            rows.held[kind, h, t] = True
+    return rows
+
+
+def keys(at) -> list[tuple]:
+    """The keys of a row block from its ``RmpModel.row_index`` arrays."""
+    return list(zip(*(a.tolist() for a in at)))
+
+
+def pool_entries(pool) -> list:
+    """(pair, entry) of every pool entry, in pool order."""
+    return [(key, e) for key, entries in pool.entries.items() for e in entries]
+
+
 def full_pool(inst, idx, mode="paper") -> ColumnPool:
     pool = ColumnPool.initial(inst, idx, mode)
     for (h, i) in list(pool.entries):
@@ -29,9 +49,8 @@ def full_pool(inst, idx, mode="paper") -> ColumnPool:
 def test_tiny1_rows_without_mcrs(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
     model = build_rmp(pool, tiny1, tiny1_idx)
-    assert model.serve_ids == [] and len(model.cover_svc) == 0
-    assert len(model.cache_keys) == 2 and len(model.backhaul_keys) == 2
-    assert len(model.pairs) == 1
+    # serve-once, coverage, cache, backhaul and convexity rows
+    assert np.diff(model.starts).tolist() == [0, 0, 2, 2, 1]
     assert model.constant == 0.0
 
 
@@ -40,8 +59,7 @@ def test_tiny1_full_pool_objective(tiny1, tiny1_idx):
     sol = solve_rmp(build_rmp(pool, tiny1, tiny1_idx))
     assert sol.objective == pytest.approx(3.0)
     # weight concentrates on a cost-3 column
-    weights = sol.chi[(1, 1)]
-    chosen = [e.column for e, w in zip(pool.columns(1, 1), weights) if w > 1e-6]
+    chosen = [e.column for e, w in zip(pool.columns(1, 1), sol.weights) if w > 1e-6]
     assert all(
         c in (((1, 1), (1, 0)), ((0, 0), (1, 1))) for c in chosen
     )
@@ -63,10 +81,11 @@ def test_convexity_partition_always_holds():
     for _ in range(8):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        sol = solve_rmp(build_rmp(full_pool(inst, idx), inst, idx))
-        for key, w in sol.chi.items():
-            assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-7)
-            assert np.all(w >= -1e-9)
+        pool = full_pool(inst, idx)
+        sol = solve_rmp(build_rmp(pool, inst, idx))
+        per_pair = np.add.reduceat(sol.weights, pool.starts()[:-1])
+        assert per_pair == pytest.approx(np.ones(len(pool.pairs)), abs=1e-7)
+        assert np.all(sol.weights >= -1e-9)
 
 
 def test_mcr_constant_in_objective():
@@ -107,7 +126,7 @@ def test_single_mcr_row_shape():
     pool = full_pool(inst, idx)
     model = build_rmp(pool, inst, idx)
     # both servers can cover (r, a=0): one serve-once row, two coverage rows
-    assert len(model.serve_ids) == 1
+    assert len(model.row_index[0]) == 1
     assert len(model.cover_svc) == 2
     sol = solve_rmp(model)
     # serving from cache (age 0, f=1) beats the cloud (1 + 11) for one server
@@ -129,12 +148,11 @@ def test_in_pool_columns_price_nonnegative():
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
         sol = solve_rmp(build_rmp(pool, inst, idx))
-        for (h, i), entries in pool.entries.items():
-            for k, e in enumerate(entries):
-                rc = reduced_cost(e.column, h, i, sol.duals, idx, cost_S=e.cost)
-                assert rc >= -1e-6
-                if sol.chi[(h, i)][k] > 1e-6:  # basic columns price to zero
-                    assert abs(rc) <= 1e-6
+        for ((h, i), e), w in zip(pool_entries(pool), sol.weights, strict=True):
+            rc = reduced_cost(e.column, h, i, sol.duals, idx, cost_S=e.cost)
+            assert rc >= -1e-6
+            if w > 1e-6:  # basic columns price to zero
+                assert abs(rc) <= 1e-6
 
 
 def test_full_lp_certificate_with_lazy_rows():
@@ -252,23 +270,21 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
     )
     idx = build_request_index(inst)
     pool = ColumnPool.initial(inst, idx, "paper")
-    rows = CapacityRows()
+    rows = CapacityRows(inst)
     lazy = run_cga(pool, inst, idx, capacity_rows=rows)
     n_keys = inst.num_servers * inst.horizon
     # rows were needed, yet the master holds fewer than all of them
-    assert rows.cache or rows.backhaul
-    assert len(rows.cache) + len(rows.backhaul) < 2 * n_keys
+    assert 0 < np.count_nonzero(rows.held) < 2 * n_keys
 
     full = solve_rmp(build_rmp(pool, inst, idx))
     assert full.objective == pytest.approx(lazy.solution.objective, rel=1e-6, abs=1e-6)
     for sol in (full, lazy.solution):
         cache = np.zeros((inst.num_servers + 1, inst.horizon + 1))
         backhaul = np.zeros_like(cache)
-        for (h, i), weights in sol.chi.items():
-            for entry, w in zip(pool.entries[(h, i)], weights):
-                for t, (q, p) in enumerate(entry.column, start=1):
-                    cache[h, t] += q * w * inst.size(i)
-                    backhaul[h, t] += p * w * inst.size(i)
+        for ((h, i), entry), w in zip(pool_entries(pool), sol.weights, strict=True):
+            for t, (q, p) in enumerate(entry.column, start=1):
+                cache[h, t] += q * w * inst.size(i)
+                backhaul[h, t] += p * w * inst.size(i)
         for h in range(1, inst.num_servers + 1):
             server = inst.server(h)
             assert np.all(cache[h] <= server.cache_capacity * (1 + 1e-7) + 1e-7)
@@ -277,13 +293,13 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
 
 def test_build_rmp_holds_only_the_named_capacity_rows(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
-    model = build_rmp(pool, tiny1, tiny1_idx, CapacityRows(backhaul={(1, 2)}))
-    assert model.cache_keys == []
-    assert model.backhaul_keys == [(1, 2)]
+    model = build_rmp(pool, tiny1, tiny1_idx, capacity_rows(tiny1, backhaul=[(1, 2)]))
+    assert keys(model.row_index[2]) == []
+    assert keys(model.row_index[3]) == [(1, 2)]
     assert model.problem.num_rows == 2  # the backhaul row and the convexity row
 
 
-def _reference_master(pool, inst, capacity_rows):
+def _reference_master(pool, inst, rows):
     """The master LP written out row by row from the column definitions:
     rows and y variables as dense lists keyed as the module docstring says."""
     pairs = sorted(pool.entries)
@@ -295,8 +311,8 @@ def _reference_master(pool, inst, capacity_rows):
     })
     serve = sorted({r_id for r_id, _, _ in services})
     every = [(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)]
-    cache = every if capacity_rows is None else sorted(capacity_rows.cache)
-    backhaul = every if capacity_rows is None else sorted(capacity_rows.backhaul)
+    cache, backhaul = ([key for key in every if rows is None or rows.held[(kind, *key)]]
+                       for kind in (0, 1))
     row_keys = ([("serve", r) for r in serve] + [("cover", s) for s in services]
                 + [("cache", k) for k in cache] + [("backhaul", k) for k in backhaul]
                 + [("convexity", p) for p in pairs])
@@ -323,8 +339,8 @@ def _reference_master(pool, inst, capacity_rows):
         a[row[("cover", (r_id, h, age))], len(chi) + n] = 1.0
     b = [1.0 if kind in ("serve", "convexity") else 0.0 if kind == "cover"
          else getattr(inst.server(key[0]), f"{kind}_capacity") for kind, key in row_keys]
-    rel = [2 if kind == "convexity" else 0 for kind, _ in row_keys]  # = and <=
-    return dict(a=a, c=c, b=b, rel=rel, upper=upper, serve=serve, services=services,
+    num_le = sum(kind != "convexity" for kind, _ in row_keys)  # the rest are = rows
+    return dict(a=a, c=c, b=b, num_le=num_le, upper=upper, serve=serve, services=services,
                 cache=cache, backhaul=backhaul, pairs=pairs)
 
 
@@ -343,20 +359,22 @@ def test_build_rmp_matches_column_definitions():
                 pool.add(*key, col)
         every = [(h, t) for h in range(1, inst.num_servers + 1)
                  for t in range(1, inst.horizon + 1)]
-        partial = CapacityRows(set(rng.sample(every, rng.randint(0, len(every)))),
-                               set(rng.sample(every, rng.randint(0, len(every)))))
+        partial = capacity_rows(inst, rng.sample(every, rng.randint(0, len(every))),
+                                rng.sample(every, rng.randint(0, len(every))))
         triple = {pos: key for key, pos in idx.svc_pos.items()}
         for rows in (None, partial):
             model = build_rmp(pool, inst, idx, rows)
             ref = _reference_master(pool, inst, rows)
             prob = model.problem
             assert np.array_equal(prob.a_matrix.toarray(), ref["a"])
-            for name in ("c", "b", "rel", "upper"):
+            for name in ("c", "b", "upper"):
                 assert np.array_equal(getattr(prob, name), np.array(ref[name])), name
-            assert model.serve_ids == ref["serve"]
-            assert [triple[p] for p in model.cover_svc.tolist()] == ref["services"]
-            assert model.cache_keys == ref["cache"] and model.backhaul_keys == ref["backhaul"]
-            assert model.pairs == ref["pairs"]
+            assert prob.num_le == ref["num_le"]
+            serve_at, cover_at, cache_at, backhaul_at, pair_at = model.row_index
+            assert serve_at.tolist() == ref["serve"]
+            assert [triple[p] for p in cover_at.tolist()] == ref["services"]
+            assert keys(cache_at) == ref["cache"] and keys(backhaul_at) == ref["backhaul"]
+            assert keys(pair_at) == ref["pairs"]
             sizes = [len(ref[k]) for k in ("serve", "services", "cache", "backhaul", "pairs")]
             assert np.diff(model.starts).tolist() == sizes
 
@@ -365,8 +383,8 @@ def test_highs_receives_the_reference_arrays(highs_calls):
     """On 60 random tiny instances, with all, half and none of the capacity
     rows, the master and the face LP of the canonical re-solve reach HiGHS's
     passModel as the arrays of the scipy.sparse construction in
-    ``reference`` (COO to CSR, reordered to CSC; the face row stacked under
-    the master), bit for bit, and the face LP's start basis has its row
+    ``reference`` (COO to CSR to CSC; the face row stacked under the
+    master's <= rows), bit for bit, and the face LP's start basis has its row
     statuses."""
     rng = random.Random(61)
     for _ in range(60):
@@ -379,9 +397,9 @@ def test_highs_receives_the_reference_arrays(highs_calls):
                 pool.add(*key, col)
         every = [(h, t) for h in range(1, inst.num_servers + 1)
                  for t in range(1, inst.horizon + 1)]
-        half = CapacityRows(set(rng.sample(every, len(every) // 2)),
-                            set(rng.sample(every, len(every) // 2)))
-        for rows in (None, half, CapacityRows()):
+        half = capacity_rows(inst, rng.sample(every, len(every) // 2),
+                             rng.sample(every, len(every) // 2))
+        for rows in (None, half, CapacityRows(inst)):
             highs_calls.clear()
             model = build_rmp(pool, inst, idx, rows)
             sol = solve_rmp(model, canonical=True)
@@ -406,6 +424,27 @@ def _binding_instance(seed=1):
     )
 
 
+def test_capacity_check_adds_each_row_once():
+    """On a binding 3-cell 20/150 master without capacity rows, the
+    capacity check adds the rows its primal violates; a second check on the
+    same weights adds none and leaves the mask as it was."""
+    inst = _binding_instance()
+    idx = build_request_index(inst)
+    rng = random.Random(3)
+    pool = ColumnPool.initial(inst, idx, "paper")
+    columns = enumerate_columns(inst.horizon)
+    for key in list(pool.entries):
+        for col in rng.sample(columns, 3):
+            pool.add(*key, col)
+    rows = CapacityRows(inst)
+    sol = solve_rmp(build_rmp(pool, inst, idx, rows))
+    added = rows.add_violated(pool, sol.weights, inst)
+    held = rows.held.copy()
+    assert added == np.count_nonzero(held) > 0
+    assert rows.add_violated(pool, sol.weights, inst) == 0
+    assert np.array_equal(rows.held, held)
+
+
 def _resolve_moved_master(pool, inst, idx):
     """Solve the lazy-row master over ``pool`` from an empty MasterBasis,
     then the same master with each pair's entries in reverse order and every
@@ -413,13 +452,13 @@ def _resolve_moved_master(pool, inst, idx):
     and rows to other positions, from the recorded basis. Returns both
     solves."""
     basis = MasterBasis()
-    model = build_rmp(pool, inst, idx, CapacityRows())
+    model = build_rmp(pool, inst, idx, CapacityRows(inst))
     assert basis.start(model) is None  # nothing recorded yet: a cold start
     first = solve_rmp(model, basis=basis)
-    violated = CapacityRows()
-    violated.add_violated(pool, first.chi, inst)
-    every = {(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)}
-    rows = CapacityRows(every - violated.cache, every - violated.backhaul)
+    violated = CapacityRows(inst)
+    violated.add_violated(pool, first.weights, inst)
+    rows = CapacityRows(inst)
+    rows.held[:, 1:, 1:] = ~violated.held[:, 1:, 1:]
     for key in pool.pairs:
         pool.keep(*key, range(pool.counts[pool.pair_index(*key)] - 1, -1, -1))
     again = solve_rmp(build_rmp(pool, inst, idx, rows), basis=basis)
@@ -467,7 +506,7 @@ def test_start_basis_after_a_purge_solves():
             pool.add(*key, col)
     basis = MasterBasis()
     sol = solve_rmp(build_rmp(pool, inst, idx), basis=basis)
-    for key, weights in sol.chi.items():
+    for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):
         # keep the zero column, so that the master stays feasible
         pool.keep(*key, [k for k, w in enumerate(weights) if k == 0 or w <= 1e-9])
     model = build_rmp(pool, inst, idx)
@@ -535,12 +574,13 @@ def test_face_lp_equals_the_inserted_construction(monkeypatch):
         want, want_start = reference.inserted_face_lp(model, sol)
         for got_array, want_array in ((face.c, want.c), (face.start, want.start),
                                       (face.index, want.index), (face.value, want.value),
-                                      (face.rel, want.rel), (face.b, want.b),
+                                      (face.b, want.b),
                                       (face.upper, want.upper), (start.cols, want_start.cols),
                                       (start.rows, want_start.rows)):
             assert got_array.dtype == want_array.dtype
             assert got_array.shape == want_array.shape
             assert got_array.tobytes() == want_array.tobytes()
+        assert face.num_le == want.num_le
         checked.append((len(face.value), model.starts[4] - model.starts[2]))
         return x
 

@@ -28,28 +28,29 @@ def tiny_pool(tiny1, tiny1_idx):
     return pool
 
 
-def chi_for(pool, weights_by_column):
-    out = {}
-    for key, entries in pool.entries.items():
-        w = np.zeros(len(entries))
-        for k, e in enumerate(entries):
-            w[k] = weights_by_column.get(e.column, 0.0)
-        out[key] = w
-    return out
+def weights_for(pool, weights_by_column):
+    """Column weights in pool order, looked up by column."""
+    return np.array([weights_by_column.get(pool.column_of(s), 0.0) for s in pool.arrays().serial])
+
+
+def by_pair(pool, weights) -> dict:
+    """Column weights in pool order as the per-pair dict of
+    ``reference.compute_indicators``."""
+    return dict(zip(pool.pairs, np.split(weights, pool.starts()[1:-1])))
 
 
 def test_indicators_single_column(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
-    chi = chi_for(pool, {UC: 1.0})
-    gamma, omega = compute_indicators(chi, pool)
+    weights = weights_for(pool, {UC: 1.0})
+    gamma, omega = compute_indicators(weights, pool)
     assert gamma[1, 1, 1:].tolist() == [1.0, 1.0]
     assert omega[1, 1, 1:].tolist() == [1.0, 0.0]
 
 
 def test_indicators_tiny1_mix(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
-    chi = chi_for(pool, {UC: 0.5, ZERO: 0.5})
-    gamma, omega = compute_indicators(chi, pool)
+    weights = weights_for(pool, {UC: 0.5, ZERO: 0.5})
+    gamma, omega = compute_indicators(weights, pool)
     assert gamma[1, 1, 1:].tolist() == [0.5, 0.5]
     assert omega[1, 1, 1:].tolist() == [0.5, 0.0]
     # updating likelihood never exceeds caching likelihood
@@ -58,12 +59,12 @@ def test_indicators_tiny1_mix(tiny1, tiny1_idx):
 
 def test_integrality_equivalence_both_ways(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
-    integral = chi_for(pool, {UC: 1.0})
+    integral = weights_for(pool, {UC: 1.0})
     g, o = compute_indicators(integral, pool)
     assert chi_is_integral(integral) and is_integral(g, o)
     assert chi_integral_iff(integral, g, o)
 
-    mix = chi_for(pool, {UC: 0.5, ZERO: 0.5})
+    mix = weights_for(pool, {UC: 0.5, ZERO: 0.5})
     g, o = compute_indicators(mix, pool)
     assert not chi_is_integral(mix) and not is_integral(g, o)
     assert chi_integral_iff(mix, g, o)
@@ -79,25 +80,26 @@ def test_integrality_equivalence_random_mixtures():
             for col in enumerate_columns(inst.horizon):
                 if rng.random() < 0.5:
                     pool.add(h, i, col)
-        chi = {}
-        for key, entries in pool.entries.items():
+        parts = []  # per pair, in pool order
+        for entries in pool.entries.values():
             w = np.array([rng.random() for _ in entries])
             if rng.random() < 0.5:  # integral case
                 w = np.zeros(len(entries))
                 w[rng.randrange(len(entries))] = 1.0
             else:
                 w /= w.sum()
-            chi[key] = w
-        g, o = compute_indicators(chi, pool)
-        assert chi_integral_iff(chi, g, o)
+            parts.append(w)
+        weights = np.concatenate(parts)
+        g, o = compute_indicators(weights, pool)
+        assert chi_integral_iff(weights, g, o)
 
 
 def test_round_once_tiny1_trace(tiny1, tiny1_idx):
     """Half/half mixture: the pass must fix update-and-cache at slot 1."""
     pool = tiny_pool(tiny1, tiny1_idx)
-    chi = chi_for(pool, {UC: 0.5, ZERO: 0.5})
+    weights = weights_for(pool, {UC: 0.5, ZERO: 0.5})
     state = RoundingState(tiny1)
-    report = round_once(state, *compute_indicators(chi, pool), pool)
+    report = round_once(state, *compute_indicators(weights, pool), pool)
     assert state.fixed(1, 1, 1) == (1, 1)
     assert report.rounded_up == 1
     # purge removed every column not updating in slot 1
@@ -106,9 +108,9 @@ def test_round_once_tiny1_trace(tiny1, tiny1_idx):
 
 def test_round_once_integral_is_noop(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
-    chi = chi_for(pool, {UC: 1.0})
+    weights = weights_for(pool, {UC: 1.0})
     state = RoundingState(tiny1)
-    report = round_once(state, *compute_indicators(chi, pool), pool)
+    report = round_once(state, *compute_indicators(weights, pool), pool)
     assert report.rounded_up == 0 and report.rounded_down == 0
     # frozen entries mirror the integral indicators
     assert state.fixed(1, 1, 1) == (1, 1)
@@ -116,16 +118,16 @@ def test_round_once_integral_is_noop(tiny1, tiny1_idx):
 
 def test_round_below_half_goes_to_zero(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
-    chi = chi_for(pool, {UC: 0.49, ZERO: 0.51})
+    weights = weights_for(pool, {UC: 0.49, ZERO: 0.51})
     state = RoundingState(tiny1)
-    round_once(state, *compute_indicators(chi, pool), pool)
+    round_once(state, *compute_indicators(weights, pool), pool)
     gamma, omega = state.fixed(1, 1, 1)
     assert omega == 0  # strictly-below-one-half rule
 
 
 def test_round_respects_backhaul_headroom(tiny1, tiny1_idx):
     pool = tiny_pool(tiny1, tiny1_idx)
-    chi = chi_for(pool, {UC: 0.6, ZERO: 0.4})
+    weights = weights_for(pool, {UC: 0.6, ZERO: 0.4})
     state = RoundingState(tiny1)
     # another content consumed the backhaul at slot 1 already: simulate by
     # shrinking capacity through a pre-existing fixing of a phantom content
@@ -133,7 +135,7 @@ def test_round_respects_backhaul_headroom(tiny1, tiny1_idx):
     rb = state.remaining_backhaul()
     assert rb[1, 1] == 2.0
     # monkeypatch capacity via instance is frozen; instead verify the up-fix
-    report = round_once(state, *compute_indicators(chi, pool), pool)
+    report = round_once(state, *compute_indicators(weights, pool), pool)
     assert state.fixed(1, 1, 1) == (1, 1)
 
 
@@ -199,33 +201,32 @@ def test_fixings_monotone_and_capacity_nonnegative():
         for (h, i) in list(pool.entries):
             for col in enumerate_columns(inst.horizon):
                 pool.add(h, i, col)
-        chi = {}
-        for key, entries in pool.entries.items():
+        parts = []  # per pair, in pool order
+        for entries in pool.entries.values():
             w = np.array([rng.random() for _ in entries])
-            chi[key] = w / w.sum()
+            parts.append(w / w.sum())
+        weights = np.concatenate(parts)
         state = RoundingState(inst)
         for _ in range(inst.num_contents * inst.horizon + 2):
             seen = state.gamma.copy(), state.omega.copy()
-            round_once(state, *compute_indicators(chi, pool), pool)
+            round_once(state, *compute_indicators(weights, pool), pool)
             for old, new in zip(seen, (state.gamma, state.omega)):
                 assert np.array_equal(new[old != FREE], old[old != FREE])
             assert (state.remaining_cache()[1:, 1:] >= -1e-9).all()
             assert (state.remaining_backhaul()[1:, 1:] >= -1e-9).all()
-            # recompute chi consistent with the purged pool: spread weight
+            # recompute weights consistent with the purged pool: spread weight
             # uniformly over the survivors (only shape matters here)
-            chi = {
-                key: np.full(len(entries), 1.0 / len(entries))
-                for key, entries in pool.entries.items()
-            }
+            weights = 1.0 / np.repeat(pool.counts, pool.counts)
 
 
-def _random_chi(rng, pool, same_updates):
-    """Random column weights per pair: one column at 1 or a random mixture,
-    with LP-like noise of -1e-12 on some unused columns. With
-    ``same_updates`` a mixture only holds columns that update where its first
-    column does, so the updating likelihoods are integral and stage 3 runs."""
-    chi = {}
-    for key, entries in pool.entries.items():
+def _random_weights(rng, pool, same_updates):
+    """Random column weights in pool order, per pair one column at 1 or a
+    random mixture, with LP-like noise of -1e-12 on some unused columns.
+    With ``same_updates`` a mixture only holds columns that update where its
+    first column does, so the updating likelihoods are integral and stage 3
+    runs."""
+    parts = []
+    for entries in pool.entries.values():
         first = rng.randrange(len(entries))
         w = np.zeros(len(entries))
         if rng.random() < 0.3:
@@ -237,8 +238,8 @@ def _random_chi(rng, pool, same_updates):
                     w[k] = rng.random()
             w /= w.sum()
         w[(w == 0) & (np.array([rng.random() for _ in entries]) < 0.2)] = -1e-12
-        chi[key] = w
-    return chi
+        parts.append(w)
+    return np.concatenate(parts)
 
 
 def test_array_pass_equals_dict_reference():
@@ -263,9 +264,9 @@ def test_array_pass_equals_dict_reference():
         state, ref = RoundingState(inst), reference.RoundingState(inst)
         same_updates = rng.random() < 0.5
         for _ in range(inst.num_contents * inst.horizon + 2):
-            chi = _random_chi(rng, pool, same_updates)
-            g, o = compute_indicators(chi, pool)
-            ref_g, ref_o = reference.compute_indicators(chi, ref_pool)
+            weights = _random_weights(rng, pool, same_updates)
+            g, o = compute_indicators(weights, pool)
+            ref_g, ref_o = reference.compute_indicators(by_pair(ref_pool, weights), ref_pool)
             assert np.array_equal(g, reference.indicator_arrays(inst, ref_g))
             assert np.array_equal(o, reference.indicator_arrays(inst, ref_o))
             try:

@@ -6,12 +6,11 @@ import pytest
 from scipy.optimize import linprog
 
 from mcsp.simplex import (
-    _REL_CODES,
     BASIC,
     EQ,
-    GE,
     LE,
     LOWER,
+    UPPER,
     LpBasis,
     LpError,
     LpInfeasibleError,
@@ -32,7 +31,7 @@ def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
     free = np.nonzero((x > tol) & (x < prob.upper - tol))[0]
     ax = prob.a_matrix @ x
     tight = np.nonzero(
-        (prob.rel == _REL_CODES[EQ]) | (np.abs(ax - prob.b) <= tol)
+        (np.arange(prob.num_rows) >= prob.num_le) | (np.abs(ax - prob.b) <= tol)
     )[0]
     sub = prob.a_matrix.toarray()[np.ix_(tight, free)]
     assert np.linalg.matrix_rank(sub) == len(free)
@@ -41,25 +40,22 @@ def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
 def _linprog_reference(prob: LpProblem):
     """The same LP through scipy's public linprog front end to HiGHS, with
     its row marginals mapped onto the module's dual convention."""
-    a = prob.a_matrix.toarray()
-    le, ge, eq = (prob.rel == _REL_CODES[r] for r in (LE, GE, EQ))
-    ub_rows = np.concatenate([np.nonzero(le)[0], np.nonzero(ge)[0]])
-    sign = np.where(le[ub_rows], 1.0, -1.0)
+    a, k, m = prob.a_matrix.toarray(), prob.num_le, prob.num_rows
     res = linprog(
         prob.c,
-        A_ub=a[ub_rows] * sign[:, None] if len(ub_rows) else None,
-        b_ub=prob.b[ub_rows] * sign if len(ub_rows) else None,
-        A_eq=a[eq] if eq.any() else None,
-        b_eq=prob.b[eq] if eq.any() else None,
+        A_ub=a[:k] if k else None,
+        b_ub=prob.b[:k] if k else None,
+        A_eq=a[k:] if k < m else None,
+        b_eq=prob.b[k:] if k < m else None,
         bounds=[(0.0, None if np.isinf(u) else u) for u in prob.upper],
         method="highs",
     )
-    duals = np.zeros(prob.num_rows)
+    duals = np.zeros(m)
     if res.status == 0:
-        if len(ub_rows):
-            duals[ub_rows] = res.ineqlin.marginals * sign
-        if eq.any():
-            duals[eq] = res.eqlin.marginals
+        if k:
+            duals[:k] = res.ineqlin.marginals
+        if k < m:
+            duals[k:] = res.eqlin.marginals
     return res, duals
 
 
@@ -98,24 +94,25 @@ def test_pure_bounds(solve):
 
 
 def test_textbook_cover_row_dual(solve):
-    # min v1 + v2 s.t. v1 + v2 >= 1: objective 1, row dual 1
+    # min v1 + v2 s.t. v1 + v2 >= 1, written -v1 - v2 <= -1: objective 1,
+    # row dual -1
     prob = build_lp(
-        c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 1.0)], upper=[1.0, 1.0]
+        c=[1.0, 1.0], rows=[({0: -1.0, 1: -1.0}, LE, -1.0)], upper=[1.0, 1.0]
     )
     sol = solve(prob)
     assert sol.objective == pytest.approx(1.0)
-    assert sol.duals[0] == pytest.approx(1.0)
+    assert sol.duals[0] == pytest.approx(-1.0)
 
 
 def test_dual_sign_convention_pinned(solve):
     """Frozen convention: rc_j = c_j - sum_rows dual * a; at a minimum the
-    duals of <= rows are nonpositive and of >= rows nonnegative."""
+    duals of <= rows are nonpositive."""
     prob = build_lp(
         c=[-2.0, -1.0],
         rows=[
             ({0: 1.0, 1: 1.0}, LE, 3.0),
             ({0: 1.0}, LE, 2.0),
-            ({1: 1.0}, GE, 0.5),
+            ({1: -1.0}, LE, -0.5),  # v2 >= 0.5
         ],
     )
     sol = solve(prob)
@@ -141,7 +138,7 @@ def test_equality_rows(solve):
 
 def test_infeasible(solve):
     prob = build_lp(
-        c=[1.0], rows=[({0: 1.0}, GE, 2.0)], upper=[1.0]
+        c=[1.0], rows=[({0: -1.0}, LE, -2.0)], upper=[1.0]  # v >= 2
     )
     with pytest.raises(LpInfeasibleError):
         solve(prob)
@@ -163,6 +160,7 @@ def test_degenerate_lp_terminates():
 
 
 def _random_lp(rng: random.Random):
+    """A random LP with <= and = rows, the <= rows first."""
     n = rng.randint(1, 7)
     m = rng.randint(0, 6)
     c = [rng.uniform(-5, 5) for _ in range(n)]
@@ -173,9 +171,10 @@ def _random_lp(rng: random.Random):
         }
         if not coeffs:
             coeffs = {rng.randrange(n): 1.0}
-        rel = rng.choice([LE, GE, EQ])
+        rel = rng.choice([LE, EQ])
         rhs = rng.uniform(-3, 6)
         rows.append((coeffs, rel, rhs))
+    rows.sort(key=lambda row: row[1] == EQ)
     upper = [rng.choice([1.0, 2.5, None]) for _ in range(n)]
     if all(u is None for u in upper):
         upper[0] = 1.0
@@ -234,8 +233,8 @@ def test_deterministic_resolve():
 
 
 def test_random_lps_and_masters_reach_every_status():
-    """Random LPs with all three relations end optimal, infeasible or
-    unbounded, each reported as such; sampled masters solve to optimality;
+    """Random LPs end optimal, infeasible or unbounded, each reported as
+    such; sampled masters solve to optimality;
     a master no schedule can satisfy raises LpInfeasibleError, which the
     naive rounding's wedge detection relies on."""
     import dataclasses
@@ -274,9 +273,9 @@ def test_random_lps_and_masters_reach_every_status():
 
 
 def test_resolve_from_optimal_basis_takes_no_iterations():
-    """Started from the basis its own solve returned, an LP with rows of all
-    three relations re-solves to the same optimum in 0 iterations: the basis
-    survives the reordering of the rows and the negation of >= rows."""
+    """Started from the basis its own solve returned, an LP with <= and =
+    rows re-solves to the same optimum in 0 iterations: the basis codes of
+    its rows map onto HiGHS's and back."""
     rng = random.Random(31)
     solved = 0
     for _ in range(150):
@@ -286,6 +285,9 @@ def test_resolve_from_optimal_basis_takes_no_iterations():
         except (LpInfeasibleError, LpUnboundedError):
             continue
         assert sol.basis.num_basic == prob.num_rows
+        # a nonbasic row is coded UPPER when it is a <= row, LOWER when an = row
+        assert (sol.basis.rows[: prob.num_le] != LOWER).all()
+        assert (sol.basis.rows[prob.num_le :] != UPPER).all()
         again = solve_lp(prob, sol.basis)
         assert again.iterations == 0
         assert again.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
@@ -410,7 +412,7 @@ def test_complete_singular_start_basis_solves():
             start=np.append(prob.start, prob.start[-1] + hi - lo).astype(np.int32),
             index=np.concatenate([prob.index, prob.index[lo:hi]]),
             value=np.concatenate([prob.value, prob.value[lo:hi]]),
-            rel=prob.rel, b=prob.b, upper=np.append(prob.upper, prob.upper[0]),
+            num_le=prob.num_le, b=prob.b, upper=np.append(prob.upper, prob.upper[0]),
         )
         try:
             cold = solve_lp(twin)
@@ -427,37 +429,6 @@ def test_complete_singular_start_basis_solves():
         assert max_primal_violation(warm, twin) <= 1e-7
         solved += 1
     assert solved >= 20
-
-
-def test_reordered_lps_reach_highs_as_the_scipy_reorder(highs_calls):
-    """Random LPs with rows of all three relations in any order reach
-    HiGHS's passModel as ``reference.highs_model`` builds them from a CSR
-    matrix (<= rows, negated >= rows, = rows; each column's rows
-    ascending), bit for bit, with the start basis's row statuses."""
-    import reference
-    from conftest import assert_highs_model
-
-    rng = random.Random(35)
-    checked = 0
-    for _ in range(100):
-        prob = _random_lp(rng)
-        start = LpBasis(np.array([rng.choice([LOWER, BASIC]) for _ in range(prob.num_vars)],
-                                 dtype=np.int8),
-                        np.array([rng.choice([LOWER, BASIC]) for _ in range(prob.num_rows)],
-                                 dtype=np.int8))
-        highs_calls.clear()
-        try:
-            solve_lp(prob, start)
-        except LpError:
-            pass
-        want = reference.highs_model(reference.SparseLp(
-            c=prob.c, a_matrix=prob.a_matrix.tocsr(), rel=prob.rel, b=prob.b,
-            upper=prob.upper), start.rows)
-        model, row_status = highs_calls[:2]
-        assert_highs_model(model, want)
-        assert row_status == want["row_status"].tolist()
-        checked += np.any(prob.rel[1:] < prob.rel[:-1])
-    assert checked >= 25
 
 
 def test_objective_and_iterations_equal_the_whole_info(monkeypatch):
@@ -530,8 +501,9 @@ def test_kept_handle_solves_as_a_fresh_handle(monkeypatch):
             patch.setattr(simplex, "KEEP_NNZ", -1)
             return solve_lp(prob, basis)
 
-    infeasible = build_lp(c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 3.0)], upper=[1.0, 1.0])
-    cover = build_lp(c=[1.0, 1.0], rows=[({0: 1.0, 1: 1.0}, GE, 1.0)], upper=[1.0, 1.0])
+    # v1 + v2 >= 3 and v1 + v2 >= 1, written as negated <= rows
+    infeasible = build_lp(c=[1.0, 1.0], rows=[({0: -1.0, 1: -1.0}, LE, -3.0)], upper=[1.0, 1.0])
+    cover = build_lp(c=[1.0, 1.0], rows=[({0: -1.0, 1: -1.0}, LE, -1.0)], upper=[1.0, 1.0])
     short = LpBasis(np.array([LOWER], dtype=np.int8), np.array([BASIC], dtype=np.int8))
     m = n = 48  # a dense LP above the limit
     large = build_lp(
