@@ -415,13 +415,13 @@ class ColumnPool:
         """Insert a column if absent; returns True when actually added."""
         if not column_is_valid(col):
             raise ValueError(f"invalid column {col}")
-        return self.add_many([(h, i)], _flags_of([col])) == 1
+        return self.add_many(np.array([self.pair_index(h, i)]), _flags_of([col])) == 1
 
-    def add_many(self, keys: Sequence[tuple[int, int]], flags: np.ndarray) -> int:
+    def add_many(self, ks: np.ndarray, flags: np.ndarray) -> int:
         """Insert the valid columns ``flags`` ([column, cached/updated, slot])
-        of the pairs ``keys`` that are not pooled yet, in one batch, in that
-        order; returns how many were added."""
-        ks = np.array([self.pair_index(h, i) for h, i in keys], dtype=np.int64)
+        of the pairs numbered ``ks`` that are not pooled yet, in one batch, in
+        that order; returns how many were added."""
+        ks = np.asarray(ks, dtype=np.int64)
         made = self._key(ks, flags)
         new, batch = [], set()
         for n, key in enumerate(made):

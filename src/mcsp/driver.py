@@ -198,8 +198,7 @@ def run_cga(
             if not capacity_rows.add_violated(pool, sol.weights, inst):
                 return CgaResult(solution=sol, rounds=rounds)
         if candidates:
-            pool.add_many([(pc.h, pc.i) for pc in candidates],
-                          np.stack([pc.flags for pc in candidates]))
+            pool.add_many(candidates.keys, candidates.flags)
         if rounds > guard:
             raise ConvergenceError(f"column generation did not settle in {guard} rounds")
 

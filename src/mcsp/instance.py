@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
@@ -433,13 +432,12 @@ class RequestIndex:
     The service index numbers the MCR service triples (request id, server,
     age), one per candidate server and age below the deadline: pair by pair
     in (server, content) order, then in ``mcr(h, i)`` order, then by age.
-    ``svc_pos`` maps a triple to its position (a dict made on first use,
-    for lookups by triple); ``svc_request_ids``, ``svc_saving`` (f(age)
-    minus the request's cloud cost) and ``svc_rank``
-    (the rank of the triple in sorted (request id, server, age) order, which
-    orders the master's coverage rows) are by position, and ``svc_by_rank``
-    lists the positions in rank order. The master's coverage duals and the
-    pricing's service credits are arrays in position order.
+    ``svc_request_ids``, ``svc_saving`` (f(age) minus the request's cloud
+    cost) and ``svc_rank`` (the rank of the triple in sorted (request id,
+    server, age) order, which orders the master's coverage rows) are by
+    position, and ``svc_by_rank`` lists the positions in rank order. The
+    master's coverage duals and the pricing's service credits are arrays in
+    position order.
     ``mcr_cloud_cost`` is the cloud cost of every MCR, which the master
     carries as a constant.
 
@@ -500,14 +498,6 @@ class RequestIndex:
         self.svc_saving = self.aoi[self.svc_age] - self.cloud[self.pair_content[pair]]
         self.svc_by_rank = np.lexsort((self.svc_age, servers, self.svc_request_ids))
         self.svc_rank = self.svc_by_rank.argsort()
-
-    @cached_property
-    def svc_pos(self) -> dict[tuple[int, int, int], int]:
-        """The position of each service triple (request id, server, age),
-        built on first use: only lookups by triple read it, never the solve."""
-        servers = self.pair_server[self.mcr_pair].repeat(self.mcr_deadline)
-        triples = zip(self.svc_request_ids.tolist(), servers.tolist(), self.svc_age.tolist())
-        return dict(zip(triples, range(len(servers))))
 
     def scr(self, h: int, i: int) -> tuple[Request, ...]:
         return tuple(self._scr.get((h, i), ()))

@@ -33,17 +33,16 @@ One kernel solves the DAGs of K pairs at once, on weight tables with the pair
 axis last: ``upd[slot, gap, pair]``, ``pur[slot, age, pair]`` and the masks
 ``allow_*[slot, pair]`` (``PricerTables``). Every step of the dynamic program
 then reads and writes contiguous vectors over the pairs. ``forward_values``
-gives every pair's minimum path value, and ``decode_columns`` recovers a
-minimum path's column for the pairs asked for. ``price_all`` prices pairs
-in one forward pass and decodes only those that price negative. Once enough
-pairs are fixed at every slot, it prices only the pairs with a free slot
-(partial pricing): a decided pair has one path, its pooled column, whose
-reduced cost one array pass checks instead. The tables of the priced pairs
-(``PricingStatics.live``) are kept until the fixings change.
-``shortest_path`` runs the same kernel on one explicit ``PricingGraph``. The
-per-pair ``PairWeights`` and the arc list of ``PricingGraph.arcs`` stay as
-the references the tests check the batched weights and the path-column
-bijection against.
+gives every pair's minimum path value, and ``decode_moves`` recovers a
+minimum path's moves for the pairs asked for. ``price_all`` prices pairs
+in one forward pass and decodes only those that price negative, returning
+them as arrays (``Candidates``). Once enough pairs are fixed at every slot,
+it prices only the pairs with a free slot (partial pricing): a decided pair
+has one path, its pooled column, whose reduced cost one array pass checks
+instead. The tables and node masks of the priced pairs
+(``PricingStatics.live``) are kept until the fixings change. The duals come
+in as the arrays of ``DualPrices``; the per-pair arc weights and explicit
+graphs the tests check the kernel against live with the tests.
 
 Ties between equal paths prefer fewer updates, then the lexicographically
 earliest update slots, then dropping over keeping the copy.
@@ -53,12 +52,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .columns import FREE, Column, ColumnPool
+from .columns import FREE, ColumnPool
 from .costs import SettlementMode
 from .instance import Instance, RequestIndex
 from .rmp import DualPrices
@@ -73,174 +72,6 @@ TOL_PRICE = 1e-6
 MIN_DECIDED = 64
 
 
-@dataclass(frozen=True)
-class PricedColumn:
-    h: int
-    i: int
-    column: Column
-    path_value: float  # equals the column's reduced cost
-    # the column's cached and updated flags, [cached/updated, slot]
-    flags: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-
-
-class PairWeights:
-    """All arc weights for one (server, content) pair at the given duals."""
-
-    def __init__(
-        self,
-        h: int,
-        i: int,
-        duals: DualPrices,
-        inst: Instance,
-        idx: RequestIndex,
-        mode: SettlementMode,
-    ):
-        self.h, self.i = h, i
-        self.horizon = T = inst.horizon
-        size = inst.size(i)
-        cloud = inst.cloud_cost(i)
-        scrs = idx.scr(h, i)
-        mcrs = idx.mcr(h, i)
-
-        # deadline-t SCR counts and their settlement deltas on purple arcs
-        n_xi = np.zeros(T + 1)
-        psi = np.zeros((T + 1, T + 1))  # [t, a] for a >= 1
-        for r in scrs:
-            n_xi[r.deadline] += 1
-            for a in range(1, T):
-                reach = inst.f(max(0, a - r.window))
-                if mode == "min":
-                    reach = min(reach, cloud)
-                psi[r.deadline, a] += reach - cloud
-
-        # age-zero credits: g0[tau, t] sums pi(r, h, 0) over MCRs arriving at
-        # tau whose deadline reaches t
-        g0 = np.zeros((T + 2, T + 2))
-        ga = np.zeros((T + 1, T + 1))  # [t, a] age-a credits for arrivals at t
-        for r in mcrs:
-            g0[r.origin, 1 : r.deadline + 1] += duals.pi(r, h, 0)
-            for a in range(1, r.deadline):
-                pi = duals.pi(r, h, a)
-                if pi:
-                    ga[r.origin, a] += pi
-        cum = np.cumsum(g0, axis=0)  # over arrival slots
-
-        mu = np.array([0.0] + [duals.mu(h, t) for t in range(1, T + 1)])
-        phi = np.array([0.0] + [duals.phi(h, t) for t in range(1, T + 1)])
-        base_upd = (
-            inst.cost.beta * size
-            - n_xi * inst.cost.alpha * size
-            - size * (mu + phi)
-        )
-
-        # update[t, w]: into cached(t, 0) from a predecessor last updated w+1
-        # slots ago (w = 0 blue, w >= 1 black/red)
-        self.update = np.full((T + 1, T + 1), INF)
-        for t in range(1, T + 1):
-            for w in range(0, t):
-                self.update[t, w] = base_upd[t] + (cum[t, t] - cum[t - w - 1, t])
-        # purple[t, a]: into cached(t, a)
-        self.purple = np.full((T + 1, T + 1), INF)
-        for t in range(2, T + 1):
-            for a in range(1, t):
-                self.purple[t, a] = psi[t, a] + ga[t, a] - size * mu[t]
-        self.orange = len(scrs) * cloud - duals.lam(h, i)
-
-
-@dataclass
-class PricingGraph:
-    """Explicit per-pair DAG: nodes, weighted arcs, and removal masks."""
-
-    h: int
-    i: int
-    horizon: int
-    weights: PairWeights
-    allow_uncached: np.ndarray  # [t], all uncached(t, *) removed when False
-    allow_cached_zero: np.ndarray  # [t], cached(t, 0) removed when False
-    allow_cached_aged: np.ndarray  # [t], cached(t, age>=1) removed when False
-
-    def arcs(self) -> list[tuple[tuple, tuple, float, str]]:
-        """Materialize the arc list (the reference the tests check)."""
-        T = self.horizon
-        out: list[tuple[tuple, tuple, float, str]] = []
-
-        def unc(t, gap):
-            return ("uncached", t, gap)
-
-        def cac(t, age):
-            return ("cached", t, age)
-
-        if self.allow_uncached[1]:
-            out.append((("source",), unc(1, 1), 0.0, "gray"))
-        if self.allow_cached_zero[1]:
-            out.append((("source",), cac(1, 0), self.weights.update[1, 0], "blue"))
-        for t in range(2, T + 1):
-            if self.allow_uncached[t - 1]:
-                for gap in range(1, t):  # uncached(t-1, gap) sources
-                    if self.allow_uncached[t]:
-                        out.append((unc(t - 1, gap), unc(t, gap + 1), 0.0, "gray"))
-                    if self.allow_cached_zero[t]:
-                        out.append((unc(t - 1, gap), cac(t, 0), self.weights.update[t, gap], "red"))
-            for age in range(0, t - 1):  # cached(t-1, age) sources
-                if age == 0 and not self.allow_cached_zero[t - 1]:
-                    continue
-                if age >= 1 and not self.allow_cached_aged[t - 1]:
-                    continue
-                if self.allow_uncached[t]:
-                    out.append((cac(t - 1, age), unc(t, age + 1), 0.0, "gray"))
-                if self.allow_cached_zero[t]:
-                    kind = "blue" if age == 0 else "black"
-                    out.append((cac(t - 1, age), cac(t, 0), self.weights.update[t, age], kind))
-                if self.allow_cached_aged[t]:
-                    out.append((cac(t - 1, age), cac(t, age + 1), self.weights.purple[t, age + 1], "purple"))
-        for gap in range(1, T + 1):
-            if self.allow_uncached[T]:
-                out.append((unc(T, gap), ("sink",), self.weights.orange, "orange"))
-        for age in range(0, T):
-            if (age == 0 and self.allow_cached_zero[T]) or (age >= 1 and self.allow_cached_aged[T]):
-                out.append((cac(T, age), ("sink",), self.weights.orange, "orange"))
-        return out
-
-
-def build_graph(
-    h: int,
-    i: int,
-    duals: DualPrices,
-    inst: Instance,
-    idx: RequestIndex,
-    fixings=None,
-    mode: SettlementMode = "paper",
-) -> PricingGraph:
-    T = inst.horizon
-    if fixings is None:
-        allow_u, allow_k0, allow_ka = (np.ones(T + 1, dtype=bool) for _ in range(3))
-    else:  # the pair's column of the [slot, pair] masks
-        k = (h - 1) * inst.num_contents + (i - 1)
-        allow_u, allow_k0, allow_ka = (allow[:, k] for allow in fixings.masks())
-    return PricingGraph(
-        h=h,
-        i=i,
-        horizon=T,
-        weights=PairWeights(h, i, duals, inst, idx, mode),
-        allow_uncached=allow_u,
-        allow_cached_zero=allow_k0,
-        allow_cached_aged=allow_ka,
-    )
-
-
-def shortest_path(graph: PricingGraph) -> PricedColumn:
-    """Exact minimum path and its decoded column: the kernel with K = 1."""
-    w = graph.weights
-    tables = PricerTables(
-        w.update[..., None], w.purple[..., None], np.array([w.orange]),
-        graph.allow_uncached[:, None], graph.allow_cached_zero[:, None],
-        graph.allow_cached_aged[:, None],
-    )
-    values = forward_values(tables)
-    (column,) = decode_columns(tables, values)
-    return PricedColumn(h=graph.h, i=graph.i, column=column, path_value=float(values[0]))
-
-
 # ---------------------------------------------------------------------------
 # The shortest-path kernel: K pair DAGs at once
 
@@ -249,9 +80,11 @@ def shortest_path(graph: PricingGraph) -> PricedColumn:
 class PricerTables:
     """Arc weights and node masks of K pair DAGs, the pair axis last.
 
-    upd[t, w, k] and pur[t, a, k] are the update and purple weights of
-    PairWeights, orange[k] the sink arcs; allow_u/k0/ka[t, k] are False where
-    the fixings remove uncached(t, *), cached(t, 0) or cached(t, age >= 1).
+    upd[t, w, k] weighs the update arc into cached(t, 0) from a node last
+    updated w + 1 slots before t, pur[t, a, k] the purple arc into cached(t,
+    a) (inf where no such arc exists), orange[k] the sink arcs;
+    allow_u/k0/ka[t, k] are False where the fixings remove uncached(t, *),
+    cached(t, 0) or cached(t, age >= 1).
     """
 
     upd: np.ndarray
@@ -298,16 +131,6 @@ def forward_values(tab: PricerTables) -> np.ndarray:
 
 _OFF = 10**9  # update count of a move that leaves every tied path
 _ENTRY = ((1, 1), (0, 0), (1, 0))  # column entry of a move: update, drop, keep
-
-
-def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
-    """The column of a minimum path of every pair, given its path value (see
-    ``decode_moves``)."""
-    return _columns(decode_moves(tab, values))
-
-
-def _columns(moves: np.ndarray) -> list[Column]:
-    return [tuple(_ENTRY[m] for m in row) for row in moves.T.tolist()]
 
 
 def decode_moves(tab: PricerTables, values: np.ndarray) -> np.ndarray:
@@ -471,12 +294,15 @@ class PricingStatics:
         out._live = None
         return out
 
-    def live(self, fixings=None) -> "LivePairs":
+    def live(self, fixings=None) -> tuple["PricingStatics", np.ndarray, tuple]:
         """The pairs to price under ``fixings`` (a ``RoundingState``; None
-        fixes nothing), with their tables and node masks, from the tables of
-        all pairs: the pairs with a free slot, or all pairs when fewer than
-        ``MIN_DECIDED`` are fixed at every slot. The answer is kept until the
-        fixings change."""
+        fixes nothing): their statics, the pairs left out, and the node masks
+        of the pairs priced, as ``Pricer.price`` takes them. The pairs left
+        out (``decided``, over all pairs of the instance) are none, or every
+        pair fixed at every slot when there are at least ``MIN_DECIDED`` of
+        them: a decided pair has one path, the column its fixings spell out,
+        which its pool already holds. The answer is kept until the fixings
+        change."""
         seen = None if fixings is None else fixings.gamma.tobytes() + fixings.omega.tobytes()
         if self._live is None or self._live[0] != seen:
             K, T = len(self.pairs), self.inst.horizon
@@ -497,23 +323,7 @@ class PricingStatics:
             # to them would keep their tables alive until a garbage collection
             self._live = (seen, selected, decided, allow)
         _, selected, decided, allow = self._live
-        return LivePairs(self if selected is None else selected, decided, allow)
-
-
-@dataclass
-class LivePairs:
-    """The pairs pricing solves: their ``statics`` and the node masks
-    ``masks()`` returns. ``decided`` flags the pairs left out, over all pairs
-    of the instance: none, or every pair whose slots are all fixed when there
-    are at least ``MIN_DECIDED`` of them. A decided pair has one path, the
-    column its fixings spell out, which its pool already holds."""
-
-    statics: PricingStatics
-    decided: np.ndarray
-    allow: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.allow
+        return self if selected is None else selected, decided, allow
 
 
 def _credits(at: np.ndarray, credit: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -531,10 +341,11 @@ class Pricer:
         self.s = statics
 
     def price(
-        self, duals: DualPrices, fixings=None
+        self, duals: DualPrices, allow: Optional[tuple] = None
     ) -> tuple[np.ndarray, "PricerTables"]:
         """Every pair's minimum path value, and the tables it was found on.
-        ``fixings`` (a ``RoundingState``) gives the node masks."""
+        ``allow`` holds the node masks (``PricerTables.allow_u``, ``allow_k0``
+        and ``allow_ka``); None removes no node."""
         s = self.s
         T = s.inst.horizon
         K = len(s.pairs)
@@ -562,13 +373,26 @@ class Pricer:
         pur[s.no_purple] = INF
         orange = s.scr_cloud - duals.lams[s.server, s.content]
 
-        if fixings is None:
-            allow_u, allow_k0, allow_ka = (np.ones((T + 1, K), dtype=bool) for _ in range(3))
-        else:
-            allow_u, allow_k0, allow_ka = fixings.masks()
-
-        tables = PricerTables(upd, pur, orange, allow_u, allow_k0, allow_ka)
+        if allow is None:
+            allow = tuple(np.ones((T + 1, K), dtype=bool) for _ in range(3))
+        tables = PricerTables(upd, pur, orange, *allow)
         return forward_values(tables), tables
+
+
+@dataclass
+class Candidates:
+    """The columns a pricing round returns, one per pair that prices below
+    -tol, in pair order: ``keys`` the pair numbers, ascending; ``flags`` the
+    columns' cached and updated flags, a bool [candidate, cached/updated,
+    slot] array; ``values`` their path values, each the column's reduced
+    cost."""
+
+    keys: np.ndarray
+    flags: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def price_all(
@@ -580,9 +404,8 @@ def price_all(
     mode: SettlementMode = "paper",
     tol: float = TOL_PRICE,
     statics: Optional[PricingStatics] = None,
-) -> list[PricedColumn]:
-    """One candidate column per pair with reduced cost below -tol. Results
-    come back in (server, content) order.
+) -> Candidates:
+    """One candidate column per pair with reduced cost below -tol.
 
     Once at least ``MIN_DECIDED`` pairs are fixed at every slot, only the
     pairs with a free slot are priced (partial pricing): a decided pair has
@@ -593,29 +416,26 @@ def price_all(
     optimal duals keep nonnegative, so a candidate that is already pooled
     means the duals and the pool disagree: that raises AssertionError."""
     s = statics if statics is not None else PricingStatics(inst, idx, mode)
-    live = s.live(fixings)
-    values, tables = Pricer(live.statics).price(duals, live)
-    if live.decided.any():
-        _check_decided(pool, duals, live.decided, tol)
-    ks = np.nonzero(values < -tol)[0]
+    live, decided, allow = s.live(fixings)
+    values, tables = Pricer(live).price(duals, allow)
+    if decided.any():
+        _check_decided(pool, duals, decided, tol)
+    ks = np.flatnonzero(values < -tol)
     if not len(ks):  # a fixpoint round: skip the decode's set-up
-        return []
+        return Candidates(ks, np.empty((0, 2, inst.horizon), dtype=bool), values[ks])
     moves = decode_moves(tables.take(ks), values[ks])
     flags = np.ascontiguousarray(np.stack([moves != 1, moves == 0]).transpose(2, 0, 1))
-    pooled = pool.pooled(live.statics.keys[ks], flags)
+    keys = live.keys[ks]
+    pooled = pool.pooled(keys, flags)
     if any(pooled):
         n = pooled.index(True)
-        h, i = live.statics.pairs[ks[n]]
+        h, i = pool.pairs[keys[n]]
+        column = tuple(_ENTRY[m] for m in moves[:, n].tolist())
         raise AssertionError(
-            f"pair ({h}, {i}) priced its pooled column {_columns(moves[:, [n]])[0]} at path "
+            f"pair ({h}, {i}) priced its pooled column {column} at path "
             f"value {float(values[ks[n]])!r}"
         )
-    out: list[PricedColumn] = []
-    for n, (k, column) in enumerate(zip(ks, _columns(moves))):
-        h, i = live.statics.pairs[k]
-        out.append(PricedColumn(h=h, i=i, column=column, path_value=float(values[k]),
-                                flags=flags[n]))
-    return out
+    return Candidates(keys, flags, values[ks])
 
 
 def _check_decided(pool: ColumnPool, duals: DualPrices, decided: np.ndarray, tol: float) -> None:

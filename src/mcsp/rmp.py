@@ -1,4 +1,4 @@
-"""Restricted master problem: build, solve, duals, direct reduced costs.
+"""Restricted master problem: build, solve, duals.
 
 The master minimizes the sum of selected column costs plus the service cost
 of the multiple-choice requests. Per MCR r, candidate server h and age a, a
@@ -14,11 +14,11 @@ default, which is carried as a constant in the objective. Rows:
 The cache and backhaul rows are generated lazily: a master built with a
 ``CapacityRows`` mask holds only the (server, slot) rows it marks, and column
 generation adds a row once a fixpoint primal violates it (row generation
-inside column generation). Rows left out have zero duals, which is what
-``DualPrices.mu``/``phi`` report for them, so a fixpoint whose primal
-respects every capacity is still the exact LP bound over all rows. A master
-whose capacities never bind is then the same LP whatever those capacities
-are. Built without a mask, the master holds every capacity row.
+inside column generation). Rows left out have zero duals in
+``DualPrices.mus``/``phis``, so a fixpoint whose primal respects every
+capacity is still the exact LP bound over all rows. A master whose
+capacities never bind is then the same LP whatever those capacities are.
+Built without a mask, the master holds every capacity row.
 
 Coverage uses the settlement convention of the pricing graph: a column can
 serve (r, a) at the age it holds when the request arrives, or at age zero
@@ -55,9 +55,9 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import Column, ColumnPool, settlement_coverage
-from .instance import Instance, Request, RequestIndex
-from .simplex import BASIC, LpBasis, LpProblem, LpSolution, solve_lp
+from .columns import ColumnPool
+from .instance import Instance, RequestIndex
+from .simplex import LpBasis, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
@@ -71,45 +71,14 @@ class DualPrices:
 
     Read off a master solve, they are optimal over the full row set: a
     capacity row the master leaves out has a zero dual, and a coverage row it
-    leaves out one filled in by ``_read_duals``. ``pi``, ``mu``, ``phi`` and
-    ``lam`` look single entries up.
+    leaves out one filled in by ``_read_duals``.
     """
 
-    idx: RequestIndex
     sigma: np.ndarray
     pis: np.ndarray
     mus: np.ndarray
     phis: np.ndarray
     lams: np.ndarray
-
-    @classmethod
-    def explicit(cls, idx: RequestIndex, sigma=None, pi=None, mu=None, phi=None, lam=None):
-        """Duals given as sparse dicts, keyed as the lookups are: request id;
-        (request id, server, age); (server, slot); (server, content). A
-        missing entry is zero."""
-        inst = idx.inst
-        slots = (inst.num_servers + 1, inst.horizon + 1)
-        out = cls(idx, np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_rank)),
-                  np.zeros(slots), np.zeros(slots),
-                  np.zeros((inst.num_servers + 1, inst.num_contents + 1)))
-        for array, entries in ((out.sigma, sigma), (out.mus, mu), (out.phis, phi), (out.lams, lam)):
-            for key, value in (entries or {}).items():
-                array[key] = value
-        for key, value in (pi or {}).items():
-            out.pis[idx.svc_pos[key]] = value
-        return out
-
-    def pi(self, r: Request, h: int, a: int) -> float:
-        return float(self.pis[self.idx.svc_pos[(r.id, h, a)]])
-
-    def mu(self, h: int, t: int) -> float:
-        return float(self.mus[h, t])
-
-    def phi(self, h: int, t: int) -> float:
-        return float(self.phis[h, t])
-
-    def lam(self, h: int, i: int) -> float:
-        return float(self.lams[h, i])
 
 
 class CapacityRows:
@@ -147,11 +116,11 @@ class MasterBasis:
     position, serve-once rows by request id, cache and backhaul rows by
     [server, slot], convexity rows by [server, content].
 
-    ``start`` maps it onto another master of the same solve: a column or row
-    the last master held keeps its status; a new column starts nonbasic at
-    zero, a new row basic. Where columns left (a purge, a pin), the basic
-    count is off, which HiGHS repairs (see ``simplex.solve_lp``). Empty until
-    the first ``record``."""
+    ``start`` maps it onto another master of the same solve: a column the
+    last master held keeps its status code and a row whether it was basic; a
+    new column starts nonbasic at zero, a new row basic. Where columns left
+    (a purge, a pin), the basic count is off, which HiGHS repairs (see
+    ``simplex.solve_lp``). Empty until the first ``record``."""
 
     def __init__(self) -> None:
         self.blocks: Optional[tuple[np.ndarray, ...]] = None
@@ -165,7 +134,7 @@ class MasterBasis:
         chi[model.serials] = basis.cols[:n_chi]
         y = np.zeros(len(idx.svc_rank), dtype=np.int8)
         y[model.cover_svc] = basis.cols[n_chi:]
-        rows = [np.full(shape, BASIC, dtype=np.int8) for shape in (
+        rows = [np.ones(shape, dtype=bool) for shape in (
             idx.num_request_ids, len(idx.svc_rank), slots, slots,
             (inst.num_servers + 1, inst.num_contents + 1))]
         for array, at, lo, hi in zip(rows, model.row_index, model.starts, model.starts[1:]):
@@ -396,7 +365,7 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     mus, phis = np.zeros(slots), np.zeros(slots)
     lams = np.zeros((inst.num_servers + 1, inst.num_contents + 1))
     mus[cache_at], phis[backhaul_at], lams[pair_at] = cache, backhaul, convexity
-    return DualPrices(idx, sigma, pis, mus, phis, lams)
+    return DualPrices(sigma, pis, mus, phis, lams)
 
 
 def _with_row(a: np.ndarray, at: int, value) -> np.ndarray:
@@ -444,41 +413,5 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
         b=_with_row(prob.b, at, sol.objective + face_eps),
         upper=prob.upper,
     )
-    start_basis = LpBasis(sol.basis.cols, _with_row(sol.basis.rows, at, BASIC))
+    start_basis = LpBasis(sol.basis.cols, _with_row(sol.basis.rows, at, True))
     return solve_lp(face_lp, start_basis).x
-
-
-def reduced_cost(
-    col: Column,
-    h: int,
-    i: int,
-    duals: DualPrices,
-    idx: RequestIndex,
-    cost_S: Optional[float] = None,
-    mode: str = "paper",
-) -> float:
-    """Reduced cost of a column against the given duals.
-
-    The coverage term follows the settlement convention (see module
-    docstring), which is what makes it coincide with the pricing graph's
-    shortest-path value.
-    """
-    from .columns import column_cost_S
-
-    inst = idx.inst
-    if cost_S is None:
-        cost_S = column_cost_S(col, h, i, inst, idx, mode)  # type: ignore[arg-type]
-    total = cost_S
-    for r in idx.mcr(h, i):
-        arrival_age, upd = settlement_coverage(col, r)
-        if arrival_age is not None and arrival_age >= 1:
-            total += duals.pi(r, h, arrival_age)
-        if upd:
-            total += duals.pi(r, h, 0)
-    size = inst.size(i)
-    for t, (q, p) in enumerate(col, start=1):
-        if q:
-            total -= size * duals.mu(h, t)
-        if p:
-            total -= size * duals.phi(h, t)
-    return total - duals.lam(h, i)

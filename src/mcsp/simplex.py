@@ -7,11 +7,10 @@ with the model and options ``scipy.optimize.linprog(method="highs")`` would
 use, and checks the returned optimum against the model.
 
 An ``LpProblem`` holds its constraint matrix column-wise (CSC arrays), the
-form HiGHS takes it in; ``a_matrix`` builds a scipy.sparse matrix of it only
-for checks. Its rows come in the order HiGHS takes them: ``num_le`` <= rows,
-then = rows, and no >= rows (a >= row is written as its negated <= row). The
-master and the face LP of ``mcsp.rmp`` are built so, and a problem is handed
-over without a copy or a permutation.
+form HiGHS takes it in. Its rows come in the order HiGHS takes them:
+``num_le`` <= rows, then = rows, and no >= rows (a >= row is written as its
+negated <= row). The master and the face LP of ``mcsp.rmp`` are built so,
+and a problem is handed over without a copy or a permutation.
 
 Models of at most ``KEEP_NNZ`` nonzeros, every toy master (235 at most)
 but only the first few masters of a desk solve, are solved on one kept
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
 LE, GE, EQ = "<=", ">=", "="  # the relations of ``write_lp_text``
@@ -93,13 +91,6 @@ class LpProblem:
     def num_rows(self) -> int:
         return len(self.b)
 
-    @property
-    def a_matrix(self) -> sparse.csc_matrix:
-        """A as a scipy.sparse matrix, built on each call (for checks; the
-        solve uses the arrays)."""
-        return sparse.csc_matrix((self.value, self.index, self.start),
-                                 shape=(self.num_rows, self.num_vars))
-
 
 # basis status codes, as HiGHS numbers them (``HighsBasisStatus``)
 LOWER, BASIC, UPPER = 0, 1, 2
@@ -107,17 +98,17 @@ LOWER, BASIC, UPPER = 0, 1, 2
 
 @dataclass
 class LpBasis:
-    """A simplex basis as int8 status codes: each variable is BASIC or
-    nonbasic at its LOWER or UPPER bound, and each row (its slack) is BASIC
-    or nonbasic at its right-hand side, coded UPPER for a <= row and LOWER
-    for an = row. Rows are in the problem's order."""
+    """A simplex basis: an int8 status code per variable, BASIC or nonbasic
+    at its LOWER or UPPER bound, and a bool mask of the basic rows (their
+    slacks), in the problem's row order. A nonbasic row sits at its
+    right-hand side, which its position tells (see ``solve_lp``)."""
 
     cols: np.ndarray
     rows: np.ndarray
 
     @property
     def num_basic(self) -> int:
-        return int(np.count_nonzero(self.cols == BASIC) + np.count_nonzero(self.rows == BASIC))
+        return int(np.count_nonzero(self.cols == BASIC) + np.count_nonzero(self.rows))
 
 
 @dataclass
@@ -212,7 +203,7 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
             # of a <= row; either bound of an = row
             codes = np.zeros(m, dtype=np.int8)  # LOWER
             codes[:n_le] = UPPER
-            codes[basis.rows == BASIC] = BASIC
+            codes[basis.rows] = BASIC
             start_basis = _highs.HighsBasis()
             start_basis.col_status = _STATUS[basis.cols].tolist()
             start_basis.row_status = _STATUS[codes].tolist()
@@ -262,11 +253,10 @@ def _optimal_basis(highs, prob: LpProblem, x: np.ndarray) -> LpBasis:
     if ok != _highs.HighsStatus.kOk:
         raise LpError("HiGHS holds no basis for its optimum")
     cols = _NONBASIC[(x > 0.5 * prob.upper).view(np.int8)]
-    rows = np.full(prob.num_rows, LOWER, dtype=np.int8)
-    rows[: prob.num_le] = UPPER
+    rows = np.zeros(prob.num_rows, dtype=bool)
     basic_cols = basic >= 0
     cols[basic[basic_cols]] = BASIC
-    rows[-1 - basic[~basic_cols]] = BASIC
+    rows[-1 - basic[~basic_cols]] = True
     return LpBasis(cols, rows)
 
 

@@ -7,6 +7,7 @@ import pytest
 from mcsp.generator import GeneratorConfig, Topology, generate_instance
 from mcsp.instance import Instance, build_request_index, load_instance
 from mcsp.rmp import DualPrices
+from reference import explicit_duals
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,7 +66,15 @@ def random_duals(rng: random.Random, inst, pi_lo=-3.0, pi_hi=3.0, lam_hi=50.0) -
             phi[(h, t)] = rng.uniform(0.0, 3.0)
         for i in range(1, inst.num_contents + 1):
             lam[(h, i)] = rng.uniform(0.0, lam_hi)
-    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
+    return explicit_duals(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
+
+
+def by_pair(candidates, pairs) -> dict:
+    """The ``Candidates`` of a pricing round as {(h, i): (column, path
+    value)}, ``pairs`` numbering the pairs."""
+    return {pairs[k]: (tuple(zip(*flags.view(np.uint8).tolist())), float(value))
+            for k, flags, value in zip(candidates.keys.tolist(), candidates.flags,
+                                       candidates.values)}
 
 
 _MODEL_ARRAYS = ("c", "col_lower", "col_upper", "lower", "upper", "start", "index", "value")

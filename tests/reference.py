@@ -29,17 +29,27 @@ reports are checked against.
 ``LoopRequestIndex`` is that loop, kept to check the array passes against, and
 ``service_saving`` the scalar form of ``RequestIndex.svc_saving``.
 
-``build_lp``, ``reduced_costs``, ``dual_objective`` and
+``build_lp``, ``a_matrix``, ``reduced_costs``, ``dual_objective`` and
 ``max_primal_violation`` build small LPs from sparse row dicts and check
 ``solve_lp``'s solutions; the solve path never needed them.
+
+Pricing reads the duals as whole arrays and prices every pair in one batch.
+``PairWeights`` computes one pair's arc weights reading one dual entry at a
+time, by service triple through ``svc_pos``; ``PricingGraph.arcs`` lists the
+pair's DAG arc by arc, and ``shortest_path`` runs the batch kernel on it
+alone. ``reduced_cost`` walks a column request by request and slot by slot.
+They are the references the batched weights, the path-column bijection and
+the pricing oracle are checked against; ``explicit_duals`` builds dual
+arrays from sparse dicts keyed as those lookups are.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -61,6 +71,8 @@ from mcsp.columns import (
 from mcsp.costs import CAPACITY_EPS, Schedule, derive_assignment, evaluate, plan_cost
 from mcsp.driver import SolveReport
 from mcsp.instance import Instance, Request, RequestIndex
+from mcsp.pricing import PricerTables, decode_moves, forward_values
+from mcsp.rmp import DualPrices
 from mcsp.rounding import TOL_INT, RoundReport
 from mcsp.simplex import BASIC, EQ, LE, LOWER, UPPER, LpBasis, LpProblem, LpSolution
 
@@ -84,7 +96,7 @@ def make_entry(
         column=col,
         cost=column_cost_S(col, h, i, inst, idx, mode),
         coverage=tuple(cov),
-        svc=tuple(idx.svc_pos[(r_id, h, a)] for r_id, a in sorted(cov)),
+        svc=tuple(svc_pos(idx)[(r_id, h, a)] for r_id, a in sorted(cov)),
         flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
     )
 
@@ -454,13 +466,13 @@ def face_lp(prob: SparseLp, flags: np.ndarray, objective: float,
         b=np.concatenate([prob.b[:at], [objective + face_eps], prob.b[at:]]),
         upper=prob.upper,
     )
-    return lp, np.concatenate([basis_rows[:at], [BASIC], basis_rows[at:]])
+    return lp, np.concatenate([basis_rows[:at], [True], basis_rows[at:]])
 
 
 def highs_model(prob: SparseLp, basis_rows: Optional[np.ndarray] = None) -> dict:
     """The arrays ``solve_lp`` handed HiGHS's passModel for ``prob``: its
     rows as they come, <= rows with no lower bound, converted to CSC; and,
-    given a start basis's row statuses, the row statuses of the start."""
+    given a start basis's basic-row mask, the row statuses of the start."""
     a = prob.a_matrix.tocsc()
     a.sort_indices()
     upper = np.asarray(prob.b, dtype=float)
@@ -471,7 +483,7 @@ def highs_model(prob: SparseLp, basis_rows: Optional[np.ndarray] = None) -> dict
                index=a.indices.astype(np.int32), value=a.data)
     if basis_rows is not None:
         nonbasic = np.where(np.arange(len(upper)) < prob.num_le, UPPER, LOWER)
-        out["row_status"] = np.where(basis_rows == BASIC, BASIC, nonbasic)
+        out["row_status"] = np.where(basis_rows, BASIC, nonbasic)
     return out
 
 
@@ -501,7 +513,7 @@ def inserted_face_lp(model, sol) -> tuple[LpProblem, LpBasis]:
         b=np.insert(prob.b, at, sol.objective + face_eps),
         upper=prob.upper,
     )
-    return face_lp, LpBasis(sol.basis.cols, np.insert(sol.basis.rows, at, BASIC))
+    return face_lp, LpBasis(sol.basis.cols, np.insert(sol.basis.rows, at, True))
 
 
 # -- LP helpers the tests check solutions with --------------------------------
@@ -549,8 +561,14 @@ def build_lp(
                      b=np.array(b), upper=up)
 
 
+def a_matrix(prob: LpProblem) -> sparse.csc_matrix:
+    """The constraint matrix of ``prob`` as a scipy.sparse matrix."""
+    return sparse.csc_matrix((prob.value, prob.index, prob.start),
+                             shape=(prob.num_rows, prob.num_vars))
+
+
 def reduced_costs(sol: LpSolution, prob: LpProblem) -> np.ndarray:
-    return prob.c - prob.a_matrix.T @ sol.duals
+    return prob.c - a_matrix(prob).T @ sol.duals
 
 
 def dual_objective(sol: LpSolution, prob: LpProblem) -> float:
@@ -565,7 +583,7 @@ def dual_objective(sol: LpSolution, prob: LpProblem) -> float:
 
 
 def max_primal_violation(sol: LpSolution, prob: LpProblem) -> float:
-    ax = prob.a_matrix @ sol.x
+    ax = a_matrix(prob) @ sol.x
     worst = 0.0
     for i in range(prob.num_rows):
         if i < prob.num_le:
@@ -640,6 +658,214 @@ class LoopRequestIndex(RequestIndex):
         self.svc_rank = np.empty(len(keys), dtype=np.int64)
         self.svc_rank[self.svc_by_rank] = np.arange(len(keys))
         self.mcr_cloud_cost = sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
+
+
+# -- the scalar pricing references -------------------------------------------
+
+_SVC_POS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def svc_pos(idx: RequestIndex) -> dict[tuple[int, int, int], int]:
+    """The position of each service triple (request id, server, age) in the
+    request index's service index, made once per index."""
+    if idx not in _SVC_POS:
+        servers = idx.pair_server[idx.mcr_pair].repeat(idx.mcr_deadline)
+        triples = zip(idx.svc_request_ids.tolist(), servers.tolist(), idx.svc_age.tolist())
+        _SVC_POS[idx] = dict(zip(triples, range(len(servers))))
+    return _SVC_POS[idx]
+
+
+def explicit_duals(idx: RequestIndex, sigma=None, pi=None, mu=None, phi=None,
+                   lam=None) -> DualPrices:
+    """Dual arrays from sparse dicts keyed by request id; (request id, server,
+    age); (server, slot); (server, content). A missing entry is zero."""
+    inst = idx.inst
+    slots = (inst.num_servers + 1, inst.horizon + 1)
+    out = DualPrices(np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_rank)),
+                     np.zeros(slots), np.zeros(slots),
+                     np.zeros((inst.num_servers + 1, inst.num_contents + 1)))
+    for array, entries in ((out.sigma, sigma), (out.mus, mu), (out.phis, phi), (out.lams, lam)):
+        for key, value in (entries or {}).items():
+            array[key] = value
+    for key, value in (pi or {}).items():
+        out.pis[svc_pos(idx)[key]] = value
+    return out
+
+
+class PairWeights:
+    """All arc weights for one (server, content) pair at the given duals,
+    each dual read as one entry of its array."""
+
+    def __init__(self, h: int, i: int, duals: DualPrices, inst: Instance, idx: RequestIndex,
+                 mode: str):
+        self.h, self.i = h, i
+        self.horizon = T = inst.horizon
+        size = inst.size(i)
+        cloud = inst.cloud_cost(i)
+        scrs = idx.scr(h, i)
+        mcrs = idx.mcr(h, i)
+        pos = svc_pos(idx)
+
+        # deadline-t SCR counts and their settlement deltas on purple arcs
+        n_xi = np.zeros(T + 1)
+        psi = np.zeros((T + 1, T + 1))  # [t, a] for a >= 1
+        for r in scrs:
+            n_xi[r.deadline] += 1
+            for a in range(1, T):
+                reach = inst.f(max(0, a - r.window))
+                if mode == "min":
+                    reach = min(reach, cloud)
+                psi[r.deadline, a] += reach - cloud
+
+        # age-zero credits: g0[tau, t] sums pi(r, h, 0) over MCRs arriving at
+        # tau whose deadline reaches t
+        g0 = np.zeros((T + 2, T + 2))
+        ga = np.zeros((T + 1, T + 1))  # [t, a] age-a credits for arrivals at t
+        for r in mcrs:
+            g0[r.origin, 1 : r.deadline + 1] += duals.pis[pos[(r.id, h, 0)]]
+            for a in range(1, r.deadline):
+                pi = duals.pis[pos[(r.id, h, a)]]
+                if pi:
+                    ga[r.origin, a] += pi
+        cum = np.cumsum(g0, axis=0)  # over arrival slots
+
+        mu, phi = duals.mus[h], duals.phis[h]  # by slot, slot 0 unused
+        base_upd = (
+            inst.cost.beta * size
+            - n_xi * inst.cost.alpha * size
+            - size * (mu + phi)
+        )
+
+        # update[t, w]: into cached(t, 0) from a predecessor last updated w+1
+        # slots ago (w = 0 blue, w >= 1 black/red)
+        self.update = np.full((T + 1, T + 1), math.inf)
+        for t in range(1, T + 1):
+            for w in range(0, t):
+                self.update[t, w] = base_upd[t] + (cum[t, t] - cum[t - w - 1, t])
+        # purple[t, a]: into cached(t, a)
+        self.purple = np.full((T + 1, T + 1), math.inf)
+        for t in range(2, T + 1):
+            for a in range(1, t):
+                self.purple[t, a] = psi[t, a] + ga[t, a] - size * mu[t]
+        self.orange = len(scrs) * cloud - duals.lams[h, i]
+
+
+@dataclass
+class PricingGraph:
+    """Explicit per-pair DAG: nodes, weighted arcs, and removal masks."""
+
+    h: int
+    i: int
+    horizon: int
+    weights: PairWeights
+    allow_uncached: np.ndarray  # [t], all uncached(t, *) removed when False
+    allow_cached_zero: np.ndarray  # [t], cached(t, 0) removed when False
+    allow_cached_aged: np.ndarray  # [t], cached(t, age>=1) removed when False
+
+    def arcs(self) -> list[tuple[tuple, tuple, float, str]]:
+        """Materialize the arc list."""
+        T = self.horizon
+        out: list[tuple[tuple, tuple, float, str]] = []
+
+        def unc(t, gap):
+            return ("uncached", t, gap)
+
+        def cac(t, age):
+            return ("cached", t, age)
+
+        if self.allow_uncached[1]:
+            out.append((("source",), unc(1, 1), 0.0, "gray"))
+        if self.allow_cached_zero[1]:
+            out.append((("source",), cac(1, 0), self.weights.update[1, 0], "blue"))
+        for t in range(2, T + 1):
+            if self.allow_uncached[t - 1]:
+                for gap in range(1, t):  # uncached(t-1, gap) sources
+                    if self.allow_uncached[t]:
+                        out.append((unc(t - 1, gap), unc(t, gap + 1), 0.0, "gray"))
+                    if self.allow_cached_zero[t]:
+                        out.append((unc(t - 1, gap), cac(t, 0), self.weights.update[t, gap], "red"))
+            for age in range(0, t - 1):  # cached(t-1, age) sources
+                if age == 0 and not self.allow_cached_zero[t - 1]:
+                    continue
+                if age >= 1 and not self.allow_cached_aged[t - 1]:
+                    continue
+                if self.allow_uncached[t]:
+                    out.append((cac(t - 1, age), unc(t, age + 1), 0.0, "gray"))
+                if self.allow_cached_zero[t]:
+                    kind = "blue" if age == 0 else "black"
+                    out.append((cac(t - 1, age), cac(t, 0), self.weights.update[t, age], kind))
+                if self.allow_cached_aged[t]:
+                    out.append((cac(t - 1, age), cac(t, age + 1), self.weights.purple[t, age + 1], "purple"))
+        for gap in range(1, T + 1):
+            if self.allow_uncached[T]:
+                out.append((unc(T, gap), ("sink",), self.weights.orange, "orange"))
+        for age in range(0, T):
+            if (age == 0 and self.allow_cached_zero[T]) or (age >= 1 and self.allow_cached_aged[T]):
+                out.append((cac(T, age), ("sink",), self.weights.orange, "orange"))
+        return out
+
+
+def build_graph(h: int, i: int, duals: DualPrices, inst: Instance, idx: RequestIndex,
+                allow=None, mode: str = "paper") -> PricingGraph:
+    """The pair's DAG; ``allow`` holds the [slot, pair] node masks of all
+    pairs (``RoundingState.masks()``), None removes no node."""
+    T = inst.horizon
+    if allow is None:
+        allow_u, allow_k0, allow_ka = (np.ones(T + 1, dtype=bool) for _ in range(3))
+    else:  # the pair's column of the masks
+        k = (h - 1) * inst.num_contents + (i - 1)
+        allow_u, allow_k0, allow_ka = (m[:, k] for m in allow)
+    return PricingGraph(h=h, i=i, horizon=T, weights=PairWeights(h, i, duals, inst, idx, mode),
+                        allow_uncached=allow_u, allow_cached_zero=allow_k0,
+                        allow_cached_aged=allow_ka)
+
+
+class ShortestPath(NamedTuple):
+    column: Column
+    path_value: float  # equals the column's reduced cost
+
+
+def decode_columns(tab: PricerTables, values: np.ndarray) -> list[Column]:
+    """The column of a minimum path of every pair, given its path value
+    (``pricing.decode_moves``, each move spelled as a column entry)."""
+    entry = ((1, 1), (0, 0), (1, 0))  # update, drop, keep
+    return [tuple(entry[m] for m in row) for row in decode_moves(tab, values).T.tolist()]
+
+
+def shortest_path(graph: PricingGraph) -> ShortestPath:
+    """Exact minimum path and its decoded column: the kernel with K = 1."""
+    w = graph.weights
+    tables = PricerTables(
+        w.update[..., None], w.purple[..., None], np.array([w.orange]),
+        graph.allow_uncached[:, None], graph.allow_cached_zero[:, None],
+        graph.allow_cached_aged[:, None],
+    )
+    values = forward_values(tables)
+    (column,) = decode_columns(tables, values)
+    return ShortestPath(column, float(values[0]))
+
+
+def reduced_cost(col: Column, h: int, i: int, duals: DualPrices, idx: RequestIndex,
+                 cost_S: Optional[float] = None, mode: str = "paper") -> float:
+    """Reduced cost of a column against the given duals, walked request by
+    request and slot by slot. The coverage term follows the settlement
+    convention of ``mcsp.rmp``, which is what makes it coincide with the
+    pricing graph's shortest-path value."""
+    inst, pos = idx.inst, svc_pos(idx)
+    total = column_cost_S(col, h, i, inst, idx, mode) if cost_S is None else cost_S
+    for r in idx.mcr(h, i):
+        arrival_age, upd = settlement_coverage(col, r)
+        if arrival_age is not None and arrival_age >= 1:
+            total += duals.pis[pos[(r.id, h, arrival_age)]]
+        if upd:
+            total += duals.pis[pos[(r.id, h, 0)]]
+    size = inst.size(i)
+    for t, (q, p) in enumerate(col, start=1):
+        if q:
+            total -= size * duals.mus[h, t]
+        if p:
+            total -= size * duals.phis[h, t]
+    return float(total - duals.lams[h, i])
 
 
 # -- the exhaustive oracle's search ------------------------------------------

@@ -19,13 +19,12 @@ from mcsp.costs import check_feasibility, evaluate
 from mcsp.driver import RcgaAudit, SolveReport, naive_round, run_rcga
 from mcsp.generator import GeneratorConfig, generate_instance
 from mcsp.instance import build_request_index, save_instance
-from mcsp.pricing import build_graph, shortest_path
-from mcsp.rmp import reduced_cost
 
 import random
 from pathlib import Path
 
 from conftest import random_duals, random_tiny_instance
+from reference import build_graph, reduced_cost, shortest_path
 
 DATA = Path(__file__).parent / "data"
 

@@ -282,10 +282,7 @@ def test_batched_entries_equal_scalar_entries(mode, small_batch, monkeypatch):
         # priced against an empty pool, as random duals may price pooled columns
         candidates = price_all(ColumnPool(inst, idx, mode), random_duals(rng, inst), inst, idx,
                                mode=mode)
-        if candidates:
-            n = pool.add_many([(pc.h, pc.i) for pc in candidates],
-                              np.stack([pc.flags for pc in candidates]))
-            made["priced"] += n
+        made["priced"] += pool.add_many(candidates.keys, candidates.flags)
         _assert_entries_match_reference(pool)
         caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
                 for t in range(1, inst.horizon + 1)}
@@ -333,7 +330,7 @@ def test_pool_arrays_follow_random_operations():
                         serials += 1
                         added += 1
                 flags = np.array(cols, dtype=bool).transpose(0, 2, 1)
-                assert pool.add_many(keys, flags) == added
+                assert pool.add_many([pool.pair_index(*key) for key in keys], flags) == added
             elif op == "purge":
                 fixings.update({k: v for k, v in _random_fixings(rng, inst, 0.2).items()
                                 if k not in fixings})

@@ -18,7 +18,7 @@ from mcsp.instance import build_request_index
 from mcsp.rmp import RmpSolution
 from mcsp.rounding import TOL_INT
 
-from conftest import TWO_CELL, random_tiny_instance
+from conftest import TWO_CELL, by_pair, random_tiny_instance
 
 
 def test_tiny1_cga_fixpoint(tiny1, tiny1_idx):
@@ -41,9 +41,8 @@ def test_tiny1_first_pricing_round(tiny1, tiny1_idx):
     sol = solve_rmp(build_rmp(pool, tiny1, tiny1_idx))
     assert sol.objective == pytest.approx(23.0)
     cands = price_all(pool, sol.duals, tiny1, tiny1_idx)
-    assert len(cands) == 1
-    assert cands[0].column == ((1, 1), (1, 0))
-    assert cands[0].path_value == pytest.approx(3.0 - 23.0)
+    assert by_pair(cands, tiny1_idx.pairs) == {
+        (1, 1): (((1, 1), (1, 0)), pytest.approx(3.0 - 23.0))}
 
 
 def test_tiny1_rcga(tiny1):

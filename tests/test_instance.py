@@ -241,8 +241,8 @@ def test_index_partitions_requests():
 def test_request_index_arrays_equal_loop_reference():
     """On desk sizes and random tiny instances the index built with array
     passes equals ``reference.LoopRequestIndex``, the per-service loop: the
-    same lookups, ``svc_pos`` in the same order, and every array with the
-    same dtype, shape and bytes."""
+    same lookups, the same service triples in the same order, and every
+    array with the same dtype, shape and bytes."""
     rng = random.Random(17)
     insts = [random_tiny_instance(rng) for _ in range(40)]
     assert any(not inst.requests for inst in insts) and any(inst.mcrs for inst in insts)
@@ -255,9 +255,8 @@ def test_request_index_arrays_equal_loop_reference():
     insts.append(dataclasses.replace(insts[-2], requests=insts[-2].requests[::-1]))
     for inst in insts:
         idx = build_request_index(inst)
-        assert "svc_pos" not in vars(idx)  # made on first use
-        idx.svc_pos
-        got, want = vars(idx), vars(reference.LoopRequestIndex(inst))
+        got, want = vars(idx), dict(vars(reference.LoopRequestIndex(inst)))
+        assert list(reference.svc_pos(idx).items()) == list(want.pop("svc_pos").items())
         assert got.keys() == want.keys()
         for name, value in want.items():
             if isinstance(value, np.ndarray):
@@ -267,25 +266,6 @@ def test_request_index_arrays_equal_loop_reference():
                 assert list(got[name].items()) == list(value.items()), name
             else:
                 assert got[name] == value and type(got[name]) is type(value), name
-
-
-def test_solves_never_build_svc_pos(monkeypatch):
-    """No solve reads ``RequestIndex.svc_pos``: RCGA in both modes, NRS and
-    the lower bound run on random tiny instances with the dict unbuildable."""
-    from mcsp.driver import naive_round, run_lower_bound, run_rcga
-    from mcsp.instance import RequestIndex
-
-    def unbuildable(idx):
-        raise AssertionError("svc_pos built")
-
-    monkeypatch.setattr(RequestIndex, "svc_pos", property(unbuildable))
-    rng = random.Random(18)
-    for _ in range(20):
-        inst = random_tiny_instance(rng)
-        run_rcga(inst, "paper")
-        run_rcga(inst, "min")
-        naive_round(inst)
-        run_lower_bound(inst)
 
 
 # -- fuzzing: a perturbed instance file is rejected with a message or solves

@@ -7,20 +7,15 @@ import pytest
 import reference
 from mcsp.columns import column_cost_S, enumerate_columns
 from mcsp.instance import build_request_index
-from mcsp.pricing import (
-    TOL_PRICE as TOL,
-    PricingStatics,
-    build_graph,
-    price_all,
-    shortest_path,
-)
-from mcsp.rmp import DualPrices, reduced_cost
+from mcsp.pricing import TOL_PRICE as TOL, PricingStatics, price_all
+from mcsp.rmp import DualPrices
+from reference import build_graph, explicit_duals, reduced_cost, shortest_path
 
-from conftest import random_duals, random_tiny_instance
+from conftest import by_pair, random_duals, random_tiny_instance
 
 
 def zero_duals(inst) -> DualPrices:
-    return DualPrices.explicit(build_request_index(inst))
+    return explicit_duals(build_request_index(inst))
 
 
 def brute_force_min(inst, idx, h, i, duals, mode):
@@ -49,7 +44,7 @@ def test_tiny1_orange_only_path(tiny1, tiny1_idx):
 
 
 def test_tiny1_lambda_shift(tiny1, tiny1_idx):
-    duals = DualPrices.explicit(tiny1_idx, lam={(1, 1): 30.0})
+    duals = explicit_duals(tiny1_idx, lam={(1, 1): 30.0})
     pc = shortest_path(build_graph(1, 1, duals, tiny1, tiny1_idx))
     assert pc.path_value == pytest.approx(3.0 - 30.0)
 
@@ -105,7 +100,7 @@ def grid_duals(rng: random.Random, inst) -> DualPrices:
             phi[(h, t)] = draw(0, 2)
         for i in range(1, inst.num_contents + 1):
             lam[(h, i)] = draw(0, 40)
-    return DualPrices.explicit(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
+    return explicit_duals(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
 
 
 # per-slot rank of the tie-break: update before drop before keep
@@ -130,7 +125,7 @@ def test_decode_tie_break_matches_brute_force(mode):
         idx = build_request_index(inst)
         duals = grid_duals(rng, inst)
         empty = ColumnPool(inst, idx, mode)
-        by_pair = {(pc.h, pc.i): pc for pc in price_all(empty, duals, inst, idx, mode=mode)}
+        cands = by_pair(price_all(empty, duals, inst, idx, mode=mode), idx.pairs)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
                 rc = {col: reduced_cost(col, h, i, duals, idx, mode=mode)
@@ -142,9 +137,9 @@ def test_decode_tie_break_matches_brute_force(mode):
                 pc = shortest_path(build_graph(h, i, duals, inst, idx, mode=mode))
                 assert pc.column == want
                 if best < -1e-6:
-                    assert by_pair[(h, i)].column == want
+                    assert cands[(h, i)][0] == want
                 else:
-                    assert (h, i) not in by_pair
+                    assert (h, i) not in cands
     assert ties >= 20  # the grid duals do produce ties
 
 
@@ -222,9 +217,7 @@ def _uncollapsed_value(h, i, duals, inst, idx):
     """Literal layered construction: one uncached node per predecessor
     history, so slot t carries 1 + t(t-1)/2 of them (the never-cached chain
     plus one node per (drop slot, age at drop))."""
-    from mcsp.pricing import PairWeights
-
-    w = PairWeights(h, i, duals, inst, idx, "paper")
+    w = reference.PairWeights(h, i, duals, inst, idx, "paper")
     T = inst.horizon
     cur = {("th", ("chain",)): 0.0, ("c", 0): w.update[1, 0]}
     for t in range(2, T + 1):
@@ -267,17 +260,16 @@ def test_price_all_matches_per_pair_graphs():
         from mcsp.columns import ColumnPool
 
         pool = ColumnPool.initial(inst, idx, "paper")
-        cands = price_all(pool, duals, inst, idx, statics=statics)
-        by_pair = {(pc.h, pc.i): pc for pc in cands}
+        cands = by_pair(price_all(pool, duals, inst, idx, statics=statics), idx.pairs)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
                 pc = shortest_path(build_graph(h, i, duals, inst, idx))
                 if pc.path_value < -1e-6 and not pool.contains(h, i, pc.column):
-                    got = by_pair[(h, i)]
-                    assert got.path_value == pytest.approx(pc.path_value, abs=1e-9)
-                    assert got.column == pc.column
+                    column, value = cands[(h, i)]
+                    assert value == pytest.approx(pc.path_value, abs=1e-9)
+                    assert column == pc.column
                 else:
-                    assert (h, i) not in by_pair
+                    assert (h, i) not in cands
 
 
 def test_price_all_candidate_limit():
@@ -289,9 +281,10 @@ def test_price_all_candidate_limit():
     pool = ColumnPool.initial(inst, idx, "paper")
     duals = random_duals(rng, inst)
     cands = price_all(pool, duals, inst, idx)
-    assert len(cands) <= inst.num_servers * inst.num_contents
-    keys = [(pc.h, pc.i) for pc in cands]
-    assert keys == sorted(keys)  # deterministic merge order
+    assert 0 < len(cands) <= inst.num_servers * inst.num_contents
+    assert (np.diff(cands.keys) > 0).all()  # pair order
+    assert cands.flags.shape == (len(cands), 2, inst.horizon)
+    assert cands.values.shape == (len(cands),)
 
 
 def test_pooled_negative_column_raises():
@@ -303,27 +296,24 @@ def test_pooled_negative_column_raises():
     from mcsp.columns import ColumnPool
 
     rng = random.Random(13)
-    cands = []
+    cands = {}
     while not cands:
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = ColumnPool.initial(inst, idx, "paper")
         duals = random_duals(rng, inst)
-        cands = price_all(pool, duals, inst, idx)
-    pc = cands[0]
-    assert pool.add(pc.h, pc.i, pc.column)
-    pattern = rf"pair \({pc.h}, {pc.i}\).*{re.escape(repr(pc.path_value))}"
+        cands = by_pair(price_all(pool, duals, inst, idx), idx.pairs)
+    (h, i), (column, value) = next(iter(cands.items()))
+    assert pool.add(h, i, column)
+    pattern = rf"pair \({h}, {i}\).*{re.escape(repr(value))}"
     with pytest.raises(AssertionError, match=pattern):
         price_all(pool, duals, inst, idx)
 
 
 def test_all_kappa_removed_gives_zero_column(tiny1, tiny1_idx):
-    class Masks:  # tiny1 has one pair
-        def masks(self):
-            allow = np.ones((tiny1.horizon + 1, 1), dtype=bool)
-            return allow, ~allow, ~allow
-
-    pc = shortest_path(build_graph(1, 1, zero_duals(tiny1), tiny1, tiny1_idx, fixings=Masks()))
+    allow = np.ones((tiny1.horizon + 1, 1), dtype=bool)  # tiny1 has one pair
+    pc = shortest_path(build_graph(1, 1, zero_duals(tiny1), tiny1, tiny1_idx,
+                                   allow=(allow, ~allow, ~allow)))
     assert pc.column == ((0, 0), (0, 0))
     assert pc.path_value == pytest.approx(23.0)
 
@@ -343,9 +333,9 @@ def _sampled_pool(rng, inst, idx):
 
 def test_batch_tables_equal_per_pair_weights():
     """The batch pricer's arc weights equal the per-pair PairWeights, which
-    read every dual through the scalar DualPrices accessors, bit for bit:
-    on explicit duals and on master duals with imputed coverage prices."""
-    from mcsp.pricing import PairWeights, Pricer
+    read every dual one entry at a time, bit for bit: on explicit duals and
+    on master duals with imputed coverage prices."""
+    from mcsp.pricing import Pricer
     from mcsp.rmp import build_rmp, solve_rmp
 
     rng = random.Random(47)
@@ -357,7 +347,7 @@ def test_batch_tables_equal_per_pair_weights():
         for duals in (random_duals(rng, inst), master):
             _, tables = Pricer(statics).price(duals)
             for k, (h, i) in enumerate(statics.pairs):
-                ref = PairWeights(h, i, duals, inst, idx, "paper")
+                ref = reference.PairWeights(h, i, duals, inst, idx, "paper")
                 assert np.array_equal(tables.upd[..., k], ref.update)
                 assert np.array_equal(tables.pur[..., k], ref.purple)
                 assert tables.orange[k] == ref.orange
@@ -388,7 +378,7 @@ def test_pi_vector_matches_pi():
         lp_pi = dict(zip(model.cover_svc.tolist(),
                          sol.lp.duals[n_serve : n_serve + n_cover].tolist()))
         least_rc = {}
-        for (r_id, h, a), j in idx.svc_pos.items():
+        for (r_id, h, a), j in reference.svc_pos(idx).items():
             saving = reference.service_saving(inst, req[r_id].content, a)
             s = lp_sigma.get(r_id, 0.0)
             if j in lp_pi:
@@ -399,7 +389,6 @@ def test_pi_vector_matches_pi():
                 want = 0.0 if saving >= 0 else min(0.0, saving - s)
                 imputed += 1
             assert duals.pis[j] == want
-            assert duals.pi(req[r_id], h, a) == want
         for r_id in range(1, idx.num_request_ids):
             want = lp_sigma.get(r_id, 0.0) + least_rc.get(r_id, 0.0)
             assert duals.sigma[r_id] == want
@@ -412,7 +401,7 @@ def test_fully_fixed_column_is_the_only_path():
     cached and updated flags), as naive rounding pins columns, leaves that
     column as the one path: pricing returns it at its reduced cost, on the
     per-pair graph and in the batch, whatever the duals."""
-    from mcsp.pricing import Pricer, decode_columns
+    from mcsp.pricing import Pricer
     from mcsp.rounding import RoundingState
 
     rng = random.Random(71)
@@ -427,11 +416,11 @@ def test_fully_fixed_column_is_the_only_path():
             col = pinned[(h, i)] = rng.choice(enumerate_columns(inst.horizon))
             for t, (q, p) in enumerate(col, start=1):
                 state.fix(h, i, t, gamma=q, omega=p)
-        values, tables = Pricer(statics).price(duals, state)
-        decoded = decode_columns(tables, values)
+        values, tables = Pricer(statics).price(duals, state.masks())
+        decoded = reference.decode_columns(tables, values)
         for k, (h, i) in enumerate(statics.pairs):
             col = pinned[(h, i)]
-            pc = shortest_path(build_graph(h, i, duals, inst, idx, fixings=state))
+            pc = shortest_path(build_graph(h, i, duals, inst, idx, allow=state.masks()))
             assert pc.column == decoded[k] == col
             assert pc.path_value == pytest.approx(reduced_cost(col, h, i, duals, idx), abs=1e-9)
 
@@ -472,7 +461,7 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
     pricing finds it negative."""
     from mcsp import pricing
     from mcsp.columns import FREE
-    from mcsp.pricing import Pricer, decode_columns
+    from mcsp.pricing import Pricer
 
     monkeypatch.setattr(pricing, "MIN_DECIDED", min_decided)
     rng = random.Random(73)
@@ -483,12 +472,12 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
         duals = random_duals(rng, inst)
         statics = PricingStatics(inst, idx, "paper")
         decided = ((state.gamma != FREE) & (state.omega != FREE))[1:, 1:, 1:].all(axis=2).ravel()
-        full, full_tables = Pricer(statics).price(duals, state)
-        live = statics.live(state)
-        assert statics.live(state).statics is live.statics  # kept while the fixings stay
-        assert np.array_equal(live.decided, decided if min_decided == 1 else 0 * decided)
-        values, tables = Pricer(live.statics).price(duals, live)
-        priced = ~live.decided
+        full, full_tables = Pricer(statics).price(duals, state.masks())
+        live, left_out, allow = statics.live(state)
+        assert statics.live(state)[0] is live  # kept while the fixings stay
+        assert np.array_equal(left_out, decided if min_decided == 1 else 0 * decided)
+        values, tables = Pricer(live).price(duals, allow)
+        priced = ~left_out
         assert np.array_equal(values, full[priced])
         for name in ("upd", "pur", "allow_u", "allow_k0", "allow_ka"):
             assert np.array_equal(getattr(tables, name), getattr(full_tables, name)[..., priced])
@@ -501,13 +490,13 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
             # lower each decided pair's convexity dual so that its column prices >= 0
             for k in np.flatnonzero(decided):
                 duals.lams[statics.server[k], statics.content[k]] += min(0.0, full[k])
-            full, full_tables = Pricer(statics).price(duals, state)
+            full, full_tables = Pricer(statics).price(duals, state.masks())
             assert (full[decided] >= -TOL).all()
         cands = price_all(pool, duals, inst, idx, fixings=state, statics=statics)
         ks = np.flatnonzero(full < -TOL)
-        want = decode_columns(full_tables.take(ks), full[ks])
-        assert [(pc.h, pc.i, pc.column, pc.path_value) for pc in cands] == [
-            (*statics.pairs[k], col, float(full[k])) for k, col in zip(ks, want)]
+        want = reference.decode_columns(full_tables.take(ks), full[ks])
+        assert list(by_pair(cands, statics.pairs).items()) == [
+            (statics.pairs[k], (col, float(full[k]))) for k, col in zip(ks, want)]
         seen["compared"] += 1
         seen["candidates"] += len(cands)
     assert seen["raised"] >= 10 and seen["candidates"] >= 30
@@ -528,9 +517,8 @@ def test_decided_pair_check_raises_on_a_perturbed_dual(monkeypatch):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx, state, pool = _partly_fixed(rng, inst, 1.0)
         statics = PricingStatics(inst, idx, "paper")
-        duals = DualPrices.explicit(idx, lam={key: pool.columns(*key)[0].cost
-                                              for key in pool.pairs})
-        assert price_all(pool, duals, inst, idx, fixings=state, statics=statics) == []
+        duals = explicit_duals(idx, lam={key: pool.columns(*key)[0].cost for key in pool.pairs})
+        assert not price_all(pool, duals, inst, idx, fixings=state, statics=statics)
         h, i = rng.choice(pool.pairs)
         entry = pool.columns(h, i)[0]
         options = [("lam", (h, i))]

@@ -6,14 +6,8 @@ import pytest
 import reference
 from mcsp.columns import ColumnPool, enumerate_columns
 from mcsp.instance import build_request_index
-from mcsp.rmp import (
-    CapacityRows,
-    DualPrices,
-    MasterBasis,
-    build_rmp,
-    reduced_cost,
-    solve_rmp,
-)
+from mcsp.rmp import CapacityRows, MasterBasis, build_rmp, solve_rmp
+from reference import a_matrix, explicit_duals, reduced_cost
 
 from conftest import assert_highs_model, random_tiny_instance
 
@@ -136,7 +130,7 @@ def test_single_mcr_row_shape():
 
 
 def test_reduced_cost_zero_duals_lambda(tiny1, tiny1_idx):
-    duals = DualPrices.explicit(tiny1_idx, lam={(1, 1): 23.0})
+    duals = explicit_duals(tiny1_idx, lam={(1, 1): 23.0})
     zero = ((0, 0), (0, 0))
     assert reduced_cost(zero, 1, 1, duals, tiny1_idx, mode="paper") == pytest.approx(0.0)
 
@@ -167,14 +161,14 @@ def test_full_lp_certificate_with_lazy_rows():
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
         sol = solve_rmp(build_rmp(pool, inst, idx))
-        duals = sol.duals
+        duals, pos = sol.duals, reference.svc_pos(idx)
         for r in inst.mcrs:
             for h in r.candidates:
                 for a in range(r.deadline):
                     saving = reference.service_saving(inst, r.content, a)
-                    rc_y = saving - duals.sigma[r.id] - duals.pi(r, h, a)
-                    assert rc_y >= -1e-6
-                    assert duals.pi(r, h, a) <= 1e-9  # coverage rows are <= rows
+                    pi = duals.pis[pos[(r.id, h, a)]]
+                    assert saving - duals.sigma[r.id] - pi >= -1e-6
+                    assert pi <= 1e-9  # coverage rows are <= rows
         checked += 1
     assert checked >= 5
 
@@ -209,12 +203,12 @@ def test_dual_certificate_on_large_masters(seed):
 def _assert_dual_certificate(inst, sol):
     """Every service variable prices nonnegatively against ``sol.duals``,
     and their row dual objective equals the LP objective."""
-    duals = sol.duals
+    duals, pos = sol.duals, reference.svc_pos(build_request_index(inst))
     for r in inst.mcrs:
         for h in r.candidates:
             for a in range(r.deadline):
                 saving = reference.service_saving(inst, r.content, a)
-                assert saving - duals.sigma[r.id] - duals.pi(r, h, a) >= -1e-6
+                assert saving - duals.sigma[r.id] - duals.pis[pos[(r.id, h, a)]] >= -1e-6
     capacity = sum(
         duals.mus[h, t] * inst.server(h).cache_capacity
         + duals.phis[h, t] * inst.server(h).backhaul_capacity
@@ -361,12 +355,12 @@ def test_build_rmp_matches_column_definitions():
                  for t in range(1, inst.horizon + 1)]
         partial = capacity_rows(inst, rng.sample(every, rng.randint(0, len(every))),
                                 rng.sample(every, rng.randint(0, len(every))))
-        triple = {pos: key for key, pos in idx.svc_pos.items()}
+        triple = {pos: key for key, pos in reference.svc_pos(idx).items()}
         for rows in (None, partial):
             model = build_rmp(pool, inst, idx, rows)
             ref = _reference_master(pool, inst, rows)
             prob = model.problem
-            assert np.array_equal(prob.a_matrix.toarray(), ref["a"])
+            assert np.array_equal(a_matrix(prob).toarray(), ref["a"])
             for name in ("c", "b", "upper"):
                 assert np.array_equal(getattr(prob, name), np.array(ref[name])), name
             assert prob.num_le == ref["num_le"]

@@ -10,7 +10,6 @@ from mcsp.simplex import (
     EQ,
     LE,
     LOWER,
-    UPPER,
     LpBasis,
     LpError,
     LpInfeasibleError,
@@ -20,7 +19,7 @@ from mcsp.simplex import (
 )
 
 from conftest import use_highs
-from reference import build_lp, dual_objective, max_primal_violation, reduced_costs
+from reference import a_matrix, build_lp, dual_objective, max_primal_violation, reduced_costs
 
 
 def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
@@ -29,18 +28,18 @@ def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
     rows that hold with equality."""
     x = sol.x
     free = np.nonzero((x > tol) & (x < prob.upper - tol))[0]
-    ax = prob.a_matrix @ x
+    ax = a_matrix(prob) @ x
     tight = np.nonzero(
         (np.arange(prob.num_rows) >= prob.num_le) | (np.abs(ax - prob.b) <= tol)
     )[0]
-    sub = prob.a_matrix.toarray()[np.ix_(tight, free)]
+    sub = a_matrix(prob).toarray()[np.ix_(tight, free)]
     assert np.linalg.matrix_rank(sub) == len(free)
 
 
 def _linprog_reference(prob: LpProblem):
     """The same LP through scipy's public linprog front end to HiGHS, with
     its row marginals mapped onto the module's dual convention."""
-    a, k, m = prob.a_matrix.toarray(), prob.num_le, prob.num_rows
+    a, k, m = a_matrix(prob).toarray(), prob.num_le, prob.num_rows
     res = linprog(
         prob.c,
         A_ub=a[:k] if k else None,
@@ -207,7 +206,7 @@ def test_complementary_slackness_and_reduced_costs():
         except (LpInfeasibleError, LpUnboundedError):
             continue
         rc = reduced_costs(sol, prob)
-        ax = prob.a_matrix @ sol.x
+        ax = a_matrix(prob) @ sol.x
         for i in range(prob.num_rows):
             slack = abs(prob.b[i] - ax[i])
             if abs(sol.duals[i]) > 1e-7:
@@ -274,8 +273,8 @@ def test_random_lps_and_masters_reach_every_status():
 
 def test_resolve_from_optimal_basis_takes_no_iterations():
     """Started from the basis its own solve returned, an LP with <= and =
-    rows re-solves to the same optimum in 0 iterations: the basis codes of
-    its rows map onto HiGHS's and back."""
+    rows re-solves to the same optimum in 0 iterations: the basic rows map
+    onto HiGHS's statuses and back."""
     rng = random.Random(31)
     solved = 0
     for _ in range(150):
@@ -285,9 +284,7 @@ def test_resolve_from_optimal_basis_takes_no_iterations():
         except (LpInfeasibleError, LpUnboundedError):
             continue
         assert sol.basis.num_basic == prob.num_rows
-        # a nonbasic row is coded UPPER when it is a <= row, LOWER when an = row
-        assert (sol.basis.rows[: prob.num_le] != LOWER).all()
-        assert (sol.basis.rows[prob.num_le :] != UPPER).all()
+        assert sol.basis.rows.dtype == bool
         again = solve_lp(prob, sol.basis)
         assert again.iterations == 0
         assert again.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
@@ -309,8 +306,8 @@ def test_start_basis_with_wrong_basic_count_solves():
         except (LpInfeasibleError, LpUnboundedError):
             continue
         n, m = prob.num_vars, prob.num_rows
-        for start in (LpBasis(np.full(n, BASIC, np.int8), np.full(m, BASIC, np.int8)),
-                      LpBasis(np.full(n, LOWER, np.int8), np.full(m, LOWER, np.int8))):
+        for start in (LpBasis(np.full(n, BASIC, np.int8), np.ones(m, dtype=bool)),
+                      LpBasis(np.full(n, LOWER, np.int8), np.zeros(m, dtype=bool))):
             if start.num_basic == m:
                 continue
             warm = solve_lp(prob, start)
@@ -420,8 +417,8 @@ def test_complete_singular_start_basis_solves():
             continue
         cols = np.full(n + 1, LOWER, np.int8)
         cols[[0, n]] = BASIC
-        rows = np.full(m, BASIC, np.int8)
-        rows[:2] = LOWER
+        rows = np.ones(m, dtype=bool)
+        rows[:2] = False
         start = LpBasis(cols, rows)
         assert start.num_basic == m
         warm = solve_lp(twin, start)
@@ -504,7 +501,7 @@ def test_kept_handle_solves_as_a_fresh_handle(monkeypatch):
     # v1 + v2 >= 3 and v1 + v2 >= 1, written as negated <= rows
     infeasible = build_lp(c=[1.0, 1.0], rows=[({0: -1.0, 1: -1.0}, LE, -3.0)], upper=[1.0, 1.0])
     cover = build_lp(c=[1.0, 1.0], rows=[({0: -1.0, 1: -1.0}, LE, -1.0)], upper=[1.0, 1.0])
-    short = LpBasis(np.array([LOWER], dtype=np.int8), np.array([BASIC], dtype=np.int8))
+    short = LpBasis(np.array([LOWER], dtype=np.int8), np.array([True]))
     m = n = 48  # a dense LP above the limit
     large = build_lp(
         c=[-rng.uniform(0.5, 1.5) for _ in range(n)],
