@@ -95,19 +95,8 @@ def run_pba(inst: Instance) -> SolveReport:
     schedule = Schedule(horizon=inst.horizon, states=states)
     assignment = derive_assignment(schedule, inst, "min")
     cost = plan_cost(schedule, assignment, inst)
-    return SolveReport(
-        algorithm="pba",
-        settlement_mode="min",
-        cost=cost,
-        settled_cost=cost,
-        lower_bound=None,
-        gap=None,
-        pricing_rounds=0,
-        rounding_rounds=0,
-        wall_time_s=time.perf_counter() - started,
-        schedule=schedule,
-        assignment=assignment,
-    )
+    return SolveReport("pba", "min", cost, cost, wall_time_s=time.perf_counter() - started,
+                       schedule=schedule, assignment=assignment)
 
 
 @functools.cache
@@ -280,19 +269,8 @@ def solve_exact(
     assignment = derive_assignment(schedule, inst, mode)
     cost = plan_cost(schedule, assignment, inst)
     assert abs(cost.total - best_cost) <= 1e-9 * (1 + abs(cost.total))
-    return SolveReport(
-        algorithm="exact",
-        settlement_mode=mode,
-        cost=cost,
-        settled_cost=cost,
-        lower_bound=None,
-        gap=None,
-        pricing_rounds=0,
-        rounding_rounds=0,
-        wall_time_s=time.perf_counter() - started,
-        schedule=schedule,
-        assignment=assignment,
-    )
+    return SolveReport("exact", mode, cost, cost, wall_time_s=time.perf_counter() - started,
+                       schedule=schedule, assignment=assignment)
 
 
 # ---------------------------------------------------------------------------

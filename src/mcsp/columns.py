@@ -218,14 +218,15 @@ class ColumnPool:
     pair. ``columns`` and ``entries`` show entries as ``PricedEntry`` views;
     the solve path reads the arrays (``arrays``, ``covered``)."""
 
-    def __init__(self, inst: Instance, idx: RequestIndex, mode: SettlementMode):
-        """An empty pool; ``initial`` gives every pair its zero column."""
-        self.inst, self.idx, self.mode = inst, idx, mode
+    def __init__(self, idx: RequestIndex, mode: SettlementMode):
+        """An empty pool of the instance ``idx`` indexes, costed in ``mode``;
+        ``initial`` gives every pair its zero column."""
+        self.inst, self.idx, self.mode = idx.inst, idx, mode
         self.pairs, self.pair_server, self.pair_content = (
             idx.pairs, idx.pair_server, idx.pair_content)
         self.pair = np.empty(0, dtype=np.int64)
         self.cost = np.empty(0)
-        self.flags = np.empty((0, 2, inst.horizon), dtype=bool)
+        self.flags = np.empty((0, 2, idx.inst.horizon), dtype=bool)
         self.svc = np.empty(0, dtype=np.int64)
         self.svc_start = np.zeros(1, dtype=np.int64)
         self.order = np.empty(0, dtype=np.int64)
@@ -241,9 +242,10 @@ class ColumnPool:
         self._canonical_flags: Optional[np.ndarray] = None
 
     @staticmethod
-    def initial(inst: Instance, idx: RequestIndex, mode: SettlementMode) -> "ColumnPool":
-        pool = ColumnPool(inst, idx, mode)
-        pool._make(np.arange(len(pool.pairs)), np.zeros((len(pool.pairs), 2, inst.horizon), bool))
+    def initial(idx: RequestIndex, mode: SettlementMode) -> "ColumnPool":
+        pool = ColumnPool(idx, mode)
+        pool._make(np.arange(len(pool.pairs)),
+                   np.zeros((len(pool.pairs), 2, idx.inst.horizon), bool))
         return pool
 
     @property

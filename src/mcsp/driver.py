@@ -35,7 +35,7 @@ from .costs import (
     evaluate,
     plan_cost,
 )
-from .instance import Instance, RequestIndex, build_request_index
+from .instance import Instance, build_request_index
 from .pricing import PricingStatics, price_all
 from .rmp import TOL_CHI, CapacityRows, MasterBasis, RmpSolution, build_rmp, solve_rmp
 from .rounding import (
@@ -59,15 +59,15 @@ class ConvergenceError(RuntimeError):
 class SolveReport:
     algorithm: str
     settlement_mode: str
-    cost: Optional[CostBreakdown]
-    settled_cost: Optional[CostBreakdown]
-    lower_bound: Optional[float]
-    gap: Optional[float]
-    pricing_rounds: int
-    rounding_rounds: int
-    wall_time_s: float
-    schedule: Optional[Schedule]
-    assignment: Optional[AssignmentPlan]
+    cost: Optional[CostBreakdown] = None
+    settled_cost: Optional[CostBreakdown] = None
+    lower_bound: Optional[float] = None
+    gap: Optional[float] = None
+    pricing_rounds: int = 0
+    rounding_rounds: int = 0
+    wall_time_s: float = 0.0
+    schedule: Optional[Schedule] = None
+    assignment: Optional[AssignmentPlan] = None
     feasible: bool = True
     failure: Optional[str] = None
 
@@ -153,49 +153,41 @@ class CgaResult:
 
 def run_cga(
     pool: ColumnPool,
-    inst: Instance,
-    idx: RequestIndex,
-    fixings=None,
-    mode: SettlementMode = "paper",
-    statics: Optional[PricingStatics] = None,
+    statics: PricingStatics,
+    fixings: RoundingState,
+    capacity_rows: CapacityRows,
+    basis: MasterBasis,
     canonical: bool = False,
-    capacity_rows: Optional[CapacityRows] = None,
-    basis: Optional[MasterBasis] = None,
 ) -> CgaResult:
-    """Alternate master solves and pricing until no column prices negative
-    (below -``pricing.TOL_PRICE``) and the fixpoint primal violates no
-    capacity.
+    """Alternate master solves and pricing under ``fixings`` until no column
+    prices negative (below -``pricing.TOL_PRICE``) and the fixpoint primal
+    violates no capacity.
 
-    The master holds the capacity rows in ``capacity_rows`` (none at first
-    when it is None); at each pricing fixpoint the rows the primal violates
-    are added to it and generation carries on. Every master starts from the
-    optimal basis of the one before, kept in ``basis`` (a fresh one when
-    None). Pass one ``CapacityRows`` and one basis to every call of a solve,
-    so rows found once stay in the master and each run starts where the last
-    one ended.
+    The master holds the capacity rows in ``capacity_rows``; at each pricing
+    fixpoint the rows the primal violates are added to it and generation
+    carries on. Every master starts from the optimal basis of the one
+    before, kept in ``basis``, which is empty before a solve's first master.
+    Pass the objects of one ``_set_up`` to every call of a solve, so rows
+    found once stay in the master and each run starts where the last one
+    ended.
 
     With ``canonical`` the fixpoint primal is re-selected canonically on the
     optimal face (see solve_rmp) before the capacity check; the likelihood
     rounding consumes it, so this steers the dive toward fewer and earlier
     updates. An LpError of that solve propagates like any other.
     """
-    statics = statics or PricingStatics(inst, idx, mode)
-    if capacity_rows is None:
-        capacity_rows = CapacityRows(inst)
-    if basis is None:
-        basis = MasterBasis()
+    inst = pool.inst
     guard = 10 * inst.num_servers * inst.num_contents * inst.horizon
     rounds = 0
     while True:
-        model = build_rmp(pool, inst, idx, capacity_rows)
+        model = build_rmp(pool, capacity_rows)
         sol = solve_rmp(model, basis=basis)
         rounds += 1
-        candidates = price_all(pool, sol.duals, inst, idx, fixings=fixings, mode=mode,
-                               statics=statics)
+        candidates = price_all(pool, sol.duals, statics, fixings)
         if not candidates:
             if canonical:
                 sol = solve_rmp(model, canonical=True, lp=sol.lp)
-            if not capacity_rows.add_violated(pool, sol.weights, inst):
+            if not capacity_rows.add_violated(pool, sol.weights):
                 return CgaResult(solution=sol, rounds=rounds)
         if candidates:
             pool.add_many(candidates.keys, candidates.flags)
@@ -203,7 +195,7 @@ def run_cga(
             raise ConvergenceError(f"column generation did not settle in {guard} rounds")
 
 
-def decode_schedule(pool: ColumnPool, sol: RmpSolution, inst: Instance) -> Schedule:
+def decode_schedule(pool: ColumnPool, sol: RmpSolution) -> Schedule:
     """The schedule of an integral ``sol``: every pair's column of largest
     weight (the first in pool order on ties), whose weight must be one; the
     pairs whose column is not the zero column are scheduled."""
@@ -218,7 +210,7 @@ def decode_schedule(pool: ColumnPool, sol: RmpSolution, inst: Instance) -> Sched
     states = {}
     for k in np.flatnonzero(a.flags[best].any(axis=(1, 2))):
         states[pool.pairs[k]] = column_states(pool.column_of(a.serial[best[k]]))
-    return Schedule(horizon=inst.horizon, states=states)
+    return Schedule(horizon=pool.inst.horizon, states=states)
 
 
 def _finish_report(
@@ -238,31 +230,35 @@ def _finish_report(
     cost = plan_cost(schedule, assignment, inst)
     settled = evaluate(schedule, inst, mode)
     return SolveReport(
-        algorithm=algorithm,
-        settlement_mode=mode,
-        cost=cost,
-        settled_cost=settled,
-        lower_bound=lb,
-        gap=compute_gap(cost.total, lb),
-        pricing_rounds=pricing_rounds,
-        rounding_rounds=rounding_rounds,
-        wall_time_s=time.perf_counter() - started,
-        schedule=schedule,
-        assignment=assignment,
+        algorithm, mode, cost, settled, lb, compute_gap(cost.total, lb),
+        pricing_rounds=pricing_rounds, rounding_rounds=rounding_rounds,
+        wall_time_s=time.perf_counter() - started, schedule=schedule, assignment=assignment,
     )
 
 
 @dataclass
 class RcgaAudit:
-    """Final pool, solution, duals and index of a finished run, for the
-    termination and pricing-consistency checks of the acceptance suite, and
-    the number of integrality-equivalence checks it passed (a failing one
-    raises)."""
+    """Final pool (which holds the run's request index) and solution of a
+    finished run, for the termination and pricing-consistency checks of the
+    acceptance suite, and the number of integrality-equivalence checks it
+    passed (a failing one raises)."""
 
     pool: Optional[ColumnPool] = None
     solution: Optional[RmpSolution] = None
-    idx: Optional[RequestIndex] = None
     integrality_checks: int = 0
+
+
+def _set_up(
+    inst: Instance, mode: SettlementMode
+) -> tuple[ColumnPool, PricingStatics, RoundingState, CapacityRows, MasterBasis]:
+    """What every column generation run of one solve of ``inst`` shares, in
+    ``run_cga``'s argument order: the pool of zero columns and the pricing
+    statics, both made on one request index in ``mode``, no fixings, no
+    capacity rows and no basis yet."""
+    idx = build_request_index(inst)
+    statics = PricingStatics(idx, mode)
+    return (ColumnPool.initial(idx, mode), statics, RoundingState(inst), CapacityRows(inst),
+            MasterBasis())
 
 
 def run_rcga(
@@ -270,14 +266,9 @@ def run_rcga(
 ) -> SolveReport:
     """Column generation with likelihood rounding until integral."""
     started = time.perf_counter()
-    idx = build_request_index(inst)
-    statics = PricingStatics(inst, idx, mode)
-    pool = ColumnPool.initial(inst, idx, mode)
-    state = RoundingState(inst)
-    rows, basis = CapacityRows(inst), MasterBasis()
+    pool, statics, state, rows, basis = _set_up(inst, mode)
 
-    result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
-                     canonical=True, capacity_rows=rows, basis=basis)
+    result = run_cga(pool, statics, state, rows, basis, canonical=True)
     lb = result.solution.objective
     pricing_rounds = result.rounds
     sol = result.solution
@@ -296,18 +287,16 @@ def run_rcga(
             raise ConvergenceError(f"rounding did not reach integrality in {max_cycles} passes")
         round_once(state, gamma, omega, pool)
         cycles += 1
-        result = run_cga(pool, inst, idx, fixings=state, mode=mode, statics=statics,
-                         canonical=True, capacity_rows=rows, basis=basis)
+        result = run_cga(pool, statics, state, rows, basis, canonical=True)
         pricing_rounds += result.rounds
         sol = result.solution
         if sol.objective < lb - 1e-6 * (1 + abs(lb)):
             raise AssertionError("master objective fell below the pre-rounding bound")
 
-    schedule = decode_schedule(pool, sol, inst)
+    schedule = decode_schedule(pool, sol)
     if audit is not None:
         audit.pool = pool
         audit.solution = sol
-        audit.idx = idx
     report = _finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
     return report
 
@@ -315,22 +304,9 @@ def run_rcga(
 def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Column generation without rounding: the optimality yardstick."""
     started = time.perf_counter()
-    idx = build_request_index(inst)
-    pool = ColumnPool.initial(inst, idx, mode)
-    result = run_cga(pool, inst, idx, mode=mode)
-    return SolveReport(
-        algorithm="lb",
-        settlement_mode=mode,
-        cost=None,
-        settled_cost=None,
-        lower_bound=result.solution.objective,
-        gap=None,
-        pricing_rounds=result.rounds,
-        rounding_rounds=0,
-        wall_time_s=time.perf_counter() - started,
-        schedule=None,
-        assignment=None,
-    )
+    result = run_cga(*_set_up(inst, mode))
+    return SolveReport("lb", mode, lower_bound=result.solution.objective,
+                       pricing_rounds=result.rounds, wall_time_s=time.perf_counter() - started)
 
 
 def _next_pin(sol: RmpSolution, pool: ColumnPool) -> tuple[tuple[int, int], int]:
@@ -351,14 +327,9 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     omega are its cached and updated flags), which leaves pricing that one
     path of the pair's graph."""
     started = time.perf_counter()
-    idx = build_request_index(inst)
-    statics = PricingStatics(inst, idx, mode)
-    pool = ColumnPool.initial(inst, idx, mode)
-    pins = RoundingState(inst)
-    rows, basis = CapacityRows(inst), MasterBasis()
+    pool, statics, pins, rows, basis = _set_up(inst, mode)
 
-    result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
-                     capacity_rows=rows, basis=basis)
+    result = run_cga(pool, statics, pins, rows, basis)
     lb = result.solution.objective
     pricing_rounds = result.rounds
     sol = result.solution
@@ -370,26 +341,15 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
             for t, (q, p) in enumerate(col, start=1):
                 pins.fix(h, i, t, gamma=q, omega=p)
             fixes += 1
-            result = run_cga(pool, inst, idx, fixings=pins, mode=mode, statics=statics,
-                             capacity_rows=rows, basis=basis)
+            result = run_cga(pool, statics, pins, rows, basis)
             pricing_rounds += result.rounds
             sol = result.solution
     except LpInfeasibleError:
         return SolveReport(
-            algorithm="nrs",
-            settlement_mode=mode,
-            cost=None,
-            settled_cost=None,
-            lower_bound=lb,
-            gap=None,
-            pricing_rounds=pricing_rounds,
-            rounding_rounds=fixes,
-            wall_time_s=time.perf_counter() - started,
-            schedule=None,
-            assignment=None,
-            feasible=False,
+            "nrs", mode, lower_bound=lb, pricing_rounds=pricing_rounds, rounding_rounds=fixes,
+            wall_time_s=time.perf_counter() - started, feasible=False,
             failure="master became infeasible after fixing column weights",
         )
-    schedule = decode_schedule(pool, sol, inst)
+    schedule = decode_schedule(pool, sol)
     report = _finish_report("nrs", inst, schedule, mode, lb, pricing_rounds, fixes, started)
     return report

@@ -144,9 +144,6 @@ class Instance:
     def server(self, h: int) -> ServerSpec:
         return self.servers[h - 1]
 
-    def content(self, i: int) -> ContentSpec:
-        return self.contents[i - 1]
-
     def size(self, i: int) -> int:
         return self.contents[i - 1].size
 

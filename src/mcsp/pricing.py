@@ -59,8 +59,9 @@ import numpy as np
 
 from .columns import FREE, ColumnPool
 from .costs import SettlementMode
-from .instance import Instance, RequestIndex
+from .instance import RequestIndex
 from .rmp import DualPrices
+from .rounding import RoundingState
 
 INF = math.inf
 
@@ -228,8 +229,9 @@ class PricingStatics:
     the instance. ``select`` restricts the tables to some pairs, ``live`` to
     the pairs to price under some fixings."""
 
-    def __init__(self, inst: Instance, idx: RequestIndex, mode: SettlementMode):
-        self.inst, self.idx, self.mode = inst, idx, mode
+    def __init__(self, idx: RequestIndex, mode: SettlementMode):
+        self.inst, self.idx, self.mode = idx.inst, idx, mode
+        inst = idx.inst
         T = inst.horizon
         self.pairs, self.server, self.content = idx.pairs, idx.pair_server, idx.pair_content
         K = len(self.pairs)
@@ -294,8 +296,8 @@ class PricingStatics:
         out._live = None
         return out
 
-    def live(self, fixings=None) -> tuple["PricingStatics", np.ndarray, tuple]:
-        """The pairs to price under ``fixings`` (a ``RoundingState``; None
+    def live(self, fixings: RoundingState) -> tuple["PricingStatics", np.ndarray, tuple]:
+        """The pairs to price under ``fixings`` (a fresh ``RoundingState``
         fixes nothing): their statics, the pairs left out, and the node masks
         of the pairs priced, as ``Pricer.price`` takes them. The pairs left
         out (``decided``, over all pairs of the instance) are none, or every
@@ -303,22 +305,17 @@ class PricingStatics:
         them: a decided pair has one path, the column its fixings spell out,
         which its pool already holds. The answer is kept until the fixings
         change."""
-        seen = None if fixings is None else fixings.gamma.tobytes() + fixings.omega.tobytes()
+        seen = fixings.gamma.tobytes() + fixings.omega.tobytes()
         if self._live is None or self._live[0] != seen:
-            K, T = len(self.pairs), self.inst.horizon
-            if fixings is None:
-                decided = np.zeros(K, dtype=bool)
-                allow = tuple(np.ones((T + 1, K), dtype=bool) for _ in range(3))
-            else:
-                fixed = (fixings.gamma != FREE) & (fixings.omega != FREE)
-                decided = fixed[1:, 1:, 1:].all(axis=2).ravel()
-                allow = fixings.masks()
+            fixed = (fixings.gamma != FREE) & (fixings.omega != FREE)
+            decided = fixed[1:, 1:, 1:].all(axis=2).ravel()
+            allow = fixings.masks()
             selected = None
             if np.count_nonzero(decided) >= MIN_DECIDED:
                 selected = self.select(~decided)
                 allow = tuple(m[:, ~decided] for m in allow)
             else:
-                decided = np.zeros(K, dtype=bool)
+                decided = np.zeros(len(self.pairs), dtype=bool)
             # the selected tables, not the statics themselves: a cycle back
             # to them would keep their tables alive until a garbage collection
             self._live = (seen, selected, decided, allow)
@@ -340,12 +337,10 @@ class Pricer:
     def __init__(self, statics: PricingStatics):
         self.s = statics
 
-    def price(
-        self, duals: DualPrices, allow: Optional[tuple] = None
-    ) -> tuple[np.ndarray, "PricerTables"]:
+    def price(self, duals: DualPrices, allow: tuple) -> tuple[np.ndarray, "PricerTables"]:
         """Every pair's minimum path value, and the tables it was found on.
         ``allow`` holds the node masks (``PricerTables.allow_u``, ``allow_k0``
-        and ``allow_ka``); None removes no node."""
+        and ``allow_ka``), all True where no node is removed."""
         s = self.s
         T = s.inst.horizon
         K = len(s.pairs)
@@ -373,8 +368,6 @@ class Pricer:
         pur[s.no_purple] = INF
         orange = s.scr_cloud - duals.lams[s.server, s.content]
 
-        if allow is None:
-            allow = tuple(np.ones((T + 1, K), dtype=bool) for _ in range(3))
         tables = PricerTables(upd, pur, orange, *allow)
         return forward_values(tables), tables
 
@@ -398,14 +391,14 @@ class Candidates:
 def price_all(
     pool: ColumnPool,
     duals: DualPrices,
-    inst: Instance,
-    idx: RequestIndex,
-    fixings=None,
-    mode: SettlementMode = "paper",
+    statics: PricingStatics,
+    fixings: RoundingState,
     tol: float = TOL_PRICE,
-    statics: Optional[PricingStatics] = None,
 ) -> Candidates:
-    """One candidate column per pair with reduced cost below -tol.
+    """One candidate column per pair with reduced cost below -tol, priced on
+    ``statics`` under ``fixings``. The statics must be made on the pool's
+    request index and in its mode, or the prices and the pool's costs
+    disagree: that raises ValueError.
 
     Once at least ``MIN_DECIDED`` pairs are fixed at every slot, only the
     pairs with a free slot are priced (partial pricing): a decided pair has
@@ -415,14 +408,15 @@ def price_all(
     A pooled column prices at its master reduced cost, which the master's
     optimal duals keep nonnegative, so a candidate that is already pooled
     means the duals and the pool disagree: that raises AssertionError."""
-    s = statics if statics is not None else PricingStatics(inst, idx, mode)
-    live, decided, allow = s.live(fixings)
+    if statics.idx is not pool.idx or statics.mode != pool.mode:
+        raise ValueError("pricing statics and pool differ in request index or mode")
+    live, decided, allow = statics.live(fixings)
     values, tables = Pricer(live).price(duals, allow)
     if decided.any():
         _check_decided(pool, duals, decided, tol)
     ks = np.flatnonzero(values < -tol)
     if not len(ks):  # a fixpoint round: skip the decode's set-up
-        return Candidates(ks, np.empty((0, 2, inst.horizon), dtype=bool), values[ks])
+        return Candidates(ks, np.empty((0, 2, pool.inst.horizon), dtype=bool), values[ks])
     moves = decode_moves(tables.take(ks), values[ks])
     flags = np.ascontiguousarray(np.stack([moves != 1, moves == 0]).transpose(2, 0, 1))
     keys = live.keys[ks]

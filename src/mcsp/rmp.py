@@ -11,14 +11,14 @@ default, which is carried as a constant in the objective. Rows:
 * backhaul:     per (server, slot), sum of updated sizes <= backhaul capacity
 * convexity:    per (server, content), exactly one column selected
 
-The cache and backhaul rows are generated lazily: a master built with a
-``CapacityRows`` mask holds only the (server, slot) rows it marks, and column
-generation adds a row once a fixpoint primal violates it (row generation
-inside column generation). Rows left out have zero duals in
-``DualPrices.mus``/``phis``, so a fixpoint whose primal respects every
-capacity is still the exact LP bound over all rows. A master whose
-capacities never bind is then the same LP whatever those capacities are.
-Built without a mask, the master holds every capacity row.
+The cache and backhaul rows are generated lazily: a master holds only the
+(server, slot) rows its ``CapacityRows`` mask marks, and column generation
+adds a row once a fixpoint primal violates it (row generation inside column
+generation). Rows left out have zero duals in ``DualPrices.mus``/``phis``,
+so a fixpoint whose primal respects every capacity is still the exact LP
+bound over all rows. A master whose capacities never bind is then the same
+LP whatever those capacities are. A mask that marks every (server, slot)
+gives the master with every capacity row.
 
 Coverage uses the settlement convention of the pricing graph: a column can
 serve (r, a) at the age it holds when the request arrives, or at age zero
@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .columns import ColumnPool
-from .instance import Instance, RequestIndex
+from .instance import Instance
 from .simplex import LpBasis, LpProblem, LpSolution, solve_lp
 
 TOL_CHI = 1e-6  # integrality tolerance on column weights
@@ -90,19 +90,19 @@ class CapacityRows:
     def __init__(self, inst: Instance):
         self.held = np.zeros((2, inst.num_servers + 1, inst.horizon + 1), dtype=bool)
 
-    def add_violated(self, pool: ColumnPool, weights: np.ndarray, inst: Instance) -> int:
+    def add_violated(self, pool: ColumnPool, weights: np.ndarray) -> int:
         """Add the rows whose load under the column ``weights`` (in pool
-        order) exceeds the instance capacity; return how many were added. A
-        load sums the positive weights times sizes in pool order. Capacities
-        are positive (``validate_instance``), so a (server, slot) without
-        load never counts."""
+        order) exceeds the capacity of the pool's instance; return how many
+        were added. A load sums the positive weights times sizes in pool
+        order. Capacities are positive (``validate_instance``), so a (server,
+        slot) without load never counts."""
         a = pool.arrays()
         e, kind, t = np.nonzero(a.flags & (weights > 0)[:, None, None])
         shape = self.held.shape
         at = np.ravel_multi_index((kind, a.server[e], t + 1), shape)
         # bincount adds in input order, as the loads were summed one by one
         load = np.bincount(at, weights[e] * a.size[e], minlength=np.prod(shape)).reshape(shape)
-        cap = inst.capacities()[:, :, None]
+        cap = pool.inst.capacities()[:, :, None]
         over = load > cap + TOL_CAP * (1 + np.abs(cap))
         added = int(np.count_nonzero(over & ~self.held))
         self.held |= over
@@ -127,7 +127,7 @@ class MasterBasis:
 
     def record(self, model: "RmpModel", basis: LpBasis) -> None:
         """Keep ``basis``, the optimal basis of ``model``."""
-        idx, inst = model.idx, model.idx.inst
+        idx, inst = model.pool.idx, model.pool.inst
         n_chi = len(model.serials)
         slots = (inst.num_servers + 1, inst.horizon + 1)
         chi = np.zeros(model.pool.num_serials, dtype=np.int8)  # LOWER
@@ -166,7 +166,6 @@ class RmpModel:
 
     problem: LpProblem
     pool: ColumnPool
-    idx: RequestIndex
     constant: float
     serials: np.ndarray  # the pool entry serial of each chi column, in LP column order
     flags: np.ndarray  # their cached and updated flags, [chi column, cached/updated, slot]
@@ -186,14 +185,9 @@ class RmpSolution:
     lp: LpSolution
 
 
-def build_rmp(
-    pool: ColumnPool,
-    inst: Instance,
-    idx: RequestIndex,
-    capacity_rows: Optional[CapacityRows] = None,
-) -> RmpModel:
+def build_rmp(pool: ColumnPool, capacity_rows: CapacityRows) -> RmpModel:
     """Assemble the master LP over the current pools, with the capacity rows
-    ``capacity_rows`` holds (all of them when it is None).
+    ``capacity_rows`` holds.
 
     The matrix comes from the pool's arrays, with no per-entry Python: each
     live entry's pair, cost, cached and updated slot flags and the service
@@ -206,6 +200,7 @@ def build_rmp(
     empty = np.flatnonzero(pool.counts == 0)
     if len(empty):
         raise ValueError(f"empty pool for pair {pool.pairs[empty[0]]}")
+    inst, idx = pool.inst, pool.idx
     a = pool.arrays()
     n_chi = len(a.serial)
     col_pair = a.pair
@@ -226,13 +221,8 @@ def build_rmp(
     first[1:] = request_ids[1:] != request_ids[:-1]
     serve_ids, serve_of = request_ids[first], np.cumsum(first) - 1
 
-    if capacity_rows is None:
-        held = np.zeros((2, inst.num_servers + 1, inst.horizon + 1), dtype=bool)
-        held[:, 1:, 1:] = True
-    else:
-        held = capacity_rows.held
     # (server, slot) ascending, the order the rows run in
-    cache_at, backhaul_at = np.nonzero(held[0]), np.nonzero(held[1])
+    cache_at, backhaul_at = np.nonzero(capacity_rows.held[0]), np.nonzero(capacity_rows.held[1])
 
     n_y = len(cover_svc)
     starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_at[0], backhaul_at[0],
@@ -283,7 +273,6 @@ def build_rmp(
     return RmpModel(
         problem=problem,
         pool=pool,
-        idx=idx,
         constant=idx.mcr_cloud_cost,
         serials=a.serial,
         flags=flags,
@@ -348,7 +337,7 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     variables) on top of its row dual, so every service variable prices
     nonnegatively. Only a variable at 1 can price negatively, and at most
     one per request is at 1, so the dual objective does not change."""
-    idx, inst = model.idx, model.idx.inst
+    idx, inst = model.pool.idx, model.pool.inst
     serve, cover, cache, backhaul, convexity = (
         y[a:b] for a, b in zip(model.starts, model.starts[1:])
     )

@@ -6,7 +6,7 @@ import pytest
 
 from mcsp.generator import GeneratorConfig, Topology, generate_instance
 from mcsp.instance import Instance, build_request_index, load_instance
-from mcsp.rmp import DualPrices
+from mcsp.rmp import CapacityRows, DualPrices
 from reference import explicit_duals
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +67,14 @@ def random_duals(rng: random.Random, inst, pi_lo=-3.0, pi_hi=3.0, lam_hi=50.0) -
         for i in range(1, inst.num_contents + 1):
             lam[(h, i)] = rng.uniform(0.0, lam_hi)
     return explicit_duals(build_request_index(inst), pi=pi, mu=mu, phi=phi, lam=lam)
+
+
+def all_capacity_rows(inst) -> CapacityRows:
+    """The ``CapacityRows`` that holds every cache and backhaul row of
+    ``inst``: a master built with it is the full master."""
+    rows = CapacityRows(inst)
+    rows.held[:, 1:, 1:] = True
+    return rows
 
 
 def by_pair(candidates, pairs) -> dict:

@@ -378,8 +378,9 @@ class SparseLp:
     upper: np.ndarray
 
 
-def master_lp(pool: ColumnPool, inst: Instance, idx: RequestIndex, capacity_rows=None) -> SparseLp:
+def master_lp(pool: ColumnPool, capacity_rows) -> SparseLp:
     """The master LP of ``build_rmp`` from COO triplets summed into CSR."""
+    inst, idx = pool.inst, pool.idx
     pairs = sorted(pool.entries)
     counts = [len(pool.entries[key]) for key in pairs]
     entries = [e for key in pairs for e in pool.entries[key]]
@@ -405,7 +406,7 @@ def master_lp(pool: ColumnPool, inst: Instance, idx: RequestIndex, capacity_rows
 
     cache_keys, backhaul_keys = (
         [(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)
-         if capacity_rows is None or capacity_rows.held[kind, h, t]]
+         if capacity_rows.held[kind, h, t]]
         for kind in (0, 1))
     n_y = len(cover_svc)
     starts = list(accumulate(map(len, (serve_ids, cover_svc, cache_keys, backhaul_keys, pairs)),
@@ -992,16 +993,4 @@ def solve_exact(inst: Instance, mode: str = "paper") -> SolveReport:
     schedule = best["schedule"]
     assignment = derive_assignment(schedule, inst, mode)
     cost = plan_cost(schedule, assignment, inst)
-    return SolveReport(
-        algorithm="exact",
-        settlement_mode=mode,
-        cost=cost,
-        settled_cost=cost,
-        lower_bound=None,
-        gap=None,
-        pricing_rounds=0,
-        rounding_rounds=0,
-        wall_time_s=0.0,
-        schedule=schedule,
-        assignment=assignment,
-    )
+    return SolveReport("exact", mode, cost, cost, schedule=schedule, assignment=assignment)

@@ -518,7 +518,7 @@ def test_criterion_11_termination(tiny1):
         duals = audit.solution.duals
         for (h, i), entries in audit.pool.entries.items():
             for entry in entries:
-                rc = reduced_cost(entry.column, h, i, duals, audit.idx, cost_S=entry.cost)
+                rc = reduced_cost(entry.column, h, i, duals, audit.pool.idx, cost_S=entry.cost)
                 worst = min(worst, rc)
                 assert rc >= -1e-6
     _verdict("11 termination", True, f"worst final pool reduced cost {worst:.2e}")

@@ -278,18 +278,7 @@ def _evaluate_lp_file(text: str, point: dict) -> float:
     """Parse the objective of our LP text format and evaluate it at a point."""
     body = text.split("Minimize", 1)[1].split("Subject To", 1)[0]
     expr = body.replace("obj:", "").replace("\n", " ").strip()
-    tokens = expr.replace("+ ", "+").replace("- ", "-").split()
-    total = 0.0
-    for tok in tokens:
-        sign = -1.0 if tok.startswith("-") else 1.0
-        tok = tok.lstrip("+-")
-        if not tok:
-            continue
-        if " " in tok:
-            raise AssertionError("unexpected token")
-        # token forms: "12.5", "name", or "12.5*name"? format is "coef name"
-        total += 0.0  # handled below
-    # the format writes "coef name" pairs separated by spaces; re-tokenize
+    # the format writes "coef name" pairs separated by spaces
     total = 0.0
     parts = expr.split()
     k = 0

@@ -127,7 +127,7 @@ def test_zero_column_cost_identity():
 
 
 def test_pool_purge_fixed_values(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
+    pool = ColumnPool.initial(tiny1_idx, "paper")
     for col in enumerate_columns(2):
         pool.add(1, 1, col)
     caps = {(1, t): tiny1.server(1).cache_capacity for t in (1, 2)}
@@ -142,7 +142,7 @@ def test_pool_purge_fixed_values(tiny1, tiny1_idx):
 
 
 def test_pool_purge_capacity(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
+    pool = ColumnPool.initial(tiny1_idx, "paper")
     for col in enumerate_columns(2):
         pool.add(1, 1, col)
     caps = {(1, 1): 2.0, (1, 2): 2.0}
@@ -152,7 +152,7 @@ def test_pool_purge_capacity(tiny1, tiny1_idx):
 
 
 def test_pool_purge_reinserts_canonical(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")  # only the zero column
+    pool = ColumnPool.initial(tiny1_idx, "paper")  # only the zero column
     caps = {(1, 1): 2.0, (1, 2): 2.0}
     bh = dict(caps)
     purge(pool, {(1, 1, 2): (1, None)}, caps, bh)
@@ -193,7 +193,7 @@ def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
     for _ in range(10):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        cached, fresh = (ColumnPool.initial(inst, idx, "paper") for _ in range(2))
+        cached, fresh = (ColumnPool.initial(idx, "paper") for _ in range(2))
         caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
                 for t in range(1, inst.horizon + 1)}
         fixings = {}
@@ -269,7 +269,8 @@ def test_batched_entries_equal_scalar_entries(mode, small_batch, monkeypatch):
     the canonical columns of a purge) equal the scalar ``make_entry``, made
     in array passes and made in loops."""
     from mcsp import columns
-    from mcsp.pricing import price_all
+    from mcsp.pricing import PricingStatics, price_all
+    from mcsp.rounding import RoundingState
 
     monkeypatch.setattr(columns, "SMALL_BATCH", small_batch)
     rng = random.Random(61)
@@ -277,11 +278,11 @@ def test_batched_entries_equal_scalar_entries(mode, small_batch, monkeypatch):
     for _ in range(60):
         inst = random_tiny_instance(rng, horizon_max=5)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, mode)
+        pool = ColumnPool.initial(idx, mode)
         _assert_entries_match_reference(pool)
         # priced against an empty pool, as random duals may price pooled columns
-        candidates = price_all(ColumnPool(inst, idx, mode), random_duals(rng, inst), inst, idx,
-                               mode=mode)
+        candidates = price_all(ColumnPool(idx, mode), random_duals(rng, inst),
+                               PricingStatics(idx, mode), RoundingState(inst))
         made["priced"] += pool.add_many(candidates.keys, candidates.flags)
         _assert_entries_match_reference(pool)
         caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
@@ -305,7 +306,7 @@ def test_pool_arrays_follow_random_operations():
     for _ in range(30):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         pairs = pool.pairs
         model = {key: [(zero_column(inst.horizon), n)] for n, key in enumerate(pairs)}
         serials = len(pairs)
@@ -379,7 +380,7 @@ def test_purge_fully_fixed_pair_matches_canonical_column(tiny1, horizon):
     caps = {(1, t): float("inf") for t in range(1, horizon + 1)}
     unfixable = 0
     for gamma, omega in product(product((0, 1), repeat=horizon), repeat=2):
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         fixings = {(1, 1, t): (g, o) for t, g, o in zip(range(1, horizon + 1), gamma, omega)}
         col = canonical_column(list(gamma), list(omega))
         if col is None:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from mcsp.columns import ColumnPool
 from mcsp.driver import (
     SolveReport,
     _next_pin,
+    _set_up,
     compute_gap,
     naive_round,
     run_cga,
@@ -18,29 +20,31 @@ from mcsp.instance import build_request_index
 from mcsp.rmp import RmpSolution
 from mcsp.rounding import TOL_INT
 
-from conftest import TWO_CELL, by_pair, random_tiny_instance
+from conftest import TWO_CELL, all_capacity_rows, by_pair, random_tiny_instance
 
 
-def test_tiny1_cga_fixpoint(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
-    result = run_cga(pool, tiny1, tiny1_idx)
+def test_tiny1_cga_fixpoint(tiny1):
+    solve = _set_up(tiny1, "paper")
+    pool = solve[0]
+    result = run_cga(*solve)
     assert result.solution.objective == pytest.approx(3.0)
     assert result.rounds <= 3
     # idempotence: rerunning at the fixpoint adds nothing
     n = pool.total_columns()
-    again = run_cga(pool, tiny1, tiny1_idx)
+    again = run_cga(*solve)
     assert pool.total_columns() == n
     assert again.rounds == 1
 
 
 def test_tiny1_first_pricing_round(tiny1, tiny1_idx):
-    from mcsp.pricing import price_all
+    from mcsp.pricing import PricingStatics, price_all
     from mcsp.rmp import build_rmp, solve_rmp
+    from mcsp.rounding import RoundingState
 
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
-    sol = solve_rmp(build_rmp(pool, tiny1, tiny1_idx))
+    pool = ColumnPool.initial(tiny1_idx, "paper")
+    sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)))
     assert sol.objective == pytest.approx(23.0)
-    cands = price_all(pool, sol.duals, tiny1, tiny1_idx)
+    cands = price_all(pool, sol.duals, PricingStatics(tiny1_idx, "paper"), RoundingState(tiny1))
     assert by_pair(cands, tiny1_idx.pairs) == {
         (1, 1): (((1, 1), (1, 0)), pytest.approx(3.0 - 23.0))}
 
@@ -130,6 +134,7 @@ def test_report_roundtrip(tiny1):
 
 def test_compute_gap_edges():
     assert compute_gap(0.0, 0.0) == 0.0
+    assert compute_gap(5.0, 0.0) == math.inf
     assert compute_gap(10.0, None) is None
     assert compute_gap(10.3, 10.0) == pytest.approx(0.03)
 
@@ -138,11 +143,7 @@ def test_cga_empty_requests_one_round():
     inst = generate_instance(
         GeneratorConfig(cells="3-cell", num_contents=3, num_requests=0, rho_m=0.0, seed=6)
     )
-    from mcsp.instance import build_request_index as bri
-
-    idx = bri(inst)
-    pool = ColumnPool.initial(inst, idx, "paper")
-    result = run_cga(pool, inst, idx)
+    result = run_cga(*_set_up(inst, "paper"))
     assert result.solution.objective == pytest.approx(0.0)
     assert result.rounds == 1
 
@@ -177,7 +178,7 @@ def test_next_pin_is_the_first_largest_fractional_weight():
     pinned = 0
     for _ in range(150):
         inst = random_tiny_instance(rng)
-        pool = ColumnPool.initial(inst, build_request_index(inst), "paper")
+        pool = ColumnPool.initial(build_request_index(inst), "paper")
         columns = enumerate_columns(inst.horizon)
         for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, min(3, len(columns)))):
@@ -210,7 +211,7 @@ def test_decode_schedule_takes_each_pairs_first_largest_weight():
     fractional = 0
     for _ in range(60):
         inst = random_tiny_instance(rng)
-        pool = ColumnPool.initial(inst, build_request_index(inst), "paper")
+        pool = ColumnPool.initial(build_request_index(inst), "paper")
         for key in pool.pairs:
             for col in rng.sample(enumerate_columns(inst.horizon), 2):
                 pool.add(*key, col)
@@ -232,7 +233,25 @@ def test_decode_schedule_takes_each_pairs_first_largest_weight():
         except ValueError:
             fractional += 1
             with pytest.raises(ValueError, match="fractional"):
-                decode_schedule(pool, sol, inst)
+                decode_schedule(pool, sol)
             continue
-        assert decode_schedule(pool, sol, inst).states == want
+        assert decode_schedule(pool, sol).states == want
     assert 0 < fractional < 60
+
+
+def test_decode_schedule_names_the_fractional_pair():
+    """A pair whose largest column weight is fractional raises ValueError
+    naming that pair, here the last of several whose others are integral."""
+    from mcsp.driver import decode_schedule
+
+    inst = generate_instance(GeneratorConfig(
+        cells="custom", custom_topology=TWO_CELL, num_contents=2, num_requests=4, horizon=2,
+        rho_m=0.0, rho_tt=0.0, seed=3))
+    pool = ColumnPool.initial(build_request_index(inst), "paper")
+    h, i = pool.pairs[-1]
+    pool.add(h, i, ((1, 1), (1, 0)))
+    weights = np.ones(pool.total_columns())
+    weights[-2:] = 0.5
+    sol = RmpSolution(objective=0.0, weights=weights, duals=None, lp=None)
+    with pytest.raises(ValueError, match=rf"^column weights for \({h},{i}\) are fractional$"):
+        decode_schedule(pool, sol)

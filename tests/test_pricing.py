@@ -9,9 +9,10 @@ from mcsp.columns import column_cost_S, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.pricing import TOL_PRICE as TOL, PricingStatics, price_all
 from mcsp.rmp import DualPrices
+from mcsp.rounding import RoundingState
 from reference import build_graph, explicit_duals, reduced_cost, shortest_path
 
-from conftest import by_pair, random_duals, random_tiny_instance
+from conftest import all_capacity_rows, by_pair, random_duals, random_tiny_instance
 
 
 def zero_duals(inst) -> DualPrices:
@@ -124,8 +125,9 @@ def test_decode_tie_break_matches_brute_force(mode):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         duals = grid_duals(rng, inst)
-        empty = ColumnPool(inst, idx, mode)
-        cands = by_pair(price_all(empty, duals, inst, idx, mode=mode), idx.pairs)
+        empty = ColumnPool(idx, mode)
+        statics = PricingStatics(idx, mode)
+        cands = by_pair(price_all(empty, duals, statics, RoundingState(inst)), idx.pairs)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
                 rc = {col: reduced_cost(col, h, i, duals, idx, mode=mode)
@@ -256,11 +258,11 @@ def test_price_all_matches_per_pair_graphs():
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         duals = random_duals(rng, inst)
-        statics = PricingStatics(inst, idx, "paper")
+        statics = PricingStatics(idx, "paper")
         from mcsp.columns import ColumnPool
 
-        pool = ColumnPool.initial(inst, idx, "paper")
-        cands = by_pair(price_all(pool, duals, inst, idx, statics=statics), idx.pairs)
+        pool = ColumnPool.initial(idx, "paper")
+        cands = by_pair(price_all(pool, duals, statics, RoundingState(inst)), idx.pairs)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
                 pc = shortest_path(build_graph(h, i, duals, inst, idx))
@@ -278,9 +280,9 @@ def test_price_all_candidate_limit():
     idx = build_request_index(inst)
     from mcsp.columns import ColumnPool
 
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     duals = random_duals(rng, inst)
-    cands = price_all(pool, duals, inst, idx)
+    cands = price_all(pool, duals, PricingStatics(idx, "paper"), RoundingState(inst))
     assert 0 < len(cands) <= inst.num_servers * inst.num_contents
     assert (np.diff(cands.keys) > 0).all()  # pair order
     assert cands.flags.shape == (len(cands), 2, inst.horizon)
@@ -300,14 +302,30 @@ def test_pooled_negative_column_raises():
     while not cands:
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         duals = random_duals(rng, inst)
-        cands = by_pair(price_all(pool, duals, inst, idx), idx.pairs)
+        statics = PricingStatics(idx, "paper")
+        cands = by_pair(price_all(pool, duals, statics, RoundingState(inst)), idx.pairs)
     (h, i), (column, value) = next(iter(cands.items()))
     assert pool.add(h, i, column)
     pattern = rf"pair \({h}, {i}\).*{re.escape(repr(value))}"
     with pytest.raises(AssertionError, match=pattern):
-        price_all(pool, duals, inst, idx)
+        price_all(pool, duals, statics, RoundingState(inst))
+
+
+def test_price_all_rejects_statics_of_another_solve(tiny1, tiny1_idx):
+    """Statics made in another mode, or on another request index of the same
+    instance, do not price the pool."""
+    from mcsp.columns import ColumnPool
+
+    pool = ColumnPool.initial(tiny1_idx, "paper")
+    for statics in (PricingStatics(tiny1_idx, "min"),
+                    PricingStatics(build_request_index(tiny1), "paper")):
+        with pytest.raises(ValueError, match="differ in request index or mode"):
+            price_all(pool, zero_duals(tiny1), statics, RoundingState(tiny1))
+    # the solve's own statics price it: at zero duals every column costs more than zero
+    assert not price_all(pool, zero_duals(tiny1), PricingStatics(tiny1_idx, "paper"),
+                         RoundingState(tiny1))
 
 
 def test_all_kappa_removed_gives_zero_column(tiny1, tiny1_idx):
@@ -323,7 +341,7 @@ def _sampled_pool(rng, inst, idx):
     coverage rows are in the master and others are left out (imputed)."""
     from mcsp.columns import ColumnPool
 
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     for (h, i) in list(pool.entries):
         for col in enumerate_columns(inst.horizon):
             if rng.random() < 0.3:
@@ -342,10 +360,11 @@ def test_batch_tables_equal_per_pair_weights():
     for _ in range(20):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
-        statics = PricingStatics(inst, idx, "paper")
-        master = solve_rmp(build_rmp(_sampled_pool(rng, inst, idx), inst, idx)).duals
+        statics = PricingStatics(idx, "paper")
+        pool = _sampled_pool(rng, inst, idx)
+        master = solve_rmp(build_rmp(pool, all_capacity_rows(inst))).duals
         for duals in (random_duals(rng, inst), master):
-            _, tables = Pricer(statics).price(duals)
+            _, tables = Pricer(statics).price(duals, RoundingState(inst).masks())
             for k, (h, i) in enumerate(statics.pairs):
                 ref = reference.PairWeights(h, i, duals, inst, idx, "paper")
                 assert np.array_equal(tables.upd[..., k], ref.update)
@@ -369,7 +388,7 @@ def test_pi_vector_matches_pi():
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         req = {r.id: r for r in inst.requests}
-        model = build_rmp(_sampled_pool(rng, inst, idx), inst, idx)
+        model = build_rmp(_sampled_pool(rng, inst, idx), all_capacity_rows(inst))
         sol = solve_rmp(model)
         duals = sol.duals
         serve_ids = model.row_index[0].tolist()
@@ -402,14 +421,13 @@ def test_fully_fixed_column_is_the_only_path():
     column as the one path: pricing returns it at its reduced cost, on the
     per-pair graph and in the batch, whatever the duals."""
     from mcsp.pricing import Pricer
-    from mcsp.rounding import RoundingState
 
     rng = random.Random(71)
     for _ in range(30):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         duals = random_duals(rng, inst)
-        statics = PricingStatics(inst, idx, "paper")
+        statics = PricingStatics(idx, "paper")
         state = RoundingState(inst)
         pinned = {}
         for h, i in statics.pairs:
@@ -432,11 +450,10 @@ def _partly_fixed(rng, inst, decided_share):
     of a pair fixed at every slot holds its column alone, the others the
     zero column."""
     from mcsp.columns import FREE, ColumnPool
-    from mcsp.rounding import RoundingState
 
     idx = build_request_index(inst)
     state = RoundingState(inst)
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
     for h, i in pool.pairs:
         col = rng.choice(columns)
@@ -470,7 +487,7 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx, state, pool = _partly_fixed(rng, inst, 1.0 if n % 6 == 0 else 0.5)
         duals = random_duals(rng, inst)
-        statics = PricingStatics(inst, idx, "paper")
+        statics = PricingStatics(idx, "paper")
         decided = ((state.gamma != FREE) & (state.omega != FREE))[1:, 1:, 1:].all(axis=2).ravel()
         full, full_tables = Pricer(statics).price(duals, state.masks())
         live, left_out, allow = statics.live(state)
@@ -485,14 +502,14 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
             seen["none_priced"] += 1
         if (full[decided] < -TOL).any():
             with pytest.raises(AssertionError, match="priced its pooled column"):
-                price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+                price_all(pool, duals, statics, state)
             seen["raised"] += 1
             # lower each decided pair's convexity dual so that its column prices >= 0
             for k in np.flatnonzero(decided):
                 duals.lams[statics.server[k], statics.content[k]] += min(0.0, full[k])
             full, full_tables = Pricer(statics).price(duals, state.masks())
             assert (full[decided] >= -TOL).all()
-        cands = price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+        cands = price_all(pool, duals, statics, state)
         ks = np.flatnonzero(full < -TOL)
         want = reference.decode_columns(full_tables.take(ks), full[ks])
         assert list(by_pair(cands, statics.pairs).items()) == [
@@ -516,9 +533,9 @@ def test_decided_pair_check_raises_on_a_perturbed_dual(monkeypatch):
     for _ in range(40):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx, state, pool = _partly_fixed(rng, inst, 1.0)
-        statics = PricingStatics(inst, idx, "paper")
+        statics = PricingStatics(idx, "paper")
         duals = explicit_duals(idx, lam={key: pool.columns(*key)[0].cost for key in pool.pairs})
-        assert not price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+        assert not price_all(pool, duals, statics, state)
         h, i = rng.choice(pool.pairs)
         entry = pool.columns(h, i)[0]
         options = [("lam", (h, i))]
@@ -531,6 +548,6 @@ def test_decided_pair_check_raises_on_a_perturbed_dual(monkeypatch):
         # a capacity price is the server's: another of its pairs may be first
         pair = rf"\({h}, {i if kind in ('pi', 'lam') else '[0-9]+'}\)"
         with pytest.raises(AssertionError, match=rf"pair {pair} priced its pooled column"):
-            price_all(pool, duals, inst, idx, fixings=state, statics=statics)
+            price_all(pool, duals, statics, state)
         perturbed[kind] += 1
     assert all(perturbed.values())

@@ -9,7 +9,7 @@ from mcsp.instance import build_request_index
 from mcsp.rmp import CapacityRows, MasterBasis, build_rmp, solve_rmp
 from reference import a_matrix, explicit_duals, reduced_cost
 
-from conftest import assert_highs_model, random_tiny_instance
+from conftest import all_capacity_rows, assert_highs_model, random_tiny_instance
 
 
 def capacity_rows(inst, cache=(), backhaul=()) -> CapacityRows:
@@ -33,7 +33,7 @@ def pool_entries(pool) -> list:
 
 
 def full_pool(inst, idx, mode="paper") -> ColumnPool:
-    pool = ColumnPool.initial(inst, idx, mode)
+    pool = ColumnPool.initial(idx, mode)
     for (h, i) in list(pool.entries):
         for col in enumerate_columns(inst.horizon):
             pool.add(h, i, col)
@@ -41,8 +41,8 @@ def full_pool(inst, idx, mode="paper") -> ColumnPool:
 
 
 def test_tiny1_rows_without_mcrs(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
-    model = build_rmp(pool, tiny1, tiny1_idx)
+    pool = ColumnPool.initial(tiny1_idx, "paper")
+    model = build_rmp(pool, all_capacity_rows(tiny1))
     # serve-once, coverage, cache, backhaul and convexity rows
     assert np.diff(model.starts).tolist() == [0, 0, 2, 2, 1]
     assert model.constant == 0.0
@@ -50,7 +50,7 @@ def test_tiny1_rows_without_mcrs(tiny1, tiny1_idx):
 
 def test_tiny1_full_pool_objective(tiny1, tiny1_idx):
     pool = full_pool(tiny1, tiny1_idx)
-    sol = solve_rmp(build_rmp(pool, tiny1, tiny1_idx))
+    sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)))
     assert sol.objective == pytest.approx(3.0)
     # weight concentrates on a cost-3 column
     chosen = [e.column for e, w in zip(pool.columns(1, 1), sol.weights) if w > 1e-6]
@@ -64,8 +64,8 @@ def test_zero_pool_objective_is_cloud_cost():
     for _ in range(10):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
-        sol = solve_rmp(build_rmp(pool, inst, idx))
+        pool = ColumnPool.initial(idx, "paper")
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
         expect = sum(inst.cloud_cost(r.content) for r in inst.requests)
         assert sol.objective == pytest.approx(expect)
 
@@ -76,7 +76,7 @@ def test_convexity_partition_always_holds():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
-        sol = solve_rmp(build_rmp(pool, inst, idx))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
         per_pair = np.add.reduceat(sol.weights, pool.starts()[:-1])
         assert per_pair == pytest.approx(np.ones(len(pool.pairs)), abs=1e-7)
         assert np.all(sol.weights >= -1e-9)
@@ -93,8 +93,8 @@ def test_mcr_constant_in_objective():
     assert const == pytest.approx(
         sum(inst.cloud_cost(r.content) for r in inst.mcrs)
     )
-    pool = ColumnPool.initial(inst, idx, "paper")
-    model = build_rmp(pool, inst, idx)
+    pool = ColumnPool.initial(idx, "paper")
+    model = build_rmp(pool, all_capacity_rows(inst))
     assert model.constant == pytest.approx(const)
 
 
@@ -118,7 +118,7 @@ def test_single_mcr_row_shape():
     )
     idx = build_request_index(inst)
     pool = full_pool(inst, idx)
-    model = build_rmp(pool, inst, idx)
+    model = build_rmp(pool, all_capacity_rows(inst))
     # both servers can cover (r, a=0): one serve-once row, two coverage rows
     assert len(model.row_index[0]) == 1
     assert len(model.cover_svc) == 2
@@ -141,7 +141,7 @@ def test_in_pool_columns_price_nonnegative():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
-        sol = solve_rmp(build_rmp(pool, inst, idx))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
         for ((h, i), e), w in zip(pool_entries(pool), sol.weights, strict=True):
             rc = reduced_cost(e.column, h, i, sol.duals, idx, cost_S=e.cost)
             assert rc >= -1e-6
@@ -160,7 +160,7 @@ def test_full_lp_certificate_with_lazy_rows():
             continue
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
-        sol = solve_rmp(build_rmp(pool, inst, idx))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
         duals, pos = sol.duals, reference.svc_pos(idx)
         for r in inst.mcrs:
             for h in r.candidates:
@@ -189,12 +189,12 @@ def test_dual_certificate_on_large_masters(seed):
     )
     idx = build_request_index(inst)
     rng = random.Random(seed)
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
     for key in list(pool.entries):
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
-    model = build_rmp(pool, inst, idx)
+    model = build_rmp(pool, all_capacity_rows(inst))
     assert model.problem.num_rows + model.problem.num_vars > 600
     sol = solve_rmp(model)
     _assert_dual_certificate(inst, sol)
@@ -225,7 +225,7 @@ def test_canonical_solve_failure_propagates(tiny1, tiny1_idx, monkeypatch):
     from mcsp import rmp
     from mcsp.simplex import LpError
 
-    model = build_rmp(ColumnPool.initial(tiny1, tiny1_idx, "paper"), tiny1, tiny1_idx)
+    model = build_rmp(ColumnPool.initial(tiny1_idx, "paper"), all_capacity_rows(tiny1))
     solve = rmp.solve_lp
 
     def face_fails(prob, basis=None):
@@ -242,10 +242,10 @@ def test_objective_nonincreasing_as_pool_grows():
     rng = random.Random(77)
     inst = random_tiny_instance(rng)
     idx = build_request_index(inst)
-    pool = ColumnPool.initial(inst, idx, "paper")
-    obj_small = solve_rmp(build_rmp(pool, inst, idx)).objective
+    pool = ColumnPool.initial(idx, "paper")
+    obj_small = solve_rmp(build_rmp(pool, all_capacity_rows(inst))).objective
     pool2 = full_pool(inst, idx)
-    obj_full = solve_rmp(build_rmp(pool2, inst, idx)).objective
+    obj_full = solve_rmp(build_rmp(pool2, all_capacity_rows(inst))).objective
     assert obj_full <= obj_small + 1e-9
 
 
@@ -253,7 +253,7 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
     """On an instance where capacity binds, column generation with lazily
     added capacity rows ends at the optimum of the master that holds every
     capacity row over the same pool, and that optimum respects capacity."""
-    from mcsp.driver import run_cga
+    from mcsp.driver import _set_up, run_cga
     from mcsp.generator import GeneratorConfig, generate_instance
 
     inst = generate_instance(
@@ -262,15 +262,13 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
             rho_m=0.4, rho_tt=1.0, rho_b=0.05, cache_scale=0.5, seed=1,
         )
     )
-    idx = build_request_index(inst)
-    pool = ColumnPool.initial(inst, idx, "paper")
-    rows = CapacityRows(inst)
-    lazy = run_cga(pool, inst, idx, capacity_rows=rows)
+    pool, statics, state, rows, basis = _set_up(inst, "paper")
+    lazy = run_cga(pool, statics, state, rows, basis)
     n_keys = inst.num_servers * inst.horizon
     # rows were needed, yet the master holds fewer than all of them
     assert 0 < np.count_nonzero(rows.held) < 2 * n_keys
 
-    full = solve_rmp(build_rmp(pool, inst, idx))
+    full = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
     assert full.objective == pytest.approx(lazy.solution.objective, rel=1e-6, abs=1e-6)
     for sol in (full, lazy.solution):
         cache = np.zeros((inst.num_servers + 1, inst.horizon + 1))
@@ -286,8 +284,8 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
 
 
 def test_build_rmp_holds_only_the_named_capacity_rows(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
-    model = build_rmp(pool, tiny1, tiny1_idx, capacity_rows(tiny1, backhaul=[(1, 2)]))
+    pool = ColumnPool.initial(tiny1_idx, "paper")
+    model = build_rmp(pool, capacity_rows(tiny1, backhaul=[(1, 2)]))
     assert keys(model.row_index[2]) == []
     assert keys(model.row_index[3]) == [(1, 2)]
     assert model.problem.num_rows == 2  # the backhaul row and the convexity row
@@ -305,7 +303,7 @@ def _reference_master(pool, inst, rows):
     })
     serve = sorted({r_id for r_id, _, _ in services})
     every = [(h, t) for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)]
-    cache, backhaul = ([key for key in every if rows is None or rows.held[(kind, *key)]]
+    cache, backhaul = ([key for key in every if rows.held[(kind, *key)]]
                        for kind in (0, 1))
     row_keys = ([("serve", r) for r in serve] + [("cover", s) for s in services]
                 + [("cache", k) for k in cache] + [("backhaul", k) for k in backhaul]
@@ -346,7 +344,7 @@ def test_build_rmp_matches_column_definitions():
     for _ in range(30):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, rng.choice(["paper", "min"]))
+        pool = ColumnPool.initial(idx, rng.choice(["paper", "min"]))
         columns = enumerate_columns(inst.horizon)
         for key in list(pool.entries):
             for col in rng.sample(columns, rng.randint(0, len(columns))):
@@ -356,8 +354,8 @@ def test_build_rmp_matches_column_definitions():
         partial = capacity_rows(inst, rng.sample(every, rng.randint(0, len(every))),
                                 rng.sample(every, rng.randint(0, len(every))))
         triple = {pos: key for key, pos in reference.svc_pos(idx).items()}
-        for rows in (None, partial):
-            model = build_rmp(pool, inst, idx, rows)
+        for rows in (all_capacity_rows(inst), partial):
+            model = build_rmp(pool, rows)
             ref = _reference_master(pool, inst, rows)
             prob = model.problem
             assert np.array_equal(a_matrix(prob).toarray(), ref["a"])
@@ -384,7 +382,7 @@ def test_highs_receives_the_reference_arrays(highs_calls):
     for _ in range(60):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, rng.choice(["paper", "min"]))
+        pool = ColumnPool.initial(idx, rng.choice(["paper", "min"]))
         columns = enumerate_columns(inst.horizon)
         for key in list(pool.entries):
             for col in rng.sample(columns, rng.randint(0, len(columns))):
@@ -393,12 +391,12 @@ def test_highs_receives_the_reference_arrays(highs_calls):
                  for t in range(1, inst.horizon + 1)]
         half = capacity_rows(inst, rng.sample(every, len(every) // 2),
                              rng.sample(every, len(every) // 2))
-        for rows in (None, half, CapacityRows(inst)):
+        for rows in (all_capacity_rows(inst), half, CapacityRows(inst)):
             highs_calls.clear()
-            model = build_rmp(pool, inst, idx, rows)
+            model = build_rmp(pool, rows)
             sol = solve_rmp(model, canonical=True)
             master, face, face_status = highs_calls
-            ref = reference.master_lp(pool, inst, idx, rows)
+            ref = reference.master_lp(pool, rows)
             assert_highs_model(master, reference.highs_model(ref))
             face_ref = reference.highs_model(*reference.face_lp(
                 ref, model.flags, sol.lp.objective, sol.lp.basis.rows))
@@ -425,37 +423,37 @@ def test_capacity_check_adds_each_row_once():
     inst = _binding_instance()
     idx = build_request_index(inst)
     rng = random.Random(3)
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
     for key in list(pool.entries):
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
     rows = CapacityRows(inst)
-    sol = solve_rmp(build_rmp(pool, inst, idx, rows))
-    added = rows.add_violated(pool, sol.weights, inst)
+    sol = solve_rmp(build_rmp(pool, rows))
+    added = rows.add_violated(pool, sol.weights)
     held = rows.held.copy()
     assert added == np.count_nonzero(held) > 0
-    assert rows.add_violated(pool, sol.weights, inst) == 0
+    assert rows.add_violated(pool, sol.weights) == 0
     assert np.array_equal(rows.held, held)
 
 
-def _resolve_moved_master(pool, inst, idx):
+def _resolve_moved_master(pool, inst):
     """Solve the lazy-row master over ``pool`` from an empty MasterBasis,
     then the same master with each pair's entries in reverse order and every
     capacity row its primal satisfies added (basic), which moves its columns
     and rows to other positions, from the recorded basis. Returns both
     solves."""
     basis = MasterBasis()
-    model = build_rmp(pool, inst, idx, CapacityRows(inst))
+    model = build_rmp(pool, CapacityRows(inst))
     assert basis.start(model) is None  # nothing recorded yet: a cold start
     first = solve_rmp(model, basis=basis)
     violated = CapacityRows(inst)
-    violated.add_violated(pool, first.weights, inst)
+    violated.add_violated(pool, first.weights)
     rows = CapacityRows(inst)
     rows.held[:, 1:, 1:] = ~violated.held[:, 1:, 1:]
     for key in pool.pairs:
         pool.keep(*key, range(pool.counts[pool.pair_index(*key)] - 1, -1, -1))
-    again = solve_rmp(build_rmp(pool, inst, idx, rows), basis=basis)
+    again = solve_rmp(build_rmp(pool, rows), basis=basis)
     return first, again
 
 
@@ -467,18 +465,18 @@ def test_unchanged_master_resolves_without_iterations():
     for _ in range(20):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        first, again = _resolve_moved_master(full_pool(inst, idx), inst, idx)
+        first, again = _resolve_moved_master(full_pool(inst, idx), inst)
         assert again.lp.iterations == 0
         assert again.objective == pytest.approx(first.objective, rel=1e-9, abs=1e-9)
 
     inst = _binding_instance()
     idx = build_request_index(inst)
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
     for key in list(pool.entries):
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
-    first, again = _resolve_moved_master(pool, inst, idx)
+    first, again = _resolve_moved_master(pool, inst)
     assert len(again.lp.duals) > len(first.lp.duals)  # capacity rows joined
     assert first.lp.iterations > 50 and again.lp.iterations == 0
     assert again.objective == pytest.approx(first.objective, rel=1e-9)
@@ -493,17 +491,17 @@ def test_start_basis_after_a_purge_solves():
     inst = _binding_instance(seed=2)
     idx = build_request_index(inst)
     rng = random.Random(2)
-    pool = ColumnPool.initial(inst, idx, "paper")
+    pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
     for key in list(pool.entries):
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
     basis = MasterBasis()
-    sol = solve_rmp(build_rmp(pool, inst, idx), basis=basis)
+    sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), basis=basis)
     for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):
         # keep the zero column, so that the master stays feasible
         pool.keep(*key, [k for k, w in enumerate(weights) if k == 0 or w <= 1e-9])
-    model = build_rmp(pool, inst, idx)
+    model = build_rmp(pool, all_capacity_rows(inst))
     start = basis.start(model)
     assert start.num_basic < model.problem.num_rows
     warm = solve_rmp(model, basis=basis)

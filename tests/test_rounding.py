@@ -22,7 +22,7 @@ ZERO = ((0, 0), (0, 0))
 
 
 def tiny_pool(tiny1, tiny1_idx):
-    pool = ColumnPool.initial(tiny1, tiny1_idx, "paper")
+    pool = ColumnPool.initial(tiny1_idx, "paper")
     for col in enumerate_columns(2):
         pool.add(1, 1, col)
     return pool
@@ -75,7 +75,7 @@ def test_integrality_equivalence_random_mixtures():
     for _ in range(30):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         for (h, i) in list(pool.entries):
             for col in enumerate_columns(inst.horizon):
                 if rng.random() < 0.5:
@@ -197,7 +197,7 @@ def test_fixings_monotone_and_capacity_nonnegative():
     for _ in range(10):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         for (h, i) in list(pool.entries):
             for col in enumerate_columns(inst.horizon):
                 pool.add(h, i, col)
@@ -253,7 +253,7 @@ def test_array_pass_equals_dict_reference():
         idx = build_request_index(inst)
         pools = []
         for _ in range(2):
-            pool = ColumnPool.initial(inst, idx, "paper")
+            pool = ColumnPool.initial(idx, "paper")
             pools.append(pool)
         for (h, i) in list(pools[0].entries):
             for col in enumerate_columns(inst.horizon):

@@ -18,7 +18,7 @@ from mcsp.simplex import (
     solve_lp,
 )
 
-from conftest import use_highs
+from conftest import all_capacity_rows, use_highs
 from reference import a_matrix, build_lp, dual_objective, max_primal_violation, reduced_costs
 
 
@@ -257,12 +257,12 @@ def test_random_lps_and_masters_reach_every_status():
     for _ in range(20):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         columns = enumerate_columns(inst.horizon)
         for key in list(pool.entries):
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
-        model = build_rmp(pool, inst, idx)
+        model = build_rmp(pool, all_capacity_rows(inst))
         solve_lp(model.problem)  # raises unless optimal
     # no cache may hold a negative amount: the last master is infeasible
     b = model.problem.b.copy()
@@ -379,15 +379,15 @@ def test_complete_start_basis_solves_alike_alien_or_not(monkeypatch):
     for _ in range(30):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
+        pool = ColumnPool.initial(idx, "paper")
         basis = MasterBasis()
-        first = build_rmp(pool, inst, idx)
+        first = build_rmp(pool, all_capacity_rows(inst))
         basis.record(first, solve_lp(first.problem).basis)
         columns = enumerate_columns(inst.horizon)
         for key in list(pool.entries):
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
-        model = build_rmp(pool, inst, idx)
+        model = build_rmp(pool, all_capacity_rows(inst))
         assert_alike(model.problem, basis.start(model))
         masters += 1
     assert masters == 30
@@ -453,12 +453,12 @@ def test_objective_and_iterations_equal_the_whole_info(monkeypatch):
     for _ in range(30):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        pool = ColumnPool.initial(inst, idx, "paper")
-        cold = solve_lp(build_rmp(pool, inst, idx).problem)
+        pool = ColumnPool.initial(idx, "paper")
+        cold = solve_lp(build_rmp(pool, all_capacity_rows(inst)).problem)
         for key in pool.pairs:
             for col in rng.sample(enumerate_columns(inst.horizon), 2):
                 pool.add(*key, col)
-        problem = build_rmp(pool, inst, idx).problem
+        problem = build_rmp(pool, all_capacity_rows(inst)).problem
         grown = solve_lp(problem)
         warm = solve_lp(problem, grown.basis)
         for sol, info in zip((cold, grown, warm), infos[-3:]):
