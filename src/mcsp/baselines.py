@@ -95,8 +95,15 @@ def run_pba(inst: Instance) -> SolveReport:
     schedule = Schedule(horizon=inst.horizon, states=states)
     assignment = derive_assignment(schedule, inst, "min")
     cost = plan_cost(schedule, assignment, inst)
-    return SolveReport("pba", "min", cost, cost, wall_time_s=time.perf_counter() - started,
-                       schedule=schedule, assignment=assignment)
+    return SolveReport(
+        algorithm="pba",
+        settlement_mode="min",
+        cost=cost,
+        settled_cost=cost,
+        wall_time_s=time.perf_counter() - started,
+        schedule=schedule,
+        assignment=assignment,
+    )
 
 
 @functools.cache
@@ -269,8 +276,15 @@ def solve_exact(
     assignment = derive_assignment(schedule, inst, mode)
     cost = plan_cost(schedule, assignment, inst)
     assert abs(cost.total - best_cost) <= 1e-9 * (1 + abs(cost.total))
-    return SolveReport("exact", mode, cost, cost, wall_time_s=time.perf_counter() - started,
-                       schedule=schedule, assignment=assignment)
+    return SolveReport(
+        algorithm="exact",
+        settlement_mode=mode,
+        cost=cost,
+        settled_cost=cost,
+        wall_time_s=time.perf_counter() - started,
+        schedule=schedule,
+        assignment=assignment,
+    )
 
 
 # ---------------------------------------------------------------------------

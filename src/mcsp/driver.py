@@ -230,9 +230,17 @@ def _finish_report(
     cost = plan_cost(schedule, assignment, inst)
     settled = evaluate(schedule, inst, mode)
     return SolveReport(
-        algorithm, mode, cost, settled, lb, compute_gap(cost.total, lb),
-        pricing_rounds=pricing_rounds, rounding_rounds=rounding_rounds,
-        wall_time_s=time.perf_counter() - started, schedule=schedule, assignment=assignment,
+        algorithm=algorithm,
+        settlement_mode=mode,
+        cost=cost,
+        settled_cost=settled,
+        lower_bound=lb,
+        gap=compute_gap(cost.total, lb),
+        pricing_rounds=pricing_rounds,
+        rounding_rounds=rounding_rounds,
+        wall_time_s=time.perf_counter() - started,
+        schedule=schedule,
+        assignment=assignment,
     )
 
 
@@ -305,8 +313,13 @@ def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveRepo
     """Column generation without rounding: the optimality yardstick."""
     started = time.perf_counter()
     result = run_cga(*_set_up(inst, mode))
-    return SolveReport("lb", mode, lower_bound=result.solution.objective,
-                       pricing_rounds=result.rounds, wall_time_s=time.perf_counter() - started)
+    return SolveReport(
+        algorithm="lb",
+        settlement_mode=mode,
+        lower_bound=result.solution.objective,
+        pricing_rounds=result.rounds,
+        wall_time_s=time.perf_counter() - started,
+    )
 
 
 def _next_pin(sol: RmpSolution, pool: ColumnPool) -> tuple[tuple[int, int], int]:
@@ -346,8 +359,13 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
             sol = result.solution
     except LpInfeasibleError:
         return SolveReport(
-            "nrs", mode, lower_bound=lb, pricing_rounds=pricing_rounds, rounding_rounds=fixes,
-            wall_time_s=time.perf_counter() - started, feasible=False,
+            algorithm="nrs",
+            settlement_mode=mode,
+            lower_bound=lb,
+            pricing_rounds=pricing_rounds,
+            rounding_rounds=fixes,
+            wall_time_s=time.perf_counter() - started,
+            feasible=False,
             failure="master became infeasible after fixing column weights",
         )
     schedule = decode_schedule(pool, sol)

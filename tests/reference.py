@@ -993,4 +993,5 @@ def solve_exact(inst: Instance, mode: str = "paper") -> SolveReport:
     schedule = best["schedule"]
     assignment = derive_assignment(schedule, inst, mode)
     cost = plan_cost(schedule, assignment, inst)
-    return SolveReport("exact", mode, cost, cost, schedule=schedule, assignment=assignment)
+    return SolveReport(algorithm="exact", settlement_mode=mode, cost=cost, settled_cost=cost,
+                       schedule=schedule, assignment=assignment)

@@ -17,8 +17,8 @@ from mcsp.driver import (
 )
 from mcsp.generator import GeneratorConfig, generate_instance
 from mcsp.instance import build_request_index
-from mcsp.rmp import RmpSolution
-from mcsp.rounding import TOL_INT
+from mcsp.rmp import CapacityRows, MasterBasis, RmpSolution
+from mcsp.rounding import TOL_INT, RoundingState
 
 from conftest import TWO_CELL, all_capacity_rows, by_pair, random_tiny_instance
 
@@ -29,9 +29,10 @@ def test_tiny1_cga_fixpoint(tiny1):
     result = run_cga(*solve)
     assert result.solution.objective == pytest.approx(3.0)
     assert result.rounds <= 3
-    # idempotence: rerunning at the fixpoint adds nothing
+    # idempotence: a cold rerun at the fixpoint, with fresh fixings, no
+    # capacity rows and no basis, adds nothing
     n = pool.total_columns()
-    again = run_cga(*solve)
+    again = run_cga(pool, solve[1], RoundingState(tiny1), CapacityRows(tiny1), MasterBasis())
     assert pool.total_columns() == n
     assert again.rounds == 1
 
@@ -39,7 +40,6 @@ def test_tiny1_cga_fixpoint(tiny1):
 def test_tiny1_first_pricing_round(tiny1, tiny1_idx):
     from mcsp.pricing import PricingStatics, price_all
     from mcsp.rmp import build_rmp, solve_rmp
-    from mcsp.rounding import RoundingState
 
     pool = ColumnPool.initial(tiny1_idx, "paper")
     sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)))
