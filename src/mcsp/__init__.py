@@ -1,14 +1,7 @@
 """Multi-cell content scheduling: solvers, baselines, and benchmark tools."""
 
 from .baselines import export_ilp, run_pba, solve_exact
-from .columns import (
-    Column,
-    ColumnPool,
-    column_aoi,
-    column_cost_S,
-    coverage_B,
-    enumerate_columns,
-)
+from .columns import Column, ColumnPool, enumerate_columns
 from .driver import SolveReport, naive_round, run_cga, run_lower_bound, run_rcga
 from .costs import (
     AssignmentPlan,
@@ -53,9 +46,6 @@ __all__ = [
     "Topology",
     "build_request_index",
     "check_feasibility",
-    "column_aoi",
-    "column_cost_S",
-    "coverage_B",
     "derive_aoi",
     "derive_assignment",
     "enumerate_columns",

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import ABSENT, CACHED, UPDATED, CAPACITY_EPS, SettlementMode
-from .instance import Instance, Request, RequestIndex
+from .instance import RequestIndex
 
 Column = tuple[tuple[int, int], ...]
 
@@ -52,19 +52,6 @@ def column_is_valid(col: Column) -> bool:
     return True
 
 
-def column_aoi(col: Column, t: int) -> Optional[int]:
-    """Age of the copy at slot t (1-based), or None when absent."""
-    age: Optional[int] = None
-    for q, p in col[:t]:
-        if p == 1:
-            age = 0
-        elif q == 1:
-            age = age + 1  # type: ignore[operator]  # validity guarantees a predecessor
-        else:
-            age = None
-    return age
-
-
 def column_ages(col: Column) -> list[Optional[int]]:
     ages: list[Optional[int]] = []
     age: Optional[int] = None
@@ -79,68 +66,9 @@ def column_ages(col: Column) -> list[Optional[int]]:
     return ages
 
 
-def update_slots(col: Column) -> tuple[int, ...]:
-    return tuple(t for t, (_, p) in enumerate(col, start=1) if p == 1)
-
-
 def column_states(col: Column) -> str:
     """Render as a state string: 'U' update, 'C' cached, 'A' absent."""
     return "".join(UPDATED if p else (CACHED if q else ABSENT) for q, p in col)
-
-
-def column_from_states(states: str) -> Column:
-    mapping = {UPDATED: (1, 1), CACHED: (1, 0), ABSENT: (0, 0)}
-    return tuple(mapping[st] for st in states)
-
-
-def settle_scr(inst: Instance, i: int, age: int, back: int, mode: SettlementMode) -> float:
-    """Age cost a deadline-slot single-choice request pays when the copy has
-    the given age at the deadline and arrived ``back`` slots earlier."""
-    reach = inst.f(max(0, age - back))
-    if mode == "min":
-        return min(reach, inst.cloud_cost(i))
-    return reach
-
-
-def column_cost_S(
-    col: Column, h: int, i: int, inst: Instance, idx: RequestIndex, mode: SettlementMode
-) -> float:
-    """Standalone cost of a column: update cost plus the owning server's
-    single-choice request costs under the settlement convention."""
-    size = inst.size(i)
-    total = inst.cost.beta * size * sum(p for _, p in col)
-    ages = column_ages(col)
-    for r in idx.scr(h, i):
-        age = ages[r.deadline - 1]
-        if age is None:
-            total += inst.cloud_cost(i)
-        else:
-            total += settle_scr(inst, i, age, r.window, mode)
-    return total
-
-
-def coverage_B(col: Column, r: Request, h: int, a: int) -> int:
-    """1 iff the column realizes age ``a`` in some slot of the request window."""
-    if h not in r.candidates:
-        raise ValueError(f"server {h} is not a candidate of request {r.id}")
-    if not (0 <= a <= r.deadline - 1):
-        raise ValueError(f"age {a} outside 0..{r.deadline - 1}")
-    ages = column_ages(col)
-    return int(any(ages[t - 1] == a for t in range(r.origin, r.deadline + 1)))
-
-
-def settlement_coverage(col: Column, r: Request) -> tuple[Optional[int], bool]:
-    """Which service options the pricing settlement credits this column for r.
-
-    Returns (arrival_age, update_in_window): the copy's age at the request's
-    origin slot if cached there (the request can be served at that age), and
-    whether any update falls inside the window (the request can be served at
-    age zero). These are the only options the per-age coverage rows of the
-    master problem may claim; anything wider cannot be priced exactly.
-    """
-    arrival_age = column_aoi(col, r.origin)
-    upd = any(r.origin <= u <= r.deadline for u in update_slots(col))
-    return arrival_age, upd
 
 
 def enumerate_columns(horizon: int, cap: int = ENUMERATION_CAP) -> list[Column]:
@@ -158,22 +86,6 @@ def enumerate_columns(horizon: int, cap: int = ENUMERATION_CAP) -> list[Column]:
                 nxt.append(col + ((1, 0),))
         cols = nxt
     return cols
-
-
-@dataclass
-class PricedEntry:
-    """One pool entry as ``ColumnPool.columns`` shows it, read off the pool's
-    arrays."""
-
-    column: Column
-    cost: float  # standalone cost under the pool's settlement mode
-    # (request id, age) pairs the settlement convention lets this column
-    # serve, in rank order (by request id, then age: the order of the
-    # master's coverage rows)
-    coverage: tuple[tuple[int, int], ...] = ()
-    svc: tuple[int, ...] = ()  # their positions in the request index's service index
-    serial: int = 0  # the entry's number in its pool, in order of insertion
-    flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
 
 
 def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +127,7 @@ class ColumnPool:
     Entries are made in batches (``_make``): the zero columns of
     ``initial``, the columns of ``add_many`` (a round's priced candidates)
     and the canonical columns of a purge. A column is pooled at most once per
-    pair. ``columns`` and ``entries`` show entries as ``PricedEntry`` views;
-    the solve path reads the arrays (``arrays``, ``covered``)."""
+    pair. The solve path reads the arrays (``arrays``, ``covered``)."""
 
     def __init__(self, idx: RequestIndex, mode: SettlementMode):
         """An empty pool of the instance ``idx`` indexes, costed in ``mode``;
@@ -266,8 +177,9 @@ class ColumnPool:
         number them in that order and put each at the end of its pair.
 
         The cost adds the update cost, then each single-choice request's
-        settlement in ``scr(h, i)`` order, as ``column_cost_S`` does; the
-        coverage is that of ``settlement_coverage``. A batch of up to
+        settlement in the request index's order; cost and coverage are the
+        standalone cost S and the settlement coverage of the paper, as
+        ``reference.make_entry`` in the tests computes them. A batch of up to
         ``SMALL_BATCH`` columns is made in loops, a larger one in one array
         pass: both give the same entries, bit for bit, and the loops cost
         less than numpy's fixed cost per call on a few columns."""
@@ -331,32 +243,35 @@ class ColumnPool:
     def _entries_by_loop(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
         """What ``_entries_by_array`` returns, column by column in loops."""
         inst, idx = self.inst, self.idx
-        beta, least = inst.cost.beta, self.mode == "min"
+        beta, least, aoi = inst.cost.beta, self.mode == "min", idx.aoi.tolist()
         costs, svcs, counts = [], [], []
         for k, (q, p) in zip(ks.tolist(), flags.view(np.uint8).tolist()):
-            h, i = self.pairs[k]
+            i = self.pairs[k][1]
             ages, age = [], -1
             for cached, updated in zip(q, p):
                 age = 0 if updated else age + 1 if cached else -1
                 ages.append(age)
             cloud = inst.cloud_cost(i)
             cost = beta * inst.size(i) * sum(p)
-            for r in idx.scr(h, i):
-                held = ages[r.deadline - 1]
-                reach = cloud if held < 0 else inst.f(max(0, held - r.window))
+            scrs = slice(idx.scr_start[k], idx.scr_start[k + 1])
+            for deadline, window in zip(idx.scr_deadline[scrs].tolist(),
+                                        idx.scr_window[scrs].tolist()):
+                held = ages[deadline - 1]
+                reach = cloud if held < 0 else aoi[max(0, held - window)]
                 cost += min(reach, cloud) if least else reach
             costs.append(cost)
-            cover = []  # (request id, age, service position)
-            zeros = idx.mcr_svc[idx.mcr_start[k] : idx.mcr_start[k + 1]].tolist()
-            for r, zero in zip(idx.mcr(h, i), zeros):
-                if ages[r.origin - 1] >= 1:
-                    cover.append((r.id, ages[r.origin - 1], zero + ages[r.origin - 1]))
-                if any(p[r.origin - 1 : r.deadline]):
-                    cover.append((r.id, 0, zero))
-            cover.sort()  # rank order within one pair
-            svcs.extend(j for _, _, j in cover)
-            counts.append(len(cover))
-        return np.array(costs), np.array(svcs, dtype=np.int64), np.array(counts, dtype=np.int64)
+            mcrs, before = slice(idx.mcr_start[k], idx.mcr_start[k + 1]), len(svcs)
+            for origin, deadline, zero in zip(idx.mcr_origin[mcrs].tolist(),
+                                              idx.mcr_deadline[mcrs].tolist(),
+                                              idx.mcr_svc[mcrs].tolist()):
+                if ages[origin - 1] >= 1:
+                    svcs.append(zero + ages[origin - 1])
+                if any(p[origin - 1 : deadline]):
+                    svcs.append(zero)
+            counts.append(len(svcs) - before)
+        svc = np.array(svcs, dtype=np.int64)
+        by = np.lexsort((idx.svc_rank[svc], np.arange(len(counts)).repeat(counts)))
+        return np.array(costs), svc[by], np.array(counts, dtype=np.int64)
 
     def _reorder(self, order: np.ndarray, dropped: np.ndarray) -> None:
         """Make ``order`` the pool order, the entries ``dropped`` gone."""
@@ -372,31 +287,11 @@ class ColumnPool:
             self._views["starts"] = np.concatenate([[0], np.cumsum(self.counts)])
         return self._views["starts"]
 
-    def _view(self, s: int) -> PricedEntry:
-        svc = self.svc[self.svc_start[s] : self.svc_start[s + 1]]
-        return PricedEntry(
-            column=self.column_of(s),
-            cost=float(self.cost[s]),
-            coverage=tuple(zip(self.idx.svc_request_ids[svc].tolist(),
-                               self.idx.svc_age[svc].tolist())),
-            svc=tuple(svc.tolist()),
-            serial=int(s),
-            flags=self.flags[s].tobytes(),
-        )
-
     def _block(self, h: int, i: int) -> np.ndarray:
         """The live serials of a pair, in pool order."""
         k = self.pair_index(h, i)
         start = self.starts()[k]
         return self.order[start : start + self.counts[k]]
-
-    def columns(self, h: int, i: int) -> list[PricedEntry]:
-        return [self._view(s) for s in self._block(h, i)]
-
-    @property
-    def entries(self) -> dict[tuple[int, int], list[PricedEntry]]:
-        """Every pair's entries in pool order, made afresh from the arrays."""
-        return {key: self.columns(*key) for key in self.pairs}
 
     def column_of(self, s: int) -> Column:
         """The column of the entry with serial s."""
@@ -409,9 +304,6 @@ class ColumnPool:
     def pooled(self, ks: np.ndarray, flags: np.ndarray) -> list[bool]:
         """Whether the columns ``flags`` of the pairs ``ks`` are pooled."""
         return [key in self._live for key in self._key(ks, flags)]
-
-    def contains(self, h: int, i: int, col: Column) -> bool:
-        return self._key(np.array([self.pair_index(h, i)]), _flags_of([col]))[0] in self._live
 
     def add(self, h: int, i: int, col: Column) -> bool:
         """Insert a column if absent; returns True when actually added."""

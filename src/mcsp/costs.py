@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from .instance import Instance, Request, RequestIndex
+from .instance import Instance, Request
 
 ABSENT = "A"
 UPDATED = "U"
@@ -266,25 +266,3 @@ def check_feasibility(schedule: Schedule, inst: Instance) -> list[str]:
             out.append(f"server {h} slot {t}: backhaul load {load} exceeds capacity {cap}")
     return out
 
-
-def check_plan(plan: AssignmentPlan, schedule: Schedule, inst: Instance) -> list[str]:
-    """Verify that a plan only claims (server, slot, age) the schedule realizes."""
-    out = []
-    for r in inst.requests:
-        hit = plan.served.get(r.id)
-        if hit is None:
-            continue
-        h, t, a = hit
-        if h not in r.candidates:
-            out.append(f"request {r.id}: served by non-candidate server {h}")
-            continue
-        if not (r.origin <= t <= r.deadline):
-            out.append(f"request {r.id}: served outside its window at slot {t}")
-            continue
-        ages = schedule_aoi(schedule, h, r.content)
-        if ages[t - 1] != a:
-            out.append(
-                f"request {r.id}: schedule realizes age {ages[t - 1]} at "
-                f"({h},{t}), plan claims {a}"
-            )
-    return out

@@ -181,12 +181,12 @@ def run_cga(
     rounds = 0
     while True:
         model = build_rmp(pool, capacity_rows)
-        sol = solve_rmp(model, basis=basis)
+        sol = solve_rmp(model, basis)
         rounds += 1
         candidates = price_all(pool, sol.duals, statics, fixings)
         if not candidates:
             if canonical:
-                sol = solve_rmp(model, canonical=True, lp=sol.lp)
+                sol = solve_rmp(model, basis, canonical=True, lp=sol.lp)
             if not capacity_rows.add_violated(pool, sol.weights):
                 return CgaResult(solution=sol, rounds=rounds)
         if candidates:

@@ -176,14 +176,6 @@ class Instance:
                 [0.0] + [s.backhaul_capacity for s in self.servers]])
         return self._memo["capacities"]
 
-    @property
-    def mcrs(self) -> tuple[Request, ...]:
-        return tuple(r for r in self.requests if r.is_mcr)
-
-    @property
-    def scrs(self) -> tuple[Request, ...]:
-        return tuple(r for r in self.requests if not r.is_mcr)
-
 
 def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=float)
@@ -421,40 +413,38 @@ def load_instance(path: str | Path) -> Instance:
 
 
 class RequestIndex:
-    """Precomputed request lookups used by cost evaluation and pricing.
+    """Precomputed request lookups used by cost evaluation and pricing, held
+    as arrays.
 
-    scr(h, i)  SCRs whose sole candidate is h and content is i.
-    mcr(h, i)  MCRs with h among the candidates and content i.
+    ``pairs`` lists the (server, content) pairs, numbered k = (h - 1) *
+    num_contents + (i - 1); ``pair_server`` and ``pair_content`` hold each
+    pair's server and content. The single-choice requests of pair k (its
+    server is the sole candidate) are entries ``scr_start[k]:scr_start[k +
+    1]`` of ``scr_deadline`` and ``scr_window``, in request order. The
+    multiple-choice requests with pair k's server among the candidates are
+    entries ``mcr_start[k]:mcr_start[k + 1]`` of ``mcr_origin``,
+    ``mcr_deadline`` and ``mcr_svc``, in request order; an MCR has one entry
+    per candidate server. ``mcr_pair`` and ``scr_pair`` hold each entry's
+    pair k.
 
     The service index numbers the MCR service triples (request id, server,
-    age), one per candidate server and age below the deadline: pair by pair
-    in (server, content) order, then in ``mcr(h, i)`` order, then by age.
-    ``svc_request_ids``, ``svc_saving`` (f(age) minus the request's cloud
-    cost) and ``svc_rank`` (the rank of the triple in sorted (request id,
-    server, age) order, which orders the master's coverage rows) are by
-    position, and ``svc_by_rank`` lists the positions in rank order. The
-    master's coverage duals and the pricing's service credits are arrays in
-    position order.
+    age), one per MCR entry and age below the deadline, in MCR entry order,
+    then by age: ``mcr_svc`` is the position of an entry's age zero, and age
+    a is at ``mcr_svc + a``. ``svc_request_ids``, ``svc_age``,
+    ``svc_saving`` (f(age) minus the request's cloud cost) and ``svc_rank``
+    (the rank of the triple in sorted (request id, server, age) order, which
+    orders the master's coverage rows) are by position, and ``svc_by_rank``
+    lists the positions in rank order. The master's coverage duals and the
+    pricing's service credits are arrays in position order.
     ``mcr_cloud_cost`` is the cloud cost of every MCR, which the master
     carries as a constant.
 
-    ``pairs`` lists the (server, content) pairs in that order, numbered k =
-    (h - 1) * num_contents + (i - 1); ``pair_server`` and ``pair_content``
-    hold each pair's server and content. By pair, the MCRs of ``mcr(h, i)`` are entries
-    ``mcr_start[k]:mcr_start[k + 1]`` of ``mcr_origin``, ``mcr_deadline`` and
-    ``mcr_svc`` (the service position of age zero; age a is at ``mcr_svc +
-    a``), in ``mcr(h, i)`` order; the SCRs of ``scr(h, i)`` are entries
-    ``scr_start[k]:scr_start[k + 1]`` of ``scr_deadline`` and ``scr_window``.
-    ``mcr_pair`` and ``scr_pair`` hold each entry's pair k.
-    ``aoi`` holds f(a) for the ages a = 0..horizon - 1, ``cloud`` the cloud
-    cost by content id (index 0 unused) and ``svc_age`` the age of every
-    service.
+    ``aoi`` holds f(a) for the ages a = 0..horizon - 1 and ``cloud`` the
+    cloud cost by content id (index 0 unused).
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._scr: dict[tuple[int, int], list[Request]] = {}
-        self._mcr: dict[tuple[int, int], list[Request]] = {}
         # one row per MCR and candidate, and per SCR, led by its pair k
         num_contents, mcr_rows, scr_rows = inst.num_contents, [], []
         self.mcr_cloud_cost = 0  # the cloud cost of every MCR, summed in request order
@@ -462,12 +452,10 @@ class RequestIndex:
             if r.is_mcr:
                 self.mcr_cloud_cost += inst.cloud_cost(r.content)
                 for h in r.candidates:
-                    self._mcr.setdefault((h, r.content), []).append(r)
                     mcr_rows.append(((h - 1) * num_contents + r.content - 1, r.id, h,
                                      r.origin, r.deadline))
             else:
                 h = r.candidates[0]
-                self._scr.setdefault((h, r.content), []).append(r)
                 scr_rows.append(((h - 1) * num_contents + r.content - 1, r.deadline, r.window))
         self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
         self.pairs = [(h, i) for h in range(1, inst.num_servers + 1)
@@ -495,12 +483,6 @@ class RequestIndex:
         self.svc_saving = self.aoi[self.svc_age] - self.cloud[self.pair_content[pair]]
         self.svc_by_rank = np.lexsort((self.svc_age, servers, self.svc_request_ids))
         self.svc_rank = self.svc_by_rank.argsort()
-
-    def scr(self, h: int, i: int) -> tuple[Request, ...]:
-        return tuple(self._scr.get((h, i), ()))
-
-    def mcr(self, h: int, i: int) -> tuple[Request, ...]:
-        return tuple(self._mcr.get((h, i), ()))
 
 
 def build_request_index(inst: Instance) -> RequestIndex:

@@ -285,15 +285,16 @@ def build_rmp(pool: ColumnPool, capacity_rows: CapacityRows) -> RmpModel:
 
 def solve_rmp(
     model: RmpModel,
+    basis: MasterBasis,
     canonical: bool = False,
     lp: Optional[LpSolution] = None,
-    basis: Optional[MasterBasis] = None,
 ) -> RmpSolution:
     """Solve the master; with ``canonical`` the primal is re-selected on the
     optimal face to minimize update count, then update lateness. ``lp``, when
-    given, is the primary solve of this master, already at hand. With
-    ``basis`` the primary solve starts from the basis it holds, mapped onto
-    this master, and records its optimal basis there for the next master.
+    given, is the primary solve of this master, already at hand. Otherwise
+    the primary solve starts from the basis ``basis`` holds, mapped onto
+    this master (a cold start when it holds none), and records its optimal
+    basis there for the next master.
 
     Degenerate masters have many optimal vertices and which one a solver
     returns can depend on immaterial input details and on the start basis.
@@ -311,9 +312,8 @@ def solve_rmp(
     order."""
     sol = lp
     if sol is None:
-        sol = solve_lp(model.problem, basis.start(model) if basis is not None else None)
-        if basis is not None:
-            basis.record(model, sol.basis)
+        sol = solve_lp(model.problem, basis.start(model))
+        basis.record(model, sol.basis)
     x = _canonical_primal(model, sol) if canonical else sol.x
     return RmpSolution(
         objective=sol.objective + model.constant,

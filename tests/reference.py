@@ -1,9 +1,16 @@
 """Scalar references the array code of the solve path is checked against.
 
-``ColumnPool`` once made each entry on its own: ``make_entry`` walked the
-column per request to derive its cost and coverage. The pool now makes its
-entries in array batches; ``make_entry`` is the scalar form they are checked
-against.
+The paper defines a column's standalone cost S (``column_cost_S``) and its
+coverage B (``coverage_B``); ``settlement_coverage`` is the part of B the
+master's coverage rows may claim. ``ColumnPool`` once made each entry on its
+own: ``make_entry`` walked the column per request to derive its cost and
+coverage with these definitions. The pool now makes its entries in batches
+from the request index's arrays; ``make_entry`` is the scalar form they are
+checked against. ``pool_columns`` and ``pool_entries`` show a pool's entries
+one by one as ``PricedEntry`` views and ``pool_contains`` asks whether a
+column is pooled; the solve path reads the pool's arrays instead.
+``check_plan`` checks a plan against its schedule, and ``mcrs``/``scrs``
+split an instance's requests.
 
 The rounding pass and the pool purge once kept their fixings in a dict keyed
 by (server, content, slot) and looped over it in Python; ``mcsp.rounding`` and
@@ -25,9 +32,12 @@ per-depth tables, its packed capacity word and its memoised settlement: per
 settling request costed anew at every node. It is the reference the oracle's
 reports are checked against.
 
-``RequestIndex`` once built its service arrays one service at a time;
-``LoopRequestIndex`` is that loop, kept to check the array passes against, and
-``service_saving`` the scalar form of ``RequestIndex.svc_saving``.
+``RequestIndex`` once built its service arrays one service at a time and
+kept each pair's requests in dicts; ``LoopRequestIndex`` is that loop, with
+the scalar ``scr(h, i)``/``mcr(h, i)`` lookups, kept to check the array
+passes against. ``loop_index`` gives the scalar references those lookups for
+any index, and ``service_saving`` is the scalar form of
+``RequestIndex.svc_saving``.
 
 ``build_lp``, ``a_matrix``, ``reduced_costs``, ``dual_objective`` and
 ``max_primal_violation`` build small LPs from sparse row dicts and check
@@ -58,17 +68,26 @@ from mcsp.columns import (
     FREE,
     Column,
     ColumnPool,
-    PricedEntry,
     UnfixablePoolError,
+    _flags_of,
     canonical_column,
     column_ages,
-    column_cost_S,
     column_states,
     enumerate_columns,
-    settlement_coverage,
     zero_column,
 )
-from mcsp.costs import CAPACITY_EPS, Schedule, derive_assignment, evaluate, plan_cost
+from mcsp.costs import (
+    ABSENT,
+    CACHED,
+    CAPACITY_EPS,
+    UPDATED,
+    AssignmentPlan,
+    Schedule,
+    derive_assignment,
+    evaluate,
+    plan_cost,
+    schedule_aoi,
+)
 from mcsp.driver import SolveReport
 from mcsp.instance import Instance, Request, RequestIndex
 from mcsp.pricing import PricerTables, decode_moves, forward_values
@@ -79,6 +98,124 @@ from mcsp.simplex import BASIC, EQ, LE, LOWER, UPPER, LpBasis, LpProblem, LpSolu
 Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
 
+# -- the paper's column definitions and the per-entry pool view -------------
+
+
+def column_aoi(col: Column, t: int) -> Optional[int]:
+    """Age of the copy at slot t (1-based), or None when absent."""
+    age: Optional[int] = None
+    for q, p in col[:t]:
+        if p == 1:
+            age = 0
+        elif q == 1:
+            age = age + 1  # type: ignore[operator]  # validity guarantees a predecessor
+        else:
+            age = None
+    return age
+
+
+def update_slots(col: Column) -> tuple[int, ...]:
+    return tuple(t for t, (_, p) in enumerate(col, start=1) if p == 1)
+
+
+def column_from_states(states: str) -> Column:
+    """The column of a state string: 'U' update, 'C' cached, 'A' absent."""
+    mapping = {UPDATED: (1, 1), CACHED: (1, 0), ABSENT: (0, 0)}
+    return tuple(mapping[st] for st in states)
+
+
+def settle_scr(inst: Instance, i: int, age: int, back: int, mode) -> float:
+    """Age cost a deadline-slot single-choice request pays when the copy has
+    the given age at the deadline and arrived ``back`` slots earlier."""
+    reach = inst.f(max(0, age - back))
+    if mode == "min":
+        return min(reach, inst.cloud_cost(i))
+    return reach
+
+
+def column_cost_S(col: Column, h: int, i: int, inst: Instance, idx: RequestIndex, mode) -> float:
+    """Standalone cost S of a column: update cost plus the owning server's
+    single-choice request costs under the settlement convention."""
+    total = inst.cost.beta * inst.size(i) * sum(p for _, p in col)
+    ages = column_ages(col)
+    for r in loop_index(idx).scr(h, i):
+        age = ages[r.deadline - 1]
+        if age is None:
+            total += inst.cloud_cost(i)
+        else:
+            total += settle_scr(inst, i, age, r.window, mode)
+    return total
+
+
+def coverage_B(col: Column, r: Request, h: int, a: int) -> int:
+    """Coverage B: 1 iff the column realizes age ``a`` in some slot of the
+    request window."""
+    if h not in r.candidates:
+        raise ValueError(f"server {h} is not a candidate of request {r.id}")
+    if not (0 <= a <= r.deadline - 1):
+        raise ValueError(f"age {a} outside 0..{r.deadline - 1}")
+    ages = column_ages(col)
+    return int(any(ages[t - 1] == a for t in range(r.origin, r.deadline + 1)))
+
+
+def settlement_coverage(col: Column, r: Request) -> tuple[Optional[int], bool]:
+    """Which service options the pricing settlement credits this column for r.
+
+    Returns (arrival_age, update_in_window): the copy's age at the request's
+    origin slot if cached there (the request can be served at that age), and
+    whether any update falls inside the window (the request can be served at
+    age zero). These are the only options the per-age coverage rows of the
+    master problem may claim; anything wider cannot be priced exactly.
+    """
+    arrival_age = column_aoi(col, r.origin)
+    upd = any(r.origin <= u <= r.deadline for u in update_slots(col))
+    return arrival_age, upd
+
+
+@dataclass
+class PricedEntry:
+    """One pool entry as ``pool_columns`` shows it, read off the pool's
+    arrays."""
+
+    column: Column
+    cost: float  # standalone cost under the pool's settlement mode
+    # (request id, age) pairs the settlement convention lets this column
+    # serve, in rank order (by request id, then age: the order of the
+    # master's coverage rows)
+    coverage: tuple[tuple[int, int], ...] = ()
+    svc: tuple[int, ...] = ()  # their positions in the request index's service index
+    serial: int = 0  # the entry's number in its pool, in order of insertion
+    flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
+
+
+def entry_view(pool: ColumnPool, s: int) -> PricedEntry:
+    """The pool's entry with serial s."""
+    svc = pool.svc[pool.svc_start[s] : pool.svc_start[s + 1]]
+    return PricedEntry(
+        column=pool.column_of(s),
+        cost=float(pool.cost[s]),
+        coverage=tuple(zip(pool.idx.svc_request_ids[svc].tolist(),
+                           pool.idx.svc_age[svc].tolist())),
+        svc=tuple(svc.tolist()),
+        serial=int(s),
+        flags=pool.flags[s].tobytes(),
+    )
+
+
+def pool_columns(pool: ColumnPool, h: int, i: int) -> list[PricedEntry]:
+    """The pair's live entries, in pool order."""
+    return [entry_view(pool, s) for s in pool._block(h, i)]
+
+
+def pool_entries(pool: ColumnPool) -> dict[tuple[int, int], list[PricedEntry]]:
+    """Every pair's entries in pool order, made afresh from the arrays."""
+    return {key: pool_columns(pool, *key) for key in pool.pairs}
+
+
+def pool_contains(pool: ColumnPool, h: int, i: int, col: Column) -> bool:
+    return pool.pooled(np.array([pool.pair_index(h, i)]), _flags_of([col]))[0]
+
+
 def make_entry(
     col: Column, h: int, i: int, inst: Instance, idx: RequestIndex, mode
 ) -> PricedEntry:
@@ -86,7 +223,7 @@ def make_entry(
     settlement convention's order (per request in ``mcr(h, i)`` order, the
     arrival age, then age zero), service positions in rank order, flags."""
     cov: list[tuple[int, int]] = []
-    for r in idx.mcr(h, i):
+    for r in loop_index(idx).mcr(h, i):
         arrival_age, upd = settlement_coverage(col, r)
         if arrival_age is not None and arrival_age >= 1:
             cov.append((r.id, arrival_age))
@@ -100,6 +237,39 @@ def make_entry(
         flags=bytes(q for q, _ in col) + bytes(p for _, p in col),
     )
 
+
+
+def check_plan(plan: AssignmentPlan, schedule: Schedule, inst: Instance) -> list[str]:
+    """Verify that a plan only claims (server, slot, age) the schedule realizes."""
+    out = []
+    for r in inst.requests:
+        hit = plan.served.get(r.id)
+        if hit is None:
+            continue
+        h, t, a = hit
+        if h not in r.candidates:
+            out.append(f"request {r.id}: served by non-candidate server {h}")
+            continue
+        if not (r.origin <= t <= r.deadline):
+            out.append(f"request {r.id}: served outside its window at slot {t}")
+            continue
+        ages = schedule_aoi(schedule, h, r.content)
+        if ages[t - 1] != a:
+            out.append(
+                f"request {r.id}: schedule realizes age {ages[t - 1]} at "
+                f"({h},{t}), plan claims {a}"
+            )
+    return out
+
+
+def mcrs(inst: Instance) -> tuple[Request, ...]:
+    """The instance's multiple-choice requests, in request order."""
+    return tuple(r for r in inst.requests if r.is_mcr)
+
+
+def scrs(inst: Instance) -> tuple[Request, ...]:
+    """The instance's single-choice requests, in request order."""
+    return tuple(r for r in inst.requests if not r.is_mcr)
 
 
 def service_saving(inst: Instance, i: int, a: int) -> float:
@@ -188,7 +358,7 @@ def compute_indicators(chi: dict, pool: ColumnPool) -> tuple[dict, dict]:
     for key, weights in chi.items():
         g = np.zeros(T + 1)
         o = np.zeros(T + 1)
-        for w, entry in zip(weights, pool.entries[key]):
+        for w, entry in zip(weights, pool_columns(pool, *key)):
             if w <= 0:
                 continue
             for t, (q, p) in enumerate(entry.column, start=1):
@@ -304,7 +474,7 @@ def purge_incompatible(pool: ColumnPool, fixings, remaining_cache, remaining_bac
     deriving every canonical column afresh."""
     removed = 0
     slots = range(1, pool.inst.horizon + 1)
-    for (h, i), entries in pool.entries.items():
+    for (h, i), entries in pool_entries(pool).items():
         size = pool.inst.size(i)
         fixed = tuple(fixings.get((h, i, t), (None, None)) for t in slots)
         kept = []
@@ -381,9 +551,10 @@ class SparseLp:
 def master_lp(pool: ColumnPool, capacity_rows) -> SparseLp:
     """The master LP of ``build_rmp`` from COO triplets summed into CSR."""
     inst, idx = pool.inst, pool.idx
-    pairs = sorted(pool.entries)
-    counts = [len(pool.entries[key]) for key in pairs]
-    entries = [e for key in pairs for e in pool.entries[key]]
+    by_pair = pool_entries(pool)
+    pairs = sorted(by_pair)
+    counts = [len(by_pair[key]) for key in pairs]
+    entries = [e for key in pairs for e in by_pair[key]]
     n_chi = len(entries)
     col_pair = np.repeat(np.arange(len(pairs)), counts)
     pair_server = np.array([h for h, _ in pairs], dtype=np.int64)
@@ -660,6 +831,27 @@ class LoopRequestIndex(RequestIndex):
         self.svc_rank[self.svc_by_rank] = np.arange(len(keys))
         self.mcr_cloud_cost = sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
 
+    def scr(self, h: int, i: int) -> tuple[Request, ...]:
+        """The SCRs whose sole candidate is h and content is i."""
+        return tuple(self._scr.get((h, i), ()))
+
+    def mcr(self, h: int, i: int) -> tuple[Request, ...]:
+        """The MCRs with h among the candidates and content i."""
+        return tuple(self._mcr.get((h, i), ()))
+
+
+_LOOP_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def loop_index(idx: RequestIndex) -> LoopRequestIndex:
+    """``idx`` with the scalar ``scr``/``mcr`` lookups: itself when it has
+    them, else the ``LoopRequestIndex`` of its instance, made once per index."""
+    if isinstance(idx, LoopRequestIndex):
+        return idx
+    if idx not in _LOOP_INDEX:
+        _LOOP_INDEX[idx] = LoopRequestIndex(idx.inst)
+    return _LOOP_INDEX[idx]
+
 
 # -- the scalar pricing references -------------------------------------------
 
@@ -703,8 +895,7 @@ class PairWeights:
         self.horizon = T = inst.horizon
         size = inst.size(i)
         cloud = inst.cloud_cost(i)
-        scrs = idx.scr(h, i)
-        mcrs = idx.mcr(h, i)
+        scrs, mcrs = loop_index(idx).scr(h, i), loop_index(idx).mcr(h, i)
         pos = svc_pos(idx)
 
         # deadline-t SCR counts and their settlement deltas on purple arcs
@@ -854,7 +1045,7 @@ def reduced_cost(col: Column, h: int, i: int, duals: DualPrices, idx: RequestInd
     pricing graph's shortest-path value."""
     inst, pos = idx.inst, svc_pos(idx)
     total = column_cost_S(col, h, i, inst, idx, mode) if cost_S is None else cost_S
-    for r in idx.mcr(h, i):
+    for r in loop_index(idx).mcr(h, i):
         arrival_age, upd = settlement_coverage(col, r)
         if arrival_age is not None and arrival_age >= 1:
             total += duals.pis[pos[(r.id, h, arrival_age)]]

@@ -24,7 +24,7 @@ import random
 from pathlib import Path
 
 from conftest import random_duals, random_tiny_instance
-from reference import build_graph, reduced_cost, shortest_path
+from reference import build_graph, pool_entries, reduced_cost, shortest_path
 
 DATA = Path(__file__).parent / "data"
 
@@ -516,7 +516,7 @@ def test_criterion_11_termination(tiny1):
         report = run_rcga(inst, audit=audit)
         assert report.rounding_rounds <= inst.num_contents * inst.horizon
         duals = audit.solution.duals
-        for (h, i), entries in audit.pool.entries.items():
+        for (h, i), entries in pool_entries(audit.pool).items():
             for entry in entries:
                 rc = reduced_cost(entry.column, h, i, duals, audit.pool.idx, cost_S=entry.cost)
                 worst = min(worst, rc)

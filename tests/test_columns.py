@@ -8,20 +8,28 @@ from mcsp.columns import (
     ColumnPool,
     UnfixablePoolError,
     canonical_column,
-    column_aoi,
-    column_cost_S,
-    column_from_states,
     column_is_valid,
     column_states,
-    coverage_B,
     enumerate_columns,
-    settlement_coverage,
     zero_column,
 )
 from mcsp.instance import build_request_index
 
 from conftest import random_duals, random_tiny_instance
-from reference import fixing_arrays, fixing_rows, headroom_array
+from reference import (
+    column_aoi,
+    column_cost_S,
+    column_from_states,
+    coverage_B,
+    fixing_arrays,
+    fixing_rows,
+    headroom_array,
+    loop_index,
+    pool_columns,
+    pool_contains,
+    pool_entries,
+    settlement_coverage,
+)
 
 
 def purge(pool, fixings, remaining_cache, remaining_backhaul):
@@ -121,7 +129,7 @@ def test_zero_column_cost_identity():
         zero = zero_column(inst.horizon)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
-                expect = sum(inst.cloud_cost(i) for _ in idx.scr(h, i))
+                expect = sum(inst.cloud_cost(i) for _ in loop_index(idx).scr(h, i))
                 got = column_cost_S(zero, h, i, inst, idx, "paper")
                 assert got == pytest.approx(expect)
 
@@ -135,10 +143,10 @@ def test_pool_purge_fixed_values(tiny1, tiny1_idx):
     # fix updated at slot 1: every column with p1 = 0 dies
     removed = purge(pool, {(1, 1, 1): (1, 1)}, caps, bh)
     assert removed == 2  # the all-zero column and ((0,0),(1,1))
-    assert all(e.column[0] == (1, 1) for e in pool.columns(1, 1))
+    assert all(e.column[0] == (1, 1) for e in pool_columns(pool, 1, 1))
     # fix q2 = 0 on top: columns caching in slot 2 die
     removed = purge(pool, {(1, 1, 1): (1, 1), (1, 1, 2): (0, 0)}, caps, bh)
-    assert all(e.column[1] == (0, 0) for e in pool.columns(1, 1))
+    assert all(e.column[1] == (0, 0) for e in pool_columns(pool, 1, 1))
 
 
 def test_pool_purge_capacity(tiny1, tiny1_idx):
@@ -148,7 +156,7 @@ def test_pool_purge_capacity(tiny1, tiny1_idx):
     caps = {(1, 1): 2.0, (1, 2): 2.0}
     bh = {(1, 1): 2.0, (1, 2): 1.0}  # size-2 updates no longer fit slot 2
     purge(pool, {}, caps, bh)
-    assert all(e.column[1][1] == 0 for e in pool.columns(1, 1))
+    assert all(e.column[1][1] == 0 for e in pool_columns(pool, 1, 1))
 
 
 def test_pool_purge_reinserts_canonical(tiny1, tiny1_idx):
@@ -156,7 +164,7 @@ def test_pool_purge_reinserts_canonical(tiny1, tiny1_idx):
     caps = {(1, 1): 2.0, (1, 2): 2.0}
     bh = dict(caps)
     purge(pool, {(1, 1, 2): (1, None)}, caps, bh)
-    cols = [e.column for e in pool.columns(1, 1)]
+    cols = [e.column for e in pool_columns(pool, 1, 1)]
     assert len(cols) == 1
     q2, _ = cols[0][1]
     assert q2 == 1 and column_is_valid(cols[0])
@@ -214,8 +222,8 @@ def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
             assert calls == ([tuple(map(tuple, rows))] if derived else [])
             fresh._fixed_at_purge = None  # forget the last purge: derive all afresh
             purge(fresh, fixings, caps, caps)
-            assert {k: [e.column for e in v] for k, v in cached.entries.items()} == {
-                k: [e.column for e in v] for k, v in fresh.entries.items()}
+            assert {k: [e.column for e in v] for k, v in pool_entries(cached).items()} == {
+                k: [e.column for e in v] for k, v in pool_entries(fresh).items()}
 
 
 def _assert_entries_match_reference(pool):
@@ -226,7 +234,7 @@ def _assert_entries_match_reference(pool):
 
     inst, idx = pool.inst, pool.idx
     serials, flags, servers, contents = [], [], [], []
-    for (h, i), entries in pool.entries.items():
+    for (h, i), entries in pool_entries(pool).items():
         assert len(entries) == pool.counts[pool.pair_index(h, i)]
         for e in entries:
             ref = make_entry(e.column, h, i, inst, idx, pool.mode)
@@ -234,7 +242,7 @@ def _assert_entries_match_reference(pool):
             assert e.coverage == tuple(sorted(ref.coverage))
             assert e.svc == ref.svc
             assert e.flags == ref.flags
-            assert pool.contains(h, i, e.column)
+            assert pool_contains(pool, h, i, e.column)
             serials.append(e.serial)
             flags.append(np.frombuffer(e.flags, dtype=bool).reshape(2, inst.horizon))
             servers.append(h)
@@ -361,7 +369,7 @@ def test_pool_arrays_follow_random_operations():
                 model[key] = [model[key][k]]
                 assert pool.pin(*key, k) == model[key][0][0]
             ops[op] += 1
-            assert {k: [(e.column, e.serial) for e in v] for k, v in pool.entries.items()} == model
+            assert {k: [(e.column, e.serial) for e in v] for k, v in pool_entries(pool).items()} == model
             assert pool.num_serials == serials
             _assert_entries_match_reference(pool)
     assert min(ops.values()) >= 20
@@ -389,5 +397,5 @@ def test_purge_fully_fixed_pair_matches_canonical_column(tiny1, horizon):
                 purge(pool, fixings, caps, caps)
         else:
             purge(pool, fixings, caps, caps)
-            assert [e.column for e in pool.columns(1, 1)] == [col]
+            assert [e.column for e in pool_columns(pool, 1, 1)] == [col]
     assert 0 < unfixable < 4**horizon

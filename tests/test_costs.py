@@ -9,7 +9,6 @@ from mcsp.costs import (
     ScheduleError,
     aoi_cost,
     check_feasibility,
-    check_plan,
     derive_aoi,
     derive_assignment,
     download_cost,
@@ -19,6 +18,7 @@ from mcsp.costs import (
 )
 
 from conftest import random_tiny_instance
+from reference import check_plan
 
 
 def sched(tiny1, states: str) -> Schedule:

@@ -21,6 +21,7 @@ from mcsp.rmp import CapacityRows, MasterBasis, RmpSolution
 from mcsp.rounding import TOL_INT, RoundingState
 
 from conftest import TWO_CELL, all_capacity_rows, by_pair, random_tiny_instance
+from reference import pool_columns
 
 
 def test_tiny1_cga_fixpoint(tiny1):
@@ -42,7 +43,7 @@ def test_tiny1_first_pricing_round(tiny1, tiny1_idx):
     from mcsp.rmp import build_rmp, solve_rmp
 
     pool = ColumnPool.initial(tiny1_idx, "paper")
-    sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)))
+    sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)), MasterBasis())
     assert sol.objective == pytest.approx(23.0)
     cands = price_all(pool, sol.duals, PricingStatics(tiny1_idx, "paper"), RoundingState(tiny1))
     assert by_pair(cands, tiny1_idx.pairs) == {
@@ -187,7 +188,7 @@ def test_next_pin_is_the_first_largest_fractional_weight():
         sol = RmpSolution(objective=0.0, weights=weights, duals=None, lp=None)
         best, at = None, 0
         for key in pool.pairs:
-            for k in range(len(pool.columns(*key))):
+            for k in range(len(pool_columns(pool, *key))):
                 v = weights[at]
                 at += 1
                 if TOL_INT < v < 1 - TOL_INT and (best is None or v > best[0]):
@@ -203,7 +204,8 @@ def test_decode_schedule_takes_each_pairs_first_largest_weight():
     """The schedule holds, for every pair whose column is not the zero
     column, the column of the pair's first largest weight, as a per-pair
     argmax over its slice of ``sol.weights`` finds it; a pair whose largest
-    weight is below one raises ValueError."""
+    weight is below one raises ValueError naming the first such pair. The
+    fractional cases halve the unit weights of one random pair."""
     from mcsp.columns import column_states, enumerate_columns, zero_column
     from mcsp.driver import decode_schedule
 
@@ -218,21 +220,24 @@ def test_decode_schedule_takes_each_pairs_first_largest_weight():
         x = np.concatenate([rng.choice([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1e-12, 1.0]])
                             + [0.0] * (n - 2) for n in pool.counts.tolist()] + [[0.5]])
         if rng.random() < 0.2:
-            x[rng.randrange(pool.total_columns())] = 0.5
-            x[: pool.total_columns()][x[: pool.total_columns()] == 1.0] = 0.5
+            k = rng.randrange(len(pool.pairs))
+            block = x[pool.starts()[k] : pool.starts()[k + 1]]
+            block[block == 1.0] = 0.5
         sol = RmpSolution(objective=0.0, weights=x[: pool.total_columns()], duals=None, lp=None)
-        want = {}
-        try:
-            for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):
-                k = int(np.argmax(weights))
-                if weights[k] < 1 - 1e-6:
-                    raise ValueError("fractional")
-                col = pool.columns(*key)[k].column
-                if col != zero_column(inst.horizon):
-                    want[key] = column_states(col)
-        except ValueError:
+        want, first_fractional = {}, None
+        for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):
+            k = int(np.argmax(weights))
+            if weights[k] < 1 - 1e-6:
+                first_fractional = key
+                break
+            col = pool_columns(pool, *key)[k].column
+            if col != zero_column(inst.horizon):
+                want[key] = column_states(col)
+        if first_fractional is not None:
             fractional += 1
-            with pytest.raises(ValueError, match="fractional"):
+            h, i = first_fractional
+            message = rf"^column weights for \({h},{i}\) are fractional$"
+            with pytest.raises(ValueError, match=message):
                 decode_schedule(pool, sol)
             continue
         assert decode_schedule(pool, sol).states == want

@@ -199,10 +199,28 @@ def test_parse_ratio():
     assert parse_ratio(2.5) == 2.5
 
 
+def _mcr_ids(idx, h, i) -> list[int]:
+    """The ids of the MCRs of pair (h, i), read off the index's arrays."""
+    k = (h - 1) * idx.inst.num_contents + (i - 1)
+    return idx.svc_request_ids[idx.mcr_svc[idx.mcr_start[k] : idx.mcr_start[k + 1]]].tolist()
+
+
+def _requests_in(value) -> int:
+    """How many ``Request`` objects ``value`` holds, through containers."""
+    if isinstance(value, Request):
+        return 1
+    if isinstance(value, dict):
+        return _requests_in(list(value.items()))
+    if isinstance(value, (list, tuple, set)) or (
+            isinstance(value, np.ndarray) and value.dtype == object):
+        return sum(map(_requests_in, value))
+    return 0
+
+
 def test_request_index_tiny1(tiny1, tiny1_idx):
     r1 = tiny1.requests[0]
-    assert tiny1_idx.scr(1, 1) == (r1,)
-    assert tiny1_idx.mcr(1, 1) == ()
+    assert tiny1_idx.scr_start.tolist() == [0, 1] and tiny1_idx.mcr_start.tolist() == [0, 0]
+    assert (tiny1_idx.scr_deadline[0], tiny1_idx.scr_window[0]) == (r1.deadline, r1.window)
 
 
 def test_request_index_mcr_appears_per_candidate():
@@ -213,9 +231,10 @@ def test_request_index_mcr_appears_per_candidate():
     r = Request(1, 2, 1, 3, candidates=(1, 2))
     inst = dataclasses.replace(inst, requests=(r,), topology=topo)
     idx = build_request_index(inst)
-    assert idx.mcr(1, 2) == (r,)
-    assert idx.mcr(2, 2) == (r,)
-    assert idx.mcr(3, 2) == ()
+    assert _mcr_ids(idx, 1, 2) == [1]
+    assert _mcr_ids(idx, 2, 2) == [1]
+    assert _mcr_ids(idx, 3, 2) == []
+    assert idx.mcr_origin.tolist() == [1, 1] and idx.mcr_deadline.tolist() == [3, 3]
 
 
 def test_index_partitions_requests():
@@ -223,17 +242,14 @@ def test_index_partitions_requests():
     for _ in range(10):
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
-        n_scr = sum(
-            len(idx.scr(h, i))
-            for h in range(1, inst.num_servers + 1)
-            for i in range(1, inst.num_contents + 1)
-        )
-        assert n_scr == len(inst.scrs)
-        for r in inst.mcrs:
+        scr_pairs = [(r.candidates[0] - 1) * inst.num_contents + r.content - 1
+                     for r in reference.scrs(inst)]
+        assert idx.scr_pair.tolist() == sorted(scr_pairs)
+        for r in reference.mcrs(inst):
             hits = sum(
                 1
                 for h in range(1, inst.num_servers + 1)
-                if r in idx.mcr(h, r.content)
+                if r.id in _mcr_ids(idx, h, r.content)
             )
             assert hits == len(r.candidates)
 
@@ -241,11 +257,12 @@ def test_index_partitions_requests():
 def test_request_index_arrays_equal_loop_reference():
     """On desk sizes and random tiny instances the index built with array
     passes equals ``reference.LoopRequestIndex``, the per-service loop: the
-    same lookups, the same service triples in the same order, and every
-    array with the same dtype, shape and bytes."""
+    same service triples in the same order, and every array with the same
+    dtype, shape and bytes. The index holds arrays only: no ``Request``
+    object, as the loop's per-pair ``scr``/``mcr`` lookups do."""
     rng = random.Random(17)
     insts = [random_tiny_instance(rng) for _ in range(40)]
-    assert any(not inst.requests for inst in insts) and any(inst.mcrs for inst in insts)
+    assert any(not inst.requests for inst in insts) and any(map(reference.mcrs, insts))
     insts += [
         generate_instance(GeneratorConfig(cells=cells, num_contents=contents, num_requests=requests,
                                           horizon=12, rho_m=0.4, rho_tt=1.0, seed=seed))
@@ -256,14 +273,14 @@ def test_request_index_arrays_equal_loop_reference():
     for inst in insts:
         idx = build_request_index(inst)
         got, want = vars(idx), dict(vars(reference.LoopRequestIndex(inst)))
+        assert sum(_requests_in(value) for name, value in got.items() if name != "inst") == 0
         assert list(reference.svc_pos(idx).items()) == list(want.pop("svc_pos").items())
+        del want["_scr"], want["_mcr"]
         assert got.keys() == want.keys()
         for name, value in want.items():
             if isinstance(value, np.ndarray):
                 assert (got[name].dtype, got[name].shape) == (value.dtype, value.shape), name
                 assert got[name].tobytes() == value.tobytes(), name
-            elif isinstance(value, dict):
-                assert list(got[name].items()) == list(value.items()), name
             else:
                 assert got[name] == value and type(got[name]) is type(value), name
 

@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 import reference
-from mcsp.columns import column_cost_S, enumerate_columns
+from mcsp.columns import enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.pricing import TOL_PRICE as TOL, PricingStatics, price_all
-from mcsp.rmp import DualPrices
+from mcsp.rmp import DualPrices, MasterBasis
 from mcsp.rounding import RoundingState
-from reference import build_graph, explicit_duals, reduced_cost, shortest_path
+from reference import (
+    build_graph,
+    column_cost_S,
+    explicit_duals,
+    mcrs,
+    pool_columns,
+    pool_contains,
+    reduced_cost,
+    shortest_path,
+)
 
 from conftest import all_capacity_rows, by_pair, random_duals, random_tiny_instance
 
@@ -91,7 +100,7 @@ def grid_duals(rng: random.Random, inst) -> DualPrices:
         return 0.0 if rng.random() < 0.33 else rng.randint(int(2 * lo), int(2 * hi)) / 2
 
     pi, mu, phi, lam = {}, {}, {}, {}
-    for r in inst.mcrs:
+    for r in mcrs(inst):
         for h in r.candidates:
             for a in range(r.deadline):
                 pi[(r.id, h, a)] = draw(-3, 3)
@@ -266,7 +275,7 @@ def test_price_all_matches_per_pair_graphs():
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
                 pc = shortest_path(build_graph(h, i, duals, inst, idx))
-                if pc.path_value < -1e-6 and not pool.contains(h, i, pc.column):
+                if pc.path_value < -1e-6 and not pool_contains(pool, h, i, pc.column):
                     column, value = cands[(h, i)]
                     assert value == pytest.approx(pc.path_value, abs=1e-9)
                     assert column == pc.column
@@ -342,7 +351,7 @@ def _sampled_pool(rng, inst, idx):
     from mcsp.columns import ColumnPool
 
     pool = ColumnPool.initial(idx, "paper")
-    for (h, i) in list(pool.entries):
+    for (h, i) in pool.pairs:
         for col in enumerate_columns(inst.horizon):
             if rng.random() < 0.3:
                 pool.add(h, i, col)
@@ -362,7 +371,7 @@ def test_batch_tables_equal_per_pair_weights():
         idx = build_request_index(inst)
         statics = PricingStatics(idx, "paper")
         pool = _sampled_pool(rng, inst, idx)
-        master = solve_rmp(build_rmp(pool, all_capacity_rows(inst))).duals
+        master = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis()).duals
         for duals in (random_duals(rng, inst), master):
             _, tables = Pricer(statics).price(duals, RoundingState(inst).masks())
             for k, (h, i) in enumerate(statics.pairs):
@@ -389,7 +398,7 @@ def test_pi_vector_matches_pi():
         idx = build_request_index(inst)
         req = {r.id: r for r in inst.requests}
         model = build_rmp(_sampled_pool(rng, inst, idx), all_capacity_rows(inst))
-        sol = solve_rmp(model)
+        sol = solve_rmp(model, MasterBasis())
         duals = sol.duals
         serve_ids = model.row_index[0].tolist()
         n_serve, n_cover = len(serve_ids), len(model.cover_svc)
@@ -534,10 +543,10 @@ def test_decided_pair_check_raises_on_a_perturbed_dual(monkeypatch):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx, state, pool = _partly_fixed(rng, inst, 1.0)
         statics = PricingStatics(idx, "paper")
-        duals = explicit_duals(idx, lam={key: pool.columns(*key)[0].cost for key in pool.pairs})
+        duals = explicit_duals(idx, lam={key: pool_columns(pool, *key)[0].cost for key in pool.pairs})
         assert not price_all(pool, duals, statics, state)
         h, i = rng.choice(pool.pairs)
-        entry = pool.columns(h, i)[0]
+        entry = pool_columns(pool, h, i)[0]
         options = [("lam", (h, i))]
         options += [("pi", j) for j in entry.svc]
         options += [(kind, (h, t)) for t, (q, p) in enumerate(entry.column, start=1)

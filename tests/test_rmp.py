@@ -7,7 +7,7 @@ import reference
 from mcsp.columns import ColumnPool, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.rmp import CapacityRows, MasterBasis, build_rmp, solve_rmp
-from reference import a_matrix, explicit_duals, reduced_cost
+from reference import a_matrix, explicit_duals, mcrs, pool_columns, reduced_cost
 
 from conftest import all_capacity_rows, assert_highs_model, random_tiny_instance
 
@@ -29,12 +29,12 @@ def keys(at) -> list[tuple]:
 
 def pool_entries(pool) -> list:
     """(pair, entry) of every pool entry, in pool order."""
-    return [(key, e) for key, entries in pool.entries.items() for e in entries]
+    return [(key, e) for key, entries in reference.pool_entries(pool).items() for e in entries]
 
 
 def full_pool(inst, idx, mode="paper") -> ColumnPool:
     pool = ColumnPool.initial(idx, mode)
-    for (h, i) in list(pool.entries):
+    for (h, i) in pool.pairs:
         for col in enumerate_columns(inst.horizon):
             pool.add(h, i, col)
     return pool
@@ -50,10 +50,10 @@ def test_tiny1_rows_without_mcrs(tiny1, tiny1_idx):
 
 def test_tiny1_full_pool_objective(tiny1, tiny1_idx):
     pool = full_pool(tiny1, tiny1_idx)
-    sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)))
+    sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)), MasterBasis())
     assert sol.objective == pytest.approx(3.0)
     # weight concentrates on a cost-3 column
-    chosen = [e.column for e, w in zip(pool.columns(1, 1), sol.weights) if w > 1e-6]
+    chosen = [e.column for e, w in zip(pool_columns(pool, 1, 1), sol.weights) if w > 1e-6]
     assert all(
         c in (((1, 1), (1, 0)), ((0, 0), (1, 1))) for c in chosen
     )
@@ -65,7 +65,7 @@ def test_zero_pool_objective_is_cloud_cost():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, "paper")
-        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis())
         expect = sum(inst.cloud_cost(r.content) for r in inst.requests)
         assert sol.objective == pytest.approx(expect)
 
@@ -76,7 +76,7 @@ def test_convexity_partition_always_holds():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
-        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis())
         per_pair = np.add.reduceat(sol.weights, pool.starts()[:-1])
         assert per_pair == pytest.approx(np.ones(len(pool.pairs)), abs=1e-7)
         assert np.all(sol.weights >= -1e-9)
@@ -86,12 +86,12 @@ def test_mcr_constant_in_objective():
     rng = random.Random(15)
     while True:
         inst = random_tiny_instance(rng)
-        if inst.mcrs:
+        if mcrs(inst):
             break
     idx = build_request_index(inst)
     const = idx.mcr_cloud_cost
     assert const == pytest.approx(
-        sum(inst.cloud_cost(r.content) for r in inst.mcrs)
+        sum(inst.cloud_cost(r.content) for r in mcrs(inst))
     )
     pool = ColumnPool.initial(idx, "paper")
     model = build_rmp(pool, all_capacity_rows(inst))
@@ -122,7 +122,7 @@ def test_single_mcr_row_shape():
     # both servers can cover (r, a=0): one serve-once row, two coverage rows
     assert len(model.row_index[0]) == 1
     assert len(model.cover_svc) == 2
-    sol = solve_rmp(model)
+    sol = solve_rmp(model, MasterBasis())
     # serving from cache (age 0, f=1) beats the cloud (1 + 11) for one server
     assert sol.objective == pytest.approx(
         min(inst.f(0) + inst.cost.beta * 1, inst.cloud_cost(1))
@@ -141,7 +141,7 @@ def test_in_pool_columns_price_nonnegative():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
-        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis())
         for ((h, i), e), w in zip(pool_entries(pool), sol.weights, strict=True):
             rc = reduced_cost(e.column, h, i, sol.duals, idx, cost_S=e.cost)
             assert rc >= -1e-6
@@ -156,13 +156,13 @@ def test_full_lp_certificate_with_lazy_rows():
     checked = 0
     for _ in range(20):
         inst = random_tiny_instance(rng)
-        if not inst.mcrs:
+        if not mcrs(inst):
             continue
         idx = build_request_index(inst)
         pool = full_pool(inst, idx)
-        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
+        sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis())
         duals, pos = sol.duals, reference.svc_pos(idx)
-        for r in inst.mcrs:
+        for r in mcrs(inst):
             for h in r.candidates:
                 for a in range(r.deadline):
                     saving = reference.service_saving(inst, r.content, a)
@@ -191,12 +191,12 @@ def test_dual_certificate_on_large_masters(seed):
     rng = random.Random(seed)
     pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
-    for key in list(pool.entries):
+    for key in pool.pairs:
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
     model = build_rmp(pool, all_capacity_rows(inst))
     assert model.problem.num_rows + model.problem.num_vars > 600
-    sol = solve_rmp(model)
+    sol = solve_rmp(model, MasterBasis())
     _assert_dual_certificate(inst, sol)
 
 
@@ -204,7 +204,7 @@ def _assert_dual_certificate(inst, sol):
     """Every service variable prices nonnegatively against ``sol.duals``,
     and their row dual objective equals the LP objective."""
     duals, pos = sol.duals, reference.svc_pos(build_request_index(inst))
-    for r in inst.mcrs:
+    for r in mcrs(inst):
         for h in r.candidates:
             for a in range(r.deadline):
                 saving = reference.service_saving(inst, r.content, a)
@@ -235,7 +235,7 @@ def test_canonical_solve_failure_propagates(tiny1, tiny1_idx, monkeypatch):
 
     monkeypatch.setattr(rmp, "solve_lp", face_fails)
     with pytest.raises(LpError, match="face solve failed"):
-        solve_rmp(model, canonical=True)
+        solve_rmp(model, MasterBasis(), canonical=True)
 
 
 def test_objective_nonincreasing_as_pool_grows():
@@ -243,9 +243,9 @@ def test_objective_nonincreasing_as_pool_grows():
     inst = random_tiny_instance(rng)
     idx = build_request_index(inst)
     pool = ColumnPool.initial(idx, "paper")
-    obj_small = solve_rmp(build_rmp(pool, all_capacity_rows(inst))).objective
+    obj_small = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis()).objective
     pool2 = full_pool(inst, idx)
-    obj_full = solve_rmp(build_rmp(pool2, all_capacity_rows(inst))).objective
+    obj_full = solve_rmp(build_rmp(pool2, all_capacity_rows(inst)), MasterBasis()).objective
     assert obj_full <= obj_small + 1e-9
 
 
@@ -268,7 +268,7 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
     # rows were needed, yet the master holds fewer than all of them
     assert 0 < np.count_nonzero(rows.held) < 2 * n_keys
 
-    full = solve_rmp(build_rmp(pool, all_capacity_rows(inst)))
+    full = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis())
     assert full.objective == pytest.approx(lazy.solution.objective, rel=1e-6, abs=1e-6)
     for sol in (full, lazy.solution):
         cache = np.zeros((inst.num_servers + 1, inst.horizon + 1))
@@ -294,11 +294,12 @@ def test_build_rmp_holds_only_the_named_capacity_rows(tiny1, tiny1_idx):
 def _reference_master(pool, inst, rows):
     """The master LP written out row by row from the column definitions:
     rows and y variables as dense lists keyed as the module docstring says."""
-    pairs = sorted(pool.entries)
+    pairs = sorted(pool.pairs)
+    by_pair = reference.pool_entries(pool)
     content = {r.id: r.content for r in inst.requests}
     services = sorted({
         (r_id, h, a)
-        for (h, i) in pairs for e in pool.entries[(h, i)] for r_id, a in e.coverage
+        for (h, i) in pairs for e in by_pair[(h, i)] for r_id, a in e.coverage
         if reference.service_saving(inst, i, a) < 0
     })
     serve = sorted({r_id for r_id, _, _ in services})
@@ -309,7 +310,7 @@ def _reference_master(pool, inst, rows):
                 + [("cache", k) for k in cache] + [("backhaul", k) for k in backhaul]
                 + [("convexity", p) for p in pairs])
     row = {key: n for n, key in enumerate(row_keys)}
-    chi = [(h, i, e) for (h, i) in pairs for e in pool.entries[(h, i)]]
+    chi = [(h, i, e) for (h, i) in pairs for e in by_pair[(h, i)]]
     a = np.zeros((len(row_keys), len(chi) + len(services)))
     c, upper = [], []
     for col, (h, i, e) in enumerate(chi):
@@ -346,7 +347,7 @@ def test_build_rmp_matches_column_definitions():
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, rng.choice(["paper", "min"]))
         columns = enumerate_columns(inst.horizon)
-        for key in list(pool.entries):
+        for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
         every = [(h, t) for h in range(1, inst.num_servers + 1)
@@ -384,7 +385,7 @@ def test_highs_receives_the_reference_arrays(highs_calls):
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, rng.choice(["paper", "min"]))
         columns = enumerate_columns(inst.horizon)
-        for key in list(pool.entries):
+        for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
         every = [(h, t) for h in range(1, inst.num_servers + 1)
@@ -394,7 +395,7 @@ def test_highs_receives_the_reference_arrays(highs_calls):
         for rows in (all_capacity_rows(inst), half, CapacityRows(inst)):
             highs_calls.clear()
             model = build_rmp(pool, rows)
-            sol = solve_rmp(model, canonical=True)
+            sol = solve_rmp(model, MasterBasis(), canonical=True)
             master, face, face_status = highs_calls
             ref = reference.master_lp(pool, rows)
             assert_highs_model(master, reference.highs_model(ref))
@@ -425,11 +426,11 @@ def test_capacity_check_adds_each_row_once():
     rng = random.Random(3)
     pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
-    for key in list(pool.entries):
+    for key in pool.pairs:
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
     rows = CapacityRows(inst)
-    sol = solve_rmp(build_rmp(pool, rows))
+    sol = solve_rmp(build_rmp(pool, rows), MasterBasis())
     added = rows.add_violated(pool, sol.weights)
     held = rows.held.copy()
     assert added == np.count_nonzero(held) > 0
@@ -473,7 +474,7 @@ def test_unchanged_master_resolves_without_iterations():
     idx = build_request_index(inst)
     pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
-    for key in list(pool.entries):
+    for key in pool.pairs:
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
     first, again = _resolve_moved_master(pool, inst)
@@ -493,7 +494,7 @@ def test_start_basis_after_a_purge_solves():
     rng = random.Random(2)
     pool = ColumnPool.initial(idx, "paper")
     columns = enumerate_columns(inst.horizon)
-    for key in list(pool.entries):
+    for key in pool.pairs:
         for col in rng.sample(columns, 3):
             pool.add(*key, col)
     basis = MasterBasis()
@@ -521,9 +522,9 @@ def test_warm_masters_match_cold_solves(monkeypatch):
     warm = []
     solve = driver.solve_rmp
 
-    def checked(model, canonical=False, lp=None, basis=None):
+    def checked(model, basis, canonical=False, lp=None):
         started_warm = lp is None and basis.start(model) is not None
-        sol = solve(model, canonical, lp, basis)
+        sol = solve(model, basis, canonical, lp)
         if started_warm:
             cold = solve_lp(model.problem)
             assert sol.lp.objective == pytest.approx(cold.objective, rel=1e-9)

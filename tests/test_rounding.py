@@ -16,6 +16,7 @@ from mcsp.rounding import (
 )
 
 from conftest import random_tiny_instance
+from reference import pool_columns, pool_entries
 
 UC = ((1, 1), (1, 0))
 ZERO = ((0, 0), (0, 0))
@@ -76,12 +77,12 @@ def test_integrality_equivalence_random_mixtures():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, "paper")
-        for (h, i) in list(pool.entries):
+        for (h, i) in pool.pairs:
             for col in enumerate_columns(inst.horizon):
                 if rng.random() < 0.5:
                     pool.add(h, i, col)
         parts = []  # per pair, in pool order
-        for entries in pool.entries.values():
+        for entries in pool_entries(pool).values():
             w = np.array([rng.random() for _ in entries])
             if rng.random() < 0.5:  # integral case
                 w = np.zeros(len(entries))
@@ -103,7 +104,7 @@ def test_round_once_tiny1_trace(tiny1, tiny1_idx):
     assert state.fixed(1, 1, 1) == (1, 1)
     assert report.rounded_up == 1
     # purge removed every column not updating in slot 1
-    assert all(e.column[0] == (1, 1) for e in pool.columns(1, 1))
+    assert all(e.column[0] == (1, 1) for e in pool_columns(pool, 1, 1))
 
 
 def test_round_once_integral_is_noop(tiny1, tiny1_idx):
@@ -198,11 +199,11 @@ def test_fixings_monotone_and_capacity_nonnegative():
         inst = random_tiny_instance(rng)
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, "paper")
-        for (h, i) in list(pool.entries):
+        for (h, i) in pool.pairs:
             for col in enumerate_columns(inst.horizon):
                 pool.add(h, i, col)
         parts = []  # per pair, in pool order
-        for entries in pool.entries.values():
+        for entries in pool_entries(pool).values():
             w = np.array([rng.random() for _ in entries])
             parts.append(w / w.sum())
         weights = np.concatenate(parts)
@@ -226,7 +227,7 @@ def _random_weights(rng, pool, same_updates):
     first column does, so the updating likelihoods are integral and stage 3
     runs."""
     parts = []
-    for entries in pool.entries.values():
+    for entries in pool_entries(pool).values():
         first = rng.randrange(len(entries))
         w = np.zeros(len(entries))
         if rng.random() < 0.3:
@@ -255,7 +256,7 @@ def test_array_pass_equals_dict_reference():
         for _ in range(2):
             pool = ColumnPool.initial(idx, "paper")
             pools.append(pool)
-        for (h, i) in list(pools[0].entries):
+        for (h, i) in pools[0].pairs:
             for col in enumerate_columns(inst.horizon):
                 if rng.random() < 0.6:
                     for pool in pools:
@@ -287,6 +288,6 @@ def test_array_pass_equals_dict_reference():
                 inst, ref.remaining_cache())[1:, 1:])
             assert np.array_equal(state.remaining_backhaul()[1:, 1:], reference.headroom_array(
                 inst, ref.remaining_backhaul())[1:, 1:])
-            assert {k: [(e.column, e.serial) for e in v] for k, v in pool.entries.items()} == {
-                k: [(e.column, e.serial) for e in v] for k, v in ref_pool.entries.items()}
+            assert {k: [(e.column, e.serial) for e in v] for k, v in pool_entries(pool).items()} == {
+                k: [(e.column, e.serial) for e in v] for k, v in pool_entries(ref_pool).items()}
     assert passes > 100 and ups and downs and purged

@@ -259,7 +259,7 @@ def test_random_lps_and_masters_reach_every_status():
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, "paper")
         columns = enumerate_columns(inst.horizon)
-        for key in list(pool.entries):
+        for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
         model = build_rmp(pool, all_capacity_rows(inst))
@@ -384,7 +384,7 @@ def test_complete_start_basis_solves_alike_alien_or_not(monkeypatch):
         first = build_rmp(pool, all_capacity_rows(inst))
         basis.record(first, solve_lp(first.problem).basis)
         columns = enumerate_columns(inst.horizon)
-        for key in list(pool.entries):
+        for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
                 pool.add(*key, col)
         model = build_rmp(pool, all_capacity_rows(inst))
