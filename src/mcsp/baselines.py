@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .columns import column_ages, column_states, enumerate_columns, zero_column
@@ -41,12 +40,8 @@ class CapsExceededError(ValueError):
     """Instance too large for the exhaustive oracle."""
 
 
-@dataclass(frozen=True)
-class OracleCaps:
-    max_servers: int = 2
-    max_contents: int = 3
-    max_horizon: int = 4
-    max_requests: int = 12
+# the largest instance the exact oracle searches
+MAX_SERVERS, MAX_CONTENTS, MAX_HORIZON, MAX_REQUESTS = 2, 3, 4, 12
 
 
 def run_pba(inst: Instance) -> SolveReport:
@@ -124,22 +119,18 @@ def _column_tables(T: int) -> tuple:
     )
 
 
-def solve_exact(
-    inst: Instance,
-    mode: SettlementMode = "paper",
-    caps: OracleCaps = OracleCaps(),
-) -> SolveReport:
+def solve_exact(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Exhaustive optimum over per-pair column choices, toy sizes only."""
     started = time.perf_counter()
     if (
-        inst.num_servers > caps.max_servers
-        or inst.num_contents > caps.max_contents
-        or inst.horizon > caps.max_horizon
-        or len(inst.requests) > caps.max_requests
+        inst.num_servers > MAX_SERVERS
+        or inst.num_contents > MAX_CONTENTS
+        or inst.horizon > MAX_HORIZON
+        or len(inst.requests) > MAX_REQUESTS
     ):
         raise CapsExceededError(
-            f"exact oracle capped at H<={caps.max_servers} I<={caps.max_contents} "
-            f"T<={caps.max_horizon} R<={caps.max_requests}"
+            f"exact oracle capped at H<={MAX_SERVERS} I<={MAX_CONTENTS} "
+            f"T<={MAX_HORIZON} R<={MAX_REQUESTS}"
         )
     T = inst.horizon
     columns, ages_of, n_updates, states_of, zero, cols_by_deadline = _column_tables(T)

@@ -49,6 +49,11 @@ CSV_COLUMNS = [
 
 KEY_COLUMNS = ["seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode"]
 
+# the ``GeneratorConfig`` fields a sweep's "gen" block may set; the rest
+# keep their defaults
+SWEEP_FIELDS = ("cells", "num_contents", "num_requests", "horizon", "rho_m", "rho_tt",
+                "rho_b", "cache_scale", "window_max")
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -221,19 +226,9 @@ def _expand_sweep(config: dict) -> list[tuple]:
         mode = block.get("mode", "paper")
         for seed in seeds:
             for algo in block["algos"]:
-                cfg_doc = {
-                    "cells": gen.get("cells", "3-cell"),
-                    "num_contents": gen.get("num_contents", 100),
-                    "num_requests": gen.get("num_requests", 500),
-                    "horizon": gen.get("horizon", 12),
-                    "rho_m": gen.get("rho_m", 0.4),
-                    "rho_tt": gen.get("rho_tt", 1.0),
-                    "rho_b": gen.get("rho_b", 0.3),
-                    "cache_scale": gen.get("cache_scale", 0.5),
-                    "window_max": gen.get("window_max", 2),
-                    "seed": seed,
-                }
-                jobs.append((cfg_doc, algo, mode))
+                cfg_doc = {name: gen.get(name, getattr(GeneratorConfig, name))
+                           for name in SWEEP_FIELDS}
+                jobs.append(({**cfg_doc, "seed": seed}, algo, mode))
     return jobs
 
 
@@ -411,16 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance")
-    gen.add_argument("--cells", default="3-cell", choices=["3-cell", "7-cell"])
-    gen.add_argument("--contents", type=int, default=100)
-    gen.add_argument("--requests", type=int, default=500)
-    gen.add_argument("--slots", type=int, default=12)
-    gen.add_argument("--rho-m", dest="rho_m", type=float, default=0.4)
-    gen.add_argument("--rho-tt", dest="rho_tt", default="1:1")
-    gen.add_argument("--rho-b", dest="rho_b", type=float, default=0.3)
-    gen.add_argument("--cache-scale", dest="cache_scale", type=float, default=0.5)
-    gen.add_argument("--window-max", dest="window_max", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
+    cfg = GeneratorConfig
+    gen.add_argument("--cells", default=cfg.cells, choices=["3-cell", "7-cell"])
+    gen.add_argument("--contents", type=int, default=cfg.num_contents)
+    gen.add_argument("--requests", type=int, default=cfg.num_requests)
+    gen.add_argument("--slots", type=int, default=cfg.horizon)
+    gen.add_argument("--rho-m", dest="rho_m", type=float, default=cfg.rho_m)
+    gen.add_argument("--rho-tt", dest="rho_tt", default=cfg.rho_tt)
+    gen.add_argument("--rho-b", dest="rho_b", type=float, default=cfg.rho_b)
+    gen.add_argument("--cache-scale", dest="cache_scale", type=float, default=cfg.cache_scale)
+    gen.add_argument("--window-max", dest="window_max", type=int, default=cfg.window_max)
+    gen.add_argument("--seed", type=int, default=cfg.seed)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 

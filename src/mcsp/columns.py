@@ -71,10 +71,12 @@ def column_states(col: Column) -> str:
     return "".join(UPDATED if p else (CACHED if q else ABSENT) for q, p in col)
 
 
-def enumerate_columns(horizon: int, cap: int = ENUMERATION_CAP) -> list[Column]:
-    """All valid columns for the horizon; exponential, guarded by ``cap``."""
-    if horizon > cap:
-        raise ValueError(f"refusing to enumerate columns for horizon {horizon} > {cap}")
+def enumerate_columns(horizon: int) -> list[Column]:
+    """All valid columns for the horizon; exponential, guarded by
+    ``ENUMERATION_CAP``."""
+    if horizon > ENUMERATION_CAP:
+        raise ValueError(
+            f"refusing to enumerate columns for horizon {horizon} > {ENUMERATION_CAP}")
     cols: list[Column] = [()]
     for t in range(horizon):
         nxt: list[Column] = []
@@ -86,6 +88,41 @@ def enumerate_columns(horizon: int, cap: int = ENUMERATION_CAP) -> list[Column]:
                 nxt.append(col + ((1, 0),))
         cols = nxt
     return cols
+
+
+def anchor_slots(gamma: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """For fixing rows [..., slot] (1, 0 or ``FREE``), the latest slot at or
+    before each slot that is not fixed un-updated, with no slot fixed
+    uncached from there through it; -1 where there is none. A copy cached
+    in a slot can have its age derived only from an update at such a slot."""
+    slot = np.arange(gamma.shape[-1])
+    opened = np.maximum.accumulate(np.where(omega != 0, slot, -1), axis=-1)
+    cut = np.maximum.accumulate(np.where(gamma == 0, slot, -1), axis=-1)
+    return np.where(opened > cut, opened, -1)
+
+
+def canonical_flags(gamma: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal column of each fixing row [pair, slot] as bool [pair,
+    cached/updated, slot] flags, and whether the row has one at all.
+
+    The column caches exactly the slots fixed cached or updated and updates
+    where fixed updated; a run head (a cached slot after an uncached one)
+    that is not updated gets an update at its anchor slot and stays cached
+    from there through the head. The anchors read the fixings alone, so
+    every head is resolved at once. A row has no column when a slot is fixed
+    updated but uncached, or when a run head that needs an update has no
+    anchor."""
+    anchor = anchor_slots(gamma, omega)
+    q, p = (gamma == 1) | (omega == 1), omega == 1
+    head = q & ~np.concatenate([np.zeros_like(q[:, :1]), q[:, :-1]], axis=1)
+    lone = head & ~p
+    fixable = ~((p & (gamma == 0)) | (lone & (anchor < 0))).any(axis=1)
+    rows, heads = np.nonzero(lone & fixable[:, None])
+    p[rows, anchor[rows, heads]] = True
+    # a slot is cached when a lone head at or after it anchors at or before it
+    start = np.where(lone, anchor, gamma.shape[1])
+    q |= np.minimum.accumulate(start[:, ::-1], axis=1)[:, ::-1] <= np.arange(gamma.shape[1])
+    return np.stack([q, p], axis=1), fixable
 
 
 def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,10 +184,6 @@ class ColumnPool:
         self._keys: list[tuple[int, bytes]] = []
         self._live: set[tuple[int, bytes]] = set()
         self._views: dict = {}  # what is derived from ``order``, until it changes
-        # the fixing arrays at the last purge, and the flags of each pair's
-        # canonical column under them
-        self._fixed_at_purge: Optional[tuple] = None
-        self._canonical_flags: Optional[np.ndarray] = None
 
     @staticmethod
     def initial(idx: RequestIndex, mode: SettlementMode) -> "ColumnPool":
@@ -371,8 +404,10 @@ class ColumnPool:
         Every pool is left holding the canonical minimal-footprint column of
         its fixings: individually compatible survivors may still be jointly
         over capacity, and the canonical point is the master's guaranteed
-        feasible fallback. The canonical columns a pool lacks are made in one
-        batch, in pair order.
+        feasible fallback. ``canonical_flags`` derives every pair's canonical
+        column in one array pass: a cached run whose head is not fixed
+        updated opens with an update at the head's ``anchor_slots`` slot.
+        The columns a pool lacks are made in one batch, in pair order.
         """
         a = self.arrays()
         fixed = np.stack([gamma, omega], axis=2)[a.server, a.content, :, 1:]
@@ -380,35 +415,10 @@ class ColumnPool:
         keep = ~np.where(fixed == FREE, a.flags & (a.size[:, None, None] > left + CAPACITY_EPS),
                          a.flags != fixed).any(axis=(1, 2))
 
-        # the canonical column depends on the pair's fixings alone: derive it
-        # again only where they changed since the last purge
-        server, content = self.pair_server, self.pair_content
-        last = self._fixed_at_purge
-        if last is None:  # [pair, q/p, slot] flags of the canonical columns, 2 where none exists
-            self._canonical_flags = np.full((len(self.pairs), 2, gamma.shape[2] - 1), 2,
-                                            dtype=np.int8)
-            changed = np.ones(len(self.pairs), dtype=bool)
-        else:
-            changed = ((gamma != last[0]) | (omega != last[1])).any(axis=2)[server, content]
-        self._fixed_at_purge = (gamma.copy(), omega.copy())
-        ks = np.flatnonzero(changed)
-        q, p = gamma[server[ks], content[ks], 1:], omega[server[ks], content[ks], 1:]
-        # a pair fixed at every slot has its fixings as its canonical column,
-        # when they form a valid column: updated only where cached, and every
-        # cached run opening with an update
-        full = ((q != FREE) & (p != FREE)).all(axis=1)
-        q, p = q[full] == 1, p[full] == 1
-        head = q & ~np.concatenate([np.zeros((len(q), 1), dtype=bool), q[:, :-1]], axis=1)
-        valid = ~((p & ~q) | (head & ~p)).any(axis=1)
-        self._canonical_flags[ks[full]] = np.where(valid[:, None, None], np.stack([q, p], 1), 2)
-        for k in ks[~full]:
-            h, i = self.pairs[k]
-            col = canonical_column(gamma[h, i, 1:], omega[h, i, 1:])
-            self._canonical_flags[k] = 2 if col is None else np.array(col).T
-        canon = self._canonical_flags
-        unfixable = np.flatnonzero(canon[:, 0, 0] == 2)
-        if len(unfixable):
-            h, i = self.pairs[unfixable[0]]
+        canon, fixable = canonical_flags(gamma[self.pair_server, self.pair_content, 1:],
+                                         omega[self.pair_server, self.pair_content, 1:])
+        if not fixable.all():
+            h, i = self.pairs[np.flatnonzero(~fixable)[0]]
             raise UnfixablePoolError(
                 f"no column can satisfy the fixings for server {h}, content {i}"
             )
@@ -419,64 +429,10 @@ class ColumnPool:
         self._reorder(self.order[keep], self.order[~keep])
         lacking = np.flatnonzero(~has)
         if len(lacking):
-            self._make(lacking, canon[lacking].astype(bool))
+            self._make(lacking, canon[lacking])
         return int(len(keep) - np.count_nonzero(keep))
 
 
 def _flags_of(cols: Sequence[Column]) -> np.ndarray:
     """Columns as a bool [column, cached/updated, slot] array."""
     return np.array(cols, dtype=bool).reshape(len(cols), -1, 2).transpose(0, 2, 1)
-
-
-def canonical_column(gamma: Sequence[int], omega: Sequence[int]) -> Optional[Column]:
-    """Minimal column consistent with one pair's fixings, if one exists;
-    ``gamma``/``omega`` hold the fixed value of each slot 1..T, or ``FREE``.
-
-    Caches exactly the slots fixed to cached, updates where fixed to updated,
-    and adds the fewest extra cached/updated slots needed to give every cached
-    run a derivable age. Returns None when the fixings are contradictory.
-    """
-    horizon = len(gamma)
-    gamma_fix = {t: int(v) for t, v in enumerate(gamma, start=1) if v != FREE}
-    omega_fix = {t: int(v) for t, v in enumerate(omega, start=1) if v != FREE}
-    if any(gamma_fix.get(t) == 0 for t, v in omega_fix.items() if v == 1):
-        return None
-    q = [
-        1 if (gamma_fix.get(t) == 1 or omega_fix.get(t) == 1) else 0
-        for t in range(1, horizon + 1)
-    ]
-    p = [1 if omega_fix.get(t) == 1 else 0 for t in range(1, horizon + 1)]
-    # give every cached run an anchoring update, extending the run backwards
-    # through unfixed slots when the run head cannot host one
-    for t in range(1, horizon + 1):
-        if not q[t - 1]:
-            continue
-        run_start = t
-        while run_start > 1 and q[run_start - 2]:
-            run_start -= 1
-        if any(p[u - 1] for u in range(run_start, t + 1)):
-            continue
-        anchor = None
-        u = t
-        while u >= 1:
-            if gamma_fix.get(u) == 0:
-                break  # cannot cache through here
-            if omega_fix.get(u) != 0:
-                anchor = u
-                break
-            u -= 1
-        if anchor is None:
-            return None
-        for v in range(anchor, t + 1):
-            q[v - 1] = 1
-        p[anchor - 1] = 1
-    col = tuple(zip(q, p))
-    if not column_is_valid(col):
-        return None
-    # the extension must not have violated any explicit zero fixing
-    for t in range(1, horizon + 1):
-        if gamma_fix.get(t) is not None and col[t - 1][0] != gamma_fix[t]:
-            return None
-        if omega_fix.get(t) is not None and col[t - 1][1] != omega_fix[t]:
-            return None
-    return col

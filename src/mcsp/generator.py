@@ -87,8 +87,8 @@ def parse_ratio(text: str | float) -> float:
 class GeneratorConfig:
     """Knobs for random instance generation.
 
-    rho_m        fraction of requests that are MCRs, in (0, 1) (0 allowed for
-                 all-SCR instances).
+    rho_m        fraction of requests that are MCRs, in [0, 1] (0 for all-SCR,
+                 1 for all-MCR instances).
     rho_tt       ratio of 3-candidate to 2-candidate MCRs (e.g. 1.0 for '1:1').
     rho_b        backhaul capacity as a fraction of total catalog size.
     cache_scale  cache capacity as a fraction of total catalog size.
@@ -114,8 +114,8 @@ class GeneratorConfig:
 
 def generate_instance(cfg: GeneratorConfig) -> Instance:
     """Draw a random instance; deterministic for a fixed config and seed."""
-    if not (0 <= cfg.rho_m < 1 or cfg.rho_m == 1):
-        raise ValueError(f"rho_m must lie in [0, 1), got {cfg.rho_m}")
+    if not (0 <= cfg.rho_m <= 1):
+        raise ValueError(f"rho_m must lie in [0, 1], got {cfg.rho_m}")
     if not (0 < cfg.rho_b <= 1):
         raise ValueError(f"rho_b must lie in (0, 1], got {cfg.rho_b}")
     if cfg.window_max < 0:

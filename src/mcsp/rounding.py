@@ -16,9 +16,9 @@ One rounding pass:
    fits the remaining backhaul or cache headroom, else fix updated-and-cached.
 3. Per server with integral Omega but fractional Gamma: freeze the Gamma = 1
    entries, then round the closest entry as above against cache headroom; a
-   fix to one additionally requires a reachable update slot at or before it
-   (otherwise no valid column could realize the fix and the master would go
-   infeasible).
+   fix to one additionally requires an anchor, an update slot at or before it
+   that ``columns.anchor_slots`` finds (otherwise no valid column could
+   realize the fix and the master would go infeasible).
 4. Recompute headrooms and purge incompatible columns from every pool.
 
 Fixings are monotone and never contradict earlier ones. Each pass fixes at
@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import FREE, ColumnPool
+from .columns import FREE, ColumnPool, anchor_slots
 from .costs import CAPACITY_EPS
 from .instance import Instance
 
@@ -118,16 +118,6 @@ class RoundingState:
         o = self.omega[1:, 1:].reshape(-1, T + 1).T
         return (o != 1) & (g != 1), (o != 0) & (g != 0), (o != 1) & (g != 0)
 
-    def update_reachable(self, h: int, i: int, t: int) -> bool:
-        """True when caching at t can still be anchored: some slot t' <= t
-        allows an update with an unbroken cacheable stretch up to t."""
-        for t_prime in range(t, 0, -1):
-            if self.gamma[h, i, t_prime] == 0:
-                return False  # the stretch to any earlier anchor is broken
-            if self.omega[h, i, t_prime] != 0:
-                return True
-        return False
-
 
 def compute_indicators(weights: np.ndarray, pool: ColumnPool) -> tuple[np.ndarray, np.ndarray]:
     """Caching and updating likelihoods of the column ``weights`` (in pool
@@ -142,22 +132,21 @@ def compute_indicators(weights: np.ndarray, pool: ColumnPool) -> tuple[np.ndarra
     return sums[0], sums[1]
 
 
-def _integral(x: np.ndarray, tol: float) -> np.ndarray:
-    return (x <= tol) | (x >= 1 - tol)
+def _integral(x: np.ndarray) -> np.ndarray:
+    return (x <= TOL_INT) | (x >= 1 - TOL_INT)
 
 
-def is_integral(gamma: np.ndarray, omega: np.ndarray, tol: float = TOL_INT) -> bool:
-    return bool(_integral(gamma, tol).all() and _integral(omega, tol).all())
+def is_integral(gamma: np.ndarray, omega: np.ndarray) -> bool:
+    return bool(_integral(gamma).all() and _integral(omega).all())
 
 
-def chi_is_integral(weights: np.ndarray, tol: float = TOL_INT) -> bool:
-    return bool(_integral(weights, tol).all())
+def chi_is_integral(weights: np.ndarray) -> bool:
+    return bool(_integral(weights).all())
 
 
-def chi_integral_iff(weights: np.ndarray, gamma: np.ndarray, omega: np.ndarray,
-                     tol: float = TOL_INT) -> bool:
+def chi_integral_iff(weights: np.ndarray, gamma: np.ndarray, omega: np.ndarray) -> bool:
     """Both directions of the integrality equivalence, asserted at runtime."""
-    return chi_is_integral(weights, tol) == is_integral(gamma, omega, tol)
+    return chi_is_integral(weights) == is_integral(gamma, omega)
 
 
 @dataclass
@@ -177,7 +166,6 @@ def round_once(
     gamma: np.ndarray,
     omega: np.ndarray,
     pool: ColumnPool,
-    tol: float = TOL_INT,
 ) -> RoundReport:
     """One pass of the staged rounding on the likelihoods ``gamma`` and
     ``omega`` of ``compute_indicators``; mutates state and pool."""
@@ -186,8 +174,8 @@ def round_once(
     G, O = state.gamma, state.omega
 
     # stage 1: freeze integral entries
-    up = (omega >= 1 - tol) & state.live
-    down = (gamma <= tol) & state.live
+    up = (omega >= 1 - TOL_INT) & state.live
+    down = (gamma <= TOL_INT) & state.live
     clash = (up & ((G == 0) | (O == 0) | down)) | (down & ((G == 1) | (O == 1)))
     if clash.any():
         raise AssertionError(f"contradictory fixing at {_first(clash)}")
@@ -201,8 +189,8 @@ def round_once(
     # per cell, the distance of a fractional likelihood to the nearer integer
     # (inf where integral); a server's first minimum in (content, slot) order
     # is the entry it rounds
-    near_o = np.where(_integral(omega, tol), np.inf, np.minimum(omega, 1 - omega))
-    near_g = np.where(_integral(gamma, tol), np.inf, np.minimum(gamma, 1 - gamma))
+    near_o = np.where(_integral(omega), np.inf, np.minimum(omega, 1 - omega))
+    near_g = np.where(_integral(gamma), np.inf, np.minimum(gamma, 1 - gamma))
     frac_o = np.isfinite(near_o).any(axis=(1, 2))
     frac_g = np.isfinite(near_g).any(axis=(1, 2))
 
@@ -230,7 +218,7 @@ def round_once(
         # stage 3: updating all integral, caching still fractional
         if not frac_g[h]:
             continue
-        ones = (gamma[h] >= 1 - tol) & (G[h] != 1)  # freeze the 1-entries first
+        ones = (gamma[h] >= 1 - TOL_INT) & (G[h] != 1)  # freeze the 1-entries first
         clash = ones & (G[h] == 0)
         if clash.any():
             raise AssertionError(f"contradictory cache fixing at {(h, *_first(clash))}")
@@ -243,7 +231,7 @@ def round_once(
         if (
             gamma[h, i, t] < 0.5
             or size > remaining_cache[h, t] + CAPACITY_EPS
-            or not state.update_reachable(h, i, t)
+            or anchor_slots(G[h, i, 1:], O[h, i, 1:])[t - 1] < 0
         ):
             state.fix(h, i, t, gamma=0, omega=0)
             report.rounded_down += 1

@@ -282,21 +282,17 @@ def _format_terms(coeffs: Iterable[tuple[str, float]]) -> str:
 def write_lp_text(
     objective: Iterable[tuple[str, float]],
     rows: Iterable[tuple[str, list[tuple[str, float]], str, float]],
-    bounds: Iterable[str] = (),
     binaries: Iterable[str] = (),
     constant: float = 0.0,
-    sense: str = "Minimize",
 ) -> str:
-    """Render a model in LP text format; rows are (name, terms, rel, rhs)."""
-    lines = [sense, " obj: " + _format_terms(objective) + (f" + {constant:.12g}" if constant else "")]
+    """Render a minimisation in LP text format; rows are (name, terms, rel,
+    rhs)."""
+    lines = ["Minimize",
+             " obj: " + _format_terms(objective) + (f" + {constant:.12g}" if constant else "")]
     lines.append("Subject To")
     for name, terms, rel, rhs in rows:
         op = {LE: "<=", GE: ">=", EQ: "="}[rel]
         lines.append(f" {name}: {_format_terms(terms)} {op} {rhs:.12g}")
-    bounds = list(bounds)
-    if bounds:
-        lines.append("Bounds")
-        lines.extend(f" {line}" for line in bounds)
     binaries = list(binaries)
     if binaries:
         lines.append("Binary")

@@ -16,7 +16,12 @@ The rounding pass and the pool purge once kept their fixings in a dict keyed
 by (server, content, slot) and looped over it in Python; ``mcsp.rounding`` and
 ``ColumnPool.purge_incompatible`` now do the same work on int8 arrays. These
 are the dict versions, kept so that tests can check the array code pass by
-pass: same fixings, reports, headrooms and pools.
+pass: same fixings, reports, headrooms and pools. ``canonical_column`` is the
+scalar rule the purge once ran pair by pair to derive a pair's canonical
+column; ``columns.canonical_flags`` derives every pair's in one array pass,
+and ``columns.anchor_slots`` stands in for ``RoundingState.update_reachable``
+in the rounding pass. Both are checked against these on every fixing row of
+short horizons.
 
 The master LP was once assembled as scipy.sparse COO triplets, converted to
 CSR, and converted to CSC by ``solve_lp``; the face LP of the canonical
@@ -70,8 +75,8 @@ from mcsp.columns import (
     ColumnPool,
     UnfixablePoolError,
     _flags_of,
-    canonical_column,
     column_ages,
+    column_is_valid,
     column_states,
     enumerate_columns,
     zero_column,
@@ -467,6 +472,60 @@ def _column_compatible(col, h, size, fixed, remaining_cache, remaining_backhaul)
         if omega is None and p == 1 and size > remaining_backhaul[(h, t)] + CAPACITY_EPS:
             return False
     return True
+
+
+def canonical_column(gamma: Sequence[int], omega: Sequence[int]) -> Optional[Column]:
+    """Minimal column consistent with one pair's fixings, if one exists;
+    ``gamma``/``omega`` hold the fixed value of each slot 1..T, or ``FREE``.
+
+    Caches exactly the slots fixed to cached, updates where fixed to updated,
+    and adds the fewest extra cached/updated slots needed to give every cached
+    run a derivable age. Returns None when the fixings are contradictory.
+    """
+    horizon = len(gamma)
+    gamma_fix = {t: int(v) for t, v in enumerate(gamma, start=1) if v != FREE}
+    omega_fix = {t: int(v) for t, v in enumerate(omega, start=1) if v != FREE}
+    if any(gamma_fix.get(t) == 0 for t, v in omega_fix.items() if v == 1):
+        return None
+    q = [
+        1 if (gamma_fix.get(t) == 1 or omega_fix.get(t) == 1) else 0
+        for t in range(1, horizon + 1)
+    ]
+    p = [1 if omega_fix.get(t) == 1 else 0 for t in range(1, horizon + 1)]
+    # give every cached run an anchoring update, extending the run backwards
+    # through unfixed slots when the run head cannot host one
+    for t in range(1, horizon + 1):
+        if not q[t - 1]:
+            continue
+        run_start = t
+        while run_start > 1 and q[run_start - 2]:
+            run_start -= 1
+        if any(p[u - 1] for u in range(run_start, t + 1)):
+            continue
+        anchor = None
+        u = t
+        while u >= 1:
+            if gamma_fix.get(u) == 0:
+                break  # cannot cache through here
+            if omega_fix.get(u) != 0:
+                anchor = u
+                break
+            u -= 1
+        if anchor is None:
+            return None
+        for v in range(anchor, t + 1):
+            q[v - 1] = 1
+        p[anchor - 1] = 1
+    col = tuple(zip(q, p))
+    if not column_is_valid(col):
+        return None
+    # the extension must not have violated any explicit zero fixing
+    for t in range(1, horizon + 1):
+        if gamma_fix.get(t) is not None and col[t - 1][0] != gamma_fix[t]:
+            return None
+        if omega_fix.get(t) is not None and col[t - 1][1] != omega_fix[t]:
+            return None
+    return col
 
 
 def purge_incompatible(pool: ColumnPool, fixings, remaining_cache, remaining_backhaul) -> int:

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize._highspy import _core
 
 import reference
 from mcsp.baselines import (
     CapsExceededError,
-    OracleCaps,
     export_ilp,
     ilp_variable_names,
     run_pba,
@@ -16,7 +17,7 @@ from mcsp.baselines import (
 from mcsp.costs import evaluate
 from mcsp.driver import run_rcga
 from mcsp.generator import GeneratorConfig, generate_instance
-from mcsp.instance import ContentSpec
+from mcsp.instance import ContentSpec, Topology
 
 from conftest import TWO_CELL, random_tiny_instance
 
@@ -96,6 +97,25 @@ def test_exact_refuses_big():
         solve_exact(inst)
 
 
+@pytest.mark.parametrize("past", ["servers", "contents", "horizon", "requests"])
+def test_exact_refuses_one_past_each_cap(past):
+    """An instance at every cap solves; one past any single cap is refused."""
+    from mcsp import baselines
+
+    caps = dict(servers=baselines.MAX_SERVERS, contents=baselines.MAX_CONTENTS,
+                horizon=baselines.MAX_HORIZON, requests=baselines.MAX_REQUESTS)
+
+    def make(servers, contents, horizon, requests):
+        topology = Topology(num_servers=servers, edges=TWO_CELL.edges, triples=())
+        return generate_instance(GeneratorConfig(
+            cells="custom", custom_topology=topology, num_contents=contents,
+            num_requests=requests, horizon=horizon, rho_m=0.0, seed=2))
+
+    solve_exact(make(**caps))
+    with pytest.raises(CapsExceededError):
+        solve_exact(make(**{**caps, past: caps[past] + 1}))
+
+
 def test_exact_min_never_exceeds_paper():
     rng = random.Random(41)
     for _ in range(10):
@@ -151,11 +171,11 @@ def _peak_load(report, inst) -> int:
     )
 
 
-def _assert_reports_equal_reference(inst, caps=OracleCaps()):
+def _assert_reports_equal_reference(inst):
     """Both settlement modes report byte-identically to ``reference``'s
     search; returns the paper-mode report."""
     for mode in ("min", "paper"):
-        report = solve_exact(inst, mode, caps)
+        report = solve_exact(inst, mode)
         got, want = report.to_dict(), reference.solve_exact(inst, mode).to_dict()
         got.pop("wall_time_s"), want.pop("wall_time_s")
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -185,10 +205,12 @@ def test_exact_capacity_edges_equal_reference(sizes, capacity, peak, seed):
     assert _peak_load(_assert_reports_equal_reference(inst), inst) == peak
 
 
-def test_exact_wide_catalog_equals_reference():
+def test_exact_wide_catalog_equals_reference(monkeypatch):
     """A four-content catalog of 510 (past an 8-bit capacity field) under
-    custom caps: the optimum fills the backhaul of 250 exactly, as the
-    reference search finds it."""
+    a raised content cap: the optimum fills the backhaul of 250 exactly, as
+    the reference search finds it."""
+    from mcsp import baselines
+
     inst = generate_instance(GeneratorConfig(
         cells="custom", custom_topology=TWO_CELL, num_contents=4, num_requests=12,
         horizon=3, rho_m=0.3, rho_tt=0.0, window_max=1, seed=5,
@@ -196,7 +218,8 @@ def test_exact_wide_catalog_equals_reference():
     inst = _with_capacities(inst, (200, 150, 100, 60), 300, 250)
     with pytest.raises(CapsExceededError):
         solve_exact(inst)
-    report = _assert_reports_equal_reference(inst, OracleCaps(max_contents=4))
+    monkeypatch.setattr(baselines, "MAX_CONTENTS", 4)
+    report = _assert_reports_equal_reference(inst)
     assert _peak_load(report, inst) == 250
 
 def test_pba_at_least_exact():
@@ -226,6 +249,9 @@ def test_export_ilp_evaluates_to_rcga_cost(tmp_path, tiny1):
 
 
 def test_export_ilp_random_consistency(tmp_path):
+    """The RCGA schedule, as a point of the exported ILP, costs what RCGA
+    reports and satisfies every row and bound of the file as HiGHS reads
+    it."""
     rng = random.Random(29)
     done = 0
     for n in range(20):
@@ -235,10 +261,42 @@ def test_export_ilp_random_consistency(tmp_path):
         report = run_rcga(inst)
         path = tmp_path / f"m{n}.lp"
         export_ilp(inst, path)
-        value = _evaluate_lp_file(path.read_text(), _point_from_report(report, inst))
+        point = _point_from_report(report, inst)
+        value = _evaluate_lp_file(path.read_text(), point)
         assert value == pytest.approx(report.cost.total, abs=1e-9, rel=1e-12)
+        lp = _read_lp_file(path).getLp()
+        names = list(lp.col_names_)
+        assert set(point) <= set(names)
+        x = np.array([point.get(name, 0) for name in names], dtype=float)
+        a = lp.a_matrix_
+        col = np.arange(lp.num_col_).repeat(np.diff(a.start_))
+        activity = np.bincount(np.asarray(a.index_, dtype=np.int64),
+                               np.asarray(a.value_) * x[col], minlength=lp.num_row_)
+        assert (activity >= np.asarray(lp.row_lower_) - 1e-9).all()
+        assert (activity <= np.asarray(lp.row_upper_) + 1e-9).all()
+        assert (x >= np.asarray(lp.col_lower_) - 1e-9).all()
+        assert (x <= np.asarray(lp.col_upper_) + 1e-9).all()
+        assert np.dot(lp.col_cost_, x) + lp.offset_ == pytest.approx(value, abs=1e-9)
         done += 1
     assert done >= 8
+
+
+def test_export_ilp_mip_optimum_equals_exact(tmp_path):
+    """Solved by HiGHS's MIP, the exported ILP of each of 60 tiny instances
+    has the exact oracle's min-mode optimum: the off-the-shelf solver and
+    the oracle agree on the formulation."""
+    rng = random.Random(2024)
+    for n in range(60):
+        inst = random_tiny_instance(rng)
+        path = tmp_path / f"m{n}.lp"
+        export_ilp(inst, path)
+        highs = _read_lp_file(path)
+        highs.setOptionValue("threads", 1)
+        highs.setOptionValue("mip_rel_gap", 0.0)
+        highs.run()
+        assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
+        optimum = highs.getInfo().objective_function_value
+        assert optimum == pytest.approx(solve_exact(inst, "min").cost.total, rel=1e-6)
 
 
 def test_export_empty_requests(tmp_path):
@@ -252,6 +310,14 @@ def test_export_empty_requests(tmp_path):
     export_ilp(inst, path)
     text = path.read_text()
     assert "y_" not in text.split("Subject To")[0]  # objective has no service terms
+
+
+def _read_lp_file(path):
+    """A quiet HiGHS handle holding the model of an LP text file."""
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+    return highs
 
 
 def _point_from_report(report, inst):

@@ -7,7 +7,8 @@ from mcsp.columns import (
     FREE,
     ColumnPool,
     UnfixablePoolError,
-    canonical_column,
+    anchor_slots,
+    canonical_flags,
     column_is_valid,
     column_states,
     enumerate_columns,
@@ -17,6 +18,7 @@ from mcsp.instance import build_request_index
 
 from conftest import random_duals, random_tiny_instance
 from reference import (
+    canonical_column,
     column_aoi,
     column_cost_S,
     column_from_states,
@@ -170,9 +172,17 @@ def test_pool_purge_reinserts_canonical(tiny1, tiny1_idx):
     assert q2 == 1 and column_is_valid(cols[0])
 
 
+def _canonical(fixed):
+    """``canonical_flags`` on one pair's fixings of slots 1..T: its column,
+    or None where it finds none."""
+    gamma, omega = (np.array([row], dtype=np.int8) for row in fixing_rows(fixed))
+    flags, fixable = canonical_flags(gamma, omega)
+    return tuple(zip(*flags[0].view(np.uint8).tolist())) if fixable[0] else None
+
+
 def test_canonical_column_connects_updates():
     # cached at slot 3 with updates forbidden at slots 2..3: anchor at slot 1
-    col = canonical_column(*fixing_rows([(None, None), (None, 0), (1, None)]))
+    col = _canonical([(None, None), (None, 0), (1, None)])
     assert col is not None and column_is_valid(col)
     assert col[2][0] == 1
     assert col[1][1] == 0
@@ -180,50 +190,37 @@ def test_canonical_column_connects_updates():
 
 def test_canonical_column_unfixable():
     # cached at slot 2 but updates forbidden everywhere up to it
-    assert canonical_column(*fixing_rows([(None, 0), (1, 0)])) is None
+    assert _canonical([(None, 0), (1, 0)]) is None
 
 
-def test_purge_derives_canonical_columns_only_for_changed_fixings(monkeypatch):
-    """A purge re-derives a pair's canonical column only when the pair's
-    fixings changed since the last purge, and leaves every pool as a pool
-    that derives all of them afresh does. A pair fixed at every slot takes
-    its fixings in an array pass, without ``canonical_column``."""
-    from mcsp import columns
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
+def test_array_rule_equals_scalar_references(horizon):
+    """On every fixing row of the horizon (each slot's gamma and omega 1, 0
+    or free: 9^T rows), ``canonical_flags`` gives the column the scalar
+    ``reference.canonical_column`` derives, and is unfixable exactly where
+    it derives none; and ``anchor_slots`` is non-negative at a slot exactly
+    where ``reference.RoundingState.update_reachable`` holds."""
+    from itertools import product
 
-    rng = random.Random(21)
-    calls = []
-    derive = columns.canonical_column
+    from reference import RoundingState
 
-    def counted(gamma, omega):
-        calls.append((tuple(gamma), tuple(omega)))
-        return derive(gamma, omega)
-
-    for _ in range(10):
-        inst = random_tiny_instance(rng)
-        idx = build_request_index(inst)
-        cached, fresh = (ColumnPool.initial(idx, "paper") for _ in range(2))
-        caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
-                for t in range(1, inst.horizon + 1)}
-        fixings = {}
-        purge(cached, fixings, caps, caps)
-        for _ in range(4):
-            h = rng.randint(1, inst.num_servers)
-            i = rng.randint(1, inst.num_contents)
-            t = rng.randint(1, inst.horizon)
-            changed = fixings.get((h, i, t)) != (1, 1)
-            fixings[(h, i, t)] = (1, 1)
-            calls.clear()
-            monkeypatch.setattr(columns, "canonical_column", counted)
-            purge(cached, fixings, caps, caps)
-            monkeypatch.undo()
-            rows = fixing_rows([fixings.get((h, i, s), (None, None))
-                                for s in range(1, inst.horizon + 1)])
-            derived = changed and FREE in rows[0] + rows[1]
-            assert calls == ([tuple(map(tuple, rows))] if derived else [])
-            fresh._fixed_at_purge = None  # forget the last purge: derive all afresh
-            purge(fresh, fixings, caps, caps)
-            assert {k: [e.column for e in v] for k, v in pool_entries(cached).items()} == {
-                k: [e.column for e in v] for k, v in pool_entries(fresh).items()}
+    values = (FREE, 0, 1)
+    cells = np.array(list(product(product(values, values), repeat=horizon)), dtype=np.int8)
+    gamma, omega = cells[..., 0], cells[..., 1]
+    flags, fixable = canonical_flags(gamma, omega)
+    anchors = anchor_slots(gamma, omega)
+    inst = random_tiny_instance(random.Random(1))
+    for n, (g, o) in enumerate(zip(gamma.tolist(), omega.tolist())):
+        col = canonical_column(g, o)
+        assert fixable[n] == (col is not None)
+        if col is not None:
+            assert tuple(zip(*flags[n].view(np.uint8).tolist())) == col
+        state = RoundingState(inst, {(1, 1, t): (None if a == FREE else a,
+                                                None if b == FREE else b)
+                                     for t, a, b in zip(range(1, horizon + 1), g, o)})
+        assert [x >= 0 for x in anchors[n].tolist()] == [
+            state.update_reachable(1, 1, t) for t in range(1, horizon + 1)]
+    assert len(gamma) == 9**horizon and 0 < np.count_nonzero(fixable) < len(gamma)
 
 
 def _assert_entries_match_reference(pool):

@@ -166,6 +166,18 @@ def test_generator_empty_requests_valid():
     assert validate_instance(inst) == []
 
 
+def test_generator_rho_m_closed_unit_interval():
+    """rho_m = 1 makes every request multiple-choice; a share outside [0, 1]
+    is refused with a message that names the interval."""
+    inst = generate_instance(GeneratorConfig(
+        cells="3-cell", num_contents=5, num_requests=30, horizon=4, rho_m=1.0, seed=4))
+    assert len(inst.requests) == 30 and all(r.is_mcr for r in inst.requests)
+    assert validate_instance(inst) == []
+    for rho_m in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"rho_m must lie in \[0, 1\], got"):
+            generate_instance(GeneratorConfig(num_contents=5, num_requests=30, rho_m=rho_m))
+
+
 def test_generator_rejects_triples_without_topology():
     with pytest.raises(ValueError, match="no triples"):
         generate_instance(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from mcsp.columns import FREE, ColumnPool, UnfixablePoolError, enumerate_columns
+from mcsp.columns import FREE, ColumnPool, UnfixablePoolError, anchor_slots, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.rounding import (
     RoundingState,
@@ -140,6 +140,22 @@ def test_round_respects_backhaul_headroom(tiny1, tiny1_idx):
     assert state.fixed(1, 1, 1) == (1, 1)
 
 
+def test_round_down_where_no_update_can_anchor(tiny1, tiny1_idx):
+    """Stage 3 rounds a caching likelihood of 0.9 down when no slot at or
+    before it can hold the update its cached run needs: updates are fixed
+    off in both slots and caching off in slot 1. Fixed to one instead, the
+    pair would have no column left."""
+    pool = ColumnPool.initial(tiny1_idx, "paper")
+    state = RoundingState(tiny1)
+    state.fix(1, 1, 1, omega=0)
+    state.fix(1, 1, 2, omega=0)
+    gamma, omega = np.zeros((2, 2, 3)), np.zeros((2, 2, 3))
+    gamma[1, 1, 2] = 0.9
+    report = round_once(state, gamma, omega, pool)
+    assert state.fixed(1, 1, 1) == (0, 0) and state.fixed(1, 1, 2) == (0, 0)
+    assert (report.rounded_up, report.rounded_down) == (0, 1)
+
+
 def test_masks_reflect_fixings(tiny1):
     state = RoundingState(tiny1)
     state.fix(1, 1, 1, gamma=1, omega=1)
@@ -179,18 +195,24 @@ def test_masks_reflect_fixings(tiny1):
 
 
 def test_update_reachable():
+    """``anchor_slots`` on a pair's fixing rows, as stage 3 of a rounding
+    pass asks it: whether caching at slot t can still open with an update."""
     rng = random.Random(1)
     inst = random_tiny_instance(rng)
     state = RoundingState(inst)
-    assert state.update_reachable(1, 1, 1)
+
+    def reachable(t):
+        return anchor_slots(state.gamma[1, 1, 1:], state.omega[1, 1, 1:])[t - 1] >= 0
+
+    assert reachable(1)
     state.fix(1, 1, 1, omega=0)
-    assert not state.update_reachable(1, 1, 1)
+    assert not reachable(1)
     if inst.horizon >= 2:
-        assert state.update_reachable(1, 1, 2)
+        assert reachable(2)
         state.fix(1, 1, 1, gamma=0)
-        assert state.update_reachable(1, 1, 2)  # anchor at slot 2 itself
+        assert reachable(2)  # anchor at slot 2 itself
         state.fix(1, 1, 2, omega=0)
-        assert not state.update_reachable(1, 1, 2)
+        assert not reachable(2)
 
 
 def test_fixings_monotone_and_capacity_nonnegative():
