@@ -1,8 +1,16 @@
 """Command-line front end: generate, solve, evaluate, sweep, report, and
 export the flat ILP.
 
-Exit codes: 0 success, 1 solver failure or evaluation violation, 2 usage
-errors (argparse's convention). Sweeps are resumable: rows whose key columns
+Each decision is made in one place: ``ALGORITHMS`` names what ``solve`` and
+a sweep can run, ``GEN_FLAGS`` the generator settings of ``gen`` (a sweep's
+"gen" block may set the same fields but the seed), ``report_row`` a run's
+CSV columns, whose key columns identify the run, and ``FIGURES`` the files
+``report`` writes.
+
+Exit codes: 0 success, 1 solver failure or evaluation violation (``eval``
+prints a schedule's violations and does not cost it), 2 usage errors
+(argparse's convention; ``gen`` also exits 2 on settings the generator
+rejects, and writes no file). Sweeps are resumable: rows whose key columns
 already appear in the output CSV are skipped, and runs execute in parallel
 across processes (``sweep --threads`` or the MCSP_THREADS environment
 variable).
@@ -17,6 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -41,18 +50,47 @@ from .simplex import LpError
 # included, propagates with its traceback.
 SOLVER_FAILURES = (LpError, ConvergenceError, UnfixablePoolError, NoPathError, CapsExceededError)
 
-CSV_COLUMNS = [
-    "seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode",
+KEY_COLUMNS = ["seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode"]
+
+CSV_COLUMNS = KEY_COLUMNS + [
     "total", "aoi_cost", "download_cost", "update_cost", "lb", "gap",
     "pricing_rounds", "rounding_rounds", "wall_time_s",
 ]
 
-KEY_COLUMNS = ["seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode"]
+ALGORITHMS = {
+    "rcga": run_rcga,
+    "pba": lambda inst, mode: run_pba(inst),
+    "exact": solve_exact,
+    "lb": run_lower_bound,
+    "nrs": naive_round,
+}
+
+# (flag, ``GeneratorConfig`` field, type) of each ``mcsp gen`` setting; the
+# flag's argparse dest is its name with "_" for "-"
+GEN_FLAGS = (
+    ("--cells", "cells", str),
+    ("--contents", "num_contents", int),
+    ("--requests", "num_requests", int),
+    ("--slots", "horizon", int),
+    ("--rho-m", "rho_m", float),
+    ("--rho-tt", "rho_tt", parse_ratio),
+    ("--rho-b", "rho_b", float),
+    ("--cache-scale", "cache_scale", float),
+    ("--window-max", "window_max", int),
+    ("--seed", "seed", int),
+)
 
 # the ``GeneratorConfig`` fields a sweep's "gen" block may set; the rest
 # keep their defaults
-SWEEP_FIELDS = ("cells", "num_contents", "num_requests", "horizon", "rho_m", "rho_tt",
-                "rho_b", "cache_scale", "window_max")
+SWEEP_FIELDS = tuple(field for _, field, _ in GEN_FLAGS if field != "seed")
+
+# (file name, x column, the costs whose shares of the total are averaged
+# too) of each figure ``mcsp report`` writes
+FIGURES = (
+    ("cost_vs_contents.csv", "I", ()),
+    ("cost_vs_requests.csv", "R", ()),
+    ("cost_and_share_vs_rho_b.csv", "rho_b", ("download", "update", "aoi")),
+)
 
 
 def _fmt(value) -> str:
@@ -65,9 +103,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_row(cfg: GeneratorConfig, algo: str, mode: str, report: SolveReport) -> dict:
-    cost = report.cost
-    return {
+def report_row(cfg: GeneratorConfig, algo: str, mode: str,
+               report: Optional[SolveReport]) -> dict:
+    """A run's CSV row; only its key columns when ``report`` is None."""
+    row = {
         "seed": cfg.seed,
         "cells": cfg.cells,
         "I": cfg.num_contents,
@@ -78,16 +117,14 @@ def report_row(cfg: GeneratorConfig, algo: str, mode: str, report: SolveReport) 
         "rho_b": cfg.rho_b,
         "algo": algo,
         "mode": mode,
-        "total": None if cost is None else cost.total,
-        "aoi_cost": None if cost is None else cost.aoi_cost,
-        "download_cost": None if cost is None else cost.download_cost,
-        "update_cost": None if cost is None else cost.update_cost,
-        "lb": report.lower_bound,
-        "gap": report.gap,
-        "pricing_rounds": report.pricing_rounds,
-        "rounding_rounds": report.rounding_rounds,
-        "wall_time_s": report.wall_time_s,
     }
+    if report is None:
+        return row
+    if report.cost is not None:
+        row.update(report.cost.to_dict())
+    row.update(lb=report.lower_bound, gap=report.gap, pricing_rounds=report.pricing_rounds,
+               rounding_rounds=report.rounding_rounds, wall_time_s=report.wall_time_s)
+    return row
 
 
 def write_results_csv(rows: list[dict], path: str | Path) -> None:
@@ -104,45 +141,27 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
 
 def _row_key(row: dict) -> tuple:
-    return tuple(str(row.get(col, "")) for col in KEY_COLUMNS)
+    """A run's key as the CSV writes it, from a written row or from
+    ``report_row``."""
+    return tuple(_fmt(row.get(col)) for col in KEY_COLUMNS)
 
 
 def run_algorithm(algo: str, inst: Instance, mode: str) -> SolveReport:
-    if algo == "rcga":
-        return run_rcga(inst, mode=mode)
-    if algo == "pba":
-        return run_pba(inst)
-    if algo == "exact":
-        return solve_exact(inst, mode=mode)
-    if algo == "lb":
-        return run_lower_bound(inst, mode=mode)
-    if algo == "nrs":
-        return naive_round(inst, mode=mode)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return ALGORITHMS[algo](inst, mode)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cfg_from_args(args) -> GeneratorConfig:
-    return GeneratorConfig(
-        cells=args.cells,
-        num_contents=args.contents,
-        num_requests=args.requests,
-        horizon=args.slots,
-        rho_m=args.rho_m,
-        rho_tt=parse_ratio(args.rho_tt),
-        rho_b=args.rho_b,
-        cache_scale=args.cache_scale,
-        window_max=args.window_max,
-        seed=args.seed,
-    )
-
-
 def cmd_gen(args) -> int:
-    cfg = _cfg_from_args(args)
-    inst = generate_instance(cfg)
+    cfg = GeneratorConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
+                             for flag, field, _ in GEN_FLAGS})
+    try:
+        inst = generate_instance(cfg)
+    except ValueError as exc:
+        print(f"mcsp gen: error: {exc}", file=sys.stderr)
+        return 2
     save_instance(inst, args.out)
     print(f"wrote {args.out}: {inst.num_servers} cells, {inst.num_contents} contents, "
           f"{len(inst.requests)} requests, horizon {inst.horizon}")
@@ -156,9 +175,8 @@ def cmd_solve(args) -> int:
     except SOLVER_FAILURES as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
-    doc = report.to_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        Path(args.out).write_text(json.dumps(report.to_dict(), indent=1), encoding="utf-8")
     if not report.feasible:
         print(f"{args.algo}: no feasible solution ({report.failure})")
         return 1
@@ -185,63 +203,61 @@ def cmd_eval(args) -> int:
     problems = check_feasibility(schedule, inst)
     for p in problems:
         print(f"violation: {p}")
+    if problems:
+        return 1
     repaired = evaluate(schedule, inst, "min")
     print(f"min-assignment cost: total={_fmt(repaired.total)} "
           f"aoi={_fmt(repaired.aoi_cost)} download={_fmt(repaired.download_cost)} "
           f"update={_fmt(repaired.update_cost)}")
+    if report is None or report.cost is None:
+        return 0
+    # ``cost`` is the min repair's, except the exact oracle's, which it
+    # settles under its own mode
+    settled = evaluate(schedule, inst, report.settlement_mode)
     mismatches = []
-    if report is not None and report.cost is not None:
-        settled = evaluate(schedule, inst, report.settlement_mode)
-        for name, got, want in (
-            ("cost", repaired, report.cost),
-            ("settled_cost", settled, report.settled_cost),
-        ):
-            if want is None:
-                continue
-            for field in ("aoi_cost", "download_cost", "update_cost", "total"):
-                g, w = getattr(got, field), getattr(want, field)
-                if abs(g - w) > 1e-9 * (1 + abs(w)):
-                    mismatches.append(f"{name}.{field}: recomputed {g!r} != reported {w!r}")
-        for m in mismatches:
-            print(f"mismatch: {m}")
-    return 1 if (problems or mismatches) else 0
+    for name, got, want in (
+        ("cost", settled if report.algorithm == "exact" else repaired, report.cost),
+        ("settled_cost", settled, report.settled_cost),
+    ):
+        if want is None:
+            continue
+        recomputed = got.to_dict()
+        for field, w in want.to_dict().items():
+            g = recomputed[field]
+            if abs(g - w) > 1e-9 * (1 + abs(w)):
+                mismatches.append(f"{name}.{field}: recomputed {g!r} != reported {w!r}")
+    for m in mismatches:
+        print(f"mismatch: {m}")
+    return 1 if mismatches else 0
 
 
-def _sweep_one(payload) -> dict:
-    cfg_doc, algo, mode = payload
-    cfg = GeneratorConfig(**{**cfg_doc, "rho_tt": parse_ratio(cfg_doc["rho_tt"])})
-    inst = generate_instance(cfg)
-    report = run_algorithm(algo, inst, mode)
-    return report_row(cfg, algo, mode, report)
+def _sweep_one(job) -> dict:
+    cfg, algo, mode = job
+    return report_row(cfg, algo, mode, run_algorithm(algo, generate_instance(cfg), mode))
 
 
 def _expand_sweep(config: dict) -> list[tuple]:
+    """The sweep's jobs, (``GeneratorConfig``, algorithm, mode) each, in
+    block, seed and algorithm order."""
     jobs = []
     for block in config["runs"]:
-        gen = dict(block["gen"])
-        seeds = gen.pop("seeds", None)
-        if seeds is None:
-            lo, hi = gen.pop("seed_range")
-            seeds = list(range(lo, hi))
+        gen = block["gen"]
+        if "seeds" in gen:
+            seeds = gen["seeds"]
+        else:
+            lo, hi = gen["seed_range"]
+            seeds = range(lo, hi)
+        fields = {name: gen.get(name, getattr(GeneratorConfig, name)) for name in SWEEP_FIELDS}
+        cfg = GeneratorConfig(**{**fields, "rho_tt": parse_ratio(fields["rho_tt"])})
         mode = block.get("mode", "paper")
         for seed in seeds:
             for algo in block["algos"]:
-                cfg_doc = {name: gen.get(name, getattr(GeneratorConfig, name))
-                           for name in SWEEP_FIELDS}
-                jobs.append(({**cfg_doc, "seed": seed}, algo, mode))
+                jobs.append((replace(cfg, seed=seed), algo, mode))
     return jobs
 
 
 def _job_key(job) -> tuple:
-    cfg_doc, algo, mode = job
-    return tuple(
-        _fmt(v) if isinstance(v, (int, float)) else str(v)
-        for v in (
-            cfg_doc["seed"], cfg_doc["cells"], cfg_doc["num_contents"],
-            cfg_doc["num_requests"], cfg_doc["horizon"], cfg_doc["rho_m"],
-            parse_ratio(cfg_doc["rho_tt"]), cfg_doc["rho_b"], algo, mode,
-        )
-    )
+    return _row_key(report_row(*job, None))
 
 
 def default_threads() -> int:
@@ -254,36 +270,23 @@ def default_threads() -> int:
 def cmd_sweep(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     jobs = _expand_sweep(config)
-    existing_rows: list[dict] = []
-    done_keys: set[tuple] = set()
     out = Path(args.out)
-    if out.exists():
-        existing_rows = read_results_csv(out)
-        done_keys = {_row_key(row) for row in existing_rows}
+    existing_rows = read_results_csv(out) if out.exists() else []
+    done_keys = {_row_key(row) for row in existing_rows}
     todo = [job for job in jobs if _job_key(job) not in done_keys]
     print(f"{len(jobs)} runs requested, {len(jobs) - len(todo)} already present, "
           f"{len(todo)} to do")
     threads = args.threads or default_threads()
-    results: dict[tuple, dict] = {}
     if threads > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for job, row in zip(todo, pool.map(_sweep_one, todo)):
-                results[_job_key(job)] = row
+            new_rows = list(pool.map(_sweep_one, todo))
     else:
-        for job in todo:
-            results[_job_key(job)] = _sweep_one(job)
+        new_rows = [_sweep_one(job) for job in todo]
     # deterministic merge: existing rows first, new rows in job order
-    rows = list(existing_rows)
-    for job in todo:
-        rows.append(results[_job_key(job)])
+    rows = existing_rows + new_rows
     write_results_csv(rows, out)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
-
-
-def _mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else math.nan
 
 
 def cmd_report(args) -> int:
@@ -291,74 +294,36 @@ def cmd_report(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     emitted = []
-    specs = [
-        ("cost_vs_contents.csv", "I"),
-        ("cost_vs_requests.csv", "R"),
-    ]
-    for fname, xcol in specs:
+    for fname, xcol, shares in FIGURES:
         series: dict[tuple, list] = {}
         for row in rows:
             if not row.get("total"):
                 continue
-            key = (row["cells"], row["algo"], row["mode"], row[xcol])
-            series.setdefault(key, []).append(float(row["total"]))
+            total = float(row["total"])
+            point = [total, *(float(row[f"{name}_cost"]) / total if total else 0.0
+                              for name in shares)]
+            series.setdefault((row["cells"], row["algo"], row["mode"], row[xcol]), []).append(point)
         path = outdir / fname
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["cells", "algo", "mode", xcol, "mean_total", "runs"])
+            w.writerow(["cells", "algo", "mode", xcol, "mean_total",
+                        *(f"{name}_share" for name in shares), "runs"])
             for key in sorted(series, key=lambda k: (k[0], k[1], k[2], float(k[3]))):
                 vals = series[key]
-                w.writerow([*key, _fmt(_mean(vals)), len(vals)])
+                w.writerow([*key, *(_fmt(sum(col) / len(col)) for col in zip(*vals)), len(vals)])
+        if args.svg:
+            _render_svg(path, xcol)
         emitted.append(path)
-
-    # backhaul sweep: total plus cost shares per rho_b
-    shares: dict[tuple, list] = {}
-    for row in rows:
-        if not row.get("total"):
-            continue
-        key = (row["cells"], row["algo"], row["mode"], row["rho_b"])
-        total = float(row["total"])
-        shares.setdefault(key, []).append(
-            (
-                total,
-                float(row["download_cost"]) / total if total else 0.0,
-                float(row["update_cost"]) / total if total else 0.0,
-                float(row["aoi_cost"]) / total if total else 0.0,
-            )
-        )
-    path = outdir / "cost_and_share_vs_rho_b.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cells", "algo", "mode", "rho_b", "mean_total",
-                    "download_share", "update_share", "aoi_share", "runs"])
-        for key in sorted(shares, key=lambda k: (k[0], k[1], k[2], float(k[3]))):
-            vals = shares[key]
-            w.writerow([
-                *key,
-                _fmt(_mean(v[0] for v in vals)),
-                _fmt(_mean(v[1] for v in vals)),
-                _fmt(_mean(v[2] for v in vals)),
-                _fmt(_mean(v[3] for v in vals)),
-                len(vals),
-            ])
-    emitted.append(path)
-    if args.svg:
-        for src in emitted:
-            _render_svg(src)
     print("emitted: " + ", ".join(str(p) for p in emitted))
     return 0
 
 
-def _render_svg(csv_path: Path) -> None:
-    """Minimal line rendering of the mean_total column, one polyline per
-    (cells, algo) series; no plotting dependency."""
+def _render_svg(csv_path: Path, xcol: str) -> None:
+    """Minimal line rendering of the mean_total column against ``xcol``, one
+    polyline per (cells, algo) series; no plotting dependency."""
     rows = read_results_csv(csv_path)
     if not rows:
         return
-    xcol = [c for c in rows[0] if c in ("I", "R", "rho_b")]
-    if not xcol:
-        return
-    xcol = xcol[0]
     series: dict[tuple, list] = {}
     for row in rows:
         series.setdefault((row["cells"], row["algo"]), []).append(
@@ -406,22 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance")
-    cfg = GeneratorConfig
-    gen.add_argument("--cells", default=cfg.cells, choices=["3-cell", "7-cell"])
-    gen.add_argument("--contents", type=int, default=cfg.num_contents)
-    gen.add_argument("--requests", type=int, default=cfg.num_requests)
-    gen.add_argument("--slots", type=int, default=cfg.horizon)
-    gen.add_argument("--rho-m", dest="rho_m", type=float, default=cfg.rho_m)
-    gen.add_argument("--rho-tt", dest="rho_tt", default=cfg.rho_tt)
-    gen.add_argument("--rho-b", dest="rho_b", type=float, default=cfg.rho_b)
-    gen.add_argument("--cache-scale", dest="cache_scale", type=float, default=cfg.cache_scale)
-    gen.add_argument("--window-max", dest="window_max", type=int, default=cfg.window_max)
-    gen.add_argument("--seed", type=int, default=cfg.seed)
+    for flag, field, kind in GEN_FLAGS:
+        gen.add_argument(flag, type=kind, default=getattr(GeneratorConfig, field),
+                         choices=["3-cell", "7-cell"] if field == "cells" else None)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="solve an instance file")
-    solve.add_argument("--algo", required=True, choices=["rcga", "pba", "exact", "lb", "nrs"])
+    solve.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     solve.add_argument("--instance", required=True)
     solve.add_argument("--mode", default="paper", choices=["paper", "min"])
     solve.add_argument("--out", default=None, help="write the solve report JSON here")

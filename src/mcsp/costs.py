@@ -23,7 +23,7 @@ assignment, and is feasible for the exact integer formulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Literal, Optional
 
 from .instance import Instance, Request
 
@@ -54,9 +54,6 @@ class Schedule:
 
     def state(self, h: int, i: int) -> str:
         return self.states.get((h, i), ABSENT * self.horizon)
-
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        return sorted(self.states)
 
     def to_dict(self) -> dict:
         return {

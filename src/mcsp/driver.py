@@ -244,18 +244,6 @@ def _finish_report(
     )
 
 
-@dataclass
-class RcgaAudit:
-    """Final pool (which holds the run's request index) and solution of a
-    finished run, for the termination and pricing-consistency checks of the
-    acceptance suite, and the number of integrality-equivalence checks it
-    passed (a failing one raises)."""
-
-    pool: Optional[ColumnPool] = None
-    solution: Optional[RmpSolution] = None
-    integrality_checks: int = 0
-
-
 def _set_up(
     inst: Instance, mode: SettlementMode
 ) -> tuple[ColumnPool, PricingStatics, RoundingState, CapacityRows, MasterBasis]:
@@ -269,9 +257,7 @@ def _set_up(
             MasterBasis())
 
 
-def run_rcga(
-    inst: Instance, mode: SettlementMode = "paper", audit: Optional[RcgaAudit] = None
-) -> SolveReport:
+def run_rcga(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Column generation with likelihood rounding until integral."""
     started = time.perf_counter()
     pool, statics, state, rows, basis = _set_up(inst, mode)
@@ -287,8 +273,6 @@ def run_rcga(
         gamma, omega = compute_indicators(sol.weights, pool)
         if not chi_integral_iff(sol.weights, gamma, omega):
             raise AssertionError("integrality of likelihoods and weights disagree")
-        if audit is not None:
-            audit.integrality_checks += 1
         if chi_is_integral(sol.weights):
             break
         if cycles >= max_cycles:
@@ -302,9 +286,6 @@ def run_rcga(
             raise AssertionError("master objective fell below the pre-rounding bound")
 
     schedule = decode_schedule(pool, sol)
-    if audit is not None:
-        audit.pool = pool
-        audit.solution = sol
     report = _finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
     return report
 

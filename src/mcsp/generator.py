@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .instance import (
-    AoiCost,
     ContentSpec,
     CostParams,
     Instance,
@@ -28,6 +27,12 @@ from .instance import (
     Topology,
     validate_instance,
 )
+
+
+# the cloud download and backhaul cost coefficients of every generated
+# instance; its age penalty is ``AoiCost``'s default, exp(age)
+ALPHA = 11.0
+BETA = 1.0
 
 
 def three_cell_topology() -> Topology:
@@ -106,9 +111,6 @@ class GeneratorConfig:
     size_range: tuple[int, int] = (1, 10)
     window_max: int = 2
     seed: int = 0
-    alpha: float = 11.0
-    beta: float = 1.0
-    aoi: AoiCost = AoiCost(kind="exponential", rate=1.0)
     custom_topology: Topology | None = None
 
 
@@ -170,7 +172,7 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
         contents=contents,
         requests=tuple(requests),
         horizon=cfg.horizon,
-        cost=CostParams(alpha=cfg.alpha, beta=cfg.beta, aoi=cfg.aoi),
+        cost=CostParams(alpha=ALPHA, beta=BETA),
         topology=topo,
     )
     problems = validate_instance(inst)

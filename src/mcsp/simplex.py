@@ -271,7 +271,7 @@ def _format_terms(coeffs: Iterable[tuple[str, float]]) -> str:
             continue
         sign = "-" if v < 0 else "+"
         mag = abs(v)
-        term = name if mag == 1 else f"{mag:.12g} {name}"
+        term = name if mag == 1 else f"{float(mag)!r} {name}"
         if not parts and sign == "+":
             parts.append(term)
         else:
@@ -286,13 +286,14 @@ def write_lp_text(
     constant: float = 0.0,
 ) -> str:
     """Render a minimisation in LP text format; rows are (name, terms, rel,
-    rhs)."""
+    rhs). Every number is written as ``repr`` writes it, so it reads back
+    exactly."""
     lines = ["Minimize",
-             " obj: " + _format_terms(objective) + (f" + {constant:.12g}" if constant else "")]
+             " obj: " + _format_terms(objective) + (f" + {float(constant)!r}" if constant else "")]
     lines.append("Subject To")
     for name, terms, rel, rhs in rows:
         op = {LE: "<=", GE: ">=", EQ: "="}[rel]
-        lines.append(f" {name}: {_format_terms(terms)} {op} {rhs:.12g}")
+        lines.append(f" {name}: {_format_terms(terms)} {op} {float(rhs)!r}")
     binaries = list(binaries)
     if binaries:
         lines.append("Binary")

@@ -251,7 +251,7 @@ def test_export_ilp_evaluates_to_rcga_cost(tmp_path, tiny1):
 def test_export_ilp_random_consistency(tmp_path):
     """The RCGA schedule, as a point of the exported ILP, costs what RCGA
     reports and satisfies every row and bound of the file as HiGHS reads
-    it."""
+    it. Every cost, the offset and every capacity read back exactly."""
     rng = random.Random(29)
     done = 0
     for n in range(20):
@@ -277,6 +277,19 @@ def test_export_ilp_random_consistency(tmp_path):
         assert (x >= np.asarray(lp.col_lower_) - 1e-9).all()
         assert (x <= np.asarray(lp.col_upper_) + 1e-9).all()
         assert np.dot(lp.col_cost_, x) + lp.offset_ == pytest.approx(value, abs=1e-9)
+        cost = dict(zip(names, lp.col_cost_))
+        upper = dict(zip(lp.row_names_, lp.row_upper_))
+        for r in inst.requests:
+            for h in r.candidates:
+                for a in range(r.deadline):
+                    assert cost[f"y_{r.id}_{h}_{a}"] == inst.f(a) - inst.cloud_cost(r.content)
+        assert lp.offset_ == sum(inst.cloud_cost(r.content) for r in inst.requests)
+        for h in range(1, inst.num_servers + 1):
+            for t in range(1, inst.horizon + 1):
+                for i in range(1, inst.num_contents + 1):
+                    assert cost[f"x_{h}_{i}_{t}_0"] == inst.cost.beta * inst.size(i)
+                assert upper[f"cache_{h}_{t}"] == inst.server(h).cache_capacity
+                assert upper[f"backhaul_{h}_{t}"] == inst.server(h).backhaul_capacity
         done += 1
     assert done >= 8
 

@@ -14,6 +14,16 @@ from mcsp.driver import ConvergenceError, run_rcga
 from mcsp.generator import GeneratorConfig, generate_instance
 from mcsp.instance import save_instance
 
+from conftest import TWO_CELL
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
 
 def gen_args(out, seed=5, contents=6, requests=18, slots=4):
     return [
@@ -164,3 +174,43 @@ def test_solve_reports_solver_failures_and_raises_the_rest(tmp_path, monkeypatch
     else:
         assert main(argv) == 1
         assert "solver failed" in capsys.readouterr().err
+
+
+def test_eval_checks_exact_cost_under_its_mode(tmp_path):
+    """The exact oracle settles ``cost`` under its own mode; in ``paper``
+    mode on this toy that is 132 where the ``min`` repair costs 88."""
+    inst = generate_instance(GeneratorConfig(
+        cells="custom", custom_topology=TWO_CELL, num_contents=3, num_requests=10,
+        horizon=2, rho_m=0.3, rho_tt=0.0, rho_b=0.6, cache_scale=0.5, size_range=(1, 4),
+        window_max=2, seed=7133042465558105795,
+    ))
+    inst_path, out = tmp_path / "inst.json", tmp_path / "report.json"
+    save_instance(inst, inst_path)
+    assert main(["solve", "--algo", "exact", "--mode", "paper", "--instance", str(inst_path),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cost"]["total"] == pytest.approx(132.0)
+    assert main(["eval", "--instance", str(inst_path), "--schedule", str(out)]) == 0
+    doc["cost"]["update_cost"] += 1.0
+    doc["cost"]["total"] += 1.0
+    out.write_text(json.dumps(doc))
+    assert main(["eval", "--instance", str(inst_path), "--schedule", str(out)]) == 1
+
+
+def test_eval_reports_underivable_ages_without_costing(tmp_path, capsys):
+    inst_path, sched = tmp_path / "inst.json", tmp_path / "schedule.json"
+    main(gen_args(inst_path, slots=2))
+    sched.write_text(json.dumps({"schema": "mcsp-schedule/1", "horizon": 2,
+                                 "states": {"1:1": "CU"}}))
+    capsys.readouterr()
+    assert main(["eval", "--instance", str(inst_path), "--schedule", str(sched)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("violation: (1,1)") and "cost" not in out
+
+
+@pytest.mark.parametrize("setting", [["--rho-tt=-1"], ["--rho-tt=abc"], ["--rho-m", "1.5"]])
+def test_gen_bad_setting_is_a_usage_error(tmp_path, capsys, setting):
+    out = tmp_path / "inst.json"
+    assert exit_code(["gen", *setting, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("mcsp gen: error: ")

@@ -136,7 +136,7 @@ def test_aoi_evolution_property():
     for _ in range(50):
         inst = random_tiny_instance(rng)
         s = _random_schedule(rng, inst)
-        for (h, i) in s.pairs():
+        for (h, i) in sorted(s.states):
             ages = derive_aoi(s.state(h, i))
             for t in range(1, inst.horizon):
                 if ages[t] is not None and ages[t] > 0:
