@@ -22,11 +22,12 @@ import math
 import time
 from pathlib import Path
 
-from .columns import column_ages, column_states, enumerate_columns, zero_column
+from .columns import _flags_of, column_states, enumerate_columns, zero_column
 from .costs import (
     CAPACITY_EPS,
     Schedule,
     SettlementMode,
+    derive_aoi,
     derive_assignment,
     evaluate,
     plan_cost,
@@ -108,11 +109,12 @@ def _column_tables(T: int) -> tuple:
     index, and by last deadline d the indices of the columns that cache
     nothing after slot d."""
     columns = enumerate_columns(T)
+    states = column_states(_flags_of(columns))
     return (
         columns,
-        [column_ages(col) for col in columns],
+        [derive_aoi(st) for st in states],
         [sum(p for _, p in col) for col in columns],
-        [column_states(col) for col in columns],
+        states,
         columns.index(zero_column(T)),
         [[k for k, col in enumerate(columns) if all(q == 0 for q, _ in col[d:])]
          for d in range(T + 1)],

@@ -9,11 +9,13 @@ CSV columns, whose key columns identify the run, and ``FIGURES`` the files
 
 Exit codes: 0 success, 1 solver failure or evaluation violation (``eval``
 prints a schedule's violations and does not cost it), 2 usage errors
-(argparse's convention; ``gen`` also exits 2 on settings the generator
-rejects, and writes no file). Sweeps are resumable: rows whose key columns
-already appear in the output CSV are skipped, and runs execute in parallel
-across processes (``sweep --threads`` or the MCSP_THREADS environment
-variable).
+(argparse's convention; also bad generator settings, missing or rejected
+input files and unknown sweep keys, modes and algorithms, each one line
+``mcsp <command>: error: ...``, writing no file). Sweeps are resumable: rows
+whose key columns already appear in the output CSV are skipped, and runs
+execute in parallel across processes (``sweep --threads`` or the
+MCSP_THREADS environment variable). A failed run still writes the rows of
+the runs before it; a solver failure then exits 1, anything else propagates.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ GEN_FLAGS = (
 # keep their defaults
 SWEEP_FIELDS = tuple(field for _, field, _ in GEN_FLAGS if field != "seed")
 
+MODES = ("paper", "min")  # the settlement modes
+
 # (file name, x column, the costs whose shares of the total are averaged
 # too) of each figure ``mcsp report`` writes
 FIGURES = (
@@ -91,6 +95,20 @@ FIGURES = (
     ("cost_vs_requests.csv", "R", ()),
     ("cost_and_share_vs_rho_b.csv", "rho_b", ("download", "update", "aoi")),
 )
+
+
+class UsageError(Exception):
+    """A command's input that it cannot use; ``main`` prints it on one line
+    and exits 2."""
+
+
+def _load(read, path):
+    """``read(path)``; a file that is missing or unreadable, or that
+    ``read`` rejects with ValueError, is a usage error."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -160,8 +178,7 @@ def cmd_gen(args) -> int:
     try:
         inst = generate_instance(cfg)
     except ValueError as exc:
-        print(f"mcsp gen: error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from exc
     save_instance(inst, args.out)
     print(f"wrote {args.out}: {inst.num_servers} cells, {inst.num_contents} contents, "
           f"{len(inst.requests)} requests, horizon {inst.horizon}")
@@ -169,7 +186,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(load_instance, args.instance)
     try:
         report = run_algorithm(args.algo, inst, args.mode)
     except SOLVER_FAILURES as exc:
@@ -188,18 +205,21 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    inst = load_instance(args.instance)
-    doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-    report: Optional[SolveReport] = None
+def _read_schedule(path) -> tuple[Optional[SolveReport], Optional[Schedule]]:
+    """The report (None for a bare schedule) and the schedule of a file."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("schema") == REPORT_SCHEMA:
         report = SolveReport.from_dict(doc)
-        schedule = report.schedule
-        if schedule is None:
-            print("report carries no schedule", file=sys.stderr)
-            return 1
-    else:
-        schedule = Schedule.from_dict(doc)
+        return report, report.schedule
+    return None, Schedule.from_dict(doc)
+
+
+def cmd_eval(args) -> int:
+    inst = _load(load_instance, args.instance)
+    report, schedule = _load(_read_schedule, args.schedule)
+    if schedule is None:
+        print("report carries no schedule", file=sys.stderr)
+        return 1
     problems = check_feasibility(schedule, inst)
     for p in problems:
         print(f"violation: {p}")
@@ -236,12 +256,23 @@ def _sweep_one(job) -> dict:
     return report_row(cfg, algo, mode, run_algorithm(algo, generate_instance(cfg), mode))
 
 
+def _unknown(keys, known, what: str) -> None:
+    unknown = [key for key in keys if key not in known]
+    if unknown:
+        raise UsageError(f"unknown {what} {unknown[0]!r}; expected one of {', '.join(known)}")
+
+
 def _expand_sweep(config: dict) -> list[tuple]:
     """The sweep's jobs, (``GeneratorConfig``, algorithm, mode) each, in
-    block, seed and algorithm order."""
+    block, seed and algorithm order; a key, mode or algorithm the sweep does
+    not know is a usage error."""
     jobs = []
     for block in config["runs"]:
-        gen = block["gen"]
+        _unknown(block, ("gen", "algos", "mode"), "block key")
+        gen, algos, mode = block["gen"], block["algos"], block.get("mode", "paper")
+        _unknown(gen, SWEEP_FIELDS + ("seeds", "seed_range"), '"gen" key')
+        _unknown([mode], MODES, "mode")
+        _unknown(algos, tuple(ALGORITHMS), "algorithm")
         if "seeds" in gen:
             seeds = gen["seeds"]
         else:
@@ -249,9 +280,8 @@ def _expand_sweep(config: dict) -> list[tuple]:
             seeds = range(lo, hi)
         fields = {name: gen.get(name, getattr(GeneratorConfig, name)) for name in SWEEP_FIELDS}
         cfg = GeneratorConfig(**{**fields, "rho_tt": parse_ratio(fields["rho_tt"])})
-        mode = block.get("mode", "paper")
         for seed in seeds:
-            for algo in block["algos"]:
+            for algo in algos:
                 jobs.append((replace(cfg, seed=seed), algo, mode))
     return jobs
 
@@ -267,8 +297,22 @@ def default_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _run_jobs(todo: list, threads: int):
+    """The rows of the jobs ``todo``, in job order; with more than one
+    thread the jobs run in worker processes, and the jobs not started yet
+    are cancelled when the caller stops early."""
+    if threads > 1 and len(todo) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            try:
+                yield from pool.map(_sweep_one, todo)
+            finally:
+                pool.shutdown(cancel_futures=True)
+    else:
+        yield from map(_sweep_one, todo)
+
+
 def cmd_sweep(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = _load(lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
     jobs = _expand_sweep(config)
     out = Path(args.out)
     existing_rows = read_results_csv(out) if out.exists() else []
@@ -276,16 +320,18 @@ def cmd_sweep(args) -> int:
     todo = [job for job in jobs if _job_key(job) not in done_keys]
     print(f"{len(jobs)} runs requested, {len(jobs) - len(todo)} already present, "
           f"{len(todo)} to do")
-    threads = args.threads or default_threads()
-    if threads > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            new_rows = list(pool.map(_sweep_one, todo))
-    else:
-        new_rows = [_sweep_one(job) for job in todo]
-    # deterministic merge: existing rows first, new rows in job order
-    rows = existing_rows + new_rows
-    write_results_csv(rows, out)
-    print(f"wrote {out} ({len(rows)} rows)")
+    # existing rows first, then new rows in job order up to a failed run
+    rows = list(existing_rows)
+    try:
+        for row in _run_jobs(todo, args.threads or default_threads()):
+            rows.append(row)
+    except SOLVER_FAILURES as exc:
+        cfg, algo, mode = todo[len(rows) - len(existing_rows)]
+        print(f"solver failed: {algo} ({mode}) on seed {cfg.seed}: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        write_results_csv(rows, out)
+        print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
@@ -357,7 +403,7 @@ def _render_svg(csv_path: Path, xcol: str) -> None:
 
 
 def cmd_export(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(load_instance, args.instance)
     export_ilp(inst, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -380,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--mode", default="paper", choices=["paper", "min"])
+    solve.add_argument("--mode", default="paper", choices=MODES)
     solve.add_argument("--out", default=None, help="write the solve report JSON here")
     solve.set_defaults(func=cmd_solve)
 
@@ -413,7 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"mcsp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Columns: per (server, content) cache/update decision sequences.
 
-A column is a tuple of (cached, updated) flag pairs over the horizon. Legal
+A column is a sequence of (cached, updated) flag pairs over the horizon. Legal
 patterns per slot are (1,1) update, (1,0) keep cached, (0,0) absent; (0,1) is
 impossible. A (1,0) slot needs a cached predecessor so the age is derivable,
-and a copy cached in slot 1 must have been downloaded there.
+and a copy cached in slot 1 must have been downloaded there. The solve path
+holds columns as bool [column, cached/updated, slot] flag arrays, which
+``column_states`` renders as state strings; tuples remain only in the exact
+oracle's ``enumerate_columns`` and in ``ColumnPool.add``.
 
 Each column carries a standalone cost: its backhaul update cost plus the
 age/download cost of the owning server's single-choice requests under the
@@ -11,8 +14,9 @@ chosen settlement convention. Pools keep one ordered set of distinct columns
 per (server, content), seeded with the all-zero column. A ``ColumnPool``
 holds its entries as arrays indexed by serial number (pair, cost, flags,
 covered services) plus the live serials in master order, and makes entries
-in batches, so that the master, the capacity check, the likelihoods and the
-purge read arrays with no per-entry Python.
+in batches, so that the master, the capacity check, the likelihoods, the
+purge and the NRS pin (``ColumnPool.pin``, by pool position) read arrays with
+no per-entry Python.
 """
 
 from __future__ import annotations
@@ -52,23 +56,11 @@ def column_is_valid(col: Column) -> bool:
     return True
 
 
-def column_ages(col: Column) -> list[Optional[int]]:
-    ages: list[Optional[int]] = []
-    age: Optional[int] = None
-    for q, p in col:
-        if p == 1:
-            age = 0
-        elif q == 1:
-            age = age + 1  # type: ignore[operator]
-        else:
-            age = None
-        ages.append(age)
-    return ages
-
-
-def column_states(col: Column) -> str:
-    """Render as a state string: 'U' update, 'C' cached, 'A' absent."""
-    return "".join(UPDATED if p else (CACHED if q else ABSENT) for q, p in col)
+def column_states(flags: np.ndarray) -> list[str]:
+    """Render bool flag rows ([column, cached/updated, slot]) as state
+    strings: 'U' update, 'C' cached, 'A' absent."""
+    code = np.where(flags[:, 1], 2, flags[:, 0].astype(np.int8))
+    return ["".join(row) for row in np.array([ABSENT, CACHED, UPDATED])[code].tolist()]
 
 
 def enumerate_columns(horizon: int) -> list[Column]:
@@ -320,20 +312,6 @@ class ColumnPool:
             self._views["starts"] = np.concatenate([[0], np.cumsum(self.counts)])
         return self._views["starts"]
 
-    def _block(self, h: int, i: int) -> np.ndarray:
-        """The live serials of a pair, in pool order."""
-        k = self.pair_index(h, i)
-        start = self.starts()[k]
-        return self.order[start : start + self.counts[k]]
-
-    def column_of(self, s: int) -> Column:
-        """The column of the entry with serial s."""
-        return tuple(zip(*self.flags[s].view(np.uint8).tolist()))
-
-    def column(self, h: int, i: int, k: int) -> Column:
-        """The column of the pair's entry at position k."""
-        return self.column_of(self._block(h, i)[k])
-
     def pooled(self, ks: np.ndarray, flags: np.ndarray) -> list[bool]:
         """Whether the columns ``flags`` of the pairs ``ks`` are pooled."""
         return [key in self._live for key in self._key(ks, flags)]
@@ -361,20 +339,15 @@ class ColumnPool:
             self._make(ks, flags, made)
         return len(new)
 
-    def keep(self, h: int, i: int, positions: Sequence[int]) -> None:
-        """Keep only the pair's entries at the given distinct positions of
-        ``columns(h, i)``, in that order."""
-        k = self.pair_index(h, i)
-        start, end = self.starts()[k], self.starts()[k + 1]
+    def pin(self, j: int) -> np.ndarray:
+        """Keep the entry at pool position j as its pair's only entry;
+        returns its flags ([cached/updated, slot])."""
+        s = self.order[j]
+        start, end = self.starts()[self.pair[s] : self.pair[s] + 2]
         block = self.order[start:end]
-        kept = block[np.asarray(positions, dtype=np.int64)]
-        self._reorder(np.concatenate([self.order[:start], kept, self.order[end:]]),
-                      np.setdiff1d(block, kept))
-
-    def pin(self, h: int, i: int, k: int) -> Column:
-        """Keep only the pair's entry at position k; returns its column."""
-        self.keep(h, i, [k])
-        return self.column(h, i, 0)
+        self._reorder(np.concatenate([self.order[:start], [s], self.order[end:]]),
+                      block[block != s])
+        return self.flags[s]
 
     def total_columns(self) -> int:
         return len(self.order)
@@ -394,13 +367,14 @@ class ColumnPool:
         m, j = concat_ranges(self.svc_start[serials], self.svc_start[serials + 1])
         return self.svc[j], m
 
-    def purge_incompatible(self, gamma, omega, remaining_cache, remaining_backhaul) -> int:
+    def purge_incompatible(self, gamma, omega, headroom) -> int:
         """Drop columns that contradict fixed cache/update values or that no
         longer fit the capacity left after fixed-to-one consumption.
 
         ``gamma``/``omega`` are the int8 fixing arrays over [server, content,
-        slot] (1, 0 or ``FREE``); ``remaining_*`` are [server, slot] arrays of
-        the capacity left beyond fixed users.
+        slot] (1, 0 or ``FREE``); ``headroom`` is the [cache/backhaul, server,
+        slot] array of the capacity left beyond fixed users
+        (``RoundingState.headroom``).
         Every pool is left holding the canonical minimal-footprint column of
         its fixings: individually compatible survivors may still be jointly
         over capacity, and the canonical point is the master's guaranteed
@@ -411,7 +385,7 @@ class ColumnPool:
         """
         a = self.arrays()
         fixed = np.stack([gamma, omega], axis=2)[a.server, a.content, :, 1:]
-        left = np.stack([remaining_cache, remaining_backhaul], axis=1)[a.server, :, 1:]
+        left = headroom.transpose(1, 0, 2)[a.server, :, 1:]
         keep = ~np.where(fixed == FREE, a.flags & (a.size[:, None, None] > left + CAPACITY_EPS),
                          a.flags != fixed).any(axis=(1, 2))
 

@@ -207,9 +207,8 @@ def decode_schedule(pool: ColumnPool, sol: RmpSolution) -> Schedule:
     if len(fractional):
         h, i = pool.pairs[fractional[0]]
         raise ValueError(f"column weights for ({h},{i}) are fractional")
-    states = {}
-    for k in np.flatnonzero(a.flags[best].any(axis=(1, 2))):
-        states[pool.pairs[k]] = column_states(pool.column_of(a.serial[best[k]]))
+    ks = np.flatnonzero(a.flags[best].any(axis=(1, 2)))
+    states = dict(zip([pool.pairs[k] for k in ks], column_states(a.flags[best[ks]])))
     return Schedule(horizon=pool.inst.horizon, states=states)
 
 
@@ -286,8 +285,7 @@ def run_rcga(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
             raise AssertionError("master objective fell below the pre-rounding bound")
 
     schedule = decode_schedule(pool, sol)
-    report = _finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
-    return report
+    return _finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
 
 
 def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
@@ -303,23 +301,21 @@ def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveRepo
     )
 
 
-def _next_pin(sol: RmpSolution, pool: ColumnPool) -> tuple[tuple[int, int], int]:
-    """The pair and position in the pair's entries of the largest fractional
-    column weight of a fractional ``sol`` over ``pool``, the first in pool
-    order, which is (pair, entry) order, on ties."""
+def _next_pin(sol: RmpSolution) -> int:
+    """The pool position of the largest fractional column weight of a
+    fractional ``sol``, the first in pool order on ties."""
     w = sol.weights
     frac = np.flatnonzero((w > TOL_INT) & (w < 1 - TOL_INT))
-    j = int(frac[np.argmax(w[frac])])
-    k = int(pool.arrays().pair[j])
-    return pool.pairs[k], j - int(pool.starts()[k])
+    return int(frac[np.argmax(w[frac])])
 
 
 def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Fix whole column weights greedily; infeasibility is a recorded outcome.
 
-    A pinned column is fixed slot by slot in a ``RoundingState`` (gamma and
-    omega are its cached and updated flags), which leaves pricing that one
-    path of the pair's graph."""
+    Each pin keeps one pool entry as its pair's only column
+    (``ColumnPool.pin``) and fixes all its slots at once in a
+    ``RoundingState`` (gamma and omega are its cached and updated flags),
+    which leaves pricing that one path of the pair's graph."""
     started = time.perf_counter()
     pool, statics, pins, rows, basis = _set_up(inst, mode)
 
@@ -330,10 +326,9 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     fixes = 0
     try:
         while not chi_is_integral(sol.weights):
-            (h, i), k = _next_pin(sol, pool)
-            col = pool.pin(h, i, k)
-            for t, (q, p) in enumerate(col, start=1):
-                pins.fix(h, i, t, gamma=q, omega=p)
+            j = _next_pin(sol)
+            a = pool.arrays()  # the pin changes the pool's views
+            pins.fix(a.server[j], a.content[j], slice(1, None), *pool.pin(j))
             fixes += 1
             result = run_cga(pool, statics, pins, rows, basis)
             pricing_rounds += result.rounds
@@ -350,5 +345,4 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
             failure="master became infeasible after fixing column weights",
         )
     schedule = decode_schedule(pool, sol)
-    report = _finish_report("nrs", inst, schedule, mode, lb, pricing_rounds, fixes, started)
-    return report
+    return _finish_report("nrs", inst, schedule, mode, lb, pricing_rounds, fixes, started)

@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import FREE, ColumnPool
+from .columns import FREE, ColumnPool, column_states
 from .costs import SettlementMode
 from .instance import RequestIndex
 from .rmp import DualPrices
@@ -131,12 +131,11 @@ def forward_values(tab: PricerTables) -> np.ndarray:
 
 
 _OFF = 10**9  # update count of a move that leaves every tied path
-_ENTRY = ((1, 1), (0, 0), (1, 0))  # column entry of a move: update, drop, keep
 
 
 def decode_moves(tab: PricerTables, values: np.ndarray) -> np.ndarray:
     """The moves of a minimum path of every pair, given its path value, as a
-    [slot, pair] array: 0 update, 1 drop, 2 keep (``_ENTRY``).
+    [slot, pair] array: 0 update, 1 drop, 2 keep.
 
     Paths within 1e-9 * (1 + |value|) of the minimum tie; ties prefer fewer
     updates, then the earliest update slots, then dropping over keeping the
@@ -423,13 +422,14 @@ def price_all(
     pooled = pool.pooled(keys, flags)
     if any(pooled):
         n = pooled.index(True)
-        h, i = pool.pairs[keys[n]]
-        column = tuple(_ENTRY[m] for m in moves[:, n].tolist())
-        raise AssertionError(
-            f"pair ({h}, {i}) priced its pooled column {column} at path "
-            f"value {float(values[ks[n]])!r}"
-        )
+        raise _priced_pooled(pool.pairs[keys[n]], flags[n], values[ks[n]])
     return Candidates(keys, flags, values[ks])
+
+
+def _priced_pooled(pair: tuple, flags: np.ndarray, value: float) -> AssertionError:
+    """The error of a pair that priced the pooled column ``flags``."""
+    return AssertionError(f"pair {pair} priced its pooled column {column_states(flags[None])[0]} "
+                          f"at path value {float(value)!r}")
 
 
 def _check_decided(pool: ColumnPool, duals: DualPrices, decided: np.ndarray, tol: float) -> None:
@@ -448,8 +448,4 @@ def _check_decided(pool: ColumnPool, duals: DualPrices, decided: np.ndarray, tol
     bad = np.flatnonzero(rc < -tol)
     if len(bad):
         n = bad[0]
-        h, i = int(server[n]), int(a.content[e[n]])
-        raise AssertionError(
-            f"pair ({h}, {i}) priced its pooled column {pool.column_of(serial[n])} at path "
-            f"value {float(rc[n])!r}"
-        )
+        raise _priced_pooled((int(server[n]), int(a.content[e[n]])), flags[n], rc[n])

@@ -27,7 +27,8 @@ in at most num_contents * horizon passes.
 
 Fixings live in two int8 arrays over [server, content, slot], ``gamma`` and
 ``omega``, holding 1, 0 or ``FREE`` (-1); index 0 of each axis is unused and
-stays free. A pass is array code over them and over the likelihood arrays of
+stays free; ``RoundingState.fix`` merges fixings into any cells at once. A
+pass is array code over them and over the likelihood arrays of
 ``compute_indicators``: stage 1 freezes every integral entry at once, and the
 candidate scans of stages 2 and 3 are per-server argmins, whose first minimum
 in (content, slot) order is the tie-break. Only the one decision per server
@@ -43,7 +44,6 @@ Omega=0 removes the age-zero cached node, Gamma=1 removes the uncached nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,8 +52,6 @@ from .costs import CAPACITY_EPS
 from .instance import Instance
 
 TOL_INT = 1e-6
-
-Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
 
 class RoundingState:
@@ -69,43 +67,36 @@ class RoundingState:
         self.live[1:, 1:, 1:] = True
         self.size = inst.sizes()
 
-    def fixed(self, h: int, i: int, t: int) -> Fixing:
-        g, o = int(self.gamma[h, i, t]), int(self.omega[h, i, t])
-        return (None if g == FREE else g, None if o == FREE else o)
+    def fix(self, h, i, t, gamma=None, omega=None) -> None:
+        """Merge fixings into the distinct cells ``[h, i, t]`` (ints, index
+        arrays or slices): ``gamma`` and ``omega`` are 0 or 1, or arrays of
+        them over the cells, None leaving that kind as it is. Every cell of
+        both kinds is checked before any is written: a cell fixed to another
+        value raises AssertionError naming the first such cell."""
+        merges = [(kind, fixed, value) for kind, fixed, value in (
+            ("cache", self.gamma, gamma), ("update", self.omega, omega)) if value is not None]
+        for kind, fixed, value in merges:
+            old = fixed[h, i, t]
+            clash = (old != FREE) & (old != value)
+            if clash.any():
+                cells = np.arange(fixed.size).reshape(fixed.shape)[h, i, t]
+                at = np.unravel_index(np.broadcast_to(cells, clash.shape)[clash][0], fixed.shape)
+                raise AssertionError(f"contradictory {kind} fixing at {tuple(map(int, at))}")
+        for _, fixed, value in merges:
+            fixed[h, i, t] = value
 
-    def fix(self, h, i, t, gamma: Optional[int] = None, omega: Optional[int] = None) -> bool:
-        """Merge a fixing; returns True when anything new was pinned."""
-        old_g, old_o = self.fixed(h, i, t)
-        if old_g is not None and gamma is not None and old_g != gamma:
-            raise AssertionError(f"contradictory cache fixing at {(h, i, t)}")
-        if old_o is not None and omega is not None and old_o != omega:
-            raise AssertionError(f"contradictory update fixing at {(h, i, t)}")
-        changed = False
-        if gamma is not None and old_g is None:
-            self.gamma[h, i, t] = gamma
-            changed = True
-        if omega is not None and old_o is None:
-            self.omega[h, i, t] = omega
-            changed = True
-        return changed
-
-    # -- capacity headroom -------------------------------------------------
-
-    def _headroom(self, kind: int, fixed: np.ndarray) -> np.ndarray:
-        """[server, slot] capacity of the given kind (0 cache, 1 backhaul)
-        left beyond the contents fixed to one.
+    def headroom(self) -> np.ndarray:
+        """The capacity left beyond the contents fixed to one, as a
+        [cache/backhaul, server, slot] array (index 0 of server and slot
+        unused), the layout of ``Instance.capacities`` and
+        ``CapacityRows.held``.
         Sizes are integers, so the used capacity sums exactly. While the
         capacity is below 2**52 and the headroom above -1/2, every partial
         difference of a one-by-one subtraction is exact too, so subtracting
         the sizes one by one, in any order, gives this same value."""
-        used = (self.size[None, :, None] * (fixed == 1)).sum(axis=1)
-        return self.inst.capacities()[kind][:, None] - used
-
-    def remaining_cache(self) -> np.ndarray:
-        return self._headroom(0, self.gamma)
-
-    def remaining_backhaul(self) -> np.ndarray:
-        return self._headroom(1, self.omega)
+        fixed = np.stack([self.gamma, self.omega]) == 1
+        used = (self.size[None, None, :, None] * fixed).sum(axis=2)
+        return self.inst.capacities()[:, :, None] - used
 
     # -- pricing-graph node masks ------------------------------------------
 
@@ -157,10 +148,6 @@ class RoundReport:
     purged_columns: int = 0
 
 
-def _first(cells: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.argwhere(cells)[0])
-
-
 def round_once(
     state: RoundingState,
     gamma: np.ndarray,
@@ -178,14 +165,13 @@ def round_once(
     down = (gamma <= TOL_INT) & state.live
     clash = (up & ((G == 0) | (O == 0) | down)) | (down & ((G == 1) | (O == 1)))
     if clash.any():
-        raise AssertionError(f"contradictory fixing at {_first(clash)}")
+        raise AssertionError(f"contradictory fixing at {tuple(map(int, np.argwhere(clash)[0]))}")
     report.frozen = int(np.count_nonzero(
         (up & ((G != 1) | (O != 1))) | (down & ((G != 0) | (O != 0)))))
     G[up] = O[up] = 1
     G[down] = O[down] = 0
 
-    remaining_cache = state.remaining_cache()
-    remaining_backhaul = state.remaining_backhaul()
+    remaining_cache, remaining_backhaul = state.headroom()  # views, updated in place
     # per cell, the distance of a fractional likelihood to the nearer integer
     # (inf where integral); a server's first minimum in (content, slot) order
     # is the entry it rounds
@@ -218,12 +204,9 @@ def round_once(
         # stage 3: updating all integral, caching still fractional
         if not frac_g[h]:
             continue
-        ones = (gamma[h] >= 1 - TOL_INT) & (G[h] != 1)  # freeze the 1-entries first
-        clash = ones & (G[h] == 0)
-        if clash.any():
-            raise AssertionError(f"contradictory cache fixing at {(h, *_first(clash))}")
-        i_one, t_one = np.nonzero(ones)
-        G[h][ones] = 1
+        # freeze the 1-entries first
+        i_one, t_one = np.nonzero((gamma[h] >= 1 - TOL_INT) & (G[h] != 1))
+        state.fix(h, i_one, t_one, gamma=1)
         np.subtract.at(remaining_cache[h], t_one, state.size[i_one])  # in (content, slot) order
         report.frozen += len(i_one)
         i, t = np.unravel_index(np.argmin(near_g[h]), near_g[h].shape)
@@ -241,7 +224,5 @@ def round_once(
             report.rounded_up += 1
 
     # stage 4: recompute headroom and drop incompatible columns
-    report.purged_columns = pool.purge_incompatible(
-        G, O, state.remaining_cache(), state.remaining_backhaul()
-    )
+    report.purged_columns = pool.purge_incompatible(G, O, state.headroom())
     return report

@@ -9,6 +9,11 @@ from the request index's arrays; ``make_entry`` is the scalar form they are
 checked against. ``pool_columns`` and ``pool_entries`` show a pool's entries
 one by one as ``PricedEntry`` views and ``pool_contains`` asks whether a
 column is pooled; the solve path reads the pool's arrays instead.
+``column_of``, ``block`` and ``keep`` read a serial's column, list a pair's
+serials and cut a pair's entries by position, as the pool did before the NRS
+pin took a pool position. ``column_ages`` and ``column_states`` are the age
+rule and the rendering of column tuples; the solve path renders flag arrays
+and reads ages with ``costs.derive_aoi``.
 ``check_plan`` checks a plan against its schedule, and ``mcrs``/``scrs``
 split an instance's requests.
 
@@ -16,7 +21,9 @@ The rounding pass and the pool purge once kept their fixings in a dict keyed
 by (server, content, slot) and looped over it in Python; ``mcsp.rounding`` and
 ``ColumnPool.purge_incompatible`` now do the same work on int8 arrays. These
 are the dict versions, kept so that tests can check the array code pass by
-pass: same fixings, reports, headrooms and pools. ``canonical_column`` is the
+pass: same fixings, reports, headrooms and pools. ``fixed`` reads one cell
+of the array fixings as the dict version's (gamma, omega) pair, and
+``headroom_array`` lays dict headrooms out as ``RoundingState.headroom``. ``canonical_column`` is the
 scalar rule the purge once ran pair by pair to derive a pair's canonical
 column; ``columns.canonical_flags`` derives every pair's in one array pass,
 and ``columns.anchor_slots`` stands in for ``RoundingState.update_reachable``
@@ -75,9 +82,7 @@ from mcsp.columns import (
     ColumnPool,
     UnfixablePoolError,
     _flags_of,
-    column_ages,
     column_is_valid,
-    column_states,
     enumerate_columns,
     zero_column,
 )
@@ -104,6 +109,27 @@ Fixing = tuple[Optional[int], Optional[int]]  # (gamma, omega), None = free
 
 
 # -- the paper's column definitions and the per-entry pool view -------------
+
+
+def column_ages(col: Column) -> list[Optional[int]]:
+    """Age of the copy in every slot, None where absent."""
+    ages: list[Optional[int]] = []
+    age: Optional[int] = None
+    for q, p in col:
+        if p == 1:
+            age = 0
+        elif q == 1:
+            age = age + 1  # type: ignore[operator]
+        else:
+            age = None
+        ages.append(age)
+    return ages
+
+
+def column_states(col: Column) -> str:
+    """A column as a state string, 'U' update, 'C' cached, 'A' absent: the
+    scalar form of ``columns.column_states``, which renders flag arrays."""
+    return "".join(UPDATED if p else (CACHED if q else ABSENT) for q, p in col)
 
 
 def column_aoi(col: Column, t: int) -> Optional[int]:
@@ -193,11 +219,34 @@ class PricedEntry:
     flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
 
 
+def column_of(pool: ColumnPool, s: int) -> Column:
+    """The column of the pool's entry with serial s."""
+    return tuple(zip(*pool.flags[s].view(np.uint8).tolist()))
+
+
+def block(pool: ColumnPool, h: int, i: int) -> np.ndarray:
+    """The live serials of a pair, in pool order."""
+    k = pool.pair_index(h, i)
+    start = pool.starts()[k]
+    return pool.order[start : start + pool.counts[k]]
+
+
+def keep(pool: ColumnPool, h: int, i: int, positions: Sequence[int]) -> None:
+    """Keep only the pair's entries at the given distinct positions of
+    ``pool_columns(pool, h, i)``, in that order."""
+    k = pool.pair_index(h, i)
+    start, end = pool.starts()[k], pool.starts()[k + 1]
+    serials = pool.order[start:end]
+    kept = serials[np.asarray(positions, dtype=np.int64)]
+    pool._reorder(np.concatenate([pool.order[:start], kept, pool.order[end:]]),
+                  np.setdiff1d(serials, kept))
+
+
 def entry_view(pool: ColumnPool, s: int) -> PricedEntry:
     """The pool's entry with serial s."""
     svc = pool.svc[pool.svc_start[s] : pool.svc_start[s + 1]]
     return PricedEntry(
-        column=pool.column_of(s),
+        column=column_of(pool, s),
         cost=float(pool.cost[s]),
         coverage=tuple(zip(pool.idx.svc_request_ids[svc].tolist(),
                            pool.idx.svc_age[svc].tolist())),
@@ -209,7 +258,7 @@ def entry_view(pool: ColumnPool, s: int) -> PricedEntry:
 
 def pool_columns(pool: ColumnPool, h: int, i: int) -> list[PricedEntry]:
     """The pair's live entries, in pool order."""
-    return [entry_view(pool, s) for s in pool._block(h, i)]
+    return [entry_view(pool, s) for s in block(pool, h, i)]
 
 
 def pool_entries(pool: ColumnPool) -> dict[tuple[int, int], list[PricedEntry]]:
@@ -325,6 +374,9 @@ class RoundingState:
             if omega == 1:
                 out[(h, t)] -= self.inst.size(i)
         return out
+
+    def headroom(self) -> np.ndarray:
+        return headroom_array(self.inst, self.remaining_cache(), self.remaining_backhaul())
 
     def mask_arrays(self, h: int, i: int, T: int):
         allow_u = np.ones(T + 1, dtype=bool)
@@ -547,7 +599,7 @@ def purge_incompatible(pool: ColumnPool, fixings, remaining_cache, remaining_bac
             raise UnfixablePoolError(
                 f"no column can satisfy the fixings for server {h}, content {i}"
             )
-        pool.keep(h, i, kept)
+        keep(pool, h, i, kept)
         if not any(entries[k].column == col for k in kept):
             pool.add(h, i, col)
     return removed
@@ -576,12 +628,21 @@ def fixing_arrays(inst: Instance, fixings) -> tuple[np.ndarray, np.ndarray]:
     return gamma, omega
 
 
-def headroom_array(inst: Instance, remaining) -> np.ndarray:
-    """A (server, slot) -> capacity dict as the [server, slot] array."""
-    out = np.zeros((inst.num_servers + 1, inst.horizon + 1))
-    for key, value in remaining.items():
-        out[key] = value
+def headroom_array(inst: Instance, remaining_cache, remaining_backhaul) -> np.ndarray:
+    """(server, slot) -> capacity dicts of the cache and the backhaul as the
+    [cache/backhaul, server, slot] array of ``RoundingState.headroom``."""
+    out = np.zeros((2, inst.num_servers + 1, inst.horizon + 1))
+    for kind, remaining in enumerate((remaining_cache, remaining_backhaul)):
+        for (h, t), value in remaining.items():
+            out[kind, h, t] = value
     return out
+
+
+def fixed(state, h: int, i: int, t: int) -> Fixing:
+    """The (gamma, omega) fixing of one cell of a ``rounding.RoundingState``,
+    None where free, as the dict reference's ``fixed`` gives it."""
+    g, o = int(state.gamma[h, i, t]), int(state.omega[h, i, t])
+    return (None if g == FREE else g, None if o == FREE else o)
 
 
 def indicator_arrays(inst: Instance, likelihoods: dict) -> np.ndarray:

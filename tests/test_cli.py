@@ -214,3 +214,108 @@ def test_gen_bad_setting_is_a_usage_error(tmp_path, capsys, setting):
     assert exit_code(["gen", *setting, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("mcsp gen: error: ")
+
+
+def _instance_file(tmp_path, **change) -> str:
+    """A small instance file, with the top-level keys of its document
+    replaced by ``change``."""
+    path = tmp_path / "inst.json"
+    main(gen_args(path, contents=3, requests=6, slots=2))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    return str(path)
+
+
+def _sweep_file(tmp_path, **change) -> str:
+    """A one-block sweep config running PBA on two small instances, with
+    the block's keys replaced by ``change`` ("gen" keys are merged)."""
+    gen = {"cells": "3-cell", "num_contents": 5, "num_requests": 15, "horizon": 3,
+           "seeds": [1, 2], **change.pop("gen", {})}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": [{"gen": gen, "algos": ["pba"], **change}]}))
+    return str(path)
+
+
+def _text_file(tmp_path, text: str) -> str:
+    path = tmp_path / "text.json"
+    path.write_text(text)
+    return str(path)
+
+
+# (argv, from the test's directory; exit code): inputs that end a command
+# with one line on stderr and no traceback
+BAD_INPUTS = {
+    "solve-invalid-instance": (lambda d: [
+        "solve", "--algo", "pba", "--instance", _instance_file(d, horizon=0)], 2),
+    "solve-missing-instance": (lambda d: [
+        "solve", "--algo", "pba", "--instance", str(d / "none.json")], 2),
+    "solve-not-json": (lambda d: [
+        "solve", "--algo", "pba", "--instance", _text_file(d, "horizon: 2")], 2),
+    "eval-invalid-instance": (lambda d: [
+        "eval", "--instance", _instance_file(d, horizon=0), "--schedule", str(d / "s.json")], 2),
+    "eval-missing-schedule": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule", str(d / "none.json")], 2),
+    "eval-other-schema": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule", _instance_file(d)], 2),
+    "export-invalid-instance": (lambda d: [
+        "export-ilp", "--instance", _instance_file(d, horizon=0), "--out", str(d / "m.lp")], 2),
+    "export-missing-instance": (lambda d: [
+        "export-ilp", "--instance", str(d / "none.json"), "--out", str(d / "m.lp")], 2),
+    "sweep-unknown-gen-key": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"num_content": 6})], 2),
+    "sweep-unknown-block-key": (lambda d: [
+        "sweep", "--config", _sweep_file(d, modee="min")], 2),
+    "sweep-unknown-mode": (lambda d: [
+        "sweep", "--config", _sweep_file(d, mode="papr")], 2),
+    "sweep-unknown-algorithm": (lambda d: [
+        "sweep", "--config", _sweep_file(d, algos=["pba", "rgca"])], 2),
+    "sweep-missing-config": (lambda d: [
+        "sweep", "--config", str(d / "none.json")], 2),
+    "sweep-solver-failure": (lambda d: [
+        "sweep", "--config", _sweep_file(d, algos=["pba", "exact"]), "--threads", "1"], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_line_and_an_exit_code(tmp_path, capsys, case):
+    """Each bad input exits 2 with ``mcsp <command>: error: ...``, or 1 with
+    ``solver failed: ...`` for a sweep whose run fails, as one line on
+    stderr with no traceback. A usage error writes no file; the failed sweep
+    writes the rows of the runs before the failed one."""
+    argv, code = BAD_INPUTS[case]
+    argv = argv(tmp_path)
+    out = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"mcsp {argv[0]}: error: ")
+        assert not out.exists() and not (tmp_path / "m.lp").exists()
+    else:
+        assert err.startswith("solver failed: exact")
+        assert [row["algo"] for row in read_results_csv(out)] == ["pba"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_keeps_finished_runs_when_a_run_fails(tmp_path, capsys, threads):
+    """A sweep whose fifth run fails (the exact oracle refuses a 3-cell
+    instance) writes the four runs before it in job order and exits 1; a
+    rerun resumes with those four present and fails at the same run."""
+    gen = {"cells": "3-cell", "num_contents": 5, "num_requests": 15, "horizon": 3}
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"runs": [
+        {"gen": {**gen, "seeds": [1, 2]}, "algos": ["pba", "lb"]},
+        {"gen": {**gen, "seeds": [1]}, "algos": ["exact"]},
+    ]}))
+    out = tmp_path / "results.csv"
+    argv = ["sweep", "--config", str(config), "--out", str(out), "--threads", threads]
+    assert exit_code(argv) == 1
+    rows = read_results_csv(out)
+    assert [(row["seed"], row["algo"]) for row in rows] == [
+        ("1", "pba"), ("1", "lb"), ("2", "pba"), ("2", "lb")]
+    capsys.readouterr()
+    assert exit_code(argv) == 1
+    assert "5 runs requested, 4 already present, 1 to do" in capsys.readouterr().out
+    assert read_results_csv(out) == rows

@@ -7,6 +7,7 @@ from mcsp.columns import (
     FREE,
     ColumnPool,
     UnfixablePoolError,
+    _flags_of,
     anchor_slots,
     canonical_flags,
     column_is_valid,
@@ -16,6 +17,7 @@ from mcsp.columns import (
 )
 from mcsp.instance import build_request_index
 
+import reference
 from conftest import random_duals, random_tiny_instance
 from reference import (
     canonical_column,
@@ -38,8 +40,7 @@ def purge(pool, fixings, remaining_cache, remaining_backhaul):
     """``purge_incompatible`` on dict fixings and headrooms."""
     inst = pool.inst
     return pool.purge_incompatible(*fixing_arrays(inst, fixings),
-                                   headroom_array(inst, remaining_cache),
-                                   headroom_array(inst, remaining_backhaul))
+                                   headroom_array(inst, remaining_cache, remaining_backhaul))
 
 UC = ((1, 1), (1, 0))
 UA = ((1, 1), (0, 0))
@@ -60,8 +61,16 @@ def test_column_validity():
 
 
 def test_column_states_roundtrip():
-    for col in enumerate_columns(4):
-        assert column_from_states(column_states(col)) == col
+    for col, states in zip(enumerate_columns(4), column_states(_flags_of(enumerate_columns(4)))):
+        assert column_from_states(states) == col
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+def test_column_states_of_flags_equal_the_tuple_rendering(horizon):
+    """``column_states`` renders the flag rows of every column of the
+    horizon as the scalar rendering renders the column tuples, in order."""
+    columns = enumerate_columns(horizon)
+    assert column_states(_flags_of(columns)) == [reference.column_states(c) for c in columns]
 
 
 def test_column_cost_tiny1(tiny1, tiny1_idx):
@@ -364,7 +373,9 @@ def test_pool_arrays_follow_random_operations():
                 key = rng.choice(pairs)
                 k = rng.randrange(len(model[key]))
                 model[key] = [model[key][k]]
-                assert pool.pin(*key, k) == model[key][0][0]
+                j = pool.starts()[pool.pair_index(*key)] + k  # the entry's pool position
+                pinned = pool.pin(j)
+                assert np.array_equal(pinned, _flags_of([model[key][0][0]])[0])
             ops[op] += 1
             assert {k: [(e.column, e.serial) for e in v] for k, v in pool_entries(pool).items()} == model
             assert pool.num_serials == serials
@@ -396,3 +407,27 @@ def test_purge_fully_fixed_pair_matches_canonical_column(tiny1, horizon):
             purge(pool, fixings, caps, caps)
             assert [e.column for e in pool_columns(pool, 1, 1)] == [col]
     assert 0 < unfixable < 4**horizon
+
+
+def test_pin_keeps_the_entry_at_a_pool_position():
+    """``pin(j)`` keeps the entry at pool position j as its pair's only
+    entry, under its serial, and returns its flags; every other pair keeps
+    its entries, and the pair's other columns are pooled no more."""
+    rng = random.Random(67)
+    for _ in range(40):
+        inst = random_tiny_instance(rng)
+        pool = ColumnPool.initial(build_request_index(inst), "paper")
+        columns = enumerate_columns(inst.horizon)
+        for key in pool.pairs:
+            for col in rng.sample(columns, rng.randint(0, min(4, len(columns)))):
+                pool.add(*key, col)
+        j = rng.randrange(pool.total_columns())
+        a = pool.arrays()
+        key, serial, flags = pool.pairs[a.pair[j]], int(a.serial[j]), a.flags[j].copy()
+        want = {k: [(e.column, e.serial) for e in v] for k, v in pool_entries(pool).items()}
+        dropped = [col for col, s in want[key] if s != serial]
+        want[key] = [(col, s) for col, s in want[key] if s == serial]
+        assert np.array_equal(pool.pin(j), flags)
+        assert {k: [(e.column, e.serial) for e in v] for k, v in pool_entries(pool).items()} == want
+        assert pool_contains(pool, *key, want[key][0][0])
+        assert not any(pool_contains(pool, *key, col) for col in dropped)

@@ -190,12 +190,15 @@ def test_next_pin_is_the_first_largest_fractional_weight():
         for key in pool.pairs:
             for k in range(len(pool_columns(pool, *key))):
                 v = weights[at]
-                at += 1
                 if TOL_INT < v < 1 - TOL_INT and (best is None or v > best[0]):
-                    best = (float(v), key, k)
+                    best = (float(v), key, k, at)
+                at += 1
         if best is None:
             continue
-        assert _next_pin(sol, pool) == (best[1], best[2])
+        j = _next_pin(sol)
+        assert j == best[3]
+        pair = int(pool.arrays().pair[j])
+        assert (pool.pairs[pair], j - int(pool.starts()[pair])) == (best[1], best[2])
         pinned += 1
     assert pinned > 75
 
@@ -206,8 +209,9 @@ def test_decode_schedule_takes_each_pairs_first_largest_weight():
     argmax over its slice of ``sol.weights`` finds it; a pair whose largest
     weight is below one raises ValueError naming the first such pair. The
     fractional cases halve the unit weights of one random pair."""
-    from mcsp.columns import column_states, enumerate_columns, zero_column
+    from mcsp.columns import enumerate_columns, zero_column
     from mcsp.driver import decode_schedule
+    from reference import column_states
 
     rng = random.Random(19)
     fractional = 0

@@ -472,7 +472,7 @@ def _partly_fixed(rng, inst, decided_share):
                 state.fix(h, i, t, gamma=q, omega=p)
         if (state.gamma[h, i, 1:] != FREE).all():  # fixed at every slot, maybe by chance
             pool.add(h, i, col)
-            pool.pin(h, i, pool.counts[pool.pair_index(h, i)] - 1)
+            pool.pin(pool.starts()[pool.pair_index(h, i) + 1] - 1)  # the entry just added
     return idx, state, pool
 
 

@@ -453,7 +453,7 @@ def _resolve_moved_master(pool, inst):
     rows = CapacityRows(inst)
     rows.held[:, 1:, 1:] = ~violated.held[:, 1:, 1:]
     for key in pool.pairs:
-        pool.keep(*key, range(pool.counts[pool.pair_index(*key)] - 1, -1, -1))
+        reference.keep(pool, *key, range(pool.counts[pool.pair_index(*key)] - 1, -1, -1))
     again = solve_rmp(build_rmp(pool, rows), basis=basis)
     return first, again
 
@@ -501,7 +501,7 @@ def test_start_basis_after_a_purge_solves():
     sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), basis=basis)
     for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):
         # keep the zero column, so that the master stays feasible
-        pool.keep(*key, [k for k, w in enumerate(weights) if k == 0 or w <= 1e-9])
+        reference.keep(pool, *key, [k for k, w in enumerate(weights) if k == 0 or w <= 1e-9])
     model = build_rmp(pool, all_capacity_rows(inst))
     start = basis.start(model)
     assert start.num_basic < model.problem.num_rows

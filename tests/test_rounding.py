@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mcsp.rounding import (
 )
 
 from conftest import random_tiny_instance
-from reference import pool_columns, pool_entries
+from reference import column_of, fixed, pool_columns, pool_entries
 
 UC = ((1, 1), (1, 0))
 ZERO = ((0, 0), (0, 0))
@@ -31,7 +32,7 @@ def tiny_pool(tiny1, tiny1_idx):
 
 def weights_for(pool, weights_by_column):
     """Column weights in pool order, looked up by column."""
-    return np.array([weights_by_column.get(pool.column_of(s), 0.0) for s in pool.arrays().serial])
+    return np.array([weights_by_column.get(column_of(pool, s), 0.0) for s in pool.arrays().serial])
 
 
 def by_pair(pool, weights) -> dict:
@@ -101,7 +102,7 @@ def test_round_once_tiny1_trace(tiny1, tiny1_idx):
     weights = weights_for(pool, {UC: 0.5, ZERO: 0.5})
     state = RoundingState(tiny1)
     report = round_once(state, *compute_indicators(weights, pool), pool)
-    assert state.fixed(1, 1, 1) == (1, 1)
+    assert fixed(state, 1, 1, 1) == (1, 1)
     assert report.rounded_up == 1
     # purge removed every column not updating in slot 1
     assert all(e.column[0] == (1, 1) for e in pool_columns(pool, 1, 1))
@@ -114,7 +115,7 @@ def test_round_once_integral_is_noop(tiny1, tiny1_idx):
     report = round_once(state, *compute_indicators(weights, pool), pool)
     assert report.rounded_up == 0 and report.rounded_down == 0
     # frozen entries mirror the integral indicators
-    assert state.fixed(1, 1, 1) == (1, 1)
+    assert fixed(state, 1, 1, 1) == (1, 1)
 
 
 def test_round_below_half_goes_to_zero(tiny1, tiny1_idx):
@@ -122,7 +123,7 @@ def test_round_below_half_goes_to_zero(tiny1, tiny1_idx):
     weights = weights_for(pool, {UC: 0.49, ZERO: 0.51})
     state = RoundingState(tiny1)
     round_once(state, *compute_indicators(weights, pool), pool)
-    gamma, omega = state.fixed(1, 1, 1)
+    gamma, omega = fixed(state, 1, 1, 1)
     assert omega == 0  # strictly-below-one-half rule
 
 
@@ -133,11 +134,11 @@ def test_round_respects_backhaul_headroom(tiny1, tiny1_idx):
     # another content consumed the backhaul at slot 1 already: simulate by
     # shrinking capacity through a pre-existing fixing of a phantom content
     state.fix(1, 1, 2, omega=0)  # unrelated, keeps state nonempty
-    rb = state.remaining_backhaul()
+    rb = state.headroom()[1]
     assert rb[1, 1] == 2.0
     # monkeypatch capacity via instance is frozen; instead verify the up-fix
     report = round_once(state, *compute_indicators(weights, pool), pool)
-    assert state.fixed(1, 1, 1) == (1, 1)
+    assert fixed(state, 1, 1, 1) == (1, 1)
 
 
 def test_round_down_where_no_update_can_anchor(tiny1, tiny1_idx):
@@ -152,7 +153,7 @@ def test_round_down_where_no_update_can_anchor(tiny1, tiny1_idx):
     gamma, omega = np.zeros((2, 2, 3)), np.zeros((2, 2, 3))
     gamma[1, 1, 2] = 0.9
     report = round_once(state, gamma, omega, pool)
-    assert state.fixed(1, 1, 1) == (0, 0) and state.fixed(1, 1, 2) == (0, 0)
+    assert fixed(state, 1, 1, 1) == (0, 0) and fixed(state, 1, 1, 2) == (0, 0)
     assert (report.rounded_up, report.rounded_down) == (0, 1)
 
 
@@ -185,9 +186,11 @@ def test_masks_reflect_fixings(tiny1):
                 with pytest.raises(AssertionError, match="contradictory"):
                     state.fix(h, i, t, gamma=gamma, omega=omega)
                 continue
-            assert state.fix(h, i, t, gamma=gamma, omega=omega) == ref.fix(
-                h, i, t, gamma=gamma, omega=omega)
-            assert state.fixed(h, i, t) == ref.fixed(h, i, t)
+            before = state.gamma.copy(), state.omega.copy()
+            state.fix(h, i, t, gamma=gamma, omega=omega)
+            changed = not all(map(np.array_equal, before, (state.gamma, state.omega)))
+            assert changed == ref.fix(h, i, t, gamma=gamma, omega=omega)
+            assert fixed(state, h, i, t) == ref.fixed(h, i, t)
             batch = state.masks()
             for k, (h, i) in enumerate(pairs):
                 for one, stacked in zip(ref.mask_arrays(h, i, T), batch):
@@ -235,8 +238,7 @@ def test_fixings_monotone_and_capacity_nonnegative():
             round_once(state, *compute_indicators(weights, pool), pool)
             for old, new in zip(seen, (state.gamma, state.omega)):
                 assert np.array_equal(new[old != FREE], old[old != FREE])
-            assert (state.remaining_cache()[1:, 1:] >= -1e-9).all()
-            assert (state.remaining_backhaul()[1:, 1:] >= -1e-9).all()
+            assert (state.headroom()[:, 1:, 1:] >= -1e-9).all()
             # recompute weights consistent with the purged pool: spread weight
             # uniformly over the survivors (only shape matters here)
             weights = 1.0 / np.repeat(pool.counts, pool.counts)
@@ -306,10 +308,82 @@ def test_array_pass_equals_dict_reference():
             for got, want in zip((state.gamma, state.omega),
                                  reference.fixing_arrays(inst, ref.fixings)):
                 assert np.array_equal(got, want)
-            assert np.array_equal(state.remaining_cache()[1:, 1:], reference.headroom_array(
-                inst, ref.remaining_cache())[1:, 1:])
-            assert np.array_equal(state.remaining_backhaul()[1:, 1:], reference.headroom_array(
-                inst, ref.remaining_backhaul())[1:, 1:])
+            assert np.array_equal(state.headroom()[:, 1:, 1:], ref.headroom()[:, 1:, 1:])
             assert {k: [(e.column, e.serial) for e in v] for k, v in pool_entries(pool).items()} == {
                 k: [(e.column, e.serial) for e in v] for k, v in pool_entries(ref_pool).items()}
     assert passes > 100 and ups and downs and purged
+
+
+def _batch(rng, inst):
+    """A random batch of distinct cells as ``RoundingState.fix`` takes them
+    (ints, a slice or index arrays), and the (h, i, t) cells it covers in
+    the order the batch lists them."""
+    H, I, T = inst.num_servers, inst.num_contents, inst.horizon
+    h, i, t = rng.randint(1, H), rng.randint(1, I), rng.randint(1, T)
+    form = rng.choice(["cell", "slots", "servers", "arrays"])
+    if form == "cell":
+        return (h, i, t), [(h, i, t)]
+    if form == "slots":
+        hi = rng.randint(t, T)
+        return (h, i, slice(t, hi + 1)), [(h, i, s) for s in range(t, hi + 1)]
+    if form == "servers":
+        return (slice(1, None), i, t), [(g, i, t) for g in range(1, H + 1)]
+    every = [(g, j, s) for g in range(1, H + 1) for j in range(1, I + 1) for s in range(1, T + 1)]
+    cells = rng.sample(every, rng.randint(1, len(every)))
+    return tuple(np.array(axis) for axis in zip(*cells)), cells
+
+
+def _values(rng, cells, scalar):
+    """Random values of one kind for the cells: None, one 0/1 for all, or
+    one per cell (as bools or as ints)."""
+    pick = rng.random()
+    if pick < 0.3:
+        return None, [None] * len(cells)
+    if pick < 0.6 or scalar:
+        v = rng.randint(0, 1)
+        return v, [v] * len(cells)
+    vs = [rng.randint(0, 1) for _ in cells]
+    return np.array(vs, dtype=rng.choice([bool, np.int64])), vs
+
+
+def test_batch_fix_equals_cell_by_cell_merges():
+    """Random batches of fixings (single cells, slot and server slices,
+    index arrays, scalar and per-cell values) on random tiny instances merge
+    as the dict reference merges them cell by cell. A batch with a
+    contradiction raises, naming its first cache contradiction, else its
+    first update contradiction, in batch order, and writes no cell."""
+    rng = random.Random(43)
+    merged = clashed = 0
+    for _ in range(60):
+        inst = random_tiny_instance(rng)
+        state, ref = RoundingState(inst), reference.RoundingState(inst)
+        for _ in range(40):
+            index, cells = _batch(rng, inst)
+            scalar = all(isinstance(x, int) for x in index)
+            gamma, gs = _values(rng, cells, scalar)
+            omega, os = _values(rng, cells, scalar)
+            first = {}
+            for cell, g, o in zip(cells, gs, os):
+                old_g, old_o = ref.fixed(*cell)
+                if g is not None and old_g is not None and g != old_g:
+                    first.setdefault("cache", cell)
+                if o is not None and old_o is not None and o != old_o:
+                    first.setdefault("update", cell)
+            before = state.gamma.copy(), state.omega.copy()
+            if first:
+                kind = "cache" if "cache" in first else "update"
+                message = re.escape(f"contradictory {kind} fixing at {first[kind]}")
+                with pytest.raises(AssertionError, match=f"^{message}$"):
+                    state.fix(*index, gamma=gamma, omega=omega)
+                assert np.array_equal(state.gamma, before[0])
+                assert np.array_equal(state.omega, before[1])
+                clashed += 1
+                continue
+            state.fix(*index, gamma=gamma, omega=omega)
+            for cell, g, o in zip(cells, gs, os):
+                ref.fix(*cell, gamma=g, omega=o)
+            for got, want in zip((state.gamma, state.omega),
+                                 reference.fixing_arrays(inst, ref.fixings)):
+                assert np.array_equal(got, want)
+            merged += 1
+    assert merged > 500 and clashed > 500
