@@ -3,7 +3,8 @@
 The popularity baseline ranks contents by total request count and walks the
 horizon slot by slot: refresh cached contents whose age penalty has reached
 half their cloud download cost, then admit uncached contents while cache and
-backhaul headroom lasts. Nothing is ever evicted.
+backhaul headroom lasts. Nothing is ever evicted. Both it and the exact
+oracle report through ``driver.finish_report``.
 
 The exact oracle searches per-pair column combinations depth-first with
 capacity and bound pruning; it is deliberately capped at toy sizes and exists
@@ -23,16 +24,8 @@ import time
 from pathlib import Path
 
 from .columns import _flags_of, column_states, enumerate_columns, zero_column
-from .costs import (
-    CAPACITY_EPS,
-    Schedule,
-    SettlementMode,
-    derive_aoi,
-    derive_assignment,
-    evaluate,
-    plan_cost,
-)
-from .driver import SolveReport
+from .costs import CAPACITY_EPS, Schedule, SettlementMode, derive_aoi, evaluate
+from .driver import SolveReport, finish_report
 from .instance import Instance, Request
 from .simplex import EQ, GE, LE, write_lp_text
 
@@ -89,17 +82,7 @@ def run_pba(inst: Instance) -> SolveReport:
                 states[(h, i)] = "".join(row)
 
     schedule = Schedule(horizon=inst.horizon, states=states)
-    assignment = derive_assignment(schedule, inst, "min")
-    cost = plan_cost(schedule, assignment, inst)
-    return SolveReport(
-        algorithm="pba",
-        settlement_mode="min",
-        cost=cost,
-        settled_cost=cost,
-        wall_time_s=time.perf_counter() - started,
-        schedule=schedule,
-        assignment=assignment,
-    )
+    return finish_report("pba", inst, schedule, "min", None, 0, 0, started)
 
 
 @functools.cache
@@ -264,20 +247,8 @@ def solve_exact(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
                 dfs(depth + 1, child, rest)
 
     dfs(0, 0.0, room)
-    schedule = best_schedule
-    assert schedule is not None
-    assignment = derive_assignment(schedule, inst, mode)
-    cost = plan_cost(schedule, assignment, inst)
-    assert abs(cost.total - best_cost) <= 1e-9 * (1 + abs(cost.total))
-    return SolveReport(
-        algorithm="exact",
-        settlement_mode=mode,
-        cost=cost,
-        settled_cost=cost,
-        wall_time_s=time.perf_counter() - started,
-        schedule=schedule,
-        assignment=assignment,
-    )
+    assert best_schedule is not None
+    return finish_report("exact", inst, best_schedule, mode, None, 0, 0, started)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,11 @@ from .driver import (
     ConvergenceError,
     SolveReport,
     naive_round,
+    report_costs,
     run_lower_bound,
     run_rcga,
 )
-from .generator import GeneratorConfig, generate_instance, parse_ratio
+from .generator import GeneratorConfig, check_config, generate_instance, parse_ratio
 from .instance import Instance, load_instance, save_instance
 from .pricing import NoPathError
 from .simplex import LpError
@@ -208,6 +209,8 @@ def cmd_solve(args) -> int:
 def _read_schedule(path) -> tuple[Optional[SolveReport], Optional[Schedule]]:
     """The report (None for a bare schedule) and the schedule of a file."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") == REPORT_SCHEMA:
         report = SolveReport.from_dict(doc)
         return report, report.schedule
@@ -231,14 +234,10 @@ def cmd_eval(args) -> int:
           f"update={_fmt(repaired.update_cost)}")
     if report is None or report.cost is None:
         return 0
-    # ``cost`` is the min repair's, except the exact oracle's, which it
-    # settles under its own mode
-    settled = evaluate(schedule, inst, report.settlement_mode)
+    _, cost, settled = report_costs(report.algorithm, inst, schedule, report.settlement_mode)
     mismatches = []
-    for name, got, want in (
-        ("cost", settled if report.algorithm == "exact" else repaired, report.cost),
-        ("settled_cost", settled, report.settled_cost),
-    ):
+    for name, got, want in (("cost", cost, report.cost),
+                            ("settled_cost", settled, report.settled_cost)):
         if want is None:
             continue
         recomputed = got.to_dict()
@@ -265,7 +264,7 @@ def _unknown(keys, known, what: str) -> None:
 def _expand_sweep(config: dict) -> list[tuple]:
     """The sweep's jobs, (``GeneratorConfig``, algorithm, mode) each, in
     block, seed and algorithm order; a key, mode or algorithm the sweep does
-    not know is a usage error."""
+    not know, or "gen" values the generator rejects, is a usage error."""
     jobs = []
     for block in config["runs"]:
         _unknown(block, ("gen", "algos", "mode"), "block key")
@@ -279,7 +278,11 @@ def _expand_sweep(config: dict) -> list[tuple]:
             lo, hi = gen["seed_range"]
             seeds = range(lo, hi)
         fields = {name: gen.get(name, getattr(GeneratorConfig, name)) for name in SWEEP_FIELDS}
-        cfg = GeneratorConfig(**{**fields, "rho_tt": parse_ratio(fields["rho_tt"])})
+        try:
+            cfg = GeneratorConfig(**{**fields, "rho_tt": parse_ratio(fields["rho_tt"])})
+            check_config(cfg)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(exc) from exc
         for seed in seeds:
             for algo in algos:
                 jobs.append((replace(cfg, seed=seed), algo, mode))

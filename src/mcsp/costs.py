@@ -22,6 +22,7 @@ assignment, and is feasible for the exact integer formulation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -66,11 +67,19 @@ class Schedule:
     def from_dict(doc: dict) -> "Schedule":
         if doc.get("schema") != SCHEDULE_SCHEMA:
             raise ValueError(f"expected schema {SCHEDULE_SCHEMA!r}, got {doc.get('schema')!r}")
-        states = {}
-        for key, s in doc["states"].items():
-            h, i = key.split(":")
-            states[(int(h), int(i))] = s
-        return Schedule(horizon=doc["horizon"], states=states)
+        try:
+            horizon, states = doc["horizon"], {}
+            for key, s in doc["states"].items():
+                h, i = key.split(":")
+                states[(int(h), int(i))] = s
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed {SCHEDULE_SCHEMA} document ({type(exc).__name__}: {exc})"
+            ) from exc
+        if type(horizon) is not int or not all(isinstance(s, str) for s in states.values()):
+            raise ValueError(f"malformed {SCHEDULE_SCHEMA} document: "
+                             "the horizon must be an integer and each state a string")
+        return Schedule(horizon=horizon, states=states)
 
 
 Served = tuple[int, int, int]  # (server, slot, age)
@@ -151,43 +160,26 @@ def derive_assignment(
     the request goes to the cloud only if no candidate holds the content at
     the deadline slot.
     """
-    ages_cache: dict[tuple[int, int], list[Optional[int]]] = {}
-
-    def ages_for(h: int, i: int) -> list[Optional[int]]:
-        key = (h, i)
-        if key not in ages_cache:
-            ages_cache[key] = schedule_aoi(schedule, h, i)
-        return ages_cache[key]
-
+    ages_for = functools.cache(lambda h, i: schedule_aoi(schedule, h, i))
     served: dict[int, Optional[Served]] = {}
     for r in inst.requests:
         options: list[tuple[float, int, int, int]] = []  # (cost, age, server, slot)
-        if mode == "min":
-            for h in r.candidates:
-                ages = ages_for(h, r.content)
-                for t in range(r.origin, r.deadline + 1):
-                    a = ages[t - 1]
-                    if a is not None:
-                        options.append((inst.f(a), a, h, t))
-            cloud = inst.cloud_cost(r.content)
-            if options:
-                options.sort()
-                cost, a, h, t = options[0]
-                served[r.id] = (h, t, a) if cost <= cloud else None
-            else:
-                served[r.id] = None
+        for h in r.candidates:
+            ages = ages_for(h, r.content)
+            if mode == "min":
+                options += [(inst.f(a), a, h, t) for t, a in
+                            enumerate(ages[r.origin - 1:r.deadline], start=r.origin)
+                            if a is not None]
+            elif (opt := _deadline_option(ages, r)) is not None:
+                slot, age = opt
+                options.append((inst.f(age), age, h, slot))
+        best = min(options, default=None)
+        # min mode falls back to the cloud where it is strictly cheaper
+        if best is None or (mode == "min" and best[0] > inst.cloud_cost(r.content)):
+            served[r.id] = None
         else:
-            for h in r.candidates:
-                opt = _deadline_option(ages_for(h, r.content), r)
-                if opt is not None:
-                    slot, age = opt
-                    options.append((inst.f(age), age, h, slot))
-            if options:
-                options.sort()
-                _, a, h, t = options[0]
-                served[r.id] = (h, t, a)  # unconditional: no cloud fallback
-            else:
-                served[r.id] = None
+            _, a, h, t = best
+            served[r.id] = (h, t, a)
     return AssignmentPlan(served=served)
 
 
@@ -233,6 +225,8 @@ def plan_cost(schedule: Schedule, plan: AssignmentPlan, inst: Instance) -> CostB
 def check_feasibility(schedule: Schedule, inst: Instance) -> list[str]:
     """Verify state-string validity plus per-slot cache and backhaul capacity."""
     out: list[str] = []
+    if schedule.horizon != inst.horizon:
+        out.append(f"schedule horizon {schedule.horizon} != instance horizon {inst.horizon}")
     cache_load = {(h, t): 0 for h in range(1, inst.num_servers + 1) for t in range(1, inst.horizon + 1)}
     backhaul_load = dict(cache_load)
     for (h, i), states in schedule.states.items():

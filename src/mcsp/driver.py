@@ -5,10 +5,14 @@ negatively and the primal respects every capacity (capacity rows join the
 master once violated, see ``mcsp.rmp``); the objective at that fixpoint is
 the exact LP bound over all columns and rows. ``run_rcga`` records that
 bound, then alternates rounding passes with re-generation until the column
-weights are integral, decodes the schedule, and evaluates it twice: once
-under the run's settlement convention (the figure the optimality gap is
-measured with) and once with the free assignment repair (the reported
-deliverable; never worse, always feasible for the exact formulation).
+weights are integral and decodes the schedule.
+
+``finish_report`` is where every solver's schedule becomes a report, and
+``report_costs`` is the one costing rule: ``cost`` is the free assignment
+repair's (``min``; never worse, always feasible for the exact formulation,
+and the figure the optimality gap is measured with), except the exact
+oracle's, which is settled under its own mode; ``settled_cost`` is the
+schedule under the run's settlement convention.
 
 ``naive_round`` is the cautionary baseline: it repeatedly pins the fractional
 column weight closest to one, which can wedge the master into infeasibility;
@@ -97,23 +101,29 @@ class SolveReport:
         def breakdown(d):
             if d is None:
                 return None
-            return CostBreakdown(d["aoi_cost"], d["download_cost"], d["update_cost"])
+            return CostBreakdown(*(float(d[name]) for name in
+                                   ("aoi_cost", "download_cost", "update_cost")))
 
-        return SolveReport(
-            algorithm=doc["algorithm"],
-            settlement_mode=doc["settlement_mode"],
-            cost=breakdown(doc.get("cost")),
-            settled_cost=breakdown(doc.get("settled_cost")),
-            lower_bound=doc.get("lower_bound"),
-            gap=doc.get("gap"),
-            pricing_rounds=doc.get("pricing_rounds", 0),
-            rounding_rounds=doc.get("rounding_rounds", 0),
-            wall_time_s=doc.get("wall_time_s", 0.0),
-            schedule=Schedule.from_dict(doc["schedule"]) if doc.get("schedule") else None,
-            assignment=_assignment_from_doc(doc.get("assignment")),
-            feasible=doc.get("feasible", True),
-            failure=doc.get("failure"),
-        )
+        try:
+            return SolveReport(
+                algorithm=doc["algorithm"],
+                settlement_mode=doc["settlement_mode"],
+                cost=breakdown(doc.get("cost")),
+                settled_cost=breakdown(doc.get("settled_cost")),
+                lower_bound=doc.get("lower_bound"),
+                gap=doc.get("gap"),
+                pricing_rounds=doc.get("pricing_rounds", 0),
+                rounding_rounds=doc.get("rounding_rounds", 0),
+                wall_time_s=doc.get("wall_time_s", 0.0),
+                schedule=Schedule.from_dict(doc["schedule"]) if doc.get("schedule") else None,
+                assignment=_assignment_from_doc(doc.get("assignment")),
+                feasible=doc.get("feasible", True),
+                failure=doc.get("failure"),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed {REPORT_SCHEMA} document ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 def _assignment_to_doc(plan: AssignmentPlan) -> list:
@@ -212,7 +222,21 @@ def decode_schedule(pool: ColumnPool, sol: RmpSolution) -> Schedule:
     return Schedule(horizon=pool.inst.horizon, states=states)
 
 
-def _finish_report(
+def report_costs(
+    algorithm: str, inst: Instance, schedule: Schedule, mode: SettlementMode
+) -> tuple[AssignmentPlan, CostBreakdown, CostBreakdown]:
+    """The assignment, ``cost`` and ``settled_cost`` of ``algorithm``'s
+    report of ``schedule`` in ``mode``. The assignment and ``cost`` are the
+    ``min`` repair's, or the exact oracle's own mode's; ``settled_cost``
+    settles in ``mode`` and is the ``cost`` object itself where the two
+    settlements agree."""
+    own = mode if algorithm == "exact" else "min"
+    assignment = derive_assignment(schedule, inst, own)
+    cost = plan_cost(schedule, assignment, inst)
+    return assignment, cost, cost if own == mode else evaluate(schedule, inst, mode)
+
+
+def finish_report(
     algorithm: str,
     inst: Instance,
     schedule: Schedule,
@@ -222,12 +246,13 @@ def _finish_report(
     rounding_rounds: int,
     started: float,
 ) -> SolveReport:
+    """The report of a solve that ``started`` (a ``time.perf_counter``
+    reading) and returned ``schedule``, costed by ``report_costs``; an
+    infeasible schedule raises."""
     problems = check_feasibility(schedule, inst)
     if problems:
         raise AssertionError(f"{algorithm} produced an infeasible schedule: {problems[:3]}")
-    assignment = derive_assignment(schedule, inst, "min")
-    cost = plan_cost(schedule, assignment, inst)
-    settled = evaluate(schedule, inst, mode)
+    assignment, cost, settled = report_costs(algorithm, inst, schedule, mode)
     return SolveReport(
         algorithm=algorithm,
         settlement_mode=mode,
@@ -285,7 +310,7 @@ def run_rcga(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
             raise AssertionError("master objective fell below the pre-rounding bound")
 
     schedule = decode_schedule(pool, sol)
-    return _finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
+    return finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
 
 
 def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
@@ -345,4 +370,4 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
             failure="master became infeasible after fixing column weights",
         )
     schedule = decode_schedule(pool, sol)
-    return _finish_report("nrs", inst, schedule, mode, lb, pricing_rounds, fixes, started)
+    return finish_report("nrs", inst, schedule, mode, lb, pricing_rounds, fixes, started)

@@ -114,8 +114,9 @@ class GeneratorConfig:
     custom_topology: Topology | None = None
 
 
-def generate_instance(cfg: GeneratorConfig) -> Instance:
-    """Draw a random instance; deterministic for a fixed config and seed."""
+def check_config(cfg: GeneratorConfig) -> tuple[Topology, int, int]:
+    """The topology of ``cfg`` and its numbers of 3- and 2-candidate MCRs;
+    settings the generator cannot draw an instance from raise ValueError."""
     if not (0 <= cfg.rho_m <= 1):
         raise ValueError(f"rho_m must lie in [0, 1], got {cfg.rho_m}")
     if not (0 < cfg.rho_b <= 1):
@@ -132,15 +133,19 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     n_mcr = round(cfg.rho_m * cfg.num_requests)
     # split n_mcr into 3-candidate and 2-candidate per the configured ratio
     ratio = cfg.rho_tt
-    if ratio == float("inf"):
-        n3 = n_mcr
-    else:
-        n3 = round(n_mcr * ratio / (1.0 + ratio))
+    n3 = n_mcr if ratio == float("inf") else round(n_mcr * ratio / (1.0 + ratio))
     n2 = n_mcr - n3
     if n3 > 0 and not topo.triples:
         raise ValueError("rho_tt demands 3-candidate MCRs but the topology has no triples")
     if n2 > 0 and not topo.edges:
         raise ValueError("rho_m demands 2-candidate MCRs but the topology has no edges")
+    return topo, n3, n2
+
+
+def generate_instance(cfg: GeneratorConfig) -> Instance:
+    """Draw a random instance; deterministic for a fixed config and seed."""
+    topo, n3, n2 = check_config(cfg)
+    lo, hi = cfg.size_range
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # draw order is part of the determinism contract: sizes, then requests

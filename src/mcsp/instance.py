@@ -345,7 +345,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    schema = doc.get("schema")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != INSTANCE_SCHEMA:
         raise ValueError(f"expected schema {INSTANCE_SCHEMA!r}, got {schema!r}")
     for key in ("horizon", "servers", "contents", "requests", "cost", "topology"):

@@ -222,6 +222,20 @@ def test_exact_wide_catalog_equals_reference(monkeypatch):
     report = _assert_reports_equal_reference(inst)
     assert _peak_load(report, inst) == 250
 
+def test_pba_past_capacity_is_an_infeasible_schedule(monkeypatch):
+    """PBA's schedule passes the feasibility check of every report: with
+    its admission slack widened past any capacity it admits the whole
+    catalog, and the report refuses the schedule."""
+    from mcsp import baselines
+
+    inst = generate_instance(GeneratorConfig(cells="3-cell", num_contents=5, num_requests=15,
+                                             horizon=3, seed=1))
+    assert run_pba(inst).feasible
+    monkeypatch.setattr(baselines, "CAPACITY_EPS", 1e9)
+    with pytest.raises(AssertionError, match="pba produced an infeasible schedule"):
+        run_pba(inst)
+
+
 def test_pba_at_least_exact():
     rng = random.Random(66)
     for _ in range(8):

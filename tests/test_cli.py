@@ -248,12 +248,29 @@ BAD_INPUTS = {
         "solve", "--algo", "pba", "--instance", _instance_file(d, horizon=0)], 2),
     "solve-missing-instance": (lambda d: [
         "solve", "--algo", "pba", "--instance", str(d / "none.json")], 2),
+    "solve-not-an-object": (lambda d: [
+        "solve", "--algo", "pba", "--instance", _text_file(d, "[1]")], 2),
     "solve-not-json": (lambda d: [
         "solve", "--algo", "pba", "--instance", _text_file(d, "horizon: 2")], 2),
     "eval-invalid-instance": (lambda d: [
         "eval", "--instance", _instance_file(d, horizon=0), "--schedule", str(d / "s.json")], 2),
     "eval-missing-schedule": (lambda d: [
         "eval", "--instance", _instance_file(d), "--schedule", str(d / "none.json")], 2),
+    "eval-schedule-without-states": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule",
+        _text_file(d, '{"schema": "mcsp-schedule/1", "horizon": 2}')], 2),
+    "eval-report-without-mode": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule",
+        _text_file(d, '{"schema": "mcsp-report/1", "algorithm": "rcga"}')], 2),
+    "eval-schedule-of-wrong-types": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule",
+        _text_file(d, '{"schema": "mcsp-schedule/1", "horizon": "2", "states": {}}')], 2),
+    "eval-report-of-wrong-types": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule", _text_file(d, json.dumps({
+            "schema": "mcsp-report/1", "algorithm": "pba", "settlement_mode": "min",
+            "cost": {"aoi_cost": "x", "download_cost": 0, "update_cost": 0}}))], 2),
+    "eval-not-an-object": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule", _text_file(d, "[1]")], 2),
     "eval-other-schema": (lambda d: [
         "eval", "--instance", _instance_file(d), "--schedule", _instance_file(d)], 2),
     "export-invalid-instance": (lambda d: [
@@ -268,6 +285,8 @@ BAD_INPUTS = {
         "sweep", "--config", _sweep_file(d, mode="papr")], 2),
     "sweep-unknown-algorithm": (lambda d: [
         "sweep", "--config", _sweep_file(d, algos=["pba", "rgca"])], 2),
+    "sweep-rejected-gen-value": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"rho_m": 1.5})], 2),
     "sweep-missing-config": (lambda d: [
         "sweep", "--config", str(d / "none.json")], 2),
     "sweep-solver-failure": (lambda d: [

@@ -116,6 +116,9 @@ def test_check_feasibility(tiny1):
     # malformed string caught
     bad = Schedule(horizon=2, states={(1, 1): "AC"})
     assert any("cached-without-update" in v for v in check_feasibility(bad, tiny1))
+    # a schedule over another horizon, even one caching nothing
+    assert check_feasibility(Schedule(horizon=1, states={}), tiny1) == [
+        "schedule horizon 1 != instance horizon 2"]
 
 
 def test_check_feasibility_capacity():

@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
+from mcsp.baselines import run_pba, solve_exact
 from mcsp.columns import ColumnPool
+from mcsp.costs import derive_assignment, evaluate
 from mcsp.driver import (
     SolveReport,
     _next_pin,
     _set_up,
     compute_gap,
     naive_round,
+    report_costs,
     run_cga,
     run_lower_bound,
     run_rcga,
@@ -131,6 +134,39 @@ def test_report_roundtrip(tiny1):
     assert back.schedule == report.schedule
     assert back.assignment == report.assignment
     assert back.lower_bound == report.lower_bound
+
+
+def test_report_costs_reproduce_every_algorithms_report():
+    """``report_costs`` gives the assignment, ``cost`` and ``settled_cost``
+    of every report with a schedule, on 60 tiny instances in both modes:
+    ``cost`` is the ``min`` repair's (the exact oracle's: its own mode's),
+    ``settled_cost`` the run's mode's, and the same object where the two
+    settlements agree."""
+    rng = random.Random(2024)
+    solvers = (("rcga", run_rcga), ("nrs", naive_round), ("exact", solve_exact),
+               ("pba", lambda inst, mode: run_pba(inst)))
+    checked = 0
+    for _ in range(60):
+        inst = random_tiny_instance(rng)
+        for mode in ("paper", "min"):
+            for algorithm, solve in solvers:
+                report = solve(inst, mode)
+                if report.schedule is None:
+                    assert algorithm == "nrs" and not report.feasible
+                    continue
+                assert report.algorithm == algorithm
+                run_mode = report.settlement_mode
+                assignment, cost, settled = report_costs(algorithm, inst, report.schedule,
+                                                         run_mode)
+                assert (assignment, cost, settled) == (
+                    report.assignment, report.cost, report.settled_cost)
+                own = run_mode if algorithm == "exact" else "min"
+                assert assignment == derive_assignment(report.schedule, inst, own)
+                assert cost == evaluate(report.schedule, inst, own)
+                assert settled == evaluate(report.schedule, inst, run_mode)
+                assert (settled is cost) == (own == run_mode)
+                checked += 1
+    assert checked > 400
 
 
 def test_compute_gap_edges():

@@ -89,3 +89,16 @@ def unreachable() -> list[str]:
 
 def test_every_definition_in_src_is_reachable():
     assert unreachable() == []
+
+
+def test_only_the_driver_builds_reports():
+    """Every solver's report is made in ``driver.py`` (``finish_report``,
+    and the reports without a schedule), so one costing rule covers all."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "driver.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call)
+        and "SolveReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []
