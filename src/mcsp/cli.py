@@ -261,22 +261,37 @@ def _unknown(keys, known, what: str) -> None:
         raise UsageError(f"unknown {what} {unknown[0]!r}; expected one of {', '.join(known)}")
 
 
-def _expand_sweep(config: dict) -> list[tuple]:
+def _seeds(gen: dict) -> list[int]:
+    """A "gen" block's seeds: its "seeds", a list of non-negative integers,
+    or the range its "seed_range" of two such integers spans."""
+    key = "seeds" if "seeds" in gen else "seed_range"
+    value = gen.get(key)
+    if not (isinstance(value, list) and all(type(s) is int and s >= 0 for s in value)
+            and (key == "seeds" or len(value) == 2)):
+        raise UsageError(f'a "gen" block needs "seeds", a list of non-negative integers, '
+                         f'or "seed_range", two of them; got {key} {value!r}')
+    return value if key == "seeds" else list(range(*value))
+
+
+def _expand_sweep(config) -> list[tuple]:
     """The sweep's jobs, (``GeneratorConfig``, algorithm, mode) each, in
-    block, seed and algorithm order; a key, mode or algorithm the sweep does
-    not know, or "gen" values the generator rejects, is a usage error."""
+    block, seed and algorithm order; a config of another shape, a key, mode
+    or algorithm the sweep does not know, or "gen" values the generator
+    rejects, is a usage error."""
+    runs = config.get("runs") if isinstance(config, dict) else None
+    if not (isinstance(runs, list) and all(
+            isinstance(block, dict) and isinstance(block.get("gen"), dict)
+            and isinstance(block.get("algos"), list) for block in runs)):
+        raise UsageError('a sweep config is {"runs": [...]}, each block an object '
+                         'with a "gen" object and an "algos" list')
     jobs = []
-    for block in config["runs"]:
+    for block in runs:
         _unknown(block, ("gen", "algos", "mode"), "block key")
         gen, algos, mode = block["gen"], block["algos"], block.get("mode", "paper")
         _unknown(gen, SWEEP_FIELDS + ("seeds", "seed_range"), '"gen" key')
         _unknown([mode], MODES, "mode")
         _unknown(algos, tuple(ALGORITHMS), "algorithm")
-        if "seeds" in gen:
-            seeds = gen["seeds"]
-        else:
-            lo, hi = gen["seed_range"]
-            seeds = range(lo, hi)
+        seeds = _seeds(gen)
         fields = {name: gen.get(name, getattr(GeneratorConfig, name)) for name in SWEEP_FIELDS}
         try:
             cfg = GeneratorConfig(**{**fields, "rho_tt": parse_ratio(fields["rho_tt"])})

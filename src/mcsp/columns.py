@@ -9,14 +9,15 @@ holds columns as bool [column, cached/updated, slot] flag arrays, which
 oracle's ``enumerate_columns`` and in ``ColumnPool.add``.
 
 Each column carries a standalone cost: its backhaul update cost plus the
-age/download cost of the owning server's single-choice requests under the
-chosen settlement convention. Pools keep one ordered set of distinct columns
-per (server, content), seeded with the all-zero column. A ``ColumnPool``
-holds its entries as arrays indexed by serial number (pair, cost, flags,
-covered services) plus the live serials in master order, and makes entries
-in batches, so that the master, the capacity check, the likelihoods, the
-purge and the NRS pin (``ColumnPool.pin``, by pool position) read arrays with
-no per-entry Python.
+age/download cost of the owning server's single-choice requests, each settled
+from the copy held at its deadline (in ``min`` mode capped at the cloud cost;
+this is not the any-slot ``min`` settlement of ``costs``). Pools keep one
+ordered set of distinct columns per (server, content), seeded with the
+all-zero column. A ``ColumnPool`` holds its entries as arrays indexed by
+serial number (pair, cost, flags, covered services) plus the live serials in
+master order, and makes every batch of entries in one array pass, so that the
+master, the capacity check, the likelihoods, the purge and the NRS pin
+(``ColumnPool.pin``, by pool position) read arrays with no per-entry Python.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ Column = tuple[tuple[int, int], ...]
 ENUMERATION_CAP = 12  # 3^T growth; refuse anything past desk scale
 
 FREE = -1  # the value of a slot left unfixed in a fixing array
-
-SMALL_BATCH = 8  # the most columns a pool makes in loops rather than in array passes
 
 
 class UnfixablePoolError(RuntimeError):
@@ -204,13 +203,10 @@ class ColumnPool:
         The cost adds the update cost, then each single-choice request's
         settlement in the request index's order; cost and coverage are the
         standalone cost S and the settlement coverage of the paper, as
-        ``reference.make_entry`` in the tests computes them. A batch of up to
-        ``SMALL_BATCH`` columns is made in loops, a larger one in one array
-        pass: both give the same entries, bit for bit, and the loops cost
-        less than numpy's fixed cost per call on a few columns."""
+        ``reference.make_entry`` in the tests computes them, in one array pass
+        over the batch (``_entries``)."""
         M = len(ks)
-        make = self._entries_by_loop if M <= SMALL_BATCH else self._entries_by_array
-        cost, svc, n_svc = make(ks, flags)
+        cost, svc, n_svc = self._entries(ks, flags)
         serials = np.arange(self.num_serials, self.num_serials + M)
         self.pair = np.concatenate([self.pair, ks])
         self.cost = np.concatenate([self.cost, cost])
@@ -231,9 +227,9 @@ class ColumnPool:
         self.counts += np.bincount(ks, minlength=len(self.counts))
         self._views.clear()
 
-    def _entries_by_array(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
+    def _entries(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
         """Every column's cost, the service positions each covers (laid end
-        to end, each column's in rank order) and how many, in array passes."""
+        to end, each column's in rank order) and how many."""
         idx, M, T = self.idx, len(ks), self.inst.horizon
         q, p = flags[:, 0], flags[:, 1]
         slot = np.arange(T)
@@ -264,39 +260,6 @@ class ColumnPool:
         svc = np.concatenate([zero[aged] + arrival[aged], zero[fresh]])
         by = np.lexsort((idx.svc_rank[svc], row))
         return cost, svc[by], np.bincount(row, minlength=M)
-
-    def _entries_by_loop(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
-        """What ``_entries_by_array`` returns, column by column in loops."""
-        inst, idx = self.inst, self.idx
-        beta, least, aoi = inst.cost.beta, self.mode == "min", idx.aoi.tolist()
-        costs, svcs, counts = [], [], []
-        for k, (q, p) in zip(ks.tolist(), flags.view(np.uint8).tolist()):
-            i = self.pairs[k][1]
-            ages, age = [], -1
-            for cached, updated in zip(q, p):
-                age = 0 if updated else age + 1 if cached else -1
-                ages.append(age)
-            cloud = inst.cloud_cost(i)
-            cost = beta * inst.size(i) * sum(p)
-            scrs = slice(idx.scr_start[k], idx.scr_start[k + 1])
-            for deadline, window in zip(idx.scr_deadline[scrs].tolist(),
-                                        idx.scr_window[scrs].tolist()):
-                held = ages[deadline - 1]
-                reach = cloud if held < 0 else aoi[max(0, held - window)]
-                cost += min(reach, cloud) if least else reach
-            costs.append(cost)
-            mcrs, before = slice(idx.mcr_start[k], idx.mcr_start[k + 1]), len(svcs)
-            for origin, deadline, zero in zip(idx.mcr_origin[mcrs].tolist(),
-                                              idx.mcr_deadline[mcrs].tolist(),
-                                              idx.mcr_svc[mcrs].tolist()):
-                if ages[origin - 1] >= 1:
-                    svcs.append(zero + ages[origin - 1])
-                if any(p[origin - 1 : deadline]):
-                    svcs.append(zero)
-            counts.append(len(svcs) - before)
-        svc = np.array(svcs, dtype=np.int64)
-        by = np.lexsort((idx.svc_rank[svc], np.arange(len(counts)).repeat(counts)))
-        return np.array(costs), svc[by], np.array(counts, dtype=np.int64)
 
     def _reorder(self, order: np.ndarray, dropped: np.ndarray) -> None:
         """Make ``order`` the pool order, the entries ``dropped`` gone."""

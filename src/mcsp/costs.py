@@ -12,9 +12,12 @@ Two settlement conventions decide how a request is priced against a schedule:
   server's state at the request's deadline slot. If the copy is cached there
   with age a, the best reachable age is max(0, a - window) and the request is
   served from cache unconditionally, even when the cloud would be cheaper.
-  This is the convention the column pricing uses.
+  This is the convention the column pricing uses in ``paper`` mode.
 * ``min`` -- a request may be served in any slot of its window at the age the
-  schedule realizes there, or from the cloud, whichever is cheapest.
+  schedule realizes there, or from the cloud, whichever is cheapest. The
+  column pricing's ``min`` mode does not use it: it settles a single-choice
+  request from the copy held at the deadline, capped at the cloud cost, so
+  its column-generation bound need not bound the ``min`` optimum.
 
 The ``min`` assignment of a schedule never costs more than its ``deadline``
 assignment, and is feasible for the exact integer formulation.

@@ -41,7 +41,7 @@ from .costs import (
 )
 from .instance import Instance, build_request_index
 from .pricing import PricingStatics, price_all
-from .rmp import TOL_CHI, CapacityRows, MasterBasis, RmpSolution, build_rmp, solve_rmp
+from .rmp import CapacityRows, MasterBasis, RmpSolution, build_rmp, solve_rmp
 from .rounding import (
     TOL_INT,
     RoundingState,
@@ -213,7 +213,7 @@ def decode_schedule(pool: ColumnPool, sol: RmpSolution) -> Schedule:
     a = pool.arrays()
     # by pair, then by falling weight; the sort is stable, so ties keep pool order
     best = np.lexsort((-w, a.pair))[pool.starts()[:-1]]
-    fractional = np.flatnonzero(w[best] < 1 - TOL_CHI)
+    fractional = np.flatnonzero(w[best] < 1 - TOL_INT)
     if len(fractional):
         h, i = pool.pairs[fractional[0]]
         raise ValueError(f"column weights for ({h},{i}) are fractional")

@@ -59,7 +59,6 @@ from .columns import ColumnPool
 from .instance import Instance
 from .simplex import LpBasis, LpProblem, LpSolution, solve_lp
 
-TOL_CHI = 1e-6  # integrality tolerance on column weights
 TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violated
 
 

@@ -230,13 +230,12 @@ def solve_lp(prob: LpProblem, basis: Optional[LpBasis] = None) -> LpSolution:
         and (np.abs(upper[n_le:] - rows[n_le:]) <= tol).all()
     ):
         raise LpError("HiGHS returned an optimum that violates the model")
-    # single info values: ``getInfo`` would copy the whole HighsInfo
-    iterations = highs.getInfoValue("simplex_iteration_count")[1]
     return LpSolution(
         objective=float(highs.getObjectiveValue()),
         x=x,
         duals=np.array(solution.row_dual),
-        iterations=int(iterations or highs.getInfoValue("ipm_iteration_count")[1]),
+        # a single info value: ``getInfo`` would copy the whole HighsInfo
+        iterations=int(highs.getInfoValue("simplex_iteration_count")[1]),
         basis=_optimal_basis(highs, prob, x),
     )
 

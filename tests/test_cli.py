@@ -227,11 +227,17 @@ def _instance_file(tmp_path, **change) -> str:
 
 def _sweep_file(tmp_path, **change) -> str:
     """A one-block sweep config running PBA on two small instances, with
-    the block's keys replaced by ``change`` ("gen" keys are merged)."""
-    gen = {"cells": "3-cell", "num_contents": 5, "num_requests": 15, "horizon": 3,
-           "seeds": [1, 2], **change.pop("gen", {})}
+    the block's keys replaced by ``change`` ("gen" keys are merged); a key
+    changed to None is left out."""
+    def drop(doc):
+        return {key: value for key, value in doc.items() if value is not None}
+
+    gen = change.pop("gen", {})
+    if gen is not None:
+        gen = drop({"cells": "3-cell", "num_contents": 5, "num_requests": 15, "horizon": 3,
+                    "seeds": [1, 2], **gen})
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"runs": [{"gen": gen, "algos": ["pba"], **change}]}))
+    path.write_text(json.dumps({"runs": [drop({"gen": gen, "algos": ["pba"], **change})]}))
     return str(path)
 
 
@@ -289,6 +295,28 @@ BAD_INPUTS = {
         "sweep", "--config", _sweep_file(d, gen={"rho_m": 1.5})], 2),
     "sweep-missing-config": (lambda d: [
         "sweep", "--config", str(d / "none.json")], 2),
+    "sweep-config-not-an-object": (lambda d: [
+        "sweep", "--config", _text_file(d, "[1]")], 2),
+    "sweep-config-without-runs": (lambda d: [
+        "sweep", "--config", _text_file(d, '{"run": []}')], 2),
+    "sweep-block-without-gen": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen=None)], 2),
+    "sweep-block-without-algos": (lambda d: [
+        "sweep", "--config", _sweep_file(d, algos=None)], 2),
+    "sweep-gen-without-seeds": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": None})], 2),
+    "sweep-seeds-not-a-list": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": 3})], 2),
+    "sweep-seed-a-string": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": ["a"]})], 2),
+    "sweep-seed-a-float": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": [1.5]})], 2),
+    "sweep-seed-negative": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": [-1]})], 2),
+    "sweep-seed-a-bool": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": [True]})], 2),
+    "sweep-seed-range-of-one": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"seeds": None, "seed_range": [1]})], 2),
     "sweep-solver-failure": (lambda d: [
         "sweep", "--config", _sweep_file(d, algos=["pba", "exact"]), "--threads", "1"], 1),
 }

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -341,3 +342,51 @@ def test_perturbed_instances_are_rejected_or_solve(edits):
         return
     report = run_rcga(inst)
     assert report.feasible and report.cost is not None
+
+
+# -- age penalties of every kind an instance file may carry
+
+AOI_KINDS = {
+    "linear": lambda rng, T: {"kind": "linear", "base": rng.uniform(0.0, 3.0),
+                              "slope": rng.uniform(0.0, 4.0)},
+    "table": lambda rng, T: {"kind": "table", "values": sorted(
+        rng.uniform(0.0, 30.0) for _ in range(T + rng.randint(0, 2)))},
+    "exponential": lambda rng, T: {"kind": "exponential", "rate": rng.uniform(0.1, 2.0)},
+}
+
+
+@pytest.mark.parametrize("kind", list(AOI_KINDS))
+def test_age_penalty_kinds_hold_the_sandwich(kind):
+    """On 30 random tiny instances whose age penalty is linear, a table or
+    exponential at a rate other than 1, each round-tripped through its
+    document: LB <= exact <= RCGA's deadline settlement in ``paper`` mode,
+    and the ``min`` exact optimum <= RCGA's repaired cost in both modes."""
+    from mcsp.baselines import solve_exact
+    from mcsp.driver import run_rcga
+
+    rng = random.Random(29)
+    slop = lambda v: 1e-6 * (1 + abs(v))
+    for _ in range(30):
+        doc = instance_to_dict(random_tiny_instance(rng))
+        doc["cost"]["aoi"] = AOI_KINDS[kind](rng, doc["horizon"])
+        inst = instance_from_dict(doc)
+        assert inst.cost.aoi.kind == kind and instance_to_dict(inst) == doc
+        exact = {mode: solve_exact(inst, mode).cost.total for mode in ("paper", "min")}
+        rcga = {mode: run_rcga(inst, mode) for mode in ("paper", "min")}
+        lb = rcga["paper"].lower_bound
+        assert lb <= exact["paper"] + slop(lb)
+        assert exact["paper"] <= rcga["paper"].settled_cost.total + slop(exact["paper"])
+        for report in rcga.values():
+            assert exact["min"] <= report.cost.total + slop(exact["min"])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 3.0, 2.0], "cost.aoi: must be monotone nondecreasing"),
+    ([1.0, 2.0], "cost.aoi: table must cover ages 0..2, has 2 entries"),
+])
+def test_bad_age_table_is_rejected(tiny1, values, message):
+    doc = instance_to_dict(tiny1)
+    doc["horizon"] = 3
+    doc["cost"]["aoi"] = {"kind": "table", "values": values}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        instance_from_dict(doc)
