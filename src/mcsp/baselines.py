@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from .columns import _flags_of, column_states, enumerate_columns, zero_column
-from .costs import CAPACITY_EPS, Schedule, SettlementMode, derive_aoi, evaluate
+from .costs import CAPACITY_EPS, Schedule, SettlementMode, derive_aoi, evaluate, serving_ages
 from .driver import SolveReport, finish_report
 from .instance import Instance, Request
 from .simplex import EQ, GE, LE, write_lp_text
@@ -148,22 +148,10 @@ def solve_exact(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
         )
 
     # service value of each column for each request, cloud not yet folded in
-    svc: dict[int, list[float]] = {}
-    for r in inst.requests:
-        per_col = []
-        for k, col in enumerate(columns):
-            ages = ages_of[k]
-            if mode == "min":
-                val = math.inf
-                for t in range(r.origin, r.deadline + 1):
-                    a = ages[t - 1]
-                    if a is not None:
-                        val = min(val, inst.f(a))
-            else:
-                a = ages[r.deadline - 1]
-                val = math.inf if a is None else inst.f(max(0, a - r.window))
-            per_col.append(val)
-        svc[r.id] = per_col
+    f = [inst.f(a) for a in range(T)]
+    svc = {r.id: [min([f[a] for a, _ in serving_ages(ages, r, mode)], default=math.inf)
+                  for ages in ages_of]
+           for r in inst.requests}
 
     # The capacity headroom is one int: a field per (server, slot, cache or
     # backhaul) holding floor(capacity + CAPACITY_EPS), exact since sizes are

@@ -10,12 +10,13 @@ CSV columns, whose key columns identify the run, and ``FIGURES`` the files
 Exit codes: 0 success, 1 solver failure or evaluation violation (``eval``
 prints a schedule's violations and does not cost it), 2 usage errors
 (argparse's convention; also bad generator settings, missing or rejected
-input files and unknown sweep keys, modes and algorithms, each one line
+input files, results CSVs ``report`` cannot read, unknown sweep keys,
+modes and algorithms and a thread count below 1, each one line
 ``mcsp <command>: error: ...``, writing no file). Sweeps are resumable: rows
 whose key columns already appear in the output CSV are skipped, and runs
-execute in parallel across processes (``sweep --threads`` or the
-MCSP_THREADS environment variable). A failed run still writes the rows of
-the runs before it; a solver failure then exits 1, anything else propagates.
+execute in parallel across processes (``sweep --threads``, at least 1, by
+default one per core). A failed run still writes the rows of the runs before
+it; a solver failure then exits 1, anything else propagates.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ class UsageError(Exception):
 
 def _load(read, path):
     """``read(path)``; a file that is missing or unreadable, or that
-    ``read`` rejects with ValueError, is a usage error."""
+    ``read`` rejects with ValueError or csv.Error, is a usage error."""
     try:
         return read(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
@@ -309,10 +310,7 @@ def _job_key(job) -> tuple:
 
 
 def default_threads() -> int:
-    env = os.environ.get("MCSP_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    return os.cpu_count() or 1
 
 
 def _run_jobs(todo: list, threads: int):
@@ -330,6 +328,8 @@ def _run_jobs(todo: list, threads: int):
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     config = _load(lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
     jobs = _expand_sweep(config)
     out = Path(args.out)
@@ -341,7 +341,7 @@ def cmd_sweep(args) -> int:
     # existing rows first, then new rows in job order up to a failed run
     rows = list(existing_rows)
     try:
-        for row in _run_jobs(todo, args.threads or default_threads()):
+        for row in _run_jobs(todo, args.threads):
             rows.append(row)
     except SOLVER_FAILURES as exc:
         cfg, algo, mode = todo[len(rows) - len(existing_rows)]
@@ -353,20 +353,36 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _figure_series(path) -> list[dict]:
+    """Per figure of ``FIGURES``, the (total, cost shares) points of each
+    (cells, algo, mode, x) series of a results CSV's rows with a total; a
+    missing column or a value that is no number is a ValueError."""
+    rows, figures = read_results_csv(path), []
+    for _, xcol, shares in FIGURES:
+        series: dict[tuple, list] = {}
+        for line, row in enumerate(rows, start=2):
+            if not row.get("total"):
+                continue
+            try:
+                total = float(row["total"])
+                float(row[xcol])  # the series sort by it
+                series.setdefault((row["cells"], row["algo"], row["mode"], row[xcol]), []).append(
+                    [total, *(float(row[f"{name}_cost"]) / total if total else 0.0
+                              for name in shares)])
+            except KeyError as exc:
+                raise ValueError(f"no {exc} column") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {line}: {exc}") from exc
+        figures.append(series)
+    return figures
+
+
 def cmd_report(args) -> int:
-    rows = read_results_csv(args.results)
+    figures = _load(_figure_series, args.results)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     emitted = []
-    for fname, xcol, shares in FIGURES:
-        series: dict[tuple, list] = {}
-        for row in rows:
-            if not row.get("total"):
-                continue
-            total = float(row["total"])
-            point = [total, *(float(row[f"{name}_cost"]) / total if total else 0.0
-                              for name in shares)]
-            series.setdefault((row["cells"], row["algo"], row["mode"], row[xcol]), []).append(point)
+    for (fname, xcol, shares), series in zip(FIGURES, figures):
         path = outdir / fname
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -457,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a grid of generator/algorithm jobs")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--threads", type=int, default=None)
+    sweep.add_argument("--threads", type=int, default=default_threads())
     sweep.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="aggregate a sweep CSV into figure data")

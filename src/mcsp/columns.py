@@ -6,12 +6,11 @@ impossible. A (1,0) slot needs a cached predecessor so the age is derivable,
 and a copy cached in slot 1 must have been downloaded there. The solve path
 holds columns as bool [column, cached/updated, slot] flag arrays, which
 ``column_states`` renders as state strings; tuples remain only in the exact
-oracle's ``enumerate_columns`` and in ``ColumnPool.add``.
+oracle's ``enumerate_columns``.
 
 Each column carries a standalone cost: its backhaul update cost plus the
 age/download cost of the owning server's single-choice requests, each settled
-from the copy held at its deadline (in ``min`` mode capped at the cloud cost;
-this is not the any-slot ``min`` settlement of ``costs``). Pools keep one
+from the copy held at its deadline by ``costs.scr_settlement``. Pools keep one
 ordered set of distinct columns per (server, content), seeded with the
 all-zero column. A ``ColumnPool`` holds its entries as arrays indexed by
 serial number (pair, cost, flags, covered services) plus the live serials in
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import ABSENT, CACHED, UPDATED, CAPACITY_EPS, SettlementMode
+from .costs import ABSENT, CACHED, UPDATED, CAPACITY_EPS, SettlementMode, scr_settlement
 from .instance import RequestIndex
 
 Column = tuple[tuple[int, int], ...]
@@ -43,16 +42,6 @@ class UnfixablePoolError(RuntimeError):
 
 def zero_column(horizon: int) -> Column:
     return ((0, 0),) * horizon
-
-def column_is_valid(col: Column) -> bool:
-    prev_cached = 0
-    for q, p in col:
-        if p > q:
-            return False  # updated but not cached
-        if q == 1 and p == 0 and not prev_cached:
-            return False  # age would be underivable
-        prev_cached = q
-    return True
 
 
 def column_states(flags: np.ndarray) -> list[str]:
@@ -153,7 +142,7 @@ class ColumnPool:
     by insertion. ``counts`` holds the live entries of each pair.
 
     Entries are made in batches (``_make``): the zero columns of
-    ``initial``, the columns of ``add_many`` (a round's priced candidates)
+    ``initial``, the columns of ``add`` (a round's priced candidates)
     and the canonical columns of a purge. A column is pooled at most once per
     pair. The solve path reads the arrays (``arrays``, ``covered``)."""
 
@@ -163,6 +152,7 @@ class ColumnPool:
         self.inst, self.idx, self.mode = idx.inst, idx, mode
         self.pairs, self.pair_server, self.pair_content = (
             idx.pairs, idx.pair_server, idx.pair_content)
+        self.settlement = scr_settlement(idx, mode)  # [single-choice request, age held]
         self.pair = np.empty(0, dtype=np.int64)
         self.cost = np.empty(0)
         self.flags = np.empty((0, 2, idx.inst.horizon), dtype=bool)
@@ -187,9 +177,6 @@ class ColumnPool:
     def num_serials(self) -> int:
         """Serials handed out so far."""
         return len(self.pair)
-
-    def pair_index(self, h: int, i: int) -> int:
-        return (h - 1) * self.inst.num_contents + (i - 1)
 
     def _key(self, ks: np.ndarray, flags: np.ndarray) -> list[tuple[int, bytes]]:
         raw, n = np.ascontiguousarray(flags).tobytes(), 2 * self.inst.horizon
@@ -239,15 +226,13 @@ class ColumnPool:
         content = self.pair_content[ks]
         m, j = concat_ranges(idx.scr_start[ks], idx.scr_start[ks + 1])
         held = age[m, idx.scr_deadline[j] - 1]
-        cloud = idx.cloud[content[m]]
-        reach = idx.aoi[np.maximum(0, held - idx.scr_window[j])]
-        if self.mode == "min":
-            reach = np.minimum(reach, cloud)
+        # an absent copy (held -1) reads the last age's settlement: masked
+        settled = np.where(held < 0, idx.cloud[content[m]], self.settlement[j, held])
         update = self.inst.cost.beta * self.inst.sizes()[content] * np.count_nonzero(p, axis=1)
         # bincount adds in input order: each column's update cost, then its
         # settlements one by one
         cost = np.bincount(np.concatenate([np.arange(M), m]),
-                           np.concatenate([update, np.where(held < 0, cloud, reach)]), minlength=M)
+                           np.concatenate([update, settled]), minlength=M)
 
         m, j = concat_ranges(idx.mcr_start[ks], idx.mcr_start[ks + 1])
         origin, zero = idx.mcr_origin[j], idx.mcr_svc[j]
@@ -279,13 +264,7 @@ class ColumnPool:
         """Whether the columns ``flags`` of the pairs ``ks`` are pooled."""
         return [key in self._live for key in self._key(ks, flags)]
 
-    def add(self, h: int, i: int, col: Column) -> bool:
-        """Insert a column if absent; returns True when actually added."""
-        if not column_is_valid(col):
-            raise ValueError(f"invalid column {col}")
-        return self.add_many(np.array([self.pair_index(h, i)]), _flags_of([col])) == 1
-
-    def add_many(self, ks: np.ndarray, flags: np.ndarray) -> int:
+    def add(self, ks: np.ndarray, flags: np.ndarray) -> int:
         """Insert the valid columns ``flags`` ([column, cached/updated, slot])
         of the pairs numbered ``ks`` that are not pooled yet, in one batch, in
         that order; returns how many were added."""

@@ -6,20 +6,23 @@ states: absent ('A'), cached and just updated ('U'), cached without an update
 while the copy stays cached without updates; a 'C' state therefore requires a
 cached state in the previous slot.
 
-Two settlement conventions decide how a request is priced against a schedule:
+Two settlement conventions decide how a request is priced against a
+schedule, each written here once:
 
-* ``deadline`` -- a request is served from a candidate server based on that
-  server's state at the request's deadline slot. If the copy is cached there
-  with age a, the best reachable age is max(0, a - window) and the request is
-  served from cache unconditionally, even when the cloud would be cheaper.
-  This is the convention the column pricing uses in ``paper`` mode.
+* ``paper`` -- the deadline rule: a request is served from a candidate server
+  based on that server's state at the request's deadline slot. If the copy is
+  cached there with age a, the best reachable age is max(0, a - window) and
+  the request is served from cache even when the cloud would be cheaper.
 * ``min`` -- a request may be served in any slot of its window at the age the
-  schedule realizes there, or from the cloud, whichever is cheapest. The
-  column pricing's ``min`` mode does not use it: it settles a single-choice
-  request from the copy held at the deadline, capped at the cloud cost, so
-  its column-generation bound need not bound the ``min`` optimum.
+  schedule realizes there, or from the cloud, whichever is cheapest.
 
-The ``min`` assignment of a schedule never costs more than its ``deadline``
+``serving_ages`` is the per-copy rule of both, by which ``derive_assignment``
+and the exact oracle serve. The column pool and the pricing settle a
+single-choice request by ``scr_settlement`` instead: the deadline rule, in
+``min`` mode capped at the cloud cost. That is not the any-slot ``min`` rule,
+so the ``min`` column-generation bound need not bound the ``min`` optimum.
+
+The ``min`` assignment of a schedule never costs more than its ``paper``
 assignment, and is feasible for the exact integer formulation.
 """
 
@@ -29,7 +32,9 @@ import functools
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .instance import Instance, Request
+import numpy as np
+
+from .instance import Instance, Request, RequestIndex
 
 ABSENT = "A"
 UPDATED = "U"
@@ -139,15 +144,27 @@ def schedule_aoi(schedule: Schedule, h: int, i: int) -> list[Optional[int]]:
     return derive_aoi(schedule.state(h, i))
 
 
-def _deadline_option(ages: list[Optional[int]], r: Request) -> Optional[tuple[int, int]]:
-    """(slot, age) the deadline settlement realizes for r, or None if uncached."""
-    age_at_deadline = ages[r.deadline - 1]
-    if age_at_deadline is None:
-        return None
-    best_age = max(0, age_at_deadline - r.window)
-    # that age is realized at the slot where the copy had it
-    slot = r.deadline - min(age_at_deadline, r.window)
-    return slot, best_age
+def serving_ages(ages: list, r: Request, mode: SettlementMode) -> list[tuple[int, int]]:
+    """The (age, slot) pairs at which a copy with the per-slot ``ages`` (None
+    where absent) can serve r. ``min``: every cached slot of r's window, at
+    the age held there. ``paper``: when the copy is cached at r's deadline
+    with age a, the age max(0, a - window), at the slot where it was held."""
+    if mode == "min":
+        return [(a, t) for t, a in enumerate(ages[r.origin - 1:r.deadline], start=r.origin)
+                if a is not None]
+    a = ages[r.deadline - 1]
+    return [] if a is None else [(max(0, a - r.window), r.deadline - min(a, r.window))]
+
+
+def scr_settlement(idx: RequestIndex, mode: SettlementMode) -> np.ndarray:
+    """[single-choice request, a]: the settlement of each request of the
+    request index by a copy held at age a = 0..horizon - 1 at its deadline,
+    f(max(0, a - window)), in ``min`` mode capped at the cloud cost."""
+    ages = np.arange(idx.inst.horizon)
+    table = idx.aoi[np.maximum(0, ages - idx.scr_window[:, None])]
+    if mode == "min":
+        table = np.minimum(table, idx.cloud[idx.pair_content[idx.scr_pair]][:, None])
+    return table
 
 
 def derive_assignment(
@@ -166,16 +183,8 @@ def derive_assignment(
     ages_for = functools.cache(lambda h, i: schedule_aoi(schedule, h, i))
     served: dict[int, Optional[Served]] = {}
     for r in inst.requests:
-        options: list[tuple[float, int, int, int]] = []  # (cost, age, server, slot)
-        for h in r.candidates:
-            ages = ages_for(h, r.content)
-            if mode == "min":
-                options += [(inst.f(a), a, h, t) for t, a in
-                            enumerate(ages[r.origin - 1:r.deadline], start=r.origin)
-                            if a is not None]
-            elif (opt := _deadline_option(ages, r)) is not None:
-                slot, age = opt
-                options.append((inst.f(age), age, h, slot))
+        options = [(inst.f(a), a, h, t)  # (cost, age, server, slot)
+                   for h in r.candidates for a, t in serving_ages(ages_for(h, r.content), r, mode)]
         best = min(options, default=None)
         # min mode falls back to the cloud where it is strictly cheaper
         if best is None or (mode == "min" and best[0] > inst.cloud_cost(r.content)):

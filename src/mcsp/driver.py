@@ -200,7 +200,7 @@ def run_cga(
             if not capacity_rows.add_violated(pool, sol.weights):
                 return CgaResult(solution=sol, rounds=rounds)
         if candidates:
-            pool.add_many(candidates.keys, candidates.flags)
+            pool.add(candidates.keys, candidates.flags)
         if rounds > guard:
             raise ConvergenceError(f"column generation did not settle in {guard} rounds")
 

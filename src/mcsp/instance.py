@@ -413,8 +413,8 @@ def load_instance(path: str | Path) -> Instance:
 
 
 class RequestIndex:
-    """Precomputed request lookups used by cost evaluation and pricing, held
-    as arrays.
+    """Precomputed request lookups used by the column pool, the pricing and
+    the master, held as arrays.
 
     ``pairs`` lists the (server, content) pairs, numbered k = (h - 1) *
     num_contents + (i - 1); ``pair_server`` and ``pair_content`` hold each

@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .columns import FREE, ColumnPool, column_states
-from .costs import SettlementMode
+from .costs import SettlementMode, scr_settlement
 from .instance import RequestIndex
 from .rmp import DualPrices
 from .rounding import RoundingState
@@ -245,11 +245,9 @@ class PricingStatics:
         n_xi = n_xi.reshape(T + 1, K).astype(float)
         r, a = np.nonzero(np.ones((len(k), T - 1), dtype=bool))
         a += 1
-        reach = idx.aoi[np.maximum(0, a - idx.scr_window[r])]
-        if mode == "min":
-            reach = np.minimum(reach, cloud[k[r]])
         self.psi = _credits((idx.scr_deadline[r] * (T + 1) + a) * K + k[r],
-                            reach - cloud[k[r]], (T + 1, T + 1, K))  # [t, a, k] for a >= 1
+                            scr_settlement(idx, mode)[r, a] - cloud[k[r]],
+                            (T + 1, T + 1, K))  # [t, a, k] for a >= 1
         # the dual-free terms of the update weights and of the sink arcs
         self.upd_base = inst.cost.beta * self.size - n_xi * inst.cost.alpha * self.size
         self.scr_cloud = np.diff(idx.scr_start) * cloud

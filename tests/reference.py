@@ -11,7 +11,9 @@ one by one as ``PricedEntry`` views and ``pool_contains`` asks whether a
 column is pooled; the solve path reads the pool's arrays instead.
 ``column_of``, ``block`` and ``keep`` read a serial's column, list a pair's
 serials and cut a pair's entries by position, as the pool did before the NRS
-pin took a pool position. ``column_ages`` and ``column_states`` are the age
+pin took a pool position. ``add_column`` pools one column tuple of a pair
+(``pair_index`` numbers it) through the batch ``ColumnPool.add``, after
+``column_is_valid`` checks the tuple, as the pool's own tuple method did. ``column_ages`` and ``column_states`` are the age
 rule and the rendering of column tuples; the solve path renders flag arrays
 and reads ages with ``costs.derive_aoi``.
 ``check_plan`` checks a plan against its schedule, and ``mcrs``/``scrs``
@@ -82,7 +84,6 @@ from mcsp.columns import (
     ColumnPool,
     UnfixablePoolError,
     _flags_of,
-    column_is_valid,
     enumerate_columns,
     zero_column,
 )
@@ -219,6 +220,30 @@ class PricedEntry:
     flags: bytes = b""  # the cached then the updated flag of every slot, a byte each
 
 
+def column_is_valid(col: Column) -> bool:
+    prev_cached = 0
+    for q, p in col:
+        if p > q:
+            return False  # updated but not cached
+        if q == 1 and p == 0 and not prev_cached:
+            return False  # age would be underivable
+        prev_cached = q
+    return True
+
+
+def pair_index(pool: ColumnPool, h: int, i: int) -> int:
+    """The number of the pair (h, i) in the pool's request index."""
+    return (h - 1) * pool.inst.num_contents + (i - 1)
+
+
+def add_column(pool: ColumnPool, h: int, i: int, col: Column) -> bool:
+    """Pool the column tuple ``col`` of the pair (h, i) if it is not pooled
+    yet; returns True when it was added."""
+    if not column_is_valid(col):
+        raise ValueError(f"invalid column {col}")
+    return pool.add(np.array([pair_index(pool, h, i)]), _flags_of([col])) == 1
+
+
 def column_of(pool: ColumnPool, s: int) -> Column:
     """The column of the pool's entry with serial s."""
     return tuple(zip(*pool.flags[s].view(np.uint8).tolist()))
@@ -226,7 +251,7 @@ def column_of(pool: ColumnPool, s: int) -> Column:
 
 def block(pool: ColumnPool, h: int, i: int) -> np.ndarray:
     """The live serials of a pair, in pool order."""
-    k = pool.pair_index(h, i)
+    k = pair_index(pool, h, i)
     start = pool.starts()[k]
     return pool.order[start : start + pool.counts[k]]
 
@@ -234,7 +259,7 @@ def block(pool: ColumnPool, h: int, i: int) -> np.ndarray:
 def keep(pool: ColumnPool, h: int, i: int, positions: Sequence[int]) -> None:
     """Keep only the pair's entries at the given distinct positions of
     ``pool_columns(pool, h, i)``, in that order."""
-    k = pool.pair_index(h, i)
+    k = pair_index(pool, h, i)
     start, end = pool.starts()[k], pool.starts()[k + 1]
     serials = pool.order[start:end]
     kept = serials[np.asarray(positions, dtype=np.int64)]
@@ -267,7 +292,7 @@ def pool_entries(pool: ColumnPool) -> dict[tuple[int, int], list[PricedEntry]]:
 
 
 def pool_contains(pool: ColumnPool, h: int, i: int, col: Column) -> bool:
-    return pool.pooled(np.array([pool.pair_index(h, i)]), _flags_of([col]))[0]
+    return pool.pooled(np.array([pair_index(pool, h, i)]), _flags_of([col]))[0]
 
 
 def make_entry(
@@ -601,7 +626,7 @@ def purge_incompatible(pool: ColumnPool, fixings, remaining_cache, remaining_bac
             )
         keep(pool, h, i, kept)
         if not any(entries[k].column == col for k in kept):
-            pool.add(h, i, col)
+            add_column(pool, h, i, col)
     return removed
 
 

@@ -168,7 +168,7 @@ def test_criterion_1_pricing_oracle():
 def test_criterion_2_bijection():
     """For T <= 5: every valid column's path length equals its reduced cost
     and every source-sink path decodes to a valid column (exhaustive)."""
-    from mcsp.columns import column_is_valid
+    from reference import column_is_valid
 
     rng = random.Random(555)
     checked_paths = 0

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -247,6 +248,13 @@ def _text_file(tmp_path, text: str) -> str:
     return str(path)
 
 
+def _results_file(tmp_path, total="10", x_column="I") -> str:
+    """A one-row results CSV with the given total and x column name."""
+    return _text_file(tmp_path, f"cells,algo,mode,{x_column},R,rho_b,total,aoi_cost,"
+                                f"download_cost,update_cost\n3-cell,pba,paper,5,15,0.5,"
+                                f"{total},4,3,3\n")
+
+
 # (argv, from the test's directory; exit code): inputs that end a command
 # with one line on stderr and no traceback
 BAD_INPUTS = {
@@ -317,6 +325,18 @@ BAD_INPUTS = {
         "sweep", "--config", _sweep_file(d, gen={"seeds": [True]})], 2),
     "sweep-seed-range-of-one": (lambda d: [
         "sweep", "--config", _sweep_file(d, gen={"seeds": None, "seed_range": [1]})], 2),
+    "sweep-zero-threads": (lambda d: [
+        "sweep", "--config", _sweep_file(d), "--threads", "0"], 2),
+    "sweep-negative-threads": (lambda d: [
+        "sweep", "--config", _sweep_file(d), "--threads", "-2"], 2),
+    "report-missing-results": (lambda d: [
+        "report", "--in", str(d / "none.csv"), "--outdir", str(d / "figs")], 2),
+    "report-non-numeric-total": (lambda d: [
+        "report", "--in", _results_file(d, total="abc"), "--outdir", str(d / "figs")], 2),
+    "report-field-past-the-csv-limit": (lambda d: [
+        "report", "--in", _text_file(d, "total\n" + "1" * 200_000), "--outdir", str(d / "figs")], 2),
+    "report-without-I-column": (lambda d: [
+        "report", "--in", _results_file(d, x_column="J"), "--outdir", str(d / "figs")], 2),
     "sweep-solver-failure": (lambda d: [
         "sweep", "--config", _sweep_file(d, algos=["pba", "exact"]), "--threads", "1"], 1),
 }
@@ -340,9 +360,19 @@ def test_bad_input_is_one_line_and_an_exit_code(tmp_path, capsys, case):
     if code == 2:
         assert err.startswith(f"mcsp {argv[0]}: error: ")
         assert not out.exists() and not (tmp_path / "m.lp").exists()
+        assert not (tmp_path / "figs").exists()
     else:
         assert err.startswith("solver failed: exact")
         assert [row["algo"] for row in read_results_csv(out)] == ["pba"]
+
+
+def test_threads_follow_the_cores_alone(tmp_path, monkeypatch):
+    """The thread count is ``sweep --threads`` or, without it, the core
+    count; no environment variable is read, so a bad one is no error."""
+    monkeypatch.setenv("MCSP_THREADS", "abc")
+    assert cli.default_threads() == (os.cpu_count() or 1)
+    assert main(["sweep", "--config", _sweep_file(tmp_path),
+                 "--out", str(tmp_path / "out.csv")]) == 0
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

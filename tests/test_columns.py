@@ -10,7 +10,6 @@ from mcsp.columns import (
     _flags_of,
     anchor_slots,
     canonical_flags,
-    column_is_valid,
     column_states,
     enumerate_columns,
     zero_column,
@@ -20,15 +19,18 @@ from mcsp.instance import build_request_index
 import reference
 from conftest import random_duals, random_tiny_instance
 from reference import (
+    add_column,
     canonical_column,
     column_aoi,
     column_cost_S,
     column_from_states,
+    column_is_valid,
     coverage_B,
     fixing_arrays,
     fixing_rows,
     headroom_array,
     loop_index,
+    pair_index,
     pool_columns,
     pool_contains,
     pool_entries,
@@ -150,7 +152,7 @@ def test_zero_column_cost_identity():
 def test_pool_purge_fixed_values(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1_idx, "paper")
     for col in enumerate_columns(2):
-        pool.add(1, 1, col)
+        add_column(pool, 1, 1, col)
     caps = {(1, t): tiny1.server(1).cache_capacity for t in (1, 2)}
     bh = {(1, t): tiny1.server(1).backhaul_capacity for t in (1, 2)}
     # fix updated at slot 1: every column with p1 = 0 dies
@@ -165,7 +167,7 @@ def test_pool_purge_fixed_values(tiny1, tiny1_idx):
 def test_pool_purge_capacity(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1_idx, "paper")
     for col in enumerate_columns(2):
-        pool.add(1, 1, col)
+        add_column(pool, 1, 1, col)
     caps = {(1, 1): 2.0, (1, 2): 2.0}
     bh = {(1, 1): 2.0, (1, 2): 1.0}  # size-2 updates no longer fit slot 2
     purge(pool, {}, caps, bh)
@@ -243,7 +245,7 @@ def _assert_entries_match_reference(pool):
     inst, idx = pool.inst, pool.idx
     serials, flags, servers, contents = [], [], [], []
     for (h, i), entries in pool_entries(pool).items():
-        assert len(entries) == pool.counts[pool.pair_index(h, i)]
+        assert len(entries) == pool.counts[pair_index(pool, h, i)]
         for e in entries:
             ref = make_entry(e.column, h, i, inst, idx, pool.mode)
             assert e.cost == ref.cost  # bit for bit
@@ -295,7 +297,7 @@ def test_batched_entries_equal_scalar_entries(mode):
         # priced against an empty pool, as random duals may price pooled columns
         candidates = price_all(ColumnPool(idx, mode), random_duals(rng, inst),
                                PricingStatics(idx, mode), RoundingState(inst))
-        made["priced"] += pool.add_many(candidates.keys, candidates.flags)
+        made["priced"] += pool.add(candidates.keys, candidates.flags)
         _assert_entries_match_reference(pool)
         caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)
                 for t in range(1, inst.horizon + 1)}
@@ -332,7 +334,7 @@ def test_pool_arrays_follow_random_operations():
                 if fresh:
                     model[key].append((col, serials))
                     serials += 1
-                assert pool.add(*key, col) == fresh
+                assert add_column(pool, *key, col) == fresh
             elif op == "batch":
                 keys = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
                 cols = [rng.choice(columns) for _ in keys]
@@ -343,7 +345,7 @@ def test_pool_arrays_follow_random_operations():
                         serials += 1
                         added += 1
                 flags = np.array(cols, dtype=bool).transpose(0, 2, 1)
-                assert pool.add_many([pool.pair_index(*key) for key in keys], flags) == added
+                assert pool.add([pair_index(pool, *key) for key in keys], flags) == added
             elif op == "purge":
                 fixings.update({k: v for k, v in _random_fixings(rng, inst, 0.2).items()
                                 if k not in fixings})
@@ -371,7 +373,7 @@ def test_pool_arrays_follow_random_operations():
                 key = rng.choice(pairs)
                 k = rng.randrange(len(model[key]))
                 model[key] = [model[key][k]]
-                j = pool.starts()[pool.pair_index(*key)] + k  # the entry's pool position
+                j = pool.starts()[pair_index(pool, *key)] + k  # the entry's pool position
                 pinned = pool.pin(j)
                 assert np.array_equal(pinned, _flags_of([model[key][0][0]])[0])
             ops[op] += 1
@@ -418,7 +420,7 @@ def test_pin_keeps_the_entry_at_a_pool_position():
         columns = enumerate_columns(inst.horizon)
         for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, min(4, len(columns)))):
-                pool.add(*key, col)
+                add_column(pool, *key, col)
         j = rng.randrange(pool.total_columns())
         a = pool.arrays()
         key, serial, flags = pool.pairs[a.pair[j]], int(a.serial[j]), a.flags[j].copy()

@@ -11,10 +11,12 @@ from mcsp.pricing import TOL_PRICE as TOL, PricingStatics, price_all
 from mcsp.rmp import DualPrices, MasterBasis
 from mcsp.rounding import RoundingState
 from reference import (
+    add_column,
     build_graph,
     column_cost_S,
     explicit_duals,
     mcrs,
+    pair_index,
     pool_columns,
     pool_contains,
     reduced_cost,
@@ -169,7 +171,7 @@ def test_bijection_paths_and_columns():
         cols = {}
         for nodes, length in paths:
             col = _decode_nodes(nodes, inst.horizon)
-            from mcsp.columns import column_is_valid
+            from reference import column_is_valid
 
             assert column_is_valid(col)
             cols.setdefault(col, []).append(length)
@@ -316,7 +318,7 @@ def test_pooled_negative_column_raises():
         statics = PricingStatics(idx, "paper")
         cands = by_pair(price_all(pool, duals, statics, RoundingState(inst)), idx.pairs)
     (h, i), (column, value) = next(iter(cands.items()))
-    assert pool.add(h, i, column)
+    assert add_column(pool, h, i, column)
     pattern = rf"pair \({h}, {i}\).*{re.escape(repr(value))}"
     with pytest.raises(AssertionError, match=pattern):
         price_all(pool, duals, statics, RoundingState(inst))
@@ -354,7 +356,7 @@ def _sampled_pool(rng, inst, idx):
     for (h, i) in pool.pairs:
         for col in enumerate_columns(inst.horizon):
             if rng.random() < 0.3:
-                pool.add(h, i, col)
+                add_column(pool, h, i, col)
     return pool
 
 
@@ -471,8 +473,8 @@ def _partly_fixed(rng, inst, decided_share):
             if decided or rng.random() < 0.4:
                 state.fix(h, i, t, gamma=q, omega=p)
         if (state.gamma[h, i, 1:] != FREE).all():  # fixed at every slot, maybe by chance
-            pool.add(h, i, col)
-            pool.pin(pool.starts()[pool.pair_index(h, i) + 1] - 1)  # the entry just added
+            add_column(pool, h, i, col)
+            pool.pin(pool.starts()[pair_index(pool, h, i) + 1] - 1)  # the entry just added
     return idx, state, pool
 
 

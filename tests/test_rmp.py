@@ -7,7 +7,8 @@ import reference
 from mcsp.columns import ColumnPool, enumerate_columns
 from mcsp.instance import build_request_index
 from mcsp.rmp import CapacityRows, MasterBasis, build_rmp, solve_rmp
-from reference import a_matrix, explicit_duals, mcrs, pool_columns, reduced_cost
+from reference import (
+    a_matrix, add_column, explicit_duals, mcrs, pair_index, pool_columns, reduced_cost)
 
 from conftest import all_capacity_rows, assert_highs_model, random_tiny_instance
 
@@ -36,7 +37,7 @@ def full_pool(inst, idx, mode="paper") -> ColumnPool:
     pool = ColumnPool.initial(idx, mode)
     for (h, i) in pool.pairs:
         for col in enumerate_columns(inst.horizon):
-            pool.add(h, i, col)
+            add_column(pool, h, i, col)
     return pool
 
 
@@ -193,7 +194,7 @@ def test_dual_certificate_on_large_masters(seed):
     columns = enumerate_columns(inst.horizon)
     for key in pool.pairs:
         for col in rng.sample(columns, 3):
-            pool.add(*key, col)
+            add_column(pool, *key, col)
     model = build_rmp(pool, all_capacity_rows(inst))
     assert model.problem.num_rows + model.problem.num_vars > 600
     sol = solve_rmp(model, MasterBasis())
@@ -349,7 +350,7 @@ def test_build_rmp_matches_column_definitions():
         columns = enumerate_columns(inst.horizon)
         for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
-                pool.add(*key, col)
+                add_column(pool, *key, col)
         every = [(h, t) for h in range(1, inst.num_servers + 1)
                  for t in range(1, inst.horizon + 1)]
         partial = capacity_rows(inst, rng.sample(every, rng.randint(0, len(every))),
@@ -387,7 +388,7 @@ def test_highs_receives_the_reference_arrays(highs_calls):
         columns = enumerate_columns(inst.horizon)
         for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
-                pool.add(*key, col)
+                add_column(pool, *key, col)
         every = [(h, t) for h in range(1, inst.num_servers + 1)
                  for t in range(1, inst.horizon + 1)]
         half = capacity_rows(inst, rng.sample(every, len(every) // 2),
@@ -428,7 +429,7 @@ def test_capacity_check_adds_each_row_once():
     columns = enumerate_columns(inst.horizon)
     for key in pool.pairs:
         for col in rng.sample(columns, 3):
-            pool.add(*key, col)
+            add_column(pool, *key, col)
     rows = CapacityRows(inst)
     sol = solve_rmp(build_rmp(pool, rows), MasterBasis())
     added = rows.add_violated(pool, sol.weights)
@@ -453,7 +454,7 @@ def _resolve_moved_master(pool, inst):
     rows = CapacityRows(inst)
     rows.held[:, 1:, 1:] = ~violated.held[:, 1:, 1:]
     for key in pool.pairs:
-        reference.keep(pool, *key, range(pool.counts[pool.pair_index(*key)] - 1, -1, -1))
+        reference.keep(pool, *key, range(pool.counts[pair_index(pool, *key)] - 1, -1, -1))
     again = solve_rmp(build_rmp(pool, rows), basis=basis)
     return first, again
 
@@ -476,7 +477,7 @@ def test_unchanged_master_resolves_without_iterations():
     columns = enumerate_columns(inst.horizon)
     for key in pool.pairs:
         for col in rng.sample(columns, 3):
-            pool.add(*key, col)
+            add_column(pool, *key, col)
     first, again = _resolve_moved_master(pool, inst)
     assert len(again.lp.duals) > len(first.lp.duals)  # capacity rows joined
     assert first.lp.iterations > 50 and again.lp.iterations == 0
@@ -496,7 +497,7 @@ def test_start_basis_after_a_purge_solves():
     columns = enumerate_columns(inst.horizon)
     for key in pool.pairs:
         for col in rng.sample(columns, 3):
-            pool.add(*key, col)
+            add_column(pool, *key, col)
     basis = MasterBasis()
     sol = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), basis=basis)
     for key, weights in zip(pool.pairs, np.split(sol.weights, pool.starts()[1:-1])):

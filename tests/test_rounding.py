@@ -17,7 +17,7 @@ from mcsp.rounding import (
 )
 
 from conftest import random_tiny_instance
-from reference import column_of, fixed, pool_columns, pool_entries
+from reference import add_column, column_of, fixed, pool_columns, pool_entries
 
 UC = ((1, 1), (1, 0))
 ZERO = ((0, 0), (0, 0))
@@ -26,7 +26,7 @@ ZERO = ((0, 0), (0, 0))
 def tiny_pool(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1_idx, "paper")
     for col in enumerate_columns(2):
-        pool.add(1, 1, col)
+        add_column(pool, 1, 1, col)
     return pool
 
 
@@ -81,7 +81,7 @@ def test_integrality_equivalence_random_mixtures():
         for (h, i) in pool.pairs:
             for col in enumerate_columns(inst.horizon):
                 if rng.random() < 0.5:
-                    pool.add(h, i, col)
+                    add_column(pool, h, i, col)
         parts = []  # per pair, in pool order
         for entries in pool_entries(pool).values():
             w = np.array([rng.random() for _ in entries])
@@ -226,7 +226,7 @@ def test_fixings_monotone_and_capacity_nonnegative():
         pool = ColumnPool.initial(idx, "paper")
         for (h, i) in pool.pairs:
             for col in enumerate_columns(inst.horizon):
-                pool.add(h, i, col)
+                add_column(pool, h, i, col)
         parts = []  # per pair, in pool order
         for entries in pool_entries(pool).values():
             w = np.array([rng.random() for _ in entries])
@@ -284,7 +284,7 @@ def test_array_pass_equals_dict_reference():
             for col in enumerate_columns(inst.horizon):
                 if rng.random() < 0.6:
                     for pool in pools:
-                        pool.add(h, i, col)
+                        add_column(pool, h, i, col)
         pool, ref_pool = pools
         state, ref = RoundingState(inst), reference.RoundingState(inst)
         same_updates = rng.random() < 0.5

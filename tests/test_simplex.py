@@ -19,7 +19,8 @@ from mcsp.simplex import (
 )
 
 from conftest import all_capacity_rows, use_highs
-from reference import a_matrix, build_lp, dual_objective, max_primal_violation, reduced_costs
+from reference import (
+    a_matrix, add_column, build_lp, dual_objective, max_primal_violation, reduced_costs)
 
 
 def _assert_basic(prob: LpProblem, sol, tol: float = 1e-7) -> None:
@@ -261,7 +262,7 @@ def test_random_lps_and_masters_reach_every_status():
         columns = enumerate_columns(inst.horizon)
         for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
-                pool.add(*key, col)
+                add_column(pool, *key, col)
         model = build_rmp(pool, all_capacity_rows(inst))
         solve_lp(model.problem)  # raises unless optimal
     # no cache may hold a negative amount: the last master is infeasible
@@ -386,7 +387,7 @@ def test_complete_start_basis_solves_alike_alien_or_not(monkeypatch):
         columns = enumerate_columns(inst.horizon)
         for key in pool.pairs:
             for col in rng.sample(columns, rng.randint(0, len(columns))):
-                pool.add(*key, col)
+                add_column(pool, *key, col)
         model = build_rmp(pool, all_capacity_rows(inst))
         assert_alike(model.problem, basis.start(model))
         masters += 1
@@ -457,7 +458,7 @@ def test_objective_and_iterations_equal_the_whole_info(monkeypatch):
         cold = solve_lp(build_rmp(pool, all_capacity_rows(inst)).problem)
         for key in pool.pairs:
             for col in rng.sample(enumerate_columns(inst.horizon), 2):
-                pool.add(*key, col)
+                add_column(pool, *key, col)
         problem = build_rmp(pool, all_capacity_rows(inst)).problem
         grown = solve_lp(problem)
         warm = solve_lp(problem, grown.basis)

@@ -20,7 +20,8 @@ def test_traced_spans_are_json():
     """One RCGA and one NRS solve of a tiny instance, traced: each span goes
     through ``json.dumps`` and back unchanged. The instance makes pricing
     return columns and RCGA round, so the pricing, master, capacity check,
-    LP and rounding spans all carry attributes."""
+    LP and rounding spans all carry attributes, and the priced columns are
+    pooled through the method the tracer times as ``columns.add``."""
     inst = random_tiny_instance(random.Random(1))
     tracer = Tracer()
     tracer.install()
@@ -34,5 +35,5 @@ def test_traced_spans_are_json():
         assert json.loads(json.dumps(span.to_list())) == span.to_list(), span.name
     names = {span.name for span in tracer.spans}
     assert {"pricing.price_all", "pricing.price", "rmp.build", "rmp.capacity_check",
-            "simplex.solve_lp", "rounding.round"} <= names
+            "simplex.solve_lp", "rounding.round", "columns.add"} <= names
     assert sum(span.attrs.get("returned", 0) for span in tracer.spans) > 0
