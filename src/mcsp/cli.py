@@ -148,16 +148,35 @@ def report_row(cfg: GeneratorConfig, algo: str, mode: str,
 
 
 def write_results_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write ``rows`` to ``path`` by way of a file beside it, so that an
+    interrupted write leaves the previous file whole."""
+    path = Path(path)
+    part = path.with_name(path.name + ".tmp")
+    with open(part, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+    os.replace(part, path)
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _prior_results(path: Path) -> list[dict]:
+    """The rows of the results CSV a sweep resumes, none when ``path`` is
+    missing or empty; a header that does not begin with ``CSV_COLUMNS`` is
+    a ValueError."""
+    if not path.exists():
+        return []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is not None and reader.fieldnames[:len(CSV_COLUMNS)] != CSV_COLUMNS:
+            raise ValueError("not a results CSV: its header does not begin with "
+                             + ",".join(CSV_COLUMNS))
+        return list(reader)
 
 
 def _row_key(row: dict) -> tuple:
@@ -333,7 +352,7 @@ def cmd_sweep(args) -> int:
     config = _load(lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
     jobs = _expand_sweep(config)
     out = Path(args.out)
-    existing_rows = read_results_csv(out) if out.exists() else []
+    existing_rows = _load(_prior_results, out)
     done_keys = {_row_key(row) for row in existing_rows}
     todo = [job for job in jobs if _job_key(job) not in done_keys]
     print(f"{len(jobs)} runs requested, {len(jobs) - len(todo)} already present, "

@@ -136,7 +136,7 @@ class ColumnPool:
     By serial the pool keeps each entry's pair number (``pair``; the request
     index numbers the pairs, ``pairs[k]`` is pair k), its
     standalone cost (``cost``), its flags ([serial, cached/updated, slot],
-    ``flags``) and the service positions it covers, in rank order
+    ``flags``) and the service positions it covers, ascending
     (``svc[svc_start[s]:svc_start[s + 1]]``). ``order`` lists the live
     serials in pool order, which is the master's column order: by pair, then
     by insertion. ``counts`` holds the live entries of each pair.
@@ -160,9 +160,7 @@ class ColumnPool:
         self.svc_start = np.zeros(1, dtype=np.int64)
         self.order = np.empty(0, dtype=np.int64)
         self.counts = np.zeros(len(self.pairs), dtype=np.int64)
-        # by serial, the (pair number, flag bytes) key; the set holds the
-        # keys of the live entries
-        self._keys: list[tuple[int, bytes]] = []
+        # the (pair number, flag bytes) keys of the live entries (``_key``)
         self._live: set[tuple[int, bytes]] = set()
         self._views: dict = {}  # what is derived from ``order``, until it changes
 
@@ -200,9 +198,7 @@ class ColumnPool:
         self.flags = np.concatenate([self.flags, flags])
         self.svc = np.concatenate([self.svc, svc])
         self.svc_start = np.concatenate([self.svc_start, self.svc_start[-1] + np.cumsum(n_svc)])
-        keys = self._key(ks, flags) if keys is None else keys
-        self._keys.extend(keys)
-        self._live.update(keys)
+        self._live.update(self._key(ks, flags) if keys is None else keys)
         # each at the end of its pair, in batch order within a pair
         by = np.argsort(ks, kind="stable")
         at = np.cumsum(self.counts)[ks[by]] + np.arange(M)  # places in the new order
@@ -216,7 +212,7 @@ class ColumnPool:
 
     def _entries(self, ks: np.ndarray, flags: np.ndarray) -> tuple:
         """Every column's cost, the service positions each covers (laid end
-        to end, each column's in rank order) and how many."""
+        to end, each column's ascending) and how many."""
         idx, M, T = self.idx, len(ks), self.inst.horizon
         q, p = flags[:, 0], flags[:, 1]
         slot = np.arange(T)
@@ -243,12 +239,12 @@ class ColumnPool:
         aged = arrival >= 1
         row = np.concatenate([m[aged], m[fresh]])
         svc = np.concatenate([zero[aged] + arrival[aged], zero[fresh]])
-        by = np.lexsort((idx.svc_rank[svc], row))
+        by = np.lexsort((svc, row))
         return cost, svc[by], np.bincount(row, minlength=M)
 
     def _reorder(self, order: np.ndarray, dropped: np.ndarray) -> None:
         """Make ``order`` the pool order, the entries ``dropped`` gone."""
-        self._live.difference_update([self._keys[s] for s in dropped.tolist()])
+        self._live.difference_update(self._key(self.pair[dropped], self.flags[dropped]))
         self.order = order
         self.counts = np.bincount(self.pair[order], minlength=len(self.counts))
         self._views.clear()

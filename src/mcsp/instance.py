@@ -428,14 +428,13 @@ class RequestIndex:
     pair k.
 
     The service index numbers the MCR service triples (request id, server,
-    age), one per MCR entry and age below the deadline, in MCR entry order,
-    then by age: ``mcr_svc`` is the position of an entry's age zero, and age
-    a is at ``mcr_svc + a``. ``svc_request_ids``, ``svc_age``,
-    ``svc_saving`` (f(age) minus the request's cloud cost) and ``svc_rank``
-    (the rank of the triple in sorted (request id, server, age) order, which
-    orders the master's coverage rows) are by position, and ``svc_by_rank``
-    lists the positions in rank order. The master's coverage duals and the
-    pricing's service credits are arrays in position order.
+    age), one per MCR entry and age below the deadline, in sorted (request
+    id, server, age) order, the order of the master's coverage rows: an
+    entry's ages are consecutive, ``mcr_svc`` is the position of its age
+    zero and age a is at ``mcr_svc + a``. ``svc_request_ids``, ``svc_age``
+    and ``svc_saving`` (f(age) minus the request's cloud cost) are by
+    position, as are the master's coverage duals and the pricing's service
+    credits.
     ``mcr_cloud_cost`` is the cloud cost of every MCR, which the master
     carries as a constant.
 
@@ -468,21 +467,22 @@ class RequestIndex:
         mcr_rows.sort(key=itemgetter(0))
         scr_rows.sort(key=itemgetter(0))
         mcr_table = np.array([*zip(*mcr_rows)], dtype=np.int64).reshape(5, -1)
-        self.mcr_pair, _, _, self.mcr_origin, self.mcr_deadline = mcr_table
+        self.mcr_pair, ids, servers, self.mcr_origin, self.mcr_deadline = mcr_table
         self.scr_pair, self.scr_deadline, self.scr_window = np.array(
             [*zip(*scr_rows)], dtype=np.int64).reshape(3, -1)
         bounds = np.arange(len(self.pairs) + 1)
         self.mcr_start = self.mcr_pair.searchsorted(bounds)
         self.scr_start = self.scr_pair.searchsorted(bounds)
-        # an MCR row has one service per age below its deadline
-        counts = self.mcr_deadline
-        self.mcr_svc = counts.cumsum() - counts
-        pair, ids, servers = mcr_table[:3].repeat(counts, axis=1)
-        self.svc_request_ids = ids.copy()  # not a view holding the other rows
-        self.svc_age = np.arange(len(pair)) - self.mcr_svc.repeat(counts)
-        self.svc_saving = self.aoi[self.svc_age] - self.cloud[self.pair_content[pair]]
-        self.svc_by_rank = np.lexsort((self.svc_age, servers, self.svc_request_ids))
-        self.svc_rank = self.svc_by_rank.argsort()
+        # an MCR row has one service per age below its deadline; the rows'
+        # services are laid out in (request id, server) order
+        by = np.lexsort((servers, ids))
+        counts = self.mcr_deadline[by]
+        first = counts.cumsum() - counts
+        self.mcr_svc = first[by.argsort()]
+        self.svc_request_ids = ids[by].repeat(counts)
+        self.svc_age = np.arange(counts.sum()) - first.repeat(counts)
+        cloud = self.cloud[self.pair_content[self.mcr_pair[by]]]
+        self.svc_saving = self.aoi[self.svc_age] - cloud.repeat(counts)
 
 
 def build_request_index(inst: Instance) -> RequestIndex:

@@ -257,17 +257,15 @@ class PricingStatics:
         # Credit fill targets of the services, request by request within each
         # pair. The age-0 credit of a request arriving at o lands in
         # g0[o, 1..deadline, k], the age-a credit in ga[o, a, k]; the flat
-        # target indices keep that fill order, so the sums come out the same
-        # as filling request by request. A target is a cell of the [slot,
-        # slot] plane (``*_cell``) and a pair (``*_pair``).
+        # target indices (``*_at``, cell of the [slot, slot] plane times K
+        # plus pair) keep that fill order, so the sums come out the same as
+        # filling request by request. ``*_src`` is the service credited.
         k, origin, zero = idx.mcr_pair, idx.mcr_origin, idx.mcr_svc
         r, t = np.nonzero(np.arange(1, T + 1) <= idx.mcr_deadline[:, None])
-        self.g0_src, self.g0_pair, self.g0_cell = zero[r], k[r], origin[r] * (T + 2) + t + 1
+        self.g0_src, self.g0_at = zero[r], (origin[r] * (T + 2) + t + 1) * K + k[r]
         r, a = np.nonzero(np.arange(1, T) < idx.mcr_deadline[:, None])
         a += 1
-        self.ga_src, self.ga_pair, self.ga_cell = zero[r] + a, k[r], origin[r] * (T + 1) + a
-        self.g0_at = self.g0_cell * K + self.g0_pair
-        self.ga_at = self.ga_cell * K + self.ga_pair
+        self.ga_src, self.ga_at = zero[r] + a, (origin[r] * (T + 1) + a) * K + k[r]
         self._live: Optional[tuple] = None  # the fixings ``live`` last saw, and what it chose
 
     def select(self, keep: np.ndarray) -> "PricingStatics":
@@ -282,14 +280,12 @@ class PricingStatics:
             v[ks] for v in (self.keys, self.server, self.content, self.size, self.scr_cloud))
         out.pairs = [self.pairs[k] for k in ks]
         out.psi, out.upd_base = self.psi[..., ks], self.upd_base[:, ks]
-        held = keep[self.g0_pair]
-        out.g0_src, out.g0_pair, out.g0_cell = (
-            self.g0_src[held], new[self.g0_pair[held]], self.g0_cell[held])
-        held = keep[self.ga_pair]
-        out.ga_src, out.ga_pair, out.ga_cell = (
-            self.ga_src[held], new[self.ga_pair[held]], self.ga_cell[held])
-        out.g0_at = out.g0_cell * K + out.g0_pair
-        out.ga_at = out.ga_cell * K + out.ga_pair
+        cell, pair = np.divmod(self.g0_at, len(self.pairs))
+        held = keep[pair]
+        out.g0_src, out.g0_at = self.g0_src[held], cell[held] * K + new[pair[held]]
+        cell, pair = np.divmod(self.ga_at, len(self.pairs))
+        held = keep[pair]
+        out.ga_src, out.ga_at = self.ga_src[held], cell[held] * K + new[pair[held]]
         out._live = None
         return out
 

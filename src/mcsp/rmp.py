@@ -131,10 +131,10 @@ class MasterBasis:
         slots = (inst.num_servers + 1, inst.horizon + 1)
         chi = np.zeros(model.pool.num_serials, dtype=np.int8)  # LOWER
         chi[model.serials] = basis.cols[:n_chi]
-        y = np.zeros(len(idx.svc_rank), dtype=np.int8)
+        y = np.zeros(len(idx.svc_age), dtype=np.int8)
         y[model.cover_svc] = basis.cols[n_chi:]
         rows = [np.ones(shape, dtype=bool) for shape in (
-            idx.num_request_ids, len(idx.svc_rank), slots, slots,
+            idx.num_request_ids, len(idx.svc_age), slots, slots,
             (inst.num_servers + 1, inst.num_contents + 1))]
         for array, at, lo, hi in zip(rows, model.row_index, model.starts, model.starts[1:]):
             if hi > lo:  # the capacity blocks are often empty
@@ -190,7 +190,7 @@ def build_rmp(pool: ColumnPool, capacity_rows: CapacityRows) -> RmpModel:
 
     The matrix comes from the pool's arrays, with no per-entry Python: each
     live entry's pair, cost, cached and updated slot flags and the service
-    positions it covers (in rank order), in pool order. A service gets a
+    positions it covers (ascending), in pool order. A service gets a
     coverage row and a y variable when some entry covers it and serving it
     can pay off (``svc_saving`` < 0). The matrix is laid out column-wise
     with each column's rows ascending, the form ``solve_lp`` hands HiGHS: a
@@ -206,15 +206,15 @@ def build_rmp(pool: ColumnPool, capacity_rows: CapacityRows) -> RmpModel:
     pair_server, pair_content = pool.pair_server, pool.pair_content
     pair_size = inst.sizes()[pair_content]
 
-    # coverage rows: the paying services some entry covers, in rank order
+    # coverage rows: the paying services some entry covers, by position
     svc, cover_col = pool.covered(a.serial)
     paying = idx.svc_saving[svc] < 0
-    rank, cover_col = idx.svc_rank[svc[paying]], cover_col[paying]
-    covered = np.zeros(len(idx.svc_rank), dtype=bool)
-    covered[rank] = True
-    cover_svc = idx.svc_by_rank[covered]
-    cover_of = (np.cumsum(covered) - 1)[rank]  # ascending within an entry
-    # serve-once rows: the requests of those services, sorted as the ranks are
+    svc, cover_col = svc[paying], cover_col[paying]
+    covered = np.zeros(len(idx.svc_age), dtype=bool)
+    covered[svc] = True
+    cover_svc = np.flatnonzero(covered)
+    cover_of = (np.cumsum(covered) - 1)[svc]  # ascending within an entry
+    # serve-once rows: the requests of those services, which run in id order
     request_ids = idx.svc_request_ids[cover_svc]
     first = np.ones(len(request_ids), dtype=bool)
     first[1:] = request_ids[1:] != request_ids[:-1]

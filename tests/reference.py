@@ -212,8 +212,7 @@ class PricedEntry:
     column: Column
     cost: float  # standalone cost under the pool's settlement mode
     # (request id, age) pairs the settlement convention lets this column
-    # serve, in rank order (by request id, then age: the order of the
-    # master's coverage rows)
+    # serve, by request id, then age: the order of the master's coverage rows
     coverage: tuple[tuple[int, int], ...] = ()
     svc: tuple[int, ...] = ()  # their positions in the request index's service index
     serial: int = 0  # the entry's number in its pool, in order of insertion
@@ -300,7 +299,7 @@ def make_entry(
 ) -> PricedEntry:
     """One pool entry from its column: standalone cost, coverage in the
     settlement convention's order (per request in ``mcr(h, i)`` order, the
-    arrival age, then age zero), service positions in rank order, flags."""
+    arrival age, then age zero), service positions ascending, flags."""
     cov: list[tuple[int, int]] = []
     for r in loop_index(idx).mcr(h, i):
         arrival_age, upd = settlement_coverage(col, r)
@@ -710,11 +709,11 @@ def master_lp(pool: ColumnPool, capacity_rows) -> SparseLp:
                       count=sum(lengths))
     cover_col = np.repeat(np.arange(n_chi), lengths)
     paying = idx.svc_saving[svc] < 0
-    rank, cover_col = idx.svc_rank[svc[paying]], cover_col[paying]
-    covered = np.zeros(len(idx.svc_rank), dtype=bool)
-    covered[rank] = True
-    cover_svc = idx.svc_by_rank[covered]
-    cover_of = (np.cumsum(covered) - 1)[rank]
+    svc, cover_col = svc[paying], cover_col[paying]
+    covered = np.zeros(len(idx.svc_age), dtype=bool)
+    covered[svc] = True
+    cover_svc = np.flatnonzero(covered)
+    cover_of = (np.cumsum(covered) - 1)[svc]
     request_ids = idx.svc_request_ids[cover_svc]
     first = np.ones(len(request_ids), dtype=bool)
     first[1:] = request_ids[1:] != request_ids[:-1]
@@ -920,7 +919,8 @@ def max_primal_violation(sol: LpSolution, prob: LpProblem) -> float:
 class LoopRequestIndex(RequestIndex):
     """``RequestIndex`` as it was built before its array passes: one Python
     iteration per service, with ``Instance.f`` and ``cloud_cost`` called for
-    each saving and the rank order sorted from the ``svc_pos`` keys."""
+    each saving, numbering the services request by request, then server by
+    server, then age by age."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -935,6 +935,13 @@ class LoopRequestIndex(RequestIndex):
         self.num_request_ids = max((r.id for r in inst.requests), default=0) + 1
         self.svc_pos: dict[tuple[int, int, int], int] = {}
         request_ids, saving, ages = [], [], []
+        for r in sorted(mcrs(inst), key=lambda r: r.id):
+            for h in sorted(r.candidates):
+                for a in range(r.deadline):
+                    self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
+                    request_ids.append(r.id)
+                    saving.append(inst.f(a) - inst.cloud_cost(r.content))
+                    ages.append(a)
         mcr_start, mcr_origin, mcr_deadline, mcr_svc, mcr_pair = [0], [], [], [], []
         scr_start, scr_deadline, scr_window, scr_pair = [0], [], [], []
         self.pairs = [(h, i) for h in range(1, inst.num_servers + 1)
@@ -948,12 +955,7 @@ class LoopRequestIndex(RequestIndex):
                 mcr_pair.append(k)
                 mcr_origin.append(r.origin)
                 mcr_deadline.append(r.deadline)
-                mcr_svc.append(len(self.svc_pos))
-                for a in range(r.deadline):
-                    self.svc_pos[(r.id, h, a)] = len(self.svc_pos)
-                    request_ids.append(r.id)
-                    saving.append(inst.f(a) - inst.cloud_cost(i))
-                    ages.append(a)
+                mcr_svc.append(self.svc_pos[(r.id, h, 0)])
             mcr_start.append(len(mcr_origin))
             for r in self._scr.get((h, i), ()):
                 scr_pair.append(k)
@@ -970,10 +972,6 @@ class LoopRequestIndex(RequestIndex):
             [scr_deadline, scr_window, scr_pair], dtype=np.int64).reshape(3, -1)
         self.aoi = np.array([inst.f(a) for a in range(inst.horizon)])
         self.cloud = np.array([0.0] + [inst.cloud_cost(i) for i in range(1, inst.num_contents + 1)])
-        keys = list(self.svc_pos)
-        self.svc_by_rank = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
-        self.svc_rank = np.empty(len(keys), dtype=np.int64)
-        self.svc_rank[self.svc_by_rank] = np.arange(len(keys))
         self.mcr_cloud_cost = sum(inst.cloud_cost(r.content) for r in inst.requests if r.is_mcr)
 
     def scr(self, h: int, i: int) -> tuple[Request, ...]:
@@ -1005,9 +1003,12 @@ _SVC_POS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def svc_pos(idx: RequestIndex) -> dict[tuple[int, int, int], int]:
     """The position of each service triple (request id, server, age) in the
-    request index's service index, made once per index."""
+    request index's service index, made once per index. A position's server
+    is that of the MCR entry whose age zero lies ``svc_age`` before it."""
     if idx not in _SVC_POS:
-        servers = idx.pair_server[idx.mcr_pair].repeat(idx.mcr_deadline)
+        at_zero = np.zeros(len(idx.svc_age), dtype=np.int64)
+        at_zero[idx.mcr_svc] = idx.pair_server[idx.mcr_pair]
+        servers = at_zero[np.arange(len(at_zero)) - idx.svc_age]
         triples = zip(idx.svc_request_ids.tolist(), servers.tolist(), idx.svc_age.tolist())
         _SVC_POS[idx] = dict(zip(triples, range(len(servers))))
     return _SVC_POS[idx]
@@ -1019,7 +1020,7 @@ def explicit_duals(idx: RequestIndex, sigma=None, pi=None, mu=None, phi=None,
     age); (server, slot); (server, content). A missing entry is zero."""
     inst = idx.inst
     slots = (inst.num_servers + 1, inst.horizon + 1)
-    out = DualPrices(np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_rank)),
+    out = DualPrices(np.zeros(idx.num_request_ids), np.zeros(len(idx.svc_age)),
                      np.zeros(slots), np.zeros(slots),
                      np.zeros((inst.num_servers + 1, inst.num_contents + 1)))
     for array, entries in ((out.sigma, sigma), (out.mus, mu), (out.phis, phi), (out.lams, lam)):

@@ -3,13 +3,15 @@ leaves every report byte-identical.
 
 Run it from the root of a checkout (pytest does not collect it):
 
-    PYTHONPATH=src python tests/report_hashes.py [--out hashes.txt]
+    PYTHONPATH=src python tests/report_hashes.py [--out hashes.txt] [--against hashes.txt]
 
 It prints the number of reports, how many solves raised, and one sha256 over
 all of them, in battery order. ``--out`` also writes one line per report, its
-label and its own sha256, so that two checkouts' files can be diffed. A report
-is hashed as its JSON document without ``wall_time_s``; a solve that raises is
-hashed as the type and message of its exception.
+label and its own sha256. ``--against`` compares each report's sha256 with a
+file ``--out`` wrote on another checkout: it prints how many labels differ (a
+label only one side has counts too) and the first ten of them, and exits 1 if
+any do. A report is hashed as its JSON document without ``wall_time_s``; a
+solve that raises is hashed as the type and message of its exception.
 
 The battery (2351 reports):
 - RCGA, LB, NRS and the exact oracle, each in ``paper`` and ``min`` mode, and
@@ -74,17 +76,26 @@ def report_bytes(solve) -> tuple[bytes, bool]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write each report's label and sha256 here")
+    parser.add_argument("--against", help="compare each report's sha256 with this --out file")
     args = parser.parse_args(argv)
-    total, lines, raised = hashlib.sha256(), [], 0
+    total, digests, raised = hashlib.sha256(), {}, 0
     for label, solve in battery():
         data, failed = report_bytes(solve)
-        digest = hashlib.sha256(data).hexdigest()
-        total.update(digest.encode())
-        lines.append(f"{label}\t{digest}\n")
+        digests[label] = hashlib.sha256(data).hexdigest()
+        total.update(digests[label].encode())
         raised += failed
     if args.out:
-        Path(args.out).write_text("".join(lines), encoding="utf-8")
-    print(f"{len(lines)} reports ({raised} raised), sha256 {total.hexdigest()}")
+        Path(args.out).write_text("".join(f"{label}\t{digest}\n" for label, digest in digests.items()),
+                                  encoding="utf-8")
+    print(f"{len(digests)} reports ({raised} raised), sha256 {total.hexdigest()}")
+    if args.against:
+        text = Path(args.against).read_text(encoding="utf-8")
+        theirs = dict(line.split("\t") for line in text.splitlines())
+        labels = [label for label in {**digests, **theirs}
+                  if digests.get(label) != theirs.get(label)]
+        print(f"{len(labels)} differ from {args.against}"
+              + "".join(f"\n  {label}" for label in labels[:10]))
+        return 1 if labels else 0
     return 0
 
 

@@ -366,6 +366,49 @@ def test_bad_input_is_one_line_and_an_exit_code(tmp_path, capsys, case):
         assert [row["algo"] for row in read_results_csv(out)] == ["pba"]
 
 
+# what an existing ``sweep --out`` holds that is no results CSV a sweep can
+# resume from
+NOT_RESULTS = {
+    "undecodable": b"\xff\xfe" + ",".join(CSV_COLUMNS).encode(),
+    "field-past-the-csv-limit": (",".join(CSV_COLUMNS) + "\n" + "1" * 200_000 + "\n").encode(),
+    "another-csv": b"name,value\nalpha,1\nbeta,2\n",
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_RESULTS))
+def test_sweep_leaves_an_out_that_is_no_results_csv(tmp_path, capsys, case):
+    """An existing ``sweep --out`` that cannot be read, or whose header does
+    not begin with the results columns, is a usage error that names it: exit
+    2, one line on stderr, nothing run, and the file's bytes unchanged."""
+    out = tmp_path / "notes.csv"
+    out.write_bytes(NOT_RESULTS[case])
+    argv = ["sweep", "--config", _sweep_file(tmp_path), "--out", str(out)]
+    capsys.readouterr()
+    assert exit_code(argv) == 2
+    printed = capsys.readouterr()
+    assert len(printed.err.strip().splitlines()) == 1
+    assert printed.err.startswith(f"mcsp sweep: error: {out}: ")
+    assert "runs requested" not in printed.out
+    assert out.read_bytes() == NOT_RESULTS[case]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["notes.csv", "sweep.json"]
+
+
+def test_an_interrupted_write_leaves_the_results_whole(tmp_path, monkeypatch):
+    """The results are written beside the file and moved over it, so a
+    write that stops part-way leaves the previous file as it was."""
+    path = tmp_path / "results.csv"
+    write_results_csv([{"seed": 1, "algo": "pba"}], path)
+    before = path.read_bytes()
+
+    def interrupted(value):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_fmt", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_results_csv([{"seed": 2, "algo": "pba"}], path)
+    assert path.read_bytes() == before
+
+
 def test_threads_follow_the_cores_alone(tmp_path, monkeypatch):
     """The thread count is ``sweep --threads`` or, without it, the core
     count; no environment variable is read, so a bad one is no error."""

@@ -238,7 +238,7 @@ def test_array_rule_equals_scalar_references(horizon):
 
 def _assert_entries_match_reference(pool):
     """Every live entry equals the scalar ``make_entry`` of its column field
-    by field (the pool lists the coverage in rank order), and the pool's
+    by field (the pool lists the coverage by position), and the pool's
     arrays agree with its entries."""
     from reference import make_entry
 

@@ -267,6 +267,42 @@ def test_index_partitions_requests():
             assert hits == len(r.candidates)
 
 
+def test_services_run_in_master_order():
+    """The service index runs in (request id, server, age) order, the order
+    of the master's coverage rows: request ids never fall, the triples
+    strictly rise, and the ages 0..deadline-1 of each MCR entry (one per
+    request and candidate, its pair's entries in request order) sit at
+    consecutive positions from its ``mcr_svc``."""
+    rng = random.Random(29)
+    insts = [random_tiny_instance(rng) for _ in range(40)]
+    assert any(map(reference.mcrs, insts))
+    insts += [
+        generate_instance(GeneratorConfig(cells=cells, num_contents=contents, num_requests=requests,
+                                          horizon=12, rho_m=0.4, rho_tt=1.0, seed=seed))
+        for cells, contents, requests, seed in (("3-cell", 100, 500, 1), ("7-cell", 200, 2000, 2))
+    ]
+    insts.append(dataclasses.replace(insts[-1], requests=insts[-1].requests[::-1]))
+    for inst in insts:
+        idx = build_request_index(inst)
+        ids, ages = idx.svc_request_ids, idx.svc_age
+        assert (np.diff(ids) >= 0).all()
+        entries: dict[tuple[int, int], list[Request]] = {}
+        for r in reference.mcrs(inst):
+            for h in r.candidates:
+                entries.setdefault((h, r.content), []).append(r)
+        servers = np.zeros(len(ages), dtype=np.int64)
+        for k, pair in enumerate(idx.pairs):
+            rows = range(idx.mcr_start[k], idx.mcr_start[k + 1])
+            for j, r in zip(rows, entries.get(pair, []), strict=True):
+                at = idx.mcr_svc[j] + np.arange(r.deadline)
+                assert ages[at].tolist() == list(range(r.deadline))
+                assert (ids[at] == r.id).all()
+                servers[at] = pair[0]
+        assert len(ages) == idx.mcr_deadline.sum() and servers.all()
+        triples = list(zip(ids.tolist(), servers.tolist(), ages.tolist()))
+        assert all(a < b for a, b in zip(triples, triples[1:]))
+
+
 def test_request_index_arrays_equal_loop_reference():
     """On desk sizes and random tiny instances the index built with array
     passes equals ``reference.LoopRequestIndex``, the per-service loop: the
