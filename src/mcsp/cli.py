@@ -34,7 +34,7 @@ from typing import Optional
 
 from .baselines import CapsExceededError, export_ilp, run_pba, solve_exact
 from .columns import UnfixablePoolError
-from .costs import Schedule, check_feasibility, evaluate
+from .costs import MODES, Schedule, check_feasibility, evaluate
 from .driver import (
     REPORT_SCHEMA,
     ConvergenceError,
@@ -88,8 +88,6 @@ GEN_FLAGS = (
 # keep their defaults
 SWEEP_FIELDS = tuple(field for _, field, _ in GEN_FLAGS if field != "seed")
 
-MODES = ("paper", "min")  # the settlement modes
-
 # (file name, x column, the costs whose shares of the total are averaged
 # too) of each figure ``mcsp report`` writes
 FIGURES = (
@@ -111,6 +109,23 @@ def _load(read, path):
         return read(path)
     except (OSError, ValueError, csv.Error) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _output(path, directory: bool = False) -> Path:
+    """``path`` as a command's output, checked before any work: a file in
+    an existing directory that is no directory itself, or with
+    ``directory`` a directory that exists or can be made; anything else is
+    a usage error."""
+    path = Path(path)
+    if directory:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise UsageError(f"{nearest}: not a directory")
+    elif path.is_dir():
+        raise UsageError(f"{path}: is a directory")
+    elif not path.parent.is_dir():
+        raise UsageError(f"{path.parent}: no such directory")
+    return path
 
 
 def _fmt(value) -> str:
@@ -196,6 +211,7 @@ def run_algorithm(algo: str, inst: Instance, mode: str) -> SolveReport:
 def cmd_gen(args) -> int:
     cfg = GeneratorConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
                              for flag, field, _ in GEN_FLAGS})
+    _output(args.out)
     try:
         inst = generate_instance(cfg)
     except ValueError as exc:
@@ -207,6 +223,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.out:
+        _output(args.out)
     inst = _load(load_instance, args.instance)
     try:
         report = run_algorithm(args.algo, inst, args.mode)
@@ -349,9 +367,9 @@ def _run_jobs(todo: list, threads: int):
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    out = _output(args.out)
     config = _load(lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
     jobs = _expand_sweep(config)
-    out = Path(args.out)
     existing_rows = _load(_prior_results, out)
     done_keys = {_row_key(row) for row in existing_rows}
     todo = [job for job in jobs if _job_key(job) not in done_keys]
@@ -397,8 +415,8 @@ def _figure_series(path) -> list[dict]:
 
 
 def cmd_report(args) -> int:
+    outdir = _output(args.outdir, directory=True)
     figures = _load(_figure_series, args.results)
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     emitted = []
     for (fname, xcol, shares), series in zip(FIGURES, figures):
@@ -456,6 +474,7 @@ def _render_svg(csv_path: Path, xcol: str) -> None:
 
 
 def cmd_export(args) -> int:
+    _output(args.out)
     inst = _load(load_instance, args.instance)
     export_ilp(inst, args.out)
     print(f"wrote {args.out}")

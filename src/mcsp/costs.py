@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -41,6 +41,7 @@ UPDATED = "U"
 CACHED = "C"
 
 SettlementMode = Literal["paper", "min"]
+MODES = get_args(SettlementMode)  # the settlement modes
 
 SCHEDULE_SCHEMA = "mcsp-schedule/1"
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .columns import ColumnPool, column_states
 from .costs import (
+    MODES,
     AssignmentPlan,
     CostBreakdown,
     Schedule,
@@ -97,6 +98,9 @@ class SolveReport:
     def from_dict(doc: dict) -> "SolveReport":
         if doc.get("schema") != REPORT_SCHEMA:
             raise ValueError(f"expected schema {REPORT_SCHEMA!r}, got {doc.get('schema')!r}")
+        if doc.get("settlement_mode") not in MODES:
+            raise ValueError(f"settlement_mode must be one of {', '.join(MODES)}, "
+                             f"got {doc.get('settlement_mode')!r}")
 
         def breakdown(d):
             if d is None:
@@ -276,7 +280,7 @@ def _set_up(
     statics, both made on one request index in ``mode``, no fixings, no
     capacity rows and no basis yet."""
     idx = build_request_index(inst)
-    statics = PricingStatics(idx, mode)
+    statics = PricingStatics(idx, mode, np.arange(len(idx.pairs)))
     return (ColumnPool.initial(idx, mode), statics, RoundingState(inst), CapacityRows(inst),
             MasterBasis())
 

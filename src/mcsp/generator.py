@@ -114,6 +114,13 @@ class GeneratorConfig:
     custom_topology: Topology | None = None
 
 
+def capacity_share(value: float) -> Fraction:
+    """A capacity's share of the total catalog size (``rho_b`` or
+    ``cache_scale``) as the generator scales by it: the nearest fraction
+    with a denominator of at most 10**6."""
+    return Fraction(value).limit_denominator(10**6)
+
+
 def check_config(cfg: GeneratorConfig) -> tuple[Topology, int, int]:
     """The topology of ``cfg`` and its numbers of 3- and 2-candidate MCRs;
     settings the generator cannot draw an instance from raise ValueError."""
@@ -121,6 +128,14 @@ def check_config(cfg: GeneratorConfig) -> tuple[Topology, int, int]:
         raise ValueError(f"rho_m must lie in [0, 1], got {cfg.rho_m}")
     if not (0 < cfg.rho_b <= 1):
         raise ValueError(f"rho_b must lie in (0, 1], got {cfg.rho_b}")
+    if not (0 < cfg.cache_scale < float("inf")):
+        raise ValueError(f"cache_scale must be a finite number above 0, got {cfg.cache_scale}")
+    for name in ("rho_b", "cache_scale"):
+        if capacity_share(getattr(cfg, name)) == 0:
+            raise ValueError(f"{name} {getattr(cfg, name)} rounds to 0 at the generator's "
+                             "precision of 1e-6")
+    if cfg.num_requests < 0:
+        raise ValueError(f"num_requests must be nonnegative, got {cfg.num_requests}")
     if cfg.window_max < 0:
         raise ValueError("window_max must be nonnegative")
     if cfg.num_contents < 1 or cfg.horizon < 1:
@@ -151,8 +166,8 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     # draw order is part of the determinism contract: sizes, then requests
     sizes = rng.integers(lo, hi + 1, size=cfg.num_contents)
     total_size = int(sizes.sum())
-    cache_cap = float(Fraction(cfg.cache_scale).limit_denominator(10**6) * total_size)
-    backhaul_cap = float(Fraction(cfg.rho_b).limit_denominator(10**6) * total_size)
+    cache_cap = float(capacity_share(cfg.cache_scale) * total_size)
+    backhaul_cap = float(capacity_share(cfg.rho_b) * total_size)
 
     servers = tuple(
         ServerSpec(h, cache_cap, backhaul_cap) for h in range(1, topo.num_servers + 1)

@@ -39,8 +39,10 @@ in one forward pass and decodes only those that price negative, returning
 them as arrays (``Candidates``). Once enough pairs are fixed at every slot,
 it prices only the pairs with a free slot (partial pricing): a decided pair
 has one path, its pooled column, whose reduced cost one array pass checks
-instead. The tables and node masks of the priced pairs
-(``PricingStatics.live``) are kept until the fixings change. The duals come
+instead. One constructor builds the dual-free tables of any set of pairs
+(``PricingStatics``): of every pair once per solve, and of the priced pairs
+in ``PricingStatics.live``, which keeps them and their node masks until the
+fixings change. The duals come
 in as the arrays of ``DualPrices``; the per-pair arc weights and explicit
 graphs the tests check the kernel against live with the tests.
 
@@ -50,14 +52,13 @@ earliest update slots, then dropping over keeping the copy.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .columns import FREE, ColumnPool, column_states
+from .columns import FREE, ColumnPool, column_states, concat_ranges
 from .costs import SettlementMode, scr_settlement
 from .instance import RequestIndex
 from .rmp import DualPrices
@@ -68,8 +69,9 @@ INF = math.inf
 TOL_PRICE = 1e-6
 
 # The fewest decided pairs that pricing leaves out. Leaving pairs out costs
-# a selection of the tables whenever the fixings change and a check of the
-# decided pairs' columns every round; fewer pairs cost less to price.
+# a build of the priced pairs' tables whenever the fixings change and a
+# check of the decided pairs' columns every round; fewer pairs cost less to
+# price.
 MIN_DECIDED = 64
 
 
@@ -222,35 +224,35 @@ def decode_moves(tab: PricerTables, values: np.ndarray) -> np.ndarray:
 
 
 class PricingStatics:
-    """Per-instance tables that do not depend on the duals, pair axis last
-    (pairs in (server, content) order), built from the request index's
-    per-pair request arrays. ``keys`` numbers each pair among all pairs of
-    the instance. ``select`` restricts the tables to some pairs, ``live`` to
-    the pairs to price under some fixings."""
+    """The tables of the pairs numbered ``keys`` (ascending, among all pairs
+    of the instance in (server, content) order) that do not depend on the
+    duals, pair axis last, built from the request index's per-pair request
+    arrays. One constructor builds any set of pairs: every pair for a solve,
+    and the pairs ``live`` prices under some fixings."""
 
-    def __init__(self, idx: RequestIndex, mode: SettlementMode):
-        self.inst, self.idx, self.mode = idx.inst, idx, mode
+    def __init__(self, idx: RequestIndex, mode: SettlementMode, keys: np.ndarray):
+        self.inst, self.idx, self.mode, self.keys = idx.inst, idx, mode, keys
         inst = idx.inst
-        T = inst.horizon
-        self.pairs, self.server, self.content = idx.pairs, idx.pair_server, idx.pair_content
-        K = len(self.pairs)
-        self.keys = np.arange(K)
+        T, K = inst.horizon, len(keys)
+        self.server, self.content = idx.pair_server[keys], idx.pair_content[keys]
         self.size = inst.sizes()[self.content]
         cloud = idx.cloud[self.content]
-        # the deadline-t single-choice requests of each pair, and their
-        # settlement deltas on purple arcs at every age a = 1..T-1, request
-        # by request
-        k = idx.scr_pair
-        n_xi = np.bincount(idx.scr_deadline * K + k, minlength=(T + 1) * K)
+        # the single-choice requests of the pairs (k the pair's place among
+        # the kept, j the request's entry), those due at each slot t, and
+        # their settlement deltas on purple arcs at every age a = 1..T-1,
+        # request by request
+        k, j = concat_ranges(idx.scr_start[keys], idx.scr_start[keys + 1])
+        deadline = idx.scr_deadline[j]
+        n_xi = np.bincount(deadline * K + k, minlength=(T + 1) * K)
         n_xi = n_xi.reshape(T + 1, K).astype(float)
         r, a = np.nonzero(np.ones((len(k), T - 1), dtype=bool))
         a += 1
-        self.psi = _credits((idx.scr_deadline[r] * (T + 1) + a) * K + k[r],
-                            scr_settlement(idx, mode)[r, a] - cloud[k[r]],
+        self.psi = _credits((deadline[r] * (T + 1) + a) * K + k[r],
+                            scr_settlement(idx, mode)[j[r], a] - cloud[k[r]],
                             (T + 1, T + 1, K))  # [t, a, k] for a >= 1
         # the dual-free terms of the update weights and of the sink arcs
         self.upd_base = inst.cost.beta * self.size - n_xi * inst.cost.alpha * self.size
-        self.scr_cloud = np.diff(idx.scr_start) * cloud
+        self.scr_cloud = np.diff(idx.scr_start)[keys] * cloud
         # the [t, a] cells that are no purple arc: a = 0, a >= t, t < 2
         t, a = np.indices((T + 1, T + 1))
         self.no_purple = (a < 1) | (a >= t)
@@ -258,46 +260,26 @@ class PricingStatics:
         # pair. The age-0 credit of a request arriving at o lands in
         # g0[o, 1..deadline, k], the age-a credit in ga[o, a, k]; the flat
         # target indices (``*_at``, cell of the [slot, slot] plane times K
-        # plus pair) keep that fill order, so the sums come out the same as
-        # filling request by request. ``*_src`` is the service credited.
-        k, origin, zero = idx.mcr_pair, idx.mcr_origin, idx.mcr_svc
-        r, t = np.nonzero(np.arange(1, T + 1) <= idx.mcr_deadline[:, None])
+        # plus pair) keep that fill order, so the sums come out the same
+        # whichever pairs are kept. ``*_src`` is the service credited.
+        k, j = concat_ranges(idx.mcr_start[keys], idx.mcr_start[keys + 1])
+        origin, deadline, zero = idx.mcr_origin[j], idx.mcr_deadline[j], idx.mcr_svc[j]
+        r, t = np.nonzero(np.arange(1, T + 1) <= deadline[:, None])
         self.g0_src, self.g0_at = zero[r], (origin[r] * (T + 2) + t + 1) * K + k[r]
-        r, a = np.nonzero(np.arange(1, T) < idx.mcr_deadline[:, None])
+        r, a = np.nonzero(np.arange(1, T) < deadline[:, None])
         a += 1
         self.ga_src, self.ga_at = zero[r] + a, (origin[r] * (T + 1) + a) * K + k[r]
         self._live: Optional[tuple] = None  # the fixings ``live`` last saw, and what it chose
 
-    def select(self, keep: np.ndarray) -> "PricingStatics":
-        """The tables of the pairs where ``keep`` holds, in the same order.
-        Each credit target keeps its credits in their order, so every table
-        cell sums the same credits in the same order as before."""
-        out = copy.copy(self)
-        ks = np.flatnonzero(keep)
-        K = len(ks)
-        new = np.cumsum(keep) - 1  # each kept pair's place among the kept
-        out.keys, out.server, out.content, out.size, out.scr_cloud = (
-            v[ks] for v in (self.keys, self.server, self.content, self.size, self.scr_cloud))
-        out.pairs = [self.pairs[k] for k in ks]
-        out.psi, out.upd_base = self.psi[..., ks], self.upd_base[:, ks]
-        cell, pair = np.divmod(self.g0_at, len(self.pairs))
-        held = keep[pair]
-        out.g0_src, out.g0_at = self.g0_src[held], cell[held] * K + new[pair[held]]
-        cell, pair = np.divmod(self.ga_at, len(self.pairs))
-        held = keep[pair]
-        out.ga_src, out.ga_at = self.ga_src[held], cell[held] * K + new[pair[held]]
-        out._live = None
-        return out
-
     def live(self, fixings: RoundingState) -> tuple["PricingStatics", np.ndarray, tuple]:
         """The pairs to price under ``fixings`` (a fresh ``RoundingState``
-        fixes nothing): their statics, the pairs left out, and the node masks
-        of the pairs priced, as ``Pricer.price`` takes them. The pairs left
-        out (``decided``, over all pairs of the instance) are none, or every
-        pair fixed at every slot when there are at least ``MIN_DECIDED`` of
-        them: a decided pair has one path, the column its fixings spell out,
-        which its pool already holds. The answer is kept until the fixings
-        change."""
+        fixes nothing), asked of the statics of every pair: their statics,
+        the pairs left out, and the node masks of the pairs priced, as
+        ``Pricer.price`` takes them. The pairs left out (``decided``, over
+        all pairs of the instance) are none, or every pair fixed at every
+        slot when there are at least ``MIN_DECIDED`` of them: a decided pair
+        has one path, the column its fixings spell out, which its pool
+        already holds. The answer is kept until the fixings change."""
         seen = fixings.gamma.tobytes() + fixings.omega.tobytes()
         if self._live is None or self._live[0] != seen:
             fixed = (fixings.gamma != FREE) & (fixings.omega != FREE)
@@ -305,10 +287,10 @@ class PricingStatics:
             allow = fixings.masks()
             selected = None
             if np.count_nonzero(decided) >= MIN_DECIDED:
-                selected = self.select(~decided)
+                selected = PricingStatics(self.idx, self.mode, np.flatnonzero(~decided))
                 allow = tuple(m[:, ~decided] for m in allow)
             else:
-                decided = np.zeros(len(self.pairs), dtype=bool)
+                decided = np.zeros(len(self.idx.pairs), dtype=bool)
             # the selected tables, not the statics themselves: a cycle back
             # to them would keep their tables alive until a garbage collection
             self._live = (seen, selected, decided, allow)
@@ -336,7 +318,7 @@ class Pricer:
         and ``allow_ka``), all True where no node is removed."""
         s = self.s
         T = s.inst.horizon
-        K = len(s.pairs)
+        K = len(s.keys)
         pi = duals.pis
         cum = _credits(s.g0_at, pi[s.g0_src], (T + 2, T + 2, K))
         for o in range(1, T + 1):  # the running sum over arrival slots, in place

@@ -248,6 +248,15 @@ def _text_file(tmp_path, text: str) -> str:
     return str(path)
 
 
+def _report_file(tmp_path, **change) -> str:
+    """PBA's report on the small instance file, with the top-level keys of
+    its document replaced by ``change``."""
+    path = tmp_path / "report.json"
+    main(["solve", "--algo", "pba", "--instance", _instance_file(tmp_path), "--out", str(path)])
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    return str(path)
+
+
 def _results_file(tmp_path, total="10", x_column="I") -> str:
     """A one-row results CSV with the given total and x column name."""
     return _text_file(tmp_path, f"cells,algo,mode,{x_column},R,rho_b,total,aoi_cost,"
@@ -266,6 +275,23 @@ BAD_INPUTS = {
         "solve", "--algo", "pba", "--instance", _text_file(d, "[1]")], 2),
     "solve-not-json": (lambda d: [
         "solve", "--algo", "pba", "--instance", _text_file(d, "horizon: 2")], 2),
+    "solve-out-in-a-missing-directory": (lambda d: [
+        "solve", "--algo", "pba", "--instance", _instance_file(d),
+        "--out", str(d / "none" / "r.json")], 2),
+    "gen-out-in-a-missing-directory": (lambda d: [
+        "gen", "--out", str(d / "none" / "x.json")], 2),
+    "gen-cache-scale-zero": (lambda d: ["gen", "--cache-scale", "0", "--out", str(d / "x.json")], 2),
+    "gen-cache-scale-negative": (lambda d: [
+        "gen", "--cache-scale", "-1", "--out", str(d / "x.json")], 2),
+    "gen-cache-scale-rounding-to-zero": (lambda d: [
+        "gen", "--cache-scale", "1e-7", "--out", str(d / "x.json")], 2),
+    "gen-cache-scale-infinite": (lambda d: [
+        "gen", "--cache-scale", "inf", "--out", str(d / "x.json")], 2),
+    "gen-rho-b-rounding-to-zero": (lambda d: [
+        "gen", "--rho-b", "1e-7", "--out", str(d / "x.json")], 2),
+    "gen-rho-b-rounding-to-zero-from-above": (lambda d: [
+        "gen", "--rho-b", "4e-7", "--out", str(d / "x.json")], 2),
+    "gen-negative-requests": (lambda d: ["gen", "--requests", "-1", "--out", str(d / "x.json")], 2),
     "eval-invalid-instance": (lambda d: [
         "eval", "--instance", _instance_file(d, horizon=0), "--schedule", str(d / "s.json")], 2),
     "eval-missing-schedule": (lambda d: [
@@ -287,10 +313,15 @@ BAD_INPUTS = {
         "eval", "--instance", _instance_file(d), "--schedule", _text_file(d, "[1]")], 2),
     "eval-other-schema": (lambda d: [
         "eval", "--instance", _instance_file(d), "--schedule", _instance_file(d)], 2),
+    "eval-report-unknown-mode": (lambda d: [
+        "eval", "--instance", _instance_file(d), "--schedule",
+        _report_file(d, settlement_mode="foo")], 2),
     "export-invalid-instance": (lambda d: [
         "export-ilp", "--instance", _instance_file(d, horizon=0), "--out", str(d / "m.lp")], 2),
     "export-missing-instance": (lambda d: [
         "export-ilp", "--instance", str(d / "none.json"), "--out", str(d / "m.lp")], 2),
+    "export-out-in-a-missing-directory": (lambda d: [
+        "export-ilp", "--instance", _instance_file(d), "--out", str(d / "none" / "m.lp")], 2),
     "sweep-unknown-gen-key": (lambda d: [
         "sweep", "--config", _sweep_file(d, gen={"num_content": 6})], 2),
     "sweep-unknown-block-key": (lambda d: [
@@ -301,6 +332,10 @@ BAD_INPUTS = {
         "sweep", "--config", _sweep_file(d, algos=["pba", "rgca"])], 2),
     "sweep-rejected-gen-value": (lambda d: [
         "sweep", "--config", _sweep_file(d, gen={"rho_m": 1.5})], 2),
+    "sweep-cache-scale-zero": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"cache_scale": 0})], 2),
+    "sweep-out-in-a-missing-directory": (lambda d: [
+        "sweep", "--config", _sweep_file(d), "--out", str(d / "none" / "s.csv")], 2),
     "sweep-missing-config": (lambda d: [
         "sweep", "--config", str(d / "none.json")], 2),
     "sweep-config-not-an-object": (lambda d: [
@@ -337,6 +372,8 @@ BAD_INPUTS = {
         "report", "--in", _text_file(d, "total\n" + "1" * 200_000), "--outdir", str(d / "figs")], 2),
     "report-without-I-column": (lambda d: [
         "report", "--in", _results_file(d, x_column="J"), "--outdir", str(d / "figs")], 2),
+    "report-outdir-a-file": (lambda d: [
+        "report", "--in", _results_file(d), "--outdir", str(d / "text.json")], 2),
     "sweep-solver-failure": (lambda d: [
         "sweep", "--config", _sweep_file(d, algos=["pba", "exact"]), "--threads", "1"], 1),
 }
@@ -351,16 +388,16 @@ def test_bad_input_is_one_line_and_an_exit_code(tmp_path, capsys, case):
     argv, code = BAD_INPUTS[case]
     argv = argv(tmp_path)
     out = tmp_path / "out.csv"
-    if argv[0] == "sweep":
+    if argv[0] == "sweep" and "--out" not in argv:
         argv += ["--out", str(out)]
+    inputs = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert exit_code(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if code == 2:
         assert err.startswith(f"mcsp {argv[0]}: error: ")
-        assert not out.exists() and not (tmp_path / "m.lp").exists()
-        assert not (tmp_path / "figs").exists()
+        assert sorted(tmp_path.rglob("*")) == inputs
     else:
         assert err.startswith("solver failed: exact")
         assert [row["algo"] for row in read_results_csv(out)] == ["pba"]

@@ -295,8 +295,9 @@ def test_batched_entries_equal_scalar_entries(mode):
         pool = ColumnPool.initial(idx, mode)
         _assert_entries_match_reference(pool)
         # priced against an empty pool, as random duals may price pooled columns
-        candidates = price_all(ColumnPool(idx, mode), random_duals(rng, inst),
-                               PricingStatics(idx, mode), RoundingState(inst))
+        statics = PricingStatics(idx, mode, np.arange(len(idx.pairs)))
+        candidates = price_all(ColumnPool(idx, mode), random_duals(rng, inst), statics,
+                               RoundingState(inst))
         made["priced"] += pool.add(candidates.keys, candidates.flags)
         _assert_entries_match_reference(pool)
         caps = {(h, t): float("inf") for h in range(1, inst.num_servers + 1)

@@ -53,7 +53,8 @@ def test_tiny1_first_pricing_round(tiny1, tiny1_idx):
     pool = ColumnPool.initial(tiny1_idx, "paper")
     sol = solve_rmp(build_rmp(pool, all_capacity_rows(tiny1)), MasterBasis())
     assert sol.objective == pytest.approx(23.0)
-    cands = price_all(pool, sol.duals, PricingStatics(tiny1_idx, "paper"), RoundingState(tiny1))
+    statics = PricingStatics(tiny1_idx, "paper", np.arange(len(tiny1_idx.pairs)))
+    cands = price_all(pool, sol.duals, statics, RoundingState(tiny1))
     assert by_pair(cands, tiny1_idx.pairs) == {
         (1, 1): (((1, 1), (1, 0)), pytest.approx(3.0 - 23.0))}
 

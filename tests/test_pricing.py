@@ -137,7 +137,7 @@ def test_decode_tie_break_matches_brute_force(mode):
         idx = build_request_index(inst)
         duals = grid_duals(rng, inst)
         empty = ColumnPool(idx, mode)
-        statics = PricingStatics(idx, mode)
+        statics = PricingStatics(idx, mode, np.arange(len(idx.pairs)))
         cands = by_pair(price_all(empty, duals, statics, RoundingState(inst)), idx.pairs)
         for h in range(1, inst.num_servers + 1):
             for i in range(1, inst.num_contents + 1):
@@ -269,7 +269,7 @@ def test_price_all_matches_per_pair_graphs():
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         duals = random_duals(rng, inst)
-        statics = PricingStatics(idx, "paper")
+        statics = PricingStatics(idx, "paper", np.arange(len(idx.pairs)))
         from mcsp.columns import ColumnPool
 
         pool = ColumnPool.initial(idx, "paper")
@@ -293,7 +293,8 @@ def test_price_all_candidate_limit():
 
     pool = ColumnPool.initial(idx, "paper")
     duals = random_duals(rng, inst)
-    cands = price_all(pool, duals, PricingStatics(idx, "paper"), RoundingState(inst))
+    statics = PricingStatics(idx, "paper", np.arange(len(idx.pairs)))
+    cands = price_all(pool, duals, statics, RoundingState(inst))
     assert 0 < len(cands) <= inst.num_servers * inst.num_contents
     assert (np.diff(cands.keys) > 0).all()  # pair order
     assert cands.flags.shape == (len(cands), 2, inst.horizon)
@@ -315,7 +316,7 @@ def test_pooled_negative_column_raises():
         idx = build_request_index(inst)
         pool = ColumnPool.initial(idx, "paper")
         duals = random_duals(rng, inst)
-        statics = PricingStatics(idx, "paper")
+        statics = PricingStatics(idx, "paper", np.arange(len(idx.pairs)))
         cands = by_pair(price_all(pool, duals, statics, RoundingState(inst)), idx.pairs)
     (h, i), (column, value) = next(iter(cands.items()))
     assert add_column(pool, h, i, column)
@@ -330,12 +331,13 @@ def test_price_all_rejects_statics_of_another_solve(tiny1, tiny1_idx):
     from mcsp.columns import ColumnPool
 
     pool = ColumnPool.initial(tiny1_idx, "paper")
-    for statics in (PricingStatics(tiny1_idx, "min"),
-                    PricingStatics(build_request_index(tiny1), "paper")):
+    every = np.arange(len(tiny1_idx.pairs))
+    for statics in (PricingStatics(tiny1_idx, "min", every),
+                    PricingStatics(build_request_index(tiny1), "paper", every)):
         with pytest.raises(ValueError, match="differ in request index or mode"):
             price_all(pool, zero_duals(tiny1), statics, RoundingState(tiny1))
     # the solve's own statics price it: at zero duals every column costs more than zero
-    assert not price_all(pool, zero_duals(tiny1), PricingStatics(tiny1_idx, "paper"),
+    assert not price_all(pool, zero_duals(tiny1), PricingStatics(tiny1_idx, "paper", every),
                          RoundingState(tiny1))
 
 
@@ -371,12 +373,12 @@ def test_batch_tables_equal_per_pair_weights():
     for _ in range(20):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
-        statics = PricingStatics(idx, "paper")
+        statics = PricingStatics(idx, "paper", np.arange(len(idx.pairs)))
         pool = _sampled_pool(rng, inst, idx)
         master = solve_rmp(build_rmp(pool, all_capacity_rows(inst)), MasterBasis()).duals
         for duals in (random_duals(rng, inst), master):
             _, tables = Pricer(statics).price(duals, RoundingState(inst).masks())
-            for k, (h, i) in enumerate(statics.pairs):
+            for k, (h, i) in enumerate(idx.pairs):
                 ref = reference.PairWeights(h, i, duals, inst, idx, "paper")
                 assert np.array_equal(tables.upd[..., k], ref.update)
                 assert np.array_equal(tables.pur[..., k], ref.purple)
@@ -438,33 +440,33 @@ def test_fully_fixed_column_is_the_only_path():
         inst = random_tiny_instance(rng, horizon_max=4)
         idx = build_request_index(inst)
         duals = random_duals(rng, inst)
-        statics = PricingStatics(idx, "paper")
+        statics = PricingStatics(idx, "paper", np.arange(len(idx.pairs)))
         state = RoundingState(inst)
         pinned = {}
-        for h, i in statics.pairs:
+        for h, i in idx.pairs:
             col = pinned[(h, i)] = rng.choice(enumerate_columns(inst.horizon))
             for t, (q, p) in enumerate(col, start=1):
                 state.fix(h, i, t, gamma=q, omega=p)
         values, tables = Pricer(statics).price(duals, state.masks())
         decoded = reference.decode_columns(tables, values)
-        for k, (h, i) in enumerate(statics.pairs):
+        for k, (h, i) in enumerate(idx.pairs):
             col = pinned[(h, i)]
             pc = shortest_path(build_graph(h, i, duals, inst, idx, allow=state.masks()))
             assert pc.column == decoded[k] == col
             assert pc.path_value == pytest.approx(reduced_cost(col, h, i, duals, idx), abs=1e-9)
 
 
-def _partly_fixed(rng, inst, decided_share):
-    """A RoundingState and a pool: on a share of the pairs every slot is
-    fixed to a random valid column; on the others a random share of the
-    slots is fixed consistently with another random valid column. The pool
-    of a pair fixed at every slot holds its column alone, the others the
-    zero column."""
+def _partly_fixed(rng, inst, decided_share, mode="paper"):
+    """A RoundingState and a pool in ``mode``: on a share of the pairs every
+    slot is fixed to a random valid column; on the others a random share of
+    the slots is fixed consistently with another random valid column. The
+    pool of a pair fixed at every slot holds its column alone, the others
+    the zero column."""
     from mcsp.columns import FREE, ColumnPool
 
     idx = build_request_index(inst)
     state = RoundingState(inst)
-    pool = ColumnPool.initial(idx, "paper")
+    pool = ColumnPool.initial(idx, mode)
     columns = enumerate_columns(inst.horizon)
     for h, i in pool.pairs:
         col = rng.choice(columns)
@@ -478,27 +480,32 @@ def _partly_fixed(rng, inst, decided_share):
     return idx, state, pool
 
 
-@pytest.mark.parametrize("min_decided", [1, 10**9], ids=["partial", "every-pair"])
-def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
+@pytest.mark.parametrize("min_decided, mode", [(1, "paper"), (10**9, "paper"), (1, "min"),
+                                               (10**9, "min")],
+                         ids=["partial", "every-pair", "partial-min", "every-pair-min"])
+def test_pricing_undecided_pairs_equals_full_pricing(min_decided, mode, monkeypatch):
     """Under random fixings, the tables and values of the priced pairs are
     bit for bit those of pricing every pair, and price_all returns the
     candidates full pricing finds, at the same values. With partial pricing
     the pairs fixed at every slot are left out, so that with every pair
     decided no pair is priced; below ``MIN_DECIDED`` decided pairs every
     pair is priced. Either way a decided pair's column raises when full
-    pricing finds it negative."""
+    pricing finds it negative. The statics of random ascending pair
+    numbers, not only the undecided ones, price those pairs bit for bit as
+    full pricing does too."""
     from mcsp import pricing
     from mcsp.columns import FREE
     from mcsp.pricing import Pricer
 
     monkeypatch.setattr(pricing, "MIN_DECIDED", min_decided)
     rng = random.Random(73)
+    pick = np.random.default_rng(73)  # the random pair sets, apart from rng's draws
     seen = {"compared": 0, "raised": 0, "none_priced": 0, "candidates": 0}
     for n in range(60):
         inst = random_tiny_instance(rng, horizon_max=4)
-        idx, state, pool = _partly_fixed(rng, inst, 1.0 if n % 6 == 0 else 0.5)
+        idx, state, pool = _partly_fixed(rng, inst, 1.0 if n % 6 == 0 else 0.5, mode)
         duals = random_duals(rng, inst)
-        statics = PricingStatics(idx, "paper")
+        statics = PricingStatics(idx, mode, np.arange(len(idx.pairs)))
         decided = ((state.gamma != FREE) & (state.omega != FREE))[1:, 1:, 1:].all(axis=2).ravel()
         full, full_tables = Pricer(statics).price(duals, state.masks())
         live, left_out, allow = statics.live(state)
@@ -507,8 +514,14 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
         values, tables = Pricer(live).price(duals, allow)
         priced = ~left_out
         assert np.array_equal(values, full[priced])
-        for name in ("upd", "pur", "allow_u", "allow_k0", "allow_ka"):
+        for name in ("upd", "pur", "orange", "allow_u", "allow_k0", "allow_ka"):
             assert np.array_equal(getattr(tables, name), getattr(full_tables, name)[..., priced])
+        keys = np.flatnonzero(pick.random(len(idx.pairs)) < 0.5)
+        some = PricingStatics(idx, mode, keys)
+        values, tables = Pricer(some).price(duals, tuple(m[:, keys] for m in state.masks()))
+        assert np.array_equal(values, full[keys])
+        for name in ("upd", "pur", "orange"):
+            assert np.array_equal(getattr(tables, name), getattr(full_tables, name)[..., keys])
         if not priced.any():
             seen["none_priced"] += 1
         if (full[decided] < -TOL).any():
@@ -523,8 +536,8 @@ def test_pricing_undecided_pairs_equals_full_pricing(min_decided, monkeypatch):
         cands = price_all(pool, duals, statics, state)
         ks = np.flatnonzero(full < -TOL)
         want = reference.decode_columns(full_tables.take(ks), full[ks])
-        assert list(by_pair(cands, statics.pairs).items()) == [
-            (statics.pairs[k], (col, float(full[k]))) for k, col in zip(ks, want)]
+        assert list(by_pair(cands, idx.pairs).items()) == [
+            (idx.pairs[k], (col, float(full[k]))) for k, col in zip(ks, want)]
         seen["compared"] += 1
         seen["candidates"] += len(cands)
     assert seen["raised"] >= 10 and seen["candidates"] >= 30
@@ -544,7 +557,7 @@ def test_decided_pair_check_raises_on_a_perturbed_dual(monkeypatch):
     for _ in range(40):
         inst = random_tiny_instance(rng, horizon_max=4)
         idx, state, pool = _partly_fixed(rng, inst, 1.0)
-        statics = PricingStatics(idx, "paper")
+        statics = PricingStatics(idx, "paper", np.arange(len(idx.pairs)))
         duals = explicit_duals(idx, lam={key: pool_columns(pool, *key)[0].cost for key in pool.pairs})
         assert not price_all(pool, duals, statics, state)
         h, i = rng.choice(pool.pairs)
