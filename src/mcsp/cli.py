@@ -421,31 +421,29 @@ def cmd_report(args) -> int:
     emitted = []
     for (fname, xcol, shares), series in zip(FIGURES, figures):
         path = outdir / fname
+        means = {key: [sum(col) / len(col) for col in zip(*vals)] for key, vals in series.items()}
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["cells", "algo", "mode", xcol, "mean_total",
                         *(f"{name}_share" for name in shares), "runs"])
             for key in sorted(series, key=lambda k: (k[0], k[1], k[2], float(k[3]))):
-                vals = series[key]
-                w.writerow([*key, *(_fmt(sum(col) / len(col)) for col in zip(*vals)), len(vals)])
+                w.writerow([*key, *map(_fmt, means[key]), len(series[key])])
         if args.svg:
-            _render_svg(path, xcol)
+            _render_svg(path.with_suffix(".svg"), {key: m[0] for key, m in means.items()})
         emitted.append(path)
     print("emitted: " + ", ".join(str(p) for p in emitted))
     return 0
 
 
-def _render_svg(csv_path: Path, xcol: str) -> None:
-    """Minimal line rendering of the mean_total column against ``xcol``, one
-    polyline per (cells, algo) series; no plotting dependency."""
-    rows = read_results_csv(csv_path)
-    if not rows:
+def _render_svg(path: Path, totals: dict) -> None:
+    """Minimal line rendering of a figure's mean totals, keyed (cells, algo,
+    mode, x) as its CSV rows are: one polyline per (cells, algo, mode)
+    series against x; no plotting dependency. No rows, no file."""
+    if not totals:
         return
     series: dict[tuple, list] = {}
-    for row in rows:
-        series.setdefault((row["cells"], row["algo"]), []).append(
-            (float(row[xcol]), float(row["mean_total"]))
-        )
+    for (*key, x), total in totals.items():
+        series.setdefault(tuple(key), []).append((float(x), total))
     width, height, pad = 640, 400, 50
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
@@ -470,7 +468,7 @@ def _render_svg(csv_path: Path, xcol: str) -> None:
             f'font-size="12">{"/".join(key)}</text>'
         )
     parts.append("</svg>")
-    csv_path.with_suffix(".svg").write_text("\n".join(parts), encoding="utf-8")
+    path.write_text("\n".join(parts), encoding="utf-8")
 
 
 def cmd_export(args) -> int:

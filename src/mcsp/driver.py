@@ -357,7 +357,8 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
         while not chi_is_integral(sol.weights):
             j = _next_pin(sol)
             a = pool.arrays()  # the pin changes the pool's views
-            pins.fix(a.server[j], a.content[j], slice(1, None), *pool.pin(j))
+            cached, updated = pool.pin(j)
+            pins.fix(a.server[j], a.content[j], slice(1, None), gamma=cached, omega=updated)
             fixes += 1
             result = run_cga(pool, statics, pins, rows, basis)
             pricing_rounds += result.rounds

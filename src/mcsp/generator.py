@@ -13,6 +13,7 @@ byte-identical instance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from .instance import (
     Request,
     ServerSpec,
     Topology,
+    _is_finite,
+    _is_int,
     validate_instance,
 )
 
@@ -121,15 +124,29 @@ def capacity_share(value: float) -> Fraction:
     return Fraction(value).limit_denominator(10**6)
 
 
+# (fields, rule, what the rule asks) of each type ``check_config`` checks
+TYPES = (
+    (("num_contents", "num_requests", "horizon", "window_max"), _is_int, "an integer"),
+    (("size_range",), lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+     and all(map(_is_int, v)), "two integers"),
+    (("rho_m", "rho_b"), _is_finite, "a finite number"),
+    (("cache_scale",), lambda v: _is_finite(v) and v > 0, "a finite number above 0"),
+    (("cells",), lambda v: isinstance(v, str), "a string"),
+)
+
+
 def check_config(cfg: GeneratorConfig) -> tuple[Topology, int, int]:
     """The topology of ``cfg`` and its numbers of 3- and 2-candidate MCRs;
-    settings the generator cannot draw an instance from raise ValueError."""
+    settings the generator cannot draw an instance from raise ValueError.
+    The types of ``TYPES`` are checked first."""
+    for names, ok, kind in TYPES:
+        for name in names:
+            if not ok(getattr(cfg, name)):
+                raise ValueError(f"{name} must be {kind}, got {getattr(cfg, name)!r}")
     if not (0 <= cfg.rho_m <= 1):
         raise ValueError(f"rho_m must lie in [0, 1], got {cfg.rho_m}")
     if not (0 < cfg.rho_b <= 1):
         raise ValueError(f"rho_b must lie in (0, 1], got {cfg.rho_b}")
-    if not (0 < cfg.cache_scale < float("inf")):
-        raise ValueError(f"cache_scale must be a finite number above 0, got {cfg.cache_scale}")
     for name in ("rho_b", "cache_scale"):
         if capacity_share(getattr(cfg, name)) == 0:
             raise ValueError(f"{name} {getattr(cfg, name)} rounds to 0 at the generator's "
@@ -143,6 +160,8 @@ def check_config(cfg: GeneratorConfig) -> tuple[Topology, int, int]:
     lo, hi = cfg.size_range
     if not (1 <= lo <= hi):
         raise ValueError(f"bad size_range {cfg.size_range}")
+    if capacity_share(cfg.cache_scale) * hi * cfg.num_contents > sys.float_info.max:
+        raise ValueError(f"cache_scale {cfg.cache_scale} gives a capacity past the largest float")
 
     topo = make_topology(cfg.cells, cfg.custom_topology)
     n_mcr = round(cfg.rho_m * cfg.num_requests)

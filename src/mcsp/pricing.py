@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import FREE, ColumnPool, column_states, concat_ranges
+from .columns import ColumnPool, column_states, concat_ranges
 from .costs import SettlementMode, scr_settlement
 from .instance import RequestIndex
 from .rmp import DualPrices
@@ -282,8 +282,7 @@ class PricingStatics:
         already holds. The answer is kept until the fixings change."""
         seen = fixings.gamma.tobytes() + fixings.omega.tobytes()
         if self._live is None or self._live[0] != seen:
-            fixed = (fixings.gamma != FREE) & (fixings.omega != FREE)
-            decided = fixed[1:, 1:, 1:].all(axis=2).ravel()
+            decided = fixings.decided()
             allow = fixings.masks()
             selected = None
             if np.count_nonzero(decided) >= MIN_DECIDED:

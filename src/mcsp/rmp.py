@@ -66,7 +66,8 @@ TOL_CAP = 1e-7  # relative slack before a left-out capacity row counts as violat
 class DualPrices:
     """Duals of the master rows as complete arrays: ``sigma`` by request id,
     ``pis`` by position in the request index's service index, ``mus`` and
-    ``phis`` by [server, slot], ``lams`` by [server, content].
+    ``phis`` by [server, slot], ``lams`` by [server, content]: the layout
+    ``RmpModel.by_key`` gives any array of one value per master row.
 
     Read off a master solve, they are optimal over the full row set: a
     capacity row the master leaves out has a zero dual, and a coverage row it
@@ -110,10 +111,9 @@ class CapacityRows:
 
 class MasterBasis:
     """The optimal basis of the last master a solve solved, kept by the
-    identity of each column and row in the array layout of ``DualPrices``:
-    chi columns by pool entry serial, y columns and coverage rows by service
-    position, serve-once rows by request id, cache and backhaul rows by
-    [server, slot], convexity rows by [server, content].
+    identity of each column and row: chi columns by pool entry serial, y
+    columns by service position, and the rows' basic flags laid out by
+    ``RmpModel.by_key`` (the layout of ``DualPrices``).
 
     ``start`` maps it onto another master of the same solve: a column the
     last master held keeps its status code and a row whether it was basic; a
@@ -126,20 +126,12 @@ class MasterBasis:
 
     def record(self, model: "RmpModel", basis: LpBasis) -> None:
         """Keep ``basis``, the optimal basis of ``model``."""
-        idx, inst = model.pool.idx, model.pool.inst
         n_chi = len(model.serials)
-        slots = (inst.num_servers + 1, inst.horizon + 1)
         chi = np.zeros(model.pool.num_serials, dtype=np.int8)  # LOWER
         chi[model.serials] = basis.cols[:n_chi]
-        y = np.zeros(len(idx.svc_age), dtype=np.int8)
+        y = np.zeros(len(model.pool.idx.svc_age), dtype=np.int8)
         y[model.cover_svc] = basis.cols[n_chi:]
-        rows = [np.ones(shape, dtype=bool) for shape in (
-            idx.num_request_ids, len(idx.svc_age), slots, slots,
-            (inst.num_servers + 1, inst.num_contents + 1))]
-        for array, at, lo, hi in zip(rows, model.row_index, model.starts, model.starts[1:]):
-            if hi > lo:  # the capacity blocks are often empty
-                array[at] = basis.rows[lo:hi]
-        self.blocks = (chi, y, *rows)
+        self.blocks = (chi, y, *model.by_key(basis.rows, True))
 
     def start(self, model: "RmpModel") -> Optional[LpBasis]:
         """The recorded basis mapped onto ``model``; None before the first
@@ -174,6 +166,18 @@ class RmpModel:
     # ``DualPrices`` array
     row_index: tuple
     serve_first: np.ndarray  # the first coverage row of each serve-once row's request
+
+    def by_key(self, values: np.ndarray, fill) -> list[np.ndarray]:
+        """``values``, one per master row, as the five arrays of
+        ``DualPrices`` by row key; a key with no row here holds ``fill``."""
+        idx, inst = self.pool.idx, self.pool.inst
+        slots = (inst.num_servers + 1, inst.horizon + 1)
+        out = [np.full(shape, fill, dtype=values.dtype) for shape in (
+            idx.num_request_ids, len(idx.svc_age), slots, slots,
+            (inst.num_servers + 1, inst.num_contents + 1))]
+        for array, at, lo, hi in zip(out, self.row_index, self.starts, self.starts[1:]):
+            array[at] = values[lo:hi]
+        return out
 
 
 @dataclass
@@ -336,23 +340,16 @@ def _read_duals(model: RmpModel, y: np.ndarray) -> DualPrices:
     variables) on top of its row dual, so every service variable prices
     nonnegatively. Only a variable at 1 can price negatively, and at most
     one per request is at 1, so the dual objective does not change."""
-    idx, inst = model.pool.idx, model.pool.inst
-    serve, cover, cache, backhaul, convexity = (
-        y[a:b] for a, b in zip(model.starts, model.starts[1:])
-    )
-    serve_at, cover_at, cache_at, backhaul_at, pair_at = model.row_index
-    sigma = np.zeros(idx.num_request_ids)
-    sigma[serve_at] = serve
+    idx = model.pool.idx
+    sigma, pis, mus, phis, lams = model.by_key(y, 0.0)
+    serve_at, cover_at = model.row_index[:2]
+    cover = pis[cover_at]
     saving = idx.svc_saving
     pis = np.where(saving >= 0, 0.0, np.minimum(0.0, saving - sigma[idx.svc_request_ids]))
     pis[cover_at] = cover
     # the coverage rows run grouped by request, one group per serve-once row
     reduced = saving[cover_at] - sigma[idx.svc_request_ids[cover_at]] - cover
     sigma[serve_at] += np.minimum(0.0, np.minimum.reduceat(reduced, model.serve_first))
-    slots = (inst.num_servers + 1, inst.horizon + 1)
-    mus, phis = np.zeros(slots), np.zeros(slots)
-    lams = np.zeros((inst.num_servers + 1, inst.num_contents + 1))
-    mus[cache_at], phis[backhaul_at], lams[pair_at] = cache, backhaul, convexity
     return DualPrices(sigma, pis, mus, phis, lams)
 
 
@@ -369,7 +366,7 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
 
     The face row c.x <= objective + eps joins as the last <= row, before the
     convexity rows; it holds the nonzero costs of c, and it starts basic.
-    Each face entry follows its column's entries in rows above it."""
+    A face entry is last in a y column, before a chi column's convexity entry."""
     prob = model.problem
     w = np.zeros(prob.num_vars)
     updated = model.flags[:, 1]
@@ -382,10 +379,8 @@ def _canonical_primal(model: RmpModel, sol: LpSolution) -> np.ndarray:
     grown = np.zeros(prob.num_vars + 1, dtype=np.int32)
     grown[face + 1] = 1
     face_start = start + np.cumsum(grown, dtype=np.int32)
-    above = np.concatenate([[0], np.cumsum(index < at)])
-    # a face entry's place: its column's new start, past the entries above ``at``
     is_face = np.zeros(len(index) + len(face), dtype=bool)
-    is_face[face_start[face] + above[start[face + 1]] - above[start[face]]] = True
+    is_face[face_start[face + 1] - 1 - (face < len(model.serials))] = True
     is_master = ~is_face
     face_index = np.full(len(is_face), at, dtype=np.int32)
     face_index[is_master] = index + (index >= at)

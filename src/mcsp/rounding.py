@@ -27,18 +27,18 @@ in at most num_contents * horizon passes.
 
 Fixings live in two int8 arrays over [server, content, slot], ``gamma`` and
 ``omega``, holding 1, 0 or ``FREE`` (-1); index 0 of each axis is unused and
-stays free; ``RoundingState.fix`` merges fixings into any cells at once. A
-pass is array code over them and over the likelihood arrays of
-``compute_indicators``: stage 1 freezes every integral entry at once, and the
-candidate scans of stages 2 and 3 are per-server argmins, whose first minimum
-in (content, slot) order is the tie-break. Only the one decision per server
-stays scalar.
+stays free; only ``RoundingState`` writes them, and its ``fix`` is the one
+merge rule. A pass is array code over them and over the likelihood arrays of
+``compute_indicators``: stage 1 is two ``fix`` calls on masks, and the
+candidate scans of stages 2 and 3 are per-server argmins, whose first
+minimum in (content, slot) order is the tie-break. Only the one decision per
+server, its last of the pass, stays scalar.
 
 Fixed values translate into pricing-graph node removals: Omega=1 keeps only
 the age-zero cached node in its slot, Gamma=0 removes all cached nodes,
 Omega=0 removes the age-zero cached node, Gamma=1 removes the uncached nodes.
 ``RoundingState.masks`` derives them from the same arrays, laid out
-[slot, pair] as the pricing tables are.
+[slot, pair] as the pricing tables are, and ``decided`` the settled pairs.
 """
 
 from __future__ import annotations
@@ -67,23 +67,28 @@ class RoundingState:
         self.live[1:, 1:, 1:] = True
         self.size = inst.sizes()
 
-    def fix(self, h, i, t, gamma=None, omega=None) -> None:
-        """Merge fixings into the distinct cells ``[h, i, t]`` (ints, index
-        arrays or slices): ``gamma`` and ``omega`` are 0 or 1, or arrays of
-        them over the cells, None leaving that kind as it is. Every cell of
-        both kinds is checked before any is written: a cell fixed to another
-        value raises AssertionError naming the first such cell."""
+    def fix(self, *cells, gamma=None, omega=None) -> int:
+        """Merge fixings into the distinct cells ``h, i, t`` (ints, index
+        arrays or slices) or of one bool mask over [server, content, slot]:
+        ``gamma`` and ``omega`` are 0 or 1, or arrays of them over the cells,
+        None leaving that kind as it is. Every cell of both kinds is checked
+        before any is written: a cell fixed to another value raises
+        AssertionError naming the first such cell. Returns how many cells
+        changed in either kind."""
         merges = [(kind, fixed, value) for kind, fixed, value in (
             ("cache", self.gamma, gamma), ("update", self.omega, omega)) if value is not None]
+        changed = False
         for kind, fixed, value in merges:
-            old = fixed[h, i, t]
+            old = fixed[cells]
             clash = (old != FREE) & (old != value)
             if clash.any():
-                cells = np.arange(fixed.size).reshape(fixed.shape)[h, i, t]
-                at = np.unravel_index(np.broadcast_to(cells, clash.shape)[clash][0], fixed.shape)
+                at = np.arange(fixed.size).reshape(fixed.shape)[cells]
+                at = np.unravel_index(np.broadcast_to(at, clash.shape)[clash][0], fixed.shape)
                 raise AssertionError(f"contradictory {kind} fixing at {tuple(map(int, at))}")
+            changed = changed | (old != value)
         for _, fixed, value in merges:
-            fixed[h, i, t] = value
+            fixed[cells] = value
+        return int(np.count_nonzero(changed))
 
     def headroom(self) -> np.ndarray:
         """The capacity left beyond the contents fixed to one, as a
@@ -108,6 +113,11 @@ class RoundingState:
         g = self.gamma[1:, 1:].reshape(-1, T + 1).T
         o = self.omega[1:, 1:].reshape(-1, T + 1).T
         return (o != 1) & (g != 1), (o != 0) & (g != 0), (o != 1) & (g != 0)
+
+    def decided(self) -> np.ndarray:
+        """Which pairs, in (server, content) order, are fixed at every slot."""
+        fixed = (self.gamma != FREE) & (self.omega != FREE)
+        return fixed[1:, 1:, 1:].all(axis=2).ravel()
 
 
 def compute_indicators(weights: np.ndarray, pool: ColumnPool) -> tuple[np.ndarray, np.ndarray]:
@@ -161,15 +171,8 @@ def round_once(
     G, O = state.gamma, state.omega
 
     # stage 1: freeze integral entries
-    up = (omega >= 1 - TOL_INT) & state.live
-    down = (gamma <= TOL_INT) & state.live
-    clash = (up & ((G == 0) | (O == 0) | down)) | (down & ((G == 1) | (O == 1)))
-    if clash.any():
-        raise AssertionError(f"contradictory fixing at {tuple(map(int, np.argwhere(clash)[0]))}")
-    report.frozen = int(np.count_nonzero(
-        (up & ((G != 1) | (O != 1))) | (down & ((G != 0) | (O != 0)))))
-    G[up] = O[up] = 1
-    G[down] = O[down] = 0
+    report.frozen = state.fix((omega >= 1 - TOL_INT) & state.live, gamma=1, omega=1)
+    report.frozen += state.fix((gamma <= TOL_INT) & state.live, gamma=0, omega=0)
 
     remaining_cache, remaining_backhaul = state.headroom()  # views, updated in place
     # per cell, the distance of a fractional likelihood to the nearer integer
@@ -196,8 +199,6 @@ def round_once(
                 report.rounded_down += 1
             else:
                 state.fix(h, i, t, gamma=1, omega=1)
-                remaining_backhaul[h, t] -= size
-                remaining_cache[h, t] -= cache_needed
                 report.rounded_up += 1
             continue
 
@@ -206,9 +207,8 @@ def round_once(
             continue
         # freeze the 1-entries first
         i_one, t_one = np.nonzero((gamma[h] >= 1 - TOL_INT) & (G[h] != 1))
-        state.fix(h, i_one, t_one, gamma=1)
+        report.frozen += state.fix(h, i_one, t_one, gamma=1)
         np.subtract.at(remaining_cache[h], t_one, state.size[i_one])  # in (content, slot) order
-        report.frozen += len(i_one)
         i, t = np.unravel_index(np.argmin(near_g[h]), near_g[h].shape)
         size = inst.size(i)
         if (
@@ -220,7 +220,6 @@ def round_once(
             report.rounded_down += 1
         else:
             state.fix(h, i, t, gamma=1)
-            remaining_cache[h, t] -= size
             report.rounded_up += 1
 
     # stage 4: recompute headroom and drop incompatible columns

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -139,6 +140,27 @@ def test_sweep_resumable_and_report(tmp_path):
             float(row["download_share"]) + float(row["update_share"]) + float(row["aoi_share"])
         )
         assert total_share == pytest.approx(1.0, abs=1e-9)
+
+
+def test_report_svg_draws_one_series_per_mode(tmp_path):
+    """A sweep of RCGA in both modes on two catalog sizes: each figure's SVG
+    draws one polyline per (cells, algo, mode) series, one point per x, and
+    its legend names the mode."""
+    config = {"runs": [
+        {"gen": {"cells": "3-cell", "num_contents": contents, "num_requests": 15, "horizon": 3,
+                 "seeds": [1, 2]}, "algos": ["rcga"], "mode": mode}
+        for mode in ("paper", "min") for contents in (5, 8)]}
+    cfg_path, out, outdir = tmp_path / "sweep.json", tmp_path / "results.csv", tmp_path / "figs"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--threads", "1"]) == 0
+    assert main(["report", "--in", str(out), "--outdir", str(outdir), "--svg"]) == 0
+    svg = (outdir / "cost_vs_contents.svg").read_text()
+    assert re.findall(r'font-size="12">([^<]*)</text>', svg) == ["3-cell/rcga/min",
+                                                                 "3-cell/rcga/paper"]
+    for points in re.findall(r'points="([^"]*)"', svg):
+        xs = [point.split(",")[0] for point in points.split()]
+        assert len(xs) == 2 and len(set(xs)) == 2
+    assert len(re.findall("<polyline", svg)) == 2
 
 
 def test_export_ilp_cli(tmp_path):
@@ -292,6 +314,8 @@ BAD_INPUTS = {
     "gen-rho-b-rounding-to-zero-from-above": (lambda d: [
         "gen", "--rho-b", "4e-7", "--out", str(d / "x.json")], 2),
     "gen-negative-requests": (lambda d: ["gen", "--requests", "-1", "--out", str(d / "x.json")], 2),
+    "gen-cache-capacity-past-a-float": (lambda d: [
+        "gen", "--contents", "100", "--cache-scale", "1e308", "--out", str(d / "x.json")], 2),
     "eval-invalid-instance": (lambda d: [
         "eval", "--instance", _instance_file(d, horizon=0), "--schedule", str(d / "s.json")], 2),
     "eval-missing-schedule": (lambda d: [
@@ -334,6 +358,20 @@ BAD_INPUTS = {
         "sweep", "--config", _sweep_file(d, gen={"rho_m": 1.5})], 2),
     "sweep-cache-scale-zero": (lambda d: [
         "sweep", "--config", _sweep_file(d, gen={"cache_scale": 0})], 2),
+    "sweep-cache-capacity-past-a-float": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"cache_scale": 1e308}), "--threads", "1"], 2),
+    "sweep-num-contents-a-float": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"num_contents": 1.5}), "--threads", "1"], 2),
+    "sweep-horizon-a-float": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"horizon": 2.5}), "--threads", "1"], 2),
+    "sweep-num-requests-a-bool": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"num_requests": True}), "--threads", "1"], 2),
+    "sweep-rho-m-a-bool": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"rho_m": True}), "--threads", "1"], 2),
+    "sweep-window-max-a-float": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"window_max": 1.5}), "--threads", "1"], 2),
+    "sweep-rho-b-a-string": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"rho_b": "0.3"}), "--threads", "1"], 2),
     "sweep-out-in-a-missing-directory": (lambda d: [
         "sweep", "--config", _sweep_file(d), "--out", str(d / "none" / "s.csv")], 2),
     "sweep-missing-config": (lambda d: [
@@ -379,12 +417,25 @@ BAD_INPUTS = {
 }
 
 
+# what the one line of a bad input names, where the exit code alone would
+# not tell the check that caught it from another
+NAMED = {
+    "sweep-num-contents-a-float": "num_contents must be an integer",
+    "sweep-horizon-a-float": "horizon must be an integer",
+    "sweep-num-requests-a-bool": "num_requests must be an integer",
+    "sweep-rho-m-a-bool": "rho_m must be a finite number",
+    "sweep-window-max-a-float": "window_max must be an integer",
+    "sweep-rho-b-a-string": "rho_b must be a finite number",
+}
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_is_one_line_and_an_exit_code(tmp_path, capsys, case):
     """Each bad input exits 2 with ``mcsp <command>: error: ...``, or 1 with
     ``solver failed: ...`` for a sweep whose run fails, as one line on
-    stderr with no traceback. A usage error writes no file; the failed sweep
-    writes the rows of the runs before the failed one."""
+    stderr with no traceback, which names what ``NAMED`` gives. A usage
+    error writes no file; the failed sweep writes the rows of the runs
+    before the failed one."""
     argv, code = BAD_INPUTS[case]
     argv = argv(tmp_path)
     out = tmp_path / "out.csv"
@@ -395,6 +446,7 @@ def test_bad_input_is_one_line_and_an_exit_code(tmp_path, capsys, case):
     assert exit_code(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert NAMED.get(case, "") in err
     if code == 2:
         assert err.startswith(f"mcsp {argv[0]}: error: ")
         assert sorted(tmp_path.rglob("*")) == inputs

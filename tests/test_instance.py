@@ -179,6 +179,21 @@ def test_generator_rho_m_closed_unit_interval():
             generate_instance(GeneratorConfig(num_contents=5, num_requests=30, rho_m=rho_m))
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"size_range": (1.5, 3)}, "size_range must be two integers"),
+    ({"size_range": (1, True)}, "size_range must be two integers"),
+    ({"size_range": (1,)}, "size_range must be two integers"),
+    ({"cells": 3}, "cells must be a string"),
+    ({"cache_scale": float("nan")}, "cache_scale must be a finite number above 0"),
+    ({"num_contents": np.float64(4)}, "num_contents must be an integer"),
+])
+def test_generator_checks_types_first(setting, message):
+    """A setting of the wrong type is refused by name before any other
+    rule looks at it."""
+    with pytest.raises(ValueError, match=f"^{message}, got"):
+        generate_instance(GeneratorConfig(**{"num_contents": 5, "num_requests": 30, **setting}))
+
+
 def test_generator_rejects_triples_without_topology():
     with pytest.raises(ValueError, match="no triples"):
         generate_instance(

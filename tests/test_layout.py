@@ -102,3 +102,27 @@ def test_only_the_driver_builds_reports():
         and "SolveReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def _outside(node: ast.AST, name: str):
+    """The nodes under ``node``, leaving out every class called ``name``."""
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.ClassDef) and child.name == name):
+            yield child
+            yield from _outside(child, name)
+
+
+def test_only_the_rounding_state_writes_the_fixings():
+    """Outside ``RoundingState``, no subscript assignment in ``src/mcsp``
+    writes the fixing arrays: no ``.gamma[...]`` or ``.omega[...]`` target,
+    and none through their aliases ``G`` and ``O``. Every fixing goes
+    through ``RoundingState.fix``, the one merge rule."""
+    writes = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _outside(_parse(path), "RoundingState")
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and (getattr(node.value, "attr", None) in ("gamma", "omega")
+             or getattr(node.value, "id", None) in ("G", "O"))
+    ]
+    assert writes == []

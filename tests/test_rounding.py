@@ -316,11 +316,12 @@ def test_array_pass_equals_dict_reference():
 
 def _batch(rng, inst):
     """A random batch of distinct cells as ``RoundingState.fix`` takes them
-    (ints, a slice or index arrays), and the (h, i, t) cells it covers in
-    the order the batch lists them."""
+    (ints, a slice, index arrays or a bool mask over [server, content,
+    slot]), and the (h, i, t) cells it covers in the order the batch lists
+    them."""
     H, I, T = inst.num_servers, inst.num_contents, inst.horizon
     h, i, t = rng.randint(1, H), rng.randint(1, I), rng.randint(1, T)
-    form = rng.choice(["cell", "slots", "servers", "arrays"])
+    form = rng.choice(["cell", "slots", "servers", "arrays", "mask"])
     if form == "cell":
         return (h, i, t), [(h, i, t)]
     if form == "slots":
@@ -330,6 +331,10 @@ def _batch(rng, inst):
         return (slice(1, None), i, t), [(g, i, t) for g in range(1, H + 1)]
     every = [(g, j, s) for g in range(1, H + 1) for j in range(1, I + 1) for s in range(1, T + 1)]
     cells = rng.sample(every, rng.randint(1, len(every)))
+    if form == "mask":
+        mask = np.zeros((H + 1, I + 1, T + 1), dtype=bool)
+        mask[tuple(zip(*cells))] = True
+        return (mask,), sorted(cells)  # a mask lists its cells in (h, i, t) order
     return tuple(np.array(axis) for axis in zip(*cells)), cells
 
 
@@ -348,8 +353,9 @@ def _values(rng, cells, scalar):
 
 def test_batch_fix_equals_cell_by_cell_merges():
     """Random batches of fixings (single cells, slot and server slices,
-    index arrays, scalar and per-cell values) on random tiny instances merge
-    as the dict reference merges them cell by cell. A batch with a
+    index arrays, bool masks, scalar and per-cell values) on random tiny
+    instances merge as the dict reference merges them cell by cell, and
+    ``fix`` returns how many cells the reference changed. A batch with a
     contradiction raises, naming its first cache contradiction, else its
     first update contradiction, in batch order, and writes no cell."""
     rng = random.Random(43)
@@ -379,9 +385,9 @@ def test_batch_fix_equals_cell_by_cell_merges():
                 assert np.array_equal(state.omega, before[1])
                 clashed += 1
                 continue
-            state.fix(*index, gamma=gamma, omega=omega)
-            for cell, g, o in zip(cells, gs, os):
-                ref.fix(*cell, gamma=g, omega=o)
+            changed = state.fix(*index, gamma=gamma, omega=omega)
+            assert changed == sum(ref.fix(*cell, gamma=g, omega=o)
+                                  for cell, g, o in zip(cells, gs, os))
             for got, want in zip((state.gamma, state.omega),
                                  reference.fixing_arrays(inst, ref.fixings)):
                 assert np.array_equal(got, want)
