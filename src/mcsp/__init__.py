@@ -2,7 +2,7 @@
 
 from .baselines import export_ilp, run_pba, solve_exact
 from .columns import Column, ColumnPool, enumerate_columns
-from .driver import SolveReport, naive_round, run_cga, run_lower_bound, run_rcga
+from .driver import Solve, SolveReport, naive_round, run_cga, run_lower_bound, run_rcga
 from .costs import (
     AssignmentPlan,
     CostBreakdown,
@@ -42,6 +42,7 @@ __all__ = [
     "RequestIndex",
     "Schedule",
     "ServerSpec",
+    "Solve",
     "SolveReport",
     "Topology",
     "build_request_index",

@@ -54,12 +54,16 @@ from .simplex import LpError
 # included, propagates with its traceback.
 SOLVER_FAILURES = (LpError, ConvergenceError, UnfixablePoolError, NoPathError, CapsExceededError)
 
-KEY_COLUMNS = ["seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode"]
+# a run's key; its last two columns, generator fields both, follow the results
+# in the CSV, so a CSV written before they joined (its runs had the generator's
+# defaults of both) still resumes
+KEY_COLUMNS = ["seed", "cells", "I", "R", "T", "rho_m", "rho_tt", "rho_b", "algo", "mode",
+               "cache_scale", "window_max"]
 
-CSV_COLUMNS = KEY_COLUMNS + [
+CSV_COLUMNS = KEY_COLUMNS[:-2] + [
     "total", "aoi_cost", "download_cost", "update_cost", "lb", "gap",
     "pricing_rounds", "rounding_rounds", "wall_time_s",
-]
+] + KEY_COLUMNS[-2:]
 
 ALGORITHMS = {
     "rcga": run_rcga,
@@ -77,7 +81,7 @@ GEN_FLAGS = (
     ("--requests", "num_requests", int),
     ("--slots", "horizon", int),
     ("--rho-m", "rho_m", float),
-    ("--rho-tt", "rho_tt", parse_ratio),
+    ("--rho-tt", "rho_tt", str),
     ("--rho-b", "rho_b", float),
     ("--cache-scale", "cache_scale", float),
     ("--window-max", "window_max", int),
@@ -152,6 +156,8 @@ def report_row(cfg: GeneratorConfig, algo: str, mode: str,
         "rho_b": cfg.rho_b,
         "algo": algo,
         "mode": mode,
+        "cache_scale": cfg.cache_scale,
+        "window_max": cfg.window_max,
     }
     if report is None:
         return row
@@ -182,16 +188,19 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
 def _prior_results(path: Path) -> list[dict]:
     """The rows of the results CSV a sweep resumes, none when ``path`` is
-    missing or empty; a header that does not begin with ``CSV_COLUMNS`` is
-    a ValueError."""
+    missing or empty; a header that does not begin with ``CSV_COLUMNS``
+    before the last two key columns is a ValueError, and a row without
+    those holds the generator's defaults."""
     if not path.exists():
         return []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is not None and reader.fieldnames[:len(CSV_COLUMNS)] != CSV_COLUMNS:
+        first = CSV_COLUMNS[:-2]
+        if reader.fieldnames is not None and reader.fieldnames[:len(first)] != first:
             raise ValueError("not a results CSV: its header does not begin with "
-                             + ",".join(CSV_COLUMNS))
-        return list(reader)
+                             + ",".join(first))
+        defaults = {col: _fmt(getattr(GeneratorConfig, col)) for col in KEY_COLUMNS[-2:]}
+        return [defaults | row for row in reader]
 
 
 def _row_key(row: dict) -> tuple:
@@ -213,7 +222,7 @@ def cmd_gen(args) -> int:
                              for flag, field, _ in GEN_FLAGS})
     _output(args.out)
     try:
-        inst = generate_instance(cfg)
+        inst = generate_instance(replace(cfg, rho_tt=parse_ratio(cfg.rho_tt)))
     except ValueError as exc:
         raise UsageError(exc) from exc
     save_instance(inst, args.out)
@@ -313,9 +322,9 @@ def _seeds(gen: dict) -> list[int]:
 
 def _expand_sweep(config) -> list[tuple]:
     """The sweep's jobs, (``GeneratorConfig``, algorithm, mode) each, in
-    block, seed and algorithm order; a config of another shape, a key, mode
-    or algorithm the sweep does not know, or "gen" values the generator
-    rejects, is a usage error."""
+    block, seed and algorithm order, each key once; a config of another
+    shape, a key, mode or algorithm the sweep does not know, or "gen" values
+    the generator rejects, is a usage error."""
     runs = config.get("runs") if isinstance(config, dict) else None
     if not (isinstance(runs, list) and all(
             isinstance(block, dict) and isinstance(block.get("gen"), dict)
@@ -339,7 +348,7 @@ def _expand_sweep(config) -> list[tuple]:
         for seed in seeds:
             for algo in algos:
                 jobs.append((replace(cfg, seed=seed), algo, mode))
-    return jobs
+    return list({_job_key(job): job for job in jobs}.values())
 
 
 def _job_key(job) -> tuple:

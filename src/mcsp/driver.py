@@ -3,9 +3,11 @@
 ``run_cga`` alternates master solves with pricing until no column prices
 negatively and the primal respects every capacity (capacity rows join the
 master once violated, see ``mcsp.rmp``); the objective at that fixpoint is
-the exact LP bound over all columns and rows. ``run_rcga`` records that
-bound, then alternates rounding passes with re-generation until the column
-weights are integral and decodes the schedule.
+the exact LP bound over all columns and rows. Every run of one solve works
+on the same ``Solve``: its pool, pricing statics, fixings, capacity rows and
+warm basis, and the bound (the first run's objective) and round counts its
+report takes. ``run_rcga`` alternates rounding passes with re-generation
+until the column weights are integral and decodes the schedule.
 
 ``finish_report`` is where every solver's schedule becomes a report, and
 ``report_costs`` is the one costing rule: ``cost`` is the free assignment
@@ -165,43 +167,41 @@ class CgaResult:
     rounds: int
 
 
-def run_cga(
-    pool: ColumnPool,
-    statics: PricingStatics,
-    fixings: RoundingState,
-    capacity_rows: CapacityRows,
-    basis: MasterBasis,
-    canonical: bool = False,
-) -> CgaResult:
-    """Alternate master solves and pricing under ``fixings`` until no column
-    prices negative (below -``pricing.TOL_PRICE``) and the fixpoint primal
-    violates no capacity.
+def run_cga(solve: Solve, canonical: bool = False) -> CgaResult:
+    """Alternate master solves and pricing under ``solve``'s fixings until no
+    column prices negative (below -``pricing.TOL_PRICE``) and the fixpoint
+    primal violates no capacity; add the rounds to ``solve.pricing_rounds``
+    and, on ``solve``'s first run, take the fixpoint objective as its bound.
 
-    The master holds the capacity rows in ``capacity_rows``; at each pricing
-    fixpoint the rows the primal violates are added to it and generation
-    carries on. Every master starts from the optimal basis of the one
-    before, kept in ``basis``, which is empty before a solve's first master.
-    Pass the objects of one ``_set_up`` to every call of a solve, so rows
+    The master holds ``solve``'s capacity rows; at each pricing fixpoint the
+    rows the primal violates are added to them and generation carries on.
+    Every master starts from the optimal basis of the one before, kept in
+    ``solve.basis``, which is empty before a solve's first master. So rows
     found once stay in the master and each run starts where the last one
     ended.
 
     With ``canonical`` the fixpoint primal is re-selected canonically on the
     optimal face (see solve_rmp) before the capacity check; the likelihood
     rounding consumes it, so this steers the dive toward fewer and earlier
-    updates. An LpError of that solve propagates like any other.
+    updates. An LpError of that solve propagates like any other, and a run
+    that raises counts no rounds.
     """
+    pool, rows, basis = solve.pool, solve.rows, solve.basis
     inst = pool.inst
     guard = 10 * inst.num_servers * inst.num_contents * inst.horizon
     rounds = 0
     while True:
-        model = build_rmp(pool, capacity_rows)
+        model = build_rmp(pool, rows)
         sol = solve_rmp(model, basis)
         rounds += 1
-        candidates = price_all(pool, sol.duals, statics, fixings)
+        candidates = price_all(pool, sol.duals, solve.statics, solve.fixings)
         if not candidates:
             if canonical:
                 sol = solve_rmp(model, basis, canonical=True, lp=sol.lp)
-            if not capacity_rows.add_violated(pool, sol.weights):
+            if not rows.add_violated(pool, sol.weights):
+                solve.pricing_rounds += rounds
+                if solve.lb is None:
+                    solve.lb = sol.objective
                 return CgaResult(solution=sol, rounds=rounds)
         if candidates:
             pool.add(candidates.keys, candidates.flags)
@@ -272,62 +272,68 @@ def finish_report(
     )
 
 
-def _set_up(
-    inst: Instance, mode: SettlementMode
-) -> tuple[ColumnPool, PricingStatics, RoundingState, CapacityRows, MasterBasis]:
-    """What every column generation run of one solve of ``inst`` shares, in
-    ``run_cga``'s argument order: the pool of zero columns and the pricing
-    statics, both made on one request index in ``mode``, no fixings, no
-    capacity rows and no basis yet."""
-    idx = build_request_index(inst)
-    statics = PricingStatics(idx, mode, np.arange(len(idx.pairs)))
-    return (ColumnPool.initial(idx, mode), statics, RoundingState(inst), CapacityRows(inst),
-            MasterBasis())
+class Solve:
+    """One solve of ``inst`` in ``mode`` by ``algorithm``: what every column
+    generation run of it shares (the pool of zero columns and the pricing
+    statics, both made on one request index in ``mode``, the fixings, the
+    capacity rows held and the warm basis, none of these yet) and what its
+    report takes (when it ``started``, a ``time.perf_counter`` reading; its
+    bound and its pricing and rounding rounds)."""
+
+    def __init__(self, algorithm: str, inst: Instance, mode: SettlementMode):
+        self.started = time.perf_counter()
+        self.algorithm, self.inst, self.mode = algorithm, inst, mode
+        idx = build_request_index(inst)
+        self.statics = PricingStatics(idx, mode, np.arange(len(idx.pairs)))
+        self.pool = ColumnPool.initial(idx, mode)
+        self.fixings = RoundingState(inst)
+        self.rows = CapacityRows(inst)
+        self.basis = MasterBasis()
+        self.lb: Optional[float] = None
+        self.pricing_rounds = 0
+        self.rounding_rounds = 0
+
+    def finish(self, sol: RmpSolution) -> SolveReport:
+        """The report of the schedule the integral ``sol`` decodes to."""
+        schedule = decode_schedule(self.pool, sol)
+        return finish_report(self.algorithm, self.inst, schedule, self.mode, self.lb,
+                             self.pricing_rounds, self.rounding_rounds, self.started)
+
+    def report(self, **outcome) -> SolveReport:
+        """The report of this solve without a schedule, with ``outcome``'s
+        fields."""
+        return SolveReport(self.algorithm, self.mode, lower_bound=self.lb,
+                           pricing_rounds=self.pricing_rounds,
+                           rounding_rounds=self.rounding_rounds,
+                           wall_time_s=time.perf_counter() - self.started, **outcome)
 
 
 def run_rcga(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Column generation with likelihood rounding until integral."""
-    started = time.perf_counter()
-    pool, statics, state, rows, basis = _set_up(inst, mode)
-
-    result = run_cga(pool, statics, state, rows, basis, canonical=True)
-    lb = result.solution.objective
-    pricing_rounds = result.rounds
-    sol = result.solution
-
+    solve = Solve("rcga", inst, mode)
+    pool = solve.pool
+    sol = run_cga(solve, canonical=True).solution
     max_cycles = inst.num_contents * inst.horizon
-    cycles = 0
     while True:
         gamma, omega = compute_indicators(sol.weights, pool)
         if not chi_integral_iff(sol.weights, gamma, omega):
             raise AssertionError("integrality of likelihoods and weights disagree")
         if chi_is_integral(sol.weights):
-            break
-        if cycles >= max_cycles:
+            return solve.finish(sol)
+        if solve.rounding_rounds >= max_cycles:
             raise ConvergenceError(f"rounding did not reach integrality in {max_cycles} passes")
-        round_once(state, gamma, omega, pool)
-        cycles += 1
-        result = run_cga(pool, statics, state, rows, basis, canonical=True)
-        pricing_rounds += result.rounds
-        sol = result.solution
-        if sol.objective < lb - 1e-6 * (1 + abs(lb)):
+        round_once(solve.fixings, gamma, omega, pool)
+        solve.rounding_rounds += 1
+        sol = run_cga(solve, canonical=True).solution
+        if sol.objective < solve.lb - 1e-6 * (1 + abs(solve.lb)):
             raise AssertionError("master objective fell below the pre-rounding bound")
-
-    schedule = decode_schedule(pool, sol)
-    return finish_report("rcga", inst, schedule, mode, lb, pricing_rounds, cycles, started)
 
 
 def run_lower_bound(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     """Column generation without rounding: the optimality yardstick."""
-    started = time.perf_counter()
-    result = run_cga(*_set_up(inst, mode))
-    return SolveReport(
-        algorithm="lb",
-        settlement_mode=mode,
-        lower_bound=result.solution.objective,
-        pricing_rounds=result.rounds,
-        wall_time_s=time.perf_counter() - started,
-    )
+    solve = Solve("lb", inst, mode)
+    run_cga(solve)
+    return solve.report()
 
 
 def _next_pin(sol: RmpSolution) -> int:
@@ -345,34 +351,18 @@ def naive_round(inst: Instance, mode: SettlementMode = "paper") -> SolveReport:
     (``ColumnPool.pin``) and fixes all its slots at once in a
     ``RoundingState`` (gamma and omega are its cached and updated flags),
     which leaves pricing that one path of the pair's graph."""
-    started = time.perf_counter()
-    pool, statics, pins, rows, basis = _set_up(inst, mode)
-
-    result = run_cga(pool, statics, pins, rows, basis)
-    lb = result.solution.objective
-    pricing_rounds = result.rounds
-    sol = result.solution
-    fixes = 0
+    solve = Solve("nrs", inst, mode)
+    pool, pins = solve.pool, solve.fixings
+    sol = run_cga(solve).solution
     try:
         while not chi_is_integral(sol.weights):
             j = _next_pin(sol)
             a = pool.arrays()  # the pin changes the pool's views
             cached, updated = pool.pin(j)
             pins.fix(a.server[j], a.content[j], slice(1, None), gamma=cached, omega=updated)
-            fixes += 1
-            result = run_cga(pool, statics, pins, rows, basis)
-            pricing_rounds += result.rounds
-            sol = result.solution
+            solve.rounding_rounds += 1
+            sol = run_cga(solve).solution
     except LpInfeasibleError:
-        return SolveReport(
-            algorithm="nrs",
-            settlement_mode=mode,
-            lower_bound=lb,
-            pricing_rounds=pricing_rounds,
-            rounding_rounds=fixes,
-            wall_time_s=time.perf_counter() - started,
-            feasible=False,
-            failure="master became infeasible after fixing column weights",
-        )
-    schedule = decode_schedule(pool, sol)
-    return finish_report("nrs", inst, schedule, mode, lb, pricing_rounds, fixes, started)
+        return solve.report(feasible=False,
+                            failure="master became infeasible after fixing column weights")
+    return solve.finish(sol)

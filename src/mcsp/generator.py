@@ -13,6 +13,7 @@ byte-identical instance.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,20 +75,18 @@ def make_topology(cells: str, custom: Topology | None = None) -> Topology:
 
 
 def parse_ratio(text: str | float) -> float:
-    """Parse a three-to-two candidate ratio, either 'a:b' or a float."""
-    if isinstance(text, (int, float)):
-        value = float(text)
-    else:
-        if ":" in text:
-            a, b = text.split(":", 1)
-            num, den = float(a), float(b)
-            if den == 0:
-                return float("inf") if num > 0 else 0.0
-            value = num / den
-        else:
-            value = float(text)
-    if value < 0:
-        raise ValueError(f"ratio must be nonnegative, got {text!r}")
+    """Parse ``rho_tt``, the three-to-two candidate ratio, from 'a:b' or a
+    number ('a:0' is inf for a > 0); a bool, a NaN or negative part, or
+    anything else that is no such ratio is a ValueError."""
+    parts = [] if isinstance(text, bool) else str(text).split(":")
+    try:
+        num, den = map(float, parts + ["1"] if len(parts) == 1 else parts)
+    except ValueError:
+        num = den = math.nan
+    value = num / den if den else (math.inf if num > 0 else 0.0)
+    if not (num >= 0 and den >= 0 and value >= 0):
+        raise ValueError(f"rho_tt must be a number or 'a:b', none of them NaN or below 0, "
+                         f"got {text!r}")
     return value
 
 

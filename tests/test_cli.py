@@ -231,12 +231,16 @@ def test_eval_reports_underivable_ages_without_costing(tmp_path, capsys):
     assert out.startswith("violation: (1,1)") and "cost" not in out
 
 
-@pytest.mark.parametrize("setting", [["--rho-tt=-1"], ["--rho-tt=abc"], ["--rho-m", "1.5"]])
+@pytest.mark.parametrize("setting", [
+    ["--rho-tt=-1"], ["--rho-tt=abc"], ["--rho-tt=-1:0"], ["--rho-tt=-1:-2"], ["--rho-tt", "nan"],
+    ["--rho-m", "1.5"]])
 def test_gen_bad_setting_is_a_usage_error(tmp_path, capsys, setting):
     out = tmp_path / "inst.json"
     assert exit_code(["gen", *setting, "--out", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("mcsp gen: error: ")
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("mcsp gen: error: ")
+    assert ("rho_tt" in last) == setting[0].startswith("--rho-tt")
 
 
 def _instance_file(tmp_path, **change) -> str:
@@ -313,6 +317,9 @@ BAD_INPUTS = {
         "gen", "--rho-b", "1e-7", "--out", str(d / "x.json")], 2),
     "gen-rho-b-rounding-to-zero-from-above": (lambda d: [
         "gen", "--rho-b", "4e-7", "--out", str(d / "x.json")], 2),
+    "gen-rho-tt-negative-parts": (lambda d: [
+        "gen", "--rho-tt=-1:-2", "--out", str(d / "x.json")], 2),
+    "gen-rho-tt-nan": (lambda d: ["gen", "--rho-tt", "nan", "--out", str(d / "x.json")], 2),
     "gen-negative-requests": (lambda d: ["gen", "--requests", "-1", "--out", str(d / "x.json")], 2),
     "gen-cache-capacity-past-a-float": (lambda d: [
         "gen", "--contents", "100", "--cache-scale", "1e308", "--out", str(d / "x.json")], 2),
@@ -372,6 +379,12 @@ BAD_INPUTS = {
         "sweep", "--config", _sweep_file(d, gen={"window_max": 1.5}), "--threads", "1"], 2),
     "sweep-rho-b-a-string": (lambda d: [
         "sweep", "--config", _sweep_file(d, gen={"rho_b": "0.3"}), "--threads", "1"], 2),
+    "sweep-rho-tt-a-bool": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"rho_tt": True}), "--threads", "1"], 2),
+    "sweep-rho-tt-negative-parts": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"rho_tt": "-1:0"}), "--threads", "1"], 2),
+    "sweep-rho-tt-nan": (lambda d: [
+        "sweep", "--config", _sweep_file(d, gen={"rho_tt": "nan"}), "--threads", "1"], 2),
     "sweep-out-in-a-missing-directory": (lambda d: [
         "sweep", "--config", _sweep_file(d), "--out", str(d / "none" / "s.csv")], 2),
     "sweep-missing-config": (lambda d: [
@@ -426,6 +439,7 @@ NAMED = {
     "sweep-rho-m-a-bool": "rho_m must be a finite number",
     "sweep-window-max-a-float": "window_max must be an integer",
     "sweep-rho-b-a-string": "rho_b must be a finite number",
+    **{case: "rho_tt" for case in BAD_INPUTS if "rho-tt" in case},
 }
 
 
@@ -480,6 +494,52 @@ def test_sweep_leaves_an_out_that_is_no_results_csv(tmp_path, capsys, case):
     assert "runs requested" not in printed.out
     assert out.read_bytes() == NOT_RESULTS[case]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["notes.csv", "sweep.json"]
+
+
+def _sweep(tmp_path, capsys, *blocks) -> tuple[str, list[dict]]:
+    """What a one-thread sweep of ``blocks`` prints and the rows it leaves."""
+    config, out = tmp_path / "sweep.json", tmp_path / "results.csv"
+    config.write_text(json.dumps({"runs": list(blocks)}))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
+    return capsys.readouterr().out, read_results_csv(out)
+
+
+SMALL = {"cells": "3-cell", "num_contents": 5, "num_requests": 15, "horizon": 3, "seeds": [1]}
+
+
+@pytest.mark.parametrize("name, value", [("cache_scale", 0.3), ("window_max", 1)])
+def test_sweep_keys_hold_every_setting(tmp_path, capsys, name, value):
+    """Two blocks that differ only in a "gen" setting are two runs with two
+    keys, and a sweep that resumes after the first block runs the second."""
+    first = {"gen": SMALL, "algos": ["pba"]}
+    _sweep(tmp_path, capsys, first)
+    printed, rows = _sweep(tmp_path, capsys, first, {"gen": {**SMALL, name: value},
+                                                     "algos": ["pba"]})
+    assert "2 runs requested, 1 already present, 1 to do" in printed
+    assert len({cli._row_key(row) for row in rows}) == 2
+    assert [row[name] for row in rows] == [str(getattr(GeneratorConfig, name)), str(value)]
+
+
+def test_sweep_runs_each_key_once(tmp_path, capsys):
+    printed, rows = _sweep(tmp_path, capsys, {"gen": {**SMALL, "seeds": [1, 1]},
+                                              "algos": ["pba", "pba"]})
+    assert "1 runs requested, 0 already present, 1 to do" in printed
+    assert len(rows) == 1
+
+
+def test_sweep_resumes_a_csv_without_the_later_key_columns(tmp_path, capsys):
+    """A results CSV whose header ends before ``cache_scale`` and
+    ``window_max`` resumes with its runs present under the generator's
+    defaults, and is rewritten with them."""
+    block = {"gen": {**SMALL, "seeds": [1, 2]}, "algos": ["pba"]}
+    _, rows = _sweep(tmp_path, capsys, block)
+    old = CSV_COLUMNS[:-2]
+    (tmp_path / "results.csv").write_text("\n".join(
+        ",".join(row[col] for col in old) for row in [dict(zip(old, old)), *rows]) + "\n")
+    printed, again = _sweep(tmp_path, capsys, block)
+    assert "2 runs requested, 2 already present, 0 to do" in printed
+    assert again == rows
 
 
 def test_an_interrupted_write_leaves_the_results_whole(tmp_path, monkeypatch):

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcsp import driver
 from mcsp.baselines import run_pba, solve_exact
 from mcsp.columns import ColumnPool
 from mcsp.costs import derive_assignment, evaluate
 from mcsp.driver import (
+    Solve,
     SolveReport,
     _next_pin,
-    _set_up,
     compute_gap,
     naive_round,
     report_costs,
@@ -22,7 +23,7 @@ from mcsp.driver import (
 )
 from mcsp.generator import GeneratorConfig, generate_instance
 from mcsp.instance import build_request_index
-from mcsp.rmp import CapacityRows, MasterBasis, RmpSolution
+from mcsp.rmp import MasterBasis, RmpSolution
 from mcsp.rounding import TOL_INT, RoundingState
 
 from conftest import TWO_CELL, all_capacity_rows, by_pair, random_tiny_instance
@@ -33,16 +34,17 @@ from workloads import toy_configs  # noqa: E402
 
 
 def test_tiny1_cga_fixpoint(tiny1):
-    solve = _set_up(tiny1, "paper")
-    pool = solve[0]
-    result = run_cga(*solve)
+    solve = Solve("lb", tiny1, "paper")
+    result = run_cga(solve)
     assert result.solution.objective == pytest.approx(3.0)
     assert result.rounds <= 3
     # idempotence: a cold rerun at the fixpoint, with fresh fixings, no
     # capacity rows and no basis, adds nothing
-    n = pool.total_columns()
-    again = run_cga(pool, solve[1], RoundingState(tiny1), CapacityRows(tiny1), MasterBasis())
-    assert pool.total_columns() == n
+    cold = Solve("lb", tiny1, "paper")
+    cold.pool, cold.statics = solve.pool, solve.statics
+    n = solve.pool.total_columns()
+    again = run_cga(cold)
+    assert solve.pool.total_columns() == n
     assert again.rounds == 1
 
 
@@ -208,11 +210,42 @@ def test_compute_gap_edges():
     assert compute_gap(10.3, 10.0) == pytest.approx(0.03)
 
 
+@pytest.mark.parametrize("mode, wedges", [("paper", [9, 3, 1]), ("min", [7, 3, 1])])
+def test_reports_take_the_solves_counts(tiny1, monkeypatch, mode, wedges):
+    """Each report's pricing rounds are the sum of its column generation
+    runs' rounds, its bound is the first run's objective, and its rounding
+    rounds are the runs after the first, plus the run of an NRS pin that
+    wedged. On the binding 3-cell 20/150 instances NRS wedges after
+    ``wedges`` pins; on tiny1 it reaches a schedule."""
+    runs = []
+    cga = driver.run_cga
+
+    def recorded(solve, canonical=False):
+        runs.append(cga(solve, canonical))
+        return runs[-1]
+
+    monkeypatch.setattr(driver, "run_cga", recorded)
+    binding = [generate_instance(GeneratorConfig(
+        cells="3-cell", num_contents=20, num_requests=150, horizon=6, rho_m=0.4, rho_tt=1.0,
+        rho_b=0.05, seed=seed)) for seed in (1, 2, 3)]
+    pins = []
+    for inst in [tiny1, *binding]:
+        for solver in (run_rcga, run_lower_bound, naive_round):
+            runs.clear()
+            report = solver(inst, mode)
+            assert report.pricing_rounds == sum(run.rounds for run in runs)
+            assert report.lower_bound == runs[0].solution.objective
+            assert report.rounding_rounds == len(runs) - 1 + (not report.feasible)
+            if solver is naive_round and not report.feasible:
+                pins.append(report.rounding_rounds)
+    assert pins == wedges
+
+
 def test_cga_empty_requests_one_round():
     inst = generate_instance(
         GeneratorConfig(cells="3-cell", num_contents=3, num_requests=0, rho_m=0.0, seed=6)
     )
-    result = run_cga(*_set_up(inst, "paper"))
+    result = run_cga(Solve("lb", inst, "paper"))
     assert result.solution.objective == pytest.approx(0.0)
     assert result.rounds == 1
 

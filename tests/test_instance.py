@@ -225,6 +225,10 @@ def test_parse_ratio():
     assert parse_ratio("1:3") == pytest.approx(1 / 3)
     assert parse_ratio("0:1") == 0.0
     assert parse_ratio(2.5) == 2.5
+    assert parse_ratio("2:0") == math.inf
+    for bad in (True, -1, "-1:0", "-1:-2", "nan", "1:nan", "inf:inf", "1:2:3", "abc"):
+        with pytest.raises(ValueError, match="rho_tt"):
+            parse_ratio(bad)
 
 
 def _mcr_ids(idx, h, i) -> list[int]:

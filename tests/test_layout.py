@@ -91,17 +91,28 @@ def test_every_definition_in_src_is_reachable():
     assert unreachable() == []
 
 
-def test_only_the_driver_builds_reports():
-    """Every solver's report is made in ``driver.py`` (``finish_report``,
-    and the reports without a schedule), so one costing rule covers all."""
-    calls = [
+def _calls_outside_the_driver(name: str) -> list[str]:
+    """Where a ``src/mcsp`` module other than ``driver.py`` calls ``name``."""
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py")) if path.name != "driver.py"
         for node in ast.walk(_parse(path))
         if isinstance(node, ast.Call)
-        and "SolveReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert calls == []
+
+
+def test_only_the_driver_builds_reports():
+    """Every solver's report is made in ``driver.py`` (``finish_report``,
+    and the reports without a schedule), so one costing rule covers all."""
+    assert _calls_outside_the_driver("SolveReport") == []
+
+
+def test_only_the_driver_builds_solves():
+    """Every ``Solve`` is made in ``driver.py``: the column generation
+    state of a solve, and the bound and round counts of its report, have
+    one owner."""
+    assert _calls_outside_the_driver("Solve") == []
 
 
 def _outside(node: ast.AST, name: str):

@@ -254,7 +254,7 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
     """On an instance where capacity binds, column generation with lazily
     added capacity rows ends at the optimum of the master that holds every
     capacity row over the same pool, and that optimum respects capacity."""
-    from mcsp.driver import _set_up, run_cga
+    from mcsp.driver import Solve, run_cga
     from mcsp.generator import GeneratorConfig, generate_instance
 
     inst = generate_instance(
@@ -263,8 +263,9 @@ def test_lazy_capacity_rows_reach_full_master_optimum():
             rho_m=0.4, rho_tt=1.0, rho_b=0.05, cache_scale=0.5, seed=1,
         )
     )
-    pool, statics, state, rows, basis = _set_up(inst, "paper")
-    lazy = run_cga(pool, statics, state, rows, basis)
+    solve = Solve("lb", inst, "paper")
+    pool, rows = solve.pool, solve.rows
+    lazy = run_cga(solve)
     n_keys = inst.num_servers * inst.horizon
     # rows were needed, yet the master holds fewer than all of them
     assert 0 < np.count_nonzero(rows.held) < 2 * n_keys
